@@ -102,25 +102,34 @@ func TestEngineArmedZeroAlloc(t *testing.T) {
 // clocking, pooled batch deliveries downstream — must also be allocation-free
 // in steady state (amortized: the entries bookkeeping reuses its backing).
 func TestDevicePathSteadyStateAllocs(t *testing.T) {
-	k := sim.NewKernel(1)
-	dev := NewDevice(k, DeviceConfig{Name: "alloc", IdleChar: phy.ControlChar(0x07)})
-	sink := phy.ReceiverFunc(func(chars []phy.Character) { phy.ReleaseBurst(chars) })
-	cfg := phy.LinkConfig{Name: "in", CharPeriod: 12_500 * sim.Picosecond, PropDelay: 5 * sim.Nanosecond}
-	link := phy.NewLink(k, cfg, sink)
-	dev.InsertDirection(LeftToRight, link)
+	// The far end hands buffers back either to the kernel's pool (a link
+	// controller) or, knowing no kernel, to the shared depot.
+	sinks := map[string]func(*sim.Kernel) phy.Receiver{
+		"kernel-release": func(k *sim.Kernel) phy.Receiver { return phy.ReceiverFunc(phy.PoolOf(k).Release) },
+		"depot-release":  func(*sim.Kernel) phy.Receiver { return phy.ReceiverFunc(phy.ReleaseBurst) },
+	}
+	for name, sink := range sinks {
+		t.Run(name, func(t *testing.T) {
+			k := sim.NewKernel(1)
+			dev := NewDevice(k, DeviceConfig{Name: "alloc", IdleChar: phy.ControlChar(0x07)})
+			cfg := phy.LinkConfig{Name: "in", CharPeriod: 12_500 * sim.Picosecond, PropDelay: 5 * sim.Nanosecond}
+			link := phy.NewLink(k, cfg, sink(k))
+			dev.InsertDirection(LeftToRight, link)
 
-	burst := make([]phy.Character, 32)
-	for i := range burst {
-		burst[i] = phy.DataChar(byte(0x20 + i))
-	}
-	cycle := func() {
-		link.Send(burst)
-		k.Run()
-	}
-	for i := 0; i < 100; i++ {
-		cycle()
-	}
-	if avg := testing.AllocsPerRun(200, cycle); avg > 0.1 {
-		t.Errorf("device path allocates %.2f objects/op in steady state, want ~0", avg)
+			burst := make([]phy.Character, 32)
+			for i := range burst {
+				burst[i] = phy.DataChar(byte(0x20 + i))
+			}
+			cycle := func() {
+				link.Send(burst)
+				k.Run()
+			}
+			for i := 0; i < 100; i++ {
+				cycle()
+			}
+			if avg := testing.AllocsPerRun(200, cycle); avg > 0.1 {
+				t.Errorf("device path allocates %.2f objects/op in steady state, want ~0", avg)
+			}
+		})
 	}
 }

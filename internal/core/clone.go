@@ -76,7 +76,7 @@ func (e *Engine) Clone(m *sim.Mapper) *Engine {
 // Clone forks the device: both engines, both pass-through monitors, and both
 // splice ports with their constant-delay release state.
 func (d *Device) Clone(m *sim.Mapper) *Device {
-	d2 := &Device{k: m.Kernel(), cfg: d.cfg, inserted: d.inserted}
+	d2 := &Device{k: m.Kernel(), pool: phy.PoolOf(m.Kernel()), cfg: d.cfg, inserted: d.inserted}
 	m.Put(d, d2)
 	for dir := 0; dir < 2; dir++ {
 		d2.engines[dir] = d.engines[dir].Clone(m)

@@ -58,8 +58,9 @@ type DeviceConfig struct {
 //
 // The zero value is not usable; construct with NewDevice.
 type Device struct {
-	k   *sim.Kernel
-	cfg DeviceConfig
+	k    *sim.Kernel
+	pool *phy.Pool // k's burst pool: releases inbound bursts, feeds outbound ones
+	cfg  DeviceConfig
 
 	engines [2]*Engine
 	stats   [2]*PacketStats
@@ -97,7 +98,7 @@ func NewDevice(k *sim.Kernel, cfg DeviceConfig) *Device {
 	if cfg.CharPeriod == 0 {
 		cfg.CharPeriod = 12_500 * sim.Picosecond
 	}
-	d := &Device{k: k, cfg: cfg}
+	d := &Device{k: k, pool: phy.PoolOf(k), cfg: cfg}
 	for dir := 0; dir < 2; dir++ {
 		d.engines[dir] = NewEngine(cfg.SlackChars)
 		d.stats[dir] = NewPacketStats()
@@ -177,7 +178,7 @@ func (p *devicePort) Receive(chars []phy.Character) {
 	}
 	p.deliver(eng.ProcessBatch(chars))
 	p.armFlush()
-	phy.ReleaseBurst(chars)
+	d.pool.Release(chars)
 }
 
 // deliver schedules released characters downstream at entry time plus the
@@ -193,7 +194,7 @@ func (p *devicePort) deliver(out []phy.Character) {
 	latency := p.dev.Latency()
 	now := p.dev.k.Now()
 	dst := p.downstream
-	k := p.dev.k
+	pool := p.dev.pool
 	// out is the engine's scratch buffer, so each batch is copied into a
 	// pooled burst of its own before it enters the event queue.
 	for i := 0; i < len(out); {
@@ -207,9 +208,9 @@ func (p *devicePort) deliver(out []phy.Character) {
 		if at < now {
 			at = now
 		}
-		batch := phy.GetBurst(j - i)
+		batch := pool.Get(j - i)
 		copy(batch, out[i:j])
-		phy.ScheduleReceive(k, at, dst, batch)
+		pool.ScheduleReceive(at, dst, batch)
 		i = j
 	}
 	rest := p.entries[len(out):]

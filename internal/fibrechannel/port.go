@@ -97,6 +97,7 @@ type PortStats struct {
 // The zero value is not usable; construct with NewNPort.
 type NPort struct {
 	k    *sim.Kernel
+	pool *phy.Pool // k's burst pool; received bursts are released here
 	name string
 	addr Address
 	out  *phy.Link
@@ -142,6 +143,7 @@ func NewNPort(k *sim.Kernel, cfg NPortConfig, out *phy.Link) *NPort {
 	}
 	return &NPort{
 		k:         k,
+		pool:      phy.PoolOf(k),
 		name:      cfg.Name,
 		addr:      cfg.Addr,
 		out:       out,
@@ -261,7 +263,7 @@ func (p *NPort) Receive(chars []phy.Character) {
 		// ignored.
 	}
 	// Every code group was decoded into the port's own buffers.
-	phy.ReleaseBurst(chars)
+	p.pool.Release(chars)
 }
 
 // abortFrame drops an in-progress frame (code violation mid-frame).

@@ -89,6 +89,7 @@ func (p *txPacket) clone(m *sim.Mapper, owner string) *txPacket {
 func (lc *LinkController) Clone(m *sim.Mapper) *LinkController {
 	lc2 := &LinkController{
 		k:           m.Kernel(),
+		pool:        phy.PoolOf(m.Kernel()),
 		name:        lc.name,
 		ctr:         cloneCounters(m, lc.ctr),
 		paused:      lc.paused,

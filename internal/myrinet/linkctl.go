@@ -16,6 +16,7 @@ import (
 // The zero value is not usable; construct with NewLinkController.
 type LinkController struct {
 	k    *sim.Kernel
+	pool *phy.Pool // k's burst pool; received bursts are released here
 	name string
 	out  *phy.Link
 	ctr  *Counters
@@ -111,6 +112,7 @@ func NewLinkController(k *sim.Kernel, cfg LinkControllerConfig) *LinkController 
 	}
 	lc := &LinkController{
 		k:    k,
+		pool: phy.PoolOf(k),
 		name: cfg.Name,
 		out:  cfg.Out,
 		ctr:  cfg.Counters,
@@ -485,7 +487,7 @@ func (lc *LinkController) Receive(chars []phy.Character) {
 	}
 	// The burst was copied into the slack buffer character by character;
 	// hand the pooled buffer back.
-	phy.ReleaseBurst(chars)
+	lc.pool.Release(chars)
 }
 
 // assertStop is the slack buffer's high-watermark callback: issue STOP and

@@ -9,10 +9,12 @@ import (
 // Fork support (see sim/clone.go). Links are pure state plus one
 // cross-reference — the receiver — which resolves in the mapper's deferred
 // pass so wiring order never matters. A pending burst delivery clones by
-// copying its characters into a fresh pooled buffer: the old world will
-// deliver (and possibly release) the original, so the fork must not alias
-// it. Burst and delivery pools are process-global and mutex-guarded, so
-// both worlds share them safely.
+// copying its characters into a buffer drawn from the fork kernel's own
+// pool: the old world will deliver (and possibly release) the original, so
+// the fork must not alias it. Pools are per kernel (see pool.go) and
+// Kernel.Clone starts the fork with an empty one, so a fork never touches
+// the base's free lists and concurrent forks of one base share nothing but
+// the mutex-guarded depot.
 
 // CloneSimArg implements sim.ArgClonable for pending burst deliveries.
 func (d *delivery) CloneSimArg(m *sim.Mapper) any {
@@ -20,9 +22,10 @@ func (d *delivery) CloneSimArg(m *sim.Mapper) any {
 	if !ok {
 		panic(fmt.Sprintf("phy: fork: delivery to uncloned receiver %T", d.dst))
 	}
-	chars := GetBurst(len(d.chars))
+	p := PoolOf(m.Kernel())
+	chars := p.Get(len(d.chars))
 	copy(chars, d.chars)
-	return &delivery{dst: dst.(Receiver), chars: chars}
+	return p.newDelivery(dst.(Receiver), chars)
 }
 
 // Clone forks the link. The receiver rebinds at Mapper.Finish, so the
@@ -35,6 +38,7 @@ func (l *Link) Clone(m *sim.Mapper) *Link {
 	}
 	l2 := &Link{
 		k:            m.Kernel(),
+		pool:         PoolOf(m.Kernel()),
 		name:         l.name,
 		charPeriod:   l.charPeriod,
 		propDelay:    l.propDelay,

@@ -57,9 +57,10 @@ func DataChars(b []byte) []Character {
 // Receiver consumes characters delivered by a link. The slice is owned by
 // the receiver after the call: links never touch a delivered buffer again.
 // Delivered buffers come from the burst pool, so a receiver that is done
-// with the slice when Receive returns may hand it back with ReleaseBurst;
-// receivers that retain the slice simply keep it (the pool never reclaims a
-// buffer that was not explicitly released).
+// with the slice when Receive returns may hand it back — to its kernel's
+// Pool if it has one, with ReleaseBurst otherwise; receivers that retain the
+// slice simply keep it (a pool never reclaims a buffer that was not
+// explicitly released).
 type Receiver interface {
 	Receive(chars []Character)
 }
@@ -80,6 +81,7 @@ var _ Receiver = ReceiverFunc(nil)
 // The zero value is not usable; construct with NewLink.
 type Link struct {
 	k          *sim.Kernel
+	pool       *Pool // k's pool, cached so the send path is a field load
 	name       string
 	charPeriod sim.Duration
 	propDelay  sim.Duration
@@ -119,6 +121,7 @@ func NewLink(k *sim.Kernel, cfg LinkConfig, dst Receiver) *Link {
 	}
 	return &Link{
 		k:          k,
+		pool:       PoolOf(k),
 		name:       cfg.Name,
 		charPeriod: cfg.CharPeriod,
 		propDelay:  cfg.PropDelay,
@@ -164,7 +167,7 @@ func (l *Link) Send(chars []Character) sim.Time {
 	if len(chars) == 0 {
 		return l.k.Now()
 	}
-	burst := GetBurst(len(chars))
+	burst := l.pool.Get(len(chars))
 	copy(burst, chars)
 	return l.sendOwned(burst)
 }
@@ -173,7 +176,7 @@ func (l *Link) Send(chars []Character) sim.Time {
 func (l *Link) sendOwned(burst []Character) sim.Time {
 	if l.severed {
 		l.severedChars += uint64(len(burst))
-		ReleaseBurst(burst)
+		l.pool.Release(burst)
 		return l.k.Now()
 	}
 	start := l.k.Now()
@@ -188,7 +191,7 @@ func (l *Link) sendOwned(burst []Character) sim.Time {
 	if l.sink != nil {
 		l.sink.Deliver(arrival, l.dst, burst)
 	} else {
-		ScheduleReceive(l.k, arrival, l.dst, burst)
+		l.pool.ScheduleReceive(arrival, l.dst, burst)
 	}
 	return arrival
 }
@@ -203,7 +206,7 @@ func (l *Link) SendPriority(chars []Character) sim.Time {
 	if len(chars) == 0 {
 		return l.k.Now()
 	}
-	burst := GetBurst(len(chars))
+	burst := l.pool.Get(len(chars))
 	copy(burst, chars)
 	return l.sendPriorityOwned(burst)
 }
@@ -211,7 +214,7 @@ func (l *Link) SendPriority(chars []Character) sim.Time {
 func (l *Link) sendPriorityOwned(burst []Character) sim.Time {
 	if l.severed {
 		l.severedChars += uint64(len(burst))
-		ReleaseBurst(burst)
+		l.pool.Release(burst)
 		return l.k.Now()
 	}
 	arrival := l.k.Now() + sim.Duration(len(burst))*l.charPeriod + l.propDelay
@@ -220,7 +223,7 @@ func (l *Link) sendPriorityOwned(burst []Character) sim.Time {
 	if l.sink != nil {
 		l.sink.Deliver(arrival, l.dst, burst)
 	} else {
-		ScheduleReceive(l.k, arrival, l.dst, burst)
+		l.pool.ScheduleReceive(arrival, l.dst, burst)
 	}
 	return arrival
 }
@@ -229,14 +232,14 @@ func (l *Link) sendPriorityOwned(burst []Character) sim.Time {
 // flow-control symbols (STOP/GO/GAP) dominate link traffic, so this path
 // must not allocate.
 func (l *Link) SendOne(c Character) sim.Time {
-	burst := GetBurst(1)
+	burst := l.pool.Get(1)
 	burst[0] = c
 	return l.sendOwned(burst)
 }
 
 // SendPriorityOne is SendOne with SendPriority's preemption semantics.
 func (l *Link) SendPriorityOne(c Character) sim.Time {
-	burst := GetBurst(1)
+	burst := l.pool.Get(1)
 	burst[0] = c
 	return l.sendPriorityOwned(burst)
 }

@@ -38,7 +38,7 @@ type Delivery struct {
 	Chars []Character
 	Rank  uint32 // the sending link's global rank (unique per link)
 	Seq   uint64 // per-link send sequence; (Rank, Seq) is unique
-	K     *sim.Kernel
+	Pool  *Pool  // the destination kernel's pool; schedules the delivery
 }
 
 // Outbox buffers deliveries originating from one shard between barriers.
@@ -92,7 +92,7 @@ func (o *Outbox) drain(all []Delivery) []Delivery {
 // kernel.
 type ChannelEnd struct {
 	out  *Outbox
-	dstK *sim.Kernel
+	dst  *Pool
 	rank uint32
 	seq  uint64
 }
@@ -101,13 +101,13 @@ type ChannelEnd struct {
 // exchange time. Rank must be unique across all channel ends of a fabric
 // and assigned deterministically from topology alone.
 func NewChannelEnd(out *Outbox, dstK *sim.Kernel, rank uint32) *ChannelEnd {
-	return &ChannelEnd{out: out, dstK: dstK, rank: rank}
+	return &ChannelEnd{out: out, dst: PoolOf(dstK), rank: rank}
 }
 
 // Deliver implements DeliverySink.
 func (c *ChannelEnd) Deliver(arrival sim.Time, dst Receiver, chars []Character) {
 	c.out.push(Delivery{
-		At: arrival, Dst: dst, Chars: chars, Rank: c.rank, Seq: c.seq, K: c.dstK,
+		At: arrival, Dst: dst, Chars: chars, Rank: c.rank, Seq: c.seq, Pool: c.dst,
 	})
 	c.seq++
 }
@@ -118,7 +118,7 @@ func (c *ChannelEnd) Deliver(arrival sim.Time, dst Receiver, chars []Character) 
 // event a barrier exchange would have produced, so execution order is
 // identical to a run where the cable crossed shards.
 type DirectEnd struct {
-	k    *sim.Kernel
+	pool *Pool
 	rank uint32
 	seq  uint64
 }
@@ -127,12 +127,12 @@ type DirectEnd struct {
 // the ChannelEnd rank space: unique per channel end, deterministic from
 // topology alone.
 func NewDirectEnd(k *sim.Kernel, rank uint32) *DirectEnd {
-	return &DirectEnd{k: k, rank: rank}
+	return &DirectEnd{pool: PoolOf(k), rank: rank}
 }
 
 // Deliver implements DeliverySink.
 func (d *DirectEnd) Deliver(arrival sim.Time, dst Receiver, chars []Character) {
-	ScheduleReceiveExt(d.k, arrival, d.rank, d.seq, dst, chars)
+	d.pool.ScheduleReceiveExt(arrival, d.rank, d.seq, dst, chars)
 	d.seq++
 }
 
@@ -160,7 +160,8 @@ func (s *ExchangeSet) Box(i int) *Outbox { return s.boxes[i] }
 
 // Exchange drains every outbox, injecting all buffered deliveries into
 // their destination kernels, and reports how many deliveries moved. It must
-// run at a barrier, with every shard quiescent, and every delivery's
+// run at a barrier, with every shard quiescent — it draws each delivery
+// record from the destination kernel's pool — and every delivery's
 // arrival must be at or after its destination kernel's clock (the
 // conservative window horizons guarantee this; the kernel panics
 // otherwise). Injection needs no sort: the (rank, seq) stamps order the
@@ -176,8 +177,8 @@ func (s *ExchangeSet) Exchange() int {
 	}
 	for i := range all {
 		d := &all[i]
-		ScheduleReceiveExt(d.K, d.At, d.Rank, d.Seq, d.Dst, d.Chars)
-		d.Dst, d.Chars, d.K = nil, nil, nil
+		d.Pool.ScheduleReceiveExt(d.At, d.Rank, d.Seq, d.Dst, d.Chars)
+		d.Dst, d.Chars, d.Pool = nil, nil, nil
 	}
 	n := len(all)
 	s.scratch = all[:0]

@@ -7,29 +7,48 @@ import (
 	"netfi/internal/sim"
 )
 
-// Burst-buffer pool. Every burst a link delivers is copied into a pooled
-// buffer, and the pool only reclaims a buffer when its receiver explicitly
-// hands it back with ReleaseBurst — so a receiver that retains the slice
-// (the documented legacy contract) is always safe: the buffer simply falls
-// out of the pool and the garbage collector reclaims it as before.
+// Burst-buffer and delivery pools. Every burst a link delivers is copied
+// into a pooled buffer, and a pool only reclaims a buffer when its receiver
+// explicitly hands it back — so a receiver that retains the slice (the
+// documented legacy contract) is always safe: the buffer simply falls out
+// of the pool and the garbage collector reclaims it as before.
+//
+// Ownership is per kernel. Each sim.Kernel carries one Pool in its Local
+// slot: size-classed burst free lists plus the delivery-record free list,
+// touched only by the goroutine driving that kernel and therefore free of
+// locks, atomics and lookups. Links, link controllers and devices cache
+// the *Pool at construction, so the delivery path Send -> ScheduleReceive
+// -> deliverBurst -> Receive -> Release is plain field loads and slice
+// operations. Campaign workers and shard kernels never meet on it.
+//
+// Behind the kernel pools sits the depot: mutex-guarded, process-global
+// free lists of the same size classes. It is what the package-level
+// GetBurst / ReleaseBurst use (they have no kernel and may run on any
+// goroutine), and it is where a kernel pool goes on a local miss and where
+// it spills once a local list holds localBurstCap buffers. A buffer taken
+// on one side and released on the other therefore circulates through the
+// depot instead of being allocated per round trip on one side and piling
+// up on the other; a flow that stays inside one kernel never reaches it.
 //
 // Buffers are size-classed by power-of-two capacity. The free lists are
-// guarded by per-class mutexes rather than sync.Pool because Put-ing a slice
-// into a sync.Pool boxes it (one allocation per release), which would defeat
-// the zero-allocs-per-burst goal the regression tests pin.
+// plain slices rather than sync.Pool because Put-ing a slice into a
+// sync.Pool boxes it (one allocation per release), which would defeat the
+// zero-allocs-per-burst goal the regression tests pin.
 
 const (
 	minBurstBits = 4  // smallest pooled class: 16 characters
 	maxBurstBits = 16 // largest pooled class: 65536 characters
+
+	// localBurstCap bounds each kernel-local free list. A test bed's
+	// swing in buffers in flight stays well under it, so campaign kernels
+	// never leave their own lists; beyond it (a large fabric releases
+	// thousands of bursts per send period, a kernel may receive more than
+	// it sends) releases spill to the depot rather than hoard.
+	localBurstCap = 64
 )
 
-type burstClass struct {
-	mu   sync.Mutex
-	free [][]Character
-}
-
-var burstClasses [maxBurstBits + 1]burstClass
-
+// burstClassFor returns the size class serving a request for n characters,
+// 0 < n <= 1<<maxBurstBits.
 func burstClassFor(n int) int {
 	c := bits.Len(uint(n - 1)) // ceil(log2 n) for n > 1
 	if c < minBurstBits {
@@ -38,17 +57,30 @@ func burstClassFor(n int) int {
 	return c
 }
 
-// GetBurst returns a buffer of length n, recycled from the pool when one is
-// available. The contents are unspecified; callers overwrite them.
-func GetBurst(n int) []Character {
-	if n <= 0 {
-		return nil
+// releaseClass returns the size class a released buffer belongs to, or
+// false when its capacity is not exactly one of the pooled powers of two.
+func releaseClass(b []Character) (int, bool) {
+	c := cap(b)
+	if c < 1<<minBurstBits || c > 1<<maxBurstBits || c&(c-1) != 0 {
+		return 0, false
 	}
-	if n > 1<<maxBurstBits {
-		return make([]Character, n)
-	}
-	cl := &burstClasses[burstClassFor(n)]
+	return bits.Len(uint(c)) - 1, true
+}
+
+// depotClass is one size class of the shared depot. ops counts every get
+// and put so tests can assert that a flow stayed kernel-local.
+type depotClass struct {
+	mu   sync.Mutex
+	free [][]Character
+	ops  uint64
+}
+
+var depot [maxBurstBits + 1]depotClass
+
+// get returns a buffer of length n from the class, allocating when empty.
+func (cl *depotClass) get(n, class int) []Character {
 	cl.mu.Lock()
+	cl.ops++
 	if last := len(cl.free) - 1; last >= 0 {
 		b := cl.free[last]
 		cl.free[last] = nil
@@ -57,66 +89,138 @@ func GetBurst(n int) []Character {
 		return b[:n]
 	}
 	cl.mu.Unlock()
-	return make([]Character, n, 1<<burstClassFor(n))
+	return make([]Character, n, 1<<class)
 }
 
-// ReleaseBurst returns a delivered burst to the pool. Callers must release
-// exactly the slice they were handed, must not touch it afterwards, and must
-// not release a buffer twice. Releasing is always optional — an unreleased
-// buffer is collected by the GC — and foreign slices whose capacity is not a
-// pooled power of two are ignored.
-func ReleaseBurst(b []Character) {
-	c := cap(b)
-	if c < 1<<minBurstBits || c > 1<<maxBurstBits || c&(c-1) != 0 {
-		return
-	}
-	cl := &burstClasses[bits.Len(uint(c))-1]
+func (cl *depotClass) put(b []Character) {
 	cl.mu.Lock()
+	cl.ops++
 	cl.free = append(cl.free, b[:0])
 	cl.mu.Unlock()
 }
 
+// GetBurst returns a buffer of length n, recycled from the shared depot
+// when one is available. The contents are unspecified; callers overwrite
+// them. It is safe on any goroutine; code that runs on a kernel should use
+// that kernel's Pool instead.
+func GetBurst(n int) []Character {
+	if n <= 0 {
+		return nil
+	}
+	if n > 1<<maxBurstBits {
+		return make([]Character, n)
+	}
+	c := burstClassFor(n)
+	return depot[c].get(n, c)
+}
+
+// ReleaseBurst hands a burst to the shared depot. Callers must not touch
+// the slice afterwards and must not release a buffer twice. Releasing is
+// always optional — an unreleased buffer is collected by the GC. A slice
+// whose capacity is not exactly a pooled power of two (16..65536) is
+// ignored; any other slice is adopted whatever its origin, because a pooled
+// buffer carries no mark, so release only delivered bursts and GetBurst
+// results, never a slice something else still references.
+func ReleaseBurst(b []Character) {
+	if c, ok := releaseClass(b); ok {
+		depot[c].put(b)
+	}
+}
+
+// Pool is one kernel's burst and delivery pool. It is not safe for
+// concurrent use: like the kernel, it belongs to whichever goroutine is
+// driving the simulation (at a shard barrier, the coordinator).
+type Pool struct {
+	k      *sim.Kernel
+	bursts [maxBurstBits + 1][][]Character
+	free   *delivery
+}
+
+// PoolOf returns k's pool, attaching an empty one on first use. Construct-
+// time code calls it once and keeps the result.
+func PoolOf(k *sim.Kernel) *Pool {
+	if p, ok := k.Local().(*Pool); ok {
+		return p
+	}
+	p := &Pool{k: k}
+	k.SetLocal(p)
+	return p
+}
+
+// Get is GetBurst from the kernel's own free lists; only a local miss
+// reaches the depot.
+func (p *Pool) Get(n int) []Character {
+	if n <= 0 {
+		return nil
+	}
+	if n > 1<<maxBurstBits {
+		return make([]Character, n)
+	}
+	c := burstClassFor(n)
+	free := p.bursts[c]
+	if last := len(free) - 1; last >= 0 {
+		b := free[last]
+		free[last] = nil
+		p.bursts[c] = free[:last]
+		return b[:n]
+	}
+	return depot[c].get(n, c)
+}
+
+// Release is ReleaseBurst into the kernel's own free lists, under the same
+// contract; a list already holding localBurstCap buffers spills to the
+// depot.
+func (p *Pool) Release(b []Character) {
+	c, ok := releaseClass(b)
+	if !ok {
+		return
+	}
+	if free := p.bursts[c]; len(free) < localBurstCap {
+		p.bursts[c] = append(free, b[:0])
+		return
+	}
+	depot[c].put(b)
+}
+
 // delivery carries one pending Receive call through the kernel without a
-// closure. Deliveries are pooled like bursts.
+// closure. A delivery record is taken from the pool of the kernel it is
+// scheduled on and returns there when it fires, so the records never cross
+// kernels and need no depot.
 type delivery struct {
 	dst   Receiver
 	chars []Character
+	pool  *Pool
 	next  *delivery
 }
 
-var deliveryPool struct {
-	mu   sync.Mutex
-	free *delivery
+func (p *Pool) newDelivery(dst Receiver, chars []Character) *delivery {
+	d := p.free
+	if d != nil {
+		p.free = d.next
+		d.next = nil
+	} else {
+		d = &delivery{pool: p}
+	}
+	d.dst, d.chars = dst, chars
+	return d
 }
 
 func deliverBurst(a any) {
 	d := a.(*delivery)
 	dst, chars := d.dst, d.chars
 	d.dst, d.chars = nil, nil
-	deliveryPool.mu.Lock()
-	d.next = deliveryPool.free
-	deliveryPool.free = d
-	deliveryPool.mu.Unlock()
+	d.next = d.pool.free
+	d.pool.free = d
 	dst.Receive(chars)
 }
 
-// ScheduleReceive schedules dst.Receive(chars) at virtual time at, passing
-// ownership of chars to the receiver. It is the allocation-free spelling of
-// k.At(at, func() { dst.Receive(chars) }) and is exported so devices that
-// forward pooled buffers (e.g. the injector's ports) can reuse it.
-func ScheduleReceive(k *sim.Kernel, at sim.Time, dst Receiver, chars []Character) sim.EventID {
-	deliveryPool.mu.Lock()
-	d := deliveryPool.free
-	if d != nil {
-		deliveryPool.free = d.next
-		d.next = nil
-	}
-	deliveryPool.mu.Unlock()
-	if d == nil {
-		d = new(delivery)
-	}
-	d.dst, d.chars = dst, chars
-	return k.AtArg(at, deliverBurst, d)
+// ScheduleReceive schedules dst.Receive(chars) on the pool's kernel at
+// virtual time at, passing ownership of chars to the receiver. It is the
+// allocation-free spelling of k.At(at, func() { dst.Receive(chars) }) and
+// is exported so devices that forward pooled buffers (e.g. the injector's
+// ports) can reuse it.
+func (p *Pool) ScheduleReceive(at sim.Time, dst Receiver, chars []Character) sim.EventID {
+	return p.k.AtArg(at, deliverBurst, p.newDelivery(dst, chars))
 }
 
 // ScheduleReceiveExt is ScheduleReceive for externally-ordered deliveries:
@@ -124,17 +228,12 @@ func ScheduleReceive(k *sim.Kernel, at sim.Time, dst Receiver, chars []Character
 // fires same-time deliveries in a partition-independent order (see
 // sim.Kernel.AtExt). Used by the sharded fabric's exchange and DirectEnd
 // paths.
-func ScheduleReceiveExt(k *sim.Kernel, at sim.Time, rank uint32, seq uint64, dst Receiver, chars []Character) sim.EventID {
-	deliveryPool.mu.Lock()
-	d := deliveryPool.free
-	if d != nil {
-		deliveryPool.free = d.next
-		d.next = nil
-	}
-	deliveryPool.mu.Unlock()
-	if d == nil {
-		d = new(delivery)
-	}
-	d.dst, d.chars = dst, chars
-	return k.AtExt(at, rank, seq, deliverBurst, d)
+func (p *Pool) ScheduleReceiveExt(at sim.Time, rank uint32, seq uint64, dst Receiver, chars []Character) sim.EventID {
+	return p.k.AtExt(at, rank, seq, deliverBurst, p.newDelivery(dst, chars))
+}
+
+// ScheduleReceive is PoolOf(k).ScheduleReceive for callers that did not
+// keep the pool.
+func ScheduleReceive(k *sim.Kernel, at sim.Time, dst Receiver, chars []Character) sim.EventID {
+	return PoolOf(k).ScheduleReceive(at, dst, chars)
 }

@@ -165,7 +165,8 @@ func (m *Mapper) cloneEvent(old *event) *event {
 // Clone deep-copies the kernel into m and returns the fork. The source is
 // not mutated, so concurrent Clones from one base are safe as long as the
 // base itself is not running. Model state must be cloned separately (phase
-// 2) and Mapper.Finish called before the fork is used.
+// 2) and Mapper.Finish called before the fork is used. The Local slot is
+// not copied: the fork starts with its own, empty, kernel-local state.
 func (k *Kernel) Clone(m *Mapper) *Kernel {
 	k2 := &Kernel{
 		now:       k.now,

@@ -201,6 +201,9 @@ type Kernel struct {
 	curPos   int
 
 	free *event // recycled event structs
+
+	// local is the kernel's single attachment slot; see Local.
+	local any
 }
 
 // NewKernel returns a kernel with its clock at zero and a random source
@@ -239,6 +242,18 @@ func (p *prng) Uint64() uint64 {
 func (p *prng) Int63() int64 { return int64(p.Uint64() >> 1) }
 
 func (p *prng) clone() *prng { return &prng{s: p.s} }
+
+// Local returns the value stored with SetLocal, or nil. The slot lets one
+// layer above sim keep kernel-scoped state — phy hangs its burst and
+// delivery pools here — without sim importing it and without a global map
+// from kernels to state. It is touched only by the goroutine that currently
+// drives the kernel, and a Clone starts with it empty: kernel-local state
+// describes the host's memory, not the simulated world.
+func (k *Kernel) Local() any { return k.local }
+
+// SetLocal fills the attachment slot. The slot has a single owner (phy);
+// nothing else may store to it.
+func (k *Kernel) SetLocal(v any) { k.local = v }
 
 // Now returns the current virtual time.
 func (k *Kernel) Now() Time { return k.now }

@@ -1,7 +1,8 @@
 #!/bin/sh
 # check.sh — the repository's full local gate: formatting, vet, the
-# race-enabled test suite, and the tier-1 build/test pass ROADMAP.md
-# promises to keep green. Run via `make check` or directly.
+# race-enabled test suite, the tier-1 build/test pass ROADMAP.md promises to
+# keep green, and the benchmark module's own gate. Run via `make check` or
+# directly.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -21,5 +22,11 @@ go test -race -short ./...
 echo "== tier-1: go build ./... && go test ./..."
 go build ./...
 go test ./...
+
+# bench/ is a module of its own, so ./... above never builds it; an API
+# change under internal/ that its ladder calls would otherwise break the
+# benchmark silently.
+echo "== bench: go vet ./... && go test -short ./..."
+(cd bench && go vet ./... && go test -short ./...)
 
 echo "check: OK"
