@@ -257,21 +257,23 @@ func BenchmarkFIFOInjectorArmed(b *testing.B) {
 // both compiled forms (flat DFA transition table vs per-rule NFA lanes). The
 // DFA rows are the hardware-faithful cost model — per-symbol work independent
 // of rule count — and must stay within small constant factors of the legacy
-// single-pattern matcher.
+// single-pattern matcher. The lanes rows get there the way real rule sets do:
+// rule 1 grows a MaxGap-bounded third step, which no 1024-state DFA tracks.
 func BenchmarkRuleEngine(b *testing.B) {
 	for _, n := range []int{1, 8, 64} {
-		set := ruleBenchSet(n)
-		for _, form := range []struct {
-			name  string
-			force bool
-		}{{"dfa", false}, {"lanes", true}} {
-			b.Run(itoa(n)+"rules/"+form.name, func(b *testing.B) {
-				prog, err := rules.Compile(set, rules.Options{ForceLanes: form.force})
+		for _, form := range []string{"dfa", "lanes"} {
+			set := ruleBenchSet(n)
+			if form == "lanes" {
+				set[0].Steps = append(set[0].Steps,
+					rules.Step{Sym: 0x100, Mask: rules.SymbolMask, Gap: rules.MaxGap})
+			}
+			b.Run(itoa(n)+"rules/"+form, func(b *testing.B) {
+				prog, err := rules.Compile(set, rules.Options{})
 				if err != nil {
 					b.Fatal(err)
 				}
-				if got := prog.Stats().Mode; !form.force && got != "dfa" {
-					b.Fatalf("expected dfa form, compiled to %s", got)
+				if got := prog.Stats().Mode; (got == "dfa") != (form == "dfa") {
+					b.Fatalf("expected %s form, compiled to %s", form, got)
 				}
 				e := core.NewEngine(core.DefaultSlackChars)
 				e.SetRuleProgram(prog)

@@ -193,17 +193,21 @@ func viewSweep(trials []campaign.ResilienceTrial) jsonSweep {
 		sw.Trials = append(sw.Trials, jt)
 		sw.Tally[string(t.Outcome)]++
 	}
-	det := campaign.ComputeDetection(trials)
-	sw.Detection = jsonDetection{
+	sw.Detection = viewDetection(campaign.ComputeDetection(trials))
+	return sw
+}
+
+func viewDetection(det campaign.DetectionStats) jsonDetection {
+	v := jsonDetection{
 		Injected: det.Injected, NonMasked: det.NonMasked,
 		Detected: det.Detected, DetectedNonMasked: det.DetectedNonMasked,
 		Coverage:     det.CoverageNonMasked(),
 		LatencyCDFMs: []float64{},
 	}
 	for _, l := range det.Latencies {
-		sw.Detection.LatencyCDFMs = append(sw.Detection.LatencyCDFMs, ms(l))
+		v.LatencyCDFMs = append(v.LatencyCDFMs, ms(l))
 	}
-	return sw
+	return v
 }
 
 func viewChaos(res campaign.ChaosResult) jsonChaos {
@@ -233,16 +237,7 @@ func viewChaos(res campaign.ChaosResult) jsonChaos {
 		}
 		v.PerK[k][string(t.Outcome)]++
 	}
-	det := campaign.ComputeChaosDetection(res.Trials)
-	v.Detection = jsonDetection{
-		Injected: det.Injected, NonMasked: det.NonMasked,
-		Detected: det.Detected, DetectedNonMasked: det.DetectedNonMasked,
-		Coverage:     det.CoverageNonMasked(),
-		LatencyCDFMs: []float64{},
-	}
-	for _, l := range det.Latencies {
-		v.Detection.LatencyCDFMs = append(v.Detection.LatencyCDFMs, ms(l))
-	}
+	v.Detection = viewDetection(campaign.ComputeDetection(res.Trials))
 	return v
 }
 
@@ -315,7 +310,7 @@ func jsonReport(name string, o expOpts) (string, error) {
 		}
 		v = viewFabric(res)
 	default:
-		return "", fmt.Errorf("-json supports resilience, monitor, chaos, and fabric, not %q", name)
+		return "", fmt.Errorf("-json supports resilience, monitor, chaos, fabric and spec, not %q", name)
 	}
 	out, err := json.MarshalIndent(v, "", "  ")
 	if err != nil {

@@ -17,8 +17,12 @@
 //	netfi fabric       sharded multi-switch fabric: build a Clos from
 //	                   -switches/-hosts, run the flood workload across
 //	                   -shards parallel event kernels, report throughput
-//	netfi all          everything above in order (fabric excluded — its
-//	                   shape is set by its own flags, not -scale)
+//	netfi spec         declarative campaigns from JSON spec files:
+//	                   `netfi spec a.json b.json`, `netfi spec -example`
+//	                   prints a ready-to-run spec
+//	netfi all          everything above in order (fabric and spec excluded —
+//	                   their shape comes from their own arguments, not
+//	                   -scale)
 //
 // Flags:
 //
@@ -31,8 +35,9 @@
 //	               windows, exchanged deliveries, events/window, and
 //	               windows per simulated second
 //	-json          machine-readable output (resilience, monitor, chaos,
-//	               fabric): detection-latency CDFs, per-trial triage, flow
-//	               summaries, coordinator stats
+//	               fabric, spec): detection-latency CDFs, per-trial triage,
+//	               flow summaries, coordinator stats, spec results
+//	-example       print an example campaign spec and exit (spec only)
 //	-scale F       scale experiment durations/rounds toward the paper's full
 //	               lengths (default 1.0; e.g. -scale 12 runs Table 2 with
 //	               240k ping-pong rounds and §4.3.1 for a full minute)
@@ -82,7 +87,8 @@ func run(args []string) int {
 	hosts := fs.Int("hosts", 64, "fabric host count (fabric only)")
 	shards := fs.Int("shards", campaign.DefaultWorkers(), "fabric shard count (fabric only)")
 	stats := fs.Bool("stats", false, "print coordinator-efficiency stats after the run (fabric only)")
-	jsonOut := fs.Bool("json", false, "machine-readable output (resilience, monitor, chaos, fabric)")
+	jsonOut := fs.Bool("json", false, "machine-readable output (resilience, monitor, chaos, fabric, spec)")
+	example := fs.Bool("example", false, "print an example campaign spec and exit (spec only)")
 	cpuprofile := fs.String("cpuprofile", "", "write CPU profile to file")
 	memprofile := fs.String("memprofile", "", "write heap profile to file")
 	if err := fs.Parse(args); err != nil {
@@ -90,14 +96,15 @@ func run(args []string) int {
 	}
 	// Flags are accepted on either side of the experiment name:
 	// `netfi -seed 2 chaos` and `netfi fabric -switches 128` both work.
+	// Only spec takes further arguments (its files).
 	rest := fs.Args()
 	if len(rest) >= 1 {
 		if err := fs.Parse(rest[1:]); err != nil {
 			return 2
 		}
 	}
-	if len(rest) < 1 || fs.NArg() != 0 {
-		fmt.Fprintln(os.Stderr, "usage: netfi [-seed N] [-scale F] [-workers N] [-switches N] [-hosts N] [-shards N] [-stats] [-json] [-cpuprofile F] [-memprofile F] <table1|table2|table4|sec431|sec432|sec433|sec434|passthrough|multirule|resilience|monitor|chaos|fabric|all>")
+	if len(rest) < 1 || (fs.NArg() != 0 && rest[0] != "spec") {
+		fmt.Fprintln(os.Stderr, "usage: netfi [-seed N] [-scale F] [-workers N] [-switches N] [-hosts N] [-shards N] [-stats] [-json] [-cpuprofile F] [-memprofile F] <table1|table2|table4|sec431|sec432|sec433|sec434|passthrough|multirule|resilience|monitor|chaos|fabric|all>\n       netfi [-json] spec <spec.json> ...   (or spec -example)")
 		return 2
 	}
 
@@ -150,6 +157,9 @@ func run(args []string) int {
 		"fabric":      fabricSection,
 	}
 	name := rest[0]
+	if name == "spec" {
+		return runSpecs(os.Stdout, fs.Args(), *jsonOut, *example)
+	}
 	if *jsonOut {
 		out, err := jsonReport(name, opts)
 		if err != nil {

@@ -243,14 +243,7 @@ type chaosBase struct {
 // every fork.
 func newChaosBase(seed int64, opts ChaosOptions) *chaosBase {
 	opts.fillDefaults()
-	tb := NewTestbed(TestbedConfig{
-		Seed: seed,
-		Recovery: myrinet.RecoveryConfig{
-			Enabled:        true,
-			BlockedTimeout: 15 * sim.Millisecond,
-			StopWatchdog:   25 * sim.Millisecond,
-		},
-	})
+	tb := NewTestbed(TestbedConfig{Seed: seed, Recovery: trialRecovery})
 	tb.Configure("DIR L")
 	if opts.ArmedRules {
 		// Pre-armed rules: the ONCE toggle corrupts one warm payload byte
@@ -268,58 +261,16 @@ func newChaosBase(seed int64, opts ChaosOptions) *chaosBase {
 		)
 	}
 
-	rels := make([]*host.Reliable, len(tb.Nodes))
-	for i, n := range tb.Nodes {
-		r, err := host.NewReliable(n, resiliencePort, host.ReliableConfig{
-			InitialRTO: 40 * sim.Millisecond,
-			MaxRTO:     80 * sim.Millisecond,
-			MaxRetries: 5,
-		})
-		if err != nil {
-			panic(err)
-		}
-		rels[i] = r
-	}
+	rels := reliableEndpoints(tb)
 
 	span := sim.Duration(opts.Messages-1) * opts.Gap
 	horizon := tb.K.Now() + sim.Time(chaosWarm+span+opts.Gap+80*sim.Millisecond)
 
-	mon := monitor.NewPlane(tb.K, monitor.Config{
-		SampleInterval: sim.Millisecond,
-		FlowIdle:       25 * sim.Millisecond,
-	})
-	for p := 0; p < tb.Switch.Ports(); p++ {
-		if tb.Switch.Attached(p) {
-			mon.TapSwitchPort(tb.Switch, p, monitor.TapOptions{Flows: true})
-		}
-	}
-	var beat []int
-	for i := range tb.Nodes {
-		if i != 0 && len(beat) < 2 {
-			beat = append(beat, i)
-		}
-	}
-	var hbs []*host.Heartbeat
-	if len(beat) == 2 {
-		a, b := beat[0], beat[1]
-		for _, i := range beat {
-			mon.TapInterface(tb.Nodes[i].Interface(), monitor.TapOptions{Detect: true})
-			if _, err := tb.Nodes[i].Bind(host.HeartbeatPort, nil); err != nil {
-				panic(err)
-			}
-		}
-		ha := host.NewHeartbeat(tb.K, tb.Nodes[a], host.HeartbeatConfig{Dst: NodeMAC(b), Until: horizon})
-		hb := host.NewHeartbeat(tb.K, tb.Nodes[b], host.HeartbeatConfig{Dst: NodeMAC(a), Until: horizon})
-		ha.Start()
-		hb.Start()
-		hbs = append(hbs, ha, hb)
-	}
-	mon.SetStopAt(horizon)
-	mon.Start()
+	mon, hbs := armPlane(tb, horizon)
 
 	// Warm traffic: one message from the tapped node to each peer, fully
 	// drained, so every fork starts with calibrated RTTs and warm caches.
-	payload := chaosPayload()
+	payload := trialPayload()
 	for i := 1; i < len(tb.Nodes); i++ {
 		rels[0].Send(NodeMAC(i), payload)
 	}
@@ -351,14 +302,6 @@ func (b *chaosBase) fork() (*chaosBase, error) {
 	return &chaosBase{tb: tb2, mon: mon2, rels: rels2, hbs: hbs2, start: b.start}, nil
 }
 
-func chaosPayload() []byte {
-	payload := make([]byte, resiliencePayloadLen)
-	for i := range payload {
-		payload[i] = resiliencePayloadFill
-	}
-	return payload
-}
-
 // runChaosTrial applies one plan to a ready world (a fork, or a freshly
 // warmed base — the equivalence gate demands the two be indistinguishable)
 // and triages the outcome. Probes and injection hooks are armed here, on
@@ -374,33 +317,11 @@ func runChaosTrial(b *chaosBase, plan ForkPlan, opts ChaosOptions) ChaosTrial {
 		InjectedAt: -1,
 	}
 
-	mon.AddLossProbe("net.drops", func() uint64 {
-		var n uint64
-		for p := 0; p < tb.Switch.Ports(); p++ {
-			n += tb.Switch.PortCounters(p).TotalDrops()
-		}
-		for _, nd := range tb.Nodes {
-			n += nd.Interface().Counters().TotalDrops()
-		}
-		return n
-	})
-	mon.AddCounterProbe("net.recovery", "recovery", func() uint64 {
-		return recoveryEventCount(tb)
-	})
-	mon.AddWedgeProbe("sw0.held", func() int { return tb.Switch.HeldOutputs() })
+	armNetProbes(mon, tb)
 
 	// First observable fault onset: node deaths and severs mark at their
 	// scheduled instant, corrupt rules when the injector actually fires.
-	var faultAt sim.Time
-	faultSeen := false
-	mark := func() {
-		if !faultSeen {
-			faultSeen = true
-			faultAt = tb.K.Now()
-		}
-	}
-	tb.Injector.Engine(DirOutbound).SetInjectionHook(mark)
-	tb.Injector.Engine(DirInbound).SetInjectionHook(mark)
+	mark, firstFault := markFirstFault(tb)
 
 	// Baselines: forks inherit the warm phase's counters.
 	rel0 := rel.Stats()
@@ -435,7 +356,7 @@ func runChaosTrial(b *chaosBase, plan ForkPlan, opts ChaosOptions) ChaosTrial {
 		}
 	}
 
-	payload := chaosPayload()
+	payload := trialPayload()
 	for i := 0; i < opts.Messages; i++ {
 		dst := NodeMAC(1 + i%(chaosNodes-1))
 		tb.K.After(sim.Duration(i)*opts.Gap, func() { rel.Send(dst, payload) })
@@ -489,7 +410,7 @@ func runChaosTrial(b *chaosBase, plan ForkPlan, opts ChaosOptions) ChaosTrial {
 		tr.Outcome = OutcomeDegraded
 	}
 
-	if faultSeen {
+	if faultAt, ok := firstFault(); ok {
 		tr.InjectedAt = sim.Duration(faultAt - b.start)
 		if e, found := mon.FirstEventAtOrAfter(faultAt); found {
 			tr.Detected = true
@@ -557,39 +478,6 @@ func RunChaos(opts ChaosOptions) ChaosResult {
 	return ChaosResult{Seed: opts.Seed, Forks: opts.Forks, MaxK: opts.MaxK, Trials: trials}
 }
 
-// CountChaosOutcomes tallies a sweep's triage.
-func CountChaosOutcomes(trials []ChaosTrial) map[TrialOutcome]int {
-	m := make(map[TrialOutcome]int)
-	for _, t := range trials {
-		m[t.Outcome]++
-	}
-	return m
-}
-
-// ComputeChaosDetection tallies the sweep's detection axis.
-func ComputeChaosDetection(trials []ChaosTrial) DetectionStats {
-	var s DetectionStats
-	for _, t := range trials {
-		if t.InjectedAt < 0 {
-			continue
-		}
-		s.Injected++
-		masked := t.Outcome == OutcomeMasked
-		if !masked {
-			s.NonMasked++
-		}
-		if t.Detected {
-			s.Detected++
-			if !masked {
-				s.DetectedNonMasked++
-			}
-			s.Latencies = append(s.Latencies, t.DetectLatency)
-		}
-	}
-	sort.Slice(s.Latencies, func(i, j int) bool { return s.Latencies[i] < s.Latencies[j] })
-	return s
-}
-
 // chaosOutcomeOrder fixes the tally rendering order.
 var chaosOutcomeOrder = []TrialOutcome{
 	OutcomeMasked, OutcomeRetransmitted, OutcomeResetRecovered,
@@ -618,9 +506,9 @@ func FormatChaos(r ChaosResult) string {
 		fmt.Fprintf(&b, "  fork %4d  k=%d %-15s del=%d/%d retx=%d gaveup=%d resets=%d inj=%d det=%s (%s, %.1f ms)  %s\n",
 			t.ID, t.K, t.Outcome, t.Delivered, t.Sent, t.Retransmits,
 			t.GaveUp, t.RecoveryEvents, t.Injections,
-			formatChaosDetection(t), t.Quiesce, t.Elapsed.Seconds()*1000, t.Plan)
+			formatDetection(t.verdict()), t.Quiesce, t.Elapsed.Seconds()*1000, t.Plan)
 	}
-	counts := CountChaosOutcomes(r.Trials)
+	counts := CountOutcomes(r.Trials)
 	fmt.Fprintf(&b, "  tally:")
 	for _, o := range chaosOutcomeOrder {
 		if counts[o] > 0 {
@@ -647,7 +535,7 @@ func FormatChaos(r ChaosResult) string {
 		}
 		fmt.Fprintf(&b, "\n")
 	}
-	det := ComputeChaosDetection(r.Trials)
+	det := ComputeDetection(r.Trials)
 	fmt.Fprintf(&b, "  detect: %d/%d non-masked (%.0f%%), %d/%d overall\n",
 		det.DetectedNonMasked, det.NonMasked, 100*det.CoverageNonMasked(),
 		det.Detected, det.Injected)
@@ -658,17 +546,6 @@ func FormatChaos(r ChaosResult) string {
 		}
 	}
 	return b.String()
-}
-
-func formatChaosDetection(t ChaosTrial) string {
-	switch {
-	case t.InjectedAt < 0:
-		return "-"
-	case !t.Detected:
-		return "miss"
-	default:
-		return fmt.Sprintf("%.1fms:%s", t.DetectLatency.Seconds()*1000, t.DetectSource)
-	}
 }
 
 // chaosFingerprint digests the world after a trial: kernel clock and event

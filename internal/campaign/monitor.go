@@ -4,9 +4,7 @@ import (
 	"fmt"
 	"strings"
 
-	"netfi/internal/host"
 	"netfi/internal/monitor"
-	"netfi/internal/myrinet"
 	"netfi/internal/sim"
 )
 
@@ -70,14 +68,7 @@ type MonitorResult struct {
 // traffic the whole way through.
 func RunMonitor(opts MonitorOptions) MonitorResult {
 	opts.fillDefaults()
-	tb := NewTestbed(TestbedConfig{
-		Seed: opts.Seed,
-		Recovery: myrinet.RecoveryConfig{
-			Enabled:        true,
-			BlockedTimeout: 15 * sim.Millisecond,
-			StopWatchdog:   25 * sim.Millisecond,
-		},
-	})
+	tb := NewTestbed(TestbedConfig{Seed: opts.Seed, Recovery: trialRecovery})
 
 	tb.Configure("DIR L")
 	armSpan := sim.Duration(opts.Messages-2) * opts.Gap
@@ -92,23 +83,8 @@ func RunMonitor(opts MonitorOptions) MonitorResult {
 	horizon := base + sim.Time(armSpan+opts.Gap+60*sim.Millisecond)
 	mon, injected := armTrialMonitor(tb, horizon)
 
-	payload := make([]byte, resiliencePayloadLen)
-	for i := range payload {
-		payload[i] = resiliencePayloadFill
-	}
-	endpoints := make([]*host.Reliable, len(tb.Nodes))
-	for i, n := range tb.Nodes {
-		r, err := host.NewReliable(n, resiliencePort, host.ReliableConfig{
-			InitialRTO: 40 * sim.Millisecond,
-			MaxRTO:     80 * sim.Millisecond,
-			MaxRetries: 5,
-		})
-		if err != nil {
-			panic(err)
-		}
-		endpoints[i] = r
-	}
-	rel := endpoints[0]
+	payload := trialPayload()
+	rel := reliableEndpoints(tb)[0]
 	// A fixed destination: the wedged output is then the heartbeat path
 	// toward node 1, so the accrual detector sees the outage directly.
 	dst := NodeMAC(1)

@@ -211,49 +211,10 @@ func recoveryEventCount(tb *Testbed) uint64 {
 	return n
 }
 
-// armTrialMonitor attaches the monitoring plane to a resilience testbed:
-// flow-export taps on every attached switch input, arrival-side accrual
-// detectors on the two lowest untapped nodes (fed by heartbeat beacons
-// between them — beacons never cross the injector's cable, preserving the
-// workload discipline the fault families rely on), and loss / recovery /
-// wedge probes over the network counters. The beacons and the sampling
-// clock stop at horizon. The returned func reports when the first fault
-// landed on the wire.
-func armTrialMonitor(tb *Testbed, horizon sim.Time) (*monitor.Plane, func() (sim.Time, bool)) {
-	mon := monitor.NewPlane(tb.K, monitor.Config{
-		SampleInterval: sim.Millisecond,
-		FlowIdle:       25 * sim.Millisecond,
-	})
-	for p := 0; p < tb.Switch.Ports(); p++ {
-		if tb.Switch.Attached(p) {
-			mon.TapSwitchPort(tb.Switch, p, monitor.TapOptions{Flows: true})
-		}
-	}
-
-	// Heartbeats between the first two nodes that are not the tapped one.
-	var beat []int
-	for i := range tb.Nodes {
-		if i != tb.cfg.TapNode && len(beat) < 2 {
-			beat = append(beat, i)
-		}
-	}
-	if len(beat) == 2 {
-		a, b := beat[0], beat[1]
-		for _, i := range beat {
-			mon.TapInterface(tb.Nodes[i].Interface(), monitor.TapOptions{Detect: true})
-			if _, err := tb.Nodes[i].Bind(host.HeartbeatPort,
-				func(myrinet.MAC, uint16, []byte) {}); err != nil {
-				panic(err)
-			}
-		}
-		host.NewHeartbeat(tb.K, tb.Nodes[a], host.HeartbeatConfig{
-			Dst: NodeMAC(b), Until: horizon,
-		}).Start()
-		host.NewHeartbeat(tb.K, tb.Nodes[b], host.HeartbeatConfig{
-			Dst: NodeMAC(a), Until: horizon,
-		}).Start()
-	}
-
+// armNetProbes adds the loss / recovery / wedge probes over the network
+// counters. They are campaign-owned closures, not part of any cloned world, so
+// chaos trials arm them per fork and resilience trials per rebuilt testbed.
+func armNetProbes(mon *monitor.Plane, tb *Testbed) {
 	mon.AddLossProbe("net.drops", func() uint64 {
 		var n uint64
 		for p := 0; p < tb.Switch.Ports(); p++ {
@@ -268,21 +229,113 @@ func armTrialMonitor(tb *Testbed, horizon sim.Time) (*monitor.Plane, func() (sim
 		return recoveryEventCount(tb)
 	})
 	mon.AddWedgeProbe("sw0.held", func() int { return tb.Switch.HeldOutputs() })
+}
 
-	var injectedAt sim.Time
-	injSeen := false
-	hook := func() {
-		if !injSeen {
-			injSeen = true
-			injectedAt = tb.K.Now()
+// reliableEndpoints binds the reliable transport on every node, with RTOs
+// longer than trialRecovery's watchdogs.
+func reliableEndpoints(tb *Testbed) []*host.Reliable {
+	rels := make([]*host.Reliable, len(tb.Nodes))
+	for i, n := range tb.Nodes {
+		r, err := host.NewReliable(n, resiliencePort, host.ReliableConfig{
+			InitialRTO: 40 * sim.Millisecond,
+			MaxRTO:     80 * sim.Millisecond,
+			MaxRetries: 5,
+		})
+		if err != nil {
+			panic(err)
+		}
+		rels[i] = r
+	}
+	return rels
+}
+
+// trialPayload is the message body every resilience and chaos message
+// carries.
+func trialPayload() []byte {
+	payload := make([]byte, resiliencePayloadLen)
+	for i := range payload {
+		payload[i] = resiliencePayloadFill
+	}
+	return payload
+}
+
+// armPlane builds a trial's monitoring plane and starts it: flow-export taps
+// on every attached switch input and arrival-side accrual detectors on the
+// two lowest untapped nodes, fed by heartbeat beacons between them — beacons
+// never cross the injector's cable, preserving the workload discipline the
+// fault families rely on. The beacons and the sampling clock stop at horizon.
+// The beacon sockets carry no handler, so a chaos base clones as built.
+func armPlane(tb *Testbed, horizon sim.Time) (*monitor.Plane, []*host.Heartbeat) {
+	mon := monitor.NewPlane(tb.K, monitor.Config{
+		SampleInterval: sim.Millisecond,
+		FlowIdle:       25 * sim.Millisecond,
+	})
+	for p := 0; p < tb.Switch.Ports(); p++ {
+		if tb.Switch.Attached(p) {
+			mon.TapSwitchPort(tb.Switch, p, monitor.TapOptions{Flows: true})
 		}
 	}
-	tb.Injector.Engine(DirOutbound).SetInjectionHook(hook)
-	tb.Injector.Engine(DirInbound).SetInjectionHook(hook)
-
+	var beat []int
+	for i := range tb.Nodes {
+		if i != tb.cfg.TapNode && len(beat) < 2 {
+			beat = append(beat, i)
+		}
+	}
+	var hbs []*host.Heartbeat
+	if len(beat) == 2 {
+		for _, i := range beat {
+			mon.TapInterface(tb.Nodes[i].Interface(), monitor.TapOptions{Detect: true})
+			if _, err := tb.Nodes[i].Bind(host.HeartbeatPort, nil); err != nil {
+				panic(err)
+			}
+		}
+		for i, src := range beat {
+			hb := host.NewHeartbeat(tb.K, tb.Nodes[src], host.HeartbeatConfig{
+				Dst: NodeMAC(beat[1-i]), Until: horizon,
+			})
+			hb.Start()
+			hbs = append(hbs, hb)
+		}
+	}
 	mon.SetStopAt(horizon)
 	mon.Start()
-	return mon, func() (sim.Time, bool) { return injectedAt, injSeen }
+	return mon, hbs
+}
+
+// markFirstFault hooks both injector engines. mark latches the time of its
+// first call — the hook calls it on every injection, and chaos faults that
+// bypass the injector call it themselves; first reports the latch.
+func markFirstFault(tb *Testbed) (mark func(), first func() (sim.Time, bool)) {
+	var at sim.Time
+	seen := false
+	mark = func() {
+		if !seen {
+			seen = true
+			at = tb.K.Now()
+		}
+	}
+	tb.Injector.Engine(DirOutbound).SetInjectionHook(mark)
+	tb.Injector.Engine(DirInbound).SetInjectionHook(mark)
+	return mark, func() (sim.Time, bool) { return at, seen }
+}
+
+// armTrialMonitor arms everything a rebuilt-per-trial testbed needs: the
+// plane, the network probes, and the first-fault latch, whose reader it
+// returns.
+func armTrialMonitor(tb *Testbed, horizon sim.Time) (*monitor.Plane, func() (sim.Time, bool)) {
+	mon, _ := armPlane(tb, horizon)
+	armNetProbes(mon, tb)
+	_, injected := markFirstFault(tb)
+	return mon, injected
+}
+
+// trialRecovery is the recovery layer as the campaigns enable it: watchdogs
+// shorter than the transport's first RTO, so a wedge is broken by a reset
+// before the retry needs the path back.
+var trialRecovery = myrinet.RecoveryConfig{
+	Enabled:        true,
+	BlockedTimeout: 15 * sim.Millisecond,
+	StopWatchdog:   25 * sim.Millisecond,
 }
 
 // runResilienceTrial executes one fault injection against a fresh testbed.
@@ -291,13 +344,7 @@ func armTrialMonitor(tb *Testbed, horizon sim.Time) (*monitor.Plane, func() (sim
 func runResilienceTrial(seed int64, trial int, opts ResilienceOptions, recovery bool) ResilienceTrial {
 	rc := myrinet.RecoveryConfig{}
 	if recovery {
-		// Watchdogs shorter than the transport's first RTO, so a wedge
-		// is broken by a reset before the retry needs the path back.
-		rc = myrinet.RecoveryConfig{
-			Enabled:        true,
-			BlockedTimeout: 15 * sim.Millisecond,
-			StopWatchdog:   25 * sim.Millisecond,
-		}
+		rc = trialRecovery
 	}
 	tb := NewTestbed(TestbedConfig{Seed: seed, Recovery: rc})
 	nodes := len(tb.Nodes)
@@ -339,28 +386,13 @@ func runResilienceTrial(seed int64, trial int, opts ResilienceOptions, recovery 
 	horizon := base + sim.Time(armSpan+opts.Gap+60*sim.Millisecond)
 	mon, injected := armTrialMonitor(tb, horizon)
 
-	payload := make([]byte, resiliencePayloadLen)
-	for i := range payload {
-		payload[i] = resiliencePayloadFill
-	}
+	payload := trialPayload()
 
 	var progress func() uint64
 	var rel *host.Reliable
 	received := 0
 	if recovery {
-		endpoints := make([]*host.Reliable, nodes)
-		for i, n := range tb.Nodes {
-			r, err := host.NewReliable(n, resiliencePort, host.ReliableConfig{
-				InitialRTO: 40 * sim.Millisecond,
-				MaxRTO:     80 * sim.Millisecond,
-				MaxRetries: 5,
-			})
-			if err != nil {
-				panic(err)
-			}
-			endpoints[i] = r
-		}
-		rel = endpoints[0]
+		rel = reliableEndpoints(tb)[0]
 		for i := 0; i < opts.Messages; i++ {
 			dst := NodeMAC(1 + i%(nodes-1))
 			tb.K.After(sim.Duration(i)*opts.Gap, func() { rel.Send(dst, payload) })
@@ -479,11 +511,32 @@ func RunResilience(opts ResilienceOptions) ResilienceResult {
 	return res
 }
 
+// trialVerdict is what the tallies and the detection axis read from a trial
+// of either campaign.
+type trialVerdict struct {
+	Outcome       TrialOutcome
+	InjectedAt    sim.Duration
+	Detected      bool
+	DetectLatency sim.Duration
+	DetectSource  string
+}
+
+// triaged is a trial type the shared tallies accept.
+type triaged interface{ verdict() trialVerdict }
+
+func (t ResilienceTrial) verdict() trialVerdict {
+	return trialVerdict{t.Outcome, t.InjectedAt, t.Detected, t.DetectLatency, t.DetectSource}
+}
+
+func (t ChaosTrial) verdict() trialVerdict {
+	return trialVerdict{t.Outcome, t.InjectedAt, t.Detected, t.DetectLatency, t.DetectSource}
+}
+
 // CountOutcomes tallies a sweep's triage.
-func CountOutcomes(trials []ResilienceTrial) map[TrialOutcome]int {
+func CountOutcomes[T triaged](trials []T) map[TrialOutcome]int {
 	m := make(map[TrialOutcome]int)
 	for _, t := range trials {
-		m[t.Outcome]++
+		m[t.verdict().Outcome]++
 	}
 	return m
 }
@@ -504,9 +557,10 @@ type DetectionStats struct {
 }
 
 // ComputeDetection tallies the detection axis of a sweep.
-func ComputeDetection(trials []ResilienceTrial) DetectionStats {
+func ComputeDetection[T triaged](trials []T) DetectionStats {
 	var s DetectionStats
-	for _, t := range trials {
+	for _, trial := range trials {
+		t := trial.verdict()
 		if t.InjectedAt < 0 {
 			continue
 		}
@@ -546,7 +600,7 @@ func (s DetectionStats) Quantile(q float64) sim.Duration {
 }
 
 // formatDetection renders a trial's detection cell.
-func formatDetection(t ResilienceTrial) string {
+func formatDetection(t trialVerdict) string {
 	switch {
 	case t.InjectedAt < 0:
 		return "-"
@@ -578,7 +632,7 @@ func FormatResilience(r ResilienceResult) string {
 			fmt.Fprintf(&b, "  trial %2d  %-14s %-15s del=%d/%d retx=%d gaveup=%d resets=%d inj=%d det=%s (%s, %.1f ms)\n",
 				t.ID, t.Family, t.Outcome, t.Delivered, t.Sent,
 				t.Retransmits, t.GaveUp, t.RecoveryEvents, t.Injections,
-				formatDetection(t), t.Quiesce, t.Elapsed.Seconds()*1000)
+				formatDetection(t.verdict()), t.Quiesce, t.Elapsed.Seconds()*1000)
 		}
 		counts := CountOutcomes(trials)
 		fmt.Fprintf(&b, "  tally:")

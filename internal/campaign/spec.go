@@ -1,18 +1,22 @@
 package campaign
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
+	"math"
 	"strings"
 
 	"netfi/internal/core"
+	"netfi/internal/myrinet"
 	"netfi/internal/sim"
 )
 
 // Spec is a declarative fault-injection campaign, the way NFTAPE scripts
 // drove the real board: a workload, a list of timed fault activations
 // (raw injector command lines plus arming/metering), and a measurement
-// window. Specs serialize to JSON for cmd/campaign.
+// window. Specs serialize to JSON for `netfi spec`.
 type Spec struct {
 	// Name labels the campaign in results.
 	Name string `json:"name"`
@@ -70,19 +74,45 @@ type SpecResult struct {
 	Drops           map[string]uint64 `json:"drops,omitempty"`
 }
 
+// checkMS rejects a millisecond field RunSpec cannot schedule: negative, NaN,
+// or past what sim.Duration holds (which takes +Inf with it).
+func checkMS(field string, v float64) error {
+	if !(v >= 0 && v*float64(sim.Millisecond) < math.MaxInt64) {
+		return fmt.Errorf("campaign: %s %v is not a schedulable duration", field, v)
+	}
+	return nil
+}
+
 // ParseSpec decodes a JSON spec, rejecting unknown fields so typos in
-// campaign files fail loudly.
+// campaign files fail loudly, and every value RunSpec would panic on.
 func ParseSpec(data []byte) (Spec, error) {
 	var s Spec
-	dec := json.NewDecoder(strings.NewReader(string(data)))
+	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&s); err != nil {
 		return Spec{}, fmt.Errorf("campaign: bad spec: %w", err)
 	}
+	if _, err := dec.Token(); err != io.EOF {
+		return Spec{}, fmt.Errorf("campaign: bad spec: trailing data after the JSON object")
+	}
 	if s.Name == "" {
 		return Spec{}, fmt.Errorf("campaign: spec needs a name")
 	}
+	if err := checkMS("duration_ms", s.DurationMS); err != nil {
+		return Spec{}, err
+	}
+	if err := checkMS("load.period_ms", s.Load.PeriodMS); err != nil {
+		return Spec{}, err
+	}
 	for i, f := range s.Faults {
+		for _, d := range []struct {
+			field string
+			v     float64
+		}{{"at_ms", f.AtMS}, {"duty_on_ms", f.DutyOnMS}, {"duty_period_ms", f.DutyPeriodMS}} {
+			if err := checkMS(fmt.Sprintf("fault %d: %s", i, d.field), d.v); err != nil {
+				return Spec{}, err
+			}
+		}
 		switch f.Direction {
 		case "", "both", "L", "R":
 		default:
@@ -98,6 +128,10 @@ func ParseSpec(data []byte) (Spec, error) {
 		}
 		if f.DutyPeriodMS > 0 && f.DutyOnMS > f.DutyPeriodMS {
 			return Spec{}, fmt.Errorf("campaign: fault %d: duty on exceeds period", i)
+		}
+		if f.DutyPeriodMS > 0 && ms(f.DutyPeriodMS) < myrinet.CharPeriod {
+			return Spec{}, fmt.Errorf("campaign: fault %d: duty_period_ms %v is below one character period (%v)",
+				i, f.DutyPeriodMS, myrinet.CharPeriod)
 		}
 		if len(f.Commands) == 0 {
 			return Spec{}, fmt.Errorf("campaign: fault %d: no commands", i)

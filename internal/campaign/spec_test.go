@@ -41,10 +41,32 @@ func TestParseSpecRejectsBadInput(t *testing.T) {
 		"duty > period":  `{"name":"x","faults":[{"commands":["A"],"duty_on_ms":50,"duty_period_ms":5}]}`,
 		"empty commands": `{"name":"x","faults":[{"commands":[]}]}`,
 		"not json":       `{`,
+		"trailing data":  `{"name":"x","faults":[]} {"name":"y"}`,
+		"trailing junk":  `{"name":"x","faults":[]}]`,
+		"neg duration":   `{"name":"x","duration_ms":-1,"faults":[]}`,
+		"huge duration":  `{"name":"x","duration_ms":1e300,"faults":[]}`,
+		"neg load":       `{"name":"x","load":{"period_ms":-2},"faults":[]}`,
+		"neg at":         `{"name":"x","faults":[{"commands":["A"],"at_ms":-5}]}`,
+		"neg duty":       `{"name":"x","faults":[{"commands":["A"],"duty_on_ms":-1,"duty_period_ms":-1}]}`,
+		"zero-ps period": `{"name":"x","faults":[{"commands":["A"],"duty_on_ms":1e-10,"duty_period_ms":1e-10}]}`,
+		"sub-char duty":  `{"name":"x","faults":[{"commands":["A"],"duty_on_ms":1e-6,"duty_period_ms":1e-6}]}`,
 	}
 	for name, raw := range cases {
 		if _, err := ParseSpec([]byte(raw)); err == nil {
 			t.Errorf("%s: accepted", name)
+		}
+	}
+	// The rejections name the offending field.
+	for field, raw := range map[string]string{
+		"fault 0: at_ms":  cases["neg at"],
+		"duration_ms":     cases["neg duration"],
+		"duty_period_ms":  cases["zero-ps period"],
+		"load.period_ms":  cases["neg load"],
+		"trailing data":   cases["trailing data"],
+		"fault 0: duty_o": cases["neg duty"],
+	} {
+		if _, err := ParseSpec([]byte(raw)); err == nil || !strings.Contains(err.Error(), field) {
+			t.Errorf("error %v does not name %q", err, field)
 		}
 	}
 }

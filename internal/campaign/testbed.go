@@ -50,8 +50,6 @@ type TestbedConfig struct {
 	NoInjector bool
 	// TxQueueLimit bounds each NIC's transmit queue. Zero selects 32.
 	TxQueueLimit int
-	// Baud sets the serial console rate. Zero selects 115200.
-	Baud int
 	// Recovery configures the failure-recovery layer on every link
 	// controller and switch port. The zero value (disabled) reproduces
 	// the paper's hardware, which hangs on lost GAPs.
@@ -148,7 +146,7 @@ func NewTestbed(cfg TestbedConfig) *Testbed {
 	})
 	cable := net.Cables[tb.Nodes[cfg.TapNode].Name()]
 	tb.Injector.Insert(cable)
-	tb.Console = serial.NewConsole(k, tb.Injector, cfg.Baud)
+	tb.Console = serial.NewConsole(k, tb.Injector, serial.DefaultBaud)
 
 	if cfg.Mapping {
 		// Warm up: initial delay (1 ms) + scouts + distribution.

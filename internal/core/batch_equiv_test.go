@@ -45,10 +45,41 @@ func batchConfig(c *batchCursor) Config {
 	return cfg
 }
 
-func batchRules(c *batchCursor) []rules.Rule {
-	n := int(c.next() % 3)
-	rs := make([]rules.Rule, 0, n)
-	for i := 0; i < n; i++ {
+// ruleGeometry is what a drawn rule set was sized for: literal > 0 gives
+// every rule that many leading full-mask contiguous steps behind a distinct
+// first symbol, so the compiled screen occupies exactly n*literal positions;
+// blow hangs a MaxGap-bounded step on rule 0, which no 1024-state DFA can
+// track, so the compiler lands on lanes.
+type ruleGeometry struct {
+	n, literal int
+	blow       bool
+}
+
+// batchGeometry draws mostly zero to two free-form rules. A few draws in a
+// hundred are sets sized so the compiler, unprompted, picks what no small set
+// reaches: shift-and screens two, three and four words wide, and NFA lanes.
+func batchGeometry(c *batchCursor) ruleGeometry {
+	switch c.next() % 128 {
+	case 0:
+		return ruleGeometry{n: 64, literal: 2} // 128 positions
+	case 1:
+		// 129..192 positions; three-symbol prefixes straddle both word
+		// boundaries.
+		return ruleGeometry{n: 43 + int(c.next()%22), literal: 3}
+	case 2:
+		return ruleGeometry{n: 64, literal: 4} // 256 positions
+	case 3:
+		return ruleGeometry{n: 1 + int(c.next()%3), literal: 2, blow: true}
+	case 4:
+		return ruleGeometry{n: 64, literal: 4, blow: true}
+	}
+	return ruleGeometry{n: int(c.next() % 3)}
+}
+
+func batchRules(c *batchCursor, g ruleGeometry) []rules.Rule {
+	rs := make([]rules.Rule, 0, g.n)
+	base := uint16(c.next())
+	for i := 0; i < g.n; i++ {
 		r := rules.Rule{ID: i, Mode: rules.Mode(c.next() % 5), Priority: int(c.next() % 4)}
 		switch r.Mode {
 		case rules.ModeAfterN:
@@ -60,24 +91,37 @@ func batchRules(c *batchCursor) []rules.Rule {
 			r.N = uint64(c.next()) * 2
 		}
 		steps := 1 + int(c.next()%4)
+		if g.literal > 0 {
+			steps = g.literal
+		}
 		for j := 0; j < steps; j++ {
 			s := rules.Step{
 				Sym:  uint16(c.next()) | uint16(c.next()&1)<<8,
 				Mask: rules.SymbolMask,
 			}
-			switch c.next() % 8 {
-			case 0:
-				s.Mask = 0x0FF
-			case 1:
-				s.Mask = 0 // wildcard step: no usable literal prefix here
-			}
-			if j > 0 && c.next()%3 == 0 {
-				// Mostly contiguous steps, so multi-symbol literal prefixes
-				// dominate and the batch prefilter actually engages; the
-				// occasional gap cuts the prefix short.
-				s.Gap = 1 + int(c.next()%2)
+			switch {
+			case g.literal == 0:
+				switch c.next() % 8 {
+				case 0:
+					s.Mask = 0x0FF
+				case 1:
+					s.Mask = 0 // wildcard step: no usable literal prefix here
+				}
+				if j > 0 && c.next()%3 == 0 {
+					// Mostly contiguous steps, so multi-symbol literal
+					// prefixes dominate and the batch prefilter actually
+					// engages; the occasional gap cuts the prefix short.
+					s.Gap = 1 + int(c.next()%2)
+				}
+			case j == 0:
+				s.Sym = 0x100 | (base+uint16(i))&0xFF
 			}
 			r.Steps = append(r.Steps, s)
+		}
+		if g.blow && i == 0 {
+			r.Steps = append(r.Steps, rules.Step{
+				Sym: uint16(c.next()) | uint16(c.next()&1)<<8, Mask: rules.SymbolMask, Gap: rules.MaxGap,
+			})
 		}
 		switch c.next() % 4 {
 		case 0:
@@ -138,6 +182,16 @@ func batchStream(c *batchCursor, cfg Config, rs []rules.Rule, n int) []phy.Chara
 				}
 			}
 			stream = append(stream, phy.ControlChar(0x0C))
+		case b%16 == 1 && len(rs) > 0:
+			// Some rule's steps in order, short gaps filled: with hundreds
+			// of anchors in the pool, single draws almost never line up a
+			// multi-symbol prefix by themselves.
+			for _, s := range rs[int(c.next())%len(rs)].Steps {
+				if s.Gap > 0 && c.next()%2 == 0 {
+					stream = append(stream, phy.DataChar(c.next()))
+				}
+				stream = append(stream, phy.Character(s.Sym)&(dcFlag|0xFF))
+			}
 		case b&3 != 3:
 			stream = append(stream, pool[int(b>>2)%len(pool)])
 		default:
@@ -166,29 +220,39 @@ func diffEngines(t *testing.T, caseN, chunkN int, ref, batch *Engine) {
 	}
 }
 
+// checkSelection fails when a sized rule set did not compile to the engine
+// and screen width it was sized for — the sweep would silently stop covering
+// that pairing.
+func checkSelection(t *testing.T, caseN int, g ruleGeometry, p *rules.Program) {
+	t.Helper()
+	if lanes := p.Stats().Mode == "nfa-lanes"; lanes != g.blow {
+		t.Fatalf("case %d: geometry %+v compiled to %s", caseN, g, p.Stats().Mode)
+	}
+	pf := p.Prefilter()
+	if want := (g.n*g.literal + 63) / 64; pf == nil || pf.Stats().Words != want {
+		t.Fatalf("case %d: geometry %+v: screen %v, want %d words", caseN, g, pf, want)
+	}
+}
+
 func checkEngineBatchCase(t *testing.T, caseN int, data []byte) {
 	c := &batchCursor{data: data}
 	slacks := []int{WindowSize, WindowSize + 1, 8, DefaultSlackChars}
 	slack := slacks[int(c.next())%len(slacks)]
 	cfg := batchConfig(c)
-	rs := batchRules(c)
+	g := batchGeometry(c)
+	rs := batchRules(c, g)
 
 	ref := NewEngine(slack)
 	batch := NewEngine(slack)
 	ref.Configure(cfg)
 	batch.Configure(cfg)
 	if len(rs) > 0 {
-		// Sweep the prefilter engines: the per-symbol reference never uses
-		// the screen, so every mode is checked against exact execution.
-		pfModes := []rules.PrefilterMode{
-			rules.PrefilterAuto, rules.PrefilterOff,
-			rules.PrefilterShiftAnd, rules.PrefilterReduced,
-		}
-		opts := rules.Options{Prefilter: pfModes[int(c.next())%len(pfModes)]}
-		if opts.Prefilter == rules.PrefilterReduced && c.next()%2 == 0 {
-			opts.PrefilterBudget = 4 // starve the budget: truncation ladder
-		}
-		if p, err := rules.Compile(rs, opts); err == nil {
+		// The per-symbol reference never uses the screen, so whatever the
+		// compiler picked is checked against exact execution.
+		if p, err := rules.Compile(rs, rules.Options{}); err == nil {
+			if g.literal > 0 {
+				checkSelection(t, caseN, g, p)
+			}
 			ref.SetRuleProgram(p)
 			batch.SetRuleProgram(p)
 		}

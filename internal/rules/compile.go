@@ -5,44 +5,15 @@ import (
 	"sort"
 )
 
-// DefaultMaxDFAStates bounds subset construction: a 1024-state DFA over the
+// dfaStateBudget bounds subset construction: a 1024-state DFA over the
 // 512-symbol alphabet is a 2 MiB transition table — the upper end of what a
 // block-RAM transition ROM on the paper's FPGA class could hold.
-const DefaultMaxDFAStates = 1024
+const dfaStateBudget = 1024
 
-// PrefilterMode selects the batch prefilter engine (see prefilter.go).
-type PrefilterMode int
-
-const (
-	// PrefilterAuto compiles a screen when it would pay: prefixes longer
-	// than one symbol and starter classes covering at most half the symbol
-	// space; it picks shift-and or the reduced prefix-DFA by size.
-	PrefilterAuto PrefilterMode = iota
-	// PrefilterOff disables the screen; StepBatch falls back to the
-	// quiet-run path.
-	PrefilterOff
-	// PrefilterShiftAnd forces the bit-parallel engine.
-	PrefilterShiftAnd
-	// PrefilterReduced forces the budgeted approximate-DFA engine (falling
-	// back to shift-and only if no truncation fits the budget).
-	PrefilterReduced
-)
-
-// Options parameterizes compilation.
-type Options struct {
-	// MaxDFAStates is the subset-construction state budget; zero selects
-	// DefaultMaxDFAStates. When the budget is exceeded the compiler falls
-	// back to per-rule NFA lanes.
-	MaxDFAStates int
-	// ForceLanes skips the DFA entirely (benchmarking the fallback, or
-	// bounding memory).
-	ForceLanes bool
-	// Prefilter selects the batch screen engine; the zero value is auto.
-	Prefilter PrefilterMode
-	// PrefilterBudget bounds the reduced prefix-DFA's subset construction;
-	// zero selects DefaultPrefilterStates.
-	PrefilterBudget int
-}
+// Options is empty: which matcher and which screen a rule set gets is decided
+// by the compiler from the rule set alone (see Compile). The type remains
+// because callers spell rules.Compile(rs, rules.Options{}).
+type Options struct{}
 
 // nfaState is one Thompson-style state. Each state has at most one
 // consuming transition (fires when (sym^cmp)&mask == 0; mask 0 fires on any
@@ -78,8 +49,8 @@ type Program struct {
 
 	nfaStates int
 
-	// prefilter is the compiled batch screen; nil when off or judged
-	// useless (see compilePrefilter).
+	// prefilter is the compiled batch screen; nil when judged useless (see
+	// compilePrefilter).
 	prefilter *Prefilter
 }
 
@@ -99,17 +70,22 @@ type ProgramStats struct {
 }
 
 // Compile validates and lowers a rule set. Rule order is preserved: rule i
-// of the input is bit i of every Executor fire mask.
-func Compile(rs []Rule, opts Options) (*Program, error) {
+// of the input is bit i of every Executor fire mask. The exact matcher is a
+// DFA unless subset construction passes dfaStateBudget, then per-rule
+// NFA lanes; a shift-and screen is compiled in front of either when
+// compilePrefilter judges it pays.
+func Compile(rs []Rule, _ Options) (*Program, error) {
+	return compile(rs, dfaStateBudget)
+}
+
+// compile is Compile with the DFA state budget exposed, so in-package tests
+// can reach the lane fallback with small rule sets.
+func compile(rs []Rule, budget int) (*Program, error) {
 	if len(rs) == 0 {
 		return nil, fmt.Errorf("rules: empty rule set")
 	}
 	if len(rs) > MaxRules {
 		return nil, fmt.Errorf("rules: %d rules, max %d", len(rs), MaxRules)
-	}
-	budget := opts.MaxDFAStates
-	if budget <= 0 {
-		budget = DefaultMaxDFAStates
 	}
 	p := &Program{rules: make([]Rule, 0, len(rs))}
 	for i := range rs {
@@ -120,10 +96,8 @@ func Compile(rs []Rule, opts Options) (*Program, error) {
 		p.lanes = append(p.lanes, buildLane(&rs[i], int32(i)))
 		p.nfaStates += len(p.lanes[i].states)
 	}
-	if !opts.ForceLanes {
-		p.buildDFA(budget) // leaves dfaTable nil past the budget
-	}
-	p.prefilter = compilePrefilter(p.rules, opts)
+	p.buildDFA(budget) // leaves dfaTable nil past the budget
+	p.prefilter = compilePrefilter(p.rules)
 	return p, nil
 }
 
@@ -268,28 +242,13 @@ func normalize(set []int32) []int32 {
 // program is left in lane mode.
 func (p *Program) buildDFA(budget int) {
 	nfa, starts := p.globalNFA()
-	table, accept, sets, ok := subsetConstruct(nfa, starts, budget)
-	if !ok {
-		return // blown budget: stay in lane mode
-	}
-	p.dfaStates = len(sets)
-	p.dfaTable = table
-	p.dfaAccept = accept
-}
-
-// subsetConstruct determinizes an NFA under a state budget. It serves both
-// the exact rule DFA and the prefilter's reduced prefix-DFA: the returned
-// sets (the NFA members of each DFA state) let callers derive per-state
-// metadata such as the prefilter's viable-partial depth. ok is false when
-// the budget blew, with the partial results discarded.
-func subsetConstruct(nfa []nfaState, starts []int32, budget int) (table []int32, accept []uint64, sets [][]int32, ok bool) {
 	b := &dfaBuilder{nfa: nfa, ids: make(map[string]int32)}
-	b.intern(normalize(append([]int32(nil), starts...)))
+	b.intern(normalize(starts))
 
 	// The transition table grows row by row in its final backing array —
 	// one geometric-growth allocation chain instead of a 2KB row per state
 	// plus a final copy.
-	table = make([]int32, 0, 4*SymbolSpace)
+	table := make([]int32, 0, 4*SymbolSpace)
 	for si := 0; si < len(b.sets); si++ {
 		S := b.sets[si]
 		base := make([]int32, 0, len(S)+4)
@@ -338,10 +297,12 @@ func subsetConstruct(nfa []nfaState, starts []int32, budget int) (table []int32,
 		}
 		b.touched = b.touched[:0]
 		if len(b.sets) > budget {
-			return nil, nil, nil, false
+			return // blown budget: stay in lane mode
 		}
 	}
-	return table, b.accept, b.sets, true
+	p.dfaStates = len(b.sets)
+	p.dfaTable = table
+	p.dfaAccept = b.accept
 }
 
 // NumRules returns the rule count.
@@ -357,8 +318,8 @@ func (p *Program) Rules() []Rule { return p.rules }
 // UsesDFA reports whether subset construction fit the budget.
 func (p *Program) UsesDFA() bool { return p.dfaTable != nil }
 
-// Prefilter returns the compiled batch screen, or nil when none executes
-// (mode off, or the auto heuristic judged one useless for this rule set).
+// Prefilter returns the compiled batch screen, or nil when the compiler
+// judged one useless for this rule set.
 func (p *Program) Prefilter() *Prefilter { return p.prefilter }
 
 // Stats summarizes the compiled form.

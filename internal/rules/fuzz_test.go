@@ -5,13 +5,8 @@ import (
 	"testing"
 )
 
-// fuzzCase derives a rule set and a symbol stream from raw bytes, compiles
-// the set twice (DFA under a tight budget, so fallback is exercised too,
-// and forced lanes), runs both over the stream, and checks every fire mask
-// against the naive reference matcher. The compiler must never panic: raw
-// field values are taken from the bytes with only light shaping, so invalid
-// rules (bad gaps, overlong vectors) reach Validate regularly and must come
-// back as errors.
+// byteCursor feeds the generators below from raw bytes (fuzzer input or a
+// seeded rng), so one generator serves the fuzz targets and the fixed sweeps.
 type byteCursor struct {
 	data []byte
 	pos  int
@@ -67,7 +62,10 @@ func buildFuzzRules(c *byteCursor) []Rule {
 }
 
 // buildFuzzStream emits symbols biased toward the rules' step symbols so
-// matches actually happen.
+// matches actually happen: a quarter of the draws splice in the leading steps
+// of some rule, gaps filled up to one symbol past their bound, so multi-symbol
+// prefixes complete (and just fail to) even when the set names hundreds of
+// symbols.
 func buildFuzzStream(c *byteCursor, rs []Rule, n int) []uint16 {
 	var pool []uint16
 	for _, r := range rs {
@@ -75,31 +73,179 @@ func buildFuzzStream(c *byteCursor, rs []Rule, n int) []uint16 {
 			pool = append(pool, s.Sym)
 		}
 	}
-	stream := make([]uint16, n)
-	for i := range stream {
+	random := func() uint16 { return uint16(c.next()) | uint16(c.next()&1)<<8 }
+	stream := make([]uint16, 0, n+MaxSteps*(MaxGap+2))
+	for len(stream) < n {
 		b := c.next()
-		if b&1 == 0 && len(pool) > 0 {
-			stream[i] = pool[int(b>>1)%len(pool)]
-		} else {
-			stream[i] = uint16(b) | uint16(c.next()&1)<<8
+		switch {
+		case b&3 == 0 && len(rs) > 0:
+			r := &rs[int(c.next())%len(rs)]
+			for _, s := range r.Steps[:1+int(c.next())%len(r.Steps)] {
+				fill := 0
+				if s.Gap == GapUnbounded {
+					fill = int(c.next() % 6)
+				} else if s.Gap > 0 {
+					fill = int(c.next()) % (s.Gap + 2)
+				}
+				for ; fill > 0; fill-- {
+					stream = append(stream, random())
+				}
+				stream = append(stream, s.Sym&SymbolMask)
+			}
+		case b&1 == 0 && len(pool) > 0:
+			stream = append(stream, pool[int(b>>1)%len(pool)])
+		default:
+			stream = append(stream, random())
 		}
 	}
-	return stream
+	return stream[:n]
+}
+
+// ruleShape is a rule-set generator together with what the compiler, left to
+// itself, lowers its output to. The differential suites run every shape, so
+// each exact engine executes behind each screen width without an option to
+// force the pairing; TestCompileSelection pins the selection.
+type ruleShape struct {
+	name  string
+	gen   func(c *byteCursor) []Rule
+	mode  string // Stats().Mode
+	words int    // shift-and state width in words; 0 = no screen compiled
+}
+
+// literalRules builds n capture rules of k full-mask steps. First symbols are
+// distinct, so no prefix dedupes or subsumes another and a compiled screen
+// occupies exactly n*min(k, prefixCap) positions.
+func literalRules(c *byteCursor, n, k int) []Rule {
+	rs := make([]Rule, n)
+	base := uint16(c.next())
+	for i := range rs {
+		rs[i] = Rule{ID: i, Mode: ModeOn, Action: ActionCapture}
+		sym := 0x100 | (base+uint16(i))&0xFF
+		for j := 0; j < k; j++ {
+			rs[i].Steps = append(rs[i].Steps, Step{Sym: sym, Mask: SymbolMask})
+			sym = uint16(c.next()) | uint16(c.next()&1)<<8
+		}
+	}
+	return rs
+}
+
+// blowBudget hangs a MaxGap-bounded step on rule 0. The DFA would have to
+// remember which of the last MaxGap positions completed rule 0's steps so
+// far — far more than dfaStateBudget subsets — so the compiler lands on
+// lanes; the literal prefix in front of the gap is untouched.
+func blowBudget(c *byteCursor, rs []Rule) []Rule {
+	rs[0].Steps = append(rs[0].Steps, Step{
+		Sym: uint16(c.next()) | uint16(c.next()&1)<<8, Mask: SymbolMask, Gap: MaxGap,
+	})
+	return rs
+}
+
+var ruleShapes = []ruleShape{
+	{"dfa/none/one-symbol", func(c *byteCursor) []Rule {
+		return literalRules(c, 1+int(c.next()%4), 1)
+	}, "dfa", 0},
+	{"dfa/none/starters", func(c *byteCursor) []Rule {
+		// Every data symbol plus one control symbol can start a prefix:
+		// 257 of 512, one past the half where the screen stops paying.
+		rs := literalRules(c, 2, 2+int(c.next()%3))
+		rs[0].Steps[0] = Step{Sym: 0x100, Mask: 0x100}
+		rs[1].Steps[0].Sym &= 0x0FF
+		return rs
+	}, "dfa", 0},
+	{"dfa/shift-and-1", func(c *byteCursor) []Rule {
+		return literalRules(c, 1+int(c.next()%8), 2+int(c.next()%4))
+	}, "dfa", 1},
+	{"dfa/shift-and-2", func(c *byteCursor) []Rule {
+		if c.next()&1 == 0 {
+			return literalRules(c, 64, 2) // the benchmark set's geometry
+		}
+		// Three-symbol prefixes do not divide 64: one straddles the word
+		// boundary and needs the carry.
+		return literalRules(c, 22+int(c.next()%21), 3)
+	}, "dfa", 2},
+	{"dfa/shift-and-3", func(c *byteCursor) []Rule {
+		if c.next()&1 == 0 {
+			return literalRules(c, 48, 4)
+		}
+		return literalRules(c, 43+int(c.next()%22), 3)
+	}, "dfa", 3},
+	{"dfa/shift-and-4", func(c *byteCursor) []Rule {
+		return literalRules(c, 64, 4+int(c.next()%3))
+	}, "dfa", 4},
+	{"lanes/none", func(c *byteCursor) []Rule {
+		return blowBudget(c, literalRules(c, 1+int(c.next()%4), 1))
+	}, "nfa-lanes", 0},
+	{"lanes/shift-and-1", func(c *byteCursor) []Rule {
+		return blowBudget(c, literalRules(c, 1+int(c.next()%4), 2+int(c.next()%2)))
+	}, "nfa-lanes", 1},
+	{"lanes/shift-and-4", func(c *byteCursor) []Rule {
+		return blowBudget(c, literalRules(c, 64, 4))
+	}, "nfa-lanes", 4},
+}
+
+// eachShape runs fn over n seeded draws of every shape.
+func eachShape(t *testing.T, seed int64, n int, fn func(t *testing.T, sh ruleShape, c *byteCursor, rs []Rule)) {
+	if testing.Short() {
+		n = (n + 4) / 5
+	}
+	for _, sh := range ruleShapes {
+		sh := sh
+		t.Run(sh.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(seed))
+			buf := make([]byte, 2048)
+			for i := 0; i < n; i++ {
+				rng.Read(buf)
+				c := &byteCursor{data: buf}
+				fn(t, sh, c, sh.gen(c))
+			}
+		})
+	}
+}
+
+// TestCompileSelection pins what the compiler picks: the exact engine is a
+// DFA until the state budget blows, then lanes; the screen is shift-and at
+// whatever width the deduplicated prefixes need, or absent when prefixes are
+// one symbol long or their starters cover more than half the symbol space.
+func TestCompileSelection(t *testing.T) {
+	eachShape(t, 1024, 20, func(t *testing.T, sh ruleShape, _ *byteCursor, rs []Rule) {
+		p := mustCompile(t, rs)
+		if got := p.Stats().Mode; got != sh.mode {
+			t.Fatalf("mode %q, want %q (stats %+v)\nrules: %+v", got, sh.mode, p.Stats(), rs)
+		}
+		pf := p.Prefilter()
+		switch {
+		case sh.words == 0 && pf != nil:
+			t.Fatalf("compiled a screen where none pays: %+v\nrules: %+v", pf.Stats(), rs)
+		case sh.words > 0 && pf == nil:
+			t.Fatalf("no screen, want %d words\nrules: %+v", sh.words, rs)
+		case sh.words > 0 && pf.Stats().Words != sh.words:
+			t.Fatalf("screen %+v, want %d words", pf.Stats(), sh.words)
+		}
+	})
 }
 
 // checkFuzzCase is the shared oracle for FuzzRuleCompile and the fixed
-// 10k-case CI sweep.
+// 10k-case CI sweep. It derives a rule set and a symbol stream from raw
+// bytes, compiles the set twice (DFA under a tight budget, so fallback is
+// exercised too, and budget zero, which is always lanes), runs both over the
+// stream, and checks every fire mask against the naive reference matcher.
+// The compiler must never panic: raw field values are taken from the bytes
+// with only light shaping, so invalid rules (bad gaps, overlong vectors)
+// reach Validate regularly and must come back as errors.
 func checkFuzzCase(t *testing.T, data []byte) {
 	c := &byteCursor{data: data}
 	rs := buildFuzzRules(c)
 
-	dfa, errD := Compile(rs, Options{MaxDFAStates: 64})
-	lanes, errL := Compile(rs, Options{ForceLanes: true})
+	dfa, errD := compile(rs, 64)
+	lanes, errL := compile(rs, 0)
 	if (errD == nil) != (errL == nil) {
 		t.Fatalf("compile disagreement: dfa err=%v, lanes err=%v", errD, errL)
 	}
 	if errD != nil {
 		return // invalid rule set: rejected without panicking, done
+	}
+	if lanes.UsesDFA() {
+		t.Fatal("budget 0 produced a DFA")
 	}
 
 	stream := buildFuzzStream(c, rs, 48)
@@ -109,17 +255,23 @@ func checkFuzzCase(t *testing.T, data []byte) {
 		if fd != fl {
 			t.Fatalf("pos %d: dfa fired %#x, lanes fired %#x (stats %+v)", p, fd, fl, dfa.Stats())
 		}
-		var ref uint64
-		for i := range rs {
-			if MatchesAt(&rs[i], stream, p) {
-				ref |= 1 << uint(i)
-			}
-		}
-		if fd != ref {
+		if ref := refFires(rs, stream, p); fd != ref {
 			t.Fatalf("pos %d: compiled fired %#x, reference %#x\nrules: %+v\nstream: %v",
 				p, fd, ref, rs, stream[:p+1])
 		}
 	}
+}
+
+// refFires is the reference matcher's fire mask at stream[p] (all rules
+// ModeOn).
+func refFires(rs []Rule, stream []uint16, p int) uint64 {
+	var ref uint64
+	for i := range rs {
+		if MatchesAt(&rs[i], stream, p) {
+			ref |= 1 << uint(i)
+		}
+	}
+	return ref
 }
 
 // FuzzRuleCompile asserts the compiler never panics and that compiled
@@ -141,7 +293,8 @@ func FuzzRuleCompile(f *testing.F) {
 // TestRuleCompileEquivalence10k is the CI-mode form of the fuzz target: ten
 // thousand seeded random cases through the same oracle, so every ordinary
 // `go test` run re-proves DFA/lane/reference agreement without the fuzzing
-// engine.
+// engine. Every rule shape then runs through the engine the compiler picks
+// for it against the same reference.
 func TestRuleCompileEquivalence10k(t *testing.T) {
 	cases := 10_000
 	if testing.Short() {
@@ -156,4 +309,15 @@ func TestRuleCompileEquivalence10k(t *testing.T) {
 			t.Fatalf("diverged on case %d", i)
 		}
 	}
+	eachShape(t, 20020623, 25, func(t *testing.T, _ ruleShape, c *byteCursor, rs []Rule) {
+		p := mustCompile(t, rs)
+		stream := buildFuzzStream(c, rs, 256)
+		e := NewExecutor(p)
+		for pos, sym := range stream {
+			if got, ref := e.Step(sym), refFires(rs, stream, pos); got != ref {
+				t.Fatalf("pos %d: %s fired %#x, reference %#x\nrules: %+v\nstream: %v",
+					pos, p.Stats().Mode, got, ref, rs, stream[:pos+1])
+			}
+		}
+	})
 }

@@ -10,17 +10,11 @@ import "math/bits"
 // position it clears provably cannot complete any rule's registered prefix,
 // and therefore cannot be inside the prefix span of any accepting run.
 //
-// Two engines cover the size range:
-//
-//   - shift-and: every deduplicated prefix gets a contiguous run of bit
-//     positions; a per-symbol row table B[s] carries class tokens natively
-//     (no wildcard expansion), and one masked shift per symbol advances all
-//     partials at once. At most MaxRules x prefixCap = 256 positions, so the
-//     state is at most four words.
-//   - reduced prefix-DFA: subset construction over the prefix-only NFA under
-//     a state budget (the "budgeted approximate-DFA reduction"), with a
-//     prefix-truncation ladder when the budget blows. One table lookup per
-//     symbol regardless of rule count.
+// The engine is multi-word shift-and: every deduplicated prefix gets a
+// contiguous run of bit positions; a per-symbol row table B[s] carries class
+// tokens natively (no wildcard expansion), and one masked shift per symbol
+// advances all partials at once. At most MaxRules x prefixCap = 256
+// positions, so the state is at most four words.
 //
 // Soundness notes the executor relies on (see Executor.StepBatch and the
 // injector's planScan):
@@ -45,11 +39,6 @@ const prefixCap = 4
 // pfMaxWords is the shift-and state width: MaxRules*prefixCap bit positions.
 const pfMaxWords = MaxRules * prefixCap / 64
 
-// DefaultPrefilterStates bounds the reduced prefix-DFA's subset construction;
-// small compared to the exact DFA budget because the screen only ever tracks
-// prefix progress.
-const DefaultPrefilterStates = 256
-
 // prefixToken is one prefix symbol class: matches sym when (sym^cmp)&mask==0.
 // cmp is stored pre-masked so token equality is class equality.
 type prefixToken struct {
@@ -66,18 +55,12 @@ type Prefilter struct {
 	starter  [SymbolSpace / 64]uint64
 	starters int
 
-	// shift-and tables (always built; the fallback engine).
+	// shift-and tables.
 	words int
 	rows  []uint64 // SymbolSpace x words, row-major by symbol
 	ini   [pfMaxWords]uint64
 	hitm  [pfMaxWords]uint64
 	depth []uint8 // bit position -> symbols consumed (1-based)
-
-	// reduced prefix-DFA tables; acTable nil selects shift-and.
-	acTable  []int32
-	acAccept []uint64
-	acDepth  []uint8
-	acStates int
 }
 
 // PrefilterStats summarizes the compiled screen.
@@ -92,10 +75,6 @@ type PrefilterStats struct {
 	// occupied bit positions.
 	Words     int
 	Positions int
-	// States is the reduced prefix-DFA size, zero when shift-and executes.
-	States int
-	// Engine is "shift-and" or "reduced-dfa".
-	Engine string
 }
 
 // extractPrefix returns a rule's literal prefix: the first step followed by
@@ -183,32 +162,16 @@ func (t *prefixTrie) collect() [][]prefixToken {
 	return out
 }
 
-// dedupePrefixes truncates every prefix to cap symbols and folds the set
-// through the trie.
-func dedupePrefixes(prefixes [][]prefixToken, limit int) [][]prefixToken {
-	t := newPrefixTrie()
-	for _, p := range prefixes {
-		if len(p) > limit {
-			p = p[:limit]
-		}
-		t.insert(p)
-	}
-	return t.collect()
-}
-
 // compilePrefilter builds the screen for a validated rule set, or returns nil
-// when the requested mode is off or the auto heuristic judges a screen
-// useless (starter classes covering most of the symbol space, or no prefix
-// longer than one symbol — the quiet-set path already handles those).
-func compilePrefilter(rs []Rule, opts Options) *Prefilter {
-	if opts.Prefilter == PrefilterOff {
-		return nil
-	}
-	raw := make([][]prefixToken, len(rs))
+// when a screen would be useless: starter classes covering most of the symbol
+// space, or no prefix longer than one symbol — the quiet-set path already
+// handles those.
+func compilePrefilter(rs []Rule) *Prefilter {
+	t := newPrefixTrie()
 	for i := range rs {
-		raw[i] = extractPrefix(&rs[i])
+		t.insert(extractPrefix(&rs[i]))
 	}
-	pf := &Prefilter{prefixes: dedupePrefixes(raw, prefixCap)}
+	pf := &Prefilter{prefixes: t.collect()}
 	for _, p := range pf.prefixes {
 		if len(p) > pf.maxLen {
 			pf.maxLen = len(p)
@@ -223,25 +186,10 @@ func compilePrefilter(rs []Rule, opts Options) *Prefilter {
 	for _, w := range pf.starter {
 		pf.starters += bits.OnesCount64(w)
 	}
-	if opts.Prefilter == PrefilterAuto &&
-		(pf.maxLen < 2 || 2*pf.starters > SymbolSpace) {
+	if pf.maxLen < 2 || 2*pf.starters > SymbolSpace {
 		return nil
 	}
 	pf.buildShiftAnd()
-	budget := opts.PrefilterBudget
-	if budget <= 0 {
-		budget = DefaultPrefilterStates
-	}
-	switch opts.Prefilter {
-	case PrefilterShiftAnd:
-		// shift-and only
-	case PrefilterReduced:
-		pf.buildReduced(budget)
-	default: // auto: one table load beats a multi-word shift when it fits
-		if pf.words > 2 {
-			pf.buildReduced(budget)
-		}
-	}
 	return pf
 }
 
@@ -257,8 +205,6 @@ func (pf *Prefilter) buildShiftAnd() {
 	pf.words = (total + 63) / 64
 	pf.rows = make([]uint64, SymbolSpace*pf.words)
 	pf.depth = make([]uint8, pf.words*64)
-	pf.ini = [pfMaxWords]uint64{}
-	pf.hitm = [pfMaxWords]uint64{}
 	pos := 0
 	for _, p := range pf.prefixes {
 		pf.ini[pos>>6] |= 1 << uint(pos&63)
@@ -275,78 +221,6 @@ func (pf *Prefilter) buildShiftAnd() {
 		pf.hitm[last>>6] |= 1 << uint(last&63)
 		pos += len(p)
 	}
-}
-
-// buildReduced subset-constructs the prefix-only NFA under the state budget,
-// walking a truncation ladder (shorter prefixes, smaller automaton) when the
-// budget blows. All-caps-blown leaves the shift-and engine in charge.
-func (pf *Prefilter) buildReduced(budget int) {
-	for limit := pf.maxLen; limit >= 1; limit-- {
-		prefixes := pf.prefixes
-		if limit < pf.maxLen {
-			prefixes = dedupePrefixes(pf.prefixes, limit)
-		}
-		nfa, starts, depths := prefixNFA(prefixes)
-		table, accept, sets, ok := subsetConstruct(nfa, starts, budget)
-		if !ok {
-			continue
-		}
-		pf.acTable = table
-		pf.acAccept = accept
-		pf.acStates = len(sets)
-		pf.acDepth = make([]uint8, len(sets))
-		for i, set := range sets {
-			var d uint8
-			for _, s := range set {
-				if depths[s] > d {
-					d = depths[s]
-				}
-			}
-			pf.acDepth[i] = d
-		}
-		if limit < pf.maxLen {
-			// The executing engine only tracks truncated prefixes; rewind
-			// and holdback distances — and the shift-and tables, should a
-			// caller inspect them — must match it.
-			pf.maxLen = limit
-			pf.prefixes = prefixes
-			pf.buildShiftAnd()
-		}
-		return
-	}
-}
-
-// prefixNFA lowers prefixes to Thompson states for subset construction: one
-// unanchored start per prefix (nfaState carries at most one consuming
-// transition) followed by its token chain; the last state accepts. depths[s]
-// is how many prefix symbols state s has consumed.
-func prefixNFA(prefixes [][]prefixToken) (nfa []nfaState, starts []int32, depths []uint8) {
-	blank := nfaState{matchNext: -1, anyNext: -1, accept: -1}
-	for _, p := range prefixes {
-		start := int32(len(nfa))
-		starts = append(starts, start)
-		s := blank
-		s.selfAny = true
-		nfa = append(nfa, s)
-		depths = append(depths, 0)
-		cur := start
-		for j, tok := range p {
-			post := blank
-			if j == len(p)-1 {
-				post.accept = 0 // any accept bit means "hit"
-			}
-			// A mask-0 token fires on any symbol — the same convention the
-			// exact NFA simulator and subset construction use.
-			nfa[cur].cmp = tok.cmp
-			nfa[cur].mask = tok.mask
-			next := int32(len(nfa))
-			nfa[cur].matchNext = next
-			nfa = append(nfa, post)
-			depths = append(depths, uint8(j+1))
-			cur = next
-		}
-	}
-	return nfa, starts, depths
 }
 
 // Starter reports whether sym can begin some rule's prefix. The injector's
@@ -367,17 +241,11 @@ func (pf *Prefilter) Stats() PrefilterStats {
 	for _, p := range pf.prefixes {
 		total += len(p)
 	}
-	st := PrefilterStats{
+	return PrefilterStats{
 		Prefixes:  len(pf.prefixes),
 		MaxLen:    pf.maxLen,
 		Starters:  pf.starters,
 		Words:     pf.words,
 		Positions: total,
-		Engine:    "shift-and",
 	}
-	if pf.acTable != nil {
-		st.States = pf.acStates
-		st.Engine = "reduced-dfa"
-	}
-	return st
 }

@@ -23,7 +23,6 @@ const (
 type Scanner struct {
 	pf *Prefilter
 	d  [pfMaxWords]uint64 // shift-and viable positions
-	st int32              // reduced prefix-DFA state
 }
 
 // NewScanner returns a fresh scan with no viable partials.
@@ -35,16 +34,6 @@ func (pf *Prefilter) NewScanner() Scanner { return Scanner{pf: pf} }
 func (s *Scanner) Step(sym uint16) ScanEvent {
 	sym &= SymbolMask
 	pf := s.pf
-	if pf.acTable != nil {
-		s.st = pf.acTable[int(s.st)*SymbolSpace+int(sym)]
-		if pf.acAccept[s.st] != 0 {
-			return ScanHit
-		}
-		if s.st == 0 {
-			return ScanDead
-		}
-		return ScanLive
-	}
 	// Multi-word shift-and: D' = ((D<<1) | I) & B[sym]. A bit shifted past
 	// a prefix's last position lands on the next prefix's first position,
 	// which I re-injects every step anyway, so no boundary masking.
@@ -73,9 +62,6 @@ func (s *Scanner) Step(sym uint16) ScanEvent {
 // interrupting the scan).
 func (s *Scanner) Depth() int {
 	pf := s.pf
-	if pf.acTable != nil {
-		return int(pf.acDepth[s.st])
-	}
 	max := 0
 	for w := 0; w < pf.words; w++ {
 		for d := s.d[w]; d != 0; d &= d - 1 {

@@ -9,7 +9,7 @@
 // replace, drop), a trigger mode (on/off/once/after-N/within-window) and a
 // priority for conflict resolution when several rules fire on the same
 // symbol. Compile lowers a rule set into a flat DFA transition table by
-// subset construction under a configurable state budget; when the DFA would
+// subset construction under a fixed state budget; when the DFA would
 // blow past the budget it falls back to per-rule NFA lanes (one bitset-
 // simulated automaton per rule). Executor runs either form with zero
 // allocations in the per-symbol hot path.

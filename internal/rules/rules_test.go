@@ -32,7 +32,8 @@ func run(t *testing.T, p *Program, stream []uint16) []uint64 {
 	return out
 }
 
-// compileBoth compiles the set as a DFA and as forced lanes.
+// compileBoth compiles the set as a DFA and, with a zero state budget, as
+// lanes.
 func compileBoth(t *testing.T, rs []Rule) (*Program, *Program) {
 	t.Helper()
 	dfa, err := Compile(rs, Options{})
@@ -42,12 +43,12 @@ func compileBoth(t *testing.T, rs []Rule) (*Program, *Program) {
 	if !dfa.UsesDFA() {
 		t.Fatalf("default compile fell back to lanes: %+v", dfa.Stats())
 	}
-	lanes, err := Compile(rs, Options{ForceLanes: true})
+	lanes, err := compile(rs, 0)
 	if err != nil {
 		t.Fatalf("compile lanes: %v", err)
 	}
 	if lanes.UsesDFA() {
-		t.Fatal("ForceLanes produced a DFA")
+		t.Fatal("budget 0 produced a DFA")
 	}
 	return dfa, lanes
 }
@@ -173,7 +174,7 @@ func TestBudgetFallbackToLanes(t *testing.T) {
 	for i := 0; i < 16; i++ {
 		rs = append(rs, seqRule(i, byte(i), byte(i+1), byte(i+2), byte(i+3), byte(i+4), byte(i+5)))
 	}
-	p, err := Compile(rs, Options{MaxDFAStates: 4})
+	p, err := compile(rs, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,11 +241,8 @@ func TestReferenceMatcherBasics(t *testing.T) {
 
 func TestStepZeroAlloc(t *testing.T) {
 	rs := []Rule{seqRule(1, 1, 2, 3), seqRule(2, 4, 5, 6)}
-	for _, force := range []bool{false, true} {
-		p, err := Compile(rs, Options{ForceLanes: force})
-		if err != nil {
-			t.Fatal(err)
-		}
+	dfa, lanes := compileBoth(t, rs)
+	for _, p := range []*Program{dfa, lanes} {
 		e := NewExecutor(p)
 		allocs := testing.AllocsPerRun(100, func() {
 			for b := byte(0); b < 32; b++ {
@@ -252,7 +250,7 @@ func TestStepZeroAlloc(t *testing.T) {
 			}
 		})
 		if allocs != 0 {
-			t.Errorf("ForceLanes=%v: Step allocates (%.1f allocs/run)", force, allocs)
+			t.Errorf("%s: Step allocates (%.1f allocs/run)", p.Stats().Mode, allocs)
 		}
 	}
 }

@@ -5,14 +5,9 @@ import (
 	"testing"
 )
 
-// checkStepBatchCase builds a rule set and stream from raw bytes, randomizes
-// the trigger modes (mode gating reads the symbol clock, so bulk skipping
-// must keep it exact), then runs StepBatch over random chunkings against a
-// fresh per-symbol executor. Every chunk's cumulative fire mask, and the
-// final match/fire counters and symbol clock, must agree.
-func checkStepBatchCase(t *testing.T, data []byte) {
-	c := &byteCursor{data: data}
-	rs := buildFuzzRules(c)
+// randomizeModes redraws every rule's trigger mode: mode gating reads the
+// symbol clock, so bulk skipping must keep it exact.
+func randomizeModes(c *byteCursor, rs []Rule) {
 	for i := range rs {
 		switch c.next() % 4 {
 		case 0:
@@ -27,63 +22,67 @@ func checkStepBatchCase(t *testing.T, data []byte) {
 			rs[i].N = uint64(c.next() % 64)
 		}
 	}
+}
 
-	// The three-way differential: prefilter off, forced shift-and, forced
-	// reduced-DFA (including a starved budget that exercises the truncation
-	// ladder), over both exact-engine forms. Auto mode rides along as the
-	// first two entries' default. Rule sets with no usable literal prefix —
-	// wildcard first steps — flow through the same cases; auto declines the
-	// screen for them and forced modes must still agree.
-	for _, opts := range []Options{
-		{MaxDFAStates: 64},
-		{ForceLanes: true},
-		{MaxDFAStates: 64, Prefilter: PrefilterOff},
-		{MaxDFAStates: 64, Prefilter: PrefilterShiftAnd},
-		{ForceLanes: true, Prefilter: PrefilterShiftAnd},
-		{MaxDFAStates: 64, Prefilter: PrefilterReduced},
-		{MaxDFAStates: 64, Prefilter: PrefilterReduced, PrefilterBudget: 4},
-	} {
-		p, err := Compile(rs, opts)
-		if err != nil {
-			return // invalid rule set; the compile fuzzer owns that path
+// checkStepBatch runs StepBatch over random chunkings of a stream against a
+// fresh per-symbol executor of the same program. Every chunk's cumulative
+// fire mask, and the final match/fire counters and symbol clock, must agree.
+func checkStepBatch(t *testing.T, c *byteCursor, p *Program, length int) {
+	rs := p.Rules()
+	stream := buildFuzzStream(c, rs, length)
+	ref := NewExecutor(p)
+	batch := NewExecutor(p)
+	pos := 0
+	for pos < len(stream) {
+		n := 1 + int(c.next())%24
+		if pos+n > len(stream) {
+			n = len(stream) - pos
 		}
-		stream := buildFuzzStream(c, rs, 96)
-
-		ref := NewExecutor(p)
-		batch := NewExecutor(p)
-		pos := 0
-		for pos < len(stream) {
-			n := 1 + int(c.next())%24
-			if pos+n > len(stream) {
-				n = len(stream) - pos
-			}
-			chunk := stream[pos : pos+n]
-			var want uint64
-			for _, sym := range chunk {
-				want |= ref.Step(sym)
-			}
-			if got := batch.StepBatch(chunk); got != want {
-				t.Fatalf("chunk [%d:%d): StepBatch fired %#x, per-symbol %#x (lanes=%v)\nrules: %+v\nstream: %v",
-					pos, pos+n, got, want, opts.ForceLanes, rs, stream[:pos+n])
-			}
-			pos += n
+		chunk := stream[pos : pos+n]
+		var want uint64
+		for _, sym := range chunk {
+			want |= ref.Step(sym)
 		}
-		if ref.Symbols() != batch.Symbols() {
-			t.Fatalf("symbol clock diverged: per-symbol %d, batch %d", ref.Symbols(), batch.Symbols())
+		if got := batch.StepBatch(chunk); got != want {
+			t.Fatalf("chunk [%d:%d): StepBatch fired %#x, per-symbol %#x (%s)\nrules: %+v\nstream: %v",
+				pos, pos+n, got, want, p.Stats().Mode, rs, stream[:pos+n])
 		}
-		for i := range rs {
-			rm, rf := ref.Counters(i)
-			bm, bf := batch.Counters(i)
-			if rm != bm || rf != bf {
-				t.Fatalf("rule %d counters diverged: per-symbol (%d,%d), batch (%d,%d)\nrules: %+v",
-					i, rm, rf, bm, bf, rs)
-			}
+		pos += n
+	}
+	if ref.Symbols() != batch.Symbols() {
+		t.Fatalf("symbol clock diverged: per-symbol %d, batch %d", ref.Symbols(), batch.Symbols())
+	}
+	for i := range rs {
+		rm, rf := ref.Counters(i)
+		bm, bf := batch.Counters(i)
+		if rm != bm || rf != bf {
+			t.Fatalf("rule %d counters diverged: per-symbol (%d,%d), batch (%d,%d)\nrules: %+v",
+				i, rm, rf, bm, bf, rs)
 		}
 	}
 }
 
+// checkStepBatchCase builds a small rule set from raw bytes and checks both
+// exact-engine forms of it — a DFA under a tight budget and budget zero,
+// which is always lanes — behind whatever screen the compiler chose. Rule
+// sets with no usable literal prefix (wildcard first steps) flow through the
+// same cases with no screen.
+func checkStepBatchCase(t *testing.T, data []byte) {
+	c := &byteCursor{data: data}
+	rs := buildFuzzRules(c)
+	randomizeModes(c, rs)
+	for _, budget := range []int{64, 0} {
+		p, err := compile(rs, budget)
+		if err != nil {
+			return // invalid rule set; the compile fuzzer owns that path
+		}
+		checkStepBatch(t, c, p, 96)
+	}
+}
+
 // TestStepBatchEquivalence10k re-proves batch/per-symbol agreement on ten
-// thousand seeded random cases every ordinary `go test` run.
+// thousand seeded random cases every ordinary `go test` run, then on every
+// rule shape through the engine and screen the compiler picks for it.
 func TestStepBatchEquivalence10k(t *testing.T) {
 	cases := 10_000
 	if testing.Short() {
@@ -98,6 +97,10 @@ func TestStepBatchEquivalence10k(t *testing.T) {
 			t.Fatalf("diverged on case %d", i)
 		}
 	}
+	eachShape(t, 431, 50, func(t *testing.T, _ ruleShape, c *byteCursor, rs []Rule) {
+		randomizeModes(c, rs)
+		checkStepBatch(t, c, mustCompile(t, rs), 512)
+	})
 }
 
 // FuzzStepBatch lets the fuzzer hunt for chunkings or rule shapes where the
@@ -124,8 +127,8 @@ func TestQuietSymbolsExcludeAnchors(t *testing.T) {
 		rng.Read(buf)
 		c := &byteCursor{data: buf}
 		rs := buildFuzzRules(c)
-		for _, opts := range []Options{{MaxDFAStates: 64}, {ForceLanes: true}} {
-			p, err := Compile(rs, opts)
+		for _, budget := range []int{64, 0} {
+			p, err := compile(rs, budget)
 			if err != nil {
 				break
 			}
@@ -137,8 +140,8 @@ func TestQuietSymbolsExcludeAnchors(t *testing.T) {
 				for i := range rs {
 					first := rs[i].Steps[0]
 					if (uint16(s)^first.Sym)&first.Mask&SymbolMask == 0 {
-						t.Fatalf("case %d: symbol %#03x marked quiet but anchors rule %d (lanes=%v)",
-							caseN, s, i, opts.ForceLanes)
+						t.Fatalf("case %d: symbol %#03x marked quiet but anchors rule %d (%s)",
+							caseN, s, i, p.Stats().Mode)
 					}
 				}
 			}

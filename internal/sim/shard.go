@@ -20,10 +20,9 @@
 //
 // is safe: everything j executes through h(j) precedes the earliest
 // possible not-yet-injected arrival. The matrix is supplied by the fabric
-// layer (SetDistanceMatrix) from the cable map; without one the group
-// falls back to a uniform dist(i, j) = lookahead, which reproduces the
-// fixed-window schedule of the static design (window = global min event
-// time T through T+lookahead-1).
+// layer (SetDistanceMatrix) from the cable map; until then the group holds
+// the uniform dist(i, j) = lookahead, under which every window runs from the
+// global min event time T through T+lookahead-1.
 //
 // Determinism: shards execute external deliveries in a total order carried
 // by the events themselves (arrival time, then cable rank, then per-cable
@@ -100,8 +99,7 @@ type ShardGroup struct {
 
 	// dist[i][j] is the minimum latency from an event on shard i to an
 	// arrival on shard j over paths with >= 1 channel hop; 0 means shard i
-	// cannot influence shard j at all. nil selects the static fallback
-	// (uniform lookahead between every pair, including self).
+	// cannot influence shard j at all.
 	dist [][]Duration
 
 	// exchange drains every shard's outbox into its peers' kernels at a
@@ -132,8 +130,8 @@ type ShardGroup struct {
 
 // NewShardGroup returns a coordinator over the given kernels. The lookahead
 // must be positive: it is the guaranteed minimum virtual-time latency of any
-// cross-shard interaction, and the uniform fallback when no distance matrix
-// is installed.
+// cross-shard interaction, and every entry of the distance matrix (self
+// included) until SetDistanceMatrix installs a sharper one.
 func NewShardGroup(kernels []*Kernel, lookahead Duration) *ShardGroup {
 	if len(kernels) == 0 {
 		panic("sim: ShardGroup needs at least one kernel")
@@ -145,9 +143,16 @@ func NewShardGroup(kernels []*Kernel, lookahead Duration) *ShardGroup {
 	g := &ShardGroup{
 		kernels:   kernels,
 		lookahead: lookahead,
+		dist:      make([][]Duration, n),
 		horizons:  make([]Time, n),
 		nexts:     make([]Time, n),
 		has:       make([]bool, n),
+	}
+	for i := range g.dist {
+		g.dist[i] = make([]Duration, n)
+		for j := range g.dist[i] {
+			g.dist[i][j] = lookahead
+		}
 	}
 	if n > 1 {
 		g.bar = newSenseBarrier(n)
@@ -162,8 +167,8 @@ func NewShardGroup(kernels []*Kernel, lookahead Duration) *ShardGroup {
 // when any cross-shard channels exist.
 func (g *ShardGroup) SetExchange(fn func() int) { g.exchange = fn }
 
-// SetDistanceMatrix installs the shard-pair minimum-latency matrix that
-// unlocks adaptive horizons. dist[i][j] must be the minimum virtual-time
+// SetDistanceMatrix replaces the uniform matrix with the fabric's shard-pair
+// minimum latencies. dist[i][j] must be the minimum virtual-time
 // latency from an event executing on shard i to the earliest resulting
 // arrival on shard j over influence paths with at least one channel hop
 // (dist[j][j] is the shortest nontrivial cycle through j); a zero entry
@@ -267,23 +272,9 @@ func (g *ShardGroup) minNext() (Time, bool) {
 }
 
 // computeHorizons fills g.horizons for the next window, capped at limit.
-// With a distance matrix, shard j may run through
-// min over pending i of next(i) + dist(i, j) - 1; a shard no pending
-// event chain can reach sprints straight to limit. Without a matrix every
-// shard gets the static window T+lookahead-1 anchored at the global
-// minimum T.
+// Shard j may run through min over pending i of next(i) + dist(i, j) - 1; a
+// shard no pending event chain can reach sprints straight to limit.
 func (g *ShardGroup) computeHorizons(limit Time) {
-	if g.dist == nil {
-		t, _ := g.minNext()
-		h := t + g.lookahead - 1
-		if h > limit {
-			h = limit
-		}
-		for j := range g.horizons {
-			g.horizons[j] = h
-		}
-		return
-	}
 	for j := range g.horizons {
 		h := limit
 		for i := range g.kernels {

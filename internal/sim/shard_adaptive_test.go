@@ -98,10 +98,9 @@ func (net *meshNet) exchange() int {
 	return n
 }
 
-// runMesh builds the mesh at the given shard count, injects the seeded
-// initial traffic, runs to quiescence, and returns the per-node traces.
-func runMesh(t *testing.T, seed int64, numNodes, shards int) ([][]meshRec, Time, uint64) {
-	t.Helper()
+// buildMesh builds the mesh at the given shard count with the seeded initial
+// traffic injected and the exchange installed, ready to Run.
+func buildMesh(seed int64, numNodes, shards int) *meshNet {
 	rng := rand.New(rand.NewSource(seed))
 	net := &meshNet{
 		kernels: make([]*Kernel, shards),
@@ -132,8 +131,14 @@ func runMesh(t *testing.T, seed int64, numNodes, shards int) ([][]meshRec, Time,
 				net.nodes[i].receive, &meshMsg{dst: i, state: state, hops: hops})
 		}
 	}
-	// Uniform distance matrix at the minimum cable latency: every pair is
-	// assumed reachable, which is always conservative.
+	net.g = NewShardGroup(net.kernels, meshLat)
+	net.g.SetExchange(net.exchange)
+	return net
+}
+
+// uniformMatrix is the distance matrix at the minimum cable latency: every
+// pair is assumed reachable, which is always conservative.
+func uniformMatrix(shards int) [][]Duration {
 	dist := make([][]Duration, shards)
 	for i := range dist {
 		dist[i] = make([]Duration, shards)
@@ -141,10 +146,16 @@ func runMesh(t *testing.T, seed int64, numNodes, shards int) ([][]meshRec, Time,
 			dist[i][j] = meshLat
 		}
 	}
-	net.g = NewShardGroup(net.kernels, meshLat)
+	return dist
+}
+
+// runMesh runs the mesh to quiescence under the explicit uniform matrix and
+// returns the per-node traces.
+func runMesh(t *testing.T, seed int64, numNodes, shards int) ([][]meshRec, Time, uint64) {
+	t.Helper()
+	net := buildMesh(seed, numNodes, shards)
 	defer net.g.Close()
-	net.g.SetDistanceMatrix(dist)
-	net.g.SetExchange(net.exchange)
+	net.g.SetDistanceMatrix(uniformMatrix(shards))
 	if !net.g.Run(Second) {
 		t.Fatalf("seed %d shards %d: mesh did not drain", seed, shards)
 	}
@@ -181,6 +192,33 @@ func TestShardGroupAdaptiveEquivalence(t *testing.T) {
 						t.Fatalf("seed %d shards %d node %d rec %d: %+v, want %+v",
 							seed, shards, i, r, got[i][r], want[i][r])
 					}
+				}
+			}
+		}
+	}
+}
+
+// A group that was never given a matrix and one given the uniform matrix
+// explicitly are the same group: same windows cut, same events per kernel.
+func TestShardGroupNoMatrixIsUniformMatrix(t *testing.T) {
+	const numNodes = 6
+	for _, seed := range []int64{1, 7, 42} {
+		for _, shards := range []int{1, 2, 3} {
+			bare := buildMesh(seed, numNodes, shards)
+			given := buildMesh(seed, numNodes, shards)
+			given.g.SetDistanceMatrix(uniformMatrix(shards))
+			for _, net := range []*meshNet{bare, given} {
+				if !net.g.Run(Second) {
+					t.Fatalf("seed %d shards %d: mesh did not drain", seed, shards)
+				}
+				net.g.Close()
+			}
+			if b, g := bare.g.Windows(), given.g.Windows(); b != g || b < 2 {
+				t.Errorf("seed %d shards %d: %d windows without a matrix, %d with the uniform one", seed, shards, b, g)
+			}
+			for k := range bare.kernels {
+				if b, g := bare.kernels[k].Processed(), given.kernels[k].Processed(); b != g {
+					t.Errorf("seed %d shards %d kernel %d: processed %d without a matrix, %d with", seed, shards, k, b, g)
 				}
 			}
 		}

@@ -7,7 +7,10 @@
 #
 # Usage:
 #   sh scripts/bench.sh          full run (go's default -benchtime)
-#   sh scripts/bench.sh -short   smoke run (-benchtime=1x), used by CI
+#   sh scripts/bench.sh -short   smoke run (-benchtime=1x), used by CI: one
+#                                iteration is not a measurement, so the report
+#                                goes to a temp file (path printed on the last
+#                                line) and never into a BENCH_<date>.json
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -27,7 +30,10 @@ go test -run '^$' \
     -bench '^(BenchmarkKernel|BenchmarkCampaignThroughput|BenchmarkKernelEventThroughput|BenchmarkFIFOInjectorPassThrough|BenchmarkFIFOInjectorPerSymbol|BenchmarkFIFOInjectorArmed|BenchmarkMonitorTap|BenchmarkMonitorFlowExport|BenchmarkChaosFork|BenchmarkChaosRebuild|BenchmarkChaosSweep|BenchmarkFabricSharded)$' \
     -benchmem $benchtime . ./internal/campaign | tee "$raw"
 
-if [ -f "$out" ]; then
+if [ -n "$benchtime" ]; then
+    out=$(mktemp)
+    go run ./scripts/benchjson < "$raw" > "$out"
+elif [ -f "$out" ]; then
     go run ./scripts/benchjson -merge "$out" < "$raw" > "$out.tmp"
     mv "$out.tmp" "$out"
 else
