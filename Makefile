@@ -15,6 +15,7 @@ bench:
 
 fuzz:
 	$(GO) test -fuzz=FuzzRuleCompile -fuzztime=10s ./internal/rules
+	$(GO) test -fuzz=FuzzTimerProgram -fuzztime=10s ./internal/sim
 
 check:
 	sh scripts/check.sh

@@ -117,6 +117,29 @@ func TestChaosArmedBaseCarriesRuleState(t *testing.T) {
 	}
 }
 
+// TestChaosBaseCarriesNoTimerCorpses guards what a fork costs: Kernel.Clone
+// copies every queued event, canceled or not. A timer that left one
+// canceled event per pet put 509 events in this base for 5 pending, and
+// every fork copied, mapped and then swept them away.
+func TestChaosBaseCarriesNoTimerCorpses(t *testing.T) {
+	for _, armed := range []bool{false, true} {
+		opts := chaosTestOptions(31337, 1)
+		opts.ArmedRules = armed
+		base := newChaosBase(opts.Seed, opts)
+		queued, pending := base.tb.K.Queued(), base.tb.K.Pending()
+		if queued >= 64 {
+			t.Errorf("armed=%v: warmed base queues %d events for %d pending; a fork copies them all", armed, queued, pending)
+		}
+		f, err := base.fork()
+		if err != nil {
+			t.Fatalf("armed=%v: fork: %v", armed, err)
+		}
+		if q, p := f.tb.K.Queued(), f.tb.K.Pending(); q != queued || p != pending {
+			t.Errorf("armed=%v: fork queues %d events (%d pending), base %d (%d)", armed, q, p, queued, pending)
+		}
+	}
+}
+
 // TestForkEquivalenceParallel forks the same base concurrently — the clone
 // path must be read-only on the source world (the race detector is the
 // real assertion here).

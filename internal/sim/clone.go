@@ -43,7 +43,7 @@ type Mapper struct {
 	k2       *Kernel
 	objs     map[any]any
 	events   map[*event]*event
-	cloned   []*event // every new-world event, for the arg-resolution pass
+	cloned   []event // the slab every new-world event is cut from
 	deferred []func() error
 	errs     []error
 }
@@ -51,7 +51,7 @@ type Mapper struct {
 // NewMapper returns an empty mapper. Pass it to Kernel.Clone first, then to
 // the model clones, then call Finish.
 func NewMapper() *Mapper {
-	return &Mapper{objs: make(map[any]any), events: make(map[*event]*event)}
+	return &Mapper{objs: make(map[any]any)}
 }
 
 // Kernel returns the cloned kernel (nil before Kernel.Clone).
@@ -123,7 +123,22 @@ func (m *Mapper) Finish() error {
 			return err
 		}
 	}
-	for _, ev := range m.cloned {
+	for i := range m.cloned {
+		ev := &m.cloned[i]
+		if ev.tm != nil {
+			// A timer's event goes back to the timer's clone even when
+			// canceled: until it is harvested a Reset revives it.
+			t2, ok := m.objs[ev.tm].(*Timer)
+			switch {
+			case ok:
+				ev.tm, ev.arg = t2, t2
+			case ev.canceled:
+				ev.tm, ev.arg = nil, nil // left behind by a timer nobody cloned
+			default:
+				return fmt.Errorf("sim: fork: pending expiry of a Timer that was not cloned (at %v)", ev.at)
+			}
+			continue
+		}
 		if ev.canceled || ev.afn == nil {
 			continue
 		}
@@ -137,28 +152,18 @@ func (m *Mapper) Finish() error {
 }
 
 // cloneEvent duplicates one pending event into the fork. The duplicate's arg
-// still points into the old world until Finish rewrites it.
+// (and timer) still point into the old world until Finish rewrites them.
 func (m *Mapper) cloneEvent(old *event) *event {
-	ev := &event{
-		at:       old.at,
-		seq:      old.seq,
-		fn:       old.fn,
-		afn:      old.afn,
-		arg:      old.arg,
-		ext:      old.ext,
-		xrank:    old.xrank,
-		xseq:     old.xseq,
-		gen:      old.gen,
-		canceled: old.canceled,
-		index:    old.index,
-	}
+	m.cloned = m.cloned[:len(m.cloned)+1] // Clone sized the slab
+	ev := &m.cloned[len(m.cloned)-1]
+	*ev = *old
+	ev.next = nil
 	if old.fn != nil && !old.canceled {
 		m.deferErr(fmt.Errorf(
 			"sim: fork: closure-form event pending at %v (seq %d); snapshot requires AtArg/AfterArg scheduling",
 			old.at, old.seq))
 	}
 	m.events[old] = ev
-	m.cloned = append(m.cloned, ev)
 	return ev
 }
 
@@ -176,9 +181,16 @@ func (k *Kernel) Clone(m *Mapper) *Kernel {
 		live:      k.live,
 		c0:        k.c0,
 		curPos:    k.curPos,
-		lvlCount:  k.lvlCount,
+		inWheel:   k.inWheel,
+		occ0:      k.occ0,
+		occ1:      k.occ1,
+		occ2:      k.occ2,
 	}
 	k2.rng = newRand(k2.src)
+	// One slab and one map sizing for every queued event.
+	n := k.Queued()
+	m.cloned = make([]event, 0, n)
+	m.events = make(map[*event]*event, n)
 	k2.levels[0] = make([]*event, l0Slots)
 	k2.levels[1] = make([]*event, l1Slots)
 	k2.levels[2] = make([]*event, l2Slots)

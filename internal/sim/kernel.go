@@ -10,16 +10,23 @@
 //
 // The scheduler is a hierarchical timer wheel (three levels, 16.4 ns ticks,
 // ~17 ms horizon) for the short-horizon character-period events that dominate
-// a simulation, with a binary-heap fallback for long timers. Events are
-// recycled through a free list, and the AtArg/AfterArg variants schedule a
-// callback without a per-call closure allocation, so the steady-state event
-// path does not allocate. Fire order is exactly (time, insertion sequence) —
-// identical to a plain priority queue, as the equivalence test pins down.
+// a simulation, with a binary-heap fallback for long timers; the two are
+// merged front against front on every pop, heap events never move into the
+// wheel. One occupancy bit per wheel slot lets the harvest frontier jump
+// straight to the next slot that holds something, however sparse the wheel.
+// Events are recycled through a free list, and the AtArg/AfterArg variants
+// schedule a callback without a per-call closure allocation, so the
+// steady-state event path does not allocate. A Timer keeps one queued event
+// however often it is re-armed; the queue moves that event to the timer's
+// current deadline when it reaches the front (see settle). Fire order is
+// exactly (time, insertion sequence) — identical to a plain priority queue
+// with cancel-and-reschedule timers, as the equivalence tests pin down.
 package sim
 
 import (
 	"container/heap"
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"slices"
 )
@@ -90,20 +97,25 @@ type event struct {
 	afn func(any) // capture-free form (AtArg/AfterArg)
 	arg any
 
+	// tm is set on a Timer's expiry event. The timer may have been re-armed
+	// since the event was queued, in which case (at, seq) is only where the
+	// event waits and the timer holds where it fires; see settle.
+	tm *Timer
+
 	// Externally ordered events (AtExt) carry their own tie-break key in
 	// place of the insertion sequence: at equal timestamps they fire
 	// before every locally scheduled event, ordered among themselves by
 	// (xrank, xseq). Shard coordinators use this so a cross-shard
 	// delivery's fire position is a pure function of the traffic — not of
 	// when the barrier that injected it happened to run.
-	ext   bool
-	xrank uint32
-	xseq  uint64
-
-	gen      uint64
+	ext      bool
 	canceled bool
+	xrank    uint32
+	xseq     uint64
 
-	next  *event // wheel slot chain, or free-list link
+	gen uint64
+
+	next  *event // wheel slot chain or free-list link; stale anywhere else
 	index int    // heap index; -1 when not in the heap
 }
 
@@ -194,11 +206,17 @@ type Kernel struct {
 	// Timer wheel. c0 is the harvest frontier: the next absolute level-0
 	// tick to be swept. cur holds the harvested events of the frontier
 	// slot, sorted by (at, seq); curPos is the consume cursor into it.
-	levels   [3][]*event
-	lvlCount [3]int
-	c0       uint64
-	cur      []*event
-	curPos   int
+	// occ0/occ1/occ2 hold one bit per slot of levels 0/1/2, set while the
+	// slot's chain is non-empty; inWheel counts the events chained in all
+	// three levels, canceled ones included.
+	levels  [3][]*event
+	occ0    [l0Slots / 64]uint64
+	occ1    uint64
+	occ2    uint64
+	inWheel int
+	c0      uint64
+	cur     []*event
+	curPos  int
 
 	free *event // recycled event structs
 
@@ -266,6 +284,13 @@ func (k *Kernel) Processed() uint64 { return k.processed }
 
 // Pending reports how many events are scheduled and not yet executed.
 func (k *Kernel) Pending() int { return k.live }
+
+// Queued reports how many event structs the scheduler holds: the pending
+// events plus canceled ones not yet harvested. A fork copies every one of
+// them, so this is the kernel's share of a Clone's cost.
+func (k *Kernel) Queued() int {
+	return k.inWheel + len(k.queue) + len(k.cur) - k.curPos
+}
 
 // At schedules fn to run at absolute virtual time t. Scheduling in the past
 // panics: that is always a model bug, and silently reordering time would make
@@ -341,7 +366,7 @@ func (k *Kernel) schedule(t Time, fn func(), afn func(any), arg any) EventID {
 // cascades exactly when the frontier reaches its first level-0 tick.
 func (k *Kernel) place(ev *event) {
 	t0 := uint64(ev.at) >> tickBits
-	if k.lvlCount[0] == 0 && k.lvlCount[1] == 0 && k.lvlCount[2] == 0 {
+	if k.inWheel == 0 {
 		// Idle wheel: snap the frontier over the gap so a long-idle
 		// simulation does not sweep empty slots to catch up.
 		if nowTick := uint64(k.now) >> tickBits; nowTick > k.c0 {
@@ -367,7 +392,15 @@ func (k *Kernel) place(ev *event) {
 func (k *Kernel) push(level, slot int, ev *event) {
 	ev.next = k.levels[level][slot]
 	k.levels[level][slot] = ev
-	k.lvlCount[level]++
+	k.inWheel++
+	switch level {
+	case 0:
+		k.occ0[slot>>6] |= 1 << (slot & 63)
+	case 1:
+		k.occ1 |= 1 << slot
+	default:
+		k.occ2 |= 1 << slot
+	}
 }
 
 // insertCur inserts ev into the unconsumed tail of the current-slot buffer,
@@ -420,7 +453,7 @@ func (k *Kernel) alloc() *event {
 // generation bump invalidates every outstanding EventID for it.
 func (k *Kernel) recycle(ev *event) {
 	ev.gen++
-	ev.fn, ev.afn, ev.arg = nil, nil, nil
+	ev.fn, ev.afn, ev.arg, ev.tm = nil, nil, nil, nil
 	ev.ext, ev.xrank, ev.xseq = false, 0, 0
 	ev.canceled = false
 	ev.index = -1
@@ -428,75 +461,140 @@ func (k *Kernel) recycle(ev *event) {
 	k.free = ev
 }
 
+// settle reports whether ev waits where it fires. A Timer re-armed while its
+// event is queued leaves the event where it is and records the new deadline
+// and sequence number on itself; when such an event reaches the front of the
+// wheel or the heap (or cascades), settle gives it its timer's (deadline,
+// seq) and the caller places it again. Like pruning a canceled front this
+// runs no callback and moves neither the clock nor a counter, and because a
+// re-armed event only ever waits at or before its fire position, no event
+// can fire ahead of one that has not settled yet.
+func (ev *event) settle() bool {
+	tm := ev.tm
+	if tm == nil || ev.seq == tm.seq {
+		return true
+	}
+	ev.at, ev.seq = tm.deadline, tm.seq
+	return false
+}
+
 // wheelFront returns the earliest live wheel event without consuming it,
-// sweeping the frontier forward (and pruning canceled events) as needed.
-// Sweeping never advances the clock, so it is safe from peek paths too.
+// sweeping the frontier forward (pruning canceled events and re-placing
+// re-armed timers) as needed. Sweeping never advances the clock, so it is
+// safe from peek paths too.
 func (k *Kernel) wheelFront() *event {
 	for {
 		for k.curPos < len(k.cur) {
 			ev := k.cur[k.curPos]
-			if ev.canceled {
-				k.cur[k.curPos] = nil
-				k.curPos++
-				k.recycle(ev)
-				continue
+			if !ev.canceled && ev.settle() {
+				return ev
 			}
-			return ev
+			k.cur[k.curPos] = nil
+			k.curPos++
+			if ev.canceled {
+				k.recycle(ev)
+			} else {
+				k.place(ev)
+			}
 		}
 		k.cur = k.cur[:0]
 		k.curPos = 0
-		if k.lvlCount[0] == 0 && k.lvlCount[1] == 0 && k.lvlCount[2] == 0 {
+		if k.inWheel == 0 {
 			return nil
 		}
 		k.sweep()
 	}
 }
 
+// nextL0 returns how many slots lie between level-0 slot p and the first
+// occupied level-0 slot at or after it, going round the wheel; -1 when level
+// 0 is empty.
+func (k *Kernel) nextL0(p uint64) int {
+	const words = uint64(len(k.occ0))
+	w, b := p>>6, p&63
+	if m := k.occ0[w] >> b; m != 0 {
+		return bits.TrailingZeros64(m)
+	}
+	// The following words in turn, ending back in the first one, where by
+	// now only slots before p can be occupied.
+	d := 64 - int(b)
+	for i := uint64(1); i <= words; i++ {
+		if m := k.occ0[(w+i)%words]; m != 0 {
+			return d + bits.TrailingZeros64(m)
+		}
+		d += 64
+	}
+	return -1
+}
+
+// nextCascade returns the first tick at or after c at which an occupied slot
+// of a 64-slot higher level cascades: slot i of a level whose slots span
+// 2^shift ticks cascades when the frontier reaches a tick i<<shift (mod the
+// level's span). occ must be non-zero.
+func nextCascade(occ uint64, c uint64, shift uint) uint64 {
+	first := (c + 1<<shift - 1) >> shift // first slot boundary not behind c
+	return (first + uint64(bits.TrailingZeros64(bits.RotateLeft64(occ, -int(first&63))))) << shift
+}
+
 // sweep advances the frontier until it has harvested one level-0 slot's
-// events into cur, cascading higher levels at their boundaries and jumping
-// over provably empty stretches.
+// events into cur. The occupancy words name the next tick that holds either
+// a level-0 chain or a due level-1/2 cascade, so the frontier jumps there
+// rather than stepping over empty slots.
 func (k *Kernel) sweep() {
-	for {
-		if k.c0&(l0Slots-1) == 0 {
+	for k.inWheel > 0 {
+		next := ^uint64(0)
+		if d := k.nextL0(k.c0 & (l0Slots - 1)); d >= 0 {
+			next = k.c0 + uint64(d)
+		}
+		// Cascades happen on level-1 slot boundaries only; a level-0 chain
+		// before the next boundary comes first whatever the levels hold.
+		if next >= (k.c0+l0Slots-1)&^(l0Slots-1) {
+			if k.occ1 != 0 {
+				next = min(next, nextCascade(k.occ1, k.c0, l0Bits))
+			}
+			if k.occ2 != 0 {
+				next = min(next, nextCascade(k.occ2, k.c0, l0Bits+l1Bits))
+			}
+		}
+		k.c0 = next
+		if next&(l0Slots-1) == 0 {
 			// Entering a new level-1 slot; at a level-2 boundary the
 			// level-2 slot cascades first so its events reach level 1
 			// before that level's own cascade runs.
-			if k.c0&(1<<(l0Bits+l1Bits)-1) == 0 && k.lvlCount[2] > 0 {
-				k.cascade(2, int(k.c0>>(l0Bits+l1Bits)&(l2Slots-1)))
+			if s := next >> (l0Bits + l1Bits) & (l2Slots - 1); next&(1<<(l0Bits+l1Bits)-1) == 0 && k.occ2>>s&1 != 0 {
+				k.occ2 &^= 1 << s
+				k.cascade(2, int(s))
 			}
-			if k.lvlCount[1] > 0 {
-				k.cascade(1, int(k.c0>>l0Bits&(l1Slots-1)))
+			if s := next >> l0Bits & (l1Slots - 1); k.occ1>>s&1 != 0 {
+				k.occ1 &^= 1 << s
+				k.cascade(1, int(s))
 			}
 		}
-		slot := int(k.c0 & (l0Slots - 1))
-		k.c0++
-		if chain := k.levels[0][slot]; chain != nil {
-			k.levels[0][slot] = nil
-			for ev := chain; ev != nil; {
-				nx := ev.next
-				ev.next = nil
-				k.lvlCount[0]--
-				if ev.canceled {
-					k.recycle(ev)
-				} else {
-					k.cur = append(k.cur, ev)
-				}
-				ev = nx
+		slot := next & (l0Slots - 1)
+		if k.occ0[slot>>6]>>(slot&63)&1 == 0 {
+			continue // came for a cascade; it may have filled earlier slots
+		}
+		k.occ0[slot>>6] &^= 1 << (slot & 63)
+		k.c0 = next + 1
+		chain := k.levels[0][slot]
+		k.levels[0][slot] = nil
+		for ev := chain; ev != nil; {
+			nx := ev.next
+			k.inWheel--
+			if ev.canceled {
+				k.recycle(ev)
+			} else {
+				k.cur = append(k.cur, ev)
 			}
-			if len(k.cur) > 0 {
+			ev = nx
+		}
+		if len(k.cur) > 0 {
+			if len(k.cur) > 1 {
 				slices.SortFunc(k.cur, cmpEvent)
-				return
 			}
-			continue // slot held only canceled events; keep sweeping
+			return
 		}
-		if k.lvlCount[0] == 0 {
-			if k.lvlCount[1] == 0 && k.lvlCount[2] == 0 {
-				return // wheel drained mid-sweep (all canceled)
-			}
-			// No level-0 events left: jump straight to the next cascade
-			// boundary instead of sweeping empty slots one by one.
-			k.c0 = (k.c0 + l0Slots - 1) &^ (l0Slots - 1)
-		}
+		// The slot held only canceled events; keep sweeping.
 	}
 }
 
@@ -513,53 +611,70 @@ func (k *Kernel) cascade(level, slot int) {
 	k.levels[level][slot] = nil
 	for ev := chain; ev != nil; {
 		nx := ev.next
-		ev.next = nil
-		k.lvlCount[level]--
+		k.inWheel--
 		if ev.canceled {
 			k.recycle(ev)
 		} else {
+			// A re-armed timer goes straight to where it fires, which
+			// is usually back up the wheel: a watchdog that keeps being
+			// petted never descends to level 0.
+			ev.settle()
 			k.place(ev)
 		}
 		ev = nx
 	}
 }
 
-// heapFront returns the earliest live heap event, pruning canceled tops.
+// heapFront returns the earliest live heap event, pruning canceled tops and
+// re-placing re-armed timers (into the wheel, if their deadline is within
+// its horizon by now).
 func (k *Kernel) heapFront() *event {
 	for len(k.queue) > 0 {
-		if ev := k.queue[0]; ev.canceled {
-			heap.Pop(&k.queue)
-			k.recycle(ev)
-			continue
+		ev := k.queue[0]
+		if !ev.canceled && ev.settle() {
+			return ev
 		}
-		return k.queue[0]
+		heap.Pop(&k.queue)
+		if ev.canceled {
+			k.recycle(ev)
+		} else {
+			k.place(ev)
+		}
 	}
 	return nil
 }
 
-// popNext removes and returns the globally earliest live event, or nil.
-func (k *Kernel) popNext() *event {
+// front returns the globally earliest live event without removing it, and
+// whether it sits in the heap rather than the wheel; nil when nothing is
+// pending. It is the one queue inspection behind every pop and peek.
+func (k *Kernel) front() (ev *event, inHeap bool) {
+	// Heap first: settling its top can put an event into the wheel, while
+	// settling the wheel's front only ever adds settled events to the heap.
+	k.heapFront()
 	wf := k.wheelFront()
-	hf := k.heapFront()
-	switch {
-	case wf == nil && hf == nil:
-		return nil
-	case hf == nil || (wf != nil && eventLess(wf, hf)):
-		k.cur[k.curPos] = nil
-		k.curPos++
-		return wf
-	default:
-		heap.Pop(&k.queue)
-		return hf
+	if len(k.queue) > 0 {
+		if hf := k.queue[0]; wf == nil || eventLess(hf, wf) {
+			return hf, true
+		}
 	}
+	return wf, false
 }
 
-// Step executes the single earliest pending event. It reports false when no
-// events remain.
-func (k *Kernel) Step() bool {
-	ev := k.popNext()
-	if ev == nil {
+// maxTime is the end of virtual time.
+const maxTime = Time(1<<63 - 1)
+
+// step executes the earliest pending event if it is due at or before limit,
+// and reports whether it did.
+func (k *Kernel) step(limit Time) bool {
+	ev, inHeap := k.front()
+	if ev == nil || ev.at > limit {
 		return false
+	}
+	if inHeap {
+		heap.Pop(&k.queue)
+	} else {
+		k.cur[k.curPos] = nil
+		k.curPos++
 	}
 	k.now = ev.at
 	k.processed++
@@ -574,6 +689,10 @@ func (k *Kernel) Step() bool {
 	return true
 }
 
+// Step executes the single earliest pending event. It reports false when no
+// events remain.
+func (k *Kernel) Step() bool { return k.step(maxTime) }
+
 // Run executes events until the queue drains or Stop is called.
 func (k *Kernel) Run() {
 	k.stopped = false
@@ -584,14 +703,7 @@ func (k *Kernel) Run() {
 // RunUntil executes events with timestamps <= t, then advances the clock to
 // exactly t. Events scheduled after t remain pending.
 func (k *Kernel) RunUntil(t Time) {
-	k.stopped = false
-	for !k.stopped {
-		next, ok := k.peek()
-		if !ok || next > t {
-			break
-		}
-		k.Step()
-	}
+	k.Drain(t)
 	if k.now < t {
 		k.now = t
 	}
@@ -605,12 +717,7 @@ func (k *Kernel) RunUntil(t Time) {
 // last window, which depends on the partition.
 func (k *Kernel) Drain(t Time) {
 	k.stopped = false
-	for !k.stopped {
-		next, ok := k.peek()
-		if !ok || next > t {
-			return
-		}
-		k.Step()
+	for !k.stopped && k.step(t) {
 	}
 }
 
@@ -624,17 +731,10 @@ func (k *Kernel) Stop() { k.stopped = true }
 // executing it. The second result is false when no events are pending.
 // Shard coordinators use this to compute the global minimum next-event time
 // that anchors each conservative-lookahead window.
-func (k *Kernel) PeekNext() (Time, bool) { return k.peek() }
-
-func (k *Kernel) peek() (Time, bool) {
-	wf := k.wheelFront()
-	hf := k.heapFront()
-	switch {
-	case wf == nil && hf == nil:
+func (k *Kernel) PeekNext() (Time, bool) {
+	ev, _ := k.front()
+	if ev == nil {
 		return 0, false
-	case hf == nil || (wf != nil && eventLess(wf, hf)):
-		return wf.at, true
-	default:
-		return hf.at, true
 	}
+	return ev.at, true
 }

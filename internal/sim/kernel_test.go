@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -272,5 +273,62 @@ func TestTimerSetPeriod(t *testing.T) {
 	k.Run()
 	if fired != 250 {
 		t.Errorf("fired at %v, want 250", fired)
+	}
+}
+
+func TestTimerPetsLeaveOneQueuedEvent(t *testing.T) {
+	// The per-character watchdog pattern: an armed timer petted far more
+	// often than it expires. It must hold one queued event — not one
+	// canceled event per pet for every fork to copy — while the queue
+	// reaches and moves that event a dozen times, and petting must not
+	// allocate.
+	k := NewKernel(1)
+	tm := NewTimer(k, 10*Microsecond, func() { t.Error("petted timer fired") })
+	tm.Reset()
+	for i := 0; i < 10_000; i++ {
+		k.RunFor(12_500 * Picosecond)
+		tm.Reset()
+	}
+	if k.Queued() != 1 || k.Pending() != 1 {
+		t.Errorf("after 10000 pets: Queued = %d, Pending = %d, want 1 and 1", k.Queued(), k.Pending())
+	}
+	if avg := testing.AllocsPerRun(1000, tm.Reset); avg != 0 {
+		t.Errorf("Timer.Reset of an armed timer allocates %.2f times per call, want 0", avg)
+	}
+	// A stopped timer's event stays queued until harvested; a Reset
+	// within that time revives it rather than queueing a second one.
+	tm.Stop()
+	if k.Queued() != 1 || k.Pending() != 0 {
+		t.Errorf("after Stop: Queued = %d, Pending = %d, want 1 and 0", k.Queued(), k.Pending())
+	}
+	tm.Reset()
+	if k.Queued() != 1 || k.Pending() != 1 {
+		t.Errorf("after Stop, Reset: Queued = %d, Pending = %d, want 1 and 1", k.Queued(), k.Pending())
+	}
+	tm.Stop()
+	k.Run()
+	if k.Queued() != 0 {
+		t.Errorf("after draining: Queued = %d, want 0", k.Queued())
+	}
+}
+
+func TestTimerNegativePeriodPanics(t *testing.T) {
+	mustPanic := func(name string, fn func()) {
+		t.Helper()
+		defer func() {
+			if r := recover(); r == nil {
+				t.Errorf("%s with a negative period did not panic", name)
+			} else if s, _ := r.(string); !strings.Contains(s, "Timer") {
+				t.Errorf("%s panic %q does not name the Timer API", name, r)
+			}
+		}()
+		fn()
+	}
+	k := NewKernel(1)
+	mustPanic("NewTimer", func() { NewTimer(k, -1, func() {}) })
+	tm := NewTimer(k, 0, func() {})
+	mustPanic("SetPeriod", func() { tm.SetPeriod(-Nanosecond) })
+	if tm.Period() != 0 {
+		t.Errorf("rejected SetPeriod changed the period to %v", tm.Period())
 	}
 }

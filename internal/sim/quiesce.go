@@ -106,7 +106,7 @@ func (k *Kernel) RunUntilQuiescent(cfg QuiesceConfig) QuiesceResult {
 			lastChange = now
 		}
 		res := QuiesceResult{Elapsed: now - start, FinalProgress: p}
-		if _, pending := k.peek(); !pending {
+		if _, pending := k.PeekNext(); !pending {
 			res.Drained = true
 			return res
 		}

@@ -153,6 +153,76 @@ func TestSchedulerEquivalenceRandomPrograms(t *testing.T) {
 	}
 }
 
+// runSparseProgram is runProgram in the regime the wheel's occupancy words
+// exist for. Few events are alive at a time, so the frontier crosses idle
+// gaps spanning every level and the heap; timestamps fall exactly on the
+// 2^8-, 2^14- and 2^20-tick boundaries where level 1 cascades, level 2
+// cascades and the wheel's horizon ends, and one picosecond before them; and
+// whole slots are filled and canceled at once, so the sweep meets occupied
+// slots that hold nothing live.
+func runSparseProgram(s testSched, seed int64) []traceEntry {
+	rng := rand.New(rand.NewSource(seed))
+	var trace []traceEntry
+	var cancels []func()
+	budget := 300
+
+	delay := func() Duration {
+		if rng.Intn(3) > 0 {
+			return randomDelay(rng)
+		}
+		shift := uint(tickBits + []int{8, 14, 20}[rng.Intn(3)])
+		at := (s.Now()>>shift + 1 + Time(rng.Intn(3))) << shift
+		return at - Time(rng.Intn(2)) - s.Now()
+	}
+	var spawn func(tag int) func()
+	spawn = func(tag int) func() {
+		return func() {
+			trace = append(trace, traceEntry{s.Now(), tag})
+			for n := 1 + rng.Intn(5)/4; n > 0 && budget > 0; n-- {
+				budget--
+				cancels = append(cancels, s.After(delay(), spawn(budget)))
+			}
+			if rng.Intn(3) == 0 {
+				// A slot of corpses: up to three events within one tick,
+				// canceled before the frontier gets there.
+				d := delay()
+				for n := 1 + rng.Intn(3); n > 0 && budget > 0; n-- {
+					budget--
+					s.After(d, spawn(budget))()
+				}
+			}
+			if rng.Intn(4) == 0 {
+				cancels[rng.Intn(len(cancels))]()
+			}
+		}
+	}
+	for i := 0; i < 3; i++ {
+		budget--
+		cancels = append(cancels, s.After(delay(), spawn(budget)))
+	}
+	for s.Step() {
+	}
+	return trace
+}
+
+func TestSchedulerEquivalenceSparsePrograms(t *testing.T) {
+	for seed := int64(1); seed <= 30; seed++ {
+		got := runSparseProgram(kernelSched{NewKernel(1)}, seed)
+		want := runSparseProgram(&refSched{}, seed)
+		if len(want) < 20 {
+			t.Fatalf("seed %d: program died after %d events", seed, len(want))
+		}
+		if !reflect.DeepEqual(got, want) {
+			i := 0
+			for i < len(got) && i < len(want) && got[i] == want[i] {
+				i++
+			}
+			t.Fatalf("seed %d: traces (%d and %d events) diverge at event %d: kernel %+v, reference %+v",
+				seed, len(got), len(want), i, got[i:min(i+3, len(got))], want[i:min(i+3, len(want))])
+		}
+	}
+}
+
 func TestKernelCancelAfterFire(t *testing.T) {
 	k := NewKernel(1)
 	fired := 0
