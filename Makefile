@@ -11,7 +11,7 @@ test:
 	$(GO) test ./...
 
 bench:
-	$(GO) test -bench=. -benchmem ./...
+	bash bench/run.sh run
 
 fuzz:
 	$(GO) test -fuzz=FuzzRuleCompile -fuzztime=10s ./internal/rules

@@ -47,9 +47,9 @@ func main() {
 	step := sim.Duration(*interval * float64(sim.Millisecond))
 
 	// -live arms the monitoring plane over the same test bed: flow export
-	// on every attached switch input, an accrual detector plus latency-shift
-	// tracker on every host's arriving stream (the continuous load is the
-	// heartbeat), and the standard loss probe.
+	// on every attached switch input, an accrual detector on every host's
+	// arriving stream (the continuous load is the heartbeat), and the
+	// standard loss probe.
 	var mon *monitor.Plane
 	var hostTaps []*monitor.Tap
 	printedEvents := 0

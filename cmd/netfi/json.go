@@ -7,7 +7,6 @@ import (
 	"netfi/internal/campaign"
 	"netfi/internal/monitor"
 	"netfi/internal/sim"
-	"netfi/internal/topo"
 )
 
 // The -json views: durations render as milliseconds so consumers never need
@@ -297,14 +296,7 @@ func jsonReport(name string, o expOpts) (string, error) {
 	case "chaos":
 		v = viewChaos(campaign.RunChaos(chaosOptions(o)))
 	case "fabric":
-		res, err := campaign.RunFabric(campaign.FabricConfig{
-			Topo: topo.Config{
-				Switches: o.switches,
-				Hosts:    o.hosts,
-				Shards:   o.shards,
-				Seed:     o.seed,
-			},
-		})
+		res, err := runFabric(o)
 		if err != nil {
 			return "", err
 		}

@@ -51,6 +51,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -103,7 +104,11 @@ func run(args []string) int {
 			return 2
 		}
 	}
-	if len(rest) < 1 || (fs.NArg() != 0 && rest[0] != "spec") {
+	badScale := !(*scale > 0) || math.IsInf(*scale, 0) // !(>0) also catches NaN
+	if badScale {
+		fmt.Fprintf(os.Stderr, "netfi: -scale must be a positive finite number (got %v)\n", *scale)
+	}
+	if badScale || len(rest) < 1 || (fs.NArg() != 0 && rest[0] != "spec") {
 		fmt.Fprintln(os.Stderr, "usage: netfi [-seed N] [-scale F] [-workers N] [-switches N] [-hosts N] [-shards N] [-stats] [-json] [-cpuprofile F] [-memprofile F] <table1|table2|table4|sec431|sec432|sec433|sec434|passthrough|multirule|resilience|monitor|chaos|fabric|all>\n       netfi [-json] spec <spec.json> ...   (or spec -example)")
 		return 2
 	}
@@ -154,7 +159,6 @@ func run(args []string) int {
 		"resilience":  resilience,
 		"monitor":     monitorSection,
 		"chaos":       chaosSection,
-		"fabric":      fabricSection,
 	}
 	name := rest[0]
 	if name == "spec" {
@@ -167,6 +171,17 @@ func run(args []string) int {
 			return 2
 		}
 		fmt.Println(out)
+		return 0
+	}
+	if name == "fabric" {
+		// The one section whose shape comes from flags a user can get
+		// wrong, so the one that can fail.
+		out, err := fabricSection(opts)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "netfi: %v\n", err)
+			return 1
+		}
+		fmt.Print(out)
 		return 0
 	}
 	if name == "all" {
@@ -289,7 +304,21 @@ func chaosSection(o expOpts) string {
 // fabricSection runs one sharded-fabric flood to quiescence. The topology
 // shape comes from the fabric flags, not -scale: a fabric's cost grows with
 // switches*hosts, which the flags express directly.
-func fabricSection(o expOpts) string {
+func fabricSection(o expOpts) (string, error) {
+	res, err := runFabric(o)
+	if err != nil {
+		return "", err
+	}
+	out := "Sharded fabric: parallel per-core event kernels, adaptive conservative lookahead\n" +
+		campaign.FormatFabric(res)
+	if o.stats {
+		out += campaign.FormatFabricStats(res)
+	}
+	return out, nil
+}
+
+// runFabric runs the flood the fabric flags describe; an error names them.
+func runFabric(o expOpts) (campaign.FabricResult, error) {
 	res, err := campaign.RunFabric(campaign.FabricConfig{
 		Topo: topo.Config{
 			Switches: o.switches,
@@ -299,14 +328,9 @@ func fabricSection(o expOpts) string {
 		},
 	})
 	if err != nil {
-		return fmt.Sprintf("fabric: %v\n", err)
+		return res, fmt.Errorf("fabric -switches %d -hosts %d -shards %d: %w", o.switches, o.hosts, o.shards, err)
 	}
-	out := "Sharded fabric: parallel per-core event kernels, adaptive conservative lookahead\n" +
-		campaign.FormatFabric(res)
-	if o.stats {
-		out += campaign.FormatFabricStats(res)
-	}
-	return out
+	return res, nil
 }
 
 func monitorSection(o expOpts) string {

@@ -18,6 +18,29 @@ func TestRunUsageErrors(t *testing.T) {
 	if code := run([]string{"-not-a-flag"}); code != 2 {
 		t.Errorf("bad flag -> %d, want 2", code)
 	}
+	// A scale that is not a positive finite number is refused before any
+	// section runs, on either side of the experiment name.
+	for _, scale := range []string{"-1", "0", "NaN", "+Inf", "-Inf"} {
+		if code := run([]string{"-scale", scale, "table1"}); code != 2 {
+			t.Errorf("-scale %s table1 -> %d, want 2", scale, code)
+		}
+		if code := run([]string{"table1", "-scale", scale}); code != 2 {
+			t.Errorf("table1 -scale %s -> %d, want 2", scale, code)
+		}
+	}
+}
+
+// TestRunFabricNeedsTwoHosts: a fabric nobody can send across is an error
+// and a non-zero exit, in text and in JSON, never a panic.
+func TestRunFabricNeedsTwoHosts(t *testing.T) {
+	for _, switches := range []string{"1", "2", "4"} {
+		if code := run([]string{"fabric", "-switches", switches, "-hosts", "1"}); code == 0 {
+			t.Errorf("fabric -switches %s -hosts 1 -> 0, want non-zero", switches)
+		}
+	}
+	if code := run([]string{"-json", "fabric", "-hosts", "1"}); code == 0 {
+		t.Errorf("-json fabric -hosts 1 -> 0, want non-zero")
+	}
 }
 
 func TestRunJSON(t *testing.T) {

@@ -23,7 +23,6 @@
 //
 //	go run ./cmd/netfi all
 //
-// The benchmarks in this package (bench_test.go) drive the same
-// experiments under `go test -bench`; see EXPERIMENTS.md for the recorded
-// paper-vs-measured comparison.
+// EXPERIMENTS.md records the paper-vs-measured comparison; bench/ (its own
+// module, `bash bench/run.sh run`) measures what the simulator itself costs.
 package netfi

@@ -1,8 +1,8 @@
-// Package bitstream provides the checksum and bit-manipulation primitives
-// shared by the network substrates: the CRC-8 that trails every Myrinet
-// packet (recomputed at each switch hop as route bytes are stripped), the
-// IEEE CRC-32 used by Fibre Channel frames, and the 16-bit one's-complement
-// checksum used by the UDP experiment in §4.3.4 of the paper.
+// Package bitstream provides the checksum primitives shared by the network
+// substrates: the CRC-8 that trails every Myrinet packet (recomputed at each
+// switch hop as route bytes are stripped), the IEEE CRC-32 used by Fibre
+// Channel frames, and the 16-bit one's-complement checksum used by the UDP
+// experiment in §4.3.4 of the paper.
 package bitstream
 
 // CRC8 computes the Myrinet trailing CRC over data using the CRC-8/ATM-HEC

@@ -176,3 +176,33 @@ func TestFabricFormat(t *testing.T) {
 		}
 	}
 }
+
+// TestFabricNeedsTwoHosts: a workload with nobody to send to is a
+// configuration error, not a divide by zero inside the first send.
+func TestFabricNeedsTwoHosts(t *testing.T) {
+	for _, tc := range []struct {
+		workload FabricWorkload
+		switches int
+		hosts    int
+		ok       bool
+	}{
+		{WorkloadFlood, 1, 1, false},
+		{WorkloadFlood, 2, 1, false},
+		{WorkloadFlood, 4, 1, false},
+		{WorkloadPingPong, 2, 1, false},
+		{WorkloadFlood, 1, 2, true},
+		{WorkloadPingPong, 1, 2, true},
+	} {
+		res, err := RunFabric(FabricConfig{
+			Topo:     topo.Config{Switches: tc.switches, Hosts: tc.hosts, Shards: 1, Seed: 1},
+			Workload: tc.workload,
+			Packets:  2,
+		})
+		if (err == nil) != tc.ok {
+			t.Errorf("%s on %d switches / %d hosts: err = %v, want ok=%v", tc.workload, tc.switches, tc.hosts, err, tc.ok)
+		}
+		if tc.ok && (res.Sent == 0 || res.Delivered != res.Sent) {
+			t.Errorf("%s on %d switches / %d hosts: sent=%d delivered=%d", tc.workload, tc.switches, tc.hosts, res.Sent, res.Delivered)
+		}
+	}
+}

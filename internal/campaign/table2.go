@@ -30,8 +30,6 @@ type Table2Experiment struct {
 type Table2Options struct {
 	// Seed drives the per-experiment interrupt phases.
 	Seed int64
-	// Experiments is the row count. Zero selects the paper's 5.
-	Experiments int
 	// Rounds is the ping-pong round count per run. The paper used one
 	// million small packets per side; zero selects 20000, which measures
 	// the same averages (scale it up with the cmd/netfi flag for a
@@ -45,10 +43,10 @@ type Table2Options struct {
 	Workers int
 }
 
+// table2Experiments is the paper's row count.
+const table2Experiments = 5
+
 func (o *Table2Options) fillDefaults() {
-	if o.Experiments == 0 {
-		o.Experiments = 5
-	}
 	if o.Rounds == 0 {
 		o.Rounds = 20_000
 	}
@@ -102,13 +100,13 @@ func RunTable2(opts Table2Options) []Table2Experiment {
 	// drain it serially here (four draws per experiment, in the original
 	// without-A, without-B, with-A, with-B order) before fanning out.
 	rng := sim.NewKernel(opts.Seed).Rand()
-	phases := make([][4]sim.Duration, opts.Experiments)
+	phases := make([][4]sim.Duration, table2Experiments)
 	for i := range phases {
 		for j := 0; j < 4; j++ {
 			phases[i][j] = sim.Duration(rng.Int63n(int64(sim.Microsecond)))
 		}
 	}
-	return RunTrials(opts.Experiments, opts.Workers, func(i int) Table2Experiment {
+	return RunTrials(table2Experiments, opts.Workers, func(i int) Table2Experiment {
 		p := phases[i]
 		without, _ := table2Run(opts.Seed+int64(100+i), p[0], p[1], opts.Rounds, opts.Payload, false)
 		with, dev := table2Run(opts.Seed+int64(200+i), p[2], p[3], opts.Rounds, opts.Payload, true)

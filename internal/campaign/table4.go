@@ -28,11 +28,6 @@ type Table4Options struct {
 	// Duration is the measured load window per row. Zero selects 1.7 s
 	// (about 4000 messages at the paper's offered load).
 	Duration sim.Duration
-	// DutyOn/DutyPeriod meter the injection: the trigger is armed DutyOn
-	// out of every DutyPeriod. Zeros select 12.5 ms / 50 ms — NFTAPE
-	// toggling the board's match mode a few times per burst period.
-	DutyOn     sim.Duration
-	DutyPeriod sim.Duration
 	// Workers runs the nine rows concurrently; <= 1 is serial. Each row is
 	// an independent simulation from its own seed, so results are
 	// identical either way.
@@ -43,13 +38,15 @@ func (o *Table4Options) fillDefaults() {
 	if o.Duration == 0 {
 		o.Duration = 1700 * sim.Millisecond
 	}
-	if o.DutyOn == 0 {
-		o.DutyOn = sim.Millisecond
-	}
-	if o.DutyPeriod == 0 {
-		o.DutyPeriod = 100 * sim.Millisecond
-	}
 }
+
+// table4DutyOn/table4DutyPeriod meter the injection: the trigger is armed
+// table4DutyOn out of every table4DutyPeriod — NFTAPE toggling the board's
+// match mode once per burst period.
+const (
+	table4DutyOn     = sim.Millisecond
+	table4DutyPeriod = 100 * sim.Millisecond
+)
 
 // rowDuty returns the injection duty for one row. Corruptions that
 // manufacture spurious GAPs (mask GAP, or STOP replaced by GAP) destroy
@@ -57,14 +54,14 @@ func (o *Table4Options) fillDefaults() {
 // single armed window degrades tens of milliseconds of traffic; those rows
 // are metered. Overflow- and stall-driven rows (the rest) need the trigger
 // armed continuously to catch the bursty flow-control symbols at all.
-func rowDuty(mask, repl myrinet.Symbol, opts Table4Options) (on, period sim.Duration) {
+func rowDuty(mask, repl myrinet.Symbol) (on, period sim.Duration) {
 	switch {
 	case mask == myrinet.SymbolGap:
-		return opts.DutyOn, opts.DutyPeriod
+		return table4DutyOn, table4DutyPeriod
 	case mask == myrinet.SymbolStop && repl == myrinet.SymbolGap:
-		return 75 * opts.DutyOn, opts.DutyPeriod
+		return 75 * table4DutyOn, table4DutyPeriod
 	default:
-		return opts.DutyPeriod, opts.DutyPeriod // always on
+		return table4DutyPeriod, table4DutyPeriod // always on
 	}
 }
 
@@ -107,7 +104,7 @@ func RunTable4Row(mask, replacement myrinet.Symbol, opts Table4Options) Table4Ro
 			"CORRUPT REPLACE -- -- -- "+byteEntry(replacement),
 		)
 	}
-	on, period := rowDuty(mask, replacement, opts)
+	on, period := rowDuty(mask, replacement)
 	repeats := int(opts.Duration/period) + 1
 	tb.DutyCycle(on, period, repeats)
 

@@ -187,13 +187,6 @@ func (tb *Testbed) DutyCycle(on, period sim.Duration, repeats int) {
 	}
 }
 
-// ConfigureBoth programs both directions' engines directly with the same
-// register file (campaigns that bypass the serial path for tight timing).
-func (tb *Testbed) ConfigureBoth(cfg core.Config) {
-	tb.Injector.Engine(DirOutbound).Configure(cfg)
-	tb.Injector.Engine(DirInbound).Configure(cfg)
-}
-
 // ConfigureBothMode arms or disarms both directions' triggers.
 func (tb *Testbed) ConfigureBothMode(on bool) {
 	mode := core.MatchOff

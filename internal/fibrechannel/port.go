@@ -110,11 +110,10 @@ type NPort struct {
 	stall   sim.Time // when the port ran out of credit
 
 	// Receive side.
-	decRD     enc8b10b.RD
-	setBuf    []byte // pending code-group bytes of an ordered set
-	inFrame   bool
-	frameBuf  []byte
-	recvDelay sim.Duration
+	decRD    enc8b10b.RD
+	setBuf   []byte // pending code-group bytes of an ordered set
+	inFrame  bool
+	frameBuf []byte
 
 	onFrame func(*Frame)
 	stats   PortStats
@@ -128,30 +127,26 @@ type NPortConfig struct {
 	Addr Address
 	// Credits is the initial buffer-to-buffer credit. Zero selects 4.
 	Credits int
-	// RecvDelay is the buffer-hold time before R_RDY returns. Zero
-	// selects 1 us.
-	RecvDelay sim.Duration
 }
+
+// recvDelay is the buffer-hold time before R_RDY returns.
+const recvDelay = sim.Microsecond
 
 // NewNPort builds a port transmitting on out.
 func NewNPort(k *sim.Kernel, cfg NPortConfig, out *phy.Link) *NPort {
 	if cfg.Credits == 0 {
 		cfg.Credits = 4
 	}
-	if cfg.RecvDelay == 0 {
-		cfg.RecvDelay = sim.Microsecond
-	}
 	return &NPort{
-		k:         k,
-		pool:      phy.PoolOf(k),
-		name:      cfg.Name,
-		addr:      cfg.Addr,
-		out:       out,
-		encRD:     enc8b10b.RDMinus,
-		decRD:     enc8b10b.RDMinus,
-		credits:   cfg.Credits,
-		maxCred:   cfg.Credits,
-		recvDelay: cfg.RecvDelay,
+		k:       k,
+		pool:    phy.PoolOf(k),
+		name:    cfg.Name,
+		addr:    cfg.Addr,
+		out:     out,
+		encRD:   enc8b10b.RDMinus,
+		decRD:   enc8b10b.RDMinus,
+		credits: cfg.Credits,
+		maxCred: cfg.Credits,
 	}
 }
 
@@ -310,7 +305,7 @@ func (p *NPort) completeFrame(raw []byte) {
 	f, err := DecodeFrame(raw)
 	// The buffer is consumed either way: return credit after the hold
 	// time.
-	p.k.After(p.recvDelay, p.sendRRdy)
+	p.k.After(recvDelay, p.sendRRdy)
 	if err != nil {
 		p.stats.CRCDrops++
 		return

@@ -1,8 +1,6 @@
 package host
 
 import (
-	"math/rand"
-
 	"netfi/internal/myrinet"
 	"netfi/internal/sim"
 )
@@ -60,173 +58,17 @@ func PingPong(k *sim.Kernel, a, b *Node, rounds int, payload int, done func(Ping
 	a.SendUDP(b.MAC(), portA, portB, data)
 }
 
-// Flood is a message-sending program: it transmits fixed-size datagrams at
-// a fixed interval, the "simple UDP packet generation program" the campaign
-// runs on every node (§4.2). Payloads can be constrained to avoid a byte
-// value so that symbol-corruption campaigns can attribute every loss to
-// control symbols rather than payload hits ("the symbol mask we corrupted
-// did not appear in the message itself").
-type Flood struct {
-	k        *sim.Kernel
-	node     *Node
-	dst      myrinet.MAC
-	srcPort  uint16
-	dstPort  uint16
-	interval sim.Duration
-	size     int
-	avoid    []byte
-	rng      *rand.Rand
-
-	sent    uint64
-	running bool
-	seq     uint32
-}
-
-// FloodConfig parameterizes a generator.
-type FloodConfig struct {
-	// Dst is the destination node's address.
-	Dst myrinet.MAC
-	// SrcPort and DstPort are the UDP ports (defaults 9000/9001).
-	SrcPort, DstPort uint16
-	// Interval is the inter-send spacing. Zero selects 1.25 ms (the
-	// 800 msg/s that yields the paper's ~48000 messages/minute baseline).
-	Interval sim.Duration
-	// Size is the payload length. Zero selects 64.
-	Size int
-	// Avoid lists byte values that must not appear in the payload.
-	Avoid []byte
-}
-
-// NewFlood builds a generator on node.
-func NewFlood(k *sim.Kernel, node *Node, cfg FloodConfig) *Flood {
-	if cfg.Interval == 0 {
-		cfg.Interval = 1250 * sim.Microsecond
-	}
-	if cfg.Size == 0 {
-		cfg.Size = 64
-	}
-	if cfg.SrcPort == 0 {
-		cfg.SrcPort = 9000
-	}
-	if cfg.DstPort == 0 {
-		cfg.DstPort = 9001
-	}
-	return &Flood{
-		k:        k,
-		node:     node,
-		dst:      cfg.Dst,
-		srcPort:  cfg.SrcPort,
-		dstPort:  cfg.DstPort,
-		interval: cfg.Interval,
-		size:     cfg.Size,
-		avoid:    cfg.Avoid,
-		rng:      k.Rand(),
-	}
-}
-
-// Start begins sending; Stop ends it.
-func (f *Flood) Start() {
-	if f.running {
-		return
-	}
-	f.running = true
-	f.tick()
-}
-
-// Stop halts the generator.
-func (f *Flood) Stop() { f.running = false }
-
-// Sent reports datagrams handed to the stack.
-func (f *Flood) Sent() uint64 { return f.sent }
-
-func (f *Flood) tick() {
-	if !f.running {
-		return
-	}
-	f.node.SendUDP(f.dst, f.srcPort, f.dstPort, f.payload())
-	f.sent++
-	f.k.AfterArg(f.interval, floodTick, f)
-}
-
-func floodTick(a any) { a.(*Flood).tick() }
-
-// payload builds a sequence-stamped body that avoids the forbidden bytes.
-func (f *Flood) payload() []byte {
-	data := make([]byte, f.size)
-	f.seq++
-	// Stamp a sequence number in avoid-safe base-16-ish encoding: each
-	// nibble as 0x10|nibble<<1 keeps values far from small control codes.
-	s := f.seq
-	for i := 0; i < 8 && i < len(data); i++ {
-		data[i] = 0x40 | byte(s&0x0F)
-		s >>= 4
-	}
-	for i := 8; i < len(data); i++ {
-		data[i] = byte(0x20 + f.rng.Intn(90)) // printable, clear of 0x00-0x1F
-	}
-	if len(f.avoid) > 0 {
-		for i, b := range data {
-			for f.isAvoided(b) {
-				b++
-				data[i] = b
-			}
-		}
-	}
-	return data
-}
-
-func (f *Flood) isAvoided(b byte) bool {
-	for _, a := range f.avoid {
-		if a == b {
-			return true
-		}
-	}
-	return false
-}
-
-// CountingReceiver binds a port and counts what arrives, the measurement
-// side of every campaign.
-type CountingReceiver struct {
-	sock  *Socket
-	bytes uint64
-}
-
-// NewCountingReceiver binds port on node.
-func NewCountingReceiver(node *Node, port uint16) (*CountingReceiver, error) {
-	r := &CountingReceiver{}
-	sock, err := node.Bind(port, func(_ myrinet.MAC, _ uint16, data []byte) {
-		r.bytes += uint64(len(data))
-	})
-	if err != nil {
-		return nil, err
-	}
-	r.sock = sock
-	return r, nil
-}
-
-// Received reports delivered datagrams.
-func (r *CountingReceiver) Received() uint64 { return r.sock.Received() }
-
-// Bytes reports delivered payload bytes.
-func (r *CountingReceiver) Bytes() uint64 { return r.bytes }
-
-// Close releases the port.
-func (r *CountingReceiver) Close() { r.sock.Close() }
-
 // Heartbeat is the liveness beacon the monitoring plane's accrual failure
 // detectors calibrate against: small fixed-interval datagrams to one peer,
 // bounded by a horizon so that quiescence-based campaigns still drain. The
 // payload byte stays clear of every control-symbol code, preserving the
 // workload discipline fault campaigns rely on.
 type Heartbeat struct {
-	k        *sim.Kernel
-	node     *Node
-	dst      myrinet.MAC
-	srcPort  uint16
-	dstPort  uint16
-	interval sim.Duration
-	payload  []byte
-	until    sim.Time
+	k       *sim.Kernel
+	node    *Node
+	dst     myrinet.MAC
+	payload []byte
+	until   sim.Time
 
 	sent    uint64
 	running bool
@@ -236,10 +78,6 @@ type Heartbeat struct {
 type HeartbeatConfig struct {
 	// Dst is the monitored peer's address.
 	Dst myrinet.MAC
-	// SrcPort and DstPort are the UDP ports (defaults 7100/7100).
-	SrcPort, DstPort uint16
-	// Interval is the beacon period. Zero selects 2 ms.
-	Interval sim.Duration
 	// Until, when nonzero, is the absolute simulation time past which no
 	// beacon is sent: the horizon that lets hang detectors see the event
 	// queue drain. Zero runs until Stop.
@@ -248,36 +86,27 @@ type HeartbeatConfig struct {
 	Size int
 }
 
-// HeartbeatPort is the conventional beacon port.
+// HeartbeatPort is the UDP port beacons leave from and arrive on.
 const HeartbeatPort = 7100
+
+// heartbeatInterval is the beacon period.
+const heartbeatInterval = 2 * sim.Millisecond
 
 // NewHeartbeat builds a beacon on node.
 func NewHeartbeat(k *sim.Kernel, node *Node, cfg HeartbeatConfig) *Heartbeat {
-	if cfg.Interval == 0 {
-		cfg.Interval = 2 * sim.Millisecond
-	}
 	if cfg.Size == 0 {
 		cfg.Size = 8
-	}
-	if cfg.SrcPort == 0 {
-		cfg.SrcPort = HeartbeatPort
-	}
-	if cfg.DstPort == 0 {
-		cfg.DstPort = HeartbeatPort
 	}
 	payload := make([]byte, cfg.Size)
 	for i := range payload {
 		payload[i] = 0x48 // 'H', clear of all control codes
 	}
 	return &Heartbeat{
-		k:        k,
-		node:     node,
-		dst:      cfg.Dst,
-		srcPort:  cfg.SrcPort,
-		dstPort:  cfg.DstPort,
-		interval: cfg.Interval,
-		payload:  payload,
-		until:    cfg.Until,
+		k:       k,
+		node:    node,
+		dst:     cfg.Dst,
+		payload: payload,
+		until:   cfg.Until,
 	}
 }
 
@@ -304,13 +133,13 @@ func (h *Heartbeat) beat() {
 		h.running = false
 		return
 	}
-	h.node.SendUDP(h.dst, h.srcPort, h.dstPort, h.payload)
+	h.node.SendUDP(h.dst, HeartbeatPort, HeartbeatPort, h.payload)
 	h.sent++
-	if h.until != 0 && h.k.Now()+sim.Time(h.interval) > h.until {
+	if h.until != 0 && h.k.Now()+sim.Time(heartbeatInterval) > h.until {
 		h.running = false
 		return
 	}
-	h.k.AfterArg(h.interval, heartbeatBeat, h)
+	h.k.AfterArg(heartbeatInterval, heartbeatBeat, h)
 }
 
 func heartbeatBeat(a any) { a.(*Heartbeat).beat() }

@@ -121,46 +121,15 @@ func (f *flow) clone(m *sim.Mapper, r2 *Reliable) *flow {
 	return f2
 }
 
-// Clone forks the flood generator. The RNG repoints at the forked kernel's
-// (the generator borrows the kernel's stream rather than owning one).
-func (f *Flood) Clone(m *sim.Mapper) *Flood {
-	f2 := &Flood{
-		k:        m.Kernel(),
-		dst:      f.dst,
-		srcPort:  f.srcPort,
-		dstPort:  f.dstPort,
-		interval: f.interval,
-		size:     f.size,
-		avoid:    append([]byte(nil), f.avoid...),
-		rng:      m.Kernel().Rand(),
-		sent:     f.sent,
-		running:  f.running,
-		seq:      f.seq,
-	}
-	m.Put(f, f2)
-	m.Defer(func() error {
-		v, ok := m.Lookup(f.node)
-		if !ok {
-			return fmt.Errorf("host: fork: flood generator on uncloned node %s", f.node.Name())
-		}
-		f2.node = v.(*Node)
-		return nil
-	})
-	return f2
-}
-
 // Clone forks the heartbeat beacon.
 func (h *Heartbeat) Clone(m *sim.Mapper) *Heartbeat {
 	h2 := &Heartbeat{
-		k:        m.Kernel(),
-		dst:      h.dst,
-		srcPort:  h.srcPort,
-		dstPort:  h.dstPort,
-		interval: h.interval,
-		payload:  append([]byte(nil), h.payload...),
-		until:    h.until,
-		sent:     h.sent,
-		running:  h.running,
+		k:       m.Kernel(),
+		dst:     h.dst,
+		payload: append([]byte(nil), h.payload...),
+		until:   h.until,
+		sent:    h.sent,
+		running: h.running,
 	}
 	m.Put(h, h2)
 	m.Defer(func() error {
@@ -172,24 +141,4 @@ func (h *Heartbeat) Clone(m *sim.Mapper) *Heartbeat {
 		return nil
 	})
 	return h2
-}
-
-// Clone forks the counting receiver and rebinds its handler on the cloned
-// socket.
-func (r *CountingReceiver) Clone(m *sim.Mapper) *CountingReceiver {
-	r2 := &CountingReceiver{bytes: r.bytes}
-	m.Put(r, r2)
-	m.Defer(func() error {
-		v, ok := m.Lookup(r.sock)
-		if !ok {
-			return fmt.Errorf("host: fork: counting receiver on uncloned socket (port %d)", r.sock.Port())
-		}
-		s2 := v.(*Socket)
-		r2.sock = s2
-		s2.handler = func(_ myrinet.MAC, _ uint16, data []byte) {
-			r2.bytes += uint64(len(data))
-		}
-		return nil
-	})
-	return r2
 }

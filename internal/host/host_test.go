@@ -183,48 +183,3 @@ func TestPingPongMeasuresPerPacketTime(t *testing.T) {
 		t.Errorf("PerPacket = %v, want ~235us", res.PerPacket)
 	}
 }
-
-func TestFloodRateAndAvoidBytes(t *testing.T) {
-	k := sim.NewKernel(1)
-	a, b := twoNodeNet(t, k)
-	var payloads [][]byte
-	if _, err := b.Bind(9001, func(_ myrinet.MAC, _ uint16, data []byte) {
-		payloads = append(payloads, append([]byte(nil), data...))
-	}); err != nil {
-		t.Fatal(err)
-	}
-	f := NewFlood(k, a, FloodConfig{Dst: b.MAC(), Avoid: []byte{0x0F, 0x0C, 0x03}})
-	f.Start()
-	k.RunUntil(sim.Second)
-	f.Stop()
-	k.RunFor(50 * sim.Millisecond)
-	// Default interval 1.25 ms -> ~800/s.
-	if f.Sent() < 790 || f.Sent() > 810 {
-		t.Errorf("sent = %d in 1s, want ~800", f.Sent())
-	}
-	if len(payloads) < 700 {
-		t.Errorf("received %d, want most of ~800", len(payloads))
-	}
-	for _, p := range payloads {
-		for _, bb := range p {
-			if bb == 0x0F || bb == 0x0C || bb == 0x03 {
-				t.Fatalf("forbidden byte %#02x in payload", bb)
-			}
-		}
-	}
-}
-
-func TestCountingReceiver(t *testing.T) {
-	k := sim.NewKernel(1)
-	a, b := twoNodeNet(t, k)
-	r, err := NewCountingReceiver(b, 9001)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a.SendUDP(b.MAC(), 9000, 9001, make([]byte, 10))
-	a.SendUDP(b.MAC(), 9000, 9001, make([]byte, 20))
-	k.Run()
-	if r.Received() != 2 || r.Bytes() != 30 {
-		t.Errorf("received=%d bytes=%d, want 2/30", r.Received(), r.Bytes())
-	}
-}

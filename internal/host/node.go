@@ -169,9 +169,6 @@ type Socket struct {
 // Received reports datagrams delivered to this socket's handler.
 func (s *Socket) Received() uint64 { return s.received }
 
-// Port returns the bound port.
-func (s *Socket) Port() uint16 { return s.port }
-
 // Bind opens a UDP socket on port; handler runs after the receive path's
 // processing overhead. Binding an in-use port is an error.
 func (n *Node) Bind(port uint16, handler func(src myrinet.MAC, srcPort uint16, data []byte)) (*Socket, error) {

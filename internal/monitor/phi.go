@@ -134,10 +134,6 @@ func (d *PhiDetector) Suspect(now sim.Time) bool {
 // Heartbeats reports the total arrivals observed.
 func (d *PhiDetector) Heartbeats() uint64 { return d.beats }
 
-// LastHeartbeat reports the most recent arrival time and whether any
-// arrival has been observed.
-func (d *PhiDetector) LastHeartbeat() (sim.Time, bool) { return d.last, d.seen }
-
 // SampleCount reports how many inter-arrival samples the window holds.
 func (d *PhiDetector) SampleCount() int { return d.count }
 

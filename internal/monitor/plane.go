@@ -60,16 +60,15 @@ type Config struct {
 	Phi PhiConfig
 	// FlowIdle is the flow-cache inactivity timeout. Zero selects 50 ms.
 	FlowIdle sim.Duration
-	// ExportCap bounds the flow export ring. Zero selects 256.
-	ExportCap int
-	// MaxEvents bounds the event log; further events are counted but
-	// not stored. Zero selects 1024.
-	MaxEvents int
-	// ShiftWarmup/ShiftZ parameterize the inter-burst latency-shift
-	// detector (see ShiftDetector). Zeros select 32 and 6.
-	ShiftWarmup uint64
-	ShiftZ      float64
 }
+
+const (
+	// exportCap bounds the flow export ring.
+	exportCap = 256
+	// maxEvents bounds the event log; further events are counted but not
+	// stored.
+	maxEvents = 1024
+)
 
 func (c *Config) fillDefaults() {
 	if c.SampleInterval == 0 {
@@ -77,12 +76,6 @@ func (c *Config) fillDefaults() {
 	}
 	if c.FlowIdle == 0 {
 		c.FlowIdle = 50 * sim.Millisecond
-	}
-	if c.ExportCap == 0 {
-		c.ExportCap = 256
-	}
-	if c.MaxEvents == 0 {
-		c.MaxEvents = 1024
 	}
 }
 
@@ -276,7 +269,7 @@ type Plane struct {
 // NewPlane returns a plane bound to k. Attach taps and probes, then Start.
 func NewPlane(k *sim.Kernel, cfg Config) *Plane {
 	cfg.fillDefaults()
-	p := &Plane{k: k, cfg: cfg, ring: NewExportRing(cfg.ExportCap)}
+	p := &Plane{k: k, cfg: cfg, ring: NewExportRing(exportCap)}
 	p.ticker = sim.NewTicker(k, cfg.SampleInterval, p.tick)
 	return p
 }
@@ -294,7 +287,7 @@ func (p *Plane) NewTap(name string, opts TapOptions) *Tap {
 		p.detectors = append(p.detectors, &planeDetector{name: name, d: t.detector})
 	}
 	if opts.LatencyShift {
-		t.gap = NewShiftDetector(p.cfg.ShiftWarmup, p.cfg.ShiftZ)
+		t.gap = NewShiftDetector(0, 0) // the detector's own defaults
 	}
 	p.taps = append(p.taps, t)
 	return t
@@ -405,7 +398,7 @@ func (p *Plane) tick() {
 }
 
 func (p *Plane) record(e Event) {
-	if len(p.events) >= p.cfg.MaxEvents {
+	if len(p.events) >= maxEvents {
 		p.eventOverflow++
 		return
 	}
@@ -415,7 +408,7 @@ func (p *Plane) record(e Event) {
 // Events returns the recorded event log in detection order.
 func (p *Plane) Events() []Event { return p.events }
 
-// EventOverflow reports events lost to the MaxEvents bound.
+// EventOverflow reports events lost to the maxEvents bound.
 func (p *Plane) EventOverflow() uint64 { return p.eventOverflow }
 
 // FirstEventAtOrAfter returns the earliest event with Time >= at.

@@ -77,9 +77,6 @@ func (e *EWMA) Add(x float64) {
 // Value reports the current average (0 before any sample).
 func (e *EWMA) Value() float64 { return e.value }
 
-// Seen reports whether any sample has arrived.
-func (e *EWMA) Seen() bool { return e.seen }
-
 // ShiftDetector flags sustained latency shifts in a sample stream: it
 // baselines with Welford over a warmup, then reports an anomaly when the
 // EWMA departs from the baseline mean by more than zmax standard

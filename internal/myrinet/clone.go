@@ -55,7 +55,6 @@ func (s *SlackBuffer) clone(onStop, onGo func()) *SlackBuffer {
 		onStop:   onStop,
 		onGo:     onGo,
 		overflow: s.overflow,
-		pushes:   s.pushes,
 	}
 	return s2
 }
@@ -200,15 +199,13 @@ func (sw *Switch) Clone(m *sim.Mapper) *Switch {
 	return sw2
 }
 
-// clone forks the MCP. The snapshot handler is campaign-owned and must be
-// re-registered post-fork; the last snapshot is shared (it is immutable once
+// clone forks the MCP. The last snapshot is shared (it is immutable once
 // published — a new round replaces, never mutates, it).
 func (mc *MCP) clone(m *sim.Mapper, ifc2 *Interface) *MCP {
 	m2 := &MCP{
 		ifc:            ifc2,
 		cfg:            mc.cfg,
 		isMapper:       mc.isMapper,
-		knownMapper:    mc.knownMapper,
 		seq:            mc.seq,
 		roundActive:    mc.roundActive,
 		rounds:         mc.rounds,
@@ -217,8 +214,6 @@ func (mc *MCP) clone(m *sim.Mapper, ifc2 *Interface) *MCP {
 		scoutsSent:     mc.scoutsSent,
 		scoutsAnswered: mc.scoutsAnswered,
 		repliesSeen:    mc.repliesSeen,
-		tablesApplied:  mc.tablesApplied,
-		promotions:     mc.promotions,
 		demotions:      mc.demotions,
 	}
 	m2.probes = make(map[uint16]*probe, len(mc.probes))

@@ -2,7 +2,6 @@ package myrinet
 
 import (
 	"fmt"
-	"sort"
 
 	"netfi/internal/bitstream"
 	"netfi/internal/phy"
@@ -171,18 +170,6 @@ func (ifc *Interface) Routes() map[MAC][]byte {
 	for m, r := range ifc.routes {
 		out[m] = append([]byte(nil), r...)
 	}
-	return out
-}
-
-// KnownPeers returns the MACs in the routing table in deterministic order.
-func (ifc *Interface) KnownPeers() []MAC {
-	out := make([]MAC, 0, len(ifc.routes))
-	for m := range ifc.routes {
-		out = append(out, m)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		return out[i].String() < out[j].String()
-	})
 	return out
 }
 

@@ -87,11 +87,6 @@ type LinkControllerConfig struct {
 	Out *phy.Link
 	// Counters receives statistics; required.
 	Counters *Counters
-	// SlackCapacity/SlackHigh/SlackLow set the receive buffer geometry.
-	// Zero values select the package defaults.
-	SlackCapacity int
-	SlackHigh     int
-	SlackLow      int
 	// Recovery enables the link-reset protocol and its watchdogs.
 	Recovery RecoveryConfig
 }
@@ -106,10 +101,6 @@ func NewLinkController(k *sim.Kernel, cfg LinkControllerConfig) *LinkController 
 	if cfg.Counters == nil {
 		panic("myrinet: LinkController requires counters")
 	}
-	capacity, high, low := cfg.SlackCapacity, cfg.SlackHigh, cfg.SlackLow
-	if capacity == 0 {
-		capacity, high, low = DefaultSlackCapacity, DefaultSlackHigh, DefaultSlackLow
-	}
 	lc := &LinkController{
 		k:    k,
 		pool: phy.PoolOf(k),
@@ -117,7 +108,7 @@ func NewLinkController(k *sim.Kernel, cfg LinkControllerConfig) *LinkController 
 		out:  cfg.Out,
 		ctr:  cfg.Counters,
 	}
-	lc.slack = NewSlackBuffer(capacity, high, low, lc.assertStop, lc.assertGo)
+	lc.slack = NewDefaultSlackBuffer(lc.assertStop, lc.assertGo)
 	lc.shortTimer = sim.NewTimer(k, ShortTimeout, lc.onShortTimeout)
 	lc.longTimer = sim.NewTimer(k, LongTimeout, lc.onLongTimeout)
 	lc.SetRecovery(cfg.Recovery)
@@ -198,9 +189,6 @@ func (lc *LinkController) EnqueuePacketTo(chars []phy.Character, done TxCompleti
 
 // QueuedPackets reports how many packets wait behind the current one.
 func (lc *LinkController) QueuedPackets() int { return len(lc.txq) }
-
-// Transmitting reports whether a packet is partially sent.
-func (lc *LinkController) Transmitting() bool { return lc.cur != nil }
 
 // Paused reports whether remote STOP is gating the transmitter.
 func (lc *LinkController) Paused() bool { return lc.paused }

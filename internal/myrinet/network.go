@@ -47,17 +47,7 @@ func (nullReceiver) Receive(chars []phy.Character) { phy.ReleaseBurst(chars) }
 // Connect builds a full-duplex cable between a and b and wires both ends.
 // It returns the cable so the fault injector can later be spliced into it.
 func Connect(k *sim.Kernel, cfg phy.LinkConfig, a, b Attachable) *phy.Cable {
-	aToB := cfg
-	aToB.Name = cfg.Name + ":a2b"
-	bToA := cfg
-	bToA.Name = cfg.Name + ":b2a"
-	linkAB := phy.NewLink(k, aToB, nullReceiver{})
-	linkBA := phy.NewLink(k, bToA, nullReceiver{})
-	recvA := a.AttachLink(linkAB) // a transmits on linkAB
-	recvB := b.AttachLink(linkBA) // b transmits on linkBA
-	linkAB.SetDst(recvB)
-	linkBA.SetDst(recvA)
-	return &phy.Cable{LeftToRight: linkAB, RightToLeft: linkBA}
+	return ConnectCross(k, k, cfg, a, b)
 }
 
 // ConnectCross builds a full-duplex cable between endpoints that may live on
@@ -65,8 +55,7 @@ func Connect(k *sim.Kernel, cfg phy.LinkConfig, a, b Attachable) *phy.Cable {
 // kernel (a link reads its own clock when serializing), while delivery to
 // the far side is the fabric layer's problem — it installs a DeliverySink on
 // both links so bursts cross shards through barrier exchange instead of
-// direct scheduling. With ka == kb and no sinks installed this is exactly
-// Connect.
+// direct scheduling.
 func ConnectCross(ka, kb *sim.Kernel, cfg phy.LinkConfig, a, b Attachable) *phy.Cable {
 	aToB := cfg
 	aToB.Name = cfg.Name + ":a2b"
@@ -102,13 +91,6 @@ func (n *Network) AddSwitch(name string, ports int) *Switch {
 	return sw
 }
 
-// AddInterface creates and registers a host interface.
-func (n *Network) AddInterface(cfg InterfaceConfig) *Interface {
-	ifc := NewInterface(n.Kernel, cfg)
-	n.Interfaces = append(n.Interfaces, ifc)
-	return ifc
-}
-
 // ConnectHost cables a host interface to a switch port and records the
 // cable under the interface's name.
 func (n *Network) ConnectHost(ifc *Interface, sw *Switch, port int) *phy.Cable {
@@ -123,16 +105,6 @@ func (n *Network) ConnectSwitches(a *Switch, pa int, b *Switch, pb int) *phy.Cab
 	cable := Connect(n.Kernel, DefaultLinkConfig(name), Port(a, pa), Port(b, pb))
 	n.Cables[name] = cable
 	return cable
-}
-
-// InterfaceByMAC finds a registered interface by address.
-func (n *Network) InterfaceByMAC(mac MAC) (*Interface, bool) {
-	for _, ifc := range n.Interfaces {
-		if ifc.MAC() == mac {
-			return ifc, true
-		}
-	}
-	return nil, false
 }
 
 // InstallStaticRoutes gives every interface a route to every other assuming

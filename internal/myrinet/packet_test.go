@@ -3,6 +3,7 @@ package myrinet
 import (
 	"bytes"
 	"errors"
+	"math/bits"
 	"testing"
 	"testing/quick"
 
@@ -153,7 +154,7 @@ func TestControlSymbolHammingDistance(t *testing.T) {
 	syms := []byte{SymGo, SymGap, SymStop, SymReset}
 	for i := 0; i < len(syms); i++ {
 		for j := i + 1; j < len(syms); j++ {
-			d := bitstream.OnesCount32(uint32(syms[i] ^ syms[j]))
+			d := bits.OnesCount32(uint32(syms[i] ^ syms[j]))
 			if d < 2 {
 				t.Errorf("distance(%#02x,%#02x) = %d, want >= 2", syms[i], syms[j], d)
 			}

@@ -27,7 +27,6 @@ type SlackBuffer struct {
 	onStop   func()
 	onGo     func()
 	overflow uint64
-	pushes   uint64
 }
 
 // slackRingSize returns the initial ring size for a capacity: the smallest
@@ -74,7 +73,6 @@ func NewDefaultSlackBuffer(onStop, onGo func()) *SlackBuffer {
 // when the buffer is full. Crossing the high watermark triggers onStop once
 // until the buffer next drains to the low watermark.
 func (s *SlackBuffer) Push(c phy.Character) bool {
-	s.pushes++
 	if s.count == s.capacity {
 		s.overflow++
 		return false
@@ -186,6 +184,3 @@ func (s *SlackBuffer) Stopping() bool { return s.stopping }
 // Overflow reports how many characters were destroyed by pushes into a full
 // buffer.
 func (s *SlackBuffer) Overflow() uint64 { return s.overflow }
-
-// Pushes reports the total number of push attempts.
-func (s *SlackBuffer) Pushes() uint64 { return s.pushes }

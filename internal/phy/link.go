@@ -196,38 +196,6 @@ func (l *Link) sendOwned(burst []Character) sim.Time {
 	return arrival
 }
 
-// SendPriority transmits a short control burst that preempts queued data at
-// the next character boundary, the way Myrinet interleaves flow-control
-// symbols into the stream: it is delivered after its own serialization and
-// propagation time, without waiting behind bursts already committed to the
-// transmit queue (and without pushing them back — the one-character wire
-// occupancy is absorbed into the burst model's granularity).
-func (l *Link) SendPriority(chars []Character) sim.Time {
-	if len(chars) == 0 {
-		return l.k.Now()
-	}
-	burst := l.pool.Get(len(chars))
-	copy(burst, chars)
-	return l.sendPriorityOwned(burst)
-}
-
-func (l *Link) sendPriorityOwned(burst []Character) sim.Time {
-	if l.severed {
-		l.severedChars += uint64(len(burst))
-		l.pool.Release(burst)
-		return l.k.Now()
-	}
-	arrival := l.k.Now() + sim.Duration(len(burst))*l.charPeriod + l.propDelay
-	l.chars += uint64(len(burst))
-	l.bursts++
-	if l.sink != nil {
-		l.sink.Deliver(arrival, l.dst, burst)
-	} else {
-		l.pool.ScheduleReceive(arrival, l.dst, burst)
-	}
-	return arrival
-}
-
 // SendOne transmits a single character without the caller building a slice;
 // flow-control symbols (STOP/GO/GAP) dominate link traffic, so this path
 // must not allocate.
@@ -237,15 +205,29 @@ func (l *Link) SendOne(c Character) sim.Time {
 	return l.sendOwned(burst)
 }
 
-// SendPriorityOne is SendOne with SendPriority's preemption semantics.
+// SendPriorityOne transmits a control character that preempts queued data
+// at the next character boundary, the way Myrinet interleaves flow-control
+// symbols into the stream: it is delivered after its own serialization and
+// propagation time, without waiting behind bursts already committed to the
+// transmit queue (and without pushing them back — the one-character wire
+// occupancy is absorbed into the burst model's granularity).
 func (l *Link) SendPriorityOne(c Character) sim.Time {
+	if l.severed {
+		l.severedChars++
+		return l.k.Now()
+	}
 	burst := l.pool.Get(1)
 	burst[0] = c
-	return l.sendPriorityOwned(burst)
+	arrival := l.k.Now() + l.charPeriod + l.propDelay
+	l.chars++
+	l.bursts++
+	if l.sink != nil {
+		l.sink.Deliver(arrival, l.dst, burst)
+	} else {
+		l.pool.ScheduleReceive(arrival, l.dst, burst)
+	}
+	return arrival
 }
-
-// SendByte transmits a single data byte.
-func (l *Link) SendByte(b byte) sim.Time { return l.SendOne(DataChar(b)) }
 
 // SendControl transmits a single control character.
 func (l *Link) SendControl(code byte) sim.Time { return l.SendOne(ControlChar(code)) }
@@ -255,9 +237,6 @@ func (l *Link) SendControl(code byte) sim.Time { return l.SendOne(ControlChar(co
 // arrive — light in the pipe — so a severed link drains rather than
 // un-happens. Chaos campaigns use this as the cable-cut fault primitive.
 func (l *Link) Sever() { l.severed = true }
-
-// Severed reports whether the link has been cut.
-func (l *Link) Severed() bool { return l.severed }
 
 // SeveredChars reports characters discarded after the cut.
 func (l *Link) SeveredChars() uint64 { return l.severedChars }

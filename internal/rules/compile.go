@@ -305,9 +305,6 @@ func (p *Program) buildDFA(budget int) {
 	p.dfaAccept = b.accept
 }
 
-// NumRules returns the rule count.
-func (p *Program) NumRules() int { return len(p.rules) }
-
 // Rule returns rule i (compile order).
 func (p *Program) Rule(i int) *Rule { return &p.rules[i] }
 

@@ -45,10 +45,6 @@ func NewConsole(k *sim.Kernel, dev *core.Device, baud int) *Console {
 	return c
 }
 
-// Decoder exposes the command decoder (for direct, zero-latency control in
-// tests).
-func (c *Console) Decoder() *core.CommandDecoder { return c.dec }
-
 // Send queues a command line for transmission; the response arrives later
 // in simulated time (see OnResponse / Responses).
 func (c *Console) Send(cmd string) {
@@ -77,11 +73,4 @@ func (c *Console) LastResponse() string {
 		return ""
 	}
 	return c.lines[len(c.lines)-1]
-}
-
-// RoundTripTime estimates the serial cost of one command of n bytes plus a
-// 3-byte response ("OK\n") — the latency floor for reconfiguring the
-// injector mid-campaign.
-func (c *Console) RoundTripTime(n int) sim.Duration {
-	return sim.Duration(n+1)*c.toBoard.ByteTime() + 3*c.toHost.ByteTime()
 }

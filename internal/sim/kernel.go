@@ -49,9 +49,6 @@ const (
 // Nanoseconds reports t as a floating-point count of nanoseconds.
 func (t Time) Nanoseconds() float64 { return float64(t) / float64(Nanosecond) }
 
-// Microseconds reports t as a floating-point count of microseconds.
-func (t Time) Microseconds() float64 { return float64(t) / float64(Microsecond) }
-
 // Seconds reports t as a floating-point count of seconds.
 func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
 

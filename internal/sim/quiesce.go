@@ -12,8 +12,6 @@ type QuiesceConfig struct {
 	// (messages delivered + packets dropped + resets — anything that
 	// proves the system is still doing work). Required.
 	Progress func() uint64
-	// CheckInterval is how often progress is sampled. Zero selects 5 ms.
-	CheckInterval Duration
 	// StallAfter declares the run stalled when Progress has not advanced
 	// for this long while events remain pending. Zero selects 200 ms —
 	// comfortably past the long-period timeout and every recovery
@@ -35,9 +33,6 @@ type QuiesceConfig struct {
 }
 
 func (c *QuiesceConfig) fillDefaults() {
-	if c.CheckInterval == 0 {
-		c.CheckInterval = 5 * Millisecond
-	}
 	if c.StallAfter == 0 {
 		c.StallAfter = 200 * Millisecond
 	}
@@ -45,6 +40,9 @@ func (c *QuiesceConfig) fillDefaults() {
 		c.Deadline = 10 * Second
 	}
 }
+
+// quiesceCheckInterval is how often RunUntilQuiescent samples progress.
+const quiesceCheckInterval = 5 * Millisecond
 
 // QuiesceResult reports how a RunUntilQuiescent run ended. Exactly one of
 // Drained, Stalled, DeadlineHit, WallClockHit is set.
@@ -79,7 +77,7 @@ func (r QuiesceResult) Outcome() string {
 	}
 }
 
-// RunUntilQuiescent executes events in CheckInterval slices until the queue
+// RunUntilQuiescent executes events in quiesceCheckInterval slices until the queue
 // drains, progress stalls for StallAfter, or Deadline elapses. It is the
 // campaign's hang detector: a fault that wedges the network leaves an
 // eternal event chain (STOP refreshes, watchdog-free waits) that Run() would
@@ -98,7 +96,7 @@ func (k *Kernel) RunUntilQuiescent(cfg QuiesceConfig) QuiesceResult {
 		wallStart = time.Now()
 	}
 	for {
-		k.RunFor(cfg.CheckInterval)
+		k.RunFor(quiesceCheckInterval)
 		now := k.Now()
 		p := cfg.Progress()
 		if p != last {
