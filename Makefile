@@ -16,6 +16,7 @@ bench:
 fuzz:
 	$(GO) test -fuzz=FuzzRuleCompile -fuzztime=10s ./internal/rules
 	$(GO) test -fuzz=FuzzTimerProgram -fuzztime=10s ./internal/sim
+	$(GO) test -run='^FuzzParseSpec$$' -fuzz=FuzzParseSpec -fuzztime=10s ./internal/campaign
 
 check:
 	sh scripts/check.sh

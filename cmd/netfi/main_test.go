@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -92,6 +93,14 @@ func TestRunSpec(t *testing.T) {
 			t.Errorf("-json spec output lacks %q: %s", key, out.String())
 		}
 	}
+	// A command the injector rejects fails the campaign.
+	bogus := filepath.Join(t.TempDir(), "bogus.json")
+	if err := os.WriteFile(bogus, []byte(`{"name":"bogus","faults":[{"commands":["BOGUS CMD"]}]}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if code := run([]string{"spec", bogus}); code != 1 {
+		t.Errorf("spec <rejected command> -> %d, want 1", code)
+	}
 	if code := run([]string{"spec"}); code != 2 {
 		t.Errorf("spec with no file -> %d, want 2", code)
 	}
@@ -100,5 +109,45 @@ func TestRunSpec(t *testing.T) {
 	}
 	if code := run([]string{"table1", "stray"}); code != 2 {
 		t.Errorf("table1 with a stray argument -> %d, want 2", code)
+	}
+}
+
+// TestAllReportGolden: `netfi all` at seed 1, scale 0.05 is byte-identical to
+// the committed report. A refactor that moves any number fails here; a change
+// meant to move one regenerates the file with
+// `go run ./cmd/netfi -seed 1 -scale 0.05 all > cmd/netfi/testdata/all-seed1-scale0.05.txt`.
+func TestAllReportGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("every section end to end; skipped in -short")
+	}
+	want, err := os.ReadFile(filepath.Join("testdata", "all-seed1-scale0.05.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// run prints to os.Stdout; point it at a file for the duration.
+	out, err := os.Create(filepath.Join(t.TempDir(), "all.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	stdout := os.Stdout
+	os.Stdout = out
+	code := run([]string{"-seed", "1", "-scale", "0.05", "-workers", "2", "all"})
+	os.Stdout = stdout
+	out.Close()
+	if code != 0 {
+		t.Fatalf("all -> %d, want 0", code)
+	}
+	got, err := os.ReadFile(out.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != string(want) {
+		gl, wl := strings.Split(string(got), "\n"), strings.Split(string(want), "\n")
+		for i := range gl {
+			if i >= len(wl) || gl[i] != wl[i] {
+				t.Fatalf("report differs from testdata at line %d:\n got: %s\nwant: %s", i+1, gl[i], wl[min(i, len(wl)-1)])
+			}
+		}
+		t.Fatalf("report is a prefix of testdata (%d of %d lines)", len(gl), len(wl))
 	}
 }

@@ -19,6 +19,7 @@ const exampleSpec = `{
     {
       "direction": "both",
       "commands": [
+        "MODE OFF",
         "COMPARE -- -- -- X0C",
         "CORRUPT REPLACE -- -- -- X03"
       ],
@@ -65,7 +66,10 @@ func runSpecFile(w io.Writer, path string, asJSON bool) error {
 	if err != nil {
 		return fmt.Errorf("%s: %w", path, err)
 	}
-	res := campaign.RunSpec(spec)
+	res, err := campaign.RunSpec(spec)
+	if err != nil {
+		return fmt.Errorf("%s: %w", path, err)
+	}
 	if !asJSON {
 		_, err = io.WriteString(w, campaign.FormatSpecResult(res))
 		return err

@@ -21,7 +21,7 @@ func main() {
 	fmt.Printf("messages received: %d\n", row.Received)
 	fmt.Printf("loss rate:         %.1f%%  (paper: 11%% for GAP->GO)\n", 100*row.LossRate)
 	fmt.Printf("classification:    %s (the paper's campaign saw only passive faults)\n",
-		row.Outcome.Classification)
+		row.Classification)
 
 	fmt.Println("\nfull campaign: go run ./cmd/netfi table4")
 }

@@ -33,11 +33,10 @@ func RunPassThrough(opts PassThroughOptions) PassThroughResult {
 		opts.Duration = 2 * sim.Second
 	}
 	run := func(insert bool) (rate, loss float64, both bool) {
-		tb := NewTestbed(TestbedConfig{Seed: opts.Seed, NoInjector: !insert})
-		load := tb.StartLoad(LoadConfig{})
-		tb.K.RunFor(opts.Duration)
-		load.Stop()
-		tb.K.RunFor(100 * sim.Millisecond)
+		s := Spec{Name: "passthrough", Seed: opts.Seed}
+		cfg := s.bed()
+		cfg.NoInjector = !insert
+		tb, load := mustRunLoad(cfg, s, opts.Duration)
 		if insert {
 			co, _, _ := tb.Injector.Engine(DirOutbound).Stats()
 			ci, _, _ := tb.Injector.Engine(DirInbound).Stats()

@@ -51,92 +51,67 @@ func (o *Sec431Options) fillDefaults() {
 	}
 }
 
-// sec431Run measures delivery under one corruption setting. mask/repl empty
-// (SymbolUnknown) means the pass-through baseline. duty > 0 meters the
-// trigger to duty out of every 100 ms; duty == 0 leaves it armed
-// continuously.
-func sec431Run(seed int64, d sim.Duration, mask, repl myrinet.Symbol, duty sim.Duration) (tapPerMin float64, totalPerMin float64, longTOs uint64) {
-	tb := NewTestbed(TestbedConfig{Seed: seed, TxQueueLimit: 4})
-	if mask != SymbolNone {
-		for _, dir := range []string{"L", "R"} {
-			tb.Configure(
-				"DIR "+dir,
-				"COMPARE -- -- -- "+byteEntry(mask),
-				"CORRUPT REPLACE -- -- -- "+byteEntry(repl),
-				"MODE ON",
-			)
-		}
-		if duty > 0 {
-			const period = 100 * sim.Millisecond
-			tb.DutyCycle(duty, period, int(d/period)+1)
-		}
+// sec431Spec corrupts mask into repl on both directions of the tapped link,
+// armed over serial. dutyMS > 0 meters the trigger to dutyMS out of every
+// 100 ms; zero leaves it armed continuously.
+func sec431Spec(name string, seed int64, mask, repl myrinet.Symbol, dutyMS float64) Spec {
+	f := FaultSpec{Commands: []string{
+		"COMPARE -- -- -- " + byteEntry(mask),
+		"CORRUPT REPLACE -- -- -- " + byteEntry(repl),
+		"MODE ON",
+	}}
+	if dutyMS > 0 {
+		f.DutyOnMS, f.DutyPeriodMS = dutyMS, 100
 	}
-	load := tb.StartLoad(LoadConfig{})
-	tb.K.RunFor(d)
-	load.Stop()
-	tb.ConfigureBothMode(false)
-	tb.K.RunFor(100 * sim.Millisecond)
-
-	minutes := d.Seconds() / 60
-	tapPerMin = float64(load.NodeReceived(tb.cfg.TapNode)) / minutes
-	totalPerMin = float64(load.Received()) / minutes
-	for p := 0; p < tb.Switch.Ports(); p++ {
-		longTOs += tb.Switch.PortCounters(p).LongTimeouts
-	}
-	for _, n := range tb.Nodes {
-		longTOs += n.Interface().Counters().LongTimeouts
-	}
-	return tapPerMin, totalPerMin, longTOs
+	return Spec{Name: name, Seed: seed, TxQueueLimit: 4, Faults: []FaultSpec{f}}
 }
-
-// SymbolNone marks "no corruption" in sec431Run.
-const SymbolNone = myrinet.SymbolUnknown
 
 // RunSec431 executes baseline, faulty-STOP, and GAP-corruption runs. The
 // three runs are independent simulations with their own seeds, so they can
 // run on the worker pool.
 func RunSec431(opts Sec431Options) Sec431Result {
 	opts.fillDefaults()
+	specs := []Spec{
+		// The healthy baseline: no fault at all.
+		{Name: "sec431-baseline", Seed: opts.Seed, TxQueueLimit: 4},
+		// Faulty STOP conditions — the paper's own wording: "erroneous flow
+		// control symbols caused, for example, empty buffers to issue STOP
+		// commands". Packet-terminating GAPs on the tapped link become
+		// spurious STOPs: framing is destroyed and phantom STOP commands
+		// stall the senders. Metered to 82 ms out of every 100 ms; armed
+		// continuously nothing at all survives (recovery needs a quiet
+		// window longer than the ~50 ms long-period timeout).
+		sec431Spec("sec431-stop", opts.Seed+1, myrinet.SymbolGap, myrinet.SymbolStop, 82),
+		// GAP corruption: packet-terminating GAPs vanish; paths stay
+		// occupied until the long-period timeout reclaims them.
+		sec431Spec("sec431-gap", opts.Seed+2, myrinet.SymbolGap, myrinet.SymbolIdle, 0),
+	}
 	type run struct {
-		tap, total float64
+		tap, total float64 // deliveries per minute: tapped node, network
 		longTOs    uint64
 	}
-	runs := RunTrials(3, opts.Workers, func(i int) run {
-		var r run
-		switch i {
-		case 0:
-			r.tap, r.total, _ = sec431Run(opts.Seed, opts.Duration, SymbolNone, SymbolNone, 0)
-		case 1:
-			// Faulty STOP conditions — the paper's own wording: "erroneous
-			// flow control symbols caused, for example, empty buffers to
-			// issue STOP commands". Packet-terminating GAPs on the tapped
-			// link become spurious STOPs: framing is destroyed and phantom
-			// STOP commands stall the senders. Metered to 82 ms out of
-			// every 100 ms; armed continuously nothing at all survives
-			// (recovery needs a quiet window longer than the ~50 ms
-			// long-period timeout).
-			r.tap, _, _ = sec431Run(opts.Seed+1, opts.Duration, myrinet.SymbolGap, myrinet.SymbolStop, 82*sim.Millisecond)
-		case 2:
-			// GAP corruption: packet-terminating GAPs vanish; paths stay
-			// occupied until the long-period timeout reclaims them.
-			_, r.total, r.longTOs = sec431Run(opts.Seed+2, opts.Duration, myrinet.SymbolGap, myrinet.SymbolIdle, 0)
+	minutes := opts.Duration.Seconds() / 60
+	runs := RunTrials(len(specs), opts.Workers, func(i int) run {
+		tb, load := mustRunLoad(specs[i].bed(), specs[i], opts.Duration)
+		r := run{
+			tap:   float64(load.NodeReceived(tb.cfg.TapNode)) / minutes,
+			total: float64(load.Received()) / minutes,
+		}
+		for p := 0; p < tb.Switch.Ports(); p++ {
+			r.longTOs += tb.Switch.PortCounters(p).LongTimeouts
+		}
+		for _, n := range tb.Nodes {
+			r.longTOs += n.Interface().Counters().LongTimeouts
 		}
 		return r
 	})
-	baseTap, baseTotal := runs[0].tap, runs[0].total
-	stopTap := runs[1].tap
-	gapTotal, gapTOs := runs[2].total, runs[2].longTOs
-
-	res := Sec431Result{
-		BaselinePerMin:  baseTap,
-		StopRunPerMin:   stopTap,
-		GapLongTimeouts: gapTOs,
+	base, stop, gap := runs[0], runs[1], runs[2]
+	res := Sec431Result{BaselinePerMin: base.tap, StopRunPerMin: stop.tap, GapLongTimeouts: gap.longTOs}
+	if base.tap > 0 {
+		res.StopReduction = 1 - stop.tap/base.tap
 	}
-	if baseTap > 0 {
-		res.StopReduction = 1 - stopTap/baseTap
-	}
-	if baseTotal > 0 {
-		res.GapThroughputFrac = gapTotal / baseTotal
+	if base.total > 0 {
+		res.GapThroughputFrac = gap.total / base.total
 	}
 	return res
 }

@@ -47,9 +47,11 @@ type FaultSpec struct {
 	// Direction is "L" (tapped node → switch), "R" (switch → tapped
 	// node), or "both" (default).
 	Direction string `json:"direction,omitempty"`
-	// Commands are raw injector command lines (COMPARE/CORRUPT/CRC ...),
-	// sent over the serial console; do not include MODE — arming is
-	// controlled by Mode and the duty fields.
+	// Commands are raw injector command lines (MODE/COMPARE/CORRUPT/CRC
+	// ...), sent verbatim over the serial console after "DIR L" or "DIR R";
+	// each must be answered OK. MODE lines are yours: nothing is prepended.
+	// Mode and the duty fields then arm the trigger by register writes,
+	// starting AtMS after the load starts.
 	Commands []string `json:"commands"`
 	// Mode is "on" (default) or "once".
 	Mode string `json:"mode,omitempty"`
@@ -63,21 +65,18 @@ type FaultSpec struct {
 
 // SpecResult is the measured outcome of a Spec run.
 type SpecResult struct {
-	Name            string            `json:"name"`
-	Sent            uint64            `json:"sent"`
-	Received        uint64            `json:"received"`
-	LossRate        float64           `json:"loss_rate"`
-	CorruptAccepted uint64            `json:"corrupt_accepted"`
-	Classification  string            `json:"classification"`
-	Injections      uint64            `json:"injections"`
-	Matches         uint64            `json:"matches"`
-	Drops           map[string]uint64 `json:"drops,omitempty"`
+	Name string `json:"name"`
+	Outcome
+	Injections uint64            `json:"injections"`
+	Matches    uint64            `json:"matches"`
+	Drops      map[string]uint64 `json:"drops,omitempty"`
 }
 
 // checkMS rejects a millisecond field RunSpec cannot schedule: negative, NaN,
-// or past what sim.Duration holds (which takes +Inf with it).
+// or past half of what sim.Duration holds (which takes +Inf with it), so
+// adding it to the clock at load start cannot overflow.
 func checkMS(field string, v float64) error {
-	if !(v >= 0 && v*float64(sim.Millisecond) < math.MaxInt64) {
+	if !(v >= 0 && v*float64(sim.Millisecond) < math.MaxInt64/2) {
 		return fmt.Errorf("campaign: %s %v is not a schedulable duration", field, v)
 	}
 	return nil
@@ -103,6 +102,17 @@ func ParseSpec(data []byte) (Spec, error) {
 	}
 	if err := checkMS("load.period_ms", s.Load.PeriodMS); err != nil {
 		return Spec{}, err
+	}
+	if s.Load.Burst < 0 {
+		return Spec{}, fmt.Errorf("campaign: load.burst %d is negative", s.Load.Burst)
+	}
+	// A payload carries the load's tag and sequence, and its UDP length
+	// field is 16 bits.
+	if s.Load.Size != 0 && (s.Load.Size < loadTagLen+5 || s.Load.Size > math.MaxUint16-8) {
+		return Spec{}, fmt.Errorf("campaign: load.size %d is outside %d..%d", s.Load.Size, loadTagLen+5, math.MaxUint16-8)
+	}
+	if s.TxQueueLimit < 0 {
+		return Spec{}, fmt.Errorf("campaign: tx_queue_limit %d is negative", s.TxQueueLimit)
 	}
 	for i, f := range s.Faults {
 		for _, d := range []struct {
@@ -142,89 +152,112 @@ func ParseSpec(data []byte) (Spec, error) {
 
 func ms(v float64) sim.Duration { return sim.Duration(v * float64(sim.Millisecond)) }
 
-// RunSpec executes a campaign from a known good state and classifies the
-// outcome.
-func RunSpec(s Spec) SpecResult {
-	seed := s.Seed
-	if seed == 0 {
-		seed = 1
-	}
-	duration := ms(s.DurationMS)
-	if duration == 0 {
-		duration = sim.Second
-	}
-	tb := NewTestbed(TestbedConfig{
-		Seed:         seed,
-		Mapping:      s.Mapping,
-		TxQueueLimit: s.TxQueueLimit,
-	})
+// bed is the test bed s runs on.
+func (s Spec) bed() TestbedConfig {
+	return TestbedConfig{Seed: s.Seed, Mapping: s.Mapping, TxQueueLimit: s.TxQueueLimit}
+}
 
-	for _, f := range s.Faults {
-		dirs := []string{"L", "R"}
-		if f.Direction == "L" || f.Direction == "R" {
-			dirs = []string{f.Direction}
-		}
-		for _, d := range dirs {
-			tb.Configure(append([]string{"DIR " + d, "MODE OFF"}, f.Commands...)...)
-		}
-		// Arming is scheduled as direct register pokes (the way DutyCycle
-		// works): the serial path cannot be driven from inside a
-		// simulation event, and the paper's own campaigns pre-programmed
-		// the patterns and toggled only the match mode during a run.
-		engines := make([]*core.Engine, 0, 2)
-		for _, d := range dirs {
-			if d == "L" {
-				engines = append(engines, tb.Injector.Engine(DirOutbound))
-			} else {
-				engines = append(engines, tb.Injector.Engine(DirInbound))
+// runLoad is the one load campaign, run the way NFTAPE ran every §4
+// experiment: build a fresh bed from cfg (the known good state), program
+// each of s's faults over the serial console, arm them, offer s's load for
+// d, stop it, disarm, and drain 100 ms before anything is counted. The bed
+// comes from cfg rather than s.bed() only so the pass-through control run
+// can drop the injector. A command line not answered OK is an error naming
+// the fault and the line.
+func runLoad(cfg TestbedConfig, s Spec, d sim.Duration) (*Testbed, *Load, error) {
+	tb := NewTestbed(cfg)
+	engines := make([][]*core.Engine, len(s.Faults))
+	for i, f := range s.Faults {
+		for _, dir := range []string{"L", "R"} {
+			if (f.Direction == "L" || f.Direction == "R") && f.Direction != dir {
+				continue
 			}
+			lines := append([]string{"DIR " + dir}, f.Commands...)
+			before := len(tb.Console.Responses())
+			tb.Configure(lines...)
+			// Long lines (RULE ADD) outlast Configure's per-line budget.
+			for wait := 0; wait < 100 && len(tb.Console.Responses())-before < len(lines); wait++ {
+				tb.K.RunFor(sim.Millisecond)
+			}
+			got := tb.Console.Responses()[before:]
+			if len(got) != len(lines) {
+				return nil, nil, fmt.Errorf("campaign: fault %d: %d answers to the %d lines %q", i, len(got), len(lines), lines)
+			}
+			for j, answer := range got {
+				if answer != "OK" {
+					return nil, nil, fmt.Errorf("campaign: fault %d: %q -> %q", i, lines[j], answer)
+				}
+			}
+			e := tb.Injector.Engine(DirInbound)
+			if dir == "L" {
+				e = tb.Injector.Engine(DirOutbound)
+			}
+			engines[i] = append(engines[i], e)
 		}
-		mode := core.MatchOn
-		if f.Mode == "once" {
-			mode = core.MatchOnce
-		}
-		arm := func(m core.MatchMode) func() {
+	}
+	// Arming is scheduled as direct register writes: the serial path
+	// cannot be driven from inside a simulation event, and the paper's own
+	// campaigns pre-programmed the patterns and toggled only the match mode
+	// during a run.
+	for i, f := range s.Faults {
+		set := func(m core.MatchMode) func() {
 			return func() {
-				for _, e := range engines {
+				for _, e := range engines[i] {
 					e.SetMatchMode(m)
 				}
 			}
 		}
-		if f.DutyPeriodMS > 0 {
-			// Metered arming: re-arm each period, disarm after the
-			// on-window.
-			period := ms(f.DutyPeriodMS)
-			repeats := int((duration-ms(f.AtMS))/period) + 1
-			for i := 0; i < repeats; i++ {
-				start := ms(f.AtMS) + sim.Duration(i)*period
-				tb.K.After(start, arm(mode))
-				tb.K.After(start+ms(f.DutyOnMS), arm(core.MatchOff))
-			}
-		} else {
-			tb.K.After(ms(f.AtMS), arm(mode))
+		on, off := set(core.MatchOn), set(core.MatchOff)
+		if f.Mode == "once" {
+			on = set(core.MatchOnce)
+		}
+		if f.DutyPeriodMS == 0 {
+			tb.K.After(ms(f.AtMS), on)
+			continue
+		}
+		// Metered arming: re-arm each period, disarm after the on-window.
+		for start := ms(f.AtMS); start <= d; start += ms(f.DutyPeriodMS) {
+			tb.K.After(start, on)
+			tb.K.After(start+ms(f.DutyOnMS), off)
 		}
 	}
 
-	load := tb.StartLoad(LoadConfig{
-		Burst:  s.Load.Burst,
-		Period: ms(s.Load.PeriodMS),
-		Size:   s.Load.Size,
-	})
-	tb.K.RunFor(duration)
+	load := tb.StartLoad(LoadConfig{Burst: s.Load.Burst, Period: ms(s.Load.PeriodMS), Size: s.Load.Size})
+	tb.K.RunFor(d)
 	load.Stop()
-	tb.ConfigureBothMode(false)
-	tb.K.RunFor(100 * sim.Millisecond)
-
-	outcome := load.Classify()
-	res := SpecResult{
-		Name:            s.Name,
-		Sent:            outcome.Sent,
-		Received:        outcome.Received,
-		LossRate:        outcome.LossRate,
-		CorruptAccepted: outcome.CorruptAccepted,
-		Classification:  outcome.Classification,
-		Drops:           map[string]uint64{},
+	if tb.Injector != nil {
+		tb.ConfigureBothMode(false)
 	}
+	tb.K.RunFor(100 * sim.Millisecond)
+	return tb, load, nil
+}
+
+// mustRunLoad is runLoad for the paper's sections, whose fixed command
+// lines the injector always accepts.
+func mustRunLoad(cfg TestbedConfig, s Spec, d sim.Duration) (*Testbed, *Load) {
+	tb, load, err := runLoad(cfg, s, d)
+	if err != nil {
+		panic(err)
+	}
+	return tb, load
+}
+
+// RunSpec executes a campaign from a known good state and classifies the
+// outcome. Seed 0 selects 1 and a zero duration 1 s. A command the injector
+// does not answer OK is an error.
+func RunSpec(s Spec) (SpecResult, error) {
+	if s.Seed == 0 {
+		s.Seed = 1
+	}
+	d := ms(s.DurationMS)
+	if d == 0 {
+		d = sim.Second
+	}
+	tb, load, err := runLoad(s.bed(), s, d)
+	if err != nil {
+		return SpecResult{}, err
+	}
+	res := SpecResult{Name: s.Name, Outcome: load.Classify(), Drops: map[string]uint64{}}
 	for _, dir := range []core.Direction{DirOutbound, DirInbound} {
 		_, m, inj := tb.Injector.Engine(dir).Stats()
 		res.Matches += m
@@ -240,7 +273,7 @@ func RunSpec(s Spec) SpecResult {
 			res.Drops[r.String()] += v
 		}
 	}
-	return res
+	return res, nil
 }
 
 // FormatSpecResult renders a result as text.

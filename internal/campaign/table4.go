@@ -14,10 +14,7 @@ import (
 type Table4Row struct {
 	Mask        myrinet.Symbol
 	Replacement myrinet.Symbol
-	Sent        uint64
-	Received    uint64
-	LossRate    float64
-	Outcome     Outcome
+	Outcome
 }
 
 // Table4Options parameterizes the campaign.
@@ -40,28 +37,22 @@ func (o *Table4Options) fillDefaults() {
 	}
 }
 
-// table4DutyOn/table4DutyPeriod meter the injection: the trigger is armed
-// table4DutyOn out of every table4DutyPeriod — NFTAPE toggling the board's
-// match mode once per burst period.
-const (
-	table4DutyOn     = sim.Millisecond
-	table4DutyPeriod = 100 * sim.Millisecond
-)
-
-// rowDuty returns the injection duty for one row. Corruptions that
-// manufacture spurious GAPs (mask GAP, or STOP replaced by GAP) destroy
-// packet framing and hold switch paths until the long-period timeout, so a
-// single armed window degrades tens of milliseconds of traffic; those rows
-// are metered. Overflow- and stall-driven rows (the rest) need the trigger
-// armed continuously to catch the bursty flow-control symbols at all.
-func rowDuty(mask, repl myrinet.Symbol) (on, period sim.Duration) {
+// rowDutyOnMS returns how many milliseconds of every 100 the row's trigger
+// is armed — NFTAPE toggling the board's match mode once per burst period.
+// Corruptions that manufacture spurious GAPs (mask GAP, or STOP replaced by
+// GAP) destroy packet framing and hold switch paths until the long-period
+// timeout, so a single armed window degrades tens of milliseconds of
+// traffic; those rows are metered. Overflow- and stall-driven rows (the
+// rest) need the trigger armed continuously to catch the bursty
+// flow-control symbols at all.
+func rowDutyOnMS(mask, repl myrinet.Symbol) float64 {
 	switch {
 	case mask == myrinet.SymbolGap:
-		return table4DutyOn, table4DutyPeriod
+		return 1
 	case mask == myrinet.SymbolStop && repl == myrinet.SymbolGap:
-		return 75 * table4DutyOn, table4DutyPeriod
+		return 75
 	default:
-		return table4DutyPeriod, table4DutyPeriod // always on
+		return 100 // always on
 	}
 }
 
@@ -90,39 +81,33 @@ func Table4Pairs() [][2]myrinet.Symbol {
 	}
 }
 
+// table4Spec is the campaign behind one row: every occurrence of mask on
+// both directions of the tapped link replaced by replacement, the trigger
+// metered by rowDutyOnMS, for d of load.
+func table4Spec(mask, replacement myrinet.Symbol, seed int64, d sim.Duration) Spec {
+	return Spec{
+		Name:         fmt.Sprintf("%v->%v", mask, replacement),
+		Seed:         seed,
+		DurationMS:   float64(d) / float64(sim.Millisecond),
+		TxQueueLimit: 4,
+		Faults: []FaultSpec{{
+			Commands: []string{
+				"MODE OFF",
+				"COMPARE -- -- -- " + byteEntry(mask),
+				"CORRUPT REPLACE -- -- -- " + byteEntry(replacement),
+			},
+			DutyOnMS:     rowDutyOnMS(mask, replacement),
+			DutyPeriodMS: 100,
+		}},
+	}
+}
+
 // RunTable4Row executes one corruption experiment from a fresh test bed.
 func RunTable4Row(mask, replacement myrinet.Symbol, opts Table4Options) Table4Row {
 	opts.fillDefaults()
-	tb := NewTestbed(TestbedConfig{Seed: opts.Seed, TxQueueLimit: 4})
-	// Program both directions over the serial console, then meter the
-	// match mode with the duty cycle.
-	for _, dir := range []string{"L", "R"} {
-		tb.Configure(
-			"DIR "+dir,
-			"MODE OFF",
-			"COMPARE -- -- -- "+byteEntry(mask),
-			"CORRUPT REPLACE -- -- -- "+byteEntry(replacement),
-		)
-	}
-	on, period := rowDuty(mask, replacement)
-	repeats := int(opts.Duration/period) + 1
-	tb.DutyCycle(on, period, repeats)
-
-	load := tb.StartLoad(LoadConfig{})
-	tb.K.RunFor(opts.Duration)
-	load.Stop()
-	// Disarm and let in-flight traffic drain before counting.
-	tb.ConfigureBothMode(false)
-	tb.K.RunFor(100 * sim.Millisecond)
-
-	return Table4Row{
-		Mask:        mask,
-		Replacement: replacement,
-		Sent:        load.Sent(),
-		Received:    load.Received(),
-		LossRate:    load.LossRate(),
-		Outcome:     load.Classify(),
-	}
+	s := table4Spec(mask, replacement, opts.Seed, opts.Duration)
+	_, load := mustRunLoad(s.bed(), s, opts.Duration)
+	return Table4Row{Mask: mask, Replacement: replacement, Outcome: load.Classify()}
 }
 
 // RunTable4 executes all nine rows over the worker pool.

@@ -169,24 +169,6 @@ func (tb *Testbed) Configure(cmds ...string) {
 	tb.K.RunFor(sim.Duration(len(cmds)) * 3 * sim.Millisecond)
 }
 
-// DutyCycle schedules MODE ON / MODE OFF toggles for both directions over
-// the run: on-time every period, starting at the next period boundary.
-// Campaigns use it to meter injection intensity, re-arming the trigger the
-// way NFTAPE scripts toggled the real board.
-func (tb *Testbed) DutyCycle(on, period sim.Duration, repeats int) {
-	for i := 0; i < repeats; i++ {
-		start := sim.Duration(i) * period
-		tb.K.After(start, func() {
-			tb.Injector.Engine(DirOutbound).SetMatchMode(core.MatchOn)
-			tb.Injector.Engine(DirInbound).SetMatchMode(core.MatchOn)
-		})
-		tb.K.After(start+on, func() {
-			tb.Injector.Engine(DirOutbound).SetMatchMode(core.MatchOff)
-			tb.Injector.Engine(DirInbound).SetMatchMode(core.MatchOff)
-		})
-	}
-}
-
 // ConfigureBothMode arms or disarms both directions' triggers.
 func (tb *Testbed) ConfigureBothMode(on bool) {
 	mode := core.MatchOff

@@ -174,11 +174,11 @@ func (l *Load) onReceive(node int, data []byte) {
 
 // Outcome classifies a run per §4.4's active/passive terminology.
 type Outcome struct {
-	Sent            uint64
-	Received        uint64
-	LossRate        float64
-	CorruptAccepted uint64
-	Classification  string
+	Sent            uint64  `json:"sent"`
+	Received        uint64  `json:"received"`
+	LossRate        float64 `json:"loss_rate"`
+	CorruptAccepted uint64  `json:"corrupt_accepted"`
+	Classification  string  `json:"classification"`
 }
 
 // Classify summarizes the load's counters.
