@@ -17,6 +17,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzRuleCompile -fuzztime=10s ./internal/rules
 	$(GO) test -fuzz=FuzzTimerProgram -fuzztime=10s ./internal/sim
 	$(GO) test -run='^FuzzParseSpec$$' -fuzz=FuzzParseSpec -fuzztime=10s ./internal/campaign
+	$(GO) test -run='^FuzzInterfaceReassembly$$' -fuzz=FuzzInterfaceReassembly -fuzztime=10s ./internal/myrinet
 
 check:
 	sh scripts/check.sh

@@ -89,6 +89,11 @@ type FabricTestbed struct {
 	Delivered []uint64
 	Bytes     []uint64
 
+	// payloads[h] is host h's send scratch, grown on its first send and
+	// touched only on h's shard kernel: Send copies it into the NIC's
+	// transmit buffer.
+	payloads [][]byte
+
 	rings []*monitor.ExportRing // per host, Record only
 	flows []*monitor.FlowTable
 	logs  [][]fabricEvent
@@ -116,6 +121,7 @@ func NewFabricTestbed(cfg FabricConfig) (*FabricTestbed, error) {
 		SendErrs:  make([]uint64, hosts),
 		Delivered: make([]uint64, hosts),
 		Bytes:     make([]uint64, hosts),
+		payloads:  make([][]byte, hosts),
 	}
 	if cfg.Record {
 		tb.rings = make([]*monitor.ExportRing, hosts)
@@ -218,7 +224,10 @@ func pongOpenerFire(a any) {
 // four payload bytes carry the sequence number (flood) or remaining-hop
 // count (ping-pong); the rest is a deterministic fill pattern.
 func (tb *FabricTestbed) send(src, dst int, word uint32) {
-	p := make([]byte, tb.Cfg.Payload)
+	if tb.payloads[src] == nil {
+		tb.payloads[src] = make([]byte, tb.Cfg.Payload)
+	}
+	p := tb.payloads[src]
 	if len(p) >= 4 {
 		p[0], p[1], p[2], p[3] = byte(word>>24), byte(word>>16), byte(word>>8), byte(word)
 	}

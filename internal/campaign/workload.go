@@ -31,6 +31,10 @@ type Load struct {
 	perNodeRecv     []uint64
 
 	socks []*host.Socket // per-node receivers, kept so a fork can rebind
+
+	// buf is the payload scratch: SendUDP copies it, so every datagram
+	// reuses it and only the sequence bytes change.
+	buf []byte
 }
 
 const (
@@ -147,18 +151,21 @@ func (l *Load) tick() {
 func loadTick(a any) { a.(*Load).tick() }
 
 // payload builds a tagged, sequence-stamped body free of control-symbol
-// byte values.
+// byte values. The returned slice is overwritten by the next call.
 func (l *Load) payload() []byte {
-	data := make([]byte, l.size)
-	copy(data, loadTag[:])
+	if len(l.buf) != l.size {
+		l.buf = make([]byte, l.size)
+		copy(l.buf, loadTag[:])
+		for i := loadTagLen + 5; i < len(l.buf); i++ {
+			l.buf[i] = 0x55
+		}
+	}
+	data := l.buf
 	l.seq++
 	s := l.seq
 	for i := 0; i < 5; i++ {
 		data[loadTagLen+i] = 0x40 | byte(s&0x0F) // 0x40..0x4F: clear of control codes
 		s >>= 4
-	}
-	for i := loadTagLen + 5; i < len(data); i++ {
-		data[i] = 0x55
 	}
 	return data
 }

@@ -133,3 +133,42 @@ func TestDevicePathSteadyStateAllocs(t *testing.T) {
 		})
 	}
 }
+
+// Under continuous traffic the pipeline FIFO never empties, so the entries
+// queue is consumed from the front while new entry times append at the back.
+// Bursts go out back to back, a control symbol every few bursts splits the
+// released batches, and the kernel never idles between cycles: the queue
+// must reuse its backing array instead of reallocating as it slides.
+func TestDevicePathContinuousTrafficAllocs(t *testing.T) {
+	k := sim.NewKernel(1)
+	dev := NewDevice(k, DeviceConfig{Name: "alloc", IdleChar: phy.ControlChar(0x07)})
+	cfg := phy.LinkConfig{Name: "in", CharPeriod: 12_500 * sim.Picosecond, PropDelay: 5 * sim.Nanosecond}
+	link := phy.NewLink(k, cfg, phy.ReceiverFunc(phy.PoolOf(k).Release))
+	dev.InsertDirection(LeftToRight, link)
+
+	// Bursts shorter than the pipeline arrive before its flush could fire.
+	burst := make([]phy.Character, DefaultSlackChars/2)
+	for i := range burst {
+		burst[i] = phy.DataChar(byte(0x20 + i))
+	}
+	const bursts, every = 64, 3
+	wire := sim.Duration(bursts*len(burst)+bursts/every) * cfg.CharPeriod
+	cycle := func() {
+		for i := 0; i < bursts; i++ {
+			link.Send(burst)
+			if i%every == every-1 {
+				link.SendOne(phy.ControlChar(0x0C))
+			}
+		}
+		k.RunFor(wire)
+	}
+	for i := 0; i < 100; i++ {
+		cycle()
+	}
+	if dev.Engine(LeftToRight).Pending() == 0 {
+		t.Fatal("pipeline drained between cycles; traffic is not continuous")
+	}
+	if avg := testing.AllocsPerRun(200, cycle); avg != 0 {
+		t.Errorf("continuous device path allocates %.2f objects per %d bursts, want 0", avg, bursts)
+	}
+}

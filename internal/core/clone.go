@@ -86,7 +86,7 @@ func (d *Device) Clone(m *sim.Mapper) *Device {
 			dev:        d2,
 			dir:        p.dir,
 			lastEnd:    p.lastEnd,
-			entries:    append([]sim.Time(nil), p.entries...),
+			entries:    append([]sim.Time(nil), p.entries[p.head:]...),
 			flushArmed: p.flushArmed,
 			flushEvent: m.MapEventID(p.flushEvent),
 		}

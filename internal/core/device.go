@@ -82,8 +82,11 @@ type devicePort struct {
 	// at exactly entry + pipeline latency — the constant-delay behaviour
 	// of the continuously clocked hardware. Without it, batched pops
 	// would time-compress flow-control symbols and falsely trip the
-	// remote's 16-character short timeout.
+	// remote's 16-character short timeout. entries[head:] is the live
+	// queue; the consumed prefix is reclaimed once it passes half the
+	// slice, so continuous traffic appends into the same backing array.
 	entries    []sim.Time
+	head       int
 	flushArmed bool
 	flushEvent sim.EventID
 
@@ -204,7 +207,7 @@ func (p *devicePort) deliver(out []phy.Character) {
 				j++
 			}
 		}
-		at := p.entries[j-1] + latency
+		at := p.entries[p.head+j-1] + latency
 		if at < now {
 			at = now
 		}
@@ -213,15 +216,13 @@ func (p *devicePort) deliver(out []phy.Character) {
 		pool.ScheduleReceive(at, dst, batch)
 		i = j
 	}
-	rest := p.entries[len(out):]
-	if len(rest) == 0 {
-		p.entries = p.entries[:0]
-	} else if len(p.entries) > 4*len(rest) && len(p.entries) > 256 {
-		// Compact so the backing array does not grow without bound
-		// under continuous traffic.
-		p.entries = append(p.entries[:0], rest...)
-	} else {
-		p.entries = rest
+	p.head += len(out)
+	switch {
+	case p.head == len(p.entries):
+		p.entries, p.head = p.entries[:0], 0
+	case p.head > len(p.entries)/2:
+		n := copy(p.entries, p.entries[p.head:])
+		p.entries, p.head = p.entries[:n], 0
 	}
 }
 

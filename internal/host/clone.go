@@ -32,11 +32,12 @@ func (n *Node) Clone(m *sim.Mapper) *Node {
 		sendReadyAt: n.sendReadyAt,
 		dead:        n.dead,
 	}
-	if len(n.recvq) > 0 {
-		n2.recvq = make([]queuedPacket, len(n.recvq))
-		for i, p := range n.recvq {
-			n2.recvq[i] = p.clone()
+	if n.recvLen > 0 {
+		n2.recvq = make([]queuedPacket, n.recvLen)
+		for i := range n2.recvq {
+			n2.recvq[i] = n.recvq[(n.recvHead+i)%len(n.recvq)].clone()
 		}
+		n2.recvLen = n.recvLen
 	}
 	m.Put(n, n2)
 	if v, ok := m.Lookup(n.ifc); ok {

@@ -94,13 +94,20 @@ type Node struct {
 
 	// Receive processor: one packet at a time, RecvOverhead each. While
 	// recvBusy, inRecv is the packet whose completion event is pending
-	// (kept on the node, not in a closure, so a fork can copy it).
+	// (kept on the node, not in a closure, so a fork can copy it). recvq
+	// is a ring of recvLen packets from recvHead that grows on demand;
+	// each slot, and inRecv, owns a data buffer reused from packet to
+	// packet.
 	recvq    []queuedPacket
+	recvHead int
+	recvLen  int
 	recvBusy bool
 	inRecv   queuedPacket
 
 	// Send serialization: the CPU injects packets one SendOverhead apart.
 	sendReadyAt sim.Time
+	// freeSends recycles fired send records with their datagram buffers.
+	freeSends []*pendingSend
 
 	// dead marks a killed workstation (chaos node-death fault): the CPU
 	// neither sends nor services interrupts, while the NIC hardware below
@@ -170,7 +177,9 @@ type Socket struct {
 func (s *Socket) Received() uint64 { return s.received }
 
 // Bind opens a UDP socket on port; handler runs after the receive path's
-// processing overhead. Binding an in-use port is an error.
+// processing overhead. data lies in a buffer the node reuses for a later
+// datagram, so it is valid only for the duration of the call: a handler
+// that keeps the bytes copies them. Binding an in-use port is an error.
 func (n *Node) Bind(port uint16, handler func(src myrinet.MAC, srcPort uint16, data []byte)) (*Socket, error) {
 	if _, ok := n.sockets[port]; ok {
 		return nil, fmt.Errorf("host: %s port %d already bound", n.cfg.Name, port)
@@ -183,9 +192,10 @@ func (n *Node) Bind(port uint16, handler func(src myrinet.MAC, srcPort uint16, d
 // Close releases the socket's port.
 func (s *Socket) Close() { delete(s.node.sockets, s.port) }
 
-// SetHandler rebinds the socket's delivery handler. Applications that
-// survive a fork use this to point their cloned sockets at new-world
-// closures (a fork carries sockets with nil handlers; see Node.Clone).
+// SetHandler rebinds the socket's delivery handler, under Bind's contract.
+// Applications that survive a fork use this to point their cloned sockets
+// at new-world closures (a fork carries sockets with nil handlers; see
+// Node.Clone).
 func (s *Socket) SetHandler(handler func(src myrinet.MAC, srcPort uint16, data []byte)) {
 	s.handler = handler
 }
@@ -196,13 +206,20 @@ const udpHeaderLen = 8
 // EncodeUDP builds the datagram: header with a one's-complement checksum
 // over header (checksum field zero) plus data.
 func EncodeUDP(srcPort, dstPort uint16, data []byte) []byte {
-	dgram := make([]byte, udpHeaderLen+len(data))
+	return appendUDP(make([]byte, 0, udpHeaderLen+len(data)), srcPort, dstPort, data)
+}
+
+// appendUDP appends the datagram EncodeUDP builds to dst.
+func appendUDP(dst []byte, srcPort, dstPort uint16, data []byte) []byte {
+	start := len(dst)
+	dst = append(dst, 0, 0, 0, 0, 0, 0, 0, 0)
+	dst = append(dst, data...)
+	dgram := dst[start:]
 	putU16(dgram[0:], srcPort)
 	putU16(dgram[2:], dstPort)
-	putU16(dgram[4:], uint16(udpHeaderLen+len(data)))
-	copy(dgram[udpHeaderLen:], data)
+	putU16(dgram[4:], uint16(len(dgram)))
 	putU16(dgram[6:], bitstream.Checksum16(dgram))
-	return dgram
+	return dst
 }
 
 // DecodeUDP parses and checksums a datagram.
@@ -233,39 +250,56 @@ func (n *Node) jitter() sim.Duration {
 }
 
 // SendUDP queues a datagram to dst. The CPU serializes sends one
-// SendOverhead apart; the NIC transmits when the packet reaches it.
+// SendOverhead apart; the NIC transmits when the packet reaches it. data is
+// copied, so the caller may reuse it as soon as SendUDP returns.
 func (n *Node) SendUDP(dst myrinet.MAC, srcPort, dstPort uint16, data []byte) {
 	if n.dead {
 		return
 	}
-	dgram := EncodeUDP(srcPort, dstPort, data)
+	s := n.newPendingSend()
+	s.dst = dst
+	s.dgram = appendUDP(s.dgram[:0], srcPort, dstPort, data)
 	at := n.k.Now() + n.cfg.SendOverhead + n.jitter()
 	if n.sendReadyAt > n.k.Now() {
 		at = n.sendReadyAt + n.cfg.SendOverhead + n.jitter()
 	}
 	n.sendReadyAt = at
-	n.k.AtArg(at, firePendingSend, &pendingSend{n: n, dst: dst, dgram: dgram})
+	n.k.AtArg(at, firePendingSend, s)
 }
 
 // pendingSend is one serialized CPU send awaiting its injection instant.
 // Several can be pending per node (the CPU pipelines them SendOverhead
-// apart), so each is its own allocation.
+// apart), so each is its own record; a fired record returns to its node's
+// free list with its datagram buffer.
 type pendingSend struct {
 	n     *Node
 	dst   myrinet.MAC
 	dgram []byte
 }
 
+func (n *Node) newPendingSend() *pendingSend {
+	if last := len(n.freeSends) - 1; last >= 0 {
+		s := n.freeSends[last]
+		n.freeSends[last] = nil
+		n.freeSends = n.freeSends[:last]
+		return s
+	}
+	return &pendingSend{n: n}
+}
+
 func firePendingSend(a any) {
 	s := a.(*pendingSend)
-	if s.n.dead {
-		return
+	n := s.n
+	if !n.dead {
+		if err := n.ifc.Send(s.dst, s.dgram); err != nil {
+			n.stats.NoRouteErrors++
+		} else {
+			n.stats.UDPSent++
+		}
 	}
-	if err := s.n.ifc.Send(s.dst, s.dgram); err != nil {
-		s.n.stats.NoRouteErrors++
-		return
-	}
-	s.n.stats.UDPSent++
+	// Send encoded the datagram into the NIC's own buffer, so the record
+	// is free again.
+	n.freeSends = append(n.freeSends, s)
 }
 
 // CloneSimArg implements sim.ArgClonable: a fork remaps the node and copies
@@ -304,23 +338,44 @@ func (n *Node) onDatagram(src myrinet.MAC, payload []byte) {
 		n.stats.NoSocketDrops++
 		return
 	}
-	if len(n.recvq) >= n.cfg.SocketBuffer {
+	if n.recvLen >= n.cfg.SocketBuffer {
 		n.stats.OverflowDrops++
 		return
 	}
-	n.recvq = append(n.recvq, queuedPacket{src: src, srcPort: srcPort, dstPort: dstPort, data: data})
+	if n.recvLen == len(n.recvq) {
+		n.growRecvq()
+	}
+	// payload lies in the interface's reassembly buffer: copy it into the
+	// slot's own buffer before the next packet overwrites it.
+	slot := &n.recvq[(n.recvHead+n.recvLen)%len(n.recvq)]
+	slot.src, slot.srcPort, slot.dstPort = src, srcPort, dstPort
+	slot.data = append(slot.data[:0], data...)
+	n.recvLen++
 	n.pumpRecv()
+}
+
+// growRecvq doubles the receive ring, moving the queued packets (and their
+// buffers) to its front.
+func (n *Node) growRecvq() {
+	ring := make([]queuedPacket, max(4, 2*len(n.recvq)))
+	for i := 0; i < n.recvLen; i++ {
+		ring[i] = n.recvq[(n.recvHead+i)%len(n.recvq)]
+	}
+	n.recvq, n.recvHead = ring, 0
 }
 
 // pumpRecv drains the receive queue one packet per RecvOverhead, delivering
 // at interrupt-tick boundaries.
 func (n *Node) pumpRecv() {
-	if n.recvBusy || len(n.recvq) == 0 {
+	if n.recvBusy || n.recvLen == 0 {
 		return
 	}
 	n.recvBusy = true
-	n.inRecv = n.recvq[0]
-	n.recvq = n.recvq[1:]
+	// The head slot becomes inRecv; the slot takes inRecv's spent buffer.
+	slot := &n.recvq[n.recvHead]
+	n.inRecv, *slot = *slot, queuedPacket{data: n.inRecv.data[:0]}
+	n.recvHead = (n.recvHead + 1) % len(n.recvq)
+	n.recvLen--
 	done := n.quantize(n.k.Now() + n.cfg.RecvOverhead + n.jitter())
 	n.k.AtArg(done, nodeRecvDone, n)
 }
@@ -328,7 +383,7 @@ func (n *Node) pumpRecv() {
 func nodeRecvDone(a any) {
 	n := a.(*Node)
 	p := n.inRecv
-	n.inRecv = queuedPacket{}
+	n.inRecv = queuedPacket{data: p.data[:0]}
 	n.recvBusy = false
 	if s, ok := n.sockets[p.dstPort]; ok {
 		n.stats.UDPReceived++

@@ -140,7 +140,9 @@ func NewReliable(n *Node, port uint16, cfg ReliableConfig) (*Reliable, error) {
 	return r, nil
 }
 
-// SetHandler registers the in-order delivery callback.
+// SetHandler registers the in-order delivery callback. data is valid only
+// for the duration of the call, as for a socket handler: a handler that
+// keeps the bytes copies them.
 func (r *Reliable) SetHandler(fn func(src myrinet.MAC, data []byte)) { r.onData = fn }
 
 // Stats returns a copy of the endpoint's aggregate counters.
@@ -322,7 +324,7 @@ func (r *Reliable) onDataFrame(src myrinet.MAC, seq uint32, data []byte) {
 		r.expect[src] = expected + 1
 		r.sendAck(src, seq)
 		if r.onData != nil {
-			r.onData(src, append([]byte(nil), data...))
+			r.onData(src, data)
 		}
 	case seq < expected:
 		r.stats.DupsDropped++
@@ -333,7 +335,7 @@ func (r *Reliable) onDataFrame(src myrinet.MAC, seq uint32, data []byte) {
 		r.expect[src] = seq + 1
 		r.sendAck(src, seq)
 		if r.onData != nil {
-			r.onData(src, append([]byte(nil), data...))
+			r.onData(src, data)
 		}
 	}
 }

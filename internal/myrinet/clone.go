@@ -18,8 +18,9 @@ import (
 //     closure.
 //   - Cross-references that span devices (a controller's output link, a tap)
 //     resolve in the mapper's deferred pass, so clone order never matters.
-//   - Queued txPackets survive only with interface-form completions
-//     (EnqueuePacketTo); a pending closure completion fails the fork loudly.
+//   - Queued txPackets survive only with interface-form completions (an
+//     Interface's own sends); a pending closure completion (EnqueuePacket)
+//     fails the fork loudly.
 
 // cloneCounters returns the fork's copy of c, creating and registering it on
 // first sight. Shared counters (a switch port and its controller point at the
@@ -59,13 +60,17 @@ func (s *SlackBuffer) clone(onStop, onGo func()) *SlackBuffer {
 	return s2
 }
 
-// clone copies one queued packet. The interface-form completion remaps in the
-// deferred pass; a closure-form completion cannot cross a fork and fails it.
-func (p *txPacket) clone(m *sim.Mapper, owner string) *txPacket {
-	p2 := &txPacket{chars: append([]phy.Character(nil), p.chars...)}
+// clone copies one queued packet into p2, its stream into a fresh buffer of
+// the fork kernel's pool. The interface-form completion remaps in the
+// deferred pass, which writes through p2 — so p2 must stay put until the
+// fork completes; a closure-form completion cannot cross a fork and fails
+// it.
+func (p *txPacket) clone(m *sim.Mapper, owner string, p2 *txPacket) {
+	p2.chars = phy.PoolOf(m.Kernel()).Get(len(p.chars))
+	copy(p2.chars, p.chars)
 	if p.onDone != nil {
 		m.Defer(func() error {
-			return fmt.Errorf("myrinet: fork: %s has a queued packet with a closure completion; use EnqueuePacketTo", owner)
+			return fmt.Errorf("myrinet: fork: %s has a queued packet with a closure completion", owner)
 		})
 	}
 	if p.done != nil {
@@ -79,7 +84,6 @@ func (p *txPacket) clone(m *sim.Mapper, owner string) *txPacket {
 			return nil
 		})
 	}
-	return p2
 }
 
 // Clone forks the link controller. The consumer callbacks (notify,
@@ -92,6 +96,7 @@ func (lc *LinkController) Clone(m *sim.Mapper) *LinkController {
 		name:        lc.name,
 		ctr:         cloneCounters(m, lc.ctr),
 		paused:      lc.paused,
+		sending:     lc.sending,
 		curPos:      lc.curPos,
 		txScheduled: lc.txScheduled,
 		streamPos:   lc.streamPos,
@@ -104,13 +109,13 @@ func (lc *LinkController) Clone(m *sim.Mapper) *LinkController {
 	if lc.stopWatchdog != nil {
 		lc2.stopWatchdog = lc.stopWatchdog.Clone(m, lc2.onStopWatchdog)
 	}
-	if lc.cur != nil {
-		lc2.cur = lc.cur.clone(m, lc.name)
+	if lc.sending {
+		lc.cur.clone(m, lc.name, &lc2.cur)
 	}
-	if len(lc.txq) > 0 {
-		lc2.txq = make([]*txPacket, len(lc.txq))
-		for i, p := range lc.txq {
-			lc2.txq[i] = p.clone(m, lc.name)
+	if q := lc.txq[lc.txHead:]; len(q) > 0 {
+		lc2.txq = make([]txPacket, len(q))
+		for i := range q {
+			q[i].clone(m, lc.name, &lc2.txq[i])
 		}
 	}
 	if len(lc.streamBuf) > 0 {
@@ -236,8 +241,7 @@ func (mc *MCP) clone(m *sim.Mapper, ifc2 *Interface) *MCP {
 }
 
 // Clone forks the interface: stream parser state, routing table, controller,
-// and MCP. The host-side data handler is rebound by the owning Node's clone;
-// the packet observer is monitoring-owned and re-registered post-fork.
+// and MCP. The host-side data handler is rebound by the owning Node's clone.
 func (ifc *Interface) Clone(m *sim.Mapper) *Interface {
 	if ifc.resolver != nil {
 		panic(fmt.Sprintf("myrinet: fork: interface %s has a route resolver; fabric interfaces do not fork", ifc.cfg.Name))

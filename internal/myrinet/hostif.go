@@ -26,7 +26,9 @@ type Interface struct {
 	lc  *LinkController
 	ctr *Counters
 
-	// Receive-side stream parser.
+	// Receive-side stream parser. assembling is reused from packet to
+	// packet: a classified packet's bytes are valid only until the next
+	// one starts.
 	inPacket   bool
 	assembling []byte
 	oversized  bool
@@ -43,9 +45,6 @@ type Interface struct {
 
 	// Host-side delivery callback (src MAC, UDP-level payload).
 	onData func(src MAC, payload []byte)
-	// onPacket observes every structurally valid packet before
-	// classification; used by monitors and tests. Return value ignored.
-	onPacket func(p *Packet)
 }
 
 // InterfaceConfig parameterizes an interface.
@@ -108,7 +107,7 @@ func (ifc *Interface) onLinkReset() {
 	if ifc.inPacket {
 		ifc.ctr.Drop(DropReset)
 	}
-	ifc.assembling = nil
+	ifc.assembling = ifc.assembling[:0]
 	ifc.inPacket = false
 	ifc.oversized = false
 }
@@ -131,12 +130,10 @@ func (ifc *Interface) Controller() *LinkController { return ifc.lc }
 // MCP returns the interface's Myrinet Control Program.
 func (ifc *Interface) MCP() *MCP { return ifc.mcp }
 
-// SetDataHandler registers the host-stack delivery callback.
+// SetDataHandler registers the host-stack delivery callback. payload lies
+// in the interface's reassembly buffer and is valid only for the duration
+// of the call: a handler that keeps the bytes copies them.
 func (ifc *Interface) SetDataHandler(fn func(src MAC, payload []byte)) { ifc.onData = fn }
-
-// SetPacketObserver registers a callback invoked for every CRC-valid packet
-// addressed to this interface's link, before classification.
-func (ifc *Interface) SetPacketObserver(fn func(p *Packet)) { ifc.onPacket = fn }
 
 // ---- routing table ----
 
@@ -186,18 +183,25 @@ const dataHeaderLen = 12
 
 // Send transmits payload to dst using the routing table. It returns an
 // error — and counts DropNoRoute — when the destination is not in the table
-// (the node was removed from the network map).
+// (the node was removed from the network map). The packet is encoded
+// straight into a pooled transmit buffer, so payload may be reused as soon
+// as Send returns.
 func (ifc *Interface) Send(dst MAC, payload []byte) error {
 	route, ok := ifc.Route(dst)
 	if !ok {
 		ifc.ctr.Drop(DropNoRoute)
 		return fmt.Errorf("myrinet: %s has no route to %v", ifc.cfg.Name, dst)
 	}
-	body := make([]byte, 0, dataHeaderLen+len(payload))
-	body = append(body, dst[:]...)
-	body = append(body, ifc.cfg.MAC[:]...)
-	body = append(body, payload...)
-	ifc.SendPacket(&Packet{Route: route, Type: TypeData, Payload: body})
+	chars, ok := ifc.txBuffer(len(route) + 4 + dataHeaderLen + len(payload) + 2)
+	if !ok {
+		return nil
+	}
+	e := charEncoder{dst: chars}
+	e.header(route, 0, TypeData)
+	e.write(dst[:])
+	e.write(ifc.cfg.MAC[:])
+	e.write(payload)
+	ifc.lc.enqueue(txPacket{chars: e.finish(), done: ifc})
 	return nil
 }
 
@@ -205,14 +209,25 @@ func (ifc *Interface) Send(dst MAC, payload []byte) error {
 // the bounded transmit queue is full — the link is stalled by STOP or a
 // blocked path — the packet is dropped like a full hardware send ring.
 func (ifc *Interface) SendPacket(p *Packet) {
+	chars, ok := ifc.txBuffer(p.wireLen() + 1)
+	if !ok {
+		return
+	}
+	ifc.lc.enqueue(txPacket{chars: p.putChars(chars), done: ifc})
+}
+
+// txBuffer returns a pooled transmit buffer of n characters, which the link
+// controller releases once the packet has left or been terminated. It
+// reports false, counting DropTxQueue, when the bounded queue is full.
+func (ifc *Interface) txBuffer(n int) ([]phy.Character, bool) {
 	if ifc.lc == nil {
 		panic(fmt.Sprintf("myrinet: interface %s not attached", ifc.cfg.Name))
 	}
 	if ifc.cfg.TxQueueLimit > 0 && ifc.lc.QueuedPackets() >= ifc.cfg.TxQueueLimit {
 		ifc.ctr.Drop(DropTxQueue)
-		return
+		return nil, false
 	}
-	ifc.lc.EnqueuePacketTo(p.EncodeChars(), ifc)
+	return ifc.lc.pool.Get(n), true
 }
 
 // TxDone implements TxCompletion: the interface's per-packet send accounting.
@@ -255,7 +270,7 @@ func (ifc *Interface) drain() {
 func (ifc *Interface) completePacket() {
 	raw := ifc.assembling
 	oversized := ifc.oversized
-	ifc.assembling = nil
+	ifc.assembling = raw[:0]
 	ifc.inPacket = false
 	ifc.oversized = false
 
@@ -279,24 +294,16 @@ func (ifc *Interface) completePacket() {
 		ifc.ctr.Drop(DropCRC)
 		return
 	}
-	p := &Packet{
-		Route:    raw[0:1],
-		TypeHigh: uint16(raw[1])<<8 | uint16(raw[2]),
-		Type:     uint16(raw[3])<<8 | uint16(raw[4]),
-		Payload:  raw[5 : len(raw)-1],
-	}
-	if ifc.onPacket != nil {
-		ifc.onPacket(p)
-	}
-	if p.TypeHigh != 0 {
+	if typeHigh := uint16(raw[1])<<8 | uint16(raw[2]); typeHigh != 0 {
 		ifc.ctr.Drop(DropUnknownType)
 		return
 	}
-	switch p.Type {
+	payload := raw[5 : len(raw)-1]
+	switch uint16(raw[3])<<8 | uint16(raw[4]) {
 	case TypeData:
-		ifc.handleData(p.Payload)
+		ifc.handleData(payload)
 	case TypeMapping:
-		ifc.mcp.handlePacket(p.Payload)
+		ifc.mcp.handlePacket(payload)
 	default:
 		// Corrupted designators (e.g. 0x0005 -> 0x000x) land here: the
 		// packet is ignored, so a corrupted mapping exchange looks like

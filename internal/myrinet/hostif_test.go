@@ -108,20 +108,18 @@ func TestInterfaceTruncatedPacketDropped(t *testing.T) {
 	}
 }
 
-func TestInterfacePacketObserver(t *testing.T) {
+func TestInterfaceDataPacketCounted(t *testing.T) {
 	k := sim.NewKernel(1)
 	a, b := directPair(t, k)
-	var seen []*Packet
-	b.ifc.SetPacketObserver(func(p *Packet) { seen = append(seen, p) })
-	if err := a.ifc.Send(b.ifc.MAC(), []byte("observed")); err != nil {
+	if err := a.ifc.Send(b.ifc.MAC(), []byte("counted")); err != nil {
 		t.Fatal(err)
 	}
 	k.Run()
-	if len(seen) != 1 {
-		t.Fatalf("observer saw %d packets, want 1", len(seen))
+	if got := b.ifc.Counters().PacketsReceived; got != 1 {
+		t.Fatalf("PacketsReceived = %d, want 1", got)
 	}
-	if seen[0].Type != TypeData {
-		t.Errorf("observed type = %#04x, want data", seen[0].Type)
+	if len(b.received) != 1 || string(b.received[0]) != "counted" || b.srcs[0] != a.ifc.MAC() {
+		t.Errorf("data handler got %q from %v", b.received, b.srcs)
 	}
 }
 

@@ -25,8 +25,10 @@ type LinkController struct {
 	paused      bool
 	shortTimer  *sim.Timer
 	longTimer   *sim.Timer
-	txq         []*txPacket
-	cur         *txPacket
+	txq         []txPacket // txq[txHead:] waits behind cur
+	txHead      int
+	cur         txPacket
+	sending     bool // cur holds the packet on the wire
 	curPos      int
 	txScheduled bool
 
@@ -55,7 +57,9 @@ type LinkController struct {
 // trailing GAP) and a completion callback. Completion comes in two forms:
 // the closure form (onDone) for tests and ad-hoc senders, and the interface
 // form (done) for registered model objects. Only the interface form survives
-// a fork — a closure's captures cannot be rebound to the new world.
+// a fork — a closure's captures cannot be rebound to the new world. The
+// stream is a burst from the kernel's pool, owned by the queue and released
+// once the packet is finished or terminated.
 type txPacket struct {
 	chars  []phy.Character
 	onDone func(terminated bool)
@@ -70,13 +74,15 @@ type TxCompletion interface {
 	TxDone(terminated bool)
 }
 
-func (p *txPacket) complete(terminated bool) {
+// finish reports the packet's completion and releases its stream.
+func (lc *LinkController) finish(p txPacket, terminated bool) {
 	if p.onDone != nil {
 		p.onDone(terminated)
 	}
 	if p.done != nil {
 		p.done.TxDone(terminated)
 	}
+	lc.pool.Release(p.chars)
 }
 
 // LinkControllerConfig parameterizes a controller.
@@ -171,24 +177,42 @@ func (lc *LinkController) Buffered() int { return lc.slack.Len() }
 
 // ---- Transmit side ----
 
-// EnqueuePacket queues an encoded packet (characters including the trailing
-// GAP) for transmission. onDone, if non-nil, is invoked when the last
-// character has been handed to the link (terminated=false) or when the
+// EnqueuePacket queues a copy of an encoded packet (characters including
+// the trailing GAP) for transmission. onDone, if non-nil, is invoked when the
+// last character has been handed to the link (terminated=false) or when the
 // long-period timeout killed the packet (terminated=true).
 func (lc *LinkController) EnqueuePacket(chars []phy.Character, onDone func(terminated bool)) {
-	lc.txq = append(lc.txq, &txPacket{chars: chars, onDone: onDone})
+	own := lc.pool.Get(len(chars))
+	copy(own, chars)
+	lc.enqueue(txPacket{chars: own, onDone: onDone})
+}
+
+// enqueue queues a packet whose stream is a burst from lc's pool.
+func (lc *LinkController) enqueue(p txPacket) {
+	lc.txq = append(lc.txq, p)
 	lc.scheduleTx()
 }
 
-// EnqueuePacketTo is EnqueuePacket with an interface-form completion: the
-// fork-safe path. done may be nil.
-func (lc *LinkController) EnqueuePacketTo(chars []phy.Character, done TxCompletion) {
-	lc.txq = append(lc.txq, &txPacket{chars: chars, done: done})
-	lc.scheduleTx()
+// dequeue removes the oldest queued packet. The consumed prefix is reclaimed
+// once it passes half the queue, so a busy transmitter keeps appending into
+// the same backing array.
+func (lc *LinkController) dequeue() txPacket {
+	p := lc.txq[lc.txHead]
+	lc.txq[lc.txHead] = txPacket{}
+	lc.txHead++
+	switch {
+	case lc.txHead == len(lc.txq):
+		lc.txq, lc.txHead = lc.txq[:0], 0
+	case lc.txHead > len(lc.txq)/2:
+		n := copy(lc.txq, lc.txq[lc.txHead:])
+		clear(lc.txq[n:])
+		lc.txq, lc.txHead = lc.txq[:n], 0
+	}
+	return p
 }
 
 // QueuedPackets reports how many packets wait behind the current one.
-func (lc *LinkController) QueuedPackets() int { return len(lc.txq) }
+func (lc *LinkController) QueuedPackets() int { return len(lc.txq) - lc.txHead }
 
 // Paused reports whether remote STOP is gating the transmitter.
 func (lc *LinkController) Paused() bool { return lc.paused }
@@ -225,7 +249,7 @@ func (lc *LinkController) scheduleTx() {
 	if lc.txScheduled || lc.paused {
 		return
 	}
-	if lc.cur == nil && len(lc.txq) == 0 && lc.TxBacklog() == 0 {
+	if !lc.sending && lc.QueuedPackets() == 0 && lc.TxBacklog() == 0 {
 		return
 	}
 	lc.txScheduled = true
@@ -252,12 +276,11 @@ func (lc *LinkController) txStep() {
 		lc.scheduleTx()
 		return
 	}
-	if lc.cur == nil {
-		if len(lc.txq) == 0 {
+	if !lc.sending {
+		if lc.QueuedPackets() == 0 {
 			return
 		}
-		lc.cur = lc.txq[0]
-		lc.txq = lc.txq[1:]
+		lc.cur, lc.sending = lc.dequeue(), true
 		lc.curPos = 0
 	}
 	remaining := len(lc.cur.chars) - lc.curPos
@@ -269,12 +292,18 @@ func (lc *LinkController) txStep() {
 	lc.ctr.CharsOut += uint64(n)
 	lc.curPos += n
 	if lc.curPos == len(lc.cur.chars) {
-		done := lc.cur
-		lc.cur = nil
+		done := lc.takeCur()
 		lc.longTimer.Stop()
-		done.complete(false)
+		lc.finish(done, false)
 	}
 	lc.scheduleTx()
+}
+
+// takeCur removes the packet on the wire.
+func (lc *LinkController) takeCur() txPacket {
+	p := lc.cur
+	lc.cur, lc.sending = txPacket{}, false
+	return p
 }
 
 func (lc *LinkController) streamStep() {
@@ -302,7 +331,7 @@ func (lc *LinkController) pauseTx() {
 	lc.ctr.StopsReceived++
 	lc.paused = true
 	lc.shortTimer.Reset()
-	if lc.cur != nil || len(lc.txq) > 0 {
+	if lc.sending || lc.QueuedPackets() > 0 {
 		if !lc.longTimer.Armed() {
 			lc.longTimer.Reset()
 		}
@@ -347,17 +376,15 @@ func (lc *LinkController) onShortTimeout() {
 // ~4 million character periods terminates the packet, consumes the unsent
 // remainder, and emits a GAP to reclaim the path (§4.3.1).
 func (lc *LinkController) onLongTimeout() {
-	if lc.cur == nil && len(lc.txq) == 0 {
+	if !lc.sending && lc.QueuedPackets() == 0 {
 		return
 	}
 	lc.ctr.LongTimeouts++
-	var victim *txPacket
-	if lc.cur != nil {
-		victim = lc.cur
-		lc.cur = nil
+	var victim txPacket
+	if lc.sending {
+		victim = lc.takeCur()
 	} else {
-		victim = lc.txq[0]
-		lc.txq = lc.txq[1:]
+		victim = lc.dequeue()
 	}
 	lc.ctr.Drop(DropTerminated)
 	if lc.recovery.Enabled {
@@ -366,18 +393,18 @@ func (lc *LinkController) onLongTimeout() {
 		// forward RESET so downstream hops do not stay held for another
 		// long-timeout period each.
 		lc.out.SendOne(charGap)
-		victim.complete(true)
+		lc.finish(victim, true)
 		lc.resetLink()
 		return
 	}
 	// Terminate the packet on the wire so downstream paths release.
 	lc.out.SendOne(charGap)
-	victim.complete(true)
+	lc.finish(victim, true)
 	// Remain paused if STOP is still in force; the short timer will
 	// clear it if the remote has gone silent. Re-arm the long timer for
 	// the next queued packet so a persistent block keeps draining the
 	// queue at the long-timeout cadence rather than freezing forever.
-	if lc.paused && (len(lc.txq) > 0) {
+	if lc.paused && lc.QueuedPackets() > 0 {
 		lc.longTimer.Reset()
 	}
 	if !lc.paused {
@@ -394,12 +421,11 @@ func (lc *LinkController) onStopWatchdog() {
 		return
 	}
 	lc.ctr.StopWatchdogFires++
-	if lc.cur != nil {
-		victim := lc.cur
-		lc.cur = nil
+	if lc.sending {
+		victim := lc.takeCur()
 		lc.ctr.Drop(DropTerminated)
 		lc.out.SendOne(charGap)
-		victim.complete(true)
+		lc.finish(victim, true)
 	}
 	lc.resetLink()
 }

@@ -71,30 +71,67 @@ type Packet struct {
 	Payload []byte
 }
 
-// Bytes returns the packet's wire bytes excluding the trailing CRC.
-func (p *Packet) Bytes() []byte {
-	out := make([]byte, 0, len(p.Route)+4+len(p.Payload))
-	out = append(out, p.Route...)
-	out = append(out, byte(p.TypeHigh>>8), byte(p.TypeHigh), byte(p.Type>>8), byte(p.Type))
-	out = append(out, p.Payload...)
-	return out
-}
+// wireLen is the length of the packet's wire image: route, 4-byte type,
+// payload, CRC-8.
+func (p *Packet) wireLen() int { return len(p.Route) + 4 + len(p.Payload) + 1 }
 
 // Encode returns the complete wire image: route, type, payload, CRC-8.
 func (p *Packet) Encode() []byte {
-	body := p.Bytes()
-	return append(body, bitstream.CRC8(body))
+	wire := make([]byte, 0, p.wireLen())
+	wire = append(wire, p.Route...)
+	wire = append(wire, byte(p.TypeHigh>>8), byte(p.TypeHigh), byte(p.Type>>8), byte(p.Type))
+	wire = append(wire, p.Payload...)
+	return append(wire, bitstream.CRC8(wire))
 }
 
 // EncodeChars returns the packet as link characters followed by the
 // packet-terminating GAP control symbol, ready for transmission (Fig. 8).
 func (p *Packet) EncodeChars() []phy.Character {
-	wire := p.Encode()
-	chars := make([]phy.Character, 0, len(wire)+1)
-	for _, b := range wire {
-		chars = append(chars, phy.DataChar(b))
+	return p.putChars(make([]phy.Character, p.wireLen()+1))
+}
+
+// putChars encodes the packet into dst, which holds exactly wireLen()+1
+// characters, and returns it.
+func (p *Packet) putChars(dst []phy.Character) []phy.Character {
+	e := charEncoder{dst: dst}
+	e.header(p.Route, p.TypeHigh, p.Type)
+	e.write(p.Payload)
+	return e.finish()
+}
+
+// charEncoder writes a packet's wire image straight into a character buffer
+// as data characters, accumulating the trailing CRC-8 on the way, so a
+// packet is encoded once into the buffer the link controller streams from.
+type charEncoder struct {
+	dst []phy.Character
+	n   int
+	crc byte
+}
+
+func (e *charEncoder) write(b []byte) {
+	dst := e.dst[e.n : e.n+len(b)]
+	crc := e.crc
+	for i, v := range b {
+		dst[i] = phy.DataChar(v)
+		crc = bitstream.CRC8Update(crc, v)
 	}
-	return append(chars, charGap)
+	e.crc = crc
+	e.n += len(b)
+}
+
+// header writes the source route and the 4-byte type field.
+func (e *charEncoder) header(route []byte, typeHigh, typ uint16) {
+	e.write(route)
+	t := [4]byte{byte(typeHigh >> 8), byte(typeHigh), byte(typ >> 8), byte(typ)}
+	e.write(t[:])
+}
+
+// finish appends the CRC-8 and the terminating GAP; dst must have exactly
+// two characters left.
+func (e *charEncoder) finish() []phy.Character {
+	e.dst[e.n] = phy.DataChar(e.crc)
+	e.dst[e.n+1] = charGap
+	return e.dst[:e.n+2]
 }
 
 // Errors returned by Decode.

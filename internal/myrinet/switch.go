@@ -30,6 +30,8 @@ type Switch struct {
 	name     string
 	ports    []*switchPort
 	recovery RecoveryConfig
+	// freeWakes recycles fired waiter wake-ups.
+	freeWakes []*outputWake
 }
 
 // DefaultPortCount matches the paper's test bed (an 8-port switch).
@@ -421,16 +423,19 @@ func (p *switchPort) emit(b byte) {
 	p.outPort.lc.StreamChars([]phy.Character{phy.DataChar(b)})
 }
 
-// outputWake is the argument of a deferred waiter wake-up. It is a distinct
-// allocation (not a field on the port) because a port can in principle be
+// outputWake is the argument of a deferred waiter wake-up. It is a record of
+// its own (not a field on the port) because a port can in principle be
 // re-queued and re-woken while an earlier wake is still in flight, and the
-// two wakes must not share state. It clones across a fork by remapping both
-// ports.
+// two wakes must not share state; a fired wake returns to its switch's free
+// list. It clones across a fork by remapping both ports.
 type outputWake struct{ waiter, out *switchPort }
 
 func fireOutputWake(a any) {
 	w := a.(*outputWake)
-	w.waiter.onOutputFree(w.out)
+	waiter, out := w.waiter, w.out
+	*w = outputWake{}
+	out.sw.freeWakes = append(out.sw.freeWakes, w)
+	waiter.onOutputFree(out)
 }
 
 // CloneSimArg implements sim.ArgClonable for pending wake events.
@@ -448,11 +453,22 @@ func (p *switchPort) releaseOutput() {
 	out := p.outPort
 	p.outPort = nil
 	out.owner = nil
-	if len(out.waiters) > 0 {
-		next := out.waiters[0]
-		out.waiters = out.waiters[1:]
-		p.sw.k.AfterArg(0, fireOutputWake, &outputWake{waiter: next, out: out})
+	if len(out.waiters) == 0 {
+		return
 	}
+	next := out.waiters[0]
+	// Shift down rather than reslice: the queue holds at most one entry
+	// per port, and keeping its backing array keeps re-queueing free.
+	out.waiters = append(out.waiters[:0], out.waiters[1:]...)
+	var w *outputWake
+	if last := len(p.sw.freeWakes) - 1; last >= 0 {
+		w = p.sw.freeWakes[last]
+		p.sw.freeWakes = p.sw.freeWakes[:last]
+	} else {
+		w = new(outputWake)
+	}
+	w.waiter, w.out = next, out
+	p.sw.k.AfterArg(0, fireOutputWake, w)
 }
 
 // onOutputFree resumes a port blocked in stWaitOutput.

@@ -60,7 +60,9 @@ func DataChars(b []byte) []Character {
 // with the slice when Receive returns may hand it back — to its kernel's
 // Pool if it has one, with ReleaseBurst otherwise; receivers that retain the
 // slice simply keep it (a pool never reclaims a buffer that was not
-// explicitly released).
+// explicitly released). A receiver that releases the burst, as link
+// controllers and the injector's ports do, owns it only for the duration of
+// the call: whatever it hands on is copied first.
 type Receiver interface {
 	Receive(chars []Character)
 }
