@@ -4,13 +4,16 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"strconv"
 	"strings"
+	"sync/atomic"
 	"time"
 
 	"netfi/internal/core"
 	"netfi/internal/host"
 	"netfi/internal/monitor"
 	"netfi/internal/myrinet"
+	"netfi/internal/phy"
 	"netfi/internal/sim"
 )
 
@@ -233,6 +236,11 @@ type chaosBase struct {
 	rels  []*host.Reliable
 	hbs   []*host.Heartbeat
 	start sim.Time // fork point == trial start
+
+	// objects is how many objects a fork of this base registers with its
+	// mapper, learned from the first fork; later forks size the mapper's
+	// table to it up front. Forks run concurrently, hence the atomic.
+	objects atomic.Int64
 }
 
 // newChaosBase builds and warms one testbed: recovery armed, injector
@@ -284,7 +292,7 @@ func newChaosBase(seed int64, opts ChaosOptions) *chaosBase {
 // cross-reference. Campaign-owned hooks (probes, injection hooks) are not
 // part of any world and are re-armed by runChaosTrial.
 func (b *chaosBase) fork() (*chaosBase, error) {
-	m := sim.NewMapper()
+	m := sim.NewMapperSize(int(b.objects.Load()))
 	b.tb.K.Clone(m)
 	tb2 := b.tb.Clone(m)
 	mon2 := b.mon.Clone(m)
@@ -299,6 +307,7 @@ func (b *chaosBase) fork() (*chaosBase, error) {
 	if err := m.Finish(); err != nil {
 		return nil, err
 	}
+	b.objects.CompareAndSwap(0, int64(m.Objects()))
 	return &chaosBase{tb: tb2, mon: mon2, rels: rels2, hbs: hbs2, start: b.start}, nil
 }
 
@@ -554,16 +563,28 @@ func FormatChaos(r ChaosResult) string {
 // log, flow records, and tap totals. Two runs with equal fingerprints
 // executed the same events in the same order against the same state — the
 // byte-identity the fork-equivalence gate compares.
+//
+// Every trial digests its world once, so the text is appended into one
+// buffer sized for it, with strconv rather than fmt: the per-value boxing
+// and Builder growth of a Fprintf rendering cost more objects than the
+// fork. fingerprint_test.go keeps that rendering as the oracle.
 func chaosFingerprint(tb *Testbed, mon *monitor.Plane, rels []*host.Reliable) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "kernel now=%d processed=%d\n", tb.K.Now(), tb.K.Processed())
+	events, records := mon.Events(), mon.Ring().Records()
+	b := make([]byte, 0, 4096+96*len(events)+128*len(records))
+	b = appendUint(b, "kernel now=", uint64(tb.K.Now()))
+	b = appendUint(b, " processed=", tb.K.Processed())
+	b = append(b, '\n')
 	for p := 0; p < tb.Switch.Ports(); p++ {
-		writeCounters(&b, fmt.Sprintf("sw0.p%d", p), tb.Switch.PortCounters(p))
+		b = appendUint(b, "sw0.p", uint64(p))
+		b = appendCounters(b, tb.Switch.PortCounters(p))
 	}
-	fmt.Fprintf(&b, "sw0 held=%d\n", tb.Switch.HeldOutputs())
+	b = appendUint(b, "sw0 held=", uint64(tb.Switch.HeldOutputs()))
+	b = append(b, '\n')
 	for _, n := range tb.Nodes {
-		writeCounters(&b, n.Name(), n.Interface().Counters())
-		fmt.Fprintf(&b, "%s stats=%+v dead=%v\n", n.Name(), n.Stats(), n.Dead())
+		b = appendCounters(append(b, n.Name()...), n.Interface().Counters())
+		b = fmt.Appendf(append(b, n.Name()...), " stats=%+v dead=", n.Stats())
+		b = strconv.AppendBool(b, n.Dead())
+		b = append(b, '\n')
 	}
 	if tb.Injector != nil {
 		for _, dir := range []struct {
@@ -572,12 +593,21 @@ func chaosFingerprint(tb *Testbed, mon *monitor.Plane, rels []*host.Reliable) st
 		}{{"out", DirOutbound}, {"in", DirInbound}} {
 			e := tb.Injector.Engine(dir.d)
 			chars, matches, injections := e.Stats()
-			fmt.Fprintf(&b, "inj.%s chars=%d matches=%d injections=%d resets=%d captures=%d dropped=%d\n",
-				dir.name, chars, matches, injections, e.ResetsSeen(),
-				len(e.Capture().Events()), e.Capture().DroppedEvents())
+			b = append(append(b, "inj."...), dir.name...)
+			b = appendUint(b, " chars=", chars)
+			b = appendUint(b, " matches=", matches)
+			b = appendUint(b, " injections=", injections)
+			b = appendUint(b, " resets=", e.ResetsSeen())
+			b = appendUint(b, " captures=", uint64(len(e.Capture().Events())))
+			b = appendUint(b, " dropped=", e.Capture().DroppedEvents())
+			b = append(b, '\n')
 			for _, r := range e.Rules() {
 				rm, rf, _ := e.RuleCounters(r.ID)
-				fmt.Fprintf(&b, "inj.%s rule%d matches=%d fires=%d\n", dir.name, r.ID, rm, rf)
+				b = append(append(b, "inj."...), dir.name...)
+				b = appendUint(b, " rule", uint64(r.ID))
+				b = appendUint(b, " matches=", rm)
+				b = appendUint(b, " fires=", rf)
+				b = append(b, '\n')
 			}
 		}
 	}
@@ -588,52 +618,82 @@ func chaosFingerprint(tb *Testbed, mon *monitor.Plane, rels []*host.Reliable) st
 	sort.Strings(names)
 	for _, name := range names {
 		c := tb.Net.Cables[name]
-		for _, l := range []interface {
-			Name() string
-			Stats() (uint64, uint64)
-			SeveredChars() uint64
-		}{c.LeftToRight, c.RightToLeft} {
+		for _, l := range [2]*phy.Link{c.LeftToRight, c.RightToLeft} {
 			chars, bursts := l.Stats()
-			fmt.Fprintf(&b, "link %s chars=%d bursts=%d severed=%d\n",
-				l.Name(), chars, bursts, l.SeveredChars())
+			b = append(append(b, "link "...), l.Name()...)
+			b = appendUint(b, " chars=", chars)
+			b = appendUint(b, " bursts=", bursts)
+			b = appendUint(b, " severed=", l.SeveredChars())
+			b = append(b, '\n')
 		}
 	}
 	for i, r := range rels {
-		fmt.Fprintf(&b, "rel%d %+v outstanding=%d\n", i, r.Stats(), r.Outstanding())
+		b = fmt.Appendf(appendUint(b, "rel", uint64(i)), " %+v", r.Stats())
+		b = appendUint(b, " outstanding=", uint64(r.Outstanding()))
+		b = append(b, '\n')
 	}
-	fmt.Fprintf(&b, "mon ticks=%d overflow=%d exported=%d dropped=%d\n",
-		mon.Ticks(), mon.EventOverflow(), mon.Ring().Exported(), mon.Ring().Dropped())
-	for _, e := range mon.Events() {
-		fmt.Fprintf(&b, "event %v\n", e)
+	b = appendUint(b, "mon ticks=", mon.Ticks())
+	b = appendUint(b, " overflow=", mon.EventOverflow())
+	b = appendUint(b, " exported=", mon.Ring().Exported())
+	b = appendUint(b, " dropped=", mon.Ring().Dropped())
+	b = append(b, '\n')
+	for _, e := range events {
+		b = append(append(b, "event "...), e.String()...)
+		b = append(b, '\n')
 	}
-	for _, rec := range mon.Ring().Records() {
-		fmt.Fprintf(&b, "flow %s %v pkts=%d bytes=%d %d..%d cause=%v\n",
-			rec.Tap, rec.Key, rec.Packets, rec.Bytes, rec.First, rec.Last, rec.Cause)
+	for _, rec := range records {
+		b = append(append(b, "flow "...), rec.Tap...)
+		b = rec.Key.Append(append(b, ' '))
+		b = appendUint(b, " pkts=", rec.Packets)
+		b = appendUint(b, " bytes=", rec.Bytes)
+		b = strconv.AppendInt(append(b, ' '), int64(rec.First), 10)
+		b = strconv.AppendInt(append(b, ".."...), int64(rec.Last), 10)
+		b = append(append(b, " cause="...), rec.Cause.String()...)
+		b = append(b, '\n')
 	}
 	for _, t := range mon.Taps() {
 		bursts, chars, packets, control := t.Stats()
-		fmt.Fprintf(&b, "tap %s bursts=%d chars=%d data=%d other=%d\n",
-			t.Name(), bursts, chars, packets, control)
+		b = append(append(b, "tap "...), t.Name()...)
+		b = appendUint(b, " bursts=", bursts)
+		b = appendUint(b, " chars=", chars)
+		b = appendUint(b, " data=", packets)
+		b = appendUint(b, " other=", control)
+		b = append(b, '\n')
 	}
-	return b.String()
+	return string(b)
 }
 
-// writeCounters renders one counter block with the drop map in sorted
-// order (map iteration would make fingerprints incomparable).
-func writeCounters(b *strings.Builder, label string, c *myrinet.Counters) {
-	fmt.Fprintf(b, "%s sent=%d recv=%d fwd=%d in=%d out=%d stops=%d/%d gos=%d/%d sto=%d lto=%d ovf=%d lr=%d rr=%d wd=%d bt=%d fl=%d drops=",
-		label, c.PacketsSent, c.PacketsReceived, c.PacketsForwarded,
-		c.CharsIn, c.CharsOut, c.StopsSent, c.StopsReceived, c.GosSent,
-		c.GosReceived, c.ShortTimeouts, c.LongTimeouts, c.OverflowChars,
-		c.LinkResets, c.ResetsReceived, c.StopWatchdogFires,
-		c.BlockedTimeouts, c.FlushedChars)
-	reasons := make([]int, 0, len(c.Drops))
-	for r := range c.Drops {
-		reasons = append(reasons, int(r))
+// appendUint appends label, then v in decimal.
+func appendUint(b []byte, label string, v uint64) []byte {
+	return strconv.AppendUint(append(b, label...), v, 10)
+}
+
+// appendCounters appends one counter block — the caller has written its
+// label — with the non-zero drop reasons in reason order.
+func appendCounters(b []byte, c *myrinet.Counters) []byte {
+	b = appendUint(b, " sent=", c.PacketsSent)
+	b = appendUint(b, " recv=", c.PacketsReceived)
+	b = appendUint(b, " fwd=", c.PacketsForwarded)
+	b = appendUint(b, " in=", c.CharsIn)
+	b = appendUint(b, " out=", c.CharsOut)
+	b = appendUint(b, " stops=", c.StopsSent)
+	b = appendUint(b, "/", c.StopsReceived)
+	b = appendUint(b, " gos=", c.GosSent)
+	b = appendUint(b, "/", c.GosReceived)
+	b = appendUint(b, " sto=", c.ShortTimeouts)
+	b = appendUint(b, " lto=", c.LongTimeouts)
+	b = appendUint(b, " ovf=", c.OverflowChars)
+	b = appendUint(b, " lr=", c.LinkResets)
+	b = appendUint(b, " rr=", c.ResetsReceived)
+	b = appendUint(b, " wd=", c.StopWatchdogFires)
+	b = appendUint(b, " bt=", c.BlockedTimeouts)
+	b = appendUint(b, " fl=", c.FlushedChars)
+	b = append(b, " drops="...)
+	for r, n := range c.Drops {
+		if n > 0 {
+			b = appendUint(strconv.AppendInt(b, int64(r), 10), ":", n)
+			b = append(b, ',')
+		}
 	}
-	sort.Ints(reasons)
-	for _, r := range reasons {
-		fmt.Fprintf(b, "%d:%d,", r, c.Drops[myrinet.DropReason(r)])
-	}
-	b.WriteByte('\n')
+	return append(b, '\n')
 }

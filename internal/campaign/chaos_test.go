@@ -140,6 +140,37 @@ func TestChaosBaseCarriesNoTimerCorpses(t *testing.T) {
 	}
 }
 
+// TestForkAllocs pins what cutting one fork allocates (327 and 336 objects
+// before timers, tickers, slack buffers and drop counters were copied inside
+// their owners, empty rings stopped being copied, and the mapper's table
+// was sized from the base's first fork). A fork should cost roughly what
+// differs from its base; a change that raises these counts makes every
+// chaos scenario pay for it.
+func TestForkAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector adds allocations of its own")
+	}
+	for _, c := range []struct {
+		armed bool
+		want  float64
+	}{
+		{false, 220},
+		{true, 228},
+	} {
+		opts := chaosTestOptions(31337, 1)
+		opts.ArmedRules = c.armed
+		base := newChaosBase(opts.Seed, opts)
+		got := testing.AllocsPerRun(10, func() {
+			if _, err := base.fork(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if got != c.want {
+			t.Errorf("armed=%v: a fork allocates %v objects, want %v", c.armed, got, c.want)
+		}
+	}
+}
+
 // TestForkEquivalenceParallel forks the same base concurrently — the clone
 // path must be read-only on the source world (the race detector is the
 // real assertion here).

@@ -309,14 +309,18 @@ func fabricFingerprint(tb *FabricTestbed) string {
 	f := tb.F
 	fmt.Fprintf(&b, "fabric now=%d processed=%d drained=%v\n",
 		f.Group.Now(), f.Group.Processed(), tb.drained)
+	var line []byte
 	for _, sw := range f.Switches {
 		for p := 0; p < sw.Ports(); p++ {
-			writeCounters(&b, fmt.Sprintf("%s.p%d", sw.Name(), p), sw.PortCounters(p))
+			line = appendUint(append(line[:0], sw.Name()...), ".p", uint64(p))
+			line = appendCounters(line, sw.PortCounters(p))
+			b.Write(line)
 		}
 		fmt.Fprintf(&b, "%s held=%d\n", sw.Name(), sw.HeldOutputs())
 	}
 	for h, ifc := range f.Hosts {
-		writeCounters(&b, ifc.Name(), ifc.Counters())
+		line = appendCounters(append(line[:0], ifc.Name()...), ifc.Counters())
+		b.Write(line)
 		fmt.Fprintf(&b, "%s sent=%d errs=%d delivered=%d bytes=%d\n",
 			ifc.Name(), tb.Sent[h], tb.SendErrs[h], tb.Delivered[h], tb.Bytes[h])
 	}

@@ -263,15 +263,18 @@ func RunSpec(s Spec) (SpecResult, error) {
 		res.Matches += m
 		res.Injections += inj
 	}
-	for _, n := range tb.Nodes {
-		for r, v := range n.Interface().Counters().Drops {
-			res.Drops[r.String()] += v
+	addDrops := func(c *myrinet.Counters) {
+		for r, v := range c.Drops {
+			if v > 0 {
+				res.Drops[myrinet.DropReason(r).String()] += v
+			}
 		}
 	}
+	for _, n := range tb.Nodes {
+		addDrops(n.Interface().Counters())
+	}
 	for p := 0; p < tb.Switch.Ports(); p++ {
-		for r, v := range tb.Switch.PortCounters(p).Drops {
-			res.Drops[r.String()] += v
-		}
+		addDrops(tb.Switch.PortCounters(p))
 	}
 	return res, nil
 }

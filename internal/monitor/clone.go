@@ -35,11 +35,17 @@ func (d *ShiftDetector) Clone() *ShiftDetector {
 	return d2
 }
 
-// Clone copies the export ring: buffered records and drop accounting.
+// Clone copies the export ring: buffered records, oldest first, into a
+// backing array no larger than they need, and the drop accounting.
 func (r *ExportRing) Clone() *ExportRing {
 	r2 := &ExportRing{}
 	*r2 = *r
-	r2.buf = append([]FlowRecord(nil), r.buf...)
+	r2.buf, r2.head = nil, 0
+	if r.count > 0 {
+		r2.buf = make([]FlowRecord, r.count)
+		c := copy(r2.buf, r.buf[r.head:])
+		copy(r2.buf[c:], r.buf)
+	}
 	return r2
 }
 
@@ -107,7 +113,8 @@ func (t *Tap) clone(m *sim.Mapper, p2 *Plane) *Tap {
 // detectors, the shared export ring, the suspicion state machine, and the
 // event log. The sampling ticker carries its phase across the fork, so the
 // fork's next tick lands exactly where the base's would have. Probes do not
-// cross the fork (see the package rules above).
+// cross the fork (see the package rules above). A plane detector that no tap
+// owns has no counterpart in the fork; it fails the fork through m.
 func (p *Plane) Clone(m *sim.Mapper) *Plane {
 	p2 := &Plane{
 		k:             m.Kernel(),
@@ -117,7 +124,7 @@ func (p *Plane) Clone(m *sim.Mapper) *Plane {
 		eventOverflow: p.eventOverflow,
 	}
 	m.Put(p, p2)
-	p2.ticker = p.ticker.Clone(m, p2.tick)
+	p.ticker.CloneInto(m, &p2.ticker, p2)
 	if len(p.taps) > 0 {
 		p2.taps = make([]*Tap, len(p.taps))
 		for i, t := range p.taps {
@@ -129,7 +136,8 @@ func (p *Plane) Clone(m *sim.Mapper) *Plane {
 		for i, pd := range p.detectors {
 			v, ok := m.Lookup(pd.d)
 			if !ok {
-				panic(fmt.Sprintf("monitor: fork: detector %s does not belong to any tap", pd.name))
+				m.Fail(fmt.Errorf("monitor: fork: detector %s does not belong to any tap", pd.name))
+				continue
 			}
 			p2.detectors[i] = &planeDetector{
 				name:      pd.name,

@@ -1,6 +1,7 @@
 package monitor
 
 import (
+	"encoding/hex"
 	"fmt"
 
 	"netfi/internal/sim"
@@ -14,10 +15,13 @@ type FlowKey struct {
 }
 
 // String renders "src -> dst" in hex.
-func (k FlowKey) String() string {
-	return fmt.Sprintf("%02x%02x%02x%02x%02x%02x -> %02x%02x%02x%02x%02x%02x",
-		k.Src[0], k.Src[1], k.Src[2], k.Src[3], k.Src[4], k.Src[5],
-		k.Dst[0], k.Dst[1], k.Dst[2], k.Dst[3], k.Dst[4], k.Dst[5])
+func (k FlowKey) String() string { return string(k.Append(nil)) }
+
+// Append appends the String form to b.
+func (k FlowKey) Append(b []byte) []byte {
+	b = hex.AppendEncode(b, k.Src[:])
+	b = append(b, " -> "...)
+	return hex.AppendEncode(b, k.Dst[:])
 }
 
 // TermCause records why a flow record was exported.
@@ -63,33 +67,52 @@ type FlowRecord struct {
 
 // ExportRing is the bounded buffer flow records are exported into; a
 // collector (report generator, CLI) drains it. When full, new records are
-// dropped and counted — export pressure must never grow the ring.
+// dropped and counted — export pressure must never grow the ring past its
+// capacity. Below it the backing array grows on demand, so a plane that
+// exports a handful of records (and every fork of it) carries a handful.
 type ExportRing struct {
-	buf      []FlowRecord
+	buf      []FlowRecord // grown on demand up to capacity
+	capacity int
 	head     int // oldest record
 	count    int
 	exported uint64
 	dropped  uint64
 }
 
+// exportRingMin is the backing size of a ring's first allocation.
+const exportRingMin = 8
+
 // NewExportRing returns a ring holding up to capacity records.
 func NewExportRing(capacity int) *ExportRing {
 	if capacity <= 0 {
 		capacity = 256
 	}
-	return &ExportRing{buf: make([]FlowRecord, capacity)}
+	return &ExportRing{capacity: capacity}
 }
 
 // Push exports one record. Returns false (and counts a drop) when full.
 func (r *ExportRing) Push(rec FlowRecord) bool {
-	if r.count == len(r.buf) {
+	if r.count == r.capacity {
 		r.dropped++
 		return false
+	}
+	if r.count == len(r.buf) {
+		r.grow()
 	}
 	r.buf[(r.head+r.count)%len(r.buf)] = rec
 	r.count++
 	r.exported++
 	return true
+}
+
+// grow doubles the backing array, capped at the capacity, unwrapping the
+// buffered records to the front.
+func (r *ExportRing) grow() {
+	n := min(max(2*len(r.buf), exportRingMin), r.capacity)
+	nb := make([]FlowRecord, n)
+	c := copy(nb, r.buf[r.head:])
+	copy(nb[c:], r.buf[:r.head])
+	r.buf, r.head = nb, 0
 }
 
 // Pop removes the oldest record.

@@ -255,7 +255,7 @@ type probe struct {
 type Plane struct {
 	k      *sim.Kernel
 	cfg    Config
-	ticker *sim.Ticker
+	ticker sim.Ticker
 	ring   *ExportRing
 
 	taps      []*Tap
@@ -270,9 +270,11 @@ type Plane struct {
 func NewPlane(k *sim.Kernel, cfg Config) *Plane {
 	cfg.fillDefaults()
 	p := &Plane{k: k, cfg: cfg, ring: NewExportRing(exportCap)}
-	p.ticker = sim.NewTicker(k, cfg.SampleInterval, p.tick)
+	p.ticker.Init(k, cfg.SampleInterval, planeTick, p)
 	return p
 }
+
+func planeTick(a any) { a.(*Plane).tick() }
 
 // NewTap creates a named observation point with the given options. The
 // caller wires it to a stream via myrinet's SetTap hooks (or feeds it

@@ -12,10 +12,11 @@ import (
 //   - Counters are frequently shared between a port and its link controller,
 //     so they clone through a lookup-or-copy helper that registers the first
 //     copy and reuses it for every later reference.
-//   - Callbacks wired at construction time (slack watermarks, timer fns,
-//     notify/reset handlers) are method values on the owner; each clone
-//     rebinds them to the new-world owner rather than copying the old
-//     closure.
+//   - Nothing wired at construction time is a closure. Timers call static
+//     trampolines with their owner as the argument, the slack buffer
+//     reports to its controller, and the controller to its consumer
+//     (linkConsumer); all are embedded or held by interface, so a clone
+//     rebinds them by pointing the copy at the new-world owner.
 //   - Cross-references that span devices (a controller's output link, a tap)
 //     resolve in the mapper's deferred pass, so clone order never matters.
 //   - Queued txPackets survive only with interface-form completions (an
@@ -32,32 +33,22 @@ func cloneCounters(m *sim.Mapper, c *Counters) *Counters {
 	if v, ok := m.Lookup(c); ok {
 		return v.(*Counters)
 	}
-	c2 := &Counters{}
+	c2 := new(Counters)
 	*c2 = *c
-	c2.Drops = make(map[DropReason]uint64, len(c.Drops))
-	for r, n := range c.Drops {
-		c2.Drops[r] = n
-	}
 	m.Put(c, c2)
 	return c2
 }
 
-// clone copies the slack buffer with new watermark callbacks (method values
-// on the cloned controller).
-func (s *SlackBuffer) clone(onStop, onGo func()) *SlackBuffer {
-	s2 := &SlackBuffer{
-		buf:      append([]phy.Character(nil), s.buf...),
-		capacity: s.capacity,
-		head:     s.head,
-		count:    s.count,
-		high:     s.high,
-		low:      s.low,
-		stopping: s.stopping,
-		onStop:   onStop,
-		onGo:     onGo,
-		overflow: s.overflow,
+// cloneInto copies the buffer into s2, reporting to wm. An empty buffer's
+// ring is not copied: the fork's first push allocates one.
+func (s *SlackBuffer) cloneInto(s2 *SlackBuffer, wm watermarks) {
+	*s2 = *s
+	s2.wm = wm
+	if s.count == 0 {
+		s2.buf, s2.head = nil, 0
+		return
 	}
-	return s2
+	s2.buf = append([]phy.Character(nil), s.buf...)
 }
 
 // clone copies one queued packet into p2, its stream into a fresh buffer of
@@ -86,9 +77,9 @@ func (p *txPacket) clone(m *sim.Mapper, owner string, p2 *txPacket) {
 	}
 }
 
-// Clone forks the link controller. The consumer callbacks (notify,
-// txDrainNotify, onReset) are left nil: the owning port or interface rebinds
-// them when it clones itself. The output link and tap resolve deferred.
+// Clone forks the link controller. The consumer is left nil: the owning port
+// or interface registers its own clone when it clones itself. The output
+// link and tap resolve deferred.
 func (lc *LinkController) Clone(m *sim.Mapper) *LinkController {
 	lc2 := &LinkController{
 		k:           m.Kernel(),
@@ -104,10 +95,10 @@ func (lc *LinkController) Clone(m *sim.Mapper) *LinkController {
 		recovery:    lc.recovery,
 	}
 	m.Put(lc, lc2)
-	lc2.shortTimer = lc.shortTimer.Clone(m, lc2.onShortTimeout)
-	lc2.longTimer = lc.longTimer.Clone(m, lc2.onLongTimeout)
-	if lc.stopWatchdog != nil {
-		lc2.stopWatchdog = lc.stopWatchdog.Clone(m, lc2.onStopWatchdog)
+	lc.shortTimer.CloneInto(m, &lc2.shortTimer, lc2)
+	lc.longTimer.CloneInto(m, &lc2.longTimer, lc2)
+	if lc.stopWatchdog.Bound() {
+		lc.stopWatchdog.CloneInto(m, &lc2.stopWatchdog, lc2)
 	}
 	if lc.sending {
 		lc.cur.clone(m, lc.name, &lc2.cur)
@@ -121,8 +112,7 @@ func (lc *LinkController) Clone(m *sim.Mapper) *LinkController {
 	if len(lc.streamBuf) > 0 {
 		lc2.streamBuf = append([]phy.Character(nil), lc.streamBuf...)
 	}
-	lc2.slack = lc.slack.clone(lc2.assertStop, lc2.assertGo)
-	m.Put(lc.slack, lc2.slack)
+	lc.slack.cloneInto(&lc2.slack, lc2)
 	lc2.refreshEvent = m.MapEventID(lc.refreshEvent)
 	m.Defer(func() error {
 		out, ok := m.Lookup(lc.out)
@@ -181,9 +171,7 @@ func (sw *Switch) Clone(m *sim.Mapper) *Switch {
 		p2 := sw2.ports[i]
 		if p.lc != nil {
 			p2.lc = p.lc.Clone(m)
-			p2.lc.notify = p2.drain
-			p2.lc.txDrainNotify = p2.onOutputDrained
-			p2.lc.onReset = p2.onReset
+			p2.lc.setConsumer(p2)
 		}
 		if p.outPort != nil {
 			p2.outPort = sw2.ports[p.outPort.index]
@@ -197,8 +185,8 @@ func (sw *Switch) Clone(m *sim.Mapper) *Switch {
 				p2.waiters[j] = sw2.ports[w.index]
 			}
 		}
-		if p.blockedTimer != nil {
-			p2.blockedTimer = p.blockedTimer.Clone(m, p2.onBlockedTimeout)
+		if p.blockedTimer.Bound() {
+			p.blockedTimer.CloneInto(m, &p2.blockedTimer, p2)
 		}
 	}
 	return sw2
@@ -236,15 +224,17 @@ func (mc *MCP) clone(m *sim.Mapper, ifc2 *Interface) *MCP {
 		m2.probes[s] = pr2
 	}
 	m.Put(mc, m2)
-	m2.watchdog = mc.watchdog.Clone(m, m2.onWatchdog)
+	mc.watchdog.CloneInto(m, &m2.watchdog, m2)
 	return m2
 }
 
 // Clone forks the interface: stream parser state, routing table, controller,
 // and MCP. The host-side data handler is rebound by the owning Node's clone.
+// An interface with a route resolver cannot fork (the resolver closes over
+// the fabric's topology); the clone goes on without it and fails the fork.
 func (ifc *Interface) Clone(m *sim.Mapper) *Interface {
 	if ifc.resolver != nil {
-		panic(fmt.Sprintf("myrinet: fork: interface %s has a route resolver; fabric interfaces do not fork", ifc.cfg.Name))
+		m.Fail(fmt.Errorf("myrinet: fork: interface %s has a route resolver; fabric interfaces do not fork", ifc.cfg.Name))
 	}
 	ifc2 := &Interface{
 		k:         m.Kernel(),
@@ -263,8 +253,7 @@ func (ifc *Interface) Clone(m *sim.Mapper) *Interface {
 	m.Put(ifc, ifc2)
 	if ifc.lc != nil {
 		ifc2.lc = ifc.lc.Clone(m)
-		ifc2.lc.notify = ifc2.drain
-		ifc2.lc.onReset = ifc2.onLinkReset
+		ifc2.lc.setConsumer(ifc2)
 	}
 	ifc2.mcp = ifc.mcp.clone(m, ifc2)
 	return ifc2

@@ -2,7 +2,6 @@ package myrinet
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -58,6 +57,9 @@ const (
 	// cut-through packet that made no forwarding progress for the
 	// blocked-packet deadline (head-of-line deadlock breaking).
 	DropBlocked
+
+	// dropReasons sizes Counters.Drops: one past the last reason.
+	dropReasons
 )
 
 var dropNames = map[DropReason]string{
@@ -88,20 +90,23 @@ func (r DropReason) String() string {
 
 // Counters accumulates per-entity statistics. The fault injector's own
 // statistics-gathering feature (§3.2) and the mmon monitor both read these.
+// The struct holds no references, so a plain copy is a deep copy.
 type Counters struct {
 	PacketsSent      uint64
 	PacketsReceived  uint64
 	PacketsForwarded uint64
 	CharsIn          uint64
 	CharsOut         uint64
-	Drops            map[DropReason]uint64
-	StopsSent        uint64
-	GosSent          uint64
-	StopsReceived    uint64
-	GosReceived      uint64
-	ShortTimeouts    uint64
-	LongTimeouts     uint64
-	OverflowChars    uint64
+	// Drops counts dropped packets per reason, indexed by DropReason;
+	// index 0 (no reason) stays zero. Renderers list non-zero reasons only.
+	Drops         [dropReasons]uint64
+	StopsSent     uint64
+	GosSent       uint64
+	StopsReceived uint64
+	GosReceived   uint64
+	ShortTimeouts uint64
+	LongTimeouts  uint64
+	OverflowChars uint64
 
 	// Recovery layer (zero unless RecoveryConfig.Enabled).
 	LinkResets        uint64 // forward resets this controller initiated
@@ -112,9 +117,7 @@ type Counters struct {
 }
 
 // NewCounters returns zeroed counters.
-func NewCounters() *Counters {
-	return &Counters{Drops: make(map[DropReason]uint64)}
-}
+func NewCounters() *Counters { return new(Counters) }
 
 // Drop records one dropped packet for the given reason.
 func (c *Counters) Drop(r DropReason) { c.Drops[r]++ }
@@ -153,18 +156,14 @@ func (c *Counters) String() string {
 	if c.BlockedTimeouts > 0 {
 		fmt.Fprintf(&b, " blocked-wd=%d", c.BlockedTimeouts)
 	}
-	if len(c.Drops) > 0 {
-		reasons := make([]DropReason, 0, len(c.Drops))
-		for r := range c.Drops {
-			reasons = append(reasons, r)
-		}
-		sort.Slice(reasons, func(i, j int) bool { return reasons[i] < reasons[j] })
+	if c.TotalDrops() > 0 {
 		b.WriteString(" drops[")
-		for i, r := range reasons {
-			if i > 0 {
-				b.WriteByte(' ')
+		sep := ""
+		for r, n := range c.Drops {
+			if n > 0 {
+				fmt.Fprintf(&b, "%s%v=%d", sep, DropReason(r), n)
+				sep = " "
 			}
-			fmt.Fprintf(&b, "%v=%d", r, c.Drops[r])
 		}
 		b.WriteByte(']')
 	}

@@ -95,15 +95,21 @@ func (ifc *Interface) AttachLink(out *phy.Link) phy.Receiver {
 		Counters: ifc.ctr,
 		Recovery: ifc.cfg.Recovery,
 	})
-	ifc.lc.SetNotify(ifc.drain)
-	ifc.lc.SetResetHandler(ifc.onLinkReset)
+	ifc.lc.setConsumer(ifc)
 	ifc.mcp.start()
 	return ifc.lc
 }
 
-// onLinkReset abandons the in-flight reassembly: the link was reset, so the
-// partial packet's tail is gone.
-func (ifc *Interface) onLinkReset() {
+// slackReady implements linkConsumer: parse what arrived.
+func (ifc *Interface) slackReady() { ifc.drain() }
+
+// txDrained implements linkConsumer. An interface queues whole packets and
+// never streams, so its backlog never crosses the limit.
+func (ifc *Interface) txDrained() {}
+
+// linkReset implements linkConsumer by abandoning the in-flight reassembly:
+// the link was reset, so the partial packet's tail is gone.
+func (ifc *Interface) linkReset() {
 	if ifc.inPacket {
 		ifc.ctr.Drop(DropReset)
 	}

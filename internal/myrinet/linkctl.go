@@ -23,8 +23,8 @@ type LinkController struct {
 
 	// Transmit side.
 	paused      bool
-	shortTimer  *sim.Timer
-	longTimer   *sim.Timer
+	shortTimer  sim.Timer
+	longTimer   sim.Timer
 	txq         []txPacket // txq[txHead:] waits behind cur
 	txHead      int
 	cur         txPacket
@@ -34,20 +34,21 @@ type LinkController struct {
 
 	// Streaming transmit side (used by switch ports for cut-through
 	// forwarding; mutually exclusive with the packet queue in practice).
-	streamBuf     []phy.Character
-	streamPos     int
-	txDrainNotify func()
+	streamBuf []phy.Character
+	streamPos int
 
-	// Receive side.
-	slack        *SlackBuffer
+	// Receive side. The slack buffer reports its watermark crossings to the
+	// controller (assertStop, assertGo).
+	slack        SlackBuffer
 	refreshEvent sim.EventID
 	refreshOn    bool
-	notify       func() // consumer callback: data available in slack
+
+	// The device the controller feeds; nil until one registers.
+	consumer linkConsumer
 
 	// Recovery layer (inactive unless recovery.Enabled).
 	recovery     RecoveryConfig
-	stopWatchdog *sim.Timer // continuous-STOP deadline
-	onReset      func()     // consumer callback: link reset, abort in-flight state
+	stopWatchdog sim.Timer // continuous-STOP deadline; bound when recovery is first enabled
 
 	// Monitoring tap (nil unless a monitor attached one).
 	tap Tap
@@ -64,6 +65,21 @@ type txPacket struct {
 	chars  []phy.Character
 	onDone func(terminated bool)
 	done   TxCompletion
+}
+
+// linkConsumer is the device a controller feeds — a switch port or a host
+// interface. Each call runs inside the controller's own processing.
+type linkConsumer interface {
+	// slackReady: characters were appended to the slack buffer; the
+	// consumer drains them via Pop/Run/Discard.
+	slackReady()
+	// txDrained: the streaming backlog fell below StreamBacklogLimit
+	// after having been at or above it.
+	txDrained()
+	// linkReset: the link was reset (locally or by a received RESET
+	// symbol); the consumer abandons any in-flight reassembly or
+	// forwarding state.
+	linkReset()
 }
 
 // TxCompletion receives packet-completion notifications: terminated=false
@@ -98,7 +114,7 @@ type LinkControllerConfig struct {
 }
 
 // NewLinkController builds a controller transmitting on cfg.Out. The
-// consumer is registered later with SetNotify; characters arriving before
+// consumer is registered later with setConsumer; characters arriving before
 // that sit in the slack buffer.
 func NewLinkController(k *sim.Kernel, cfg LinkControllerConfig) *LinkController {
 	if cfg.Out == nil {
@@ -114,33 +130,34 @@ func NewLinkController(k *sim.Kernel, cfg LinkControllerConfig) *LinkController 
 		out:  cfg.Out,
 		ctr:  cfg.Counters,
 	}
-	lc.slack = NewDefaultSlackBuffer(lc.assertStop, lc.assertGo)
-	lc.shortTimer = sim.NewTimer(k, ShortTimeout, lc.onShortTimeout)
-	lc.longTimer = sim.NewTimer(k, LongTimeout, lc.onLongTimeout)
+	lc.slack.init(DefaultSlackCapacity, DefaultSlackHigh, DefaultSlackLow, lc)
+	lc.shortTimer.Init(k, ShortTimeout, lcShortTimeout, lc)
+	lc.longTimer.Init(k, LongTimeout, lcLongTimeout, lc)
 	lc.SetRecovery(cfg.Recovery)
 	return lc
 }
+
+// Timer trampolines: a controller's timers call back through these with the
+// controller as the argument (see sim.Timer).
+func lcShortTimeout(a any) { a.(*LinkController).onShortTimeout() }
+func lcLongTimeout(a any)  { a.(*LinkController).onLongTimeout() }
+func lcStopWatchdog(a any) { a.(*LinkController).onStopWatchdog() }
 
 // SetRecovery configures the recovery layer. Disabling it mid-run leaves any
 // armed watchdog to expire harmlessly.
 func (lc *LinkController) SetRecovery(rc RecoveryConfig) {
 	rc.fillDefaults()
 	lc.recovery = rc
-	if rc.Enabled && lc.stopWatchdog == nil {
-		lc.stopWatchdog = sim.NewTimer(lc.k, rc.StopWatchdog, lc.onStopWatchdog)
+	if rc.Enabled && !lc.stopWatchdog.Bound() {
+		lc.stopWatchdog.Init(lc.k, rc.StopWatchdog, lcStopWatchdog, lc)
 	}
-	if lc.stopWatchdog != nil {
+	if lc.stopWatchdog.Bound() {
 		lc.stopWatchdog.SetPeriod(rc.StopWatchdog)
 	}
 }
 
 // Recovery reports the controller's recovery configuration.
 func (lc *LinkController) Recovery() RecoveryConfig { return lc.recovery }
-
-// SetResetHandler registers the consumer callback invoked when the link is
-// reset (locally or by a received RESET symbol): the consumer must abandon
-// any in-flight reassembly or forwarding state for this port.
-func (lc *LinkController) SetResetHandler(fn func()) { lc.onReset = fn }
 
 // Name returns the controller's label.
 func (lc *LinkController) Name() string { return lc.name }
@@ -149,14 +166,13 @@ func (lc *LinkController) Name() string { return lc.name }
 func (lc *LinkController) Counters() *Counters { return lc.ctr }
 
 // Slack exposes the receive buffer (for monitors and tests).
-func (lc *LinkController) Slack() *SlackBuffer { return lc.slack }
+func (lc *LinkController) Slack() *SlackBuffer { return &lc.slack }
 
 // Out returns the transmit link.
 func (lc *LinkController) Out() *phy.Link { return lc.out }
 
-// SetNotify registers the consumer callback invoked whenever characters are
-// appended to the slack buffer. The consumer drains via Pop/Peek.
-func (lc *LinkController) SetNotify(fn func()) { lc.notify = fn }
+// setConsumer registers the device the controller feeds.
+func (lc *LinkController) setConsumer(c linkConsumer) { lc.consumer = c }
 
 // Pop removes the oldest buffered character, possibly triggering the
 // low-watermark GO.
@@ -235,10 +251,6 @@ func (lc *LinkController) StreamChars(chars []phy.Character) {
 // forwarding engine checks this before consuming more input so downstream
 // congestion propagates upstream as slack-buffer backpressure.
 func (lc *LinkController) TxBacklog() int { return len(lc.streamBuf) - lc.streamPos }
-
-// SetTxDrainNotify registers a callback invoked when the streaming backlog
-// drains below StreamBacklogLimit after having been at or above it.
-func (lc *LinkController) SetTxDrainNotify(fn func()) { lc.txDrainNotify = fn }
 
 // StreamBacklogLimit is the streaming backlog (characters) above which a
 // forwarding engine should stop consuming its input: the few dozen
@@ -321,8 +333,8 @@ func (lc *LinkController) streamStep() {
 		lc.streamBuf = lc.streamBuf[:0]
 		lc.streamPos = 0
 	}
-	if before >= StreamBacklogLimit && after < StreamBacklogLimit && lc.txDrainNotify != nil {
-		lc.txDrainNotify()
+	if before >= StreamBacklogLimit && after < StreamBacklogLimit && lc.consumer != nil {
+		lc.consumer.txDrained()
 	}
 }
 
@@ -355,9 +367,7 @@ func (lc *LinkController) unpause() {
 	lc.paused = false
 	lc.shortTimer.Stop()
 	lc.longTimer.Stop()
-	if lc.stopWatchdog != nil {
-		lc.stopWatchdog.Stop()
-	}
+	lc.stopWatchdog.Stop() // a no-op while unbound
 	lc.scheduleTx()
 }
 
@@ -438,8 +448,8 @@ func (lc *LinkController) resetLink() {
 	lc.ctr.LinkResets++
 	lc.ctr.FlushedChars += uint64(lc.slack.Flush())
 	lc.out.SendPriorityOne(charReset)
-	if lc.onReset != nil {
-		lc.onReset()
+	if lc.consumer != nil {
+		lc.consumer.linkReset()
 	}
 	lc.unpause()
 }
@@ -450,8 +460,8 @@ func (lc *LinkController) resetLink() {
 func (lc *LinkController) receiveReset() {
 	lc.ctr.ResetsReceived++
 	lc.ctr.FlushedChars += uint64(lc.slack.Flush())
-	if lc.onReset != nil {
-		lc.onReset()
+	if lc.consumer != nil {
+		lc.consumer.linkReset()
 	}
 	lc.unpause()
 }
@@ -496,15 +506,15 @@ func (lc *LinkController) Receive(chars []phy.Character) {
 			// IDLE and unrecognized codes: no action.
 		}
 	}
-	if pushed && lc.notify != nil {
-		lc.notify()
+	if pushed && lc.consumer != nil {
+		lc.consumer.slackReady()
 	}
 	// The burst was copied into the slack buffer character by character;
 	// hand the pooled buffer back.
 	lc.pool.Release(chars)
 }
 
-// assertStop is the slack buffer's high-watermark callback: issue STOP and
+// assertStop is the slack buffer's high-watermark action: issue STOP and
 // keep refreshing it so the remote's short-period timer does not release it.
 func (lc *LinkController) assertStop() {
 	lc.ctr.StopsSent++
@@ -532,7 +542,7 @@ func (lc *LinkController) refreshStop() {
 	lc.armRefresh()
 }
 
-// assertGo is the slack buffer's low-watermark callback.
+// assertGo is the slack buffer's low-watermark action.
 func (lc *LinkController) assertGo() {
 	if lc.refreshOn {
 		lc.k.Cancel(lc.refreshEvent)

@@ -190,11 +190,25 @@ func TestLinkControllerWatermarkStopGo(t *testing.T) {
 	}
 }
 
+// funcConsumer is a linkConsumer assembled from optional callbacks, for
+// tests that watch a bare controller.
+type funcConsumer struct{ ready, drained, reset func() }
+
+func (c funcConsumer) slackReady() { call(c.ready) }
+func (c funcConsumer) txDrained()  { call(c.drained) }
+func (c funcConsumer) linkReset()  { call(c.reset) }
+
+func call(fn func()) {
+	if fn != nil {
+		fn()
+	}
+}
+
 func TestLinkControllerClassifiesIncoming(t *testing.T) {
 	k := sim.NewKernel(1)
 	ep := newTestEndpoint(t, k, "a")
 	var notified int
-	ep.lc.SetNotify(func() { notified++ })
+	ep.lc.setConsumer(funcConsumer{ready: func() { notified++ }})
 	ep.lc.Receive([]phy.Character{
 		phy.DataChar(0xAA),
 		IdleChar(),            // discarded
@@ -248,7 +262,7 @@ func TestLinkControllerStreamBackpressureNotify(t *testing.T) {
 	k := sim.NewKernel(1)
 	ep := newTestEndpoint(t, k, "a")
 	drained := 0
-	ep.lc.SetTxDrainNotify(func() { drained++ })
+	ep.lc.setConsumer(funcConsumer{drained: func() { drained++ }})
 	big := make([]phy.Character, StreamBacklogLimit*3)
 	for i := range big {
 		big[i] = phy.DataChar(byte(i))

@@ -129,7 +129,7 @@ func TestReceiveResetFlushesSlackAndNotifies(t *testing.T) {
 	k := sim.NewKernel(1)
 	ep := newRecoveryEndpoint(t, k, "a", RecoveryConfig{Enabled: true})
 	resets := 0
-	ep.lc.SetResetHandler(func() { resets++ })
+	ep.lc.setConsumer(funcConsumer{reset: func() { resets++ }})
 	chars := make([]phy.Character, 10)
 	for i := range chars {
 		chars[i] = phy.DataChar(byte(i))

@@ -109,7 +109,7 @@ type MCP struct {
 	cfg MappingConfig
 
 	isMapper bool
-	watchdog *sim.Timer
+	watchdog sim.Timer
 
 	// Mapper round state.
 	seq         uint16
@@ -135,7 +135,7 @@ type probe struct {
 func newMCP(ifc *Interface, cfg MappingConfig) *MCP {
 	cfg.fillDefaults()
 	m := &MCP{ifc: ifc, cfg: cfg, probes: make(map[uint16]*probe)}
-	m.watchdog = sim.NewTimer(ifc.k, sim.Duration(mapWatchdogFactor*float64(cfg.MapPeriod)), m.onWatchdog)
+	m.watchdog.Init(ifc.k, sim.Duration(mapWatchdogFactor*float64(cfg.MapPeriod)), mcpWatchdog, m)
 	return m
 }
 
@@ -165,6 +165,7 @@ func mcpTick(a any)       { a.(*MCP).tick() }
 func mcpSecondWave(a any) { a.(*MCP).secondWave() }
 func mcpFinish(a any)     { a.(*MCP).finishRound() }
 func mcpBegin(a any)      { a.(*MCP).beginRound() }
+func mcpWatchdog(a any)   { a.(*MCP).onWatchdog() }
 
 // tick is the single per-node periodic driver: mappers begin a round every
 // MapPeriod ("performed once every second").

@@ -202,8 +202,8 @@ func FuzzInterfaceReassembly(f *testing.F) {
 			}
 		}
 		var dropped uint64
-		for r, n := range c.Drops {
-			if r != DropTruncated && n != o.drops[r] {
+		for i, n := range c.Drops {
+			if r := DropReason(i); r != DropTruncated && n != o.drops[r] {
 				t.Fatalf("%v drops %d, oracle %d", r, n, o.drops[r])
 			}
 			dropped += n

@@ -4,29 +4,54 @@ import "netfi/internal/phy"
 
 // SlackBuffer is the receive-side elastic buffer of a Myrinet port (Fig. 9).
 // Incoming characters are pushed as they arrive; the port's forwarding logic
-// pops them as it can make progress. Crossing the high watermark fires
-// onStop (the port issues a STOP symbol upstream); draining to the low
-// watermark fires onGo. Pushing into a full buffer destroys the character —
-// the overflow the paper's flow-control corruption campaign provokes.
+// pops them as it can make progress. Crossing the high watermark asserts
+// STOP upstream; draining to the low watermark asserts GO. Pushing into a
+// full buffer destroys the character — the overflow the paper's
+// flow-control corruption campaign provokes.
 //
-// The zero value is not usable; construct with NewSlackBuffer.
+// A link controller embeds its buffer by value and receives the watermark
+// actions itself; a free-standing buffer comes from NewSlackBuffer.
 //
 // The ring's backing array is a power of two sized below the logical
 // capacity and grown on demand: a fabric instantiates thousands of these
 // and most never hold more than a packet, so allocating the full capacity
-// up front dominated fabric construction. Overflow and the watermarks act
-// on the logical count, so the growth policy is invisible to flow control.
+// up front dominated fabric construction. A fork leaves an empty buffer's
+// ring nil, to be allocated by its first push. Overflow and the watermarks
+// act on the logical count, so the growth policy is invisible to flow
+// control.
 type SlackBuffer struct {
-	buf      []phy.Character // power-of-two ring, grown on demand
+	buf      []phy.Character // power-of-two ring, grown on demand; nil in an empty fork
 	capacity int             // logical limit; pushes beyond it overflow
 	head     int
 	count    int
 	high     int
 	low      int
 	stopping bool
-	onStop   func()
-	onGo     func()
+	wm       watermarks // nil: watermark crossings act on nothing
 	overflow uint64
+}
+
+// watermarks receives a slack buffer's flow-control actions. The link
+// controller implements it; so does watermarkFuncs, for buffers built by
+// NewSlackBuffer.
+type watermarks interface {
+	assertStop()
+	assertGo()
+}
+
+// watermarkFuncs adapts a pair of optional callbacks to watermarks.
+type watermarkFuncs struct{ onStop, onGo func() }
+
+func (w watermarkFuncs) assertStop() {
+	if w.onStop != nil {
+		w.onStop()
+	}
+}
+
+func (w watermarkFuncs) assertGo() {
+	if w.onGo != nil {
+		w.onGo()
+	}
 }
 
 // slackRingSize returns the initial ring size for a capacity: the smallest
@@ -42,24 +67,39 @@ func slackRingSize(capacity int) int {
 // NewSlackBuffer returns a buffer with the given geometry. onStop and onGo
 // may be nil. Watermarks must satisfy 0 <= low < high <= capacity.
 func NewSlackBuffer(capacity, high, low int, onStop, onGo func()) *SlackBuffer {
+	s := &SlackBuffer{}
+	var wm watermarks
+	if onStop != nil || onGo != nil {
+		wm = watermarkFuncs{onStop, onGo}
+	}
+	s.init(capacity, high, low, wm)
+	return s
+}
+
+// init sets the geometry of an embedded buffer and binds its watermarks.
+func (s *SlackBuffer) init(capacity, high, low int, wm watermarks) {
 	if capacity <= 0 || low < 0 || high <= low || high > capacity {
 		panic("myrinet: invalid slack buffer geometry")
 	}
-	return &SlackBuffer{
+	*s = SlackBuffer{
 		buf:      make([]phy.Character, slackRingSize(capacity)),
 		capacity: capacity,
 		high:     high,
 		low:      low,
-		onStop:   onStop,
-		onGo:     onGo,
+		wm:       wm,
 	}
 }
 
-// grow doubles the ring, unwrapping the buffered characters to the front.
+// grow doubles the ring (or allocates its initial size), unwrapping the
+// buffered characters to the front.
 func (s *SlackBuffer) grow() {
-	nb := make([]phy.Character, 2*len(s.buf))
-	n := copy(nb, s.buf[s.head:])
-	copy(nb[n:], s.buf[:s.head])
+	n := 2 * len(s.buf)
+	if n == 0 {
+		n = slackRingSize(s.capacity)
+	}
+	nb := make([]phy.Character, n)
+	c := copy(nb, s.buf[s.head:])
+	copy(nb[c:], s.buf[:s.head])
 	s.buf = nb
 	s.head = 0
 }
@@ -70,7 +110,7 @@ func NewDefaultSlackBuffer(onStop, onGo func()) *SlackBuffer {
 }
 
 // Push appends a character. It reports false — and destroys the character —
-// when the buffer is full. Crossing the high watermark triggers onStop once
+// when the buffer is full. Crossing the high watermark asserts STOP once
 // until the buffer next drains to the low watermark.
 func (s *SlackBuffer) Push(c phy.Character) bool {
 	if s.count == s.capacity {
@@ -84,15 +124,15 @@ func (s *SlackBuffer) Push(c phy.Character) bool {
 	s.count++
 	if s.count >= s.high && !s.stopping {
 		s.stopping = true
-		if s.onStop != nil {
-			s.onStop()
+		if s.wm != nil {
+			s.wm.assertStop()
 		}
 	}
 	return true
 }
 
 // Pop removes and returns the oldest character. Draining to the low
-// watermark while stopping triggers onGo.
+// watermark while stopping asserts GO.
 func (s *SlackBuffer) Pop() (phy.Character, bool) {
 	if s.count == 0 {
 		return 0, false
@@ -102,8 +142,8 @@ func (s *SlackBuffer) Pop() (phy.Character, bool) {
 	s.count--
 	if s.stopping && s.count <= s.low {
 		s.stopping = false
-		if s.onGo != nil {
-			s.onGo()
+		if s.wm != nil {
+			s.wm.assertGo()
 		}
 	}
 	return c, true
@@ -122,8 +162,8 @@ func (s *SlackBuffer) Run() []phy.Character {
 }
 
 // Discard removes the oldest n characters with the same watermark effect as
-// n Pops: draining a stopping buffer to the low watermark fires onGo. The
-// callback fires once, after the whole discard — a caller that must
+// n Pops: draining a stopping buffer to the low watermark asserts GO. The
+// GO fires once, after the whole discard — a caller that must
 // interleave the GO with other work splits the discard at Len()-Low().
 func (s *SlackBuffer) Discard(n int) {
 	if n <= 0 {
@@ -136,8 +176,8 @@ func (s *SlackBuffer) Discard(n int) {
 	s.count -= n
 	if s.stopping && s.count <= s.low {
 		s.stopping = false
-		if s.onGo != nil {
-			s.onGo()
+		if s.wm != nil {
+			s.wm.assertGo()
 		}
 	}
 }
@@ -146,7 +186,7 @@ func (s *SlackBuffer) Discard(n int) {
 func (s *SlackBuffer) Low() int { return s.low }
 
 // Flush discards every buffered character and returns how many were
-// destroyed. A flush that empties a stopping buffer fires onGo: the link
+// destroyed. A flush that empties a stopping buffer asserts GO: the link
 // reset that triggered it has torn down the upstream path, and whatever
 // replaces it must not inherit a stale STOP. Used by the recovery layer only.
 func (s *SlackBuffer) Flush() int {
@@ -155,8 +195,8 @@ func (s *SlackBuffer) Flush() int {
 	s.count = 0
 	if s.stopping {
 		s.stopping = false
-		if s.onGo != nil {
-			s.onGo()
+		if s.wm != nil {
+			s.wm.assertGo()
 		}
 	}
 	return n

@@ -87,10 +87,11 @@ type switchPort struct {
 	owner   *switchPort
 	waiters []*switchPort
 
-	// Recovery layer: the blocked-packet watchdog. Re-armed on every unit
-	// of forwarding progress; expiry tears down a packet that is stuck
-	// waiting for a held output or whose tail never arrives.
-	blockedTimer *sim.Timer
+	// Recovery layer: the blocked-packet watchdog, bound when recovery is
+	// first enabled. Re-armed on every unit of forwarding progress; expiry
+	// tears down a packet that is stuck waiting for a held output or whose
+	// tail never arrives.
+	blockedTimer sim.Timer
 }
 
 // NewSwitch returns a switch with n unattached ports.
@@ -136,9 +137,7 @@ func (sw *Switch) AttachLink(p int, out *phy.Link) phy.Receiver {
 		Counters: port.ctr,
 		Recovery: sw.recovery,
 	})
-	port.lc.SetNotify(port.drain)
-	port.lc.SetTxDrainNotify(port.onOutputDrained)
-	port.lc.SetResetHandler(port.onReset)
+	port.lc.setConsumer(port)
 	port.applyRecovery(sw.recovery)
 	return port.lc
 }
@@ -160,25 +159,24 @@ func (p *switchPort) applyRecovery(rc RecoveryConfig) {
 	if !rc.Enabled {
 		return
 	}
-	if p.blockedTimer == nil {
-		p.blockedTimer = sim.NewTimer(p.sw.k, rc.BlockedTimeout, p.onBlockedTimeout)
+	if !p.blockedTimer.Bound() {
+		p.blockedTimer.Init(p.sw.k, rc.BlockedTimeout, portBlockedTimeout, p)
 	}
 	p.blockedTimer.SetPeriod(rc.BlockedTimeout)
 }
 
+func portBlockedTimeout(a any) { a.(*switchPort).onBlockedTimeout() }
+
 // petBlocked re-arms the blocked-packet watchdog: a unit of forwarding
 // progress happened.
 func (p *switchPort) petBlocked() {
-	if p.blockedTimer != nil {
+	if p.blockedTimer.Bound() {
 		p.blockedTimer.Reset()
 	}
 }
 
-func (p *switchPort) stopBlocked() {
-	if p.blockedTimer != nil {
-		p.blockedTimer.Stop()
-	}
-}
+// stopBlocked disarms the watchdog (a no-op while it is unbound).
+func (p *switchPort) stopBlocked() { p.blockedTimer.Stop() }
 
 // Controller exposes port p's link controller (monitors and tests).
 func (sw *Switch) Controller(p int) *LinkController { return sw.ports[p].lc }
@@ -198,6 +196,9 @@ func (sw *Switch) HeldOutputs() int {
 
 // ---- input FSM ----
 
+// slackReady implements linkConsumer: input arrived, forward what can move.
+func (p *switchPort) slackReady() { p.drain() }
+
 // batchForward gates the run-granular forwarding fast path. Always on in
 // production; the equivalence test clears it to pin the batch path against
 // per-character stepping.
@@ -212,7 +213,7 @@ func (p *switchPort) drain() {
 			return // woken by onOutputFree
 		case stForward:
 			if p.outPort.lc.TxBacklog() >= StreamBacklogLimit {
-				return // woken by onOutputDrained
+				return // woken by txDrained
 			}
 			if batchForward && p.phase == phBody && p.drainRun() {
 				continue
@@ -485,8 +486,9 @@ func (p *switchPort) onOutputFree(out *switchPort) {
 	p.drain()
 }
 
-// onOutputDrained resumes a port that paused on downstream backlog.
-func (p *switchPort) onOutputDrained() {
+// txDrained implements linkConsumer: it resumes the port that paused on this
+// output's downstream backlog.
+func (p *switchPort) txDrained() {
 	// The callback fires on the OUTPUT controller; resume the input that
 	// holds it.
 	if p.owner != nil {
@@ -538,10 +540,11 @@ func (p *switchPort) onBlockedTimeout() {
 	}
 }
 
-// onReset reacts to a RESET symbol from the attached device: the upstream
-// end of this input tore its path down. Abandon in-flight state and, if an
-// output was held, propagate the reset through it.
-func (p *switchPort) onReset() {
+// linkReset implements linkConsumer. It reacts to a reset of the attached
+// link — a RESET symbol from the device, or the controller's own: the
+// upstream end of this input tore its path down. Abandon in-flight state
+// and, if an output was held, propagate the reset through it.
+func (p *switchPort) linkReset() {
 	switch p.state {
 	case stForward:
 		p.ctr.Drop(DropReset)

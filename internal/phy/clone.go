@@ -16,11 +16,13 @@ import (
 // the base's free lists and concurrent forks of one base share nothing but
 // the mutex-guarded depot.
 
-// CloneSimArg implements sim.ArgClonable for pending burst deliveries.
+// CloneSimArg implements sim.ArgClonable for pending burst deliveries. A
+// delivery to a receiver nobody cloned fails the fork.
 func (d *delivery) CloneSimArg(m *sim.Mapper) any {
 	dst, ok := m.Lookup(d.dst)
 	if !ok {
-		panic(fmt.Sprintf("phy: fork: delivery to uncloned receiver %T", d.dst))
+		m.Fail(fmt.Errorf("phy: fork: delivery to uncloned receiver %T", d.dst))
+		return nil
 	}
 	p := PoolOf(m.Kernel())
 	chars := p.Get(len(d.chars))
@@ -31,10 +33,11 @@ func (d *delivery) CloneSimArg(m *sim.Mapper) any {
 // Clone forks the link. The receiver rebinds at Mapper.Finish, so the
 // object it points at may be cloned before or after the link itself.
 // Channelized links (a DeliverySink installed) cannot fork: the sink closes
-// over a shard outbox the mapper has no way to re-point.
+// over a shard outbox the mapper has no way to re-point, so the clone goes
+// on without it and fails the fork.
 func (l *Link) Clone(m *sim.Mapper) *Link {
 	if l.sink != nil {
-		panic(fmt.Sprintf("phy: fork: link %s has a delivery sink; channelized fabrics do not fork", l.name))
+		m.Fail(fmt.Errorf("phy: fork: link %s has a delivery sink; channelized fabrics do not fork", l.name))
 	}
 	l2 := &Link{
 		k:            m.Kernel(),

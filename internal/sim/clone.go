@@ -28,11 +28,24 @@ import "fmt"
 // discipline is that everything scheduled across a snapshot rides the
 // AtArg/AfterArg trampoline path. Events scheduled after the fork (fault
 // plans, workloads) may use closures freely.
+//
+// Timers follow the same discipline: a Timer calls a static function with
+// its owner as the argument, so the owner embeds it by value and forks it
+// with Timer.CloneInto — a struct copy that substitutes the owner's clone
+// and repoints the queued expiry — instead of registering it and allocating
+// a rebound closure.
+//
+// A world that cannot be forked (an object whose counterpart or wiring has
+// no new-world equivalent) is reported through Mapper.Fail and surfaces as
+// Finish's error; clone code does not panic over it. The one panic left is
+// Put's duplicate registration, which is a bug in the clone code itself.
 
 // ArgClonable is implemented by event args that are not registered model
 // objects but know how to produce a new-world copy of themselves: pooled
 // delivery records, multi-object argument structs, and the like. CloneSimArg
-// must not mutate the receiver (the old world keeps running).
+// must not mutate the receiver (the old world keeps running). An arg that
+// cannot cross the fork reports it with Mapper.Fail; what it returns then
+// is discarded.
 type ArgClonable interface {
 	CloneSimArg(m *Mapper) any
 }
@@ -50,16 +63,26 @@ type Mapper struct {
 
 // NewMapper returns an empty mapper. Pass it to Kernel.Clone first, then to
 // the model clones, then call Finish.
-func NewMapper() *Mapper {
-	return &Mapper{objs: make(map[any]any)}
+func NewMapper() *Mapper { return NewMapperSize(0) }
+
+// NewMapperSize returns an empty mapper whose object table is sized for
+// objects registrations — what Objects reported after an earlier fork of
+// the same world — so a fork's Puts never rehash.
+func NewMapperSize(objects int) *Mapper {
+	return &Mapper{objs: make(map[any]any, objects)}
 }
+
+// Objects reports how many old→new pairs have been registered with Put.
+func (m *Mapper) Objects() int { return len(m.objs) }
 
 // Kernel returns the cloned kernel (nil before Kernel.Clone).
 func (m *Mapper) Kernel() *Kernel { return m.k2 }
 
 // Put registers a new-world counterpart for an old-world object. Registering
 // the same object twice panics: it means two owners both cloned it, which
-// would silently split shared state across the fork.
+// would silently split shared state across the fork. That is an invariant
+// of the clone code, not a property of the world being forked, so unlike
+// the errors reported through Fail it is not recoverable.
 func (m *Mapper) Put(old, new any) {
 	if _, dup := m.objs[old]; dup {
 		panic(fmt.Sprintf("sim: fork mapper: %T registered twice", old))
@@ -94,8 +117,10 @@ func (m *Mapper) MapEventID(id EventID) EventID {
 	return EventID{ev: ev2, gen: id.gen}
 }
 
-// defer records a fork error to be reported by Finish.
-func (m *Mapper) deferErr(err error) { m.errs = append(m.errs, err) }
+// Fail records that the world cannot be forked; Finish reports the first
+// such error. Clone code calls it where it meets state with no new-world
+// counterpart and carries on, so one pass collects the diagnosis.
+func (m *Mapper) Fail(err error) { m.errs = append(m.errs, err) }
 
 // resolveArg maps one event arg into the fork.
 func (m *Mapper) resolveArg(a any) (any, error) {
@@ -113,7 +138,7 @@ func (m *Mapper) resolveArg(a any) (any, error) {
 
 // Finish runs the arg-resolution pass: every cloned event's arg is rewritten
 // to its new-world counterpart. It returns the first error accumulated
-// anywhere in the fork (pending closures, unregistered args).
+// anywhere in the fork (pending closures, unregistered args, Fail).
 func (m *Mapper) Finish() error {
 	if len(m.errs) > 0 {
 		return m.errs[0]
@@ -123,17 +148,21 @@ func (m *Mapper) Finish() error {
 			return err
 		}
 	}
+	if len(m.errs) > 0 {
+		return m.errs[0]
+	}
 	for i := range m.cloned {
 		ev := &m.cloned[i]
 		if ev.tm != nil {
-			// A timer's event goes back to the timer's clone even when
-			// canceled: until it is harvested a Reset revives it.
-			t2, ok := m.objs[ev.tm].(*Timer)
+			// Timer.CloneInto has already pointed its timer's event — even
+			// a canceled one: until it is harvested a Reset revives it — at
+			// the clone. What still points into the old world was left
+			// behind by a timer nobody cloned, or by a Reset that moved on
+			// to a fresh event.
 			switch {
-			case ok:
-				ev.tm, ev.arg = t2, t2
+			case ev.tm.k == m.k2:
 			case ev.canceled:
-				ev.tm, ev.arg = nil, nil // left behind by a timer nobody cloned
+				ev.tm, ev.arg = nil, nil
 			default:
 				return fmt.Errorf("sim: fork: pending expiry of a Timer that was not cloned (at %v)", ev.at)
 			}
@@ -148,6 +177,9 @@ func (m *Mapper) Finish() error {
 		}
 		ev.arg = a
 	}
+	if len(m.errs) > 0 {
+		return m.errs[0] // a CloneSimArg failed
+	}
 	return nil
 }
 
@@ -159,7 +191,7 @@ func (m *Mapper) cloneEvent(old *event) *event {
 	*ev = *old
 	ev.next = nil
 	if old.fn != nil && !old.canceled {
-		m.deferErr(fmt.Errorf(
+		m.Fail(fmt.Errorf(
 			"sim: fork: closure-form event pending at %v (seq %d); snapshot requires AtArg/AfterArg scheduling",
 			old.at, old.seq))
 	}

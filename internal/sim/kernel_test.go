@@ -332,3 +332,51 @@ func TestTimerNegativePeriodPanics(t *testing.T) {
 		t.Errorf("rejected SetPeriod changed the period to %v", tm.Period())
 	}
 }
+
+// timerOwner embeds its timer by value, the way model objects do.
+type timerOwner struct {
+	tm    Timer
+	fired []Time
+}
+
+func timerOwnerFire(a any) {
+	o := a.(*timerOwner)
+	o.fired = append(o.fired, o.tm.k.Now())
+}
+
+// An owner-bound timer forks by copy into the owner's clone: the fork's
+// expiry calls back with the clone, the base's with the base owner, and
+// nothing but the kernel enters the mapper's object table. A queued expiry
+// of a timer nobody cloned fails the fork.
+func TestTimerForkBindsOwner(t *testing.T) {
+	k := NewKernel(1)
+	o := &timerOwner{}
+	o.tm.Init(k, 100*Nanosecond, timerOwnerFire, o)
+	o.tm.Reset()
+	k.RunFor(30 * Nanosecond)
+	o.tm.Reset() // re-armed in place: the queued event still waits at 100ns
+
+	m := NewMapper()
+	k2 := k.Clone(m)
+	o2 := &timerOwner{}
+	o.tm.CloneInto(m, &o2.tm, o2)
+	if err := m.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	if n := m.Objects(); n != 1 {
+		t.Errorf("fork registered %d objects, want 1 (the kernel)", n)
+	}
+	k.Run()
+	k2.Run()
+	want := []Time{130 * Nanosecond}
+	if len(o.fired) != 1 || o.fired[0] != want[0] || len(o2.fired) != 1 || o2.fired[0] != want[0] {
+		t.Errorf("base fired at %v, fork at %v; want %v each", o.fired, o2.fired, want)
+	}
+
+	o.tm.Reset()
+	m = NewMapper()
+	k.Clone(m)
+	if err := m.Finish(); err == nil || !strings.Contains(err.Error(), "not cloned") {
+		t.Errorf("fork leaving an armed timer behind: err = %v", err)
+	}
+}

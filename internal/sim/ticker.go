@@ -10,11 +10,17 @@ package sim
 // sees the event queue drain once real work has finished. Without a horizon
 // the ticker runs until Stop.
 //
-// The zero value is not usable; construct with NewTicker.
+// Like a Timer, a ticker is bound to its owner: each tick calls a static fn
+// with the owner as its argument, so the owner embeds it by value and a
+// fork rebinds it with CloneInto.
+//
+// The zero value is not usable; bind it with Init or construct with
+// NewTicker.
 type Ticker struct {
 	k       *Kernel
 	period  Duration
-	fn      func()
+	fn      func(any)
+	owner   any
 	stopAt  Time // zero: no horizon
 	pending EventID
 	running bool
@@ -22,12 +28,23 @@ type Ticker struct {
 	ticks   uint64
 }
 
-// NewTicker returns a ticker that invokes fn every period once started.
-func NewTicker(k *Kernel, period Duration, fn func()) *Ticker {
+// Init binds t — typically a field of owner — to k: once started, fn(owner)
+// runs every period. fn should be a package-level function (see
+// Timer.Init). Init discards any previous binding. A period that is not
+// positive panics.
+func (t *Ticker) Init(k *Kernel, period Duration, fn func(any), owner any) {
 	if period <= 0 {
 		panic("sim: Ticker period must be positive")
 	}
-	return &Ticker{k: k, period: period, fn: fn}
+	*t = Ticker{k: k, period: period, fn: fn, owner: owner}
+}
+
+// NewTicker returns a free-standing ticker that invokes fn every period once
+// started: an Init-bound ticker whose owner is the closure itself.
+func NewTicker(k *Kernel, period Duration, fn func()) *Ticker {
+	t := new(Ticker)
+	t.Init(k, period, callClosure, fn)
+	return t
 }
 
 // SetStopAt sets the horizon past which no tick is scheduled. Zero removes
@@ -57,27 +74,21 @@ func tickerFire(a any) {
 	t := a.(*Ticker)
 	t.armed = false
 	t.ticks++
-	t.fn()
+	t.fn(t.owner)
 	if t.running && !t.armed {
 		t.arm()
 	}
 }
 
-// Clone forks the ticker into m's new world; fn is the owner-rebound
-// callback (see Timer.Clone).
-func (t *Ticker) Clone(m *Mapper, fn func()) *Ticker {
-	t2 := &Ticker{
-		k:       m.Kernel(),
-		period:  t.period,
-		fn:      fn,
-		stopAt:  t.stopAt,
-		pending: m.MapEventID(t.pending),
-		running: t.running,
-		armed:   t.armed,
-		ticks:   t.ticks,
-	}
+// CloneInto forks the ticker into t2, its place in the owner's clone, bound
+// to owner (see Timer.CloneInto). The pending tick remaps through the
+// mapper's object table, so t2 must stay put until the fork completes.
+func (t *Ticker) CloneInto(m *Mapper, t2 *Ticker, owner any) {
+	*t2 = *t
+	t2.k = m.Kernel()
+	t2.owner = owner
+	t2.pending = m.MapEventID(t.pending)
 	m.Put(t, t2)
-	return t2
 }
 
 // Stop disarms the ticker. The callback will not fire again until Start.

@@ -13,11 +13,18 @@ package sim
 // once per character leaves one event in the queue, not one canceled event
 // per pet for the wheel to carry, every fork to copy and the sweep to bury.
 //
-// The zero value is not usable; construct with NewTimer.
+// A timer is bound to its owner, not to a closure: on expiry it calls a
+// static fn with the owner as its argument — the AtArg trampoline form — so
+// an owner can embed its timers by value and a fork rebinds them by copying
+// the struct and substituting the owner's clone (CloneInto), with nothing
+// allocated per timer.
+//
+// The zero value is not usable; bind it with Init or construct with NewTimer.
 type Timer struct {
 	k       *Kernel
 	d       Duration
-	fn      func()
+	fn      func(any)
+	owner   any
 	pending EventID // the owned event; stale once it fired or was harvested
 	armed   bool
 	fires   uint64
@@ -27,14 +34,31 @@ type Timer struct {
 	seq      uint64
 }
 
-// NewTimer returns a timer that invokes fn when d elapses without a Reset.
-// The timer starts disarmed. A negative period panics.
-func NewTimer(k *Kernel, d Duration, fn func()) *Timer {
+// Init binds t — typically a field of owner — to k: when d elapses without a
+// Reset, fn(owner) runs. fn should be a package-level function, so the timer
+// holds nothing but the owner for a fork to remap. The timer starts
+// disarmed; Init discards any previous binding. A negative period panics.
+func (t *Timer) Init(k *Kernel, d Duration, fn func(any), owner any) {
 	if d < 0 {
 		panic("sim: Timer period must not be negative")
 	}
-	return &Timer{k: k, d: d, fn: fn}
+	*t = Timer{k: k, d: d, fn: fn, owner: owner}
 }
+
+// NewTimer returns a free-standing timer that invokes fn when d elapses
+// without a Reset: an Init-bound timer whose owner is the closure itself.
+func NewTimer(k *Kernel, d Duration, fn func()) *Timer {
+	t := new(Timer)
+	t.Init(k, d, callClosure, fn)
+	return t
+}
+
+func callClosure(a any) { a.(func())() }
+
+// Bound reports whether the timer has been bound to a kernel. An owner that
+// embeds a timer it binds only on demand tests this where it would test a
+// pointer for nil.
+func (t *Timer) Bound() bool { return t.k != nil }
 
 // Reset (re)arms the timer for a full period from now. Re-arming neither
 // allocates nor touches the queue while the timer's event is still in it:
@@ -70,7 +94,7 @@ func timerExpire(a any) {
 	t := a.(*Timer)
 	t.armed = false
 	t.fires++
-	t.fn()
+	t.fn(t.owner)
 }
 
 // Stop disarms the timer without firing.
@@ -81,24 +105,20 @@ func (t *Timer) Stop() {
 	}
 }
 
-// Clone forks the timer into m's new world. The callback cannot be copied
-// (it is a closure over the owner), so the owner's own clone passes the
-// rebound fn; the owned event, if still queued, is remapped so the fork
-// fires it at the same instant the source would. (Mapper.Finish points the
-// event back at the clone.)
-func (t *Timer) Clone(m *Mapper, fn func()) *Timer {
-	t2 := &Timer{
-		k:        m.Kernel(),
-		d:        t.d,
-		fn:       fn,
-		pending:  m.MapEventID(t.pending),
-		armed:    t.armed,
-		fires:    t.fires,
-		deadline: t.deadline,
-		seq:      t.seq,
+// CloneInto forks the timer into t2 — its place in the owner's clone —
+// bound to owner, the new-world counterpart of the owner (for a NewTimer
+// timer, the rebound closure). The owned event, if still queued, is
+// remapped so the fork fires it at the same instant the source would, and
+// pointed at t2 here, so the timer needs no entry in the mapper's object
+// table.
+func (t *Timer) CloneInto(m *Mapper, t2 *Timer, owner any) {
+	*t2 = *t
+	t2.k = m.Kernel()
+	t2.owner = owner
+	t2.pending = m.MapEventID(t.pending)
+	if ev := t2.pending.ev; ev != nil && ev.gen == t2.pending.gen && ev.tm == t {
+		ev.tm, ev.arg = t2, t2
 	}
-	m.Put(t, t2)
-	return t2
 }
 
 // Armed reports whether the timer is counting down.

@@ -220,7 +220,9 @@ func (w *timerWorld) fork(t testing.TB) *timerWorld {
 	m.Put(w, w2)
 	for i, tm := range w.timers {
 		i := i
-		w2.timers = append(w2.timers, tm.(*Timer).Clone(m, func() { w2.onTimer(i) }))
+		t2 := new(Timer)
+		tm.(*Timer).CloneInto(m, t2, func() { w2.onTimer(i) })
+		w2.timers = append(w2.timers, t2)
 	}
 	if err := m.Finish(); err != nil {
 		t.Fatalf("fork: %v", err)
