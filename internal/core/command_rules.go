@@ -26,8 +26,9 @@ import (
 //	      entry on the matching character): toggle entries for TOGGLE,
 //	      replace entries for REPLACE; invalid for CAP and DROP
 //
-// Adding a rule with an existing id replaces it in place; any change to the
-// rule set recompiles and re-arms every rule.
+// Each keyword may appear at most once in a RULE ADD line. Adding a rule
+// with an existing id replaces it in place; any change to the rule set
+// recompiles and re-arms every rule.
 func (c *CommandDecoder) execRule(fields []string, eng *Engine) (string, error) {
 	if len(fields) == 0 {
 		return "", fmt.Errorf("RULE needs ADD, DEL, LIST or CLEAR")
@@ -60,8 +61,14 @@ func (c *CommandDecoder) execRule(fields []string, eng *Engine) (string, error) 
 		var b strings.Builder
 		rs := eng.Rules()
 		if prog := eng.RuleProgram(); prog != nil {
+			// states is the size of the automaton that runs: the DFA, or
+			// the summed lanes past the state budget.
 			st := prog.Stats()
-			fmt.Fprintf(&b, "RULES dir=%v count=%d mode=%s states=%d", c.dir, st.Rules, st.Mode, st.DFAStates+st.NFAStates)
+			states := st.DFAStates
+			if !prog.UsesDFA() {
+				states = st.NFAStates
+			}
+			fmt.Fprintf(&b, "RULES dir=%v count=%d mode=%s states=%d", c.dir, st.Rules, st.Mode, states)
 		} else {
 			fmt.Fprintf(&b, "RULES dir=%v count=0", c.dir)
 		}
@@ -106,8 +113,14 @@ func parseRuleAdd(fields []string) (rules.Rule, error) {
 	fields = fields[1:]
 
 	var pat, vec []string
+	seen := make(map[string]bool, 5)
 	for i := 0; i < len(fields); {
-		switch kw := fields[i]; kw {
+		kw := fields[i]
+		if seen[kw] {
+			return r, fmt.Errorf("repeated RULE ADD keyword %s", kw)
+		}
+		seen[kw] = true
+		switch kw {
 		case "PRIO":
 			if i+1 >= len(fields) {
 				return r, fmt.Errorf("PRIO needs a value")

@@ -184,6 +184,18 @@ func TestCommandRuleGrammarErrors(t *testing.T) {
 			t.Errorf("%q -> %q, want ERR", cmd, resp)
 		}
 	}
+	// A repeated section would otherwise silently win over the first.
+	for kw, cmd := range map[string]string{
+		"PAT":  "RULE ADD 1 PAT 55 PAT 66",
+		"MODE": "RULE ADD 1 MODE ON MODE OFF PAT 55",
+		"ACT":  "RULE ADD 1 ACT CAP PAT 55 ACT DROP",
+		"PRIO": "RULE ADD 1 PRIO 1 PAT 55 PRIO 2",
+		"VEC":  "RULE ADD 1 ACT TOGGLE PAT 55 VEC 0F VEC 01",
+	} {
+		if resp, want := dec.Exec(cmd), "ERR repeated RULE ADD keyword "+kw; resp != want {
+			t.Errorf("%q -> %q, want %q", cmd, resp, want)
+		}
+	}
 	if rs := dev.Engine(LeftToRight).Rules(); len(rs) != 0 {
 		t.Errorf("failed RULE commands left rules installed: %+v", rs)
 	}

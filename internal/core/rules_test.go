@@ -235,6 +235,19 @@ func TestRuleCommands(t *testing.T) {
 	if stat := dec.Exec("STAT"); !strings.Contains(stat, "rules=4") {
 		t.Errorf("STAT = %q", stat)
 	}
+	// states= is the size of the automaton that runs: the DFA's 27 states,
+	// not their sum with the 13 lane states, or the summed lane states
+	// (13 + 35) once a 32-symbol gap blows the DFA budget.
+	for _, c := range []struct{ cmd, want string }{
+		{"RULE LIST", "count=4 mode=dfa states=27\n"},
+		{"RULE ADD 5 PAT 55 G32 66", "OK"},
+		{"RULE LIST", "count=5 mode=nfa-lanes states=48\n"},
+		{"RULE DEL 5", "OK"},
+	} {
+		if resp := dec.Exec(c.cmd); !strings.Contains(resp, c.want) {
+			t.Errorf("%q -> %q, want %q in it", c.cmd, resp, c.want)
+		}
+	}
 	if resp := dec.Exec("RULE DEL 3"); resp != "OK" {
 		t.Errorf("RULE DEL -> %q", resp)
 	}

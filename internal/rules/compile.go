@@ -1,8 +1,9 @@
 package rules
 
 import (
+	"encoding/binary"
 	"fmt"
-	"sort"
+	"math/bits"
 )
 
 // dfaStateBudget bounds subset construction: a 1024-state DFA over the
@@ -163,6 +164,7 @@ func buildLane(r *Rule, ruleIdx int32) laneProg {
 // globalNFA concatenates the lanes into one state array for subset
 // construction, fixing up transition targets by each lane's offset.
 func (p *Program) globalNFA() (states []nfaState, starts []int32) {
+	states, starts = make([]nfaState, 0, p.nfaStates), make([]int32, 0, len(p.lanes))
 	for _, lane := range p.lanes {
 		off := int32(len(states))
 		starts = append(starts, off)
@@ -179,128 +181,127 @@ func (p *Program) globalNFA() (states []nfaState, starts []int32) {
 	return states, starts
 }
 
-// dfaBuilder interns NFA-state sets and owns the per-symbol scratch. The
-// per-DFA-state work is split into a symbol-independent "base" target set
-// (self-loops, gap advances, wildcard steps) and per-symbol extras from
-// masked consuming transitions, whose symbol classes are enumerated by
-// walking the submasks of the don't-care bits; only symbols actually named
-// by some transition get a non-base target, so a row costs 512 writes plus
-// a handful of set constructions rather than 512 of them.
+// dfaBuilder interns NFA-state sets: fixed-width bitsets over the global NFA
+// (at most 64 words, for MaxRules*maxRuleStates states) laid back to back in
+// one flat slice and looked up by their word bytes through a reused key
+// buffer, so only a new DFA state allocates.
 type dfaBuilder struct {
 	nfa    []nfaState
-	sets   [][]int32
+	sets   []uint64 // state i is sets[i*words : (i+1)*words]
 	ids    map[string]int32
+	key    []byte
 	accept []uint64
-
-	specific [SymbolSpace][]int32
-	touched  []uint16
 }
 
-// intern returns the DFA state id for a sorted, deduplicated NFA set,
-// creating it if new.
-func (b *dfaBuilder) intern(set []int32) int32 {
-	key := setKey(set)
-	if id, ok := b.ids[key]; ok {
+// intern returns the DFA state id for an NFA set, creating it if new.
+func (b *dfaBuilder) intern(set []uint64) int32 {
+	b.key = b.key[:0]
+	for _, w := range set {
+		b.key = binary.LittleEndian.AppendUint64(b.key, w)
+	}
+	if id, ok := b.ids[string(b.key)]; ok {
 		return id
 	}
-	id := int32(len(b.sets))
-	b.sets = append(b.sets, append([]int32(nil), set...))
-	b.ids[key] = id
+	id := int32(len(b.accept))
+	b.sets = append(b.sets, set...)
+	b.ids[string(b.key)] = id
 	var acc uint64
-	for _, s := range set {
-		if r := b.nfa[s].accept; r >= 0 {
-			acc |= 1 << uint(r)
+	for wi, w := range set {
+		for ; w != 0; w &= w - 1 {
+			if r := b.nfa[wi<<6+bits.TrailingZeros64(w)].accept; r >= 0 {
+				acc |= 1 << uint(r)
+			}
 		}
 	}
 	b.accept = append(b.accept, acc)
 	return id
 }
 
-// setKey encodes a sorted set as map key bytes.
-func setKey(set []int32) string {
-	buf := make([]byte, 0, 2*len(set))
-	for _, s := range set {
-		buf = append(buf, byte(s), byte(s>>8))
-	}
-	return string(buf)
-}
+// symTarget adds target to one symbol's row entry; next is the symbol's
+// previous pair (1-based, 0 ends the chain).
+type symTarget struct{ target, next int32 }
 
-// normalize sorts and deduplicates a target list in place.
-func normalize(set []int32) []int32 {
-	sort.Slice(set, func(i, j int) bool { return set[i] < set[j] })
-	out := set[:0]
-	for i, s := range set {
-		if i == 0 || s != out[len(out)-1] {
-			out = append(out, s)
-		}
-	}
-	return out
-}
-
-// buildDFA runs subset construction under the state budget. On success the
-// program's dfaTable/dfaAccept/dfaStates are populated; past the budget the
-// program is left in lane mode.
+// buildDFA runs subset construction under the state budget; past it the
+// program is left in lane mode. A row is a symbol-independent "base" set
+// (self-loops, gap advances, wildcard steps) plus, per symbol named by a
+// masked transition (its class walked as submasks of the don't-care bits),
+// that symbol's targets: (symbol, target) pairs chained per symbol and
+// visited in ascending symbol order through a touched-symbol bitmap. So a
+// row costs 512 writes plus one set lookup per named symbol, and states are
+// numbered in discovery order: base first, then named symbols ascending.
 func (p *Program) buildDFA(budget int) {
 	nfa, starts := p.globalNFA()
+	words := (len(nfa) + 63) / 64
 	b := &dfaBuilder{nfa: nfa, ids: make(map[string]int32)}
-	b.intern(normalize(starts))
+	base, cur := make([]uint64, words), make([]uint64, words)
+	for _, s := range starts {
+		base[s>>6] |= 1 << uint(s&63)
+	}
+	b.intern(base)
 
-	// The transition table grows row by row in its final backing array —
-	// one geometric-growth allocation chain instead of a 2KB row per state
-	// plus a final copy.
+	var (
+		head    [SymbolSpace]int32 // newest pair naming each symbol, 1-based
+		touched [SymbolSpace / 64]uint64
+		pairs   []symTarget
+	)
+	// The table grows row by row in its final backing array.
 	table := make([]int32, 0, 4*SymbolSpace)
-	for si := 0; si < len(b.sets); si++ {
-		S := b.sets[si]
-		base := make([]int32, 0, len(S)+4)
-		for _, s := range S {
-			st := &nfa[s]
-			if st.selfAny {
-				base = append(base, s)
-			}
-			if st.anyNext >= 0 {
-				base = append(base, st.anyNext)
-			}
-			if st.matchNext < 0 {
-				continue
-			}
-			if st.mask == 0 {
-				base = append(base, st.matchNext)
-				continue
-			}
-			// Enumerate the masked symbol class: fixed bits from
-			// cmp&mask, free bits walked as submasks.
-			free := ^st.mask & SymbolMask
-			want := st.cmp & st.mask
-			for sub := uint16(free); ; sub = (sub - 1) & uint16(free) {
-				sym := want | sub
-				if len(b.specific[sym]) == 0 {
-					b.touched = append(b.touched, sym)
+	for si := 0; si < len(b.accept); si++ {
+		clear(base)
+		pairs = pairs[:0]
+		for wi, w := range b.sets[si*words : (si+1)*words] {
+			for ; w != 0; w &= w - 1 {
+				s := int32(wi<<6 + bits.TrailingZeros64(w))
+				st := &nfa[s]
+				if st.selfAny {
+					base[s>>6] |= 1 << uint(s&63)
 				}
-				b.specific[sym] = append(b.specific[sym], st.matchNext)
-				if sub == 0 {
-					break
+				if t := st.anyNext; t >= 0 {
+					base[t>>6] |= 1 << uint(t&63)
+				}
+				if t := st.matchNext; t >= 0 && st.mask == 0 {
+					base[t>>6] |= 1 << uint(t&63)
+				}
+				if st.matchNext < 0 || st.mask == 0 {
+					continue
+				}
+				free := ^st.mask & SymbolMask
+				want := st.cmp & st.mask
+				for sub := free; ; sub = (sub - 1) & free {
+					sym := want | sub
+					touched[sym>>6] |= 1 << (sym & 63)
+					pairs = append(pairs, symTarget{target: st.matchNext, next: head[sym]})
+					head[sym] = int32(len(pairs))
+					if sub == 0 {
+						break
+					}
 				}
 			}
 		}
-		base = normalize(base)
 		baseID := b.intern(base)
 		start := len(table)
 		for i := 0; i < SymbolSpace; i++ {
 			table = append(table, baseID)
 		}
 		row := table[start:]
-		sort.Slice(b.touched, func(i, j int) bool { return b.touched[i] < b.touched[j] })
-		for _, sym := range b.touched {
-			t := append(append([]int32(nil), base...), b.specific[sym]...)
-			row[sym] = b.intern(normalize(t))
-			b.specific[sym] = b.specific[sym][:0]
+		for ti := range touched {
+			for w := touched[ti]; w != 0; w &= w - 1 {
+				sym := ti<<6 + bits.TrailingZeros64(w)
+				copy(cur, base)
+				for k := head[sym]; k != 0; k = pairs[k-1].next {
+					t := pairs[k-1].target
+					cur[t>>6] |= 1 << uint(t&63)
+				}
+				head[sym] = 0
+				row[sym] = b.intern(cur)
+			}
+			touched[ti] = 0
 		}
-		b.touched = b.touched[:0]
-		if len(b.sets) > budget {
+		if len(b.accept) > budget {
 			return // blown budget: stay in lane mode
 		}
 	}
-	p.dfaStates = len(b.sets)
+	p.dfaStates = len(b.accept)
 	p.dfaTable = table
 	p.dfaAccept = b.accept
 }

@@ -22,10 +22,11 @@ func (c *byteCursor) next() byte {
 	return b
 }
 
-// fuzzMasks keeps the don't-care classes small enough (≥5 significant bits)
-// that subset construction stays fast under thousands of cases; the zero
-// mask is the full wildcard step.
-var fuzzMasks = []uint16{SymbolMask, 0x0FF, 0x17F, 0x1F3, 0x1F0, 0}
+// fuzzMasks spans class widths from one symbol (full mask) through 32
+// (0x0F0) to 256 (0x100: the D/C flag alone), so masked transitions name
+// anywhere from one symbol to half the alphabet; the zero mask is the full
+// wildcard step.
+var fuzzMasks = []uint16{SymbolMask, 0x0FF, 0x17F, 0x1F3, 0x1F0, 0x0F0, 0x100, 0}
 
 // buildFuzzRules shapes bytes into 1..4 rules. Roughly one rule in eight
 // comes out invalid (gap out of range), exercising the error path.
@@ -227,7 +228,8 @@ func TestCompileSelection(t *testing.T) {
 // checkFuzzCase is the shared oracle for FuzzRuleCompile and the fixed
 // 10k-case CI sweep. It derives a rule set and a symbol stream from raw
 // bytes, compiles the set twice (DFA under a tight budget, so fallback is
-// exercised too, and budget zero, which is always lanes), runs both over the
+// exercised too, and budget zero, which is always lanes), holds both
+// compiles to the reference subset construction, runs both over the
 // stream, and checks every fire mask against the naive reference matcher.
 // The compiler must never panic: raw field values are taken from the bytes
 // with only light shaping, so invalid rules (bad gaps, overlong vectors)
@@ -247,6 +249,8 @@ func checkFuzzCase(t *testing.T, data []byte) {
 	if lanes.UsesDFA() {
 		t.Fatal("budget 0 produced a DFA")
 	}
+	requireReferenceDFA(t, dfa, 64)
+	requireReferenceDFA(t, lanes, 0)
 
 	stream := buildFuzzStream(c, rs, 48)
 	ed, el := NewExecutor(dfa), NewExecutor(lanes)

@@ -45,7 +45,17 @@ type prefixToken struct {
 	cmp, mask uint16
 }
 
-func (t prefixToken) matches(sym uint16) bool { return (sym^t.cmp)&t.mask == 0 }
+// each calls fn on every symbol of the token's class, walking the submasks
+// of its don't-care bits rather than testing all 512 symbols.
+func (t prefixToken) each(fn func(sym uint16)) {
+	free := ^t.mask & SymbolMask
+	for sub := free; ; sub = (sub - 1) & free {
+		fn(t.cmp | sub)
+		if sub == 0 {
+			return
+		}
+	}
+}
 
 // Prefilter is the compiled screen. Immutable after compile and shared
 // across executor clones, like the Program that owns it.
@@ -176,12 +186,7 @@ func compilePrefilter(rs []Rule) *Prefilter {
 		if len(p) > pf.maxLen {
 			pf.maxLen = len(p)
 		}
-		first := p[0]
-		for s := 0; s < SymbolSpace; s++ {
-			if first.matches(uint16(s)) {
-				pf.starter[s>>6] |= 1 << uint(s&63)
-			}
-		}
+		p[0].each(func(s uint16) { pf.starter[s>>6] |= 1 << (s & 63) })
 	}
 	for _, w := range pf.starter {
 		pf.starters += bits.OnesCount64(w)
@@ -211,11 +216,7 @@ func (pf *Prefilter) buildShiftAnd() {
 		for j, tok := range p {
 			b := pos + j
 			pf.depth[b] = uint8(j + 1)
-			for s := 0; s < SymbolSpace; s++ {
-				if tok.matches(uint16(s)) {
-					pf.rows[s*pf.words+(b>>6)] |= 1 << uint(b&63)
-				}
-			}
+			tok.each(func(s uint16) { pf.rows[int(s)*pf.words+(b>>6)] |= 1 << uint(b&63) })
 		}
 		last := pos + len(p) - 1
 		pf.hitm[last>>6] |= 1 << uint(last&63)
