@@ -115,27 +115,50 @@ func TestRunSpec(t *testing.T) {
 // TestAllReportGolden: `netfi all` at seed 1, scale 0.05 is byte-identical to
 // the committed report. A refactor that moves any number fails here; a change
 // meant to move one regenerates the file with
-// `go run ./cmd/netfi -seed 1 -scale 0.05 all > cmd/netfi/testdata/all-seed1-scale0.05.txt`.
+// `go run ./cmd/netfi -seed 1 -scale 0.05 -workers 2 all > cmd/netfi/testdata/all-seed1-scale0.05.txt`.
 func TestAllReportGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("every section end to end; skipped in -short")
 	}
-	want, err := os.ReadFile(filepath.Join("testdata", "all-seed1-scale0.05.txt"))
+	checkGolden(t, "all-seed1-scale0.05.txt", "all")
+}
+
+// TestJSONReportGolden: `netfi -json` for the trial sections at seed 1, scale
+// 0.05 is byte-identical to the committed documents. They carry fields the
+// text report does not print (held_outputs, flows_exported, per_k,
+// coverage_non_masked). A change meant to move one regenerates its file with
+// `go run ./cmd/netfi -seed 1 -scale 0.05 -workers 2 -json <section> > cmd/netfi/testdata/<section>-seed1-scale0.05.json`.
+func TestJSONReportGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("three trial campaigns end to end; skipped in -short")
+	}
+	for _, section := range []string{"resilience", "chaos", "monitor"} {
+		t.Run(section, func(t *testing.T) {
+			checkGolden(t, section+"-seed1-scale0.05.json", "-json", section)
+		})
+	}
+}
+
+// checkGolden runs netfi at seed 1, scale 0.05, two workers with the given
+// trailing arguments and requires its output to equal testdata/name.
+func checkGolden(t *testing.T, name string, args ...string) {
+	t.Helper()
+	want, err := os.ReadFile(filepath.Join("testdata", name))
 	if err != nil {
 		t.Fatal(err)
 	}
 	// run prints to os.Stdout; point it at a file for the duration.
-	out, err := os.Create(filepath.Join(t.TempDir(), "all.txt"))
+	out, err := os.Create(filepath.Join(t.TempDir(), "out"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	stdout := os.Stdout
 	os.Stdout = out
-	code := run([]string{"-seed", "1", "-scale", "0.05", "-workers", "2", "all"})
+	code := run(append([]string{"-seed", "1", "-scale", "0.05", "-workers", "2"}, args...))
 	os.Stdout = stdout
 	out.Close()
 	if code != 0 {
-		t.Fatalf("all -> %d, want 0", code)
+		t.Fatalf("%v -> %d, want 0", args, code)
 	}
 	got, err := os.ReadFile(out.Name())
 	if err != nil {
@@ -145,9 +168,9 @@ func TestAllReportGolden(t *testing.T) {
 		gl, wl := strings.Split(string(got), "\n"), strings.Split(string(want), "\n")
 		for i := range gl {
 			if i >= len(wl) || gl[i] != wl[i] {
-				t.Fatalf("report differs from testdata at line %d:\n got: %s\nwant: %s", i+1, gl[i], wl[min(i, len(wl)-1)])
+				t.Fatalf("output differs from testdata/%s at line %d:\n got: %s\nwant: %s", name, i+1, gl[i], wl[min(i, len(wl)-1)])
 			}
 		}
-		t.Fatalf("report is a prefix of testdata (%d of %d lines)", len(gl), len(wl))
+		t.Fatalf("output is a prefix of testdata/%s (%d of %d lines)", name, len(gl), len(wl))
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	"netfi/internal/core"
@@ -22,13 +21,13 @@ import (
 // injector, console, monitoring plane) through sim.Mapper, so thousands of
 // divergent scenarios pay for warmup exactly once. Scenarios are
 // declarative ForkPlans — k faults with individual onset delays — generated
-// up front from the campaign seed, applied to the fork by scheduling
-// ordinary simulation events, and triaged with the monitoring plane the
-// same way resilience trials are. Correctness rests on fork equivalence:
-// running a plan on a fork must be byte-identical to running it on a
-// freshly built, identically warmed testbed (TestForkEquivalence pins it).
+// up front from the campaign seed and run on the fork by runTrial, the one
+// trial procedure resilience and the monitor demo run on fresh beds.
+// Correctness rests on fork equivalence: running a plan on a fork must be
+// byte-identical to running it on a freshly built, identically warmed
+// testbed (TestForkEquivalence pins it).
 
-// FaultKind names one chaos fault primitive.
+// FaultKind names one fault primitive.
 type FaultKind string
 
 const (
@@ -127,15 +126,6 @@ type ChaosTrial struct {
 	Fingerprint string
 }
 
-// Chaos-specific outcome classes beyond the resilience triage.
-const (
-	// OutcomeWallClock — the per-fork real-time escape hatch tripped;
-	// the result is timing-dependent and reported apart.
-	OutcomeWallClock TrialOutcome = "wallclock"
-	// OutcomeError — the trial panicked; see ChaosTrial.Err.
-	OutcomeError TrialOutcome = "error"
-)
-
 // ChaosOptions parameterizes a sweep.
 type ChaosOptions struct {
 	Seed int64
@@ -175,12 +165,7 @@ func (o *ChaosOptions) fillDefaults() {
 	if o.MaxK > 3 {
 		o.MaxK = 3
 	}
-	if o.Messages < 3 {
-		o.Messages = 6
-	}
-	if o.Gap == 0 {
-		o.Gap = 10 * sim.Millisecond
-	}
+	o.Messages, o.Gap = workloadDefaults(o.Messages, o.Gap)
 }
 
 // chaosNodes is the testbed size (the paper's Fig. 10 bed).
@@ -227,21 +212,10 @@ func GenerateForkPlans(opts ChaosOptions) []ForkPlan {
 	return plans
 }
 
-// chaosBase is the warmed world forks are cut from. After newChaosBase the
+// chaosBase is a warmed world forks are cut from. After newChaosBase the
 // kernel is paused at the fork point with only trampoline-form events
 // pending, so Clone never trips the closure-discipline check.
-type chaosBase struct {
-	tb    *Testbed
-	mon   *monitor.Plane
-	rels  []*host.Reliable
-	hbs   []*host.Heartbeat
-	start sim.Time // fork point == trial start
-
-	// objects is how many objects a fork of this base registers with its
-	// mapper, learned from the first fork; later forks size the mapper's
-	// table to it up front. Forks run concurrently, hence the atomic.
-	objects atomic.Int64
-}
+type chaosBase = world
 
 // newChaosBase builds and warms one testbed: recovery armed, injector
 // direction configured, reliable endpoints on every node, flow-export taps
@@ -251,8 +225,7 @@ type chaosBase struct {
 // every fork.
 func newChaosBase(seed int64, opts ChaosOptions) *chaosBase {
 	opts.fillDefaults()
-	tb := NewTestbed(TestbedConfig{Seed: seed, Recovery: trialRecovery})
-	tb.Configure("DIR L")
+	w := freshWorld(NewTestbed(TestbedConfig{Seed: seed, Recovery: trialRecovery}))
 	if opts.ArmedRules {
 		// Pre-armed rules: the ONCE toggle corrupts one warm payload byte
 		// (the reliable layer retransmits, so warmup still drains) and
@@ -261,7 +234,7 @@ func newChaosBase(seed int64, opts ChaosOptions) *chaosBase {
 		// prefilter; the gapped rule keeps partial-match lanes live; the
 		// last never fires. Every fork then inherits live executor,
 		// capture-ring, and batch-plan state.
-		tb.Configure(
+		w.tb.Configure(
 			"RULE ADD 60 MODE ONCE ACT TOGGLE PAT 55 55 VEC -- 01",
 			"RULE ADD 61 ACT CAP PAT 55 55",
 			"RULE ADD 62 ACT CAP PAT 55 G2 7E",
@@ -269,28 +242,23 @@ func newChaosBase(seed int64, opts ChaosOptions) *chaosBase {
 		)
 	}
 
-	rels := reliableEndpoints(tb)
-
 	span := sim.Duration(opts.Messages-1) * opts.Gap
-	horizon := tb.K.Now() + sim.Time(chaosWarm+span+opts.Gap+80*sim.Millisecond)
-
-	mon, hbs := armPlane(tb, horizon)
+	w.arm(chaosWarm+span+opts.Gap+80*sim.Millisecond, true)
 
 	// Warm traffic: one message from the tapped node to each peer, fully
 	// drained, so every fork starts with calibrated RTTs and warm caches.
-	payload := trialPayload()
-	for i := 1; i < len(tb.Nodes); i++ {
-		rels[0].Send(NodeMAC(i), payload)
+	for i := 1; i < len(w.tb.Nodes); i++ {
+		w.rels[0].Send(NodeMAC(i), trialPayload)
 	}
-	tb.K.RunFor(chaosWarm)
-
-	return &chaosBase{tb: tb, mon: mon, rels: rels, hbs: hbs, start: tb.K.Now()}
+	w.tb.K.RunFor(chaosWarm)
+	w.start = w.tb.K.Now()
+	return w
 }
 
 // fork deep-copies the base into an independent world: phase 1 clones the
 // kernel, phase 2 walks the model graph, phase 3 resolves every deferred
 // cross-reference. Campaign-owned hooks (probes, injection hooks) are not
-// part of any world and are re-armed by runChaosTrial.
+// part of any world and are re-armed by runTrial.
 func (b *chaosBase) fork() (*chaosBase, error) {
 	m := sim.NewMapperSize(int(b.objects.Load()))
 	b.tb.K.Clone(m)
@@ -311,124 +279,21 @@ func (b *chaosBase) fork() (*chaosBase, error) {
 	return &chaosBase{tb: tb2, mon: mon2, rels: rels2, hbs: hbs2, start: b.start}, nil
 }
 
-// runChaosTrial applies one plan to a ready world (a fork, or a freshly
+// runChaosTrial applies one plan to a warmed world (a fork, or a freshly
 // warmed base — the equivalence gate demands the two be indistinguishable)
-// and triages the outcome. Probes and injection hooks are armed here, on
-// whichever world runs, so both paths arm them exactly once.
+// and digests the world it leaves.
 func runChaosTrial(b *chaosBase, plan ForkPlan, opts ChaosOptions) ChaosTrial {
 	opts.fillDefaults()
-	tb, mon, rel := b.tb, b.mon, b.rels[0]
-	tr := ChaosTrial{
-		ID:         plan.ID,
-		Plan:       plan.String(),
-		K:          plan.K(),
-		Sent:       opts.Messages,
-		InjectedAt: -1,
+	r := runTrial(b, plan.Faults, trialWorkload{messages: opts.Messages, gap: opts.Gap}, opts.WallClock)
+	return ChaosTrial{
+		ID: plan.ID, Plan: plan.String(), K: plan.K(),
+		Outcome: r.Outcome, Quiesce: r.Quiesce, Elapsed: r.Elapsed, Sent: opts.Messages,
+		Delivered: r.Delivered, Retransmits: r.Retransmits, GaveUp: r.GaveUp,
+		RecoveryEvents: r.RecoveryEvents, Injections: r.Injections, HeldOutputs: r.HeldOutputs,
+		InjectedAt: r.InjectedAt, Detected: r.Detected, DetectLatency: r.DetectLatency,
+		DetectSource: r.DetectSource, FlowsExported: r.FlowsExported,
+		Fingerprint: chaosFingerprint(b.tb, b.mon, b.rels),
 	}
-
-	armNetProbes(mon, tb)
-
-	// First observable fault onset: node deaths and severs mark at their
-	// scheduled instant, corrupt rules when the injector actually fires.
-	mark, firstFault := markFirstFault(tb)
-
-	// Baselines: forks inherit the warm phase's counters.
-	rel0 := rel.Stats()
-	recovery0 := recoveryEventCount(tb)
-	flows0 := mon.Ring().Exported()
-	injections0 := tb.Injections()
-
-	for _, f := range plan.Faults {
-		f := f
-		switch f.Kind {
-		case FaultNodeDeath:
-			node := tb.Nodes[f.Node]
-			cable := tb.Net.Cables[node.Name()]
-			tb.K.After(f.Delay, func() {
-				node.Kill()
-				cable.Sever()
-				mark()
-			})
-		case FaultLinkSever:
-			cable := tb.Net.Cables[tb.Nodes[f.Node].Name()]
-			tb.K.After(f.Delay, func() {
-				cable.Sever()
-				mark()
-			})
-		case FaultWatchdogOff:
-			tb.K.After(f.Delay, func() {
-				tb.Switch.SetRecovery(myrinet.RecoveryConfig{})
-			})
-		case FaultCorrupt:
-			rule := f.Rule
-			tb.K.After(f.Delay, func() { tb.Console.Send(rule) })
-		}
-	}
-
-	payload := trialPayload()
-	for i := 0; i < opts.Messages; i++ {
-		dst := NodeMAC(1 + i%(chaosNodes-1))
-		tb.K.After(sim.Duration(i)*opts.Gap, func() { rel.Send(dst, payload) })
-	}
-
-	res := tb.K.RunUntilQuiescent(sim.QuiesceConfig{
-		Progress: func() uint64 {
-			s := rel.Stats()
-			return s.Delivered + s.Retransmits + s.GaveUp + recoveryEventCount(tb)
-		},
-		StallAfter: 300 * sim.Millisecond,
-		Deadline:   3 * sim.Second,
-		WallClock:  opts.WallClock,
-	})
-	tr.Quiesce = res.Outcome()
-	tr.Elapsed = res.Elapsed
-	tr.RecoveryEvents = recoveryEventCount(tb) - recovery0
-	tr.HeldOutputs = tb.Switch.HeldOutputs()
-	tr.Injections = tb.Injections() - injections0
-
-	mon.Stop()
-	tr.FlowsExported = mon.Ring().Exported() - flows0
-
-	s := rel.Stats()
-	accepted := s.Sent - rel0.Sent
-	tr.Delivered = s.Delivered - rel0.Delivered
-	tr.Retransmits = s.Retransmits - rel0.Retransmits
-	tr.GaveUp = s.GaveUp - rel0.GaveUp
-	switch {
-	case res.WallClockHit:
-		tr.Outcome = OutcomeWallClock
-	case rel.Outstanding() > 0 || tr.Delivered+tr.GaveUp < accepted:
-		// Accepted traffic neither delivered nor abandoned: a wedge.
-		tr.Outcome = OutcomeHung
-	case tr.HeldOutputs > 0:
-		// Drained, but a switch output is still owned — §4.3.1's
-		// forever-held path (a disabled watchdog let it stand).
-		tr.Outcome = OutcomeHung
-	case tr.Delivered == uint64(tr.Sent):
-		switch {
-		case tr.RecoveryEvents > 0:
-			tr.Outcome = OutcomeResetRecovered
-		case tr.Retransmits > 0:
-			tr.Outcome = OutcomeRetransmitted
-		default:
-			tr.Outcome = OutcomeMasked
-		}
-	default:
-		// Messages lost for good: abandoned by the transport or never
-		// sent because their sender died.
-		tr.Outcome = OutcomeDegraded
-	}
-
-	if faultAt, ok := firstFault(); ok {
-		tr.InjectedAt = sim.Duration(faultAt - b.start)
-		if e, found := mon.FirstEventAtOrAfter(faultAt); found {
-			tr.Detected = true
-			tr.DetectLatency = sim.Duration(e.Time - faultAt)
-			tr.DetectSource = e.Source + "/" + e.Detail
-		}
-	}
-	tr.Fingerprint = chaosFingerprint(tb, mon, b.rels)
-	return tr
 }
 
 // runForkChaosTrial cuts a fork from the warmed base and runs the plan on
@@ -487,12 +352,6 @@ func RunChaos(opts ChaosOptions) ChaosResult {
 	return ChaosResult{Seed: opts.Seed, Forks: opts.Forks, MaxK: opts.MaxK, Trials: trials}
 }
 
-// chaosOutcomeOrder fixes the tally rendering order.
-var chaosOutcomeOrder = []TrialOutcome{
-	OutcomeMasked, OutcomeRetransmitted, OutcomeResetRecovered,
-	OutcomeDegraded, OutcomeDropped, OutcomeHung, OutcomeWallClock, OutcomeError,
-}
-
 // chaosTrialLines caps the per-fork detail a sweep report prints; beyond
 // it only the aggregates follow (a 10k-fork sweep is not a line printer).
 const chaosTrialLines = 24
@@ -517,14 +376,7 @@ func FormatChaos(r ChaosResult) string {
 			t.GaveUp, t.RecoveryEvents, t.Injections,
 			formatDetection(t.verdict()), t.Quiesce, t.Elapsed.Seconds()*1000, t.Plan)
 	}
-	counts := CountOutcomes(r.Trials)
-	fmt.Fprintf(&b, "  tally:")
-	for _, o := range chaosOutcomeOrder {
-		if counts[o] > 0 {
-			fmt.Fprintf(&b, " %s=%d", o, counts[o])
-		}
-	}
-	fmt.Fprintf(&b, "\n")
+	writeTally(&b, "  tally:", CountOutcomes(r.Trials))
 	perK := make(map[int]map[TrialOutcome]int)
 	for _, t := range r.Trials {
 		if perK[t.K] == nil {
@@ -533,16 +385,9 @@ func FormatChaos(r ChaosResult) string {
 		perK[t.K][t.Outcome]++
 	}
 	for k := 1; k <= r.MaxK; k++ {
-		if perK[k] == nil {
-			continue
+		if perK[k] != nil {
+			writeTally(&b, fmt.Sprintf("  k=%d:", k), perK[k])
 		}
-		fmt.Fprintf(&b, "  k=%d:", k)
-		for _, o := range chaosOutcomeOrder {
-			if perK[k][o] > 0 {
-				fmt.Fprintf(&b, " %s=%d", o, perK[k][o])
-			}
-		}
-		fmt.Fprintf(&b, "\n")
 	}
 	det := ComputeDetection(r.Trials)
 	fmt.Fprintf(&b, "  detect: %d/%d non-masked (%.0f%%), %d/%d overall\n",

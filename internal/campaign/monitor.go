@@ -18,12 +18,7 @@ type MonitorOptions struct {
 }
 
 func (o *MonitorOptions) fillDefaults() {
-	if o.Messages < 3 {
-		o.Messages = 6
-	}
-	if o.Gap == 0 {
-		o.Gap = 10 * sim.Millisecond
-	}
+	o.Messages, o.Gap = workloadDefaults(o.Messages, o.Gap)
 }
 
 // TapTotals is one observation point's lifetime counters.
@@ -68,54 +63,33 @@ type MonitorResult struct {
 // traffic the whole way through.
 func RunMonitor(opts MonitorOptions) MonitorResult {
 	opts.fillDefaults()
-	tb := NewTestbed(TestbedConfig{Seed: opts.Seed, Recovery: trialRecovery})
-
-	tb.Configure("DIR L")
-	armSpan := sim.Duration(opts.Messages-2) * opts.Gap
+	w := freshWorld(NewTestbed(TestbedConfig{Seed: opts.Seed, Recovery: trialRecovery}))
 	// Land the GAP drop after the penultimate message's terminator: the
 	// final message's train then never terminates — the paper's wedge.
-	tb.K.After(armSpan+3*sim.Millisecond, func() {
-		tb.Console.Send(fmt.Sprintf(
-			"RULE ADD %d MODE ONCE ACT DROP PAT C0C", resilienceRuleID))
-	})
-
-	base := tb.K.Now()
-	horizon := base + sim.Time(armSpan+opts.Gap+60*sim.Millisecond)
-	mon, injected := armTrialMonitor(tb, horizon)
-
-	payload := trialPayload()
-	rel := reliableEndpoints(tb)[0]
+	wedge := Fault{Kind: FaultCorrupt, Delay: sim.Duration(opts.Messages-2)*opts.Gap + 3*sim.Millisecond,
+		Rule: fmt.Sprintf("RULE ADD %d MODE ONCE ACT DROP PAT C0C", resilienceRuleID)}
 	// A fixed destination: the wedged output is then the heartbeat path
 	// toward node 1, so the accrual detector sees the outage directly.
-	dst := NodeMAC(1)
-	for i := 0; i < opts.Messages; i++ {
-		tb.K.After(sim.Duration(i)*opts.Gap, func() { rel.Send(dst, payload) })
-	}
+	r := runTrial(w, []Fault{wedge}, trialWorkload{messages: opts.Messages, gap: opts.Gap, dst: 1}, 0)
 
-	tb.K.RunUntilQuiescent(sim.QuiesceConfig{
-		Progress: func() uint64 {
-			s := rel.Stats()
-			return s.Delivered + s.Retransmits + s.GaveUp + recoveryEventCount(tb)
-		},
-		StallAfter: 300 * sim.Millisecond,
-		Deadline:   3 * sim.Second,
-	})
-	mon.Stop()
-
-	s := rel.Stats()
+	mon := w.mon
 	res := MonitorResult{
 		Sent:           opts.Messages,
-		Delivered:      s.Delivered,
-		Retransmits:    s.Retransmits,
-		RecoveryEvents: recoveryEventCount(tb),
-		Injections:     tb.Injections(),
+		Delivered:      r.Delivered,
+		Retransmits:    r.Retransmits,
+		RecoveryEvents: r.RecoveryEvents,
+		Injections:     r.Injections,
 		Ticks:          mon.Ticks(),
 		Events:         append([]monitor.Event(nil), mon.Events()...),
-		FlowsExported:  mon.Ring().Exported(),
+		FlowsExported:  r.FlowsExported,
 		FlowsDropped:   mon.Ring().Dropped(),
 		Flows:          mon.Ring().Records(),
-		InjectedAt:     -1,
+		InjectedAt:     r.InjectedAt,
 		DetectLatency:  -1,
+		DetectSource:   r.DetectSource,
+	}
+	if r.Detected {
+		res.DetectLatency = r.DetectLatency
 	}
 	for _, t := range mon.Taps() {
 		bursts, chars, packets, control := t.Stats()
@@ -123,13 +97,6 @@ func RunMonitor(opts MonitorOptions) MonitorResult {
 			Name: t.Name(), Bursts: bursts, Chars: chars,
 			Packets: packets, Control: control,
 		})
-	}
-	if at, ok := injected(); ok {
-		res.InjectedAt = sim.Duration(at - base)
-		if e, found := mon.FirstEventAtOrAfter(at); found {
-			res.DetectLatency = sim.Duration(e.Time - at)
-			res.DetectSource = e.Source + "/" + e.Detail
-		}
 	}
 	return res
 }

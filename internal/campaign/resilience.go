@@ -1,10 +1,13 @@
 package campaign
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"sort"
 	"strings"
+	"sync/atomic"
+	"time"
 
 	"netfi/internal/host"
 	"netfi/internal/monitor"
@@ -37,6 +40,11 @@ const (
 	// as frozen progress or a switch output still owned after the network
 	// drained (§4.3.1's blocked-forever packet).
 	OutcomeHung TrialOutcome = "hung"
+	// OutcomeWallClock — the trial's real-time escape hatch tripped; the
+	// result is timing-dependent and reported apart.
+	OutcomeWallClock TrialOutcome = "wallclock"
+	// OutcomeError — the trial panicked; see ChaosTrial.Err.
+	OutcomeError TrialOutcome = "error"
 )
 
 // ResilienceTrial records one randomized injection and its triage.
@@ -108,12 +116,20 @@ func (o *ResilienceOptions) fillDefaults() {
 	if o.Trials == 0 {
 		o.Trials = 2 * len(faultFamilies)
 	}
-	if o.Messages < 3 {
-		o.Messages = 6
+	o.Messages, o.Gap = workloadDefaults(o.Messages, o.Gap)
+}
+
+// workloadDefaults fills a trial workload's unset size and pacing: 6
+// messages (at least 3, so a tail fault has a penultimate message to follow)
+// 10 ms apart.
+func workloadDefaults(messages int, gap sim.Duration) (int, sim.Duration) {
+	if messages < 3 {
+		messages = 6
 	}
-	if o.Gap == 0 {
-		o.Gap = 10 * sim.Millisecond
+	if gap == 0 {
+		gap = 10 * sim.Millisecond
 	}
+	return messages, gap
 }
 
 // resilienceRuleID is the rule slot every trial arms (one rule per trial;
@@ -213,7 +229,7 @@ func recoveryEventCount(tb *Testbed) uint64 {
 
 // armNetProbes adds the loss / recovery / wedge probes over the network
 // counters. They are campaign-owned closures, not part of any cloned world, so
-// chaos trials arm them per fork and resilience trials per rebuilt testbed.
+// runTrial arms them on whichever world runs.
 func armNetProbes(mon *monitor.Plane, tb *Testbed) {
 	mon.AddLossProbe("net.drops", func() uint64 {
 		var n uint64
@@ -231,103 +247,9 @@ func armNetProbes(mon *monitor.Plane, tb *Testbed) {
 	mon.AddWedgeProbe("sw0.held", func() int { return tb.Switch.HeldOutputs() })
 }
 
-// reliableEndpoints binds the reliable transport on every node, with RTOs
-// longer than trialRecovery's watchdogs.
-func reliableEndpoints(tb *Testbed) []*host.Reliable {
-	rels := make([]*host.Reliable, len(tb.Nodes))
-	for i, n := range tb.Nodes {
-		r, err := host.NewReliable(n, resiliencePort, host.ReliableConfig{
-			InitialRTO: 40 * sim.Millisecond,
-			MaxRTO:     80 * sim.Millisecond,
-			MaxRetries: 5,
-		})
-		if err != nil {
-			panic(err)
-		}
-		rels[i] = r
-	}
-	return rels
-}
-
-// trialPayload is the message body every resilience and chaos message
-// carries.
-func trialPayload() []byte {
-	payload := make([]byte, resiliencePayloadLen)
-	for i := range payload {
-		payload[i] = resiliencePayloadFill
-	}
-	return payload
-}
-
-// armPlane builds a trial's monitoring plane and starts it: flow-export taps
-// on every attached switch input and arrival-side accrual detectors on the
-// two lowest untapped nodes, fed by heartbeat beacons between them — beacons
-// never cross the injector's cable, preserving the workload discipline the
-// fault families rely on. The beacons and the sampling clock stop at horizon.
-// The beacon sockets carry no handler, so a chaos base clones as built.
-func armPlane(tb *Testbed, horizon sim.Time) (*monitor.Plane, []*host.Heartbeat) {
-	mon := monitor.NewPlane(tb.K, monitor.Config{
-		SampleInterval: sim.Millisecond,
-		FlowIdle:       25 * sim.Millisecond,
-	})
-	for p := 0; p < tb.Switch.Ports(); p++ {
-		if tb.Switch.Attached(p) {
-			mon.TapSwitchPort(tb.Switch, p, monitor.TapOptions{Flows: true})
-		}
-	}
-	var beat []int
-	for i := range tb.Nodes {
-		if i != tb.cfg.TapNode && len(beat) < 2 {
-			beat = append(beat, i)
-		}
-	}
-	var hbs []*host.Heartbeat
-	if len(beat) == 2 {
-		for _, i := range beat {
-			mon.TapInterface(tb.Nodes[i].Interface(), monitor.TapOptions{Detect: true})
-			if _, err := tb.Nodes[i].Bind(host.HeartbeatPort, nil); err != nil {
-				panic(err)
-			}
-		}
-		for i, src := range beat {
-			hb := host.NewHeartbeat(tb.K, tb.Nodes[src], host.HeartbeatConfig{
-				Dst: NodeMAC(beat[1-i]), Until: horizon,
-			})
-			hb.Start()
-			hbs = append(hbs, hb)
-		}
-	}
-	mon.SetStopAt(horizon)
-	mon.Start()
-	return mon, hbs
-}
-
-// markFirstFault hooks both injector engines. mark latches the time of its
-// first call — the hook calls it on every injection, and chaos faults that
-// bypass the injector call it themselves; first reports the latch.
-func markFirstFault(tb *Testbed) (mark func(), first func() (sim.Time, bool)) {
-	var at sim.Time
-	seen := false
-	mark = func() {
-		if !seen {
-			seen = true
-			at = tb.K.Now()
-		}
-	}
-	tb.Injector.Engine(DirOutbound).SetInjectionHook(mark)
-	tb.Injector.Engine(DirInbound).SetInjectionHook(mark)
-	return mark, func() (sim.Time, bool) { return at, seen }
-}
-
-// armTrialMonitor arms everything a rebuilt-per-trial testbed needs: the
-// plane, the network probes, and the first-fault latch, whose reader it
-// returns.
-func armTrialMonitor(tb *Testbed, horizon sim.Time) (*monitor.Plane, func() (sim.Time, bool)) {
-	mon, _ := armPlane(tb, horizon)
-	armNetProbes(mon, tb)
-	_, injected := markFirstFault(tb)
-	return mon, injected
-}
+// trialPayload is the message body every trial message carries. Senders
+// copy it, so every trial shares it read-only.
+var trialPayload = bytes.Repeat([]byte{resiliencePayloadFill}, resiliencePayloadLen)
 
 // trialRecovery is the recovery layer as the campaigns enable it: watchdogs
 // shorter than the transport's first RTO, so a wedge is broken by a reset
@@ -336,6 +258,300 @@ var trialRecovery = myrinet.RecoveryConfig{
 	Enabled:        true,
 	BlockedTimeout: 15 * sim.Millisecond,
 	StopWatchdog:   25 * sim.Millisecond,
+}
+
+// world is what a trial runs on: a test bed with its monitoring plane,
+// reliable endpoints and heartbeat beacons. A fresh world (freshWorld) is the
+// bed alone, and runTrial arms the rest once the faults are scheduled; a
+// warmed world (newChaosBase) carries them, with history, into a rebuilt
+// trial or into every fork cut from it.
+type world struct {
+	tb    *Testbed
+	mon   *monitor.Plane
+	rels  []*host.Reliable
+	hbs   []*host.Heartbeat
+	start sim.Time // trial start: fault onsets and sends count from here
+
+	// objects is how many objects a fork of this world registers with its
+	// mapper, learned from the first fork; later forks size the mapper's
+	// table to it up front. Forks run concurrently, hence the atomic.
+	objects atomic.Int64
+}
+
+// freshWorld readies a just-built bed: the injector's direction is set over
+// the console, and nothing else runs yet.
+func freshWorld(tb *Testbed) *world {
+	tb.Configure("DIR L")
+	return &world{tb: tb, start: tb.K.Now()}
+}
+
+// arm starts the world's monitoring plane: flow-export taps on every
+// attached switch input and arrival-side accrual detectors on the two lowest
+// untapped nodes, fed by heartbeat beacons between them — beacons never cross
+// the injector's cable, preserving the workload discipline the fault
+// families rely on. The beacons and the sampling clock stop horizon from
+// now. The beacon sockets carry no handler, so a chaos base clones as built.
+// With reliable set, arm also binds the reliable transport on every node,
+// with RTOs longer than trialRecovery's watchdogs.
+func (w *world) arm(horizon sim.Duration, reliable bool) {
+	tb, until := w.tb, w.tb.K.Now()+sim.Time(horizon)
+	w.mon = monitor.NewPlane(tb.K, monitor.Config{
+		SampleInterval: sim.Millisecond,
+		FlowIdle:       25 * sim.Millisecond,
+	})
+	for p := 0; p < tb.Switch.Ports(); p++ {
+		if tb.Switch.Attached(p) {
+			w.mon.TapSwitchPort(tb.Switch, p, monitor.TapOptions{Flows: true})
+		}
+	}
+	var beat []int
+	for i := range tb.Nodes {
+		if i != tb.cfg.TapNode && len(beat) < 2 {
+			beat = append(beat, i)
+		}
+	}
+	if len(beat) == 2 {
+		for _, i := range beat {
+			w.mon.TapInterface(tb.Nodes[i].Interface(), monitor.TapOptions{Detect: true})
+			if _, err := tb.Nodes[i].Bind(host.HeartbeatPort, nil); err != nil {
+				panic(err) // a constant port, bound once on a freshly built node
+			}
+		}
+		for i, src := range beat {
+			hb := host.NewHeartbeat(tb.K, tb.Nodes[src], host.HeartbeatConfig{
+				Dst: NodeMAC(beat[1-i]), Until: until,
+			})
+			hb.Start()
+			w.hbs = append(w.hbs, hb)
+		}
+	}
+	w.mon.SetStopAt(until)
+	w.mon.Start()
+	if !reliable {
+		return
+	}
+	w.rels = make([]*host.Reliable, len(tb.Nodes))
+	for i, n := range tb.Nodes {
+		r, err := host.NewReliable(n, resiliencePort, host.ReliableConfig{
+			InitialRTO: 40 * sim.Millisecond,
+			MaxRTO:     80 * sim.Millisecond,
+			MaxRetries: 5,
+		})
+		if err != nil {
+			panic(err) // a constant port, bound once on a freshly built node
+		}
+		w.rels[i] = r
+	}
+}
+
+// trialWorkload is what a trial offers: messages payloads from the tapped
+// node, gap apart, to node dst — or, when dst is 0, to each peer in turn.
+type trialWorkload struct {
+	messages int
+	gap      sim.Duration
+	dst      int
+	// plainUDP sends bare datagrams, the paper's stack, in place of the
+	// reliable transport: nothing is acknowledged and nothing retried.
+	plainUDP bool
+}
+
+// trialResult is what runTrial observed: the fields both trial records
+// share, plus what triage reads. Counters are the trial's own: a warmed
+// world's history is subtracted.
+type trialResult struct {
+	Outcome        TrialOutcome
+	Quiesce        string
+	Elapsed        sim.Duration
+	Outstanding    int // messages the reliable transport still holds
+	Delivered      uint64
+	Retransmits    uint64
+	GaveUp         uint64
+	RecoveryEvents uint64
+	Injections     uint64
+	HeldOutputs    int
+	InjectedAt     sim.Duration // first fault onset from world start; -1 when none landed
+	Detected       bool
+	DetectLatency  sim.Duration
+	DetectSource   string
+	FlowsExported  uint64
+}
+
+// runTrial is the one trial procedure: schedule the faults on w, offer the
+// workload, run to quiescence (for at most wallClock of real time, when
+// nonzero), triage, and read the detection axis off the plane.
+func runTrial(w *world, faults []Fault, wl trialWorkload, wallClock time.Duration) trialResult {
+	tb := w.tb
+	// The first observable fault onset: node deaths and severs mark it at
+	// their scheduled instant, corrupt rules when the injector fires. The
+	// injection hooks are campaign-owned, so a fork re-arms them here.
+	var faultAt sim.Time
+	faulted := false
+	mark := func() {
+		if !faulted {
+			faulted, faultAt = true, tb.K.Now()
+		}
+	}
+	tb.Injector.Engine(DirOutbound).SetInjectionHook(mark)
+	tb.Injector.Engine(DirInbound).SetInjectionHook(mark)
+	for _, f := range faults {
+		switch f.Kind {
+		case FaultNodeDeath, FaultLinkSever:
+			node := tb.Nodes[f.Node]
+			cable, kill := tb.Net.Cables[node.Name()], f.Kind == FaultNodeDeath
+			tb.K.After(f.Delay, func() {
+				if kill {
+					node.Kill()
+				}
+				cable.Sever()
+				mark()
+			})
+		case FaultWatchdogOff:
+			tb.K.After(f.Delay, func() {
+				tb.Switch.SetRecovery(myrinet.RecoveryConfig{})
+			})
+		case FaultCorrupt:
+			rule := f.Rule
+			tb.K.After(f.Delay, func() { tb.Console.Send(rule) })
+		}
+	}
+	if w.mon == nil {
+		// A fresh world. The beacons and the sampling clock end past the
+		// last message and every recovery watchdog, so the detectors cover
+		// the whole fault window yet the queue still drains in healthy
+		// trials (and end-of-workload silence is never mistaken for
+		// failure).
+		w.arm(sim.Duration(wl.messages-1)*wl.gap+60*sim.Millisecond, !wl.plainUDP)
+	}
+	mon := w.mon
+	armNetProbes(mon, tb)
+	// Baselines: a warmed world carries its warm-up's counters.
+	recovery0, flows0, injections0 := recoveryEventCount(tb), mon.Ring().Exported(), tb.Injections()
+
+	// The workload. Plain UDP shows progress as datagrams received or
+	// forwarded, the reliable transport as messages settled or paths reset.
+	tap, rels, plain := tb.TapNode(), w.rels, wl.plainUDP
+	for i := 0; i < wl.messages; i++ {
+		dst := wl.dst
+		if dst == 0 {
+			dst = 1 + i%(len(tb.Nodes)-1)
+		}
+		to := NodeMAC(dst)
+		tb.K.After(sim.Duration(i)*wl.gap, func() {
+			if plain {
+				tap.SendUDP(to, resiliencePort, resiliencePort, trialPayload)
+			} else {
+				rels[0].Send(to, trialPayload)
+			}
+		})
+	}
+	var progress func() uint64
+	var socks []*host.Socket
+	var rel0 host.ReliableStats
+	if plain {
+		socks = make([]*host.Socket, len(tb.Nodes))
+		for i, n := range tb.Nodes {
+			s, err := n.Bind(resiliencePort, nil)
+			if err != nil {
+				panic(err) // a constant port, bound once on a freshly built node
+			}
+			socks[i] = s
+		}
+		progress = func() uint64 {
+			n := received(socks)
+			for p := 0; p < tb.Switch.Ports(); p++ {
+				n += tb.Switch.PortCounters(p).PacketsForwarded
+			}
+			return n
+		}
+	} else {
+		rel0 = rels[0].Stats()
+		progress = func() uint64 {
+			s := rels[0].Stats()
+			return s.Delivered + s.Retransmits + s.GaveUp + recoveryEventCount(tb)
+		}
+	}
+
+	q := tb.K.RunUntilQuiescent(sim.QuiesceConfig{
+		Progress:   progress,
+		StallAfter: 300 * sim.Millisecond,
+		Deadline:   3 * sim.Second,
+		WallClock:  wallClock,
+	})
+	r := trialResult{
+		Quiesce:        q.Outcome(),
+		Elapsed:        q.Elapsed,
+		Delivered:      received(socks),
+		RecoveryEvents: recoveryEventCount(tb) - recovery0,
+		Injections:     tb.Injections() - injections0,
+		HeldOutputs:    tb.Switch.HeldOutputs(),
+		InjectedAt:     -1,
+	}
+	mon.Stop()
+	r.FlowsExported = mon.Ring().Exported() - flows0
+	if !plain {
+		rel := rels[0]
+		s := rel.Stats()
+		r.Outstanding = rel.Outstanding()
+		r.Delivered = s.Delivered - rel0.Delivered
+		r.Retransmits = s.Retransmits - rel0.Retransmits
+		r.GaveUp = s.GaveUp - rel0.GaveUp
+	}
+	r.Outcome = triage(q, r, wl.messages, !plain)
+	if faulted {
+		r.InjectedAt = sim.Duration(faultAt - w.start)
+		if e, found := mon.FirstEventAtOrAfter(faultAt); found {
+			r.Detected = true
+			r.DetectLatency = sim.Duration(e.Time - faultAt)
+			r.DetectSource = e.Source + "/" + e.Detail
+		}
+	}
+	return r
+}
+
+// received sums the datagrams the sockets handed to their application.
+func received(socks []*host.Socket) uint64 {
+	var n uint64
+	for _, s := range socks {
+		n += s.Received()
+	}
+	return n
+}
+
+// triage classifies a finished trial of sent messages. Every sign of a wedge
+// is a hang, whichever workload ran. The rest is keyed on the workload: only
+// a transport that retries can hold messages, retransmit, or need a reset to
+// deliver, and what it loses it has degraded; plain UDP's losses are drops.
+func triage(q sim.QuiesceResult, r trialResult, sent int, retries bool) TrialOutcome {
+	switch {
+	case q.WallClockHit:
+		return OutcomeWallClock
+	case retries && r.Outstanding > 0:
+		// Accepted traffic neither delivered nor abandoned. (The
+		// transport's Sent is always Delivered + GaveUp + Outstanding, so
+		// no separate count of accepted messages is needed.)
+		return OutcomeHung
+	case q.Stalled || q.DeadlineHit:
+		// Progress froze with events pending, or never settled.
+		return OutcomeHung
+	case r.HeldOutputs > 0:
+		// Drained, but a switch output is still owned: §4.3.1's
+		// forever-held path, waiting for a GAP that will never come.
+		return OutcomeHung
+	case r.Delivered != uint64(sent) && retries:
+		// Abandoned by the transport, or never sent because the sender
+		// died.
+		return OutcomeDegraded
+	case r.Delivered != uint64(sent):
+		return OutcomeDropped
+	case !retries:
+		return OutcomeMasked
+	case r.RecoveryEvents > 0:
+		return OutcomeResetRecovered
+	case r.Retransmits > 0:
+		return OutcomeRetransmitted
+	default:
+		return OutcomeMasked
+	}
 }
 
 // runResilienceTrial executes one fault injection against a fresh testbed.
@@ -347,12 +563,11 @@ func runResilienceTrial(seed int64, trial int, opts ResilienceOptions, recovery 
 		rc = trialRecovery
 	}
 	tb := NewTestbed(TestbedConfig{Seed: seed, Recovery: rc})
-	nodes := len(tb.Nodes)
 
 	// Fix the fault before any other randomness so recovery-on and -off
 	// runs of one seed inject identically.
 	fam := faultFamilies[trial%len(faultFamilies)]
-	plan := fam.build(tb.K.Rand(), nodes)
+	plan := fam.build(tb.K.Rand(), len(tb.Nodes))
 	armSpan := sim.Duration(opts.Messages-2) * opts.Gap
 	var armAt sim.Duration
 	if plan.tail {
@@ -363,131 +578,19 @@ func runResilienceTrial(seed int64, trial int, opts ResilienceOptions, recovery 
 		armAt = sim.Duration(tb.K.Rand().Int63n(int64(armSpan)))
 	}
 
-	tb.Configure("DIR L")
-	cmd := plan.cmd
-	tb.K.After(armAt, func() { tb.Console.Send(cmd) })
-
-	tr := ResilienceTrial{
-		ID:         trial,
-		Family:     fam.name,
-		Command:    cmd,
-		ArmAt:      armAt,
-		Sent:       opts.Messages,
-		InjectedAt: -1,
+	r := runTrial(freshWorld(tb),
+		[]Fault{{Kind: FaultCorrupt, Rule: plan.cmd, Family: fam.name, Delay: armAt}},
+		trialWorkload{messages: opts.Messages, gap: opts.Gap, plainUDP: !recovery}, 0)
+	return ResilienceTrial{
+		ID: trial, Family: fam.name, Command: plan.cmd, ArmAt: armAt,
+		Outcome: r.Outcome, Quiesce: r.Quiesce, Elapsed: r.Elapsed, Sent: opts.Messages,
+		Delivered: r.Delivered, Retransmits: r.Retransmits, GaveUp: r.GaveUp,
+		RecoveryEvents: r.RecoveryEvents, Injections: r.Injections,
+		ResetsOnWire: tb.Injector.Engine(DirOutbound).ResetsSeen() +
+			tb.Injector.Engine(DirInbound).ResetsSeen(),
+		HeldOutputs: r.HeldOutputs, InjectedAt: r.InjectedAt, Detected: r.Detected,
+		DetectLatency: r.DetectLatency, DetectSource: r.DetectSource, FlowsExported: r.FlowsExported,
 	}
-
-	// Arm the monitoring plane. base is traffic start; the heartbeat
-	// beacons and the sampling clock both end at a horizon comfortably
-	// past the last workload message and every recovery watchdog, so the
-	// detectors cover the whole fault window yet the event queue still
-	// drains in healthy trials (and end-of-workload silence is never
-	// mistaken for failure).
-	base := tb.K.Now()
-	horizon := base + sim.Time(armSpan+opts.Gap+60*sim.Millisecond)
-	mon, injected := armTrialMonitor(tb, horizon)
-
-	payload := trialPayload()
-
-	var progress func() uint64
-	var rel *host.Reliable
-	received := 0
-	if recovery {
-		rel = reliableEndpoints(tb)[0]
-		for i := 0; i < opts.Messages; i++ {
-			dst := NodeMAC(1 + i%(nodes-1))
-			tb.K.After(sim.Duration(i)*opts.Gap, func() { rel.Send(dst, payload) })
-		}
-		progress = func() uint64 {
-			s := rel.Stats()
-			return s.Delivered + s.Retransmits + s.GaveUp + recoveryEventCount(tb)
-		}
-	} else {
-		for _, n := range tb.Nodes {
-			if _, err := n.Bind(resiliencePort, func(myrinet.MAC, uint16, []byte) {
-				received++
-			}); err != nil {
-				panic(err)
-			}
-		}
-		tap := tb.TapNode()
-		for i := 0; i < opts.Messages; i++ {
-			dst := NodeMAC(1 + i%(nodes-1))
-			tb.K.After(sim.Duration(i)*opts.Gap, func() {
-				tap.SendUDP(dst, resiliencePort, resiliencePort, payload)
-			})
-		}
-		progress = func() uint64 {
-			n := uint64(received)
-			for p := 0; p < tb.Switch.Ports(); p++ {
-				n += tb.Switch.PortCounters(p).PacketsForwarded
-			}
-			return n
-		}
-	}
-
-	res := tb.K.RunUntilQuiescent(sim.QuiesceConfig{
-		Progress:   progress,
-		StallAfter: 300 * sim.Millisecond,
-		Deadline:   3 * sim.Second,
-	})
-	tr.Quiesce = res.Outcome()
-	tr.Elapsed = res.Elapsed
-	tr.RecoveryEvents = recoveryEventCount(tb)
-	tr.HeldOutputs = tb.Switch.HeldOutputs()
-	_, _, injOut := tb.Injector.Engine(DirOutbound).Stats()
-	_, _, injIn := tb.Injector.Engine(DirInbound).Stats()
-	tr.Injections = injOut + injIn
-	tr.ResetsOnWire = tb.Injector.Engine(DirOutbound).ResetsSeen() +
-		tb.Injector.Engine(DirInbound).ResetsSeen()
-
-	mon.Stop()
-	tr.FlowsExported = mon.Ring().Exported()
-	if at, ok := injected(); ok {
-		tr.InjectedAt = sim.Duration(at - base)
-		if e, found := mon.FirstEventAtOrAfter(at); found {
-			tr.Detected = true
-			tr.DetectLatency = sim.Duration(e.Time - at)
-			tr.DetectSource = e.Source + "/" + e.Detail
-		}
-	}
-
-	if recovery {
-		s := rel.Stats()
-		tr.Delivered = s.Delivered
-		tr.Retransmits = s.Retransmits
-		tr.GaveUp = s.GaveUp
-		switch {
-		case res.Stalled || res.DeadlineHit || rel.Outstanding() > 0:
-			tr.Outcome = OutcomeHung
-		case s.Delivered == uint64(tr.Sent):
-			switch {
-			case tr.RecoveryEvents > 0:
-				tr.Outcome = OutcomeResetRecovered
-			case s.Retransmits > 0:
-				tr.Outcome = OutcomeRetransmitted
-			default:
-				tr.Outcome = OutcomeMasked
-			}
-		default:
-			tr.Outcome = OutcomeDegraded
-		}
-		return tr
-	}
-
-	tr.Delivered = uint64(received)
-	switch {
-	case res.Stalled || res.DeadlineHit:
-		tr.Outcome = OutcomeHung
-	case tr.HeldOutputs > 0:
-		// The network drained but a switch output is still owned: the
-		// §4.3.1 wedge, waiting for a GAP that will never come.
-		tr.Outcome = OutcomeHung
-	case received == tr.Sent:
-		tr.Outcome = OutcomeMasked
-	default:
-		tr.Outcome = OutcomeDropped
-	}
-	return tr
 }
 
 // RunResilience sweeps randomized injections with the recovery layer
@@ -511,25 +614,18 @@ func RunResilience(opts ResilienceOptions) ResilienceResult {
 	return res
 }
 
-// trialVerdict is what the tallies and the detection axis read from a trial
-// of either campaign.
-type trialVerdict struct {
-	Outcome       TrialOutcome
-	InjectedAt    sim.Duration
-	Detected      bool
-	DetectLatency sim.Duration
-	DetectSource  string
+// triaged is a trial record the shared tallies accept: verdict gives back
+// the outcome and detection axis of the trialResult it was built from.
+type triaged interface{ verdict() trialResult }
+
+func (t ResilienceTrial) verdict() trialResult {
+	return trialResult{Outcome: t.Outcome, InjectedAt: t.InjectedAt,
+		Detected: t.Detected, DetectLatency: t.DetectLatency, DetectSource: t.DetectSource}
 }
 
-// triaged is a trial type the shared tallies accept.
-type triaged interface{ verdict() trialVerdict }
-
-func (t ResilienceTrial) verdict() trialVerdict {
-	return trialVerdict{t.Outcome, t.InjectedAt, t.Detected, t.DetectLatency, t.DetectSource}
-}
-
-func (t ChaosTrial) verdict() trialVerdict {
-	return trialVerdict{t.Outcome, t.InjectedAt, t.Detected, t.DetectLatency, t.DetectSource}
+func (t ChaosTrial) verdict() trialResult {
+	return trialResult{Outcome: t.Outcome, InjectedAt: t.InjectedAt,
+		Detected: t.Detected, DetectLatency: t.DetectLatency, DetectSource: t.DetectSource}
 }
 
 // CountOutcomes tallies a sweep's triage.
@@ -600,7 +696,7 @@ func (s DetectionStats) Quantile(q float64) sim.Duration {
 }
 
 // formatDetection renders a trial's detection cell.
-func formatDetection(t trialVerdict) string {
+func formatDetection(t trialResult) string {
 	switch {
 	case t.InjectedAt < 0:
 		return "-"
@@ -622,6 +718,24 @@ func FormatDetectionCDF(s DetectionStats) string {
 	return b.String()
 }
 
+// outcomeOrder fixes the tally rendering order.
+var outcomeOrder = []TrialOutcome{
+	OutcomeMasked, OutcomeRetransmitted, OutcomeResetRecovered,
+	OutcomeDegraded, OutcomeDropped, OutcomeHung, OutcomeWallClock, OutcomeError,
+}
+
+// writeTally renders label and then each outcome's count, non-zero ones
+// only, in outcomeOrder.
+func writeTally(b *strings.Builder, label string, counts map[TrialOutcome]int) {
+	b.WriteString(label)
+	for _, o := range outcomeOrder {
+		if counts[o] > 0 {
+			fmt.Fprintf(b, " %s=%d", o, counts[o])
+		}
+	}
+	b.WriteString("\n")
+}
+
 // FormatResilience renders both sweeps, their tallies, and the detection
 // axis the monitoring plane adds.
 func FormatResilience(r ResilienceResult) string {
@@ -634,15 +748,7 @@ func FormatResilience(r ResilienceResult) string {
 				t.Retransmits, t.GaveUp, t.RecoveryEvents, t.Injections,
 				formatDetection(t.verdict()), t.Quiesce, t.Elapsed.Seconds()*1000)
 		}
-		counts := CountOutcomes(trials)
-		fmt.Fprintf(&b, "  tally:")
-		for _, o := range []TrialOutcome{OutcomeMasked, OutcomeRetransmitted,
-			OutcomeResetRecovered, OutcomeDegraded, OutcomeDropped, OutcomeHung} {
-			if counts[o] > 0 {
-				fmt.Fprintf(&b, " %s=%d", o, counts[o])
-			}
-		}
-		fmt.Fprintf(&b, "\n")
+		writeTally(&b, "  tally:", CountOutcomes(trials))
 		det := ComputeDetection(trials)
 		fmt.Fprintf(&b, "  detect: %d/%d non-masked (%.0f%%), %d/%d overall, p50=%.1fms p90=%.1fms max=%.1fms\n",
 			det.DetectedNonMasked, det.NonMasked, 100*det.CoverageNonMasked(),
