@@ -271,11 +271,7 @@ func jsonReport(name string, o expOpts) (string, error) {
 	var v any
 	switch name {
 	case "resilience":
-		res := campaign.RunResilience(campaign.ResilienceOptions{
-			Seed:    o.seed,
-			Trials:  int(14 * o.scale),
-			Workers: o.workers,
-		})
+		res := campaign.RunResilience(resilienceOptions(o))
 		v = jsonResilience{
 			Section: "resilience", Seed: o.seed,
 			RecoveryOn:  viewSweep(res.Trials),

@@ -79,6 +79,13 @@ type expOpts struct {
 	stats    bool
 }
 
+// count scales a full-length run's count n by -scale, flooring at 1: a
+// campaign option reads 0 as "use the default", so a small scale must not
+// round down into a full-length run.
+func (o expOpts) count(n int) int {
+	return max(1, int(float64(n)*o.scale))
+}
+
 func run(args []string) int {
 	fs := flag.NewFlagSet("netfi", flag.ContinueOnError)
 	seed := fs.Int64("seed", 1, "simulation seed")
@@ -222,7 +229,7 @@ func table1(expOpts) string {
 func table2(o expOpts) string {
 	rows := campaign.RunTable2(campaign.Table2Options{
 		Seed:    o.seed,
-		Rounds:  int(20_000 * o.scale),
+		Rounds:  o.count(20_000),
 		Workers: o.workers,
 	})
 	return "Table 2: latency measurements (UDP ping-pong, with/without injector)\n" +
@@ -275,13 +282,19 @@ func multirule(o expOpts) string {
 }
 
 func resilience(o expOpts) string {
-	res := campaign.RunResilience(campaign.ResilienceOptions{
-		Seed:    o.seed,
-		Trials:  int(14 * o.scale),
-		Workers: o.workers,
-	})
+	res := campaign.RunResilience(resilienceOptions(o))
 	return "Resilience campaign: randomized injections, recovery on vs off (same seeds)\n" +
 		campaign.FormatResilience(res)
+}
+
+// resilienceOptions derives the campaign shape from the shared knobs: 14
+// trial pairs at scale 1.
+func resilienceOptions(o expOpts) campaign.ResilienceOptions {
+	return campaign.ResilienceOptions{
+		Seed:    o.seed,
+		Trials:  o.count(14),
+		Workers: o.workers,
+	}
 }
 
 // chaosOptions derives the sweep shape from the shared knobs: 1000 forks
@@ -289,7 +302,7 @@ func resilience(o expOpts) string {
 func chaosOptions(o expOpts) campaign.ChaosOptions {
 	return campaign.ChaosOptions{
 		Seed:    o.seed,
-		Forks:   int(1000 * o.scale),
+		Forks:   o.count(1000),
 		MaxK:    2,
 		Workers: o.workers,
 	}

@@ -174,3 +174,31 @@ func checkGolden(t *testing.T, name string, args ...string) {
 		t.Fatalf("output is a prefix of testdata/%s (%d of %d lines)", name, len(gl), len(wl))
 	}
 }
+
+// TestScaledCounts: every count -scale derives is at least 1 and never
+// shrinks as the scale grows. A count that rounds to 0 would read as "use
+// the default" and run a full-length campaign (int(14*0.05) once gave 14
+// resilience trial pairs while -scale 0.1 gave 1).
+func TestScaledCounts(t *testing.T) {
+	counts := func(scale float64) map[string]int {
+		o := expOpts{scale: scale}
+		return map[string]int{
+			"resilience trials": resilienceOptions(o).Trials,
+			"chaos forks":       chaosOptions(o).Forks,
+			"table2 rounds":     o.count(20_000),
+		}
+	}
+	var prev map[string]int
+	for _, scale := range []float64{1e-4, 0.05, 0.1, 1} {
+		cur := counts(scale)
+		for name, n := range cur {
+			if n < 1 {
+				t.Errorf("scale %v: %s = %d, want >= 1", scale, name, n)
+			}
+			if prev != nil && n < prev[name] {
+				t.Errorf("scale %v: %s = %d, fewer than %d at the smaller scale", scale, name, n, prev[name])
+			}
+		}
+		prev = cur
+	}
+}
