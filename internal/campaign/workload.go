@@ -89,10 +89,7 @@ func (tb *Testbed) StartLoad(cfg LoadConfig) *Load {
 		perNodeRecv: make([]uint64, len(tb.Nodes)),
 	}
 	for i, n := range tb.Nodes {
-		i := i
-		s, err := n.Bind(loadDstPort, func(_ myrinet.MAC, _ uint16, data []byte) {
-			l.onReceive(i, data)
-		})
+		s, err := n.Bind(loadDstPort, l.receiver(i))
 		if err != nil {
 			panic(err)
 		}
@@ -102,6 +99,11 @@ func (tb *Testbed) StartLoad(cfg LoadConfig) *Load {
 	tb.load = l
 	l.tick()
 	return l
+}
+
+// receiver is node i's delivery handler.
+func (l *Load) receiver(i int) func(myrinet.MAC, uint16, []byte) {
+	return func(_ myrinet.MAC, _ uint16, data []byte) { l.onReceive(i, data) }
 }
 
 // Stop halts the burst schedule (in-flight packets still drain).

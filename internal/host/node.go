@@ -307,13 +307,13 @@ func firePendingSend(a any) {
 func (s *pendingSend) CloneSimArg(m *sim.Mapper) any {
 	n2, ok := m.Lookup(s.n)
 	if !ok {
-		panic("host: fork: pending send references an uncloned node")
+		m.Fail(fmt.Errorf("host: fork: pending send references an uncloned node"))
+		return nil
 	}
-	return &pendingSend{
-		n:     n2.(*Node),
-		dst:   s.dst,
-		dgram: append([]byte(nil), s.dgram...),
-	}
+	s2 := new(pendingSend)
+	*s2 = *s
+	s2.n, s2.dgram = n2.(*Node), append([]byte(nil), s.dgram...)
+	return s2
 }
 
 // onDatagram is the NIC delivery path: checksum and demultiplex at

@@ -6,10 +6,11 @@ import (
 	"netfi/internal/sim"
 )
 
-// Fork support (see sim/clone.go). The monitoring plane's cloning rules:
+// Fork support (see sim/clone.go). A clone is a struct copy; what never
+// crosses a fork is listed in the clone. The monitoring plane's rules:
 //
-//   - Taps register in the mapper so the myrinet layer's deferred tap
-//     lookups (LinkController.Clone) land on the fork's observation points.
+//   - Taps register in the mapper so the myrinet layer's tap rebinds
+//     (LinkController.Clone) land on the fork's observation points.
 //   - Probes are NOT cloned: their counter/gauge closures capture
 //     campaign-owned objects of the old world. A campaign that wants probes
 //     in the fork re-adds them post-fork against the cloned objects —
@@ -21,7 +22,7 @@ import (
 
 // Clone copies the accrual detector's inter-arrival window and clock.
 func (d *PhiDetector) Clone() *PhiDetector {
-	d2 := &PhiDetector{}
+	d2 := new(PhiDetector)
 	*d2 = *d
 	d2.samples = append([]sim.Duration(nil), d.samples...)
 	return d2
@@ -29,7 +30,8 @@ func (d *PhiDetector) Clone() *PhiDetector {
 
 // Clone copies the shift detector: frozen/accruing baseline and the EWMA.
 func (d *ShiftDetector) Clone() *ShiftDetector {
-	d2 := &ShiftDetector{base: d.base, warmup: d.warmup, zmax: d.zmax}
+	d2 := new(ShiftDetector)
+	*d2 = *d
 	e := *d.recent
 	d2.recent = &e
 	return d2
@@ -38,7 +40,7 @@ func (d *ShiftDetector) Clone() *ShiftDetector {
 // Clone copies the export ring: buffered records, oldest first, into a
 // backing array no larger than they need, and the drop accounting.
 func (r *ExportRing) Clone() *ExportRing {
-	r2 := &ExportRing{}
+	r2 := new(ExportRing)
 	*r2 = *r
 	r2.buf, r2.head = nil, 0
 	if r.count > 0 {
@@ -53,21 +55,18 @@ func (r *ExportRing) Clone() *ExportRing {
 // flowState can sit in both the order slice (dead, pre-compaction) and the
 // free list, so identity is preserved through a local translation map.
 func (t *FlowTable) Clone(ring *ExportRing) *FlowTable {
-	t2 := &FlowTable{
-		tap:     t.tap,
-		active:  make(map[FlowKey]*flowState, len(t.active)),
-		ring:    ring,
-		idle:    t.idle,
-		flows:   t.flows,
-		packets: t.packets,
-		bytes:   t.bytes,
-	}
+	t2 := new(FlowTable)
+	*t2 = *t
+	t2.ring = ring
+	t2.active = make(map[FlowKey]*flowState, len(t.active))
+	t2.order, t2.free = nil, nil
 	states := make(map[*flowState]*flowState, len(t.order)+len(t.free))
 	dup := func(st *flowState) *flowState {
 		if st2, ok := states[st]; ok {
 			return st2
 		}
-		st2 := &flowState{rec: st.rec, dead: st.dead}
+		st2 := new(flowState)
+		*st2 = *st
 		states[st] = st2
 		return st2
 	}
@@ -90,9 +89,9 @@ func (t *FlowTable) Clone(ring *ExportRing) *FlowTable {
 }
 
 // clone copies the tap into the fork plane, registering it so stream owners
-// (link controllers) rewire to it in the deferred pass.
+// (link controllers) rebind to it at Finish.
 func (t *Tap) clone(m *sim.Mapper, p2 *Plane) *Tap {
-	t2 := &Tap{}
+	t2 := new(Tap)
 	*t2 = *t // name, burst clock, reassembly buffer, counters
 	t2.plane = p2
 	if t.flows != nil {
@@ -116,13 +115,12 @@ func (t *Tap) clone(m *sim.Mapper, p2 *Plane) *Tap {
 // cross the fork (see the package rules above). A plane detector that no tap
 // owns has no counterpart in the fork; it fails the fork through m.
 func (p *Plane) Clone(m *sim.Mapper) *Plane {
-	p2 := &Plane{
-		k:             m.Kernel(),
-		cfg:           p.cfg,
-		ring:          p.ring.Clone(),
-		events:        append([]Event(nil), p.events...),
-		eventOverflow: p.eventOverflow,
-	}
+	p2 := new(Plane)
+	*p2 = *p
+	p2.k = m.Kernel()
+	p2.ring = p.ring.Clone()
+	p2.events = append([]Event(nil), p.events...)
+	p2.taps, p2.detectors, p2.probes = nil, nil, nil
 	m.Put(p, p2)
 	p.ticker.CloneInto(m, &p2.ticker, p2)
 	if len(p.taps) > 0 {
@@ -139,11 +137,10 @@ func (p *Plane) Clone(m *sim.Mapper) *Plane {
 				m.Fail(fmt.Errorf("monitor: fork: detector %s does not belong to any tap", pd.name))
 				continue
 			}
-			p2.detectors[i] = &planeDetector{
-				name:      pd.name,
-				d:         v.(*PhiDetector),
-				suspected: pd.suspected,
-			}
+			pd2 := new(planeDetector)
+			*pd2 = *pd
+			pd2.d = v.(*PhiDetector)
+			p2.detectors[i] = pd2
 		}
 	}
 	return p2

@@ -444,7 +444,8 @@ func (w *outputWake) CloneSimArg(m *sim.Mapper) any {
 	waiter, ok1 := m.Lookup(w.waiter)
 	out, ok2 := m.Lookup(w.out)
 	if !ok1 || !ok2 {
-		panic("myrinet: fork: wake references an uncloned switch port")
+		m.Fail(fmt.Errorf("myrinet: fork: wake references an uncloned switch port"))
+		return nil
 	}
 	return &outputWake{waiter: waiter.(*switchPort), out: out.(*switchPort)}
 }

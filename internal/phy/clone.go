@@ -6,15 +6,16 @@ import (
 	"netfi/internal/sim"
 )
 
-// Fork support (see sim/clone.go). Links are pure state plus one
-// cross-reference — the receiver — which resolves in the mapper's deferred
-// pass so wiring order never matters. A pending burst delivery clones by
-// copying its characters into a buffer drawn from the fork kernel's own
-// pool: the old world will deliver (and possibly release) the original, so
-// the fork must not alias it. Pools are per kernel (see pool.go) and
-// Kernel.Clone starts the fork with an empty one, so a fork never touches
-// the base's free lists and concurrent forks of one base share nothing but
-// the mutex-guarded depot.
+// Fork support (see sim/clone.go). A clone is a struct copy; what never
+// crosses a fork is listed in the clone. A link is pure state plus one
+// cross-reference — the receiver — which Rebind resolves at Finish so wiring
+// order never matters. A pending burst delivery clones by copying its
+// characters into a buffer drawn from the fork kernel's own pool: the old
+// world will deliver (and possibly release) the original, so the fork must
+// not alias it. Pools are per kernel (see pool.go) and Kernel.Clone starts
+// the fork with an empty one, so a fork never touches the base's free lists
+// and concurrent forks of one base share nothing but the mutex-guarded
+// depot.
 
 // CloneSimArg implements sim.ArgClonable for pending burst deliveries. A
 // delivery to a receiver nobody cloned fails the fork.
@@ -39,36 +40,19 @@ func (l *Link) Clone(m *sim.Mapper) *Link {
 	if l.sink != nil {
 		m.Fail(fmt.Errorf("phy: fork: link %s has a delivery sink; channelized fabrics do not fork", l.name))
 	}
-	l2 := &Link{
-		k:            m.Kernel(),
-		pool:         PoolOf(m.Kernel()),
-		name:         l.name,
-		charPeriod:   l.charPeriod,
-		propDelay:    l.propDelay,
-		busyUntil:    l.busyUntil,
-		severed:      l.severed,
-		chars:        l.chars,
-		bursts:       l.bursts,
-		severedChars: l.severedChars,
-	}
+	l2 := new(Link)
+	*l2 = *l
+	l2.k, l2.pool, l2.sink = m.Kernel(), PoolOf(m.Kernel()), nil
 	m.Put(l, l2)
-	m.Defer(func() error {
-		dst, ok := m.Lookup(l.dst)
-		if !ok {
-			return fmt.Errorf("phy: fork: link %s delivers to uncloned receiver %T", l.name, l.dst)
-		}
-		l2.dst = dst.(Receiver)
-		return nil
-	})
+	sim.Rebind(m, &l2.dst, l.dst)
 	return l2
 }
 
 // Clone forks both directions of the cable.
 func (c *Cable) Clone(m *sim.Mapper) *Cable {
-	c2 := &Cable{
-		LeftToRight: c.LeftToRight.Clone(m),
-		RightToLeft: c.RightToLeft.Clone(m),
-	}
+	c2 := new(Cable)
+	*c2 = *c
+	c2.LeftToRight, c2.RightToLeft = c.LeftToRight.Clone(m), c.RightToLeft.Clone(m)
 	m.Put(c, c2)
 	return c2
 }

@@ -8,7 +8,7 @@ package rules
 // beyond the automaton position already copied here. Forked campaigns use
 // this to duplicate a warmed injector without recompiling.
 func (e *Executor) Clone() *Executor {
-	e2 := &Executor{}
+	e2 := new(Executor)
 	*e2 = *e // p (shared), dfa, symbols, onceFired, quiet (value array)
 	if e.lanes != nil {
 		e2.lanes = append([]uint64(nil), e.lanes...)

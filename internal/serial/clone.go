@@ -2,46 +2,34 @@ package serial
 
 import "netfi/internal/sim"
 
-// Fork support (see sim/clone.go). A UART's sink is wiring: the console (or
-// other owner) supplies the new-world sink at clone time, the same way the
-// constructor did.
+// Fork support (see sim/clone.go). A clone is a struct copy; what never
+// crosses a fork is listed in the clone. A UART's sink is wiring: the
+// console (or other owner) supplies the new-world sink at clone time, the
+// same way the constructor did.
 
 // Clone forks the transmitter with a new-world sink.
 func (u *UART) Clone(m *sim.Mapper, dst ByteSink) *UART {
-	u2 := &UART{
-		k:         m.Kernel(),
-		byteTime:  u.byteTime,
-		dst:       dst,
-		busyUntil: u.busyUntil,
-		sent:      u.sent,
-		q:         append([]byte(nil), u.q...),
-		qPos:      u.qPos,
-		pumping:   u.pumping,
-		nextAt:    u.nextAt,
-	}
+	u2 := new(UART)
+	*u2 = *u
+	u2.k, u2.dst = m.Kernel(), dst
+	u2.q = append([]byte(nil), u.q...)
 	m.Put(u, u2)
 	return u2
 }
 
 // Clone forks the console: both UARTs, the SPI assembler, the command
-// decoder, and the response buffer, with the byte-sink wiring rebuilt around
-// the new-world objects.
+// decoder, and the response buffer, wired around the new-world objects the
+// way NewConsole wires them.
 func (c *Console) Clone(m *sim.Mapper) *Console {
-	c2 := &Console{
-		k:     m.Kernel(),
-		spi:   c.spi,
-		rxBuf: append([]byte(nil), c.rxBuf...),
-		lines: append([]string(nil), c.lines...),
-	}
+	c2 := new(Console)
+	*c2 = *c
+	c2.k = m.Kernel()
+	c2.rxBuf = append([]byte(nil), c.rxBuf...)
+	c2.lines = append([]string(nil), c.lines...)
 	m.Put(c, c2)
 	c2.dec = c.dec.Clone(m)
-	c2.toBoard = c.toBoard.Clone(m, ByteSinkFunc(func(b byte) {
-		frames := c2.spi.Pack([]byte{b})
-		for _, payload := range c2.spi.Unpack(frames) {
-			c2.dec.InputByte(payload)
-		}
-	}))
+	c2.toBoard = c.toBoard.Clone(m, ByteSinkFunc(c2.fromHost))
 	c2.toHost = c.toHost.Clone(m, ByteSinkFunc(c2.receive))
-	c2.dec.SetOutput(func(b byte) { c2.toHost.Send([]byte{b}) })
+	c2.dec.SetOutput(c2.emit)
 	return c2
 }

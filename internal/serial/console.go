@@ -30,20 +30,25 @@ type Console struct {
 // 115200).
 func NewConsole(k *sim.Kernel, dev *core.Device, baud int) *Console {
 	c := &Console{k: k, dec: core.NewCommandDecoder(dev)}
-	// Host -> board: UART bytes arrive at the communications handler,
-	// which packs them into SPI frames for the command decoder.
-	c.toBoard = NewUART(k, baud, ByteSinkFunc(func(b byte) {
-		frames := c.spi.Pack([]byte{b})
-		for _, payload := range c.spi.Unpack(frames) {
-			c.dec.InputByte(payload)
-		}
-	}))
-	// Board -> host: the output generator's bytes cross the same path in
-	// reverse.
+	c.toBoard = NewUART(k, baud, ByteSinkFunc(c.fromHost))
 	c.toHost = NewUART(k, baud, ByteSinkFunc(c.receive))
-	c.dec.SetOutput(func(b byte) { c.toHost.Send([]byte{b}) })
+	c.dec.SetOutput(c.emit)
 	return c
 }
+
+// fromHost is the host -> board UART's sink: bytes arrive at the
+// communications handler, which packs them into SPI frames for the command
+// decoder.
+func (c *Console) fromHost(b byte) {
+	frames := c.spi.Pack([]byte{b})
+	for _, payload := range c.spi.Unpack(frames) {
+		c.dec.InputByte(payload)
+	}
+}
+
+// emit is the decoder's output: board -> host bytes cross the same path in
+// reverse.
+func (c *Console) emit(b byte) { c.toHost.Send([]byte{b}) }
 
 // Send queues a command line for transmission; the response arrives later
 // in simulated time (see OnResponse / Responses).

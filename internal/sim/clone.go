@@ -14,10 +14,16 @@ import "fmt"
 //  1. Kernel.Clone copies the scheduler structure. Every pending event is
 //     duplicated and recorded in the Mapper's event table; the duplicates
 //     still point at old-world args.
-//  2. The model object graph clones itself (switches, links, hosts, ...),
-//     registering every old→new pair with Mapper.Put and remapping stored
-//     EventIDs through Mapper.MapEventID.
-//  3. Mapper.Finish rewrites each cloned event's arg to its new-world
+//  2. The model object graph clones itself (switches, links, hosts, ...).
+//     Every model Clone has one shape: a struct copy (*x2 = *x), then
+//     overrides for exactly what a fork must not share — the kernel and its
+//     pool, owned slices and maps (deep copies), free lists and scratch
+//     buffers (left empty), campaign-owned hooks (nil) and cross-references.
+//     A clone registers its old→new pair with Mapper.Put, remaps stored
+//     EventIDs through Mapper.MapEventID, and queues each cross-reference
+//     with Rebind.
+//  3. Mapper.Finish assigns every Rebind its counterpart, runs the Defer
+//     fix-ups, then rewrites each cloned event's arg to its new-world
 //     counterpart — via the object table, or via ArgClonable for composite
 //     args (a pooled burst delivery, a wake pair) that are not themselves
 //     part of the registered graph.
@@ -57,8 +63,41 @@ type Mapper struct {
 	objs     map[any]any
 	events   map[*event]*event
 	cloned   []event // the slab every new-world event is cut from
-	deferred []func() error
+	rebinds  []rebind
+	deferred []func()
 	errs     []error
+}
+
+// rebind is one queued cross-reference: dst receives old's counterpart.
+type rebind struct {
+	dst slot
+	old any
+}
+
+// slot is a typed destination for a counterpart. Its one implementation,
+// ref, holds a single pointer, so it sits in the interface without
+// allocating: queueing a rebind costs nothing beyond the queue.
+type slot interface{ assign(v any) bool }
+
+type ref[T any] struct{ p *T }
+
+func (r ref[T]) assign(v any) bool {
+	t, ok := v.(T)
+	if ok {
+		*r.p = t
+	}
+	return ok
+}
+
+func (r ref[T]) String() string { return fmt.Sprintf("%T", r.p)[1:] }
+
+// Rebind queues the fix-up *dst = the fork's counterpart of old. It runs at
+// Finish, after the whole object graph has registered, so clone order never
+// matters. A counterpart that is missing, or is not a T, fails the fork.
+// Rebind belongs to phase 2; an ArgClonable, which runs after the rebinds,
+// looks its counterparts up directly.
+func Rebind[T any](m *Mapper, dst *T, old T) {
+	m.rebinds = append(m.rebinds, rebind{ref[T]{dst}, old})
 }
 
 // NewMapper returns an empty mapper. Pass it to Kernel.Clone first, then to
@@ -67,9 +106,10 @@ func NewMapper() *Mapper { return NewMapperSize(0) }
 
 // NewMapperSize returns an empty mapper whose object table is sized for
 // objects registrations — what Objects reported after an earlier fork of
-// the same world — so a fork's Puts never rehash.
+// the same world — so a fork's Puts never rehash, and whose Rebind queue
+// has room for one cross-reference per two objects.
 func NewMapperSize(objects int) *Mapper {
-	return &Mapper{objs: make(map[any]any, objects)}
+	return &Mapper{objs: make(map[any]any, objects), rebinds: make([]rebind, 0, objects/2)}
 }
 
 // Objects reports how many old→new pairs have been registered with Put.
@@ -96,10 +136,9 @@ func (m *Mapper) Lookup(old any) (any, bool) {
 	return v, ok
 }
 
-// Defer queues a fixup to run at Finish, after the whole object graph has
-// registered. Cross-references between clones (a link's receiver, a port's
-// downstream) resolve here so clone order never matters.
-func (m *Mapper) Defer(fn func() error) { m.deferred = append(m.deferred, fn) }
+// Defer queues a fix-up that does more than assign a counterpart (Rebind
+// does that) to run at Finish, once every Rebind has been assigned.
+func (m *Mapper) Defer(fn func()) { m.deferred = append(m.deferred, fn) }
 
 // MapEventID translates an old-world EventID into the fork. A stale ID (its
 // event already fired or was recycled) maps to the zero EventID, which
@@ -143,13 +182,13 @@ func (m *Mapper) Finish() error {
 	if len(m.errs) > 0 {
 		return m.errs[0]
 	}
-	for _, fn := range m.deferred {
-		if err := fn(); err != nil {
-			return err
+	for _, r := range m.rebinds {
+		if v, ok := m.objs[r.old]; !ok || !r.dst.assign(v) {
+			return fmt.Errorf("sim: fork: a %v field refers to uncloned %T", r.dst, r.old)
 		}
 	}
-	if len(m.errs) > 0 {
-		return m.errs[0]
+	for _, fn := range m.deferred {
+		fn()
 	}
 	for i := range m.cloned {
 		ev := &m.cloned[i]

@@ -380,3 +380,37 @@ func TestTimerForkBindsOwner(t *testing.T) {
 		t.Errorf("fork leaving an armed timer behind: err = %v", err)
 	}
 }
+
+// Rebind assigns a counterpart at Finish whatever order the two objects
+// cloned in, and fails the fork, naming both types, when the counterpart is
+// missing or is not of the destination's type.
+func TestRebind(t *testing.T) {
+	type node struct{ next *node }
+	a, b := &node{}, &node{}
+	a.next = b
+
+	m := NewMapper()
+	NewKernel(1).Clone(m)
+	a2 := &node{}
+	Rebind(m, &a2.next, a.next) // b's counterpart is registered after
+	b2 := &node{}
+	m.Put(b, b2)
+	if err := m.Finish(); err != nil || a2.next != b2 {
+		t.Fatalf("Finish: err = %v, a2.next = %p, want %p", err, a2.next, b2)
+	}
+
+	m = NewMapper()
+	NewKernel(1).Clone(m)
+	Rebind(m, &a2.next, a.next)
+	if err := m.Finish(); err == nil || !strings.Contains(err.Error(), "uncloned *sim.node") {
+		t.Errorf("rebind to an unregistered object: err = %v", err)
+	}
+
+	m = NewMapper()
+	NewKernel(1).Clone(m)
+	m.Put(b, "not a node")
+	Rebind(m, &a2.next, a.next)
+	if err := m.Finish(); err == nil || !strings.Contains(err.Error(), "a *sim.node field refers to") {
+		t.Errorf("rebind to a counterpart of the wrong type: err = %v", err)
+	}
+}

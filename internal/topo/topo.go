@@ -60,10 +60,11 @@ type Config struct {
 	// so longer cables mean fewer barriers.
 	HostPropDelay sim.Duration
 	// TrunkPropDelay is the switch-to-switch cable propagation delay;
-	// zero selects 100 ns (a cross-rack trunk).
+	// zero selects 100 ns (a cross-rack trunk). Neither delay may exceed
+	// one second.
 	TrunkPropDelay sim.Duration
 	// MaxPacket is passed through to every interface; zero selects the
-	// interface default.
+	// interface default, and a negative value is an error.
 	MaxPacket int
 }
 
@@ -86,8 +87,20 @@ func (c *Config) fillDefaults() error {
 	if c.TrunkPropDelay <= 0 {
 		c.TrunkPropDelay = 100 * sim.Nanosecond
 	}
+	if c.MaxPacket < 0 {
+		return fmt.Errorf("topo: MaxPacket must not be negative (got %d)", c.MaxPacket)
+	}
+	if c.HostPropDelay > maxPropDelay || c.TrunkPropDelay > maxPropDelay {
+		return fmt.Errorf("topo: propagation delays must not exceed %v (got host %v, trunk %v)",
+			maxPropDelay, c.HostPropDelay, c.TrunkPropDelay)
+	}
 	return nil
 }
+
+// maxPropDelay bounds a cable's propagation delay (about 200,000 km of
+// fibre), so the lookahead and every shard-to-shard path sum stay far from
+// overflowing sim.Duration.
+const maxPropDelay = sim.Second
 
 // Fabric is a built multi-switch Myrinet with its shard coordinator.
 type Fabric struct {

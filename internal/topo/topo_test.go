@@ -220,6 +220,8 @@ func TestBuildErrors(t *testing.T) {
 		{Switches: 0, Hosts: 4},
 		{Switches: 2, Hosts: 0},
 		{Switches: 2, Hosts: 300}, // 150 hosts/switch + 2 mesh ports > 128
+		{Switches: 2, Hosts: 4, MaxPacket: -1},
+		{Switches: 9, Hosts: 8, Shards: 2, TrunkPropDelay: 2 * sim.Second}, // path sums could overflow
 	} {
 		if _, err := Build(cfg); err == nil {
 			t.Errorf("Build(%+v) succeeded, want error", cfg)
