@@ -59,6 +59,12 @@ func (c *Console) Send(cmd string) {
 	c.toBoard.SendString(cmd)
 }
 
+// DrainedAt reports when both serial directions go quiet: a command's
+// response is on the host-bound line only once the command has crossed to
+// the board, so callers waiting for an answer run to this time until it
+// stops moving.
+func (c *Console) DrainedAt() sim.Time { return max(c.toBoard.BusyUntil(), c.toHost.BusyUntil()) }
+
 // receive assembles response lines from the board.
 func (c *Console) receive(b byte) {
 	if b != '\n' {
