@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"netfi/internal/core"
+	"netfi/internal/monitor"
 	"netfi/internal/sim"
 )
 
@@ -97,8 +98,18 @@ func TestTestbedDeterminism(t *testing.T) {
 	}
 }
 
+// tapInjector attaches a flow tap of a new monitoring plane to the
+// injector's outbound input: the §3.2 per-identifier statistics.
+func tapInjector(tb *Testbed) (*monitor.Plane, *monitor.Tap) {
+	plane := monitor.NewPlane(tb.K, monitor.Config{})
+	tap := plane.NewTap("inj.out", monitor.TapOptions{Flows: true})
+	tb.Injector.SetTap(DirOutbound, tap)
+	return plane, tap
+}
+
 func TestTestbedInjectorSeesTraffic(t *testing.T) {
 	tb := NewTestbed(TestbedConfig{Seed: 1})
+	plane, tap := tapInjector(tb)
 	load := tb.StartLoad(LoadConfig{})
 	tb.K.RunFor(200 * sim.Millisecond)
 	load.Stop()
@@ -107,15 +118,47 @@ func TestTestbedInjectorSeesTraffic(t *testing.T) {
 	if chars == 0 {
 		t.Error("injector saw no outbound characters")
 	}
-	total, _ := tb.Injector.PacketStats(DirOutbound).Packets()
-	if total == 0 {
-		t.Error("packet stats counted nothing")
+	if _, _, packets, _ := tap.Stats(); packets == 0 {
+		t.Error("the injector's tap counted no packets")
 	}
 	// The per-identifier counters must attribute traffic to the tapped
 	// node's source address (§3.2 statistics gathering).
-	src := [6]byte(NodeMAC(0))
-	dst := [6]byte(NodeMAC(1))
-	if tb.Injector.PacketStats(DirOutbound).PairCount(src, dst) == 0 {
+	plane.Stop() // export the open flows
+	key := monitor.FlowKey{Src: [6]byte(NodeMAC(0)), Dst: [6]byte(NodeMAC(1))}
+	var pairs uint64
+	for _, rec := range plane.Ring().Records() {
+		if rec.Key == key {
+			pairs += rec.Packets
+		}
+	}
+	if pairs == 0 {
 		t.Error("no packets attributed to tap->node1")
+	}
+}
+
+// TestForkRebindsDeviceTap: a fork's injector feeds the fork plane's copy of
+// its tap, and the base's tap does not move while the fork runs.
+func TestForkRebindsDeviceTap(t *testing.T) {
+	tb := NewTestbed(TestbedConfig{Seed: 1})
+	plane, tap := tapInjector(tb)
+	tb.StartLoad(LoadConfig{})
+	tb.K.RunFor(50 * sim.Millisecond)
+	m := sim.NewMapper()
+	tb.K.Clone(m)
+	tb2 := tb.Clone(m)
+	plane2 := plane.Clone(m)
+	if err := m.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	_, _, base, _ := tap.Stats()
+	if base == 0 {
+		t.Fatal("the base's tap counted no packets before the fork")
+	}
+	tb2.K.RunFor(50 * sim.Millisecond)
+	if _, _, got, _ := tap.Stats(); got != base {
+		t.Errorf("base tap moved from %d to %d packets while only the fork ran", base, got)
+	}
+	if _, _, got, _ := plane2.Taps()[0].Stats(); got <= base {
+		t.Errorf("fork tap at %d packets, want more than the %d at the fork", got, base)
 	}
 }

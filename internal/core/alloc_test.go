@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"netfi/internal/monitor"
 	"netfi/internal/phy"
 	"netfi/internal/rules"
 	"netfi/internal/sim"
@@ -138,37 +139,61 @@ func TestDevicePathSteadyStateAllocs(t *testing.T) {
 // queue is consumed from the front while new entry times append at the back.
 // Bursts go out back to back, a control symbol every few bursts splits the
 // released batches, and the kernel never idles between cycles: the queue
-// must reuse its backing array instead of reallocating as it slides.
+// must reuse its backing array instead of reallocating as it slides. A flow
+// tap on the input (the §3.2 per-identifier statistics) must keep the path
+// at zero too.
 func TestDevicePathContinuousTrafficAllocs(t *testing.T) {
-	k := sim.NewKernel(1)
-	dev := NewDevice(k, DeviceConfig{Name: "alloc", IdleChar: phy.ControlChar(0x07)})
-	cfg := phy.LinkConfig{Name: "in", CharPeriod: 12_500 * sim.Picosecond, PropDelay: 5 * sim.Nanosecond}
-	link := phy.NewLink(k, cfg, phy.ReceiverFunc(phy.PoolOf(k).Release))
-	dev.InsertDirection(LeftToRight, link)
-
-	// Bursts shorter than the pipeline arrive before its flush could fire.
-	burst := make([]phy.Character, DefaultSlackChars/2)
-	for i := range burst {
-		burst[i] = phy.DataChar(byte(0x20 + i))
-	}
-	const bursts, every = 64, 3
-	wire := sim.Duration(bursts*len(burst)+bursts/every) * cfg.CharPeriod
-	cycle := func() {
-		for i := 0; i < bursts; i++ {
-			link.Send(burst)
-			if i%every == every-1 {
-				link.SendOne(phy.ControlChar(0x0C))
-			}
+	for _, tapped := range []bool{false, true} {
+		name := "untapped"
+		if tapped {
+			name = "flow-tap"
 		}
-		k.RunFor(wire)
-	}
-	for i := 0; i < 100; i++ {
-		cycle()
-	}
-	if dev.Engine(LeftToRight).Pending() == 0 {
-		t.Fatal("pipeline drained between cycles; traffic is not continuous")
-	}
-	if avg := testing.AllocsPerRun(200, cycle); avg != 0 {
-		t.Errorf("continuous device path allocates %.2f objects per %d bursts, want 0", avg, bursts)
+		t.Run(name, func(t *testing.T) {
+			k := sim.NewKernel(1)
+			dev := NewDevice(k, DeviceConfig{Name: "alloc", IdleChar: phy.ControlChar(0x07)})
+			var tap *monitor.Tap
+			if tapped {
+				tap = monitor.NewPlane(k, monitor.Config{}).NewTap("inj", monitor.TapOptions{Flows: true})
+				dev.SetTap(LeftToRight, tap)
+			}
+			cfg := phy.LinkConfig{Name: "in", CharPeriod: 12_500 * sim.Picosecond, PropDelay: 5 * sim.Nanosecond}
+			link := phy.NewLink(k, cfg, phy.ReceiverFunc(phy.PoolOf(k).Release))
+			dev.InsertDirection(LeftToRight, link)
+
+			// Bursts shorter than the pipeline arrive before its flush could
+			// fire. Every `every` bursts carry one Myrinet data packet (route
+			// byte, type 0x0004, then identifiers and payload), closed by the
+			// GAP, so a flow tap parses real headers.
+			const n, bursts, every = DefaultSlackChars / 2, 64, 3
+			pkt := make([]phy.Character, n*every)
+			for i := range pkt {
+				pkt[i] = phy.DataChar(byte(0x20 + i))
+			}
+			copy(pkt, phy.DataChars([]byte{0x00, 0x00, 0x00, 0x00, 0x04}))
+			wire := sim.Duration(bursts*n+bursts/every) * cfg.CharPeriod
+			cycle := func() {
+				for i := 0; i < bursts; i++ {
+					link.Send(pkt[i%every*n : (i%every+1)*n])
+					if i%every == every-1 {
+						link.SendOne(phy.ControlChar(0x0C))
+					}
+				}
+				k.RunFor(wire)
+			}
+			for i := 0; i < 100; i++ {
+				cycle()
+			}
+			if dev.Engine(LeftToRight).Pending() == 0 {
+				t.Fatal("pipeline drained between cycles; traffic is not continuous")
+			}
+			if tap != nil {
+				if _, _, packets, _ := tap.Stats(); packets == 0 {
+					t.Fatal("the flow tap parsed no data packets")
+				}
+			}
+			if avg := testing.AllocsPerRun(200, cycle); avg != 0 {
+				t.Errorf("continuous device path allocates %.2f objects per %d bursts, want 0", avg, bursts)
+			}
+		})
 	}
 }

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"maps"
-
 	"netfi/internal/phy"
 	"netfi/internal/rules"
 	"netfi/internal/sim"
@@ -17,6 +15,8 @@ import (
 //   - The injection hook (SetInjectionHook) is monitoring-owned: it is NOT
 //     cloned, and a campaign that wants injection timestamps in the fork
 //     re-registers it post-fork.
+//   - A device tap (SetTap) rebinds to the fork plane's copy of it, so the
+//     plane must be cloned under the same mapper.
 //   - Scratch buffers (the engine's batch outputs, a port's idle fill)
 //     start empty in the fork.
 //   - A device port's downstream receiver rebinds at Finish — it is
@@ -41,15 +41,6 @@ func (r *CaptureRing) Clone() *CaptureRing {
 	return r2
 }
 
-// Clone copies the pass-through packet monitor.
-func (s *PacketStats) Clone() *PacketStats {
-	s2 := new(PacketStats)
-	*s2 = *s
-	s2.buf = append([]byte(nil), s.buf...)
-	s2.pairs = maps.Clone(s.pairs)
-	return s2
-}
-
 // Clone forks one direction's engine: FIFO contents, compare register,
 // rule-engine run state, CRC recompute state, batch plan, and statistics.
 func (e *Engine) Clone(m *sim.Mapper) *Engine {
@@ -67,9 +58,9 @@ func (e *Engine) Clone(m *sim.Mapper) *Engine {
 	return e2
 }
 
-// Clone forks the device: both engines, both pass-through monitors, and both
-// splice ports with their constant-delay release state (the live entries,
-// compacted to the front).
+// Clone forks the device: both engines and both splice ports with their
+// constant-delay release state (the live entries, compacted to the front).
+// A tap rebinds to its counterpart in the fork's monitoring plane.
 func (d *Device) Clone(m *sim.Mapper) *Device {
 	d2 := new(Device)
 	*d2 = *d
@@ -77,7 +68,9 @@ func (d *Device) Clone(m *sim.Mapper) *Device {
 	m.Put(d, d2)
 	for dir, p := range d.ports {
 		d2.engines[dir] = d.engines[dir].Clone(m)
-		d2.stats[dir] = d.stats[dir].Clone()
+		if t := d.taps[dir]; t != nil {
+			sim.Rebind(m, &d2.taps[dir], t)
+		}
 		p2 := new(devicePort)
 		*p2 = *p
 		p2.dev = d2

@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"netfi/internal/monitor"
 	"netfi/internal/phy"
 	"netfi/internal/sim"
 )
@@ -148,31 +149,33 @@ func TestDeviceFlushReleasesPipelineOnQuietLink(t *testing.T) {
 	}
 }
 
-func TestDevicePacketStatsCountsPairs(t *testing.T) {
+// TestDeviceTapCountsPairs: the §3.2 per-identifier statistics are a flow
+// tap of the monitoring plane on the device's input stream.
+func TestDeviceTapCountsPairs(t *testing.T) {
 	k := sim.NewKernel(1)
 	dev, cable, _, _ := spliceFixture(t, k)
+	plane := monitor.NewPlane(k, monitor.Config{})
+	tap := plane.NewTap("inj.L2R", monitor.TapOptions{Flows: true})
+	dev.SetTap(LeftToRight, tap)
 	// A minimal Myrinet data packet: route, type 0x0004, dst/src MACs.
 	var dst, src [6]byte
 	dst[5], src[5] = 0xBB, 0xAA
 	wire := []byte{0x00, 0x00, 0x00, 0x00, 0x04}
 	wire = append(wire, dst[:]...)
 	wire = append(wire, src[:]...)
-	wire = append(wire, 0x77) // crc placeholder; stats don't verify
+	wire = append(wire, 0x77) // crc placeholder; the tap doesn't verify
 	chars := phy.DataChars(wire)
 	chars = append(chars, phy.ControlChar(0x0C))
 	cable.LeftToRight.Send(chars)
 	cable.LeftToRight.Send(chars)
 	k.Run()
-	st := dev.PacketStats(LeftToRight)
-	total, control := st.Packets()
-	if total != 2 || control != 0 {
-		t.Errorf("packets = %d/%d, want 2/0", total, control)
+	if _, _, packets, control := tap.Stats(); packets != 2 || control != 0 {
+		t.Errorf("packets = %d/%d, want 2/0", packets, control)
 	}
-	if got := st.PairCount(src, dst); got != 2 {
-		t.Errorf("pair count = %d, want 2", got)
-	}
-	if rep := st.Report(); len(rep) != 1 {
-		t.Errorf("report lines = %d, want 1", len(rep))
+	plane.Stop() // export the open flows
+	recs := plane.Ring().Records()
+	if len(recs) != 1 || recs[0].Key != (monitor.FlowKey{Src: src, Dst: dst}) || recs[0].Packets != 2 {
+		t.Errorf("flow records = %v, want one %x -> %x record of 2 packets", recs, src, dst)
 	}
 }
 

@@ -90,7 +90,7 @@ type TapOptions struct {
 	LatencyShift bool
 }
 
-// Tap is one observation point: it implements myrinet.Tap, parsing the
+// Tap is one observation point: it implements phy.Tap, parsing the
 // batched character stream into packet boundaries, feeding the flow table,
 // the accrual detector, and the gap statistics. The parse keeps a bounded
 // header prefix in a fixed buffer, so steady-state observation allocates
@@ -134,7 +134,7 @@ func (t *Tap) Stats() (bursts, chars, packets, control uint64) {
 	return t.bursts, t.chars, t.packets, t.control
 }
 
-// ObserveChars implements myrinet.Tap. The slice is borrowed: everything
+// ObserveChars implements phy.Tap. The slice is borrowed: everything
 // needed later is copied into the tap's fixed header buffer.
 func (t *Tap) ObserveChars(now sim.Time, chars []phy.Character) {
 	t.bursts++
@@ -188,11 +188,11 @@ func (t *Tap) abortPacket() {
 	t.pktBytes = 0
 }
 
-// completePacket classifies the buffered header the way the injector's
-// statistics engine does (core.PacketStats): skip switch-hop route bytes
-// (MSB set), the final route byte, the 4-byte type field, then read the
-// destination and source identifiers of data packets. The same parse works
-// at a switch input (route intact) and at a host interface (hops consumed).
+// completePacket classifies the buffered header: skip switch-hop route
+// bytes (MSB set), the final route byte, the 4-byte type field, then read
+// the destination and source identifiers of data packets. The same parse
+// works at a switch input (route intact), at a host interface (hops
+// consumed) and on the injector's splice (core.Device.SetTap).
 func (t *Tap) completePacket(now sim.Time) {
 	raw := t.buf[:t.n]
 	size := t.pktBytes
@@ -225,7 +225,7 @@ func (t *Tap) completePacket(now sim.Time) {
 	}
 }
 
-var _ myrinet.Tap = (*Tap)(nil)
+var _ phy.Tap = (*Tap)(nil)
 
 // planeDetector pairs a tap's accrual detector with its suspicion state.
 type planeDetector struct {
@@ -277,8 +277,9 @@ func NewPlane(k *sim.Kernel, cfg Config) *Plane {
 func planeTick(a any) { a.(*Plane).tick() }
 
 // NewTap creates a named observation point with the given options. The
-// caller wires it to a stream via myrinet's SetTap hooks (or feeds it
-// directly in tests).
+// caller wires it to a stream through a SetTap hook — a Myrinet link
+// controller's or the injector's (core.Device.SetTap) — or feeds it
+// directly in tests.
 func (p *Plane) NewTap(name string, opts TapOptions) *Tap {
 	t := &Tap{plane: p, name: name}
 	if opts.Flows {

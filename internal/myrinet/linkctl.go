@@ -51,7 +51,7 @@ type LinkController struct {
 	stopWatchdog sim.Timer // continuous-STOP deadline; bound when recovery is first enabled
 
 	// Monitoring tap (nil unless a monitor attached one).
-	tap Tap
+	tap phy.Tap
 }
 
 // txPacket is one queued packet: its encoded character stream (including the

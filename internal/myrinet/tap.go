@@ -1,34 +1,15 @@
 package myrinet
 
-import (
-	"netfi/internal/phy"
-	"netfi/internal/sim"
-)
+import "netfi/internal/phy"
 
-// Tap observes the character stream arriving at a link controller, batch by
-// batch — the monitoring plane's passive observation point. Taps are
-// strictly opt-in: a controller with no tap pays a single nil check per
-// received burst, keeping the datapath's zero-allocation guarantees intact.
-//
-// The slice passed to ObserveChars is the controller's pooled receive
-// burst: the tap must not retain or mutate it — copy what it needs before
-// returning. Observation happens before classification, so a tap sees the
-// stream exactly as the hardware does, including flow-control symbols and
-// RESETs.
-type Tap interface {
-	ObserveChars(now sim.Time, chars []phy.Character)
-}
-
-// SetTap installs (or, with nil, removes) the controller's tap.
-func (lc *LinkController) SetTap(t Tap) { lc.tap = t }
-
-// Tap returns the controller's tap, nil when monitoring is off.
-func (lc *LinkController) Tap() Tap { return lc.tap }
+// SetTap installs (or, with nil, removes) the controller's tap on its
+// arriving stream.
+func (lc *LinkController) SetTap(t phy.Tap) { lc.tap = t }
 
 // SetPortTap installs a tap on switch port p's input stream: everything the
 // attached device transmits into the switch. Panics if nothing is attached
 // at p.
-func (sw *Switch) SetPortTap(p int, t Tap) {
+func (sw *Switch) SetPortTap(p int, t phy.Tap) {
 	if !sw.Attached(p) {
 		panic("myrinet: SetPortTap on unattached port")
 	}
@@ -37,7 +18,7 @@ func (sw *Switch) SetPortTap(p int, t Tap) {
 
 // SetTap installs a tap on the interface's input stream: everything
 // arriving at this host from the network. The interface must be attached.
-func (ifc *Interface) SetTap(t Tap) {
+func (ifc *Interface) SetTap(t phy.Tap) {
 	if ifc.lc == nil {
 		panic("myrinet: SetTap before AttachLink")
 	}

@@ -75,6 +75,21 @@ func (f ReceiverFunc) Receive(chars []Character) { f(chars) }
 
 var _ Receiver = ReceiverFunc(nil)
 
+// Tap observes a character stream where it enters a receiver, batch by
+// batch — the monitoring plane's passive observation point. The Myrinet link
+// controllers and the injector's splice ports carry one; taps are strictly
+// opt-in, so a receiver with none pays a single nil check per burst and
+// keeps its zero-allocation guarantees.
+//
+// The slice passed to ObserveChars is the receiver's pooled burst: the tap
+// must not retain or mutate it — copy what it needs before returning.
+// Observation happens before the receiver acts on the burst, so a tap sees
+// the stream exactly as the hardware does, including flow-control symbols
+// and RESETs.
+type Tap interface {
+	ObserveChars(now sim.Time, chars []Character)
+}
+
 // Link is one direction of a point-to-point physical link. A full-duplex
 // cable is a pair of Links. Send serializes a burst at the link's character
 // period; the destination receives the whole burst when its last character
