@@ -47,8 +47,9 @@ type CommandDecoder struct {
 	dev *Device
 	dir Direction
 
-	line []byte
-	out  func(byte)
+	line     []byte
+	overlong bool // the line outgrew maxLineLen: answer ERR at its end
+	out      func(byte)
 
 	commands uint64
 	errors   uint64
@@ -74,7 +75,9 @@ func (c *CommandDecoder) Direction() Direction { return c.dir }
 func (c *CommandDecoder) Commands() (total, errors uint64) { return c.commands, c.errors }
 
 // InputByte feeds one byte from the communications handler. Lines are
-// executed on CR or LF.
+// executed on CR or LF; a line longer than maxLineLen is answered ERR at
+// its terminator and changes nothing, since its truncated prefix may be a
+// different valid command.
 func (c *CommandDecoder) InputByte(b byte) {
 	switch b {
 	case '\r', '\n':
@@ -83,10 +86,19 @@ func (c *CommandDecoder) InputByte(b byte) {
 		}
 		line := string(c.line)
 		c.line = c.line[:0]
+		if c.overlong {
+			c.overlong = false
+			c.commands++
+			c.errors++
+			c.emit(fmt.Sprintf("ERR line longer than %d characters", maxLineLen))
+			return
+		}
 		c.emit(c.Exec(line))
 	default:
 		if len(c.line) < maxLineLen {
 			c.line = append(c.line, b)
+		} else {
+			c.overlong = true
 		}
 	}
 }

@@ -202,9 +202,8 @@ func TestCommandRuleGrammarErrors(t *testing.T) {
 }
 
 func TestCommandOverlongLineRejected(t *testing.T) {
-	// Bytes past the line buffer are discarded, so an overlong command
-	// executes as its truncated (and thus unknown) prefix — ERR, no state
-	// change, and the decoder keeps working afterwards.
+	// A line longer than the line buffer is answered ERR at its terminator
+	// and changes no state, and the decoder keeps working afterwards.
 	dev, dec := newTestDecoder(t)
 	var out []byte
 	dec.SetOutput(func(b byte) { out = append(out, b) })
@@ -224,6 +223,21 @@ func TestCommandOverlongLineRejected(t *testing.T) {
 	}
 	if strings.TrimSpace(string(out)) != "OK" {
 		t.Errorf("decoder wedged after overlong line: %q", out)
+	}
+
+	// The buffered prefix is a valid command here; the line still must not
+	// run as it. ("MODE ON BOGUS" is an error, so this line is too.)
+	dev, dec = newTestDecoder(t)
+	out = out[:0]
+	dec.SetOutput(func(b byte) { out = append(out, b) })
+	for _, b := range []byte("MODE ON" + strings.Repeat(" ", 260) + "BOGUS\n") {
+		dec.InputByte(b)
+	}
+	if resp := strings.TrimSpace(string(out)); !strings.HasPrefix(resp, "ERR") {
+		t.Errorf("overlong line with a valid prefix -> %q, want ERR", resp)
+	}
+	if dev.Engine(LeftToRight).Config() != (Config{}) {
+		t.Error("overlong line with a valid prefix armed the trigger")
 	}
 }
 
