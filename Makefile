@@ -16,6 +16,7 @@ bench:
 fuzz:
 	$(GO) test -run='^FuzzRuleCompile$$' -fuzz=FuzzRuleCompile -fuzztime=10s ./internal/rules
 	$(GO) test -run='^FuzzRuleCommand$$' -fuzz=FuzzRuleCommand -fuzztime=10s ./internal/core
+	$(GO) test -run='^FuzzCommandLine$$' -fuzz=FuzzCommandLine -fuzztime=10s ./internal/core
 	$(GO) test -run='^FuzzTimerProgram$$' -fuzz=FuzzTimerProgram -fuzztime=10s ./internal/sim
 	$(GO) test -run='^FuzzParseSpec$$' -fuzz=FuzzParseSpec -fuzztime=10s ./internal/campaign
 	$(GO) test -run='^FuzzInterfaceReassembly$$' -fuzz=FuzzInterfaceReassembly -fuzztime=10s ./internal/myrinet
