@@ -40,6 +40,30 @@ func silentRuleProgram(t *testing.T) *rules.Program {
 	return prog
 }
 
+// TestTestbedStreamEvents pins the kernel events a short Fig. 10 load
+// costs: the bed at full capacity with a silent 64-rule set armed on both
+// injector engines, 3 ms of load and a 5 ms drain. The received count pins
+// the simulated outcome; the event count catches a change that makes the
+// symbol path more event-dense (an idle character or a timer pet becoming
+// an event of its own again) without running the benchmark.
+func TestTestbedStreamEvents(t *testing.T) {
+	tb := NewTestbed(TestbedConfig{Seed: 42, Nodes: 3})
+	prog := silentRuleProgram(t)
+	for _, dir := range []core.Direction{DirOutbound, DirInbound} {
+		tb.Injector.Engine(dir).SetRuleProgram(prog)
+	}
+	load := tb.StartLoad(LoadConfig{Burst: 8, Period: 100 * sim.Microsecond, Size: 1024})
+	tb.K.RunFor(3 * sim.Millisecond)
+	load.Stop()
+	tb.K.RunFor(5 * sim.Millisecond)
+	if got, want := load.Received(), uint64(183); got != want {
+		t.Errorf("received %d datagrams, want %d", got, want)
+	}
+	if got, want := tb.K.Processed(), uint64(211142); got != want {
+		t.Errorf("kernel processed %d events, want %d", got, want)
+	}
+}
+
 // TestUDPRoundTripZeroAlloc pins the datagram path at zero allocations once
 // warm: every buffer on it is reused by its owner, so a datagram costs no
 // heap object from the sender's SendUDP to the receiver's handler.

@@ -75,7 +75,7 @@ func (d *Device) Clone(m *sim.Mapper) *Device {
 		*p2 = *p
 		p2.dev = d2
 		p2.entries, p2.head = append([]sim.Time(nil), p.entries[p.head:]...), 0
-		p2.flushEvent = m.MapEventID(p.flushEvent)
+		p.flush.CloneInto(m, &p2.flush, p2)
 		p2.fillBuf = nil
 		m.Put(p, p2)
 		d2.ports[dir] = p2

@@ -85,10 +85,11 @@ type devicePort struct {
 	// remote's 16-character short timeout. entries[head:] is the live
 	// queue; the consumed prefix is reclaimed once it passes half the
 	// slice, so continuous traffic appends into the same backing array.
-	entries    []sim.Time
-	head       int
-	flushArmed bool
-	flushEvent sim.EventID
+	entries []sim.Time
+	head    int
+	// flush drains the pipeline once the link has been quiet for one
+	// pipeline time (armFlush).
+	flush sim.Timer
 
 	fillBuf []phy.Character // reused idle-fill scratch
 }
@@ -104,7 +105,9 @@ func NewDevice(k *sim.Kernel, cfg DeviceConfig) *Device {
 	d := &Device{k: k, pool: phy.PoolOf(k), cfg: cfg}
 	for dir := 0; dir < 2; dir++ {
 		d.engines[dir] = NewEngine(cfg.SlackChars)
-		d.ports[dir] = &devicePort{dev: d, dir: Direction(dir)}
+		p := &devicePort{dev: d, dir: Direction(dir)}
+		p.flush.Init(k, sim.Duration(cfg.SlackChars)*cfg.CharPeriod, portFlush, p)
+		d.ports[dir] = p
 	}
 	return d
 }
@@ -190,10 +193,16 @@ func (p *devicePort) Receive(chars []phy.Character) {
 
 // deliver schedules released characters downstream at entry time plus the
 // pipeline latency. Runs of data characters batch into one delivery at the
-// run's end (receivers are rate-agnostic within a packet); control symbols
-// leave individually at their exact exit times so flow-control timing —
-// STOP refresh spacing against the remote short timeout — survives the
-// burst model.
+// run's end (receivers are rate-agnostic within a packet). Every other
+// control symbol — STOP, GO, GAP, RESET, unknown codes — leaves at exactly
+// its exit time as the last character of its delivery, so flow-control
+// timing (STOP refresh spacing against the remote short timeout) survives
+// the burst model. A run of the idle character, when that is a control
+// character (Myrinet IDLE), rides with the delivery of the character after
+// it, or leaves at its own last exit time when nothing follows it in out:
+// receivers take no action on IDLE, so only the kernel's event count and a
+// tap's burst count see the split. An idle that is a data character (the Fibre Channel
+// splice's neutral code group) batches as data.
 func (p *devicePort) deliver(out []phy.Character) {
 	if len(out) == 0 {
 		return
@@ -202,13 +211,21 @@ func (p *devicePort) deliver(out []phy.Character) {
 	now := p.dev.k.Now()
 	dst := p.downstream
 	pool := p.dev.pool
+	idle := p.dev.cfg.IdleChar
+	idleRides := !idle.IsData()
 	// out is the engine's scratch buffer, so each batch is copied into a
 	// pooled burst of its own before it enters the event queue.
 	for i := 0; i < len(out); {
-		j := i + 1
-		if out[i].IsData() {
-			for j < len(out) && out[j].IsData() {
-				j++
+		j := i
+		for idleRides && j < len(out) && out[j] == idle {
+			j++
+		}
+		if j < len(out) {
+			j++
+			if out[j-1].IsData() {
+				for j < len(out) && out[j].IsData() {
+					j++
+				}
 			}
 		}
 		at := p.entries[p.head+j-1] + latency
@@ -234,21 +251,15 @@ func (p *devicePort) deliver(out []phy.Character) {
 // hardware once the link goes quiet: if no new burst arrives within one
 // pipeline time, the held-back characters are released.
 func (p *devicePort) armFlush() {
-	if p.flushArmed {
-		p.dev.k.Cancel(p.flushEvent)
-	}
-	eng := p.dev.engines[p.dir]
-	if eng.Pending() == 0 {
-		p.flushArmed = false
+	if p.dev.engines[p.dir].Pending() == 0 {
+		p.flush.Stop()
 		return
 	}
-	p.flushArmed = true
-	p.flushEvent = p.dev.k.AfterArg(sim.Duration(p.dev.cfg.SlackChars)*p.dev.cfg.CharPeriod, portFlush, p)
+	p.flush.Reset()
 }
 
 func portFlush(a any) {
 	p := a.(*devicePort)
-	p.flushArmed = false
 	p.deliver(p.dev.engines[p.dir].Flush())
 }
 

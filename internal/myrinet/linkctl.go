@@ -469,22 +469,34 @@ func (lc *LinkController) receiveReset() {
 // ---- Receive side ----
 
 // Receive implements phy.Receiver: it classifies every incoming character.
+// Maximal runs of data and GAP characters — the packet stream — enter the
+// slack buffer a run at a time; the other control codes act one at a time.
 func (lc *LinkController) Receive(chars []phy.Character) {
 	if lc.tap != nil {
 		lc.tap.ObserveChars(lc.k.Now(), chars)
 	}
 	pushed := false
-	for _, c := range chars {
-		lc.ctr.CharsIn++
-		if c.IsData() {
-			if !lc.slack.Push(c) {
-				lc.ctr.OverflowChars++
-			} else {
-				pushed = true
+	for i := 0; i < len(chars); {
+		j, sym := i, SymbolUnknown
+		for ; j < len(chars); j++ {
+			if c := chars[j]; !c.IsData() {
+				// Packet framing: GAP enters the stream.
+				if sym = DecodeControl(c.Byte()); sym != SymbolGap {
+					break
+				}
 			}
-			continue
 		}
-		switch DecodeControl(c.Byte()) {
+		if j > i {
+			lc.ctr.CharsIn += uint64(j - i)
+			n := lc.slack.PushRun(chars[i:j])
+			lc.ctr.OverflowChars += uint64(j - i - n)
+			pushed = pushed || n > 0
+		}
+		if j == len(chars) {
+			break
+		}
+		lc.ctr.CharsIn++
+		switch sym {
 		case SymbolStop:
 			lc.pauseTx()
 		case SymbolGo:
@@ -495,22 +507,16 @@ func (lc *LinkController) Receive(chars []phy.Character) {
 			if lc.recovery.Enabled {
 				lc.receiveReset()
 			}
-		case SymbolGap:
-			// Packet framing: GAP enters the stream.
-			if !lc.slack.Push(c) {
-				lc.ctr.OverflowChars++
-			} else {
-				pushed = true
-			}
 		default:
 			// IDLE and unrecognized codes: no action.
 		}
+		i = j + 1
 	}
 	if pushed && lc.consumer != nil {
 		lc.consumer.slackReady()
 	}
-	// The burst was copied into the slack buffer character by character;
-	// hand the pooled buffer back.
+	// The burst was copied into the slack buffer; hand the pooled buffer
+	// back.
 	lc.pool.Release(chars)
 }
 

@@ -131,6 +131,37 @@ func (s *SlackBuffer) Push(c phy.Character) bool {
 	return true
 }
 
+// PushRun appends a run of characters with the effect of one Push each:
+// the characters that do not fit in the logical capacity are destroyed and
+// counted as overflow, and crossing the high watermark asserts STOP once. It
+// returns how many characters entered the buffer. The STOP fires after the
+// whole run is in, like Discard's GO.
+func (s *SlackBuffer) PushRun(chars []phy.Character) int {
+	n := len(chars)
+	if free := s.capacity - s.count; n > free {
+		s.overflow += uint64(n - free)
+		n = free
+	}
+	if n == 0 {
+		return 0
+	}
+	for s.count+n > len(s.buf) {
+		s.grow()
+	}
+	mask := len(s.buf) - 1
+	tail := (s.head + s.count) & mask
+	c := copy(s.buf[tail:], chars[:n])
+	copy(s.buf, chars[c:n])
+	s.count += n
+	if s.count >= s.high && !s.stopping {
+		s.stopping = true
+		if s.wm != nil {
+			s.wm.assertStop()
+		}
+	}
+	return n
+}
+
 // Pop removes and returns the oldest character. Draining to the low
 // watermark while stopping asserts GO.
 func (s *SlackBuffer) Pop() (phy.Character, bool) {

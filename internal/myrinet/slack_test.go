@@ -1,6 +1,8 @@
 package myrinet
 
 import (
+	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -143,6 +145,71 @@ func TestSlackBufferWrapAround(t *testing.T) {
 				t.Fatalf("iteration %d: got %v,%v want %d", i, c, ok, w)
 			}
 			w++
+		}
+	}
+}
+
+// wmLog records a slack buffer's watermark actions in order.
+type wmLog []string
+
+func (w *wmLog) assertStop() { *w = append(*w, "stop") }
+func (w *wmLog) assertGo()   { *w = append(*w, "go") }
+
+// TestSlackBufferPushRunMatchesPush: PushRun has exactly the effect of one
+// Push per character — ring contents and layout, count, overflow, STOP
+// state and the sequence of watermark actions — over random geometries,
+// pre-filled, wrapped and empty-fork (nil) rings, and runs that cross the
+// high watermark and overflow.
+func TestSlackBufferPushRunMatchesPush(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 3000; trial++ {
+		capacity := 1 + rng.Intn(150)
+		high := 1 + rng.Intn(capacity)
+		low := rng.Intn(high)
+		var base SlackBuffer
+		base.init(capacity, high, low, nil)
+		next := byte(0)
+		char := func() phy.Character {
+			next++
+			if rng.Intn(8) == 0 {
+				return charGap
+			}
+			return phy.DataChar(next)
+		}
+		// Pre-fill, then drain part of it so the ring head wraps; an
+		// emptied buffer forks with a nil ring.
+		for n := rng.Intn(capacity + 1); n > 0; n-- {
+			base.Push(char())
+		}
+		base.Discard(rng.Intn(base.Len() + 1))
+		var run, one SlackBuffer
+		var runLog, oneLog wmLog
+		base.cloneInto(&run, &runLog)
+		base.cloneInto(&one, &oneLog)
+		for round := 0; round < 6; round++ {
+			chars := make([]phy.Character, rng.Intn(2*capacity+1))
+			for i := range chars {
+				chars[i] = char()
+			}
+			got := run.PushRun(chars)
+			want := 0
+			for _, c := range chars {
+				if one.Push(c) {
+					want++
+				}
+			}
+			if got != want {
+				t.Fatalf("trial %d round %d: PushRun took %d of %d, Push loop %d", trial, round, got, len(chars), want)
+			}
+			a, b := run, one
+			a.wm, b.wm = nil, nil
+			if !reflect.DeepEqual(a, b) || !reflect.DeepEqual(runLog, oneLog) {
+				t.Fatalf("trial %d round %d (cap %d high %d low %d, run %d):\nPushRun  %+v %v\nPush     %+v %v",
+					trial, round, capacity, high, low, len(chars), a, runLog, b, oneLog)
+			}
+			d := rng.Intn(run.Len() + 1)
+			run.Discard(d)
+			one.Discard(d)
 		}
 	}
 }
