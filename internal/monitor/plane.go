@@ -182,6 +182,33 @@ func (t *Tap) ObserveChars(now sim.Time, chars []phy.Character) {
 	}
 }
 
+// ObserveRepeat observes chars n times, the i-th at first + i*step: what n
+// ObserveChars calls would do. A standing STOP's refresh train applied in
+// bulk reports its arrivals this way. Control symbols the parser ignores
+// (anything but GAP and RESET) only move the counters, so a burst of them
+// is counted at once unless the gap detector needs every burst's time.
+func (t *Tap) ObserveRepeat(first sim.Time, step sim.Duration, n int, chars []phy.Character) {
+	if t.gap == nil && inert(chars) {
+		t.bursts += uint64(n)
+		t.chars += uint64(n) * uint64(len(chars))
+		return
+	}
+	for i := range n {
+		t.ObserveChars(first+sim.Time(i)*step, chars)
+	}
+}
+
+// inert reports whether chars holds only control symbols ObserveChars takes
+// no action on.
+func inert(chars []phy.Character) bool {
+	for _, c := range chars {
+		if c.IsData() || c.Byte() == myrinet.SymGap || c.Byte() == myrinet.SymReset {
+			return false
+		}
+	}
+	return true
+}
+
 func (t *Tap) abortPacket() {
 	t.inPacket = false
 	t.n = 0

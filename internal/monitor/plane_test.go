@@ -1,6 +1,7 @@
 package monitor
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -237,6 +238,63 @@ func TestPlaneSummaryRenders(t *testing.T) {
 	for _, want := range []string{"flows exported", "sw0.p0", "cause=shutdown"} {
 		if !strings.Contains(s, want) {
 			t.Fatalf("summary missing %q:\n%s", want, s)
+		}
+	}
+}
+
+// ObserveRepeat must leave a tap exactly as the same bursts observed one at
+// a time would: counters, packet reassembly, the gap detector and the event
+// log, whether or not it takes the count-only path.
+func TestTapObserveRepeatMatchesObserveChars(t *testing.T) {
+	stop, gap := phy.ControlChar(myrinet.SymStop), phy.ControlChar(myrinet.SymGap)
+	bursts := [][]phy.Character{
+		{stop},
+		{stop, phy.ControlChar(myrinet.SymGo), phy.ControlChar(0)},
+		{gap},
+		{phy.ControlChar(myrinet.SymReset)},
+		append(phy.DataChars([]byte{1, 2, 3}), stop),
+		testPacket(macOf(1), macOf(2), 10),
+	}
+	opts := []TapOptions{{}, {LatencyShift: true}, {Flows: true, Detect: true}}
+	state := func(p *Plane, tap *Tap) string {
+		var b strings.Builder
+		bursts, chars, packets, control := tap.Stats()
+		fmt.Fprintln(&b, bursts, chars, packets, control, tap.inPacket, tap.n, tap.buf, tap.pktBytes,
+			tap.lastBurst, tap.haveBurst, tap.gapHot, p.Ring().Exported())
+		if tap.gap != nil {
+			fmt.Fprintf(&b, "%+v %+v\n", tap.gap.base, *tap.gap.recent)
+		}
+		for _, e := range p.Events() {
+			fmt.Fprintln(&b, e)
+		}
+		return b.String()
+	}
+	for _, o := range opts {
+		for _, burst := range bursts {
+			for _, n := range []int{0, 1, 40} {
+				var states [2]string
+				for i := range states {
+					k := sim.NewKernel(1)
+					p := NewPlane(k, Config{})
+					tap := p.NewTap("t", o)
+					// A packet in progress and a baseline of gaps first.
+					for j := range 40 {
+						tap.ObserveChars(sim.Time(j)*sim.Microsecond, phy.DataChars([]byte{0x80}))
+					}
+					first, step := 50*sim.Microsecond, 100*sim.Nanosecond
+					if i == 0 {
+						tap.ObserveRepeat(first, step, n, burst)
+					} else {
+						for j := range n {
+							tap.ObserveChars(first+sim.Time(j)*step, burst)
+						}
+					}
+					states[i] = state(p, tap)
+				}
+				if states[0] != states[1] {
+					t.Errorf("%+v, burst %v x%d:\nObserveRepeat: %s\nObserveChars:  %s", o, burst, n, states[0], states[1])
+				}
+			}
 		}
 	}
 }

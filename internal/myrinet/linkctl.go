@@ -38,7 +38,10 @@ type LinkController struct {
 	streamPos int
 
 	// Receive side. The slack buffer reports its watermark crossings to the
-	// controller (assertStop, assertGo).
+	// controller (assertStop, assertGo). refreshEvent is the next STOP
+	// refresh while the buffer stays above its low watermark: an occurrence
+	// of a sim train, so a standing STOP into a paused peer runs in bulk
+	// (BulkStep).
 	slack        SlackBuffer
 	refreshEvent sim.EventID
 	refreshOn    bool
@@ -533,11 +536,13 @@ func (lc *LinkController) armRefresh() {
 		return
 	}
 	lc.refreshOn = true
-	lc.refreshEvent = lc.k.AfterArg(StopRefresh, refreshStopFn, lc)
+	lc.refreshEvent = lc.k.AfterTrain(StopRefresh, refreshStopFn, lc)
 }
 
 func refreshStopFn(a any) { a.(*LinkController).refreshStop() }
 
+// refreshStop is one occurrence of the refresh train, run per event: while
+// the buffer is still stopping, re-send STOP and schedule the next one.
 func (lc *LinkController) refreshStop() {
 	lc.refreshOn = false
 	if !lc.slack.Stopping() {
@@ -546,6 +551,63 @@ func (lc *LinkController) refreshStop() {
 	lc.ctr.StopsSent++
 	lc.out.SendPriorityOne(charStop)
 	lc.armRefresh()
+}
+
+// stopPeriod is what one steady refresh period stands for per event: the
+// refresh and the STOP's delivery fire; the delivery and the re-arm are
+// drawn at the refresh, the peer's short-timer pet at the arrival.
+var stopPeriod = sim.Period{Events: 2, Draws: 3, Rearm: 1, Pet: 2}
+
+// stopBurst is the one-STOP burst a peer's tap is shown for each period
+// applied in bulk. Taps only read what they observe.
+var stopBurst = []phy.Character{charStop}
+
+// repeatTap is a tap that takes a run of identical bursts, the i-th at
+// first + i*step, in one call (monitor.Tap). Other taps see one
+// ObserveChars per burst.
+type repeatTap interface {
+	ObserveRepeat(first sim.Time, step sim.Duration, n int, chars []phy.Character)
+}
+
+// BulkStep implements sim.Train for the STOP refresh: it applies, in one
+// call, every steady period of the refresh train that falls before the
+// kernel's next real event. A period is steady when the buffer is stopping
+// and the STOP goes straight — no severed wire, no delivery sink, no
+// spliced device — to a paused controller on the same kernel that has no
+// timer to arm when it arrives (nothing to send or its long timer running;
+// with recovery on, its stop watchdog running). Such a period does exactly
+// this: the refresh counts a sent STOP and a one-character burst on the
+// link; the arrival counts a received character and STOP, shows the STOP to
+// the peer's tap, and pets the peer's short timer. Anything else — the
+// train's first STOP, a peer that must arm a timer — runs per event through
+// refreshStop and Receive.
+func (lc *LinkController) BulkStep(b *sim.Bulk) {
+	peer, ok := lc.out.Direct().(*LinkController)
+	if !ok || peer.k != lc.k || !lc.slack.Stopping() || !peer.paused ||
+		(peer.sending || peer.QueuedPackets() > 0) && !peer.longTimer.Armed() ||
+		peer.recovery.Enabled && !peer.stopWatchdog.Armed() {
+		return
+	}
+	b.Hold(&peer.shortTimer)
+	flight := lc.out.CharPeriod() + lc.out.PropDelay()
+	n := b.Periods(StopRefresh, flight)
+	if n == 0 {
+		return
+	}
+	switch tap := peer.tap.(type) {
+	case nil:
+	case repeatTap:
+		tap.ObserveRepeat(b.Now()+flight, StopRefresh, n, stopBurst)
+	default:
+		for at, i := b.Now()+flight, 0; i < n; at, i = at+StopRefresh, i+1 {
+			tap.ObserveChars(at, stopBurst)
+		}
+	}
+	lc.ctr.StopsSent += uint64(n)
+	lc.out.CountPriority(uint64(n))
+	peer.ctr.CharsIn += uint64(n)
+	peer.ctr.StopsReceived += uint64(n)
+	b.Commit(stopPeriod)
 }
 
 // assertGo is the slack buffer's low-watermark action.

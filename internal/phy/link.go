@@ -246,6 +246,25 @@ func (l *Link) SendPriorityOne(c Character) sim.Time {
 	return arrival
 }
 
+// CountPriority accounts for n one-character SendPriorityOne bursts whose
+// deliveries the receiver applied in bulk (a standing STOP's refresh train),
+// so Stats stays what n calls would have made it. It is only valid while the
+// link is Direct.
+func (l *Link) CountPriority(n uint64) {
+	l.chars += n
+	l.bursts += n
+}
+
+// Direct returns the receiver that SendPriorityOne would schedule a delivery
+// to on the link's own kernel, or nil when the link is severed or diverted
+// to a delivery sink.
+func (l *Link) Direct() Receiver {
+	if l.severed || l.sink != nil {
+		return nil
+	}
+	return l.dst
+}
+
 // SendControl transmits a single control character.
 func (l *Link) SendControl(code byte) sim.Time { return l.SendOne(ControlChar(code)) }
 

@@ -249,6 +249,7 @@ func (k *Kernel) Clone(m *Mapper) *Kernel {
 		seq:       k.seq,
 		src:       k.src.clone(),
 		processed: k.processed,
+		bulked:    k.bulked,
 		live:      k.live,
 		c0:        k.c0,
 		curPos:    k.curPos,

@@ -21,6 +21,13 @@
 // current deadline when it reaches the front (see settle). Fire order is
 // exactly (time, insertion sequence) — identical to a plain priority queue
 // with cancel-and-reschedule timers, as the equivalence tests pin down.
+//
+// A train is a periodic event its owner schedules occurrence by occurrence
+// with AfterTrain. Step, PeekNext, Pending and Clone see each occurrence as
+// an event; Drain, RunUntil and Run first offer the owner a Bulk, in which it
+// may apply every steady period that ends before the next real event in one
+// call. Processed, Now and the sequence counter then read exactly as if each
+// occurrence had fired, so fire order is unchanged (see train.go).
 package sim
 
 import (
@@ -107,6 +114,7 @@ type event struct {
 	// when the barrier that injected it happened to run.
 	ext      bool
 	canceled bool
+	train    bool // an AfterTrain occurrence: offered to its owner in bulk
 	xrank    uint32
 	xseq     uint64
 
@@ -194,6 +202,7 @@ type Kernel struct {
 	src       *prng
 	rng       *rand.Rand
 	processed uint64
+	bulked    uint64 // of processed, the events trains applied in bulk
 	stopped   bool
 	live      int // scheduled, not yet fired, not canceled
 
@@ -216,6 +225,10 @@ type Kernel struct {
 	curPos  int
 
 	free *event // recycled event structs
+
+	// bulk is the offer a train's owner receives (see Bulk); kept here so
+	// making it allocates nothing.
+	bulk Bulk
 
 	// local is the kernel's single attachment slot; see Local.
 	local any
@@ -278,6 +291,10 @@ func (k *Kernel) Rand() *rand.Rand { return k.rng }
 
 // Processed reports how many events have been executed so far.
 func (k *Kernel) Processed() uint64 { return k.processed }
+
+// Bulked reports how many of the Processed events trains applied in bulk
+// (see Bulk) rather than fired one at a time.
+func (k *Kernel) Bulked() uint64 { return k.bulked }
 
 // Pending reports how many events are scheduled and not yet executed.
 func (k *Kernel) Pending() int { return k.live }
@@ -452,7 +469,7 @@ func (k *Kernel) recycle(ev *event) {
 	ev.gen++
 	ev.fn, ev.afn, ev.arg, ev.tm = nil, nil, nil, nil
 	ev.ext, ev.xrank, ev.xseq = false, 0, 0
-	ev.canceled = false
+	ev.canceled, ev.train = false, false
 	ev.index = -1
 	ev.next = k.free
 	k.free = ev
@@ -660,18 +677,28 @@ func (k *Kernel) front() (ev *event, inHeap bool) {
 // maxTime is the end of virtual time.
 const maxTime = Time(1<<63 - 1)
 
-// step executes the earliest pending event if it is due at or before limit,
-// and reports whether it did.
-func (k *Kernel) step(limit Time) bool {
-	ev, inHeap := k.front()
-	if ev == nil || ev.at > limit {
-		return false
-	}
+// pop removes the event front just returned.
+func (k *Kernel) pop(inHeap bool) {
 	if inHeap {
 		heap.Pop(&k.queue)
 	} else {
 		k.cur[k.curPos] = nil
 		k.curPos++
+	}
+}
+
+// step executes the earliest pending event if it is due at or before limit,
+// and reports whether it did. With bulk set, a train's occurrence is first
+// offered to its owner, who may apply a run of its periods instead (see
+// Bulk); that counts as one step.
+func (k *Kernel) step(limit Time, bulk bool) bool {
+	ev, inHeap := k.front()
+	if ev == nil || ev.at > limit {
+		return false
+	}
+	k.pop(inHeap)
+	if bulk && ev.train && k.bulkStep(ev, limit) {
+		return true
 	}
 	k.now = ev.at
 	k.processed++
@@ -686,14 +713,14 @@ func (k *Kernel) step(limit Time) bool {
 	return true
 }
 
-// Step executes the single earliest pending event. It reports false when no
-// events remain.
-func (k *Kernel) Step() bool { return k.step(maxTime) }
+// Step executes the single earliest pending event — one occurrence of a
+// train, never a run of them. It reports false when no events remain.
+func (k *Kernel) Step() bool { return k.step(maxTime, false) }
 
 // Run executes events until the queue drains or Stop is called.
 func (k *Kernel) Run() {
 	k.stopped = false
-	for !k.stopped && k.Step() {
+	for !k.stopped && k.step(maxTime, true) {
 	}
 }
 
@@ -714,7 +741,7 @@ func (k *Kernel) RunUntil(t Time) {
 // last window, which depends on the partition.
 func (k *Kernel) Drain(t Time) {
 	k.stopped = false
-	for !k.stopped && k.step(t) {
+	for !k.stopped && k.step(t, true) {
 	}
 }
 

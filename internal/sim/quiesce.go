@@ -82,7 +82,9 @@ func (r QuiesceResult) Outcome() string {
 // campaign's hang detector: a fault that wedges the network leaves an
 // eternal event chain (STOP refreshes, watchdog-free waits) that Run() would
 // chase forever; this returns with Stalled set instead, deterministically —
-// the same seed stalls at the same virtual time.
+// the same seed stalls at the same virtual time. A STOP refresh train that
+// runs in bulk (see Bulk) keeps its next occurrence queued between slices,
+// so a wedged bed still has events pending and stalls rather than drains.
 func (k *Kernel) RunUntilQuiescent(cfg QuiesceConfig) QuiesceResult {
 	if cfg.Progress == nil {
 		panic("sim: RunUntilQuiescent requires a Progress predicate")
