@@ -117,6 +117,3 @@ func (d *ShiftDetector) Add(x float64) bool {
 
 // Z reports the current smoothed deviation from the baseline.
 func (d *ShiftDetector) Z() float64 { return d.base.Z(d.recent.Value()) }
-
-// Warm reports whether the baseline is complete.
-func (d *ShiftDetector) Warm() bool { return d.base.Count() >= d.warmup }

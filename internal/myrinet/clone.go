@@ -73,7 +73,8 @@ func (p *txPacket) clone(m *sim.Mapper, owner string, p2 *txPacket) {
 
 // Clone forks the link controller. The consumer is left nil: the owning port
 // or interface registers its own clone when it clones itself. Only the live
-// packet queue (txq[txHead:]) crosses, compacted to the front.
+// packet queue (txq[txHead:]) and stream backlog (streamBuf[streamPos:])
+// cross, compacted to the front.
 func (lc *LinkController) Clone(m *sim.Mapper) *LinkController {
 	lc2 := new(LinkController)
 	*lc2 = *lc
@@ -96,7 +97,7 @@ func (lc *LinkController) Clone(m *sim.Mapper) *LinkController {
 			q[i].clone(m, lc.name, &lc2.txq[i])
 		}
 	}
-	lc2.streamBuf = append([]phy.Character(nil), lc.streamBuf...)
+	lc2.streamBuf, lc2.streamPos = append([]phy.Character(nil), lc.streamBuf[lc.streamPos:]...), 0
 	lc.slack.cloneInto(&lc2.slack, lc2)
 	lc2.refreshEvent = m.MapEventID(lc.refreshEvent)
 	sim.Rebind(m, &lc2.out, lc.out)
@@ -186,12 +187,14 @@ func (ifc *Interface) Clone(m *sim.Mapper) *Interface {
 	}
 	ifc2 := new(Interface)
 	*ifc2 = *ifc
-	ifc2.k, ifc2.resolver, ifc2.onData = m.Kernel(), nil, nil
+	ifc2.k, ifc2.resolver, ifc2.routeBuf, ifc2.onData = m.Kernel(), nil, nil, nil
 	ifc2.ctr = cloneCounters(m, ifc.ctr)
 	ifc2.assembling = append([]byte(nil), ifc.assembling...)
-	ifc2.routes = make(map[MAC][]byte, len(ifc.routes))
-	for mac, r := range ifc.routes {
-		ifc2.routes[mac] = append([]byte(nil), r...)
+	if ifc.routes != nil {
+		ifc2.routes = make(map[MAC][]byte, len(ifc.routes))
+		for mac, r := range ifc.routes {
+			ifc2.routes[mac] = append([]byte(nil), r...)
+		}
 	}
 	m.Put(ifc, ifc2)
 	if ifc.lc != nil {

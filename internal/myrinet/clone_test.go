@@ -13,7 +13,7 @@ import (
 func TestForkFailsOnRouteResolver(t *testing.T) {
 	k := sim.NewKernel(1)
 	ifc := NewInterface(k, InterfaceConfig{Name: "resolving"})
-	ifc.SetRouteResolver(func(MAC) ([]byte, bool) { return nil, false })
+	ifc.SetRouteResolver(func(buf []byte, _ MAC) ([]byte, bool) { return buf, false })
 	m := sim.NewMapper()
 	k.Clone(m)
 	ifc.Clone(m)

@@ -33,12 +33,14 @@ type Interface struct {
 	assembling []byte
 	oversized  bool
 
-	// Routing.
-	routes map[MAC][]byte
-	// resolver computes a route on a table miss (large fabrics derive
-	// routes from topology instead of materializing H^2 entries). A hit
-	// is cached into routes.
-	resolver func(dst MAC) ([]byte, bool)
+	// Routing. routes is the installed table (MCP-mapped or SetRoute),
+	// made on first use. resolver computes a route on every table miss
+	// (large fabrics derive routes from topology instead of storing H^2
+	// entries), appending it to routeBuf, which keeps the capacity of the
+	// longest route computed so far.
+	routes   map[MAC][]byte
+	resolver func(buf []byte, dst MAC) ([]byte, bool)
+	routeBuf []byte
 
 	// MCP.
 	mcp *MCP
@@ -74,10 +76,9 @@ func NewInterface(k *sim.Kernel, cfg InterfaceConfig) *Interface {
 		cfg.MaxPacket = 4096
 	}
 	ifc := &Interface{
-		k:      k,
-		cfg:    cfg,
-		ctr:    NewCounters(),
-		routes: make(map[MAC][]byte),
+		k:   k,
+		cfg: cfg,
+		ctr: NewCounters(),
 	}
 	ifc.mcp = newMCP(ifc, cfg.Mapping)
 	return ifc
@@ -145,25 +146,34 @@ func (ifc *Interface) SetDataHandler(fn func(src MAC, payload []byte)) { ifc.onD
 
 // SetRoute installs a static route (tests and manual topologies).
 func (ifc *Interface) SetRoute(dst MAC, route []byte) {
+	if ifc.routes == nil {
+		ifc.routes = make(map[MAC][]byte)
+	}
 	ifc.routes[dst] = append([]byte(nil), route...)
 }
 
-// SetRouteResolver installs a fallback consulted on a routing-table miss.
-// The resolved route is cached in the table, so the resolver runs once per
-// destination. Fabric topologies use this to derive routes on demand from
-// the port mapping instead of pre-installing hosts-squared entries.
-func (ifc *Interface) SetRouteResolver(fn func(dst MAC) ([]byte, bool)) {
+// SetRouteResolver installs a fallback consulted on every routing-table
+// miss: fn appends the route for dst to buf and returns the extended slice,
+// or reports false when dst is unknown. buf is the interface's own route
+// buffer, reused from call to call, so fn must not keep it, and an
+// interface never shares it with another (shards run hosts on different
+// goroutines). Nothing is stored: fabric topologies use this to compute
+// each packet's route from the port mapping, so memory does not grow with
+// the number of destinations a host talks to.
+func (ifc *Interface) SetRouteResolver(fn func(buf []byte, dst MAC) ([]byte, bool)) {
 	ifc.resolver = fn
 }
 
-// Route returns the source route for dst, if known.
+// Route returns the source route for dst, if known: the installed table
+// first, then the resolver. A table route stays valid until the table is
+// replaced. A resolved route lies in the interface's route buffer and is
+// valid only until the next Route or Send on this interface.
 func (ifc *Interface) Route(dst MAC) ([]byte, bool) {
-	r, ok := ifc.routes[dst]
-	if !ok && ifc.resolver != nil {
-		if r, ok = ifc.resolver(dst); ok {
-			ifc.routes[dst] = r
-		}
+	if r, ok := ifc.routes[dst]; ok || ifc.resolver == nil {
+		return r, ok
 	}
+	r, ok := ifc.resolver(ifc.routeBuf[:0], dst)
+	ifc.routeBuf = r[:0]
 	return r, ok
 }
 

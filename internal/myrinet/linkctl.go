@@ -236,12 +236,6 @@ func (lc *LinkController) QueuedPackets() int { return len(lc.txq) - lc.txHead }
 // Paused reports whether remote STOP is gating the transmitter.
 func (lc *LinkController) Paused() bool { return lc.paused }
 
-// SendControl transmits a single control symbol immediately (it interleaves
-// after whatever chunk the link is currently serializing).
-func (lc *LinkController) SendControl(code byte) {
-	lc.out.SendOne(phy.ControlChar(code))
-}
-
 // StreamChars appends characters to the streaming transmit buffer. Switch
 // ports use this for cut-through forwarding: bytes flow out as they arrive,
 // gated by downstream STOP/GO, without packet-granularity queueing.
@@ -330,11 +324,16 @@ func (lc *LinkController) streamStep() {
 	lc.out.Send(lc.streamBuf[lc.streamPos : lc.streamPos+n])
 	lc.ctr.CharsOut += uint64(n)
 	lc.streamPos += n
+	// Reclaim the sent prefix once it passes half the buffer, as dequeue
+	// does for txq, so a backlog that never fully drains keeps appending
+	// into the same backing array instead of growing it without bound.
 	after := lc.TxBacklog()
-	if after == 0 {
-		// Reset the buffer so it does not grow without bound.
-		lc.streamBuf = lc.streamBuf[:0]
-		lc.streamPos = 0
+	switch {
+	case after == 0:
+		lc.streamBuf, lc.streamPos = lc.streamBuf[:0], 0
+	case lc.streamPos > len(lc.streamBuf)/2:
+		n := copy(lc.streamBuf, lc.streamBuf[lc.streamPos:])
+		lc.streamBuf, lc.streamPos = lc.streamBuf[:n], 0
 	}
 	if before >= StreamBacklogLimit && after < StreamBacklogLimit && lc.consumer != nil {
 		lc.consumer.txDrained()

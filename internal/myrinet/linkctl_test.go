@@ -280,6 +280,37 @@ func TestLinkControllerStreamBackpressureNotify(t *testing.T) {
 	}
 }
 
+// A stream whose backlog never drains to zero still reuses its buffer: the
+// sent prefix is reclaimed once it passes half the buffer, so capacity
+// tracks the live backlog, not everything ever streamed.
+func TestLinkControllerStreamReclaimsSentPrefix(t *testing.T) {
+	k := sim.NewKernel(1)
+	ep := newTestEndpoint(t, k, "a")
+	chunk := packetChars(31)
+	ep.lc.StreamChars(chunk)
+	ep.lc.StreamChars(chunk)
+	maxBacklog := 0
+	for i := 0; i < 1000; i++ {
+		ep.lc.StreamChars(chunk)
+		// Send as many characters as were queued: the backlog holds
+		// steady one chunk deep and never reaches zero.
+		k.RunFor(sim.Duration(len(chunk)) * CharPeriod)
+		backlog := ep.lc.TxBacklog()
+		if backlog == 0 {
+			t.Fatalf("round %d: backlog drained; the test needs a standing backlog", i)
+		}
+		maxBacklog = max(maxBacklog, backlog)
+	}
+	if c := cap(ep.lc.streamBuf); c > 4*maxBacklog {
+		t.Errorf("stream buffer capacity %d after %d characters streamed, live backlog at most %d",
+			c, 1002*len(chunk), maxBacklog)
+	}
+	k.Run()
+	if got, want := len(ep.sent), 1002*len(chunk); got != want {
+		t.Errorf("sent %d characters, want %d", got, want)
+	}
+}
+
 func TestLinkControllerStopGoCounters(t *testing.T) {
 	k := sim.NewKernel(1)
 	ep := newTestEndpoint(t, k, "a")

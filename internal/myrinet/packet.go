@@ -165,9 +165,14 @@ func DecodePacket(wire []byte, routeLen int) (*Packet, error) {
 // RouteTo builds the source route for a path: one switch hop byte per entry
 // in ports, then the final byte consumed by the destination interface.
 func RouteTo(ports ...int) []byte {
-	r := make([]byte, 0, len(ports)+1)
+	return AppendRoute(make([]byte, 0, len(ports)+1), ports...)
+}
+
+// AppendRoute appends RouteTo(ports...) to buf and returns the extended
+// slice.
+func AppendRoute(buf []byte, ports ...int) []byte {
 	for _, p := range ports {
-		r = append(r, SwitchHop(p))
+		buf = append(buf, SwitchHop(p))
 	}
-	return append(r, RouteFinal)
+	return append(buf, RouteFinal)
 }

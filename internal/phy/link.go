@@ -265,9 +265,6 @@ func (l *Link) Direct() Receiver {
 	return l.dst
 }
 
-// SendControl transmits a single control character.
-func (l *Link) SendControl(code byte) sim.Time { return l.SendOne(ControlChar(code)) }
-
 // Sever cuts the link: every subsequent burst is discarded at the
 // transmitter and counted. Bursts already committed to the wire still
 // arrive — light in the pipe — so a severed link drains rather than

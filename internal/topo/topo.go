@@ -454,32 +454,39 @@ func (f *Fabric) noteCross(from, to int, lat sim.Duration) {
 // either index is out of range. Same-leaf traffic takes one hop; cross-leaf
 // traffic transits a spine chosen deterministically per (srcLeaf, dstLeaf)
 // from the seed, so both the route and the load spread are reproducible.
-func (f *Fabric) Route(src, dst int) ([]byte, bool) {
+// The route is freshly allocated; hosts compute theirs with appendRoute
+// into their own buffer instead.
+func (f *Fabric) Route(src, dst int) ([]byte, bool) { return f.appendRoute(nil, src, dst) }
+
+// appendRoute appends Route(src, dst) to buf and returns the extended
+// slice; on false it returns buf unchanged.
+func (f *Fabric) appendRoute(buf []byte, src, dst int) ([]byte, bool) {
 	if src < 0 || src >= f.Config.Hosts || dst < 0 || dst >= f.Config.Hosts || src == dst {
-		return nil, false
+		return buf, false
 	}
 	srcSw, _ := f.hostAttach(src)
 	dstSw, dstPort := f.hostAttach(dst)
-	if srcSw == dstSw {
-		return myrinet.RouteTo(dstPort), true
-	}
-	if f.Mesh {
-		return myrinet.RouteTo(f.HostsPerLeaf+dstSw, dstPort), true
+	switch {
+	case srcSw == dstSw:
+		return myrinet.AppendRoute(buf, dstPort), true
+	case f.Mesh:
+		return myrinet.AppendRoute(buf, f.HostsPerLeaf+dstSw, dstPort), true
 	}
 	spine := int(mix(uint64(f.Config.Seed), uint64(srcSw), uint64(dstSw)) % uint64(f.Spines))
-	return myrinet.RouteTo(f.HostsPerLeaf+spine, dstSw, dstPort), true
+	return myrinet.AppendRoute(buf, f.HostsPerLeaf+spine, dstSw, dstPort), true
 }
 
-// resolverFor builds host h's on-demand route resolver: the interface's
-// table stays empty until a destination is first used, so a 1024-host
-// fabric does not materialize a million route entries up front.
-func (f *Fabric) resolverFor(h int) func(myrinet.MAC) ([]byte, bool) {
-	return func(dst myrinet.MAC) ([]byte, bool) {
+// resolverFor builds host h's route resolver: the interface computes every
+// packet's route from the topology into its own buffer and stores none, so
+// a 1024-host fabric never holds a million route entries however much
+// traffic it carries.
+func (f *Fabric) resolverFor(h int) func([]byte, myrinet.MAC) ([]byte, bool) {
+	return func(buf []byte, dst myrinet.MAC) ([]byte, bool) {
 		d, ok := HostIndex(dst)
 		if !ok {
-			return nil, false
+			return buf, false
 		}
-		return f.Route(h, d)
+		return f.appendRoute(buf, h, d)
 	}
 }
 
