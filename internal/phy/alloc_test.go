@@ -92,19 +92,25 @@ func TestLinkDeliveryZeroAlloc(t *testing.T) {
 }
 
 // The other mixed direction: buffers taken from the depot and released into
-// a kernel's pool. The local list must stop at its cap and spill, so the
-// depot keeps feeding the producer: no allocation per round trip, no growth.
+// a kernel's pool. The local list must never grow past its cap — a full
+// list hands half of itself back — so the depot keeps feeding the producer:
+// no allocation per round trip, no growth.
 func TestDepotToKernelBounded(t *testing.T) {
 	p := PoolOf(sim.NewKernel(1))
-	trip := func() { p.Release(GetBurst(32)) }
+	class := burstClassFor(32)
+	most := 0
+	trip := func() {
+		p.Release(GetBurst(32))
+		most = max(most, len(p.bursts[class]))
+	}
 	for i := 0; i < 4*localBurstCap; i++ {
 		trip()
 	}
 	if avg := testing.AllocsPerRun(1000, trip); avg != 0 {
 		t.Errorf("depot-to-kernel round trip allocates %.2f objects/op, want 0", avg)
 	}
-	if got := len(p.bursts[burstClassFor(32)]); got != localBurstCap {
-		t.Errorf("kernel holds %d local buffers after overflowing, want the cap %d", got, localBurstCap)
+	if most > localBurstCap {
+		t.Errorf("kernel held %d local buffers after a trip, want at most the cap %d", most, localBurstCap)
 	}
 }
 

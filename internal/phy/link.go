@@ -283,15 +283,6 @@ func (l *Link) Idle() bool { return l.busyUntil <= l.k.Now() }
 // Stats reports cumulative characters and bursts sent.
 func (l *Link) Stats() (chars, bursts uint64) { return l.chars, l.bursts }
 
-// Throughput reports average payload rate in characters per second between
-// simulation start and now. Zero when no time has elapsed.
-func (l *Link) Throughput() float64 {
-	if l.k.Now() == 0 {
-		return 0
-	}
-	return float64(l.chars) / l.k.Now().Seconds()
-}
-
 // Cable bundles the two directions of a full-duplex link between endpoints
 // conventionally called "left" and "right" (matching the paper's
 // bi-directional injector, which corrupts "left going" and "right going"

@@ -62,17 +62,21 @@ func (o *Outbox) push(d Delivery) {
 	o.pending = append(o.pending, d)
 }
 
-// drain moves the buffered deliveries into all, clears the backing array's
+// drain injects the buffered deliveries into their destination kernels in
+// buffer order, reports how many moved, clears the backing array's
 // pointers for the garbage collector, and applies the shrink policy: a
 // burst of traffic can balloon the array, so when many consecutive
 // exchanges use less than a quarter of its capacity the array is recycled
 // at half size. Steady-state exchanges stay allocation-free.
-func (o *Outbox) drain(all []Delivery) []Delivery {
+func (o *Outbox) drain() int {
 	n := len(o.pending)
 	if n == 0 {
-		return all
+		return 0
 	}
-	all = append(all, o.pending...)
+	for i := range o.pending {
+		d := &o.pending[i]
+		d.Pool.ScheduleReceiveExt(d.At, d.Rank, d.Seq, d.Dst, d.Chars)
+	}
 	clear(o.pending)
 	o.pending = o.pending[:0]
 	if c := cap(o.pending); c >= 64 && n < c/4 {
@@ -83,7 +87,7 @@ func (o *Outbox) drain(all []Delivery) []Delivery {
 	} else {
 		o.slack = 0
 	}
-	return all
+	return n
 }
 
 // ChannelEnd is the DeliverySink for one direction of a cross-shard cable.
@@ -143,7 +147,6 @@ func (d *DirectEnd) Deliver(arrival sim.Time, dst Receiver, chars []Character) {
 type ExchangeSet struct {
 	boxes    []*Outbox
 	nonEmpty atomic.Int32
-	scratch  []Delivery
 }
 
 // NewExchangeSet returns a set with one empty outbox per shard.
@@ -158,29 +161,22 @@ func NewExchangeSet(shards int) *ExchangeSet {
 // Box returns shard i's outbox.
 func (s *ExchangeSet) Box(i int) *Outbox { return s.boxes[i] }
 
-// Exchange drains every outbox, injecting all buffered deliveries into
-// their destination kernels, and reports how many deliveries moved. It must
-// run at a barrier, with every shard quiescent — it draws each delivery
-// record from the destination kernel's pool — and every delivery's
-// arrival must be at or after its destination kernel's clock (the
-// conservative window horizons guarantee this; the kernel panics
-// otherwise). Injection needs no sort: the (rank, seq) stamps order the
-// events inside each kernel.
+// Exchange drains every outbox in box order, injecting all buffered
+// deliveries into their destination kernels, and reports how many
+// deliveries moved. It must run at a barrier, with every shard quiescent —
+// it draws each delivery record from the destination kernel's pool — and
+// every delivery's arrival must be at or after its destination kernel's
+// clock (the conservative window horizons guarantee this; the kernel
+// panics otherwise). Injection needs no sort: the (rank, seq) stamps order
+// the events inside each kernel.
 func (s *ExchangeSet) Exchange() int {
 	if s.nonEmpty.Load() == 0 {
 		return 0
 	}
 	s.nonEmpty.Store(0)
-	all := s.scratch[:0]
+	n := 0
 	for _, b := range s.boxes {
-		all = b.drain(all)
+		n += b.drain()
 	}
-	for i := range all {
-		d := &all[i]
-		d.Pool.ScheduleReceiveExt(d.At, d.Rank, d.Seq, d.Dst, d.Chars)
-		d.Dst, d.Chars, d.Pool = nil, nil, nil
-	}
-	n := len(all)
-	s.scratch = all[:0]
 	return n
 }

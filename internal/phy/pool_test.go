@@ -51,6 +51,89 @@ func TestKernelPoolsIsolated(t *testing.T) {
 	}
 }
 
+// A fabric's transmitters run in phase, so a kernel's swing in buffers in
+// flight runs to thousands, far past its local list. Kernel pools must then
+// trade with the shared depot tradeBatch buffers per lock, not one: the
+// depot operations per round are bounded by the swing over the batch, and
+// once warm the trades allocate nothing. Trading one buffer per lock makes
+// about twice the swing in operations and fails both cases.
+func TestPoolTradesInBatches(t *testing.T) {
+	const swing, warm, rounds = 1000, 16, 20
+	class := burstClassFor(32)
+	// check runs round warm times, then rounds more, and holds every
+	// measured round to at most bound depot operations and the measured
+	// rounds to zero allocations.
+	check := func(t *testing.T, round func(), bound float64) {
+		for i := 0; i < warm; i++ {
+			round()
+		}
+		worst := uint64(0)
+		allocs := testing.AllocsPerRun(rounds, func() {
+			before := depotOps()
+			round()
+			worst = max(worst, depotOps()-before)
+		})
+		if float64(worst) > bound {
+			t.Errorf("a round of %d buffers made %d depot operations, want at most %.1f", swing, worst, bound)
+		}
+		if !raceEnabled && allocs != 0 {
+			t.Errorf("a warmed round allocates %.2f objects, want 0", allocs)
+		}
+	}
+
+	// Kernel A takes the bursts, kernel B releases them: a cross-shard
+	// cable. A is driven by the test's goroutine and B by one of its own,
+	// handing the batch over on channels, so under -race this also pins
+	// that the trades hold no unsynchronized shared state.
+	t.Run("two-kernels", func(t *testing.T) {
+		a, b := PoolOf(sim.NewKernel(1)), PoolOf(sim.NewKernel(2))
+		batch := make([][]Character, swing)
+		taken, released, done := make(chan struct{}), make(chan struct{}), make(chan struct{})
+		go func() {
+			defer close(done)
+			for range taken {
+				for i, buf := range batch {
+					b.Release(buf)
+					batch[i] = nil
+				}
+				released <- struct{}{}
+			}
+		}()
+		defer func() {
+			close(taken)
+			<-done
+		}()
+		round := func() {
+			for i := range batch {
+				batch[i] = a.Get(32)
+			}
+			taken <- struct{}{}
+			<-released
+		}
+		check(t, round, 2*swing/float64(tradeBatch)+2)
+		if got := len(b.bursts[class]); got > localBurstCap {
+			t.Errorf("releasing kernel holds %d local buffers, want at most the cap %d", got, localBurstCap)
+		}
+	})
+
+	// One kernel swings the buffers out and back, as a fabric shard does
+	// every chunk period.
+	t.Run("one-kernel-swing", func(t *testing.T) {
+		p := PoolOf(sim.NewKernel(3))
+		held := make([][]Character, swing)
+		round := func() {
+			for i := range held {
+				held[i] = p.Get(32)
+			}
+			for i, buf := range held {
+				p.Release(buf)
+				held[i] = nil
+			}
+		}
+		check(t, round, 2*float64((swing+tradeBatch-1)/tradeBatch))
+	})
+}
+
 // recorder is a forkable receiver that keeps what it was delivered and, like
 // a real device, hands the buffer back to its kernel's pool.
 type recorder struct {
