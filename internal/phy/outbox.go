@@ -49,8 +49,13 @@ type Delivery struct {
 type Outbox struct {
 	pending  []Delivery
 	nonEmpty *atomic.Int32
-	slack    int // consecutive exchanges that used < 1/4 of capacity
+	drains   int // non-empty drains so far in the current shrink epoch
+	peak     int // largest drain in the current shrink epoch
 }
+
+// shrinkEpoch is the number of non-empty drains over which an outbox
+// tracks its high-water mark before deciding whether to shrink.
+const shrinkEpoch = 64
 
 // Len reports the number of buffered deliveries.
 func (o *Outbox) Len() int { return len(o.pending) }
@@ -65,9 +70,12 @@ func (o *Outbox) push(d Delivery) {
 // drain injects the buffered deliveries into their destination kernels in
 // buffer order, reports how many moved, clears the backing array's
 // pointers for the garbage collector, and applies the shrink policy: a
-// burst of traffic can balloon the array, so when many consecutive
-// exchanges use less than a quarter of its capacity the array is recycled
-// at half size. Steady-state exchanges stay allocation-free.
+// burst of traffic can balloon the array, so at the end of each epoch of
+// shrinkEpoch drains whose largest drain used less than a quarter of the
+// capacity, the array is recycled at half size. Judging an epoch by its
+// high-water mark keeps a periodically bursty exchange at its burst size
+// instead of shrinking between bursts and regrowing at the next one;
+// steady-state exchanges stay allocation-free.
 func (o *Outbox) drain() int {
 	n := len(o.pending)
 	if n == 0 {
@@ -79,13 +87,12 @@ func (o *Outbox) drain() int {
 	}
 	clear(o.pending)
 	o.pending = o.pending[:0]
-	if c := cap(o.pending); c >= 64 && n < c/4 {
-		if o.slack++; o.slack >= 16 {
+	o.peak = max(o.peak, n)
+	if o.drains++; o.drains == shrinkEpoch {
+		if c := cap(o.pending); c >= 64 && o.peak < c/4 {
 			o.pending = make([]Delivery, 0, c/2)
-			o.slack = 0
 		}
-	} else {
-		o.slack = 0
+		o.drains, o.peak = 0, 0
 	}
 	return n
 }

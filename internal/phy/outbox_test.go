@@ -28,7 +28,7 @@ func TestExchangeSteadyStateAllocs(t *testing.T) {
 		k.Run()
 	}
 	for i := 0; i < 50; i++ {
-		cycle() // warm the pools and the pending/scratch arrays
+		cycle() // warm the pools and the pending arrays
 	}
 	if avg := testing.AllocsPerRun(200, cycle); avg != 0 {
 		t.Errorf("steady-state exchange allocates %.2f objects/op, want 0", avg)
@@ -77,6 +77,35 @@ func TestOutboxShrinksAfterBurst(t *testing.T) {
 	}
 	if c := cap(set.Box(0).pending); c >= grown {
 		t.Errorf("pending cap %d did not shrink from burst high-water %d", c, grown)
+	}
+}
+
+// A periodically bursty exchange — one large drain, then a run of small
+// ones — must hold its outbox at the burst's size: shrinking during the
+// quiet run and regrowing at the next burst would allocate every period.
+func TestOutboxSteadyUnderBurstyLoad(t *testing.T) {
+	k := sim.NewKernel(1)
+	set := NewExchangeSet(1)
+	end := NewChannelEnd(set.Box(0), k, 0)
+	sink := &releasingSink{}
+	deliver := func(n int) {
+		base := k.Now()
+		for i := 0; i < n; i++ {
+			end.Deliver(base+sim.Time(i+1), sink, GetBurst(16))
+		}
+		set.Exchange()
+		k.Run()
+	}
+	cycle := func() {
+		deliver(300)
+		for i := 0; i < 20; i++ {
+			deliver(1)
+		}
+	}
+	cycle() // warm the pools, the kernel and the pending array
+	if avg := testing.AllocsPerRun(20, cycle); avg != 0 {
+		t.Errorf("bursty exchange cycle allocates %.2f objects, want 0 (pending cap %d)",
+			avg, cap(set.Box(0).pending))
 	}
 }
 

@@ -19,9 +19,9 @@ func TestUARTByteTiming(t *testing.T) {
 		t.Fatalf("delivered %d bytes, want 2", len(times))
 	}
 	// 10 bits at 115200 baud = 86.805... us per byte.
-	bt := u.ByteTime()
+	bt := u.byteTime
 	if bt < 86*sim.Microsecond || bt > 87*sim.Microsecond {
-		t.Errorf("ByteTime = %v, want ~86.8us", bt)
+		t.Errorf("byteTime = %v, want ~86.8us", bt)
 	}
 	if times[0] != bt || times[1] != 2*bt {
 		t.Errorf("delivery times %v, want [%v %v]", times, bt, 2*bt)

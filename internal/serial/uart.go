@@ -69,9 +69,6 @@ func NewUART(k *sim.Kernel, baud int, dst ByteSink) *UART {
 	}
 }
 
-// ByteTime reports the serialization time of one byte (10 bit times).
-func (u *UART) ByteTime() sim.Duration { return u.byteTime }
-
 // Send queues bytes for transmission; each is delivered to the sink when
 // its stop bit completes.
 func (u *UART) Send(data []byte) sim.Time {

@@ -40,17 +40,22 @@ import (
 )
 
 // senseBarrier is a reusable sense-reversing barrier for n participants.
-// Arrivals spin briefly (yielding the processor) and then park on a
-// condition variable, so it is cheap both on multicore (spin resolves) and
-// on a single CPU (Gosched hands the processor to the shard that has not
-// arrived yet).
+// While the group is inside Run (running is set) an early arriver keeps
+// spinning, yielding the processor each turn: the other participants are
+// draining a window and will arrive soon, and a parked waiter's wake-up
+// would sit on the critical path of the next window. Outside Run, idle
+// workers park on a condition variable after a brief spin. Gosched keeps
+// it live on a single CPU: it hands the processor to the shard that has
+// not arrived yet.
 type senseBarrier struct {
-	n     int32
-	count atomic.Int32
-	sense atomic.Uint32
+	n       int32
+	count   atomic.Int32
+	sense   atomic.Uint32
+	running atomic.Bool
 
-	mu   sync.Mutex
-	cond *sync.Cond
+	mu     sync.Mutex
+	cond   *sync.Cond
+	parked int // waiters asleep on cond; guarded by mu
 }
 
 func newSenseBarrier(n int) *senseBarrier {
@@ -76,16 +81,18 @@ func (b *senseBarrier) wait(local *uint32) {
 		b.cond.Broadcast()
 		return
 	}
-	for i := 0; i < 128; i++ {
+	for i := 0; i < 128 || b.running.Load(); i++ {
 		if b.sense.Load() == s {
 			return
 		}
 		runtime.Gosched()
 	}
 	b.mu.Lock()
+	b.parked++
 	for b.sense.Load() != s {
 		b.cond.Wait()
 	}
+	b.parked--
 	b.mu.Unlock()
 }
 
@@ -317,9 +324,15 @@ func (g *ShardGroup) runWindow() {
 // false, pending events remain beyond limit. All shard clocks end at the
 // same time: the global last-event time when drained, limit otherwise —
 // either way a pure function of the traffic, independent of the partition.
+// While Run executes, barrier waiters spin instead of parking; on return
+// the idle workers park until the next Run or Close.
 func (g *ShardGroup) Run(limit Time) bool {
 	if g.closed {
 		panic("sim: ShardGroup used after Close")
+	}
+	if g.bar != nil {
+		g.bar.running.Store(true)
+		defer g.bar.running.Store(false)
 	}
 	g.peekAll()
 	for {

@@ -2,7 +2,9 @@ package sim
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
+	"time"
 )
 
 // The adaptive-horizon equivalence harness: a mesh of forwarding nodes whose
@@ -352,4 +354,55 @@ func TestShardGroupDistanceMatrixValidation(t *testing.T) {
 		{0, 10 * Nanosecond},
 		{0, 0},
 	})
+}
+
+// Barrier waiters spin for as long as the group is inside Run. Spinning
+// yields the processor, so a group on one CPU must still finish the same
+// windows with the same events as on two, and once Run returns the barrier
+// stops spinning: the idle worker parks until the next Run.
+func TestShardGroupSpinsOnlyInsideRun(t *testing.T) {
+	type result struct {
+		processed [2][2]uint64 // [phase][kernel]
+		windows   [2]uint64
+	}
+	run := func(procs int) result {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		net := buildMesh(42, 8, 2)
+		defer net.g.Close()
+		var r result
+		for phase, limit := range []Time{20 * meshLat, Second} {
+			net.g.Run(limit)
+			for i, k := range net.kernels {
+				r.processed[phase][i] = k.Processed()
+			}
+			r.windows[phase] = net.g.Windows()
+			if net.g.bar.running.Load() {
+				t.Fatalf("GOMAXPROCS(%d) phase %d: barrier still spinning after Run returned", procs, phase)
+			}
+			deadline := time.Now().Add(10 * time.Second)
+			for {
+				net.g.bar.mu.Lock()
+				parked := net.g.bar.parked
+				net.g.bar.mu.Unlock()
+				if parked == 1 {
+					break
+				}
+				if time.Now().After(deadline) {
+					t.Fatalf("GOMAXPROCS(%d) phase %d: idle worker never parked (%d parked)", procs, phase, parked)
+				}
+				time.Sleep(time.Millisecond)
+			}
+		}
+		if net.g.Pending() != 0 {
+			t.Fatalf("GOMAXPROCS(%d): %d events left pending", procs, net.g.Pending())
+		}
+		return r
+	}
+	one, two := run(1), run(2)
+	if one != two {
+		t.Fatalf("GOMAXPROCS(1) ran %+v, GOMAXPROCS(2) ran %+v", one, two)
+	}
+	if one.windows[0] == 0 || one.windows[1] <= one.windows[0] {
+		t.Fatalf("both phases must cut windows: %+v", one)
+	}
 }

@@ -390,17 +390,24 @@ func (f *Fabric) distanceMatrix() [][]sim.Duration {
 
 // partition assigns switches and hosts to shards. Units are switches AND
 // hosts, so a fabric can shard finer than its switch count (the 2-switch
-// equivalence gate runs 4 shards). With N <= switches, switches split into
-// contiguous blocks and each host follows its switch, keeping host<->leaf
-// cables intra-shard; with more shards than switches, every switch gets its
-// own shard and hosts spread over the remainder.
+// equivalence gate runs 4 shards). With N <= switches, each tier is dealt
+// round-robin — leaf l to shard l mod N, spine s to s mod N, mesh switch i
+// to i mod N — so every shard holds a like slice of each tier and carries
+// like work in every window (a flood's hops run in phase, tier by tier);
+// each host follows its switch, keeping host<->leaf cables intra-shard.
+// With more shards than switches, every switch gets its own shard and
+// hosts spread over the remainder.
 func (f *Fabric) partition() {
 	s, h, n := f.Config.Switches, f.Config.Hosts, f.Config.Shards
 	f.shardOfSwitch = make([]int, s)
 	f.shardOfHost = make([]int, h)
 	if n <= s {
 		for i := range f.shardOfSwitch {
-			f.shardOfSwitch[i] = i * n / s
+			if i < f.Leaves {
+				f.shardOfSwitch[i] = i % n
+			} else {
+				f.shardOfSwitch[i] = (i - f.Leaves) % n
+			}
 		}
 		for i := range f.shardOfHost {
 			sw, _ := f.hostAttach(i)

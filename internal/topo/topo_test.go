@@ -1,6 +1,7 @@
 package topo
 
 import (
+	"slices"
 	"testing"
 
 	"netfi/internal/myrinet"
@@ -159,7 +160,7 @@ func TestRouteDeterminism(t *testing.T) {
 }
 
 func TestPartition(t *testing.T) {
-	// N <= switches: contiguous blocks, hosts follow their leaf.
+	// N <= switches: every shard gets switches, hosts follow their leaf.
 	f := build(t, Config{Switches: 16, Hosts: 64, Shards: 4, Seed: 1})
 	used := map[int]bool{}
 	for i := 0; i < 16; i++ {
@@ -194,6 +195,74 @@ func TestPartition(t *testing.T) {
 	}
 	if len(hostShards) != 2 {
 		t.Fatalf("hosts use %d shards, want 2", len(hostShards))
+	}
+}
+
+// With N <= switches the partition deals each tier round-robin, so every
+// shard holds a like slice of leaves, spines and host-bearing leaves. A
+// host follows its leaf, so per-shard host counts can differ by up to one
+// leaf's worth of hosts.
+func TestPartitionDealsTiers(t *testing.T) {
+	for _, tc := range []struct {
+		cfg   Config
+		cross int // trunks whose ends sit on different shards; -1 skips
+	}{
+		{Config{Switches: 128, Hosts: 1024, Shards: 2, Seed: 1}, 896},
+		{Config{Switches: 128, Hosts: 1024, Shards: 4, Seed: 1}, -1},
+		{Config{Switches: 2, Hosts: 5, Shards: 2, Seed: 1}, -1},
+	} {
+		f := build(t, tc.cfg)
+		n := tc.cfg.Shards
+		leaves := make([]int, n)
+		bearing := make([]int, n) // leaves with at least one host
+		spines := make([]int, n)
+		hosts := make([]int, n)
+		for l := 0; l < f.Leaves; l++ {
+			leaves[f.ShardOfSwitch(l)]++
+		}
+		for s := 0; s < f.Spines; s++ {
+			spines[f.ShardOfSwitch(f.Leaves+s)]++
+		}
+		lastLeaf := -1
+		for h := 0; h < tc.cfg.Hosts; h++ {
+			sw, _ := f.hostAttach(h)
+			if f.ShardOfHost(h) != f.ShardOfSwitch(sw) {
+				t.Fatalf("%+v: host %d on shard %d, its leaf on %d", tc.cfg, h, f.ShardOfHost(h), f.ShardOfSwitch(sw))
+			}
+			hosts[f.ShardOfHost(h)]++
+			if sw != lastLeaf {
+				bearing[f.ShardOfSwitch(sw)]++
+				lastLeaf = sw
+			}
+		}
+		for _, c := range []struct {
+			name   string
+			counts []int
+			slack  int
+		}{
+			{"leaves", leaves, 1},
+			{"spines", spines, 1},
+			{"host-bearing leaves", bearing, 1},
+			{"hosts", hosts, f.HostsPerLeaf},
+		} {
+			if spread := slices.Max(c.counts) - slices.Min(c.counts); spread > c.slack {
+				t.Errorf("%+v: %s per shard %v spread %d, want <= %d", tc.cfg, c.name, c.counts, spread, c.slack)
+			}
+		}
+		if tc.cross < 0 {
+			continue
+		}
+		cross := 0
+		for l := 0; l < f.Leaves; l++ {
+			for s := 0; s < f.Spines; s++ {
+				if f.ShardOfSwitch(l) != f.ShardOfSwitch(f.Leaves+s) {
+					cross++
+				}
+			}
+		}
+		if cross != tc.cross {
+			t.Errorf("%+v: %d trunks cross shards, want %d", tc.cfg, cross, tc.cross)
+		}
 	}
 }
 
