@@ -15,8 +15,11 @@ bench:
 
 fuzz:
 	$(GO) test -run='^FuzzRuleCompile$$' -fuzz=FuzzRuleCompile -fuzztime=10s ./internal/rules
+	$(GO) test -run='^FuzzStepBatch$$' -fuzz=FuzzStepBatch -fuzztime=10s ./internal/rules
 	$(GO) test -run='^FuzzRuleCommand$$' -fuzz=FuzzRuleCommand -fuzztime=10s ./internal/core
 	$(GO) test -run='^FuzzCommandLine$$' -fuzz=FuzzCommandLine -fuzztime=10s ./internal/core
+	$(GO) test -run='^FuzzProcessBatch$$' -fuzz=FuzzProcessBatch -fuzztime=10s ./internal/core
+	$(GO) test -run='^FuzzSerialFraming$$' -fuzz=FuzzSerialFraming -fuzztime=10s ./internal/serial
 	$(GO) test -run='^FuzzTimerProgram$$' -fuzz=FuzzTimerProgram -fuzztime=10s ./internal/sim
 	$(GO) test -run='^FuzzParseSpec$$' -fuzz=FuzzParseSpec -fuzztime=10s ./internal/campaign
 	$(GO) test -run='^FuzzInterfaceReassembly$$' -fuzz=FuzzInterfaceReassembly -fuzztime=10s ./internal/myrinet

@@ -146,7 +146,8 @@ func TestChaosBaseCarriesNoTimerCorpses(t *testing.T) {
 // was sized from the base's first fork; 220 and 228 before cross-references
 // were queued as typed Rebind records instead of closures; 194 and 202
 // while the injector cloned a built-in per-identifier packet counter per
-// direction). A fork should cost roughly what
+// // direction; 188 and 196 while each accrual detector's window was a
+// separately allocated slice). A fork should cost roughly what
 // differs from its base; a change that raises these counts makes every
 // chaos scenario pay for it.
 func TestForkAllocs(t *testing.T) {
@@ -157,8 +158,8 @@ func TestForkAllocs(t *testing.T) {
 		armed bool
 		want  float64
 	}{
-		{false, 188},
-		{true, 196},
+		{false, 186},
+		{true, 194},
 	} {
 		opts := chaosTestOptions(31337, 1)
 		opts.ArmedRules = c.armed

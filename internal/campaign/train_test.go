@@ -64,7 +64,6 @@ type trainCase struct {
 	recovery bool         // 25 ms stop watchdog: 250,000 refresh periods
 	second   sim.Duration // if > 0, node3 backs up too, sending this much later: a second train
 	sameTime bool         // node3 sends with node1: two trains in phase, which run per event
-	shift    bool         // node1's tap runs a latency-shift detector
 	idle     bool         // node1 has sent all it had when the STOP reaches it
 	send     sim.Duration // node1 queues another datagram this far into the train
 	late     sim.Duration // if > 0, node1 turns recovery on this far into the train
@@ -81,7 +80,6 @@ const trainHorizon = 30 * sim.Millisecond
 var trainCases = []trainCase{
 	{name: "plain"},
 	{name: "recovery", recovery: true, short: true},
-	{name: "shift", shift: true},
 	{name: "send", send: 3*sim.Millisecond + 40*sim.Nanosecond},
 	{name: "send-recovery", recovery: true, send: 2 * sim.Millisecond},
 	{name: "send-idle", idle: true, send: 3*sim.Millisecond + 40*sim.Nanosecond, short: true},
@@ -93,8 +91,8 @@ var trainCases = []trainCase{
 	{name: "go-late", goAt: 30_000, goLate: true, short: true},
 	{name: "second", second: 1*sim.Microsecond + 30*sim.Nanosecond, recovery: true, short: true},
 	{name: "second-in-phase", sameTime: true},
-	{name: "second-go", second: 5 * sim.Microsecond, goAt: 12_345, goLate: true, shift: true},
-	{name: "fork", fork: 7*sim.Millisecond + 30*sim.Nanosecond, shift: true, short: true},
+	{name: "second-go", second: 5 * sim.Microsecond, goAt: 12_345, goLate: true},
+	{name: "fork", fork: 7*sim.Millisecond + 30*sim.Nanosecond, short: true},
 	{name: "fork-recovery", fork: 26 * sim.Millisecond, recovery: true, second: 2 * sim.Microsecond},
 }
 
@@ -125,10 +123,9 @@ func newTrainBed(c trainCase, perEvent bool) *trainBed {
 	for p := 0; p < 4; p++ {
 		b.mon.TapSwitchPort(tb.Switch, p, monitor.TapOptions{Flows: true})
 	}
-	opts := monitor.TapOptions{LatencyShift: c.shift}
-	b.node1 = &digestTap{inner: b.mon.TapInterface(tb.Nodes[1].Interface(), opts)}
+	b.node1 = &digestTap{inner: b.mon.TapInterface(tb.Nodes[1].Interface(), monitor.TapOptions{})}
 	tb.Nodes[1].Interface().SetTap(b.node1)
-	b.node3 = &repeatDigest{digestTap{inner: b.mon.TapInterface(tb.Nodes[3].Interface(), opts)}}
+	b.node3 = &repeatDigest{digestTap{inner: b.mon.TapInterface(tb.Nodes[3].Interface(), monitor.TapOptions{})}}
 	tb.Nodes[3].Interface().SetTap(b.node3)
 	b.mon.Start()
 	if perEvent {

@@ -114,8 +114,7 @@ func TestDevicePathSteadyStateAllocs(t *testing.T) {
 			k := sim.NewKernel(1)
 			dev := NewDevice(k, DeviceConfig{Name: "alloc", IdleChar: phy.ControlChar(0x07)})
 			cfg := phy.LinkConfig{Name: "in", CharPeriod: 12_500 * sim.Picosecond, PropDelay: 5 * sim.Nanosecond}
-			link := phy.NewLink(k, cfg, sink(k))
-			dev.InsertDirection(LeftToRight, link)
+			link := spliceL2R(k, dev, cfg, sink(k))
 
 			burst := make([]phy.Character, 32)
 			for i := range burst {
@@ -157,8 +156,7 @@ func TestDevicePathContinuousTrafficAllocs(t *testing.T) {
 				dev.SetTap(LeftToRight, tap)
 			}
 			cfg := phy.LinkConfig{Name: "in", CharPeriod: 12_500 * sim.Picosecond, PropDelay: 5 * sim.Nanosecond}
-			link := phy.NewLink(k, cfg, phy.ReceiverFunc(phy.PoolOf(k).Release))
-			dev.InsertDirection(LeftToRight, link)
+			link := spliceL2R(k, dev, cfg, phy.ReceiverFunc(phy.PoolOf(k).Release))
 
 			// Bursts shorter than the pipeline arrive before its flush could
 			// fire. Every `every` bursts carry one Myrinet data packet (route

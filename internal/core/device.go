@@ -33,9 +33,6 @@ func (d Direction) String() string {
 type DeviceConfig struct {
 	// Name labels the device.
 	Name string
-	// SlackChars is the pipeline depth in characters; zero selects
-	// DefaultSlackChars (the ~250 ns of footnote 5).
-	SlackChars int
 	// CharPeriod is the line character period used to convert the
 	// pipeline depth into latency; zero selects 12.5 ns (Myrinet at
 	// 80 MB/s).
@@ -96,17 +93,14 @@ type devicePort struct {
 
 // NewDevice builds an injector.
 func NewDevice(k *sim.Kernel, cfg DeviceConfig) *Device {
-	if cfg.SlackChars == 0 {
-		cfg.SlackChars = DefaultSlackChars
-	}
 	if cfg.CharPeriod == 0 {
 		cfg.CharPeriod = 12_500 * sim.Picosecond
 	}
 	d := &Device{k: k, pool: phy.PoolOf(k), cfg: cfg}
 	for dir := 0; dir < 2; dir++ {
-		d.engines[dir] = NewEngine(cfg.SlackChars)
+		d.engines[dir] = NewEngine(DefaultSlackChars)
 		p := &devicePort{dev: d, dir: Direction(dir)}
-		p.flush.Init(k, sim.Duration(cfg.SlackChars)*cfg.CharPeriod, portFlush, p)
+		p.flush.Init(k, DefaultSlackChars*cfg.CharPeriod, portFlush, p)
 		d.ports[dir] = p
 	}
 	return d
@@ -126,7 +120,7 @@ func (d *Device) SetTap(dir Direction, t phy.Tap) { d.taps[dir] = t }
 
 // Latency reports the fixed delay the device adds to each direction.
 func (d *Device) Latency() sim.Duration {
-	return sim.Duration(d.cfg.SlackChars)*d.cfg.CharPeriod + d.cfg.ExtraLatency
+	return DefaultSlackChars*d.cfg.CharPeriod + d.cfg.ExtraLatency
 }
 
 // Insert splices the device into a full-duplex cable: characters that used
@@ -142,16 +136,6 @@ func (d *Device) Insert(cable *phy.Cable) {
 	cable.LeftToRight.SetDst(d.ports[LeftToRight])
 	d.ports[RightToLeft].downstream = cable.RightToLeft.Dst()
 	cable.RightToLeft.SetDst(d.ports[RightToLeft])
-}
-
-// InsertDirection splices the device into a single link direction only.
-func (d *Device) InsertDirection(dir Direction, link *phy.Link) {
-	p := d.ports[dir]
-	if p.downstream != nil {
-		panic(fmt.Sprintf("core: device %s direction %v already inserted", d.cfg.Name, dir))
-	}
-	p.downstream = link.Dst()
-	link.SetDst(p)
 }
 
 // Receive implements phy.Receiver for one direction.

@@ -218,6 +218,14 @@ type delivery struct {
 }
 
 // recorder keeps every delivery with its boundaries.
+// spliceL2R splices dev into a new cable that delivers left to right into
+// dst and returns that direction's link; nothing travels right to left.
+func spliceL2R(k *sim.Kernel, dev *Device, cfg phy.LinkConfig, dst phy.Receiver) *phy.Link {
+	cable := phy.NewCable(k, cfg, phy.ReceiverFunc(func([]phy.Character) {}), dst)
+	dev.Insert(cable)
+	return cable.LeftToRight
+}
+
 type recorder struct {
 	k   *sim.Kernel
 	got []delivery
@@ -339,10 +347,9 @@ func TestDeviceReleaseTiming(t *testing.T) {
 				rng := rand.New(rand.NewSource(seed))
 				k := sim.NewKernel(seed)
 				rec := &recorder{k: k}
-				link := phy.NewLink(k, phy.LinkConfig{Name: "wire", CharPeriod: charPeriod, PropDelay: 5 * sim.Nanosecond}, rec)
 				extra := sim.Duration(rng.Intn(3)) * 7 * sim.Nanosecond
 				dev := NewDevice(k, DeviceConfig{Name: "inj", ExtraLatency: extra, IdleChar: tc.idle})
-				dev.InsertDirection(LeftToRight, link)
+				link := spliceL2R(k, dev, phy.LinkConfig{Name: "wire", CharPeriod: charPeriod, PropDelay: 5 * sim.Nanosecond}, rec)
 				port := link.Dst()
 				var arrivals []delivery
 				link.SetDst(phy.ReceiverFunc(func(chars []phy.Character) {

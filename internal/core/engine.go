@@ -190,9 +190,10 @@ type winEntry struct {
 	pos int
 }
 
-// DefaultSlackChars reproduces footnote 5: three pipeline clocks plus a few
-// 32-bit segments held in the FIFO, about 250 ns at 640 Mb/s — 20 character
-// periods at 12.5 ns each.
+// DefaultSlackChars is the injector's pipeline depth, every Device's. It
+// reproduces footnote 5: three pipeline clocks plus a few 32-bit segments
+// held in the FIFO, about 250 ns at 640 Mb/s — 20 character periods at
+// 12.5 ns each.
 const DefaultSlackChars = 20
 
 // NewEngine returns an engine holding back slack characters of pipeline.

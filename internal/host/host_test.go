@@ -108,27 +108,29 @@ func TestNodeDoubleBindFails(t *testing.T) {
 
 func TestNodeSocketBufferOverflow(t *testing.T) {
 	k := sim.NewKernel(1)
-	// Tiny socket buffer and slow receiver: a fast burst must overflow.
+	// A fast burst of twice the socket buffer outruns the receiver's
+	// per-packet cost and must overflow.
 	net := myrinet.NewNetwork(k)
 	sw := net.AddSwitch("sw0", 8)
 	a := NewNode(k, NodeConfig{Name: "A", MAC: mac(1), ID: 1, SendOverhead: sim.Microsecond})
-	b := NewNode(k, NodeConfig{Name: "B", MAC: mac(2), ID: 2, SocketBuffer: 4, RecvOverhead: sim.Millisecond})
+	b := NewNode(k, NodeConfig{Name: "B", MAC: mac(2), ID: 2})
 	net.ConnectHost(a.Interface(), sw, 0)
 	net.ConnectHost(b.Interface(), sw, 1)
 	a.Interface().SetRoute(b.MAC(), myrinet.RouteTo(1))
 	if _, err := b.Bind(9001, nil); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 20; i++ {
+	const sent = 2 * socketBuffer
+	for i := 0; i < sent; i++ {
 		a.SendUDP(b.MAC(), 9000, 9001, []byte("burst"))
 	}
 	k.Run()
 	st := b.Stats()
 	if st.OverflowDrops == 0 {
-		t.Error("no overflow drops despite tiny socket buffer")
+		t.Error("no overflow drops despite a burst of twice the socket buffer")
 	}
-	if st.UDPReceived+st.OverflowDrops != 20 {
-		t.Errorf("received %d + dropped %d != 20", st.UDPReceived, st.OverflowDrops)
+	if st.UDPReceived+st.OverflowDrops != sent {
+		t.Errorf("received %d + dropped %d != %d", st.UDPReceived, st.OverflowDrops, sent)
 	}
 }
 
@@ -156,7 +158,7 @@ func TestNodeSendSerialization(t *testing.T) {
 
 func TestInterruptTickQuantization(t *testing.T) {
 	k := sim.NewKernel(1)
-	n := NewNode(k, NodeConfig{Name: "q", MAC: mac(9), ID: 9, InterruptTick: sim.Microsecond, TickPhase: 300 * sim.Nanosecond})
+	n := NewNode(k, NodeConfig{Name: "q", MAC: mac(9), ID: 9, TickPhase: 300 * sim.Nanosecond})
 	got := n.quantize(2_500_000) // 2.5 us
 	// Grid: 0.3, 1.3, 2.3, 3.3 us -> 3.3 us.
 	if got != 3_300_000 {

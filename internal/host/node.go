@@ -29,23 +29,14 @@ type NodeConfig struct {
 	// send call to the NIC enqueue. Zero selects 100 us (mid-90s UDP
 	// stack on a Pentium Pro).
 	SendOverhead sim.Duration
-	// RecvOverhead is the per-packet CPU cost from NIC delivery to the
-	// application handler. Zero selects 130 us.
-	RecvOverhead sim.Duration
-	// InterruptTick quantizes receive completion times: the application
-	// observes arrival only at the next tick boundary. Zero selects 1 us.
-	InterruptTick sim.Duration
 	// OverheadJitter adds uniform per-packet noise to the send and
 	// receive overheads (cache effects, other interrupts); it lets the
 	// quantized per-run averages drift the way real hosts do. Zero means
 	// deterministic overheads.
 	OverheadJitter sim.Duration
-	// TickPhase offsets the tick grid; runs with different phases
-	// measure differently, which is exactly Table 2's uncertainty.
+	// TickPhase offsets the interrupt-tick grid; runs with different
+	// phases measure differently, which is exactly Table 2's uncertainty.
 	TickPhase sim.Duration
-	// SocketBuffer bounds queued-but-undelivered packets per node; the
-	// classic UDP drop-on-overflow. Zero selects 64.
-	SocketBuffer int
 	// TxQueueLimit bounds the NIC transmit queue in packets (zero means
 	// unbounded); see myrinet.InterfaceConfig.
 	TxQueueLimit int
@@ -59,16 +50,19 @@ func (c *NodeConfig) fillDefaults() {
 	if c.SendOverhead == 0 {
 		c.SendOverhead = 100 * sim.Microsecond
 	}
-	if c.RecvOverhead == 0 {
-		c.RecvOverhead = 130 * sim.Microsecond
-	}
-	if c.InterruptTick == 0 {
-		c.InterruptTick = sim.Microsecond
-	}
-	if c.SocketBuffer == 0 {
-		c.SocketBuffer = 64
-	}
 }
+
+const (
+	// recvOverhead is the per-packet CPU cost from NIC delivery to the
+	// application handler.
+	recvOverhead = 130 * sim.Microsecond
+	// interruptTick quantizes receive completion times: the application
+	// observes arrival only at the next tick boundary.
+	interruptTick = sim.Microsecond
+	// socketBuffer bounds queued-but-undelivered packets per node; the
+	// classic UDP drop-on-overflow.
+	socketBuffer = 64
+)
 
 // Stats counts host-stack events.
 type Stats struct {
@@ -92,7 +86,7 @@ type Node struct {
 	sockets map[uint16]*Socket
 	stats   Stats
 
-	// Receive processor: one packet at a time, RecvOverhead each. While
+	// Receive processor: one packet at a time, recvOverhead each. While
 	// recvBusy, inRecv is the packet whose completion event is pending
 	// (kept on the node, not in a closure, so a fork can copy it). recvq
 	// is a ring of recvLen packets from recvHead that grows on demand;
@@ -338,7 +332,7 @@ func (n *Node) onDatagram(src myrinet.MAC, payload []byte) {
 		n.stats.NoSocketDrops++
 		return
 	}
-	if n.recvLen >= n.cfg.SocketBuffer {
+	if n.recvLen >= socketBuffer {
 		n.stats.OverflowDrops++
 		return
 	}
@@ -364,7 +358,7 @@ func (n *Node) growRecvq() {
 	n.recvq, n.recvHead = ring, 0
 }
 
-// pumpRecv drains the receive queue one packet per RecvOverhead, delivering
+// pumpRecv drains the receive queue one packet per recvOverhead, delivering
 // at interrupt-tick boundaries.
 func (n *Node) pumpRecv() {
 	if n.recvBusy || n.recvLen == 0 {
@@ -376,7 +370,7 @@ func (n *Node) pumpRecv() {
 	n.inRecv, *slot = *slot, queuedPacket{data: n.inRecv.data[:0]}
 	n.recvHead = (n.recvHead + 1) % len(n.recvq)
 	n.recvLen--
-	done := n.quantize(n.k.Now() + n.cfg.RecvOverhead + n.jitter())
+	done := n.quantize(n.k.Now() + recvOverhead + n.jitter())
 	n.k.AtArg(done, nodeRecvDone, n)
 }
 
@@ -399,11 +393,7 @@ func nodeRecvDone(a any) {
 
 // quantize rounds t up to the node's next interrupt-tick boundary.
 func (n *Node) quantize(t sim.Time) sim.Time {
-	tick := n.cfg.InterruptTick
-	if tick <= 1 {
-		return t
-	}
 	rel := t - n.cfg.TickPhase
-	q := (rel + tick - 1) / tick * tick
+	q := (rel + interruptTick - 1) / interruptTick * interruptTick
 	return q + n.cfg.TickPhase
 }

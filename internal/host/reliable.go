@@ -74,20 +74,6 @@ type ReliableStats struct {
 	AcksReceived uint64
 }
 
-// FlowStats describes one destination's flow.
-type FlowStats struct {
-	Sent        uint64
-	Delivered   uint64
-	Retransmits uint64
-	GaveUp      uint64
-	// SRTT is the smoothed round-trip estimate; zero before any sample.
-	SRTT sim.Duration
-	// RTO is the current retransmission timeout.
-	RTO sim.Duration
-	// Queued counts datagrams waiting behind the in-flight one.
-	Queued int
-}
-
 // flow is the sender half of one destination's stop-and-wait channel.
 type flow struct {
 	r   *Reliable
@@ -109,8 +95,6 @@ type flow struct {
 	srtt   sim.Duration
 	rttvar sim.Duration
 	rto    sim.Duration
-
-	stats FlowStats
 }
 
 // Wire format: kind(1) seq(4) payload. Acks echo the seq, no payload.
@@ -148,19 +132,6 @@ func (r *Reliable) SetHandler(fn func(src myrinet.MAC, data []byte)) { r.onData 
 // Stats returns a copy of the endpoint's aggregate counters.
 func (r *Reliable) Stats() ReliableStats { return r.stats }
 
-// FlowStats returns the sender-side view of the flow to dst.
-func (r *Reliable) FlowStats(dst myrinet.MAC) FlowStats {
-	f, ok := r.flows[dst]
-	if !ok {
-		return FlowStats{}
-	}
-	s := f.stats
-	s.SRTT = f.srtt
-	s.RTO = f.rto
-	s.Queued = len(f.queue)
-	return s
-}
-
 // Flows returns the destinations with sender state, in deterministic order.
 func (r *Reliable) Flows() []myrinet.MAC {
 	out := make([]myrinet.MAC, 0, len(r.flows))
@@ -195,7 +166,6 @@ func (r *Reliable) Send(dst myrinet.MAC, data []byte) {
 		r.flows[dst] = f
 	}
 	r.stats.Sent++
-	f.stats.Sent++
 	f.queue = append(f.queue, append([]byte(nil), data...))
 	f.pump()
 }
@@ -246,13 +216,11 @@ func (f *flow) onTimeout() {
 	}
 	if f.attempts > f.r.cfg.MaxRetries {
 		f.r.stats.GaveUp++
-		f.stats.GaveUp++
 		f.inflight = nil
 		f.pump()
 		return
 	}
 	f.r.stats.Retransmits++
-	f.stats.Retransmits++
 	f.rto *= 2
 	if f.rto > f.r.cfg.MaxRTO {
 		f.rto = f.r.cfg.MaxRTO
@@ -270,7 +238,6 @@ func (f *flow) onAck(seq uint32) {
 		f.sampleRTT(f.r.k.Now() - f.sentAt)
 	}
 	f.r.stats.Delivered++
-	f.stats.Delivered++
 	f.inflight = nil
 	f.pump()
 }

@@ -24,16 +24,6 @@ import (
 func (d *PhiDetector) Clone() *PhiDetector {
 	d2 := new(PhiDetector)
 	*d2 = *d
-	d2.samples = append([]sim.Duration(nil), d.samples...)
-	return d2
-}
-
-// Clone copies the shift detector: frozen/accruing baseline and the EWMA.
-func (d *ShiftDetector) Clone() *ShiftDetector {
-	d2 := new(ShiftDetector)
-	*d2 = *d
-	e := *d.recent
-	d2.recent = &e
 	return d2
 }
 
@@ -92,8 +82,7 @@ func (t *FlowTable) Clone(ring *ExportRing) *FlowTable {
 // (link controllers) rebind to it at Finish.
 func (t *Tap) clone(m *sim.Mapper, p2 *Plane) *Tap {
 	t2 := new(Tap)
-	*t2 = *t // name, burst clock, reassembly buffer, counters
-	t2.plane = p2
+	*t2 = *t // name, reassembly buffer, counters
 	if t.flows != nil {
 		t2.flows = t.flows.Clone(p2.ring)
 	}
@@ -101,17 +90,14 @@ func (t *Tap) clone(m *sim.Mapper, p2 *Plane) *Tap {
 		t2.detector = t.detector.Clone()
 		m.Put(t.detector, t2.detector)
 	}
-	if t.gap != nil {
-		t2.gap = t.gap.Clone()
-	}
 	m.Put(t, t2)
 	return t2
 }
 
 // Clone forks the monitoring plane: every tap with its flow cache and
 // detectors, the shared export ring, the suspicion state machine, and the
-// event log. The sampling ticker carries its phase across the fork, so the
-// fork's next tick lands exactly where the base's would have. Probes do not
+// event log. The sampling timer carries its phase across the fork, so the
+// fork's next pass lands exactly where the base's would have. Probes do not
 // cross the fork (see the package rules above). A plane detector that no tap
 // owns has no counterpart in the fork; it fails the fork through m.
 func (p *Plane) Clone(m *sim.Mapper) *Plane {
@@ -122,7 +108,7 @@ func (p *Plane) Clone(m *sim.Mapper) *Plane {
 	p2.events = append([]Event(nil), p.events...)
 	p2.taps, p2.detectors, p2.probes = nil, nil, nil
 	m.Put(p, p2)
-	p.ticker.CloneInto(m, &p2.ticker, p2)
+	p.timer.CloneInto(m, &p2.timer, p2)
 	if len(p.taps) > 0 {
 		p2.taps = make([]*Tap, len(p.taps))
 		for i, t := range p.taps {

@@ -1,11 +1,10 @@
 // Package monitor is the production monitoring plane layered over the fault
 // injection test bed: phi-accrual failure detectors fed by heartbeat and
 // traffic observations, NetFlow-style flow records exported from switch
-// taps, and a streaming statistics pipeline that flags anomalies (latency
-// shifts, loss bursts, wedged outputs) online while a campaign runs. The
-// paper's monitoring was a human watching counters; this package is the
-// automated operator the ROADMAP's "production monitoring plane" item asks
-// for.
+// taps, and polled probes that flag anomalies (loss bursts, wedged outputs)
+// online while a campaign runs. The paper's monitoring was a human watching
+// counters; this package is the automated operator the ROADMAP's
+// "production monitoring plane" item asks for.
 //
 // Everything here observes; nothing here perturbs. Taps are strictly
 // opt-in, batch-granular, and allocation-free in steady state so the
@@ -21,37 +20,24 @@ import (
 
 // PhiConfig parameterizes an accrual failure detector.
 type PhiConfig struct {
-	// Window is the sliding window of inter-arrival samples. Zero
-	// selects 64.
-	Window int
 	// Threshold is the phi value at or above which the monitored source
 	// is suspected. Zero selects 1.0 — suspicion when the estimated
 	// probability that the source has failed reaches 90%.
 	Threshold float64
-	// MinSamples is how many inter-arrival samples must accrue before
-	// the detector emits a nonzero phi; below it the detector has no
-	// basis for suspicion. Zero selects 3.
-	MinSamples int
-	// Scale stretches the empirical distribution: an elapsed silence is
-	// compared against sample*Scale, tolerating jitter up to the factor.
-	// Zero selects 1.5.
-	Scale float64
 }
 
-func (c *PhiConfig) fillDefaults() {
-	if c.Window == 0 {
-		c.Window = 64
-	}
-	if c.Threshold == 0 {
-		c.Threshold = 1.0
-	}
-	if c.MinSamples == 0 {
-		c.MinSamples = 3
-	}
-	if c.Scale == 0 {
-		c.Scale = 1.5
-	}
-}
+const (
+	// phiWindow is the sliding window of inter-arrival samples.
+	phiWindow = 64
+	// phiMinSamples is how many inter-arrival samples must accrue before
+	// the detector emits a nonzero phi; below it the detector has no
+	// basis for suspicion.
+	phiMinSamples = 3
+	// phiScale stretches the empirical distribution: an elapsed silence
+	// is compared against sample*phiScale, tolerating jitter up to the
+	// factor.
+	phiScale = 1.5
+)
 
 // PhiDetector is an adaptive accrual failure detector in the phi-accrual
 // family (Hayashibara et al.; the adaptive variant follows SNIPPETS §3):
@@ -59,7 +45,7 @@ func (c *PhiConfig) fillDefaults() {
 // continuous function of the silence since the last heartbeat, calibrated
 // against the empirical distribution of recent inter-arrival times.
 //
-//	P_fail(t) = |{ s in window : s*Scale <= t }| / (count + 1)
+//	P_fail(t) = |{ s in window : s*phiScale <= t }| / (count + 1)
 //	phi(t)    = -log10(1 - P_fail(t))
 //
 // The +1 smoothing keeps P_fail < 1 (phi finite, bounded by
@@ -69,22 +55,21 @@ func (c *PhiConfig) fillDefaults() {
 //
 // The zero value is not usable; construct with NewPhiDetector.
 type PhiDetector struct {
-	cfg     PhiConfig
-	samples []sim.Duration // ring buffer of inter-arrival times
-	next    int            // ring write position
-	count   int            // filled entries, <= cfg.Window
-	last    sim.Time
-	seen    bool // at least one heartbeat observed
-	beats   uint64
+	threshold float64
+	samples   [phiWindow]sim.Duration // ring buffer of inter-arrival times
+	next      int                     // ring write position
+	count     int                     // filled entries, <= phiWindow
+	last      sim.Time
+	seen      bool // at least one heartbeat observed
+	beats     uint64
 }
 
 // NewPhiDetector returns a detector with no history.
 func NewPhiDetector(cfg PhiConfig) *PhiDetector {
-	cfg.fillDefaults()
-	return &PhiDetector{
-		cfg:     cfg,
-		samples: make([]sim.Duration, cfg.Window),
+	if cfg.Threshold == 0 {
+		cfg.Threshold = 1.0
 	}
+	return &PhiDetector{threshold: cfg.Threshold}
 }
 
 // Heartbeat records an arrival at time now. The first arrival only anchors
@@ -95,8 +80,8 @@ func (d *PhiDetector) Heartbeat(now sim.Time) {
 		delta := now - d.last
 		if delta > 0 {
 			d.samples[d.next] = sim.Duration(delta)
-			d.next = (d.next + 1) % d.cfg.Window
-			if d.count < d.cfg.Window {
+			d.next = (d.next + 1) % phiWindow
+			if d.count < phiWindow {
 				d.count++
 			}
 		}
@@ -106,16 +91,16 @@ func (d *PhiDetector) Heartbeat(now sim.Time) {
 }
 
 // Phi returns the accrued suspicion at time now: 0 while the detector lacks
-// MinSamples history, rising toward log10(count+1) as silence outlasts the
+// phiMinSamples history, rising toward log10(count+1) as silence outlasts the
 // observed inter-arrival distribution.
 func (d *PhiDetector) Phi(now sim.Time) float64 {
-	if d.count < d.cfg.MinSamples || now <= d.last {
+	if d.count < phiMinSamples || now <= d.last {
 		return 0
 	}
 	elapsed := float64(now - d.last)
 	exceeded := 0
 	for i := 0; i < d.count; i++ {
-		if float64(d.samples[i])*d.cfg.Scale <= elapsed {
+		if float64(d.samples[i])*phiScale <= elapsed {
 			exceeded++
 		}
 	}
@@ -128,7 +113,7 @@ func (d *PhiDetector) Phi(now sim.Time) float64 {
 
 // Suspect reports whether phi has reached the configured threshold.
 func (d *PhiDetector) Suspect(now sim.Time) bool {
-	return d.Phi(now) >= d.cfg.Threshold
+	return d.Phi(now) >= d.threshold
 }
 
 // Heartbeats reports the total arrivals observed.
@@ -138,4 +123,4 @@ func (d *PhiDetector) Heartbeats() uint64 { return d.beats }
 func (d *PhiDetector) SampleCount() int { return d.count }
 
 // Threshold returns the configured suspicion threshold.
-func (d *PhiDetector) Threshold() float64 { return d.cfg.Threshold }
+func (d *PhiDetector) Threshold() float64 { return d.threshold }

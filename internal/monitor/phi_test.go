@@ -9,18 +9,17 @@ import (
 
 // refPhi is the straight-line reference the estimator is tested against: it
 // rebuilds the window naively from the full arrival history on every query.
-func refPhi(cfg PhiConfig, arrivals []sim.Time, now sim.Time) float64 {
-	cfg.fillDefaults()
+func refPhi(arrivals []sim.Time, now sim.Time) float64 {
 	var inter []sim.Duration
 	for i := 1; i < len(arrivals); i++ {
 		if d := arrivals[i] - arrivals[i-1]; d > 0 {
 			inter = append(inter, sim.Duration(d))
 		}
 	}
-	if len(inter) > cfg.Window {
-		inter = inter[len(inter)-cfg.Window:]
+	if len(inter) > phiWindow {
+		inter = inter[len(inter)-phiWindow:]
 	}
-	if len(inter) < cfg.MinSamples || len(arrivals) == 0 {
+	if len(inter) < phiMinSamples || len(arrivals) == 0 {
 		return 0
 	}
 	last := arrivals[len(arrivals)-1]
@@ -30,7 +29,7 @@ func refPhi(cfg PhiConfig, arrivals []sim.Time, now sim.Time) float64 {
 	elapsed := float64(now - last)
 	exceeded := 0
 	for _, s := range inter {
-		if float64(s)*cfg.Scale <= elapsed {
+		if float64(s)*phiScale <= elapsed {
 			exceeded++
 		}
 	}
@@ -49,7 +48,6 @@ func feedArrivals(d *PhiDetector, arrivals []sim.Time) {
 func TestPhiMatchesReference(t *testing.T) {
 	cases := []struct {
 		name     string
-		cfg      PhiConfig
 		arrivals []sim.Time // strictly increasing
 		queries  []sim.Duration
 	}{
@@ -79,10 +77,9 @@ func TestPhiMatchesReference(t *testing.T) {
 		},
 		{
 			name: "window-eviction",
-			cfg:  PhiConfig{Window: 4},
 			arrivals: func() []sim.Time {
-				// 10 early 1 ms gaps then 4 late 5 ms gaps: only the
-				// 5 ms samples must remain in the window.
+				// 10 early 1 ms gaps then a window of late 5 ms gaps:
+				// only the 5 ms samples must remain in the window.
 				var a []sim.Time
 				at := sim.Time(0)
 				a = append(a, at)
@@ -90,7 +87,7 @@ func TestPhiMatchesReference(t *testing.T) {
 					at += sim.Time(sim.Millisecond)
 					a = append(a, at)
 				}
-				for i := 0; i < 4; i++ {
+				for i := 0; i < phiWindow; i++ {
 					at += sim.Time(5 * sim.Millisecond)
 					a = append(a, at)
 				}
@@ -103,13 +100,13 @@ func TestPhiMatchesReference(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			d := NewPhiDetector(tc.cfg)
+			d := NewPhiDetector(PhiConfig{})
 			feedArrivals(d, tc.arrivals)
 			last := tc.arrivals[len(tc.arrivals)-1]
 			for _, q := range tc.queries {
 				now := last + sim.Time(q)
 				got := d.Phi(now)
-				want := refPhi(tc.cfg, tc.arrivals, now)
+				want := refPhi(tc.arrivals, now)
 				if math.Abs(got-want) > 1e-12 {
 					t.Fatalf("Phi(last+%v) = %v, reference %v", q, got, want)
 				}
@@ -119,10 +116,10 @@ func TestPhiMatchesReference(t *testing.T) {
 }
 
 func TestPhiKnownValues(t *testing.T) {
-	// 5 arrivals 2 ms apart: 4 samples of 2 ms each, Scale 1.5. With only
+	// 5 arrivals 2 ms apart: 4 samples of 2 ms each, phiScale 1.5. With only
 	// 4 samples the smoothing bounds phi at log10(5) ≈ 0.7, so the
 	// suspicion checks use a threshold below that.
-	d := NewPhiDetector(PhiConfig{Scale: 1.5, Threshold: 0.5})
+	d := NewPhiDetector(PhiConfig{Threshold: 0.5})
 	for i := 0; i < 5; i++ {
 		d.Heartbeat(sim.Time(i) * sim.Time(2*sim.Millisecond))
 	}
@@ -146,11 +143,11 @@ func TestPhiKnownValues(t *testing.T) {
 }
 
 func TestPhiNeedsMinSamples(t *testing.T) {
-	d := NewPhiDetector(PhiConfig{MinSamples: 3})
+	d := NewPhiDetector(PhiConfig{})
 	d.Heartbeat(0)
 	d.Heartbeat(sim.Time(sim.Millisecond))
 	d.Heartbeat(sim.Time(2 * sim.Millisecond))
-	// Two inter-arrival samples < MinSamples: phi must stay 0 forever.
+	// Two inter-arrival samples < phiMinSamples: phi must stay 0 forever.
 	if got := d.Phi(sim.Time(sim.Second)); got != 0 {
 		t.Fatalf("phi with %d samples = %v, want 0", d.SampleCount(), got)
 	}
@@ -161,7 +158,7 @@ func TestPhiNeedsMinSamples(t *testing.T) {
 }
 
 func TestPhiBounded(t *testing.T) {
-	d := NewPhiDetector(PhiConfig{Window: 8})
+	d := NewPhiDetector(PhiConfig{})
 	for i := 0; i < 100; i++ {
 		d.Heartbeat(sim.Time(i) * sim.Time(sim.Millisecond))
 	}

@@ -2,7 +2,6 @@ package monitor
 
 import (
 	"fmt"
-	"strings"
 
 	"netfi/internal/myrinet"
 	"netfi/internal/phy"
@@ -18,8 +17,7 @@ const (
 	// EventRecover — a suspected source resumed (phi fell back under
 	// the threshold after fresh heartbeats).
 	EventRecover
-	// EventAnomaly — the streaming pipeline flagged a loss burst, a
-	// wedged output, or a latency shift.
+	// EventAnomaly — a probe flagged a loss burst or a wedged output.
 	EventAnomaly
 )
 
@@ -41,7 +39,7 @@ type Event struct {
 	Time   sim.Time
 	Kind   EventKind
 	Source string // detector or probe name
-	Detail string // "phi", "loss-burst", "wedge", "latency-shift"
+	Detail string // "phi", "loss-burst", "wedge"
 	Value  float64
 }
 
@@ -86,26 +84,17 @@ type TapOptions struct {
 	// Detect arms a phi-accrual detector on the tap's data-packet
 	// arrivals (each completed data packet is a heartbeat).
 	Detect bool
-	// LatencyShift arms the inter-burst-gap shift detector.
-	LatencyShift bool
 }
 
 // Tap is one observation point: it implements phy.Tap, parsing the
-// batched character stream into packet boundaries, feeding the flow table,
-// the accrual detector, and the gap statistics. The parse keeps a bounded
-// header prefix in a fixed buffer, so steady-state observation allocates
-// nothing.
+// batched character stream into packet boundaries, feeding the flow table
+// and the accrual detector. The parse keeps a bounded header prefix in a
+// fixed buffer, so steady-state observation allocates nothing.
 type Tap struct {
-	plane *Plane
-	name  string
+	name string
 
 	flows    *FlowTable
 	detector *PhiDetector
-	gap      *ShiftDetector
-	gapHot   bool // last gap sample already flagged (one event per episode)
-
-	lastBurst sim.Time
-	haveBurst bool
 
 	// Packet reassembly (header prefix only).
 	inPacket bool
@@ -139,24 +128,6 @@ func (t *Tap) Stats() (bursts, chars, packets, control uint64) {
 func (t *Tap) ObserveChars(now sim.Time, chars []phy.Character) {
 	t.bursts++
 	t.chars += uint64(len(chars))
-	if t.gap != nil {
-		if t.haveBurst {
-			d := float64(now - t.lastBurst)
-			if t.gap.Add(d) {
-				if !t.gapHot {
-					t.gapHot = true
-					t.plane.record(Event{
-						Time: now, Kind: EventAnomaly, Source: t.name,
-						Detail: "latency-shift", Value: t.gap.Z(),
-					})
-				}
-			} else {
-				t.gapHot = false
-			}
-		}
-		t.haveBurst = true
-		t.lastBurst = now
-	}
 	for _, c := range chars {
 		if c.IsData() {
 			t.inPacket = true
@@ -186,9 +157,9 @@ func (t *Tap) ObserveChars(now sim.Time, chars []phy.Character) {
 // ObserveChars calls would do. A standing STOP's refresh train applied in
 // bulk reports its arrivals this way. Control symbols the parser ignores
 // (anything but GAP and RESET) only move the counters, so a burst of them
-// is counted at once unless the gap detector needs every burst's time.
+// is counted at once.
 func (t *Tap) ObserveRepeat(first sim.Time, step sim.Duration, n int, chars []phy.Character) {
-	if t.gap == nil && inert(chars) {
+	if inert(chars) {
 		t.bursts += uint64(n)
 		t.chars += uint64(n) * uint64(len(chars))
 		return
@@ -278,12 +249,19 @@ type probe struct {
 // wheel. All iteration is in attachment order, so identical runs produce
 // identical event logs — the property campaign determinism tests pin.
 //
+// The sampling clock is an owner-bound timer the plane re-arms at the end of
+// each pass while it runs. A horizon (SetStopAt) parks it: the pass that
+// would land past the horizon is never armed, so a quiescence-based hang
+// detector still sees the event queue drain once real work has finished.
+//
 // The zero value is not usable; construct with NewPlane.
 type Plane struct {
-	k      *sim.Kernel
-	cfg    Config
-	ticker sim.Ticker
-	ring   *ExportRing
+	k       *sim.Kernel
+	cfg     Config
+	timer   sim.Timer
+	running bool     // started and not stopped; may be parked at stopAt
+	stopAt  sim.Time // zero: no horizon
+	ring    *ExportRing
 
 	taps      []*Tap
 	detectors []*planeDetector
@@ -297,27 +275,41 @@ type Plane struct {
 func NewPlane(k *sim.Kernel, cfg Config) *Plane {
 	cfg.fillDefaults()
 	p := &Plane{k: k, cfg: cfg, ring: NewExportRing(exportCap)}
-	p.ticker.Init(k, cfg.SampleInterval, planeTick, p)
+	p.timer.Init(k, cfg.SampleInterval, planeTick, p)
 	return p
 }
 
-func planeTick(a any) { a.(*Plane).tick() }
+func planeTick(a any) {
+	p := a.(*Plane)
+	p.tick()
+	p.arm()
+}
+
+// arm schedules the next sampling pass one interval from now unless the
+// plane is stopped, a pass is already armed, or the pass would land past
+// the horizon.
+func (p *Plane) arm() {
+	if !p.running || p.timer.Armed() {
+		return
+	}
+	if p.stopAt != 0 && p.k.Now()+p.cfg.SampleInterval > p.stopAt {
+		return
+	}
+	p.timer.Reset()
+}
 
 // NewTap creates a named observation point with the given options. The
 // caller wires it to a stream through a SetTap hook — a Myrinet link
 // controller's or the injector's (core.Device.SetTap) — or feeds it
 // directly in tests.
 func (p *Plane) NewTap(name string, opts TapOptions) *Tap {
-	t := &Tap{plane: p, name: name}
+	t := &Tap{name: name}
 	if opts.Flows {
 		t.flows = NewFlowTable(name, p.ring, p.cfg.FlowIdle)
 	}
 	if opts.Detect {
 		t.detector = NewPhiDetector(p.cfg.Phi)
 		p.detectors = append(p.detectors, &planeDetector{name: name, d: t.detector})
-	}
-	if opts.LatencyShift {
-		t.gap = NewShiftDetector(0, 0) // the detector's own defaults
 	}
 	p.taps = append(p.taps, t)
 	return t
@@ -358,16 +350,23 @@ func (p *Plane) AddWedgeProbe(name string, fn func() int) {
 	p.probes = append(p.probes, &probe{name: name, gauge: fn})
 }
 
-// Start arms the sampling clock.
-func (p *Plane) Start() { p.ticker.Start() }
+// Start arms the first sampling pass one interval from now. Starting a
+// running plane that is parked at its horizon re-arms it (after SetStopAt
+// moved the horizon out).
+func (p *Plane) Start() {
+	p.running = true
+	p.arm()
+}
 
-// SetStopAt parks the sampling clock at the given horizon so a campaign's
-// quiescence detector still sees the event queue drain (see sim.Ticker).
-func (p *Plane) SetStopAt(at sim.Time) { p.ticker.SetStopAt(at) }
+// SetStopAt sets the horizon past which no sampling pass is armed, so a
+// campaign's quiescence detector still sees the event queue drain. Zero
+// removes the horizon. It takes effect when the next pass is armed.
+func (p *Plane) SetStopAt(at sim.Time) { p.stopAt = at }
 
 // Stop halts sampling and exports every active flow with CauseShutdown.
 func (p *Plane) Stop() {
-	p.ticker.Stop()
+	p.running = false
+	p.timer.Stop()
 	for _, t := range p.taps {
 		if t.flows != nil {
 			t.flows.FlushAll()
@@ -458,32 +457,4 @@ func (p *Plane) Ring() *ExportRing { return p.ring }
 func (p *Plane) Taps() []*Tap { return p.taps }
 
 // Ticks reports completed sampling passes.
-func (p *Plane) Ticks() uint64 { return p.ticker.Ticks() }
-
-// Summary renders the plane's state for reports: event log, flow records,
-// and per-tap totals.
-func (p *Plane) Summary() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "monitor: %d ticks, %d events", p.Ticks(), len(p.events))
-	if p.eventOverflow > 0 {
-		fmt.Fprintf(&b, " (+%d dropped)", p.eventOverflow)
-	}
-	fmt.Fprintf(&b, ", %d flows exported", p.ring.Exported())
-	if p.ring.Dropped() > 0 {
-		fmt.Fprintf(&b, " (+%d dropped)", p.ring.Dropped())
-	}
-	b.WriteString("\n")
-	for _, e := range p.events {
-		fmt.Fprintf(&b, "  event  %v\n", e)
-	}
-	for _, rec := range p.ring.Records() {
-		fmt.Fprintf(&b, "  flow   %-14s %v pkts=%d bytes=%d %v..%v cause=%v\n",
-			rec.Tap, rec.Key, rec.Packets, rec.Bytes, rec.First, rec.Last, rec.Cause)
-	}
-	for _, t := range p.taps {
-		bursts, chars, packets, control := t.Stats()
-		fmt.Fprintf(&b, "  tap    %-14s bursts=%d chars=%d data=%d other=%d\n",
-			t.name, bursts, chars, packets, control)
-	}
-	return b.String()
-}
+func (p *Plane) Ticks() uint64 { return p.timer.Fires() }

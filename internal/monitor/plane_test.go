@@ -198,7 +198,7 @@ func TestPlaneStopAtDrainsKernel(t *testing.T) {
 	p.AddLossProbe("x", func() uint64 { return 0 })
 	p.SetStopAt(sim.Time(10 * sim.Millisecond))
 	p.Start()
-	// Run() must terminate: the ticker parks at the horizon.
+	// Run() must terminate: the sampling clock parks at the horizon.
 	k.Run()
 	if k.Now() > sim.Time(10*sim.Millisecond) {
 		t.Fatalf("kernel ran to %v, want <= 10ms", k.Now())
@@ -208,13 +208,117 @@ func TestPlaneStopAtDrainsKernel(t *testing.T) {
 	}
 }
 
+// The plane samples exactly once per interval, on the interval grid from
+// Start.
+func TestPlanePeriodicPasses(t *testing.T) {
+	k := sim.NewKernel(1)
+	p := NewPlane(k, Config{SampleInterval: sim.Millisecond})
+	var passes []sim.Time
+	p.AddWedgeProbe("x", func() int {
+		passes = append(passes, k.Now())
+		return 0
+	})
+	p.Start()
+	k.RunUntil(sim.Time(5*sim.Millisecond + sim.Microsecond))
+	if len(passes) != 5 {
+		t.Fatalf("%d passes, want 5", len(passes))
+	}
+	for i, at := range passes {
+		if want := sim.Time(i+1) * sim.Time(sim.Millisecond); at != want {
+			t.Fatalf("pass %d at %v, want %v", i, at, want)
+		}
+	}
+	if p.Ticks() != 5 {
+		t.Fatalf("ticks = %d, want 5", p.Ticks())
+	}
+}
+
+// A plane parked at its horizon stays running, and moving the horizon out
+// and starting again resumes sampling.
+func TestPlaneStopHorizonDrains(t *testing.T) {
+	k := sim.NewKernel(1)
+	p := NewPlane(k, Config{SampleInterval: sim.Millisecond})
+	p.SetStopAt(sim.Time(4 * sim.Millisecond))
+	p.Start()
+	// Run() terminates only if the plane parks itself at the horizon.
+	k.Run()
+	if p.Ticks() != 4 || k.Now() != sim.Time(4*sim.Millisecond) {
+		t.Fatalf("ticks = %d at %v, want 4 at 4ms (passes at 1..4 ms)", p.Ticks(), k.Now())
+	}
+	if p.timer.Armed() {
+		t.Fatal("sampling clock armed past the horizon")
+	}
+	if !p.running {
+		t.Fatal("a parked plane should still be running")
+	}
+	p.SetStopAt(sim.Time(6 * sim.Millisecond))
+	p.Start()
+	k.Run()
+	if p.Ticks() != 6 || k.Now() != sim.Time(6*sim.Millisecond) {
+		t.Fatalf("after the horizon moved: ticks = %d at %v, want 6 at 6ms", p.Ticks(), k.Now())
+	}
+}
+
+// A pass that stops the plane arms no further pass, and a later Start
+// samples again on the interval grid from that Start.
+func TestPlaneStopThenStart(t *testing.T) {
+	k := sim.NewKernel(1)
+	p := NewPlane(k, Config{SampleInterval: sim.Millisecond})
+	var passes []sim.Time
+	p.AddWedgeProbe("x", func() int {
+		passes = append(passes, k.Now())
+		if len(passes) == 3 {
+			p.Stop()
+		}
+		return 0
+	})
+	p.Start()
+	p.Start() // starting a running plane arms nothing more
+	// Run() terminates only if the pass that stopped the plane re-armed nothing.
+	k.Run()
+	if p.Ticks() != 3 || k.Now() != sim.Time(3*sim.Millisecond) {
+		t.Fatalf("stopped from a pass: ticks = %d at %v, want 3 at 3ms", p.Ticks(), k.Now())
+	}
+	k.RunUntil(sim.Time(10 * sim.Millisecond))
+	p.Start()
+	k.RunUntil(sim.Time(12*sim.Millisecond + sim.Microsecond))
+	p.Stop()
+	k.Run()
+	want := []sim.Time{1, 2, 3, 11, 12}
+	if len(passes) != len(want) {
+		t.Fatalf("passes at %v, want %v ms", passes, want)
+	}
+	for i, at := range passes {
+		if at != want[i]*sim.Time(sim.Millisecond) {
+			t.Fatalf("passes at %v, want %v ms", passes, want)
+		}
+	}
+	if p.Ticks() != 5 {
+		t.Fatalf("ticks = %d, want 5", p.Ticks())
+	}
+}
+
+func TestPlaneSamplingAllocFree(t *testing.T) {
+	k := sim.NewKernel(1)
+	p := NewPlane(k, Config{SampleInterval: sim.Microsecond})
+	p.AddLossProbe("x", func() uint64 { return 0 })
+	p.Start()
+	k.RunFor(10 * sim.Microsecond) // warm the wheel
+	allocs := testing.AllocsPerRun(100, func() {
+		k.RunFor(10 * sim.Microsecond)
+	})
+	if allocs > 0 {
+		t.Fatalf("sampling allocates %.1f/run, want 0", allocs)
+	}
+}
+
 func TestTapObserveAllocFree(t *testing.T) {
 	k := sim.NewKernel(1)
 	p := NewPlane(k, Config{})
-	tap := p.NewTap("t", TapOptions{Flows: true, Detect: true, LatencyShift: true})
+	tap := p.NewTap("t", TapOptions{Flows: true, Detect: true})
 	pkt := testPacket(macOf(1), macOf(2), 20)
 	now := sim.Time(0)
-	// Warm: open the flow, fill the shift baseline.
+	// Warm: open the flow, fill the detector's window.
 	for i := 0; i < 64; i++ {
 		now += sim.Time(sim.Millisecond)
 		tap.ObserveChars(now, pkt)
@@ -228,22 +332,8 @@ func TestTapObserveAllocFree(t *testing.T) {
 	}
 }
 
-func TestPlaneSummaryRenders(t *testing.T) {
-	k := sim.NewKernel(1)
-	p := NewPlane(k, Config{SampleInterval: sim.Millisecond})
-	tap := p.NewTap("sw0.p0", TapOptions{Flows: true})
-	tap.ObserveChars(0, testPacket(macOf(1), macOf(2), 10))
-	p.Stop() // flush
-	s := p.Summary()
-	for _, want := range []string{"flows exported", "sw0.p0", "cause=shutdown"} {
-		if !strings.Contains(s, want) {
-			t.Fatalf("summary missing %q:\n%s", want, s)
-		}
-	}
-}
-
 // ObserveRepeat must leave a tap exactly as the same bursts observed one at
-// a time would: counters, packet reassembly, the gap detector and the event
+// a time would: counters, packet reassembly, flow exports and the event
 // log, whether or not it takes the count-only path.
 func TestTapObserveRepeatMatchesObserveChars(t *testing.T) {
 	stop, gap := phy.ControlChar(myrinet.SymStop), phy.ControlChar(myrinet.SymGap)
@@ -255,15 +345,12 @@ func TestTapObserveRepeatMatchesObserveChars(t *testing.T) {
 		append(phy.DataChars([]byte{1, 2, 3}), stop),
 		testPacket(macOf(1), macOf(2), 10),
 	}
-	opts := []TapOptions{{}, {LatencyShift: true}, {Flows: true, Detect: true}}
+	opts := []TapOptions{{}, {Flows: true, Detect: true}}
 	state := func(p *Plane, tap *Tap) string {
 		var b strings.Builder
 		bursts, chars, packets, control := tap.Stats()
 		fmt.Fprintln(&b, bursts, chars, packets, control, tap.inPacket, tap.n, tap.buf, tap.pktBytes,
-			tap.lastBurst, tap.haveBurst, tap.gapHot, p.Ring().Exported())
-		if tap.gap != nil {
-			fmt.Fprintf(&b, "%+v %+v\n", tap.gap.base, *tap.gap.recent)
-		}
+			p.Ring().Exported())
 		for _, e := range p.Events() {
 			fmt.Fprintln(&b, e)
 		}
@@ -277,7 +364,7 @@ func TestTapObserveRepeatMatchesObserveChars(t *testing.T) {
 					k := sim.NewKernel(1)
 					p := NewPlane(k, Config{})
 					tap := p.NewTap("t", o)
-					// A packet in progress and a baseline of gaps first.
+					// A packet in progress first.
 					for j := range 40 {
 						tap.ObserveChars(sim.Time(j)*sim.Microsecond, phy.DataChars([]byte{0x80}))
 					}

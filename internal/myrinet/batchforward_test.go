@@ -36,7 +36,6 @@ func runForwardTrace(t *testing.T, seed int64, batch, mapping, recovery bool) st
 				Enabled:       true,
 				InitialMapper: i == 2,
 				MapPeriod:     100 * sim.Millisecond,
-				ScoutTimeout:  sim.Millisecond,
 			}
 		}
 		idx := i

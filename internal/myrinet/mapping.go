@@ -19,14 +19,6 @@ type MappingConfig struct {
 	InitialMapper bool
 	// MapPeriod is the interval between mapping rounds. Zero selects 1 s.
 	MapPeriod sim.Duration
-	// ScoutTimeout is how long the mapper waits for scout replies per
-	// probe wave. Zero selects 1 ms.
-	ScoutTimeout sim.Duration
-	// ProbeDepth is the maximum number of switch hops probed. Zero
-	// selects 1 (a single switch, the paper's test bed).
-	ProbeDepth int
-	// ProbeFanout is the assumed switch port count. Zero selects 8.
-	ProbeFanout int
 }
 
 const (
@@ -36,20 +28,13 @@ const (
 	mapWatchdogFactor = 2.5
 	// mapInitialDelay postpones the first round/watchdog after attach.
 	mapInitialDelay = sim.Millisecond
+	// scoutTimeout is how long the mapper waits for scout replies.
+	scoutTimeout = sim.Millisecond
 )
 
 func (c *MappingConfig) fillDefaults() {
 	if c.MapPeriod == 0 {
 		c.MapPeriod = sim.Second
-	}
-	if c.ScoutTimeout == 0 {
-		c.ScoutTimeout = sim.Millisecond
-	}
-	if c.ProbeDepth == 0 {
-		c.ProbeDepth = 1
-	}
-	if c.ProbeFanout == 0 {
-		c.ProbeFanout = DefaultPortCount
 	}
 }
 
@@ -127,9 +112,8 @@ type MCP struct {
 }
 
 type probe struct {
-	route    []byte
-	firstHop int
-	entry    *MapEntry
+	route []byte
+	entry *MapEntry
 }
 
 func newMCP(ifc *Interface, cfg MappingConfig) *MCP {
@@ -161,11 +145,10 @@ func mcpStart(a any) {
 	m.tick()
 }
 
-func mcpTick(a any)       { a.(*MCP).tick() }
-func mcpSecondWave(a any) { a.(*MCP).secondWave() }
-func mcpFinish(a any)     { a.(*MCP).finishRound() }
-func mcpBegin(a any)      { a.(*MCP).beginRound() }
-func mcpWatchdog(a any)   { a.(*MCP).onWatchdog() }
+func mcpTick(a any)     { a.(*MCP).tick() }
+func mcpFinish(a any)   { a.(*MCP).finishRound() }
+func mcpBegin(a any)    { a.(*MCP).beginRound() }
+func mcpWatchdog(a any) { a.(*MCP).onWatchdog() }
 
 // tick is the single per-node periodic driver: mappers begin a round every
 // MapPeriod ("performed once every second").
@@ -205,40 +188,16 @@ func (m *MCP) beginRound() {
 	}
 	m.roundActive = true
 	m.probes = make(map[uint16]*probe)
-	for p := 0; p < m.cfg.ProbeFanout; p++ {
-		m.sendScout([]byte{SwitchHop(p), RouteFinal}, p)
+	// One switch hop on every port: the paper's bed is a single switch.
+	for p := 0; p < DefaultPortCount; p++ {
+		m.sendScout([]byte{SwitchHop(p), RouteFinal})
 	}
-	if m.cfg.ProbeDepth >= 2 {
-		m.ifc.k.AfterArg(m.cfg.ScoutTimeout, mcpSecondWave, m)
-	} else {
-		m.ifc.k.AfterArg(m.cfg.ScoutTimeout, mcpFinish, m)
-	}
+	m.ifc.k.AfterArg(scoutTimeout, mcpFinish, m)
 }
 
-func (m *MCP) secondWave() {
-	if !m.isMapper || !m.roundActive {
-		return
-	}
-	answered := make(map[int]bool)
-	for _, pr := range m.probes {
-		if pr.entry != nil {
-			answered[pr.firstHop] = true
-		}
-	}
-	for p := 0; p < m.cfg.ProbeFanout; p++ {
-		if answered[p] {
-			continue // a host answered directly; no switch behind it
-		}
-		for q := 0; q < m.cfg.ProbeFanout; q++ {
-			m.sendScout([]byte{SwitchHop(p), SwitchHop(q), RouteFinal}, p)
-		}
-	}
-	m.ifc.k.AfterArg(m.cfg.ScoutTimeout, mcpFinish, m)
-}
-
-func (m *MCP) sendScout(route []byte, firstHop int) {
+func (m *MCP) sendScout(route []byte) {
 	m.seq++
-	m.probes[m.seq] = &probe{route: route, firstHop: firstHop}
+	m.probes[m.seq] = &probe{route: route}
 	payload := make([]byte, 0, scoutFixedLen)
 	payload = append(payload, mapSubScout)
 	payload = appendID(payload, m.ifc.cfg.ID)

@@ -136,7 +136,6 @@ func TestMappingHigherIDTakesOver(t *testing.T) {
 			Enabled:       true,
 			InitialMapper: i == 0, // wrong node starts as mapper
 			MapPeriod:     100 * sim.Millisecond,
-			ScoutTimeout:  sim.Millisecond,
 		})
 		n.ConnectHost(hosts[i].ifc, sw, i)
 	}
@@ -146,49 +145,6 @@ func TestMappingHigherIDTakesOver(t *testing.T) {
 	}
 	if !hosts[2].ifc.MCP().IsMapper() {
 		t.Error("highest-ID node did not take over mapping")
-	}
-}
-
-func TestMappingTwoSwitchDiscovery(t *testing.T) {
-	// Mapper on sw0 must find a host behind sw1 with depth-2 probing and
-	// distribute working routes in both directions.
-	k := sim.NewKernel(1)
-	n := NewNetwork(k)
-	sw0 := n.AddSwitch("sw0", 4)
-	sw1 := n.AddSwitch("sw1", 4)
-	mcfg := func(initial bool) MappingConfig {
-		return MappingConfig{
-			Enabled:       true,
-			InitialMapper: initial,
-			MapPeriod:     100 * sim.Millisecond,
-			ScoutTimeout:  sim.Millisecond,
-			ProbeDepth:    2,
-			ProbeFanout:   4,
-		}
-	}
-	a := newTestHost(k, "A", 1, 1, mcfg(false))
-	b := newTestHost(k, "B", 2, 9, mcfg(true)) // mapper, on sw0
-	n.ConnectHost(b.ifc, sw0, 0)
-	n.ConnectHost(a.ifc, sw1, 1)
-	n.ConnectSwitches(sw0, 3, sw1, 2)
-	k.RunUntil(80 * sim.Millisecond)
-	snap := b.ifc.MCP().LastSnapshot()
-	if snap == nil || !snap.Has(a.ifc.MAC()) {
-		t.Fatalf("mapper did not discover host behind second switch: %+v", snap)
-	}
-	// Routes must work both ways.
-	if err := b.ifc.Send(a.ifc.MAC(), []byte("down")); err != nil {
-		t.Fatalf("mapper -> far host: %v", err)
-	}
-	if err := a.ifc.Send(b.ifc.MAC(), []byte("up")); err != nil {
-		t.Fatalf("far host -> mapper: %v", err)
-	}
-	k.RunFor(10 * sim.Millisecond)
-	if len(a.received) != 1 || string(a.received[0]) != "down" {
-		t.Errorf("far host received %v", a.received)
-	}
-	if len(b.received) != 1 || string(b.received[0]) != "up" {
-		t.Errorf("mapper received %v", b.received)
 	}
 }
 

@@ -43,7 +43,6 @@ func threeNodeNet(t *testing.T, k *sim.Kernel, mapping bool) (*Network, []*testH
 				Enabled:       true,
 				InitialMapper: i == 2, // highest ID maps
 				MapPeriod:     100 * sim.Millisecond,
-				ScoutTimeout:  sim.Millisecond,
 			}
 		}
 		hosts[i] = newTestHost(k, string(rune('A'+i)), byte(i+1), NodeID(i+1), cfg)

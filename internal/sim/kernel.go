@@ -120,8 +120,7 @@ type event struct {
 
 	gen uint64
 
-	next  *event // wheel slot chain or free-list link; stale anywhere else
-	index int    // heap index; -1 when not in the heap
+	next *event // wheel slot chain or free-list link; stale anywhere else
 }
 
 // eventLess is the kernel's total fire order: time first, then external
@@ -156,22 +155,13 @@ type eventHeap []*event
 
 func (h eventHeap) Len() int           { return len(h) }
 func (h eventHeap) Less(i, j int) bool { return eventLess(h[i], h[j]) }
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
-}
-func (h *eventHeap) Push(x any) {
-	ev := x.(*event)
-	ev.index = len(*h)
-	*h = append(*h, ev)
-}
+func (h eventHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
+func (h *eventHeap) Push(x any)        { *h = append(*h, x.(*event)) }
 func (h *eventHeap) Pop() any {
 	old := *h
 	n := len(old)
 	ev := old[n-1]
 	old[n-1] = nil
-	ev.index = -1
 	*h = old[:n-1]
 	return ev
 }
@@ -452,7 +442,6 @@ func (k *Kernel) alloc() *event {
 	if k.free == nil {
 		block := make([]event, 64)
 		for i := range block {
-			block[i].index = -1
 			block[i].next = k.free
 			k.free = &block[i]
 		}
@@ -470,7 +459,6 @@ func (k *Kernel) recycle(ev *event) {
 	ev.fn, ev.afn, ev.arg, ev.tm = nil, nil, nil, nil
 	ev.ext, ev.xrank, ev.xseq = false, 0, 0
 	ev.canceled, ev.train = false, false
-	ev.index = -1
 	ev.next = k.free
 	k.free = ev
 }
