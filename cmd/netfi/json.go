@@ -142,6 +142,8 @@ type jsonFabric struct {
 	EventsPerWin  float64  `json:"events_per_window"`
 	WinPerSimSec  float64  `json:"windows_per_simsec"`
 	SymbolsPerSec float64  `json:"symbols_per_sec"`
+	Busiest       uint64   `json:"busiest_events"`
+	Ceiling       float64  `json:"ceiling"`
 	ShardEvents   []uint64 `json:"shard_events"`
 }
 
@@ -159,6 +161,8 @@ func viewFabric(res campaign.FabricResult) jsonFabric {
 		EventsPerWin:  res.EventsPerWindow(),
 		WinPerSimSec:  res.WindowsPerSimSec(),
 		SymbolsPerSec: res.SymbolsPerSec(),
+		Busiest:       res.Busiest,
+		Ceiling:       res.Ceiling(),
 		ShardEvents:   res.ShardEvents,
 	}
 	if v.ShardEvents == nil {

@@ -36,8 +36,9 @@
 //	-shards N      fabric shard count (fabric only, default: one per CPU;
 //	               output is byte-identical across shard counts)
 //	-stats         append coordinator-efficiency stats to the fabric report:
-//	               windows, exchanged deliveries, events/window, and
-//	               windows per simulated second
+//	               windows, exchanged deliveries, events/window, windows
+//	               per simulated second, and the speedup ceiling (events
+//	               over those each window's busiest shard ran)
 //	-json          machine-readable output (resilience, monitor, chaos,
 //	               fabric, spec): detection-latency CDFs, per-trial triage,
 //	               flow summaries, coordinator stats, spec results

@@ -364,6 +364,9 @@ type FabricResult struct {
 	Events    uint64
 	Windows   uint64
 	Exchanged uint64
+	// Busiest sums each window's busiest-shard event count (see
+	// sim.ShardGroup.Busiest); Events/Busiest is the speedup ceiling.
+	Busiest uint64
 	// ShardEvents is the per-shard executed-event split — the load
 	// balance the partitioner achieved.
 	ShardEvents []uint64
@@ -392,6 +395,7 @@ func RunFabric(cfg FabricConfig) (FabricResult, error) {
 		Events:    tb.F.Group.Processed(),
 		Windows:   tb.F.Group.Windows(),
 		Exchanged: tb.F.Group.Exchanged(),
+		Busiest:   tb.F.Group.Busiest(),
 	}
 	for _, k := range tb.F.Kernels {
 		res.ShardEvents = append(res.ShardEvents, k.Processed())
@@ -418,6 +422,16 @@ func (r FabricResult) WindowsPerSimSec() float64 {
 	return float64(r.Windows) / secs
 }
 
+// Ceiling reports the speedup the partition allows the run: executed
+// events over the events the busiest shard ran window by window. Shards
+// wait for the busiest at every barrier, so no number of CPUs beats it.
+func (r FabricResult) Ceiling() float64 {
+	if r.Busiest == 0 {
+		return 0
+	}
+	return float64(r.Events) / float64(r.Busiest)
+}
+
 // SymbolsPerSec reports simulated link characters per wall-clock second.
 func (r FabricResult) SymbolsPerSec() float64 {
 	secs := r.Wall.Seconds()
@@ -428,15 +442,18 @@ func (r FabricResult) SymbolsPerSec() float64 {
 }
 
 // FormatFabricStats renders the coordinator-efficiency block behind
-// `netfi fabric -stats`: window counts, barrier traffic, and the
+// `netfi fabric -stats`: window counts, barrier traffic, the
 // events-per-window / windows-per-simulated-second ratios that say whether
-// the adaptive horizons are doing their job.
+// the adaptive horizons are doing their job, and the speedup ceiling that
+// says whether each window's work is spread across the shards.
 func FormatFabricStats(r FabricResult) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "  stats: %.1f events/window, %.3gM windows/simsec\n",
 		r.EventsPerWindow(), r.WindowsPerSimSec()/1e6)
 	fmt.Fprintf(&b, "  stats: %d windows, %d exchanged deliveries, %.2fM symbols/s wall\n",
 		r.Windows, r.Exchanged, r.SymbolsPerSec()/1e6)
+	fmt.Fprintf(&b, "  stats: busiest shard ran %d of %d events, ceiling %.2fx\n",
+		r.Busiest, r.Events, r.Ceiling())
 	return b.String()
 }
 

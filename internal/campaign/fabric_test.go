@@ -139,6 +139,39 @@ func TestFabricDeliversAll(t *testing.T) {
 	}
 }
 
+// TestFabricShardCeiling guards the balance inside each window: on a
+// 64-switch/512-host Clos flood split over two shards, the events the
+// busiest shard runs window by window must leave a speedup ceiling of at
+// least 1.8. Buffering every trunk hop until the next barrier spreads a
+// packet's leaf->spine->leaf chain over windows; scheduling same-shard
+// trunk hops straight into the sender's kernel read 1.36 here. One shard
+// runs every event of every window, a ceiling of exactly 1.
+func TestFabricShardCeiling(t *testing.T) {
+	for _, tc := range []struct {
+		shards int
+		min    float64
+	}{{1, 1}, {2, 1.8}} {
+		res, err := RunFabric(FabricConfig{
+			Topo:    topo.Config{Switches: 64, Hosts: 512, Shards: tc.shards, Seed: 5},
+			Packets: 16,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Drained || res.Delivered != res.Sent {
+			t.Fatalf("shards=%d: drained=%v sent=%d delivered=%d", tc.shards, res.Drained, res.Sent, res.Delivered)
+		}
+		c := res.Ceiling()
+		t.Logf("shards=%d: busiest %d of %d events, ceiling %.3f", tc.shards, res.Busiest, res.Events, c)
+		if tc.shards == 1 && res.Busiest != res.Events {
+			t.Errorf("one shard: busiest %d, want every event (%d)", res.Busiest, res.Events)
+		}
+		if c < tc.min {
+			t.Errorf("shards=%d: ceiling %.3f, want >= %.2f", tc.shards, c, tc.min)
+		}
+	}
+}
+
 func TestFabricPingPongCompletes(t *testing.T) {
 	tb, err := NewFabricTestbed(FabricConfig{
 		Topo:     topo.Config{Switches: 2, Hosts: 4, Shards: 2, Seed: 11},

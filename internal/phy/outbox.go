@@ -7,7 +7,8 @@ import (
 )
 
 // Cross-shard delivery channels. A sharded fabric replaces a cross-shard
-// cable's direct kernel scheduling with a ChannelEnd sink: the sending
+// cable's direct kernel scheduling — and every switch-to-switch trunk's,
+// even one whose ends share a shard — with a ChannelEnd sink: the sending
 // shard's link computes the arrival time as usual, but the burst is
 // buffered in the sender's Outbox instead of entering a kernel. At each
 // barrier the coordinator drains all outboxes with ExchangeSet.Exchange,
@@ -21,8 +22,9 @@ import (
 // execution order at every kernel is therefore a pure function of the
 // traffic — not of which barrier a delivery happened to cross, nor of the
 // partitioning — which is what makes an N-shard run byte-identical to a
-// 1-shard run. Same-shard cables skip the buffering entirely via a
-// DirectEnd, which schedules the same externally-ordered event immediately.
+// 1-shard run. Host cables whose ends share a shard (and every cable of a
+// one-shard fabric) skip the buffering entirely via a DirectEnd, which
+// schedules the same externally-ordered event immediately.
 
 // DeliverySink receives a link's computed deliveries in place of the local
 // kernel. Implementations either buffer them for a later exchange
@@ -123,11 +125,12 @@ func (c *ChannelEnd) Deliver(arrival sim.Time, dst Receiver, chars []Character) 
 	c.seq++
 }
 
-// DirectEnd is the DeliverySink for one direction of a same-shard cable in
-// a sharded fabric. The delivery never leaves the shard, so it is scheduled
-// into the local kernel immediately — but as the same externally-ordered
-// event a barrier exchange would have produced, so execution order is
-// identical to a run where the cable crossed shards.
+// DirectEnd is the DeliverySink for one direction of a same-shard host
+// cable in a sharded fabric (a one-shard fabric gives it to every cable).
+// The delivery never leaves the shard, so it is scheduled into the local
+// kernel immediately — but as the same externally-ordered event a barrier
+// exchange would have produced, so execution order is identical to a run
+// where the cable crossed shards.
 type DirectEnd struct {
 	pool *Pool
 	rank uint32

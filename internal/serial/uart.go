@@ -70,18 +70,17 @@ func NewUART(k *sim.Kernel, baud int, dst ByteSink) *UART {
 }
 
 // Send queues bytes for transmission; each is delivered to the sink when
-// its stop bit completes.
+// its stop bit completes. It returns when the last byte completes; an
+// empty write sends nothing, changes nothing and returns when the line is
+// free.
 func (u *UART) Send(data []byte) sim.Time {
-	start := u.k.Now()
-	if u.busyUntil > start {
-		start = u.busyUntil
+	start := max(u.k.Now(), u.busyUntil)
+	if len(data) == 0 {
+		return start
 	}
 	start += sim.Duration(len(data)) * u.byteTime
 	u.busyUntil = start
 	u.sent += uint64(len(data))
-	if len(data) == 0 {
-		return start
-	}
 	u.q = append(u.q, data...)
 	if !u.pumping {
 		u.pumping = true

@@ -117,6 +117,11 @@ type ShardGroup struct {
 
 	windows   uint64
 	exchanged uint64
+	// busiest sums, window by window, the events executed by the shard
+	// that executed the most in that window; atStart holds each kernel's
+	// Processed() at the window's start.
+	busiest uint64
+	atStart []uint64
 
 	// Per-shard window state. horizons is written by the coordinator
 	// before the start barrier; nexts/has are written by each shard's
@@ -154,6 +159,7 @@ func NewShardGroup(kernels []*Kernel, lookahead Duration) *ShardGroup {
 		horizons:  make([]Time, n),
 		nexts:     make([]Time, n),
 		has:       make([]bool, n),
+		atStart:   make([]uint64, n),
 	}
 	for i := range g.dist {
 		g.dist[i] = make([]Duration, n)
@@ -208,6 +214,13 @@ func (g *ShardGroup) Windows() uint64 { return g.windows }
 
 // Exchanged reports how many cross-shard deliveries have crossed barriers.
 func (g *ShardGroup) Exchanged() uint64 { return g.exchanged }
+
+// Busiest reports, summed over every window, the events executed by that
+// window's busiest shard: the events the group runs one after another
+// however many CPUs it has. Processed() / Busiest() is the speedup ceiling
+// the partition leaves for the run — N when every window splits its work
+// evenly across N shards, 1 when one shard runs everything.
+func (g *ShardGroup) Busiest() uint64 { return g.busiest }
 
 // Processed sums executed events across all kernels.
 func (g *ShardGroup) Processed() uint64 {
@@ -301,22 +314,27 @@ func (g *ShardGroup) computeHorizons(limit Time) {
 }
 
 // runWindow drains every shard to its horizon, in parallel when the group
-// has more than one shard, and refreshes the next-event cache at barrier
-// exit.
+// has more than one shard, refreshes the next-event cache at barrier exit
+// and adds the window's busiest shard to the ceiling counter.
 func (g *ShardGroup) runWindow() {
-	if g.bar == nil {
-		k := g.kernels[0]
-		k.Drain(g.horizons[0])
-		g.nexts[0], g.has[0] = k.PeekNext()
-		g.windows++
-		return
+	for i, k := range g.kernels {
+		g.atStart[i] = k.Processed()
 	}
-	g.bar.wait(&g.sense0) // start: release workers
+	if g.bar != nil {
+		g.bar.wait(&g.sense0) // start: release workers
+	}
 	k := g.kernels[0]
 	k.Drain(g.horizons[0])
 	g.nexts[0], g.has[0] = k.PeekNext()
-	g.bar.wait(&g.sense0) // end: collect workers
+	if g.bar != nil {
+		g.bar.wait(&g.sense0) // end: collect workers
+	}
 	g.windows++
+	var most uint64
+	for i, k := range g.kernels {
+		most = max(most, k.Processed()-g.atStart[i])
+	}
+	g.busiest += most
 }
 
 // Run executes windows until every shard drains or the global next-event

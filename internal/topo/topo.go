@@ -14,16 +14,19 @@
 // deliveries become externally-ordered events stamped with the link's rank
 // and per-link sequence, so every kernel fires same-time deliveries in an
 // order that is a pure function of the traffic rather than the partition
-// (see sim.Kernel.AtExt). Cross-shard cables buffer deliveries in the
-// sender shard's outbox and inject them at barriers (phy.ExchangeSet);
-// same-shard cables schedule the identical event immediately
+// (see sim.Kernel.AtExt). With more than one shard, cross-shard cables and
+// every switch-to-switch trunk buffer deliveries in the sender shard's
+// outbox and inject them at barriers (phy.ExchangeSet), so each switch hop
+// waits for the next window; host cables on one shard, and every cable of
+// a one-shard fabric, schedule the identical event immediately
 // (phy.DirectEnd). The same fabric run with 1, 2, or N shards is therefore
 // byte-identical, which the campaign equivalence gate pins down.
 //
 // Adaptive lookahead: Build derives a shard-pair minimum-latency matrix
-// from the cable map — the weight of a cross-shard edge is one character's
+// from the cable map — the weight of a buffered edge is one character's
 // serialization plus that cable's propagation delay, and dist(i, j) is the
-// all-pairs shortest influence path over those edges (purely intra-shard
+// all-pairs shortest influence path over those edges (a same-shard trunk is
+// a self edge, so dist(j, j) is at most one trunk latency; host-cable
 // chains need no barrier: DirectEnd schedules them synchronously). The
 // ShardGroup uses the matrix to compute per-shard safe horizons from the
 // actual pending-event times, so shards sprint past quiet periods instead
@@ -127,9 +130,9 @@ type Fabric struct {
 	lookahead     sim.Duration
 
 	exch *phy.ExchangeSet
-	// crossMin[{i, j}] is the minimum direct latency of any cross-shard
-	// cable direction from shard i to shard j; the distance matrix's edge
-	// weights.
+	// crossMin[{i, j}] is the minimum direct latency of any buffered cable
+	// direction from shard i to shard j (i == j for a same-shard trunk);
+	// the distance matrix's edge weights.
 	crossMin map[[2]int]sim.Duration
 }
 
@@ -256,14 +259,14 @@ func Build(cfg Config) (*Fabric, error) {
 		sw, port := f.hostAttach(h)
 		lc := hostLink
 		lc.Name = fmt.Sprintf("%s<->%s.p%d", f.Hosts[h].Name(), f.Switches[sw].Name(), port)
-		f.addCable(lc, f.shardOfHost[h], f.shardOfSwitch[sw], f.Hosts[h], myrinet.Port(f.Switches[sw], port))
+		f.addCable(lc, false, f.shardOfHost[h], f.shardOfSwitch[sw], f.Hosts[h], myrinet.Port(f.Switches[sw], port))
 	}
 	if f.Mesh {
 		for a := 0; a < cfg.Switches; a++ {
 			for b := a + 1; b < cfg.Switches; b++ {
 				lc := trunkLink
 				lc.Name = fmt.Sprintf("%s.p%d<->%s.p%d", f.Switches[a].Name(), f.HostsPerLeaf+b, f.Switches[b].Name(), f.HostsPerLeaf+a)
-				f.addCable(lc, f.shardOfSwitch[a], f.shardOfSwitch[b],
+				f.addCable(lc, true, f.shardOfSwitch[a], f.shardOfSwitch[b],
 					myrinet.Port(f.Switches[a], f.HostsPerLeaf+b), myrinet.Port(f.Switches[b], f.HostsPerLeaf+a))
 			}
 		}
@@ -273,7 +276,7 @@ func Build(cfg Config) (*Fabric, error) {
 				spine := f.Switches[f.Leaves+s]
 				lc := trunkLink
 				lc.Name = fmt.Sprintf("%s.p%d<->%s.p%d", f.Switches[l].Name(), f.HostsPerLeaf+s, spine.Name(), l)
-				f.addCable(lc, f.shardOfSwitch[l], f.shardOfSwitch[f.Leaves+s],
+				f.addCable(lc, true, f.shardOfSwitch[l], f.shardOfSwitch[f.Leaves+s],
 					myrinet.Port(f.Switches[l], f.HostsPerLeaf+s), myrinet.Port(spine, l))
 			}
 		}
@@ -295,13 +298,14 @@ func Build(cfg Config) (*Fabric, error) {
 
 // distanceMatrix computes dist[i][j]: the minimum virtual-time latency from
 // an event executing on shard i to the earliest resulting arrival on shard
-// j over influence paths with at least one cross-shard hop (zero when no
-// such path exists). Purely intra-shard delivery chains are excluded on
-// purpose — DirectEnd schedules them synchronously during the window, so
-// they never need barrier protection; only chains whose last hop crosses a
-// shard boundary wait in an outbox. Seeding each Dijkstra frontier with the
-// source's outgoing edges (instead of dist[src] = 0) makes dist[j][j] the
-// shortest nontrivial cross-shard cycle through j for free.
+// j over influence paths with at least one buffered hop (zero when no such
+// path exists). Direct host-cable chains are excluded on purpose —
+// DirectEnd schedules them synchronously during the window, so they never
+// need barrier protection; only chains whose last hop is buffered wait in
+// an outbox. Seeding each Dijkstra frontier with the source's outgoing
+// edges (instead of dist[src] = 0) makes dist[j][j] the shortest buffered
+// cycle through j — one trunk latency whenever shard j holds both ends of
+// a trunk — for free.
 func (f *Fabric) distanceMatrix() [][]sim.Duration {
 	n := f.Config.Shards
 	type edge struct {
@@ -393,8 +397,9 @@ func (f *Fabric) distanceMatrix() [][]sim.Duration {
 // equivalence gate runs 4 shards). With N <= switches, each tier is dealt
 // round-robin — leaf l to shard l mod N, spine s to s mod N, mesh switch i
 // to i mod N — so every shard holds a like slice of each tier and carries
-// like work in every window (a flood's hops run in phase, tier by tier);
-// each host follows its switch, keeping host<->leaf cables intra-shard.
+// like work in every window (every trunk hop waits for a barrier, so a
+// flood's hops run in phase, tier by tier); each host follows its switch,
+// keeping host<->leaf cables intra-shard and direct.
 // With more shards than switches, every switch gets its own shard and
 // hosts spread over the remainder.
 func (f *Fabric) partition() {
@@ -429,14 +434,19 @@ func (f *Fabric) hostAttach(h int) (sw, port int) {
 }
 
 // addCable builds one channelized cable: each direction's link lives on the
-// sender's kernel. Cross-shard directions buffer through the sender shard's
-// outbox for barrier exchange and record the edge in the latency graph;
-// same-shard directions schedule the identical externally-ordered event
-// directly into the shared kernel.
-func (f *Fabric) addCable(cfg phy.LinkConfig, shardA, shardB int, a, b myrinet.Attachable) {
+// sender's kernel. A direction is buffered — it goes through the sender
+// shard's outbox for barrier exchange and records its edge in the latency
+// graph — when it crosses shards, or when it is a switch-to-switch trunk of
+// a sharded fabric even though both ends share a shard. Only host cables on
+// one shard, and every cable of a one-shard fabric, schedule the identical
+// externally-ordered event directly into the shared kernel. Buffering the
+// same-shard trunks makes every switch hop wait for the next barrier, so a
+// packet's leaf->spine->leaf chain spreads over windows instead of piling
+// one window's work onto the shard that holds the chain.
+func (f *Fabric) addCable(cfg phy.LinkConfig, trunk bool, shardA, shardB int, a, b myrinet.Attachable) {
 	cable := myrinet.ConnectCross(f.Kernels[shardA], f.Kernels[shardB], cfg, a, b)
 	rank := uint32(2 * len(f.Cables))
-	if shardA == shardB {
+	if shardA == shardB && (!trunk || f.Config.Shards == 1) {
 		cable.LeftToRight.SetDeliverySink(phy.NewDirectEnd(f.Kernels[shardA], rank))
 		cable.RightToLeft.SetDeliverySink(phy.NewDirectEnd(f.Kernels[shardA], rank+1))
 	} else {
@@ -449,7 +459,7 @@ func (f *Fabric) addCable(cfg phy.LinkConfig, shardA, shardB int, a, b myrinet.A
 	f.Cables = append(f.Cables, cable)
 }
 
-// noteCross records a direct cross-shard edge for the distance matrix.
+// noteCross records a buffered edge for the distance matrix.
 func (f *Fabric) noteCross(from, to int, lat sim.Duration) {
 	key := [2]int{from, to}
 	if cur, ok := f.crossMin[key]; !ok || lat < cur {

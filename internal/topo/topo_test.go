@@ -209,6 +209,7 @@ func TestPartitionDealsTiers(t *testing.T) {
 	}{
 		{Config{Switches: 128, Hosts: 1024, Shards: 2, Seed: 1}, 896},
 		{Config{Switches: 128, Hosts: 1024, Shards: 4, Seed: 1}, -1},
+		{Config{Switches: 128, Hosts: 1024, Shards: 1, Seed: 1}, -1},
 		{Config{Switches: 2, Hosts: 5, Shards: 2, Seed: 1}, -1},
 	} {
 		f := build(t, tc.cfg)
@@ -247,6 +248,20 @@ func TestPartitionDealsTiers(t *testing.T) {
 		} {
 			if spread := slices.Max(c.counts) - slices.Min(c.counts); spread > c.slack {
 				t.Errorf("%+v: %s per shard %v spread %d, want <= %d", tc.cfg, c.name, c.counts, spread, c.slack)
+			}
+		}
+		// A sharded Clos buffers every trunk hop, same-shard ones too, so
+		// each shard's self edge is one trunk latency; one shard buffers
+		// nothing and has no edges at all.
+		if n == 1 && len(f.crossMin) != 0 {
+			t.Errorf("%+v: one shard records edges %v, want none", tc.cfg, f.crossMin)
+		}
+		if n > 1 && !f.Mesh {
+			trunk := myrinet.CharPeriod + f.Config.TrunkPropDelay
+			for j := 0; j < n; j++ {
+				if got, ok := f.crossMin[[2]int{j, j}]; !ok || got != trunk {
+					t.Errorf("%+v: self edge of shard %d = %v (present %v), want %v", tc.cfg, j, got, ok, trunk)
+				}
 			}
 		}
 		if tc.cross < 0 {
