@@ -22,6 +22,7 @@ fuzz:
 	$(GO) test -run='^FuzzSerialFraming$$' -fuzz=FuzzSerialFraming -fuzztime=10s ./internal/serial
 	$(GO) test -run='^FuzzTimerProgram$$' -fuzz=FuzzTimerProgram -fuzztime=10s ./internal/sim
 	$(GO) test -run='^FuzzParseSpec$$' -fuzz=FuzzParseSpec -fuzztime=10s ./internal/campaign
+	$(GO) test -run='^FuzzFabricShardEquivalence$$' -fuzz=FuzzFabricShardEquivalence -fuzztime=10s ./internal/campaign
 	$(GO) test -run='^FuzzInterfaceReassembly$$' -fuzz=FuzzInterfaceReassembly -fuzztime=10s ./internal/myrinet
 	$(GO) test -run='^FuzzTopoBuild$$' -fuzz=FuzzTopoBuild -fuzztime=10s ./internal/topo
 

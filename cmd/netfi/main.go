@@ -343,7 +343,7 @@ func fabricSection(o expOpts) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	out := "Sharded fabric: parallel per-core event kernels, adaptive conservative lookahead\n" +
+	out := "Sharded fabric: parallel per-core event kernels, one conservative lookahead per window\n" +
 		campaign.FormatFabric(res)
 	if o.stats {
 		out += campaign.FormatFabricStats(res)

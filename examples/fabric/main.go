@@ -7,11 +7,11 @@
 // each. The punchline is determinism: the final fabric state is
 // byte-identical whether one kernel executes everything or sixteen kernels
 // race under the lookahead barrier — only the wall clock and the window
-// count change. Shards never see each other's clocks; the coordinator
-// advances each one to its own safe horizon, computed from the fabric's
-// shortest cross-shard latency paths, so no shard can receive a
-// cross-shard delivery in its past. A single-shard run has no cross-shard
-// cables at all and sprints to quiescence in one window.
+// count change. Shards never see each other's clocks; each window the
+// coordinator runs every shard one lookahead — the fabric's shortest
+// buffered cable — past the earliest pending event, so no shard can
+// receive a buffered delivery in its past. A single-shard run buffers no
+// cable at all and runs to quiescence in one window.
 package main
 
 import (

@@ -299,8 +299,9 @@ func (tb *FabricTestbed) Totals() (sent, delivered, bytes uint64) {
 // events in the same order — the byte-identity the shard equivalence gate
 // compares across shard counts. Shard-count-dependent quantities are
 // excluded or aggregated: windows and exchanged-delivery counts depend on
-// the partition and the distance matrix (adaptive horizons cut fewer,
-// wider windows; only cross-shard deliveries ride the exchange), and
+// the shard count (one kernel runs one window and buffers nothing; more
+// shards cut a window per lookahead of busy virtual time, and every
+// buffered delivery rides the exchange), and
 // per-shard clocks / per-kernel event counts appear only as the global
 // last-event time and the processed-event sum, which the coordinator keeps
 // partition-independent.
@@ -412,8 +413,9 @@ func (r FabricResult) EventsPerWindow() float64 {
 	return float64(r.Events) / float64(r.Windows)
 }
 
-// WindowsPerSimSec reports coordinator windows per simulated second — the
-// adaptive-lookahead headline: lower means wider safe horizons.
+// WindowsPerSimSec reports coordinator windows per simulated second: at
+// most one per lookahead, fewer when quiet stretches let a window start
+// past the last one's horizon.
 func (r FabricResult) WindowsPerSimSec() float64 {
 	secs := float64(r.SimTime) * 1e-12
 	if secs <= 0 {
@@ -443,9 +445,9 @@ func (r FabricResult) SymbolsPerSec() float64 {
 
 // FormatFabricStats renders the coordinator-efficiency block behind
 // `netfi fabric -stats`: window counts, barrier traffic, the
-// events-per-window / windows-per-simulated-second ratios that say whether
-// the adaptive horizons are doing their job, and the speedup ceiling that
-// says whether each window's work is spread across the shards.
+// events-per-window / windows-per-simulated-second ratios that say how much
+// work each barrier amortizes, and the speedup ceiling that says whether
+// each window's work is spread across the shards.
 func FormatFabricStats(r FabricResult) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "  stats: %.1f events/window, %.3gM windows/simsec\n",

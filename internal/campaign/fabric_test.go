@@ -27,8 +27,8 @@ func runFabricFingerprint(t *testing.T, cfg FabricConfig) (string, *FabricTestbe
 // logs, and the coordinator's clock and processed-event counters — across
 // 20 seeds and both workloads. Shards=1 is the single-kernel path (one
 // sim.Kernel executes everything, every delivery scheduled directly); 2
-// and 4 split the fabric across real parallel kernels with adaptive
-// horizons and barrier exchange, 4 finer than the switch count.
+// and 4 split the fabric across real parallel kernels with lookahead
+// windows and barrier exchange, 4 finer than the switch count.
 func TestFabricShardEquivalence(t *testing.T) {
 	for _, workload := range []FabricWorkload{WorkloadFlood, WorkloadPingPong} {
 		for seed := int64(0); seed < 20; seed++ {
@@ -238,4 +238,70 @@ func TestFabricNeedsTwoHosts(t *testing.T) {
 			t.Errorf("%s on %d switches / %d hosts: sent=%d delivered=%d", tc.workload, tc.switches, tc.hosts, res.Sent, res.Delivered)
 		}
 	}
+}
+
+// TestFabricOneShardOneWindow: a one-shard fabric has no peer to wait for
+// and buffers no cable, so its group runs the whole 128-switch/1024-host
+// flood in a single window and exchanges nothing.
+func TestFabricOneShardOneWindow(t *testing.T) {
+	res, err := RunFabric(FabricConfig{
+		Topo:    topo.Config{Switches: 128, Hosts: 1024, Shards: 1, Seed: 1},
+		Packets: 2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Drained || res.Sent == 0 || res.Delivered != res.Sent {
+		t.Fatalf("drained=%v sent=%d delivered=%d", res.Drained, res.Sent, res.Delivered)
+	}
+	if res.Windows != 1 || res.Exchanged != 0 {
+		t.Fatalf("%d windows, %d exchanged deliveries; want 1 and 0", res.Windows, res.Exchanged)
+	}
+}
+
+// FuzzFabricShardEquivalence widens the shard equivalence gate to fuzzed
+// shapes and cable delays: 1-16 switches, 2-41 hosts, 2-16 shards (spine-less
+// shards and more shards than switches included), host and trunk
+// propagation delays of 1-500 ns, flood or ping-pong. Whatever the shape,
+// the sharded run's fingerprint must equal the one-shard run's. The fixed
+// gates above run only the default delays. The first seed input puts 11 ns
+// trunks under 176 ns host cables on a one-spine Clos, where two of the
+// three shards hold no trunk of their own; a window one lookahead too wide
+// fails it.
+// Run with: go test -fuzz=FuzzFabricShardEquivalence ./internal/campaign
+func FuzzFabricShardEquivalence(f *testing.F) {
+	f.Add(uint8(15), uint8(39), uint8(3), int64(7), uint16(176), uint16(11), false)
+	f.Add(uint8(2), uint8(4), uint8(4), int64(1), uint16(25), uint16(100), true)
+	f.Add(uint8(16), uint8(41), uint8(16), int64(3), uint16(1), uint16(500), false)
+	// fold keeps an in-range value and wraps any other into [lo, hi].
+	fold := func(v, lo, hi int) int {
+		if v >= lo && v <= hi {
+			return v
+		}
+		return lo + v%(hi-lo+1)
+	}
+	f.Fuzz(func(t *testing.T, switches, hosts, shards uint8, seed int64, hostDelay, trunkDelay uint16, pingPong bool) {
+		workload := WorkloadFlood
+		if pingPong {
+			workload = WorkloadPingPong
+		}
+		cfg := FabricConfig{
+			Topo: topo.Config{
+				Switches:       fold(int(switches), 1, 16),
+				Hosts:          fold(int(hosts), 2, 41),
+				Seed:           seed,
+				HostPropDelay:  sim.Duration(fold(int(hostDelay), 1, 500)) * sim.Nanosecond,
+				TrunkPropDelay: sim.Duration(fold(int(trunkDelay), 1, 500)) * sim.Nanosecond,
+			},
+			Workload: workload,
+			Packets:  2,
+			Record:   true,
+		}
+		cfg.Topo.Shards = 1
+		base, _ := runFabricFingerprint(t, cfg)
+		cfg.Topo.Shards = fold(int(shards), 2, 16)
+		if fp, _ := runFabricFingerprint(t, cfg); fp != base {
+			t.Fatalf("%+v: fingerprint diverges from the one-shard run:\n%s", cfg.Topo, diffFirstLine(base, fp))
+		}
+	})
 }

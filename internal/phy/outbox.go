@@ -1,10 +1,6 @@
 package phy
 
-import (
-	"sync/atomic"
-
-	"netfi/internal/sim"
-)
+import "netfi/internal/sim"
 
 // Cross-shard delivery channels. A sharded fabric replaces a cross-shard
 // cable's direct kernel scheduling — and every switch-to-switch trunk's,
@@ -45,29 +41,18 @@ type Delivery struct {
 
 // Outbox buffers deliveries originating from one shard between barriers.
 // Only that shard's goroutine appends to it during a window; the barrier
-// handoff publishes it to the coordinator. An Outbox belongs to an
-// ExchangeSet, whose shared counter it bumps on the empty -> non-empty
-// transition so the coordinator can skip barriers with no traffic.
+// handoff publishes it to the coordinator.
 type Outbox struct {
-	pending  []Delivery
-	nonEmpty *atomic.Int32
-	drains   int // non-empty drains so far in the current shrink epoch
-	peak     int // largest drain in the current shrink epoch
+	pending []Delivery
+	drains  int // non-empty drains so far in the current shrink epoch
+	peak    int // largest drain in the current shrink epoch
 }
 
 // shrinkEpoch is the number of non-empty drains over which an outbox
 // tracks its high-water mark before deciding whether to shrink.
 const shrinkEpoch = 64
 
-// Len reports the number of buffered deliveries.
-func (o *Outbox) Len() int { return len(o.pending) }
-
-func (o *Outbox) push(d Delivery) {
-	if len(o.pending) == 0 && o.nonEmpty != nil {
-		o.nonEmpty.Add(1)
-	}
-	o.pending = append(o.pending, d)
-}
+func (o *Outbox) push(d Delivery) { o.pending = append(o.pending, d) }
 
 // drain injects the buffered deliveries into their destination kernels in
 // buffer order, reports how many moved, clears the backing array's
@@ -150,20 +135,18 @@ func (d *DirectEnd) Deliver(arrival sim.Time, dst Receiver, chars []Character) {
 	d.seq++
 }
 
-// ExchangeSet owns one outbox per shard and drains them at barriers. The
-// non-empty counter lets Exchange return without touching any outbox when
-// no shard buffered anything since the last barrier — the common case on
-// windows that carried only intra-shard traffic.
+// ExchangeSet owns one outbox per shard and drains them at barriers. A
+// sharded fabric buffers every trunk hop, so most barriers find traffic
+// waiting; an empty outbox costs its drain one length check.
 type ExchangeSet struct {
-	boxes    []*Outbox
-	nonEmpty atomic.Int32
+	boxes []*Outbox
 }
 
 // NewExchangeSet returns a set with one empty outbox per shard.
 func NewExchangeSet(shards int) *ExchangeSet {
 	s := &ExchangeSet{boxes: make([]*Outbox, shards)}
 	for i := range s.boxes {
-		s.boxes[i] = &Outbox{nonEmpty: &s.nonEmpty}
+		s.boxes[i] = &Outbox{}
 	}
 	return s
 }
@@ -176,14 +159,10 @@ func (s *ExchangeSet) Box(i int) *Outbox { return s.boxes[i] }
 // deliveries moved. It must run at a barrier, with every shard quiescent —
 // it draws each delivery record from the destination kernel's pool — and
 // every delivery's arrival must be at or after its destination kernel's
-// clock (the conservative window horizons guarantee this; the kernel
+// clock (the conservative window horizon guarantees this; the kernel
 // panics otherwise). Injection needs no sort: the (rank, seq) stamps order
 // the events inside each kernel.
 func (s *ExchangeSet) Exchange() int {
-	if s.nonEmpty.Load() == 0 {
-		return 0
-	}
-	s.nonEmpty.Store(0)
 	n := 0
 	for _, b := range s.boxes {
 		n += b.drain()

@@ -38,8 +38,8 @@ func TestExchangeSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// The empty fast path must not touch any outbox: with nothing buffered,
-// Exchange is one atomic load.
+// An exchange with nothing buffered moves nothing and allocates nothing:
+// each empty outbox costs one length check.
 func TestExchangeEmptySkip(t *testing.T) {
 	set := NewExchangeSet(4)
 	if avg := testing.AllocsPerRun(100, func() {

@@ -333,7 +333,8 @@ func (k *Kernel) AfterArg(d Duration, fn func(any), arg any) EventID {
 // moment they were scheduled. (rank, xseq) must be unique per pending
 // external event at any timestamp. Sharded fabrics schedule cross- and
 // same-shard deliveries this way, which is what lets the barrier schedule
-// change (adaptive lookahead) without changing the execution order.
+// change (the shard count, and so the window cuts) without changing the
+// execution order.
 func (k *Kernel) AtExt(t Time, rank uint32, xseq uint64, fn func(any), arg any) EventID {
 	if t < k.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, k.now))

@@ -1,28 +1,23 @@
-// Conservative coordination of multiple kernels with extracted lookahead.
+// Conservative coordination of multiple kernels with a fixed lookahead.
 //
 // A ShardGroup advances N kernels in windows separated by barriers. Each
-// window gives shard j a horizon h(j): the shard executes every pending
-// event with timestamp <= h(j) and then waits. The horizons are chosen so
-// no event executed inside the window can be affected by a cross-shard
+// window gives every shard one horizon h: the shard executes every pending
+// event with timestamp <= h and then waits. The horizon is chosen so no
+// event executed inside the window can be affected by a cross-shard
 // delivery that has not been injected yet — the classic Chandy-Misra-Bryant
 // conservative discipline, with the barrier playing the role of null
 // messages.
 //
-// Safe horizon. Let next(i) be shard i's earliest pending event and
-// dist(i, j) the minimum virtual-time latency from an event executing on
-// shard i to the earliest resulting arrival on shard j, minimized over all
-// influence paths with at least one cross- or intra-shard channel hop
-// (dist(j, j) is the shortest nontrivial cycle through j). Any arrival
-// into j caused by an event chain starting from shard i's current state
-// happens at or after next(i) + dist(i, j), so
+// Safe horizon. Let T be the global minimum next-event time and L the
+// lookahead: the minimum virtual-time latency of any buffered channel, the
+// only way an event can reach another shard (or its own shard across a
+// barrier). Every not-yet-injected arrival is caused by an event at or
+// after T, so it lands at or after T + L, and
 //
-//	h(j) = min over i with pending events of next(i) + dist(i, j) - 1
+//	h = min(limit, T + L - 1)
 //
-// is safe: everything j executes through h(j) precedes the earliest
-// possible not-yet-injected arrival. The matrix is supplied by the fabric
-// layer (SetDistanceMatrix) from the cable map; until then the group holds
-// the uniform dist(i, j) = lookahead, under which every window runs from the
-// global min event time T through T+lookahead-1.
+// is safe for every shard. A one-kernel group has no peer and nothing to
+// buffer, so its window runs straight to the limit.
 //
 // Determinism: shards execute external deliveries in a total order carried
 // by the events themselves (arrival time, then cable rank, then per-cable
@@ -104,11 +99,6 @@ type ShardGroup struct {
 	kernels   []*Kernel
 	lookahead Duration
 
-	// dist[i][j] is the minimum latency from an event on shard i to an
-	// arrival on shard j over paths with >= 1 channel hop; 0 means shard i
-	// cannot influence shard j at all.
-	dist [][]Duration
-
 	// exchange drains every shard's outbox into its peers' kernels at a
 	// barrier. It runs with all shards quiescent and must inject events
 	// in a deterministic order; it returns the number of deliveries
@@ -123,13 +113,13 @@ type ShardGroup struct {
 	busiest uint64
 	atStart []uint64
 
-	// Per-shard window state. horizons is written by the coordinator
-	// before the start barrier; nexts/has are written by each shard's
-	// owner after draining, before the end barrier. The barriers order
-	// every write against every read.
-	horizons []Time
-	nexts    []Time
-	has      []bool
+	// Window state. horizon is written by the coordinator before the
+	// start barrier; nexts/has are written by each shard's owner after
+	// draining, before the end barrier. The barriers order every write
+	// against every read.
+	horizon Time
+	nexts   []Time
+	has     []bool
 
 	// Worker machinery for len(kernels) > 1. Worker i owns kernels[i]
 	// exclusively between barriers; kernel 0 runs on the coordinating
@@ -142,8 +132,8 @@ type ShardGroup struct {
 
 // NewShardGroup returns a coordinator over the given kernels. The lookahead
 // must be positive: it is the guaranteed minimum virtual-time latency of any
-// cross-shard interaction, and every entry of the distance matrix (self
-// included) until SetDistanceMatrix installs a sharper one.
+// delivery the exchange injects, from the sending event to the arrival,
+// and so the width of every window.
 func NewShardGroup(kernels []*Kernel, lookahead Duration) *ShardGroup {
 	if len(kernels) == 0 {
 		panic("sim: ShardGroup needs at least one kernel")
@@ -155,17 +145,9 @@ func NewShardGroup(kernels []*Kernel, lookahead Duration) *ShardGroup {
 	g := &ShardGroup{
 		kernels:   kernels,
 		lookahead: lookahead,
-		dist:      make([][]Duration, n),
-		horizons:  make([]Time, n),
 		nexts:     make([]Time, n),
 		has:       make([]bool, n),
 		atStart:   make([]uint64, n),
-	}
-	for i := range g.dist {
-		g.dist[i] = make([]Duration, n)
-		for j := range g.dist[i] {
-			g.dist[i][j] = lookahead
-		}
 	}
 	if n > 1 {
 		g.bar = newSenseBarrier(n)
@@ -180,36 +162,10 @@ func NewShardGroup(kernels []*Kernel, lookahead Duration) *ShardGroup {
 // when any cross-shard channels exist.
 func (g *ShardGroup) SetExchange(fn func() int) { g.exchange = fn }
 
-// SetDistanceMatrix replaces the uniform matrix with the fabric's shard-pair
-// minimum latencies. dist[i][j] must be the minimum virtual-time
-// latency from an event executing on shard i to the earliest resulting
-// arrival on shard j over influence paths with at least one channel hop
-// (dist[j][j] is the shortest nontrivial cycle through j); a zero entry
-// means shard i can never influence shard j. Every entry must be either
-// zero or >= the group's lookahead.
-func (g *ShardGroup) SetDistanceMatrix(dist [][]Duration) {
-	if len(dist) != len(g.kernels) {
-		panic("sim: distance matrix shard count mismatch")
-	}
-	for _, row := range dist {
-		if len(row) != len(g.kernels) {
-			panic("sim: distance matrix is not square")
-		}
-		for _, d := range row {
-			if d != 0 && d < g.lookahead {
-				panic("sim: distance matrix entry below group lookahead")
-			}
-		}
-	}
-	g.dist = dist
-}
-
-// Kernels returns the coordinated kernels, shard-indexed.
-func (g *ShardGroup) Kernels() []*Kernel { return g.kernels }
-
 // Windows reports how many windows have been executed. Unlike event
-// execution order, the window count depends on the partition and the
-// distance matrix — more shards or tighter latencies mean more barriers.
+// execution order, the window count depends on the shard count and the
+// lookahead: one kernel runs one window per Run, and a shorter lookahead
+// means more barriers.
 func (g *ShardGroup) Windows() uint64 { return g.windows }
 
 // Exchanged reports how many cross-shard deliveries have crossed barriers.
@@ -260,11 +216,11 @@ func (g *ShardGroup) worker(idx int) {
 	k := g.kernels[idx]
 	var sense uint32
 	for {
-		g.bar.wait(&sense) // start: horizons are published
+		g.bar.wait(&sense) // start: the horizon is published
 		if g.quit {
 			return
 		}
-		k.Drain(g.horizons[idx])
+		k.Drain(g.horizon)
 		g.nexts[idx], g.has[idx] = k.PeekNext()
 		g.bar.wait(&sense) // end: nexts are published
 	}
@@ -291,29 +247,7 @@ func (g *ShardGroup) minNext() (Time, bool) {
 	return minT, found
 }
 
-// computeHorizons fills g.horizons for the next window, capped at limit.
-// Shard j may run through min over pending i of next(i) + dist(i, j) - 1; a
-// shard no pending event chain can reach sprints straight to limit.
-func (g *ShardGroup) computeHorizons(limit Time) {
-	for j := range g.horizons {
-		h := limit
-		for i := range g.kernels {
-			if !g.has[i] {
-				continue
-			}
-			d := g.dist[i][j]
-			if d == 0 {
-				continue
-			}
-			if hij := g.nexts[i] + d - 1; hij < h {
-				h = hij
-			}
-		}
-		g.horizons[j] = h
-	}
-}
-
-// runWindow drains every shard to its horizon, in parallel when the group
+// runWindow drains every shard to the horizon, in parallel when the group
 // has more than one shard, refreshes the next-event cache at barrier exit
 // and adds the window's busiest shard to the ceiling counter.
 func (g *ShardGroup) runWindow() {
@@ -324,7 +258,7 @@ func (g *ShardGroup) runWindow() {
 		g.bar.wait(&g.sense0) // start: release workers
 	}
 	k := g.kernels[0]
-	k.Drain(g.horizons[0])
+	k.Drain(g.horizon)
 	g.nexts[0], g.has[0] = k.PeekNext()
 	if g.bar != nil {
 		g.bar.wait(&g.sense0) // end: collect workers
@@ -370,7 +304,11 @@ func (g *ShardGroup) Run(limit Time) bool {
 			g.alignClocks(limit)
 			return false
 		}
-		g.computeHorizons(limit)
+		// One kernel has no peer to wait for: it runs to the limit.
+		g.horizon = limit
+		if len(g.kernels) > 1 {
+			g.horizon = min(limit, t+g.lookahead-1)
+		}
 		g.runWindow()
 	}
 }

@@ -138,26 +138,11 @@ func buildMesh(seed int64, numNodes, shards int) *meshNet {
 	return net
 }
 
-// uniformMatrix is the distance matrix at the minimum cable latency: every
-// pair is assumed reachable, which is always conservative.
-func uniformMatrix(shards int) [][]Duration {
-	dist := make([][]Duration, shards)
-	for i := range dist {
-		dist[i] = make([]Duration, shards)
-		for j := range dist[i] {
-			dist[i][j] = meshLat
-		}
-	}
-	return dist
-}
-
-// runMesh runs the mesh to quiescence under the explicit uniform matrix and
-// returns the per-node traces.
+// runMesh runs the mesh to quiescence and returns the per-node traces.
 func runMesh(t *testing.T, seed int64, numNodes, shards int) ([][]meshRec, Time, uint64) {
 	t.Helper()
 	net := buildMesh(seed, numNodes, shards)
 	defer net.g.Close()
-	net.g.SetDistanceMatrix(uniformMatrix(shards))
 	if !net.g.Run(Second) {
 		t.Fatalf("seed %d shards %d: mesh did not drain", seed, shards)
 	}
@@ -171,7 +156,7 @@ func runMesh(t *testing.T, seed int64, numNodes, shards int) ([][]meshRec, Time,
 // TestShardGroupAdaptiveEquivalence is the randomized form of the fabric
 // equivalence gates: for a handful of seeds, the per-node observation
 // history, final time, and executed-event count of the mesh must be
-// identical at shard counts 1, 2, and 3 under adaptive horizons.
+// identical at shard counts 1, 2, and 3 whatever windows each count cuts.
 func TestShardGroupAdaptiveEquivalence(t *testing.T) {
 	const numNodes = 6
 	for _, seed := range []int64{1, 7, 42, 1001} {
@@ -200,49 +185,16 @@ func TestShardGroupAdaptiveEquivalence(t *testing.T) {
 	}
 }
 
-// A group that was never given a matrix and one given the uniform matrix
-// explicitly are the same group: same windows cut, same events per kernel.
-func TestShardGroupNoMatrixIsUniformMatrix(t *testing.T) {
-	const numNodes = 6
-	for _, seed := range []int64{1, 7, 42} {
-		for _, shards := range []int{1, 2, 3} {
-			bare := buildMesh(seed, numNodes, shards)
-			given := buildMesh(seed, numNodes, shards)
-			given.g.SetDistanceMatrix(uniformMatrix(shards))
-			for _, net := range []*meshNet{bare, given} {
-				if !net.g.Run(Second) {
-					t.Fatalf("seed %d shards %d: mesh did not drain", seed, shards)
-				}
-				net.g.Close()
-			}
-			if b, g := bare.g.Windows(), given.g.Windows(); b != g || b < 2 {
-				t.Errorf("seed %d shards %d: %d windows without a matrix, %d with the uniform one", seed, shards, b, g)
-			}
-			for k := range bare.kernels {
-				if b, g := bare.kernels[k].Processed(), given.kernels[k].Processed(); b != g {
-					t.Errorf("seed %d shards %d kernel %d: processed %d without a matrix, %d with", seed, shards, k, b, g)
-				}
-			}
-		}
-	}
-}
-
-// A shard no pending chain can influence must sprint to the limit in a
-// single window instead of being dragged through lockstep barriers.
-func TestShardGroupAdaptiveSprint(t *testing.T) {
-	kernels := []*Kernel{NewKernel(1), NewKernel(2)}
+// A one-kernel group has no peer to wait for: however short its lookahead,
+// it runs every pending event in a single window.
+func TestShardGroupOneKernelOneWindow(t *testing.T) {
+	k := NewKernel(1)
 	n := 0
 	for at := Time(0); at < 1000*Nanosecond; at += 10 * Nanosecond {
-		kernels[0].At(at, func() { n++ })
+		k.At(at, func() { n++ })
 	}
-	g := NewShardGroup(kernels, 50*Nanosecond)
+	g := NewShardGroup([]*Kernel{k}, 50*Nanosecond)
 	defer g.Close()
-	// Shard 0 influences shard 1 but nothing influences shard 0 (no cycle
-	// back), so shard 0's horizon is always the limit.
-	g.SetDistanceMatrix([][]Duration{
-		{0, 50 * Nanosecond},
-		{0, 0},
-	})
 	if !g.Run(Second) {
 		t.Fatal("did not drain")
 	}
@@ -250,7 +202,37 @@ func TestShardGroupAdaptiveSprint(t *testing.T) {
 		t.Fatalf("executed %d events, want 100", n)
 	}
 	if g.Windows() != 1 {
-		t.Fatalf("Windows = %d, want 1 (uninfluenced shard should sprint)", g.Windows())
+		t.Fatalf("Windows = %d, want 1 (one kernel runs to the limit)", g.Windows())
+	}
+}
+
+// The window stops one picosecond short of T + lookahead. A delivery sent
+// at the window's first instant over a channel exactly one lookahead long
+// lands at T + lookahead, where the receiver also holds a local event; the
+// external delivery must fire first. A horizon reaching T + lookahead would
+// run the local event before the barrier injected the delivery.
+func TestShardGroupHorizonStopsShort(t *testing.T) {
+	const lookahead = 50 * Nanosecond
+	kernels := []*Kernel{NewKernel(1), NewKernel(2)}
+	var outbox []Time
+	var order []string
+	kernels[0].At(0, func() { outbox = append(outbox, kernels[0].Now()+lookahead) })
+	kernels[1].At(lookahead, func() { order = append(order, "local") })
+	g := NewShardGroup(kernels, lookahead)
+	defer g.Close()
+	g.SetExchange(func() int {
+		n := len(outbox)
+		for i, at := range outbox {
+			kernels[1].AtExt(at, 0, uint64(i), func(any) { order = append(order, "delivery") }, nil)
+		}
+		outbox = outbox[:0]
+		return n
+	})
+	if !g.Run(Second) {
+		t.Fatal("did not drain")
+	}
+	if len(order) != 2 || order[0] != "delivery" {
+		t.Fatalf("fired %v, want the delivery before the local event at the same instant", order)
 	}
 }
 
@@ -334,26 +316,6 @@ func TestShardGroupCloseThenReuse(t *testing.T) {
 		}
 	}()
 	g.Run(Second)
-}
-
-func TestShardGroupDistanceMatrixValidation(t *testing.T) {
-	kernels := []*Kernel{NewKernel(1), NewKernel(2)}
-	g := NewShardGroup(kernels, 50*Nanosecond)
-	defer g.Close()
-	mustPanic := func(name string, dist [][]Duration) {
-		defer func() {
-			if recover() == nil {
-				t.Errorf("%s did not panic", name)
-			}
-		}()
-		g.SetDistanceMatrix(dist)
-	}
-	mustPanic("wrong shard count", [][]Duration{{0}})
-	mustPanic("not square", [][]Duration{{0, 0}, {0}})
-	mustPanic("entry below lookahead", [][]Duration{
-		{0, 10 * Nanosecond},
-		{0, 0},
-	})
 }
 
 // Barrier waiters spin for as long as the group is inside Run. Spinning

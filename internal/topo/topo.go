@@ -22,15 +22,14 @@
 // (phy.DirectEnd). The same fabric run with 1, 2, or N shards is therefore
 // byte-identical, which the campaign equivalence gate pins down.
 //
-// Adaptive lookahead: Build derives a shard-pair minimum-latency matrix
-// from the cable map — the weight of a buffered edge is one character's
-// serialization plus that cable's propagation delay, and dist(i, j) is the
-// all-pairs shortest influence path over those edges (a same-shard trunk is
-// a self edge, so dist(j, j) is at most one trunk latency; host-cable
-// chains need no barrier: DirectEnd schedules them synchronously). The
-// ShardGroup uses the matrix to compute per-shard safe horizons from the
-// actual pending-event times, so shards sprint past quiet periods instead
-// of lock-stepping at the global minimum channel latency.
+// Lookahead: Build hands the ShardGroup the latency of the shortest
+// buffered cable direction — one character's serialization plus that
+// cable's propagation delay. Only a buffered delivery can reach a shard
+// from another, or from its own shard across a barrier (host-cable chains
+// on one shard need none: DirectEnd schedules them synchronously), so every
+// window safely runs each shard one lookahead past the global minimum
+// next-event time. A sharded Clos buffers every trunk, so its lookahead is
+// one trunk latency unless a host cable crosses shards.
 package topo
 
 import (
@@ -59,12 +58,13 @@ type Config struct {
 	// leaf pair, kernel seeding).
 	Seed int64
 	// HostPropDelay is the host-to-leaf cable propagation delay; zero
-	// selects 25 ns (an in-rack cable). It bounds the lookahead window,
-	// so longer cables mean fewer barriers.
+	// selects 25 ns (an in-rack cable). It bounds the lookahead window
+	// only where a host cable crosses shards.
 	HostPropDelay sim.Duration
 	// TrunkPropDelay is the switch-to-switch cable propagation delay;
-	// zero selects 100 ns (a cross-rack trunk). Neither delay may exceed
-	// one second.
+	// zero selects 100 ns (a cross-rack trunk). Every trunk of a sharded
+	// fabric is buffered, so it bounds the lookahead window: longer trunks
+	// mean fewer barriers. Neither delay may exceed one second.
 	TrunkPropDelay sim.Duration
 	// MaxPacket is passed through to every interface; zero selects the
 	// interface default, and a negative value is an error.
@@ -101,7 +101,7 @@ func (c *Config) fillDefaults() error {
 }
 
 // maxPropDelay bounds a cable's propagation delay (about 200,000 km of
-// fibre), so the lookahead and every shard-to-shard path sum stay far from
+// fibre), so the lookahead and every window horizon stay far from
 // overflowing sim.Duration.
 const maxPropDelay = sim.Second
 
@@ -127,13 +127,11 @@ type Fabric struct {
 
 	shardOfSwitch []int
 	shardOfHost   []int
-	lookahead     sim.Duration
+	// lookahead is the shortest buffered cable direction's latency, zero
+	// until addCable buffers one.
+	lookahead sim.Duration
 
 	exch *phy.ExchangeSet
-	// crossMin[{i, j}] is the minimum direct latency of any buffered cable
-	// direction from shard i to shard j (i == j for a same-shard trunk);
-	// the distance matrix's edge weights.
-	crossMin map[[2]int]sim.Duration
 }
 
 // hostMACPrefix distinguishes fabric host addresses; the low two bytes are
@@ -219,7 +217,6 @@ func Build(cfg Config) (*Fabric, error) {
 		f.Kernels[i] = sim.NewKernel(int64(mix(uint64(cfg.Seed), uint64(i))))
 	}
 	f.exch = phy.NewExchangeSet(cfg.Shards)
-	f.crossMin = make(map[[2]int]sim.Duration)
 
 	// Switches.
 	f.Switches = make([]*myrinet.Switch, cfg.Switches)
@@ -282,114 +279,15 @@ func Build(cfg Config) (*Fabric, error) {
 		}
 	}
 
-	// Lookahead: the minimum virtual-time latency of any link — one
-	// character's serialization plus the shortest propagation delay.
-	minProp := cfg.HostPropDelay
-	if cfg.TrunkPropDelay < minProp {
-		minProp = cfg.TrunkPropDelay
+	// A one-shard fabric buffers nothing and its group runs each window to
+	// the limit; its lookahead is the shortest cable of either kind.
+	if f.lookahead == 0 {
+		f.lookahead = myrinet.CharPeriod + min(cfg.HostPropDelay, cfg.TrunkPropDelay)
 	}
-	f.lookahead = myrinet.CharPeriod + minProp
 
 	f.Group = sim.NewShardGroup(f.Kernels, f.lookahead)
-	f.Group.SetDistanceMatrix(f.distanceMatrix())
 	f.Group.SetExchange(f.exch.Exchange)
 	return f, nil
-}
-
-// distanceMatrix computes dist[i][j]: the minimum virtual-time latency from
-// an event executing on shard i to the earliest resulting arrival on shard
-// j over influence paths with at least one buffered hop (zero when no such
-// path exists). Direct host-cable chains are excluded on purpose —
-// DirectEnd schedules them synchronously during the window, so they never
-// need barrier protection; only chains whose last hop is buffered wait in
-// an outbox. Seeding each Dijkstra frontier with the source's outgoing
-// edges (instead of dist[src] = 0) makes dist[j][j] the shortest buffered
-// cycle through j — one trunk latency whenever shard j holds both ends of
-// a trunk — for free.
-func (f *Fabric) distanceMatrix() [][]sim.Duration {
-	n := f.Config.Shards
-	type edge struct {
-		to int
-		w  sim.Duration
-	}
-	adj := make([][]edge, n)
-	for pair, w := range f.crossMin {
-		adj[pair[0]] = append(adj[pair[0]], edge{pair[1], w})
-	}
-
-	const inf = sim.Duration(1<<63 - 1)
-	type item struct {
-		d sim.Duration
-		v int
-	}
-	var pq []item
-	push := func(it item) {
-		pq = append(pq, it)
-		for i := len(pq) - 1; i > 0; {
-			p := (i - 1) / 2
-			if pq[p].d <= pq[i].d {
-				break
-			}
-			pq[p], pq[i] = pq[i], pq[p]
-			i = p
-		}
-	}
-	pop := func() item {
-		top := pq[0]
-		last := len(pq) - 1
-		pq[0] = pq[last]
-		pq = pq[:last]
-		for i := 0; ; {
-			l, r, m := 2*i+1, 2*i+2, i
-			if l < len(pq) && pq[l].d < pq[m].d {
-				m = l
-			}
-			if r < len(pq) && pq[r].d < pq[m].d {
-				m = r
-			}
-			if m == i {
-				break
-			}
-			pq[i], pq[m] = pq[m], pq[i]
-			i = m
-		}
-		return top
-	}
-
-	dist := make([][]sim.Duration, n)
-	d := make([]sim.Duration, n)
-	for src := 0; src < n; src++ {
-		for i := range d {
-			d[i] = inf
-		}
-		pq = pq[:0]
-		for _, e := range adj[src] {
-			if e.w < d[e.to] {
-				d[e.to] = e.w
-				push(item{e.w, e.to})
-			}
-		}
-		for len(pq) > 0 {
-			it := pop()
-			if it.d > d[it.v] {
-				continue
-			}
-			for _, e := range adj[it.v] {
-				if nd := it.d + e.w; nd < d[e.to] {
-					d[e.to] = nd
-					push(item{nd, e.to})
-				}
-			}
-		}
-		row := make([]sim.Duration, n)
-		for j := range row {
-			if d[j] < inf {
-				row[j] = d[j]
-			}
-		}
-		dist[src] = row
-	}
-	return dist
 }
 
 // partition assigns switches and hosts to shards. Units are switches AND
@@ -435,8 +333,8 @@ func (f *Fabric) hostAttach(h int) (sw, port int) {
 
 // addCable builds one channelized cable: each direction's link lives on the
 // sender's kernel. A direction is buffered — it goes through the sender
-// shard's outbox for barrier exchange and records its edge in the latency
-// graph — when it crosses shards, or when it is a switch-to-switch trunk of
+// shard's outbox for barrier exchange and bounds the lookahead — when it
+// crosses shards, or when it is a switch-to-switch trunk of
 // a sharded fabric even though both ends share a shard. Only host cables on
 // one shard, and every cable of a one-shard fabric, schedule the identical
 // externally-ordered event directly into the shared kernel. Buffering the
@@ -452,19 +350,11 @@ func (f *Fabric) addCable(cfg phy.LinkConfig, trunk bool, shardA, shardB int, a,
 	} else {
 		cable.LeftToRight.SetDeliverySink(phy.NewChannelEnd(f.exch.Box(shardA), f.Kernels[shardB], rank))
 		cable.RightToLeft.SetDeliverySink(phy.NewChannelEnd(f.exch.Box(shardB), f.Kernels[shardA], rank+1))
-		lat := cfg.CharPeriod + cfg.PropDelay
-		f.noteCross(shardA, shardB, lat)
-		f.noteCross(shardB, shardA, lat)
+		if lat := cfg.CharPeriod + cfg.PropDelay; f.lookahead == 0 || lat < f.lookahead {
+			f.lookahead = lat
+		}
 	}
 	f.Cables = append(f.Cables, cable)
-}
-
-// noteCross records a buffered edge for the distance matrix.
-func (f *Fabric) noteCross(from, to int, lat sim.Duration) {
-	key := [2]int{from, to}
-	if cur, ok := f.crossMin[key]; !ok || lat < cur {
-		f.crossMin[key] = lat
-	}
 }
 
 // Route returns the source route from host src to host dst, or false when
@@ -507,7 +397,9 @@ func (f *Fabric) resolverFor(h int) func([]byte, myrinet.MAC) ([]byte, bool) {
 	}
 }
 
-// Lookahead returns the conservative-lookahead window width.
+// Lookahead returns the conservative-lookahead window width: the shortest
+// buffered cable direction's latency, or in a one-shard fabric, which
+// buffers nothing, one character plus the shorter propagation delay.
 func (f *Fabric) Lookahead() sim.Duration { return f.lookahead }
 
 // ShardOfHost returns the shard owning host h.

@@ -250,19 +250,11 @@ func TestPartitionDealsTiers(t *testing.T) {
 				t.Errorf("%+v: %s per shard %v spread %d, want <= %d", tc.cfg, c.name, c.counts, spread, c.slack)
 			}
 		}
-		// A sharded Clos buffers every trunk hop, same-shard ones too, so
-		// each shard's self edge is one trunk latency; one shard buffers
-		// nothing and has no edges at all.
-		if n == 1 && len(f.crossMin) != 0 {
-			t.Errorf("%+v: one shard records edges %v, want none", tc.cfg, f.crossMin)
-		}
-		if n > 1 && !f.Mesh {
-			trunk := myrinet.CharPeriod + f.Config.TrunkPropDelay
-			for j := 0; j < n; j++ {
-				if got, ok := f.crossMin[[2]int{j, j}]; !ok || got != trunk {
-					t.Errorf("%+v: self edge of shard %d = %v (present %v), want %v", tc.cfg, j, got, ok, trunk)
-				}
-			}
+		// A sharded fabric buffers every trunk hop, same-shard ones too,
+		// and keeps each host cable on its leaf's shard, so the shortest
+		// buffered cable, the lookahead, is one trunk latency.
+		if trunk := myrinet.CharPeriod + f.Config.TrunkPropDelay; n > 1 && f.Lookahead() != trunk {
+			t.Errorf("%+v: lookahead %v, want one trunk latency %v", tc.cfg, f.Lookahead(), trunk)
 		}
 		if tc.cross < 0 {
 			continue
@@ -288,14 +280,23 @@ func TestShardClamp(t *testing.T) {
 	}
 }
 
+// The lookahead is the shortest buffered cable direction. On a 2-switch
+// mesh at 2 shards each host shares its switch's shard, so the trunk is the
+// only buffered cable; at 6 shards every host has a shard of its own and
+// its cable crosses. One shard buffers nothing and reports the shorter of
+// the two cables.
 func TestLookahead(t *testing.T) {
-	f := build(t, Config{
-		Switches: 2, Hosts: 4, Seed: 1,
-		HostPropDelay: 30 * sim.Nanosecond, TrunkPropDelay: 80 * sim.Nanosecond,
-	})
-	want := myrinet.CharPeriod + 30*sim.Nanosecond
-	if f.Lookahead() != want {
-		t.Fatalf("lookahead = %v, want %v", f.Lookahead(), want)
+	for _, tc := range []struct {
+		shards int
+		prop   sim.Duration
+	}{{2, 80 * sim.Nanosecond}, {6, 30 * sim.Nanosecond}, {1, 30 * sim.Nanosecond}} {
+		f := build(t, Config{
+			Switches: 2, Hosts: 4, Shards: tc.shards, Seed: 1,
+			HostPropDelay: 30 * sim.Nanosecond, TrunkPropDelay: 80 * sim.Nanosecond,
+		})
+		if want := myrinet.CharPeriod + tc.prop; f.Lookahead() != want {
+			t.Errorf("%d shards: lookahead = %v, want %v", tc.shards, f.Lookahead(), want)
+		}
 	}
 }
 
@@ -305,7 +306,7 @@ func TestBuildErrors(t *testing.T) {
 		{Switches: 2, Hosts: 0},
 		{Switches: 2, Hosts: 300}, // 150 hosts/switch + 2 mesh ports > 128
 		{Switches: 2, Hosts: 4, MaxPacket: -1},
-		{Switches: 9, Hosts: 8, Shards: 2, TrunkPropDelay: 2 * sim.Second}, // path sums could overflow
+		{Switches: 9, Hosts: 8, Shards: 2, TrunkPropDelay: 2 * sim.Second}, // past the one-second bound
 	} {
 		if _, err := Build(cfg); err == nil {
 			t.Errorf("Build(%+v) succeeded, want error", cfg)
