@@ -3,9 +3,11 @@ package campaign
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"netfi/internal/core"
@@ -255,28 +257,52 @@ func newChaosBase(seed int64, opts ChaosOptions) *chaosBase {
 	return w
 }
 
-// fork deep-copies the base into an independent world: phase 1 clones the
-// kernel, phase 2 walks the model graph, phase 3 resolves every deferred
-// cross-reference. Campaign-owned hooks (probes, injection hooks) are not
-// part of any world and are re-armed by runTrial.
+// forkWorld is a world forks of one base are cut into, with the mapper that
+// fills it. The mapper's object table persists from fork to fork, so every
+// fork after the first overwrites the same objects (see forkInto). It
+// stays outside the world's model graph: the table is keyed by the base's
+// objects.
+type forkWorld struct {
+	world
+	m    *sim.Mapper
+	from *chaosBase
+}
+
+// fork cuts a fork of the base into a new, empty world.
 func (b *chaosBase) fork() (*chaosBase, error) {
-	m := sim.NewMapperSize(int(b.objects.Load()))
-	b.tb.K.Clone(m)
-	tb2 := b.tb.Clone(m)
-	mon2 := b.mon.Clone(m)
-	rels2 := make([]*host.Reliable, len(b.rels))
-	for i, r := range b.rels {
-		rels2[i] = r.Clone(m)
-	}
-	hbs2 := make([]*host.Heartbeat, len(b.hbs))
-	for i, h := range b.hbs {
-		hbs2[i] = h.Clone(m)
-	}
-	if err := m.Finish(); err != nil {
+	w := new(forkWorld)
+	if err := b.forkInto(w); err != nil {
 		return nil, err
 	}
-	b.objects.CompareAndSwap(0, int64(m.Objects()))
-	return &chaosBase{tb: tb2, mon: mon2, rels: rels2, hbs: hbs2, start: b.start}, nil
+	return &w.world, nil
+}
+
+// forkInto deep-copies the base into w, an empty world or one an earlier
+// fork of the same base filled: phase 1 clones the kernel, phase 2 walks the
+// model graph, phase 3 resolves every deferred cross-reference. Every field
+// of the world comes from the base, so nothing its last trial did survives;
+// its objects, arrays, maps, event structs and pools are reused, so a fork
+// into a used world allocates nothing. A world another base filled starts
+// empty. Campaign-owned hooks (probes, injection hooks) are not part of any
+// world and are re-armed by runTrial.
+func (b *chaosBase) forkInto(w *forkWorld) error {
+	if w.from != b {
+		w.from, w.m = b, sim.NewMapper()
+	}
+	m := w.m
+	b.tb.K.Clone(m)
+	w.tb = b.tb.Clone(m)
+	w.mon = b.mon.Clone(m)
+	w.rels = sim.Resize(w.rels, len(b.rels))
+	for i, r := range b.rels {
+		w.rels[i] = r.Clone(m)
+	}
+	w.hbs = sim.Resize(w.hbs, len(b.hbs))
+	for i, h := range b.hbs {
+		w.hbs[i] = h.Clone(m)
+	}
+	w.start = b.start
+	return m.Finish()
 }
 
 // runChaosTrial applies one plan to a warmed world (a fork, or a freshly
@@ -292,18 +318,51 @@ func runChaosTrial(b *chaosBase, plan ForkPlan, opts ChaosOptions) ChaosTrial {
 		RecoveryEvents: r.RecoveryEvents, Injections: r.Injections, HeldOutputs: r.HeldOutputs,
 		InjectedAt: r.InjectedAt, Detected: r.Detected, DetectLatency: r.DetectLatency,
 		DetectSource: r.DetectSource, FlowsExported: r.FlowsExported,
-		Fingerprint: chaosFingerprint(b.tb, b.mon, b.rels),
+		Fingerprint: b.fp.render(b.tb, b.mon, b.rels),
 	}
 }
 
-// runForkChaosTrial cuts a fork from the warmed base and runs the plan on
-// it. The base is read-only during the clone, so forks cut concurrently.
+// runForkChaosTrial cuts a fork from the warmed base into a new world and
+// runs the plan on it. The base is read-only during the clone, so forks cut
+// concurrently.
 func runForkChaosTrial(base *chaosBase, plan ForkPlan, opts ChaosOptions) ChaosTrial {
-	fork, err := base.fork()
-	if err != nil {
+	return runForkChaosTrialIn(base, new(forkWorld), plan, opts)
+}
+
+// runForkChaosTrialIn is runForkChaosTrial into w.
+func runForkChaosTrialIn(base *chaosBase, w *forkWorld, plan ForkPlan, opts ChaosOptions) ChaosTrial {
+	if err := base.forkInto(w); err != nil {
 		panic(fmt.Sprintf("chaos: fork %d: %v", plan.ID, err))
 	}
-	return runChaosTrial(fork, plan, opts)
+	return runChaosTrial(&w.world, plan, opts)
+}
+
+// worlds is a sweep's free list of worlds to fork into: a worker takes one
+// per trial and gives it back after, so a sweep holds about one world per
+// worker. Which world a trial gets does not matter — every fork overwrites
+// everything — but a trial that panics leaves its world half-run, so it is
+// never given back.
+type worlds struct {
+	mu   sync.Mutex
+	free []*forkWorld
+}
+
+// run forks base into a world from the list and runs plan on it.
+func (p *worlds) run(base *chaosBase, plan ForkPlan, opts ChaosOptions) ChaosTrial {
+	var w *forkWorld
+	p.mu.Lock()
+	if last := len(p.free) - 1; last >= 0 {
+		w = p.free[last]
+		p.free = p.free[:last]
+	} else {
+		w = new(forkWorld)
+	}
+	p.mu.Unlock()
+	t := runForkChaosTrialIn(base, w, plan, opts) // a panic drops w
+	p.mu.Lock()
+	p.free = append(p.free, w)
+	p.mu.Unlock()
+	return t
 }
 
 // runRebuiltChaosTrial is the control path: warm a fresh world from
@@ -322,7 +381,8 @@ type ChaosResult struct {
 }
 
 // RunChaos warms one base testbed, forks it per generated plan across the
-// worker pool, and triages every fork. A panicking fork is isolated by
+// worker pool — each fork into the world its worker's last trial ran on —
+// and triages every fork. A panicking fork is isolated by
 // RunTrialsErr and reported as OutcomeError rather than killing the sweep.
 func RunChaos(opts ChaosOptions) ChaosResult {
 	opts.fillDefaults()
@@ -331,11 +391,12 @@ func RunChaos(opts ChaosOptions) ChaosResult {
 	if !opts.Rebuild {
 		base = newChaosBase(opts.Seed, opts)
 	}
+	var ws worlds
 	trials, errs := RunTrialsErr(len(plans), opts.Workers, func(i int) ChaosTrial {
 		if opts.Rebuild {
 			return runRebuiltChaosTrial(opts.Seed, plans[i], opts)
 		}
-		return runForkChaosTrial(base, plans[i], opts)
+		return ws.run(base, plans[i], opts)
 	})
 	for i, err := range errs {
 		if err != nil {
@@ -407,15 +468,28 @@ func FormatChaos(r ChaosResult) string {
 // totals, transport statistics, and the monitoring plane's complete event
 // log, flow records, and tap totals. Two runs with equal fingerprints
 // executed the same events in the same order against the same state — the
-// byte-identity the fork-equivalence gate compares.
-//
-// Every trial digests its world once, so the text is appended into one
-// buffer sized for it, with strconv rather than fmt: the per-value boxing
-// and Builder growth of a Fprintf rendering cost more objects than the
-// fork. fingerprint_test.go keeps that rendering as the oracle.
+// byte-identity the fork-equivalence gate compares. A trial renders into
+// its world's own buffers (world.fp); this form uses fresh ones.
 func chaosFingerprint(tb *Testbed, mon *monitor.Plane, rels []*host.Reliable) string {
-	events, records := mon.Events(), mon.Ring().Records()
-	b := make([]byte, 0, 4096+96*len(events)+128*len(records))
+	var f fingerprintBuf
+	return f.render(tb, mon, rels)
+}
+
+// fingerprintBuf is what a world's fingerprint is built in: the text and
+// the sorted cable names, kept from trial to trial. Every trial digests its
+// world once, so the text is appended with strconv rather than fmt, whose
+// per-value boxing and Builder growth cost dozens of objects a trial, and
+// rendering into a world's kept buffers allocates only the returned
+// string. fingerprint_test.go keeps the fmt rendering as the oracle.
+type fingerprintBuf struct {
+	text  []byte
+	names []string
+}
+
+// render digests the world into f's buffers (see chaosFingerprint).
+func (f *fingerprintBuf) render(tb *Testbed, mon *monitor.Plane, rels []*host.Reliable) string {
+	events, ring := mon.Events(), mon.Ring()
+	b := slices.Grow(f.text[:0], 4096+96*len(events)+128*ring.Len())
 	b = appendUint(b, "kernel now=", uint64(tb.K.Now()))
 	b = appendUint(b, " processed=", tb.K.Processed())
 	b = append(b, '\n')
@@ -427,8 +501,8 @@ func chaosFingerprint(tb *Testbed, mon *monitor.Plane, rels []*host.Reliable) st
 	b = append(b, '\n')
 	for _, n := range tb.Nodes {
 		b = appendCounters(append(b, n.Name()...), n.Interface().Counters())
-		b = fmt.Appendf(append(b, n.Name()...), " stats=%+v dead=", n.Stats())
-		b = strconv.AppendBool(b, n.Dead())
+		b = appendNodeStats(append(append(b, n.Name()...), " stats="...), n.Stats())
+		b = strconv.AppendBool(append(b, " dead="...), n.Dead())
 		b = append(b, '\n')
 	}
 	if tb.Injector != nil {
@@ -456,11 +530,12 @@ func chaosFingerprint(tb *Testbed, mon *monitor.Plane, rels []*host.Reliable) st
 			}
 		}
 	}
-	names := make([]string, 0, len(tb.Net.Cables))
+	names := f.names[:0]
 	for name := range tb.Net.Cables {
 		names = append(names, name)
 	}
 	sort.Strings(names)
+	f.names = names
 	for _, name := range names {
 		c := tb.Net.Cables[name]
 		for _, l := range [2]*phy.Link{c.LeftToRight, c.RightToLeft} {
@@ -473,20 +548,21 @@ func chaosFingerprint(tb *Testbed, mon *monitor.Plane, rels []*host.Reliable) st
 		}
 	}
 	for i, r := range rels {
-		b = fmt.Appendf(appendUint(b, "rel", uint64(i)), " %+v", r.Stats())
+		b = appendReliableStats(append(appendUint(b, "rel", uint64(i)), ' '), r.Stats())
 		b = appendUint(b, " outstanding=", uint64(r.Outstanding()))
 		b = append(b, '\n')
 	}
 	b = appendUint(b, "mon ticks=", mon.Ticks())
 	b = appendUint(b, " overflow=", mon.EventOverflow())
-	b = appendUint(b, " exported=", mon.Ring().Exported())
-	b = appendUint(b, " dropped=", mon.Ring().Dropped())
+	b = appendUint(b, " exported=", ring.Exported())
+	b = appendUint(b, " dropped=", ring.Dropped())
 	b = append(b, '\n')
 	for _, e := range events {
-		b = append(append(b, "event "...), e.String()...)
+		b = e.Append(append(b, "event "...))
 		b = append(b, '\n')
 	}
-	for _, rec := range records {
+	for i := 0; i < ring.Len(); i++ {
+		rec := ring.Record(i)
 		b = append(append(b, "flow "...), rec.Tap...)
 		b = rec.Key.Append(append(b, ' '))
 		b = appendUint(b, " pkts=", rec.Packets)
@@ -505,7 +581,29 @@ func chaosFingerprint(tb *Testbed, mon *monitor.Plane, rels []*host.Reliable) st
 		b = appendUint(b, " other=", control)
 		b = append(b, '\n')
 	}
+	f.text = b
 	return string(b)
+}
+
+// appendNodeStats appends s as fmt's %+v renders it.
+func appendNodeStats(b []byte, s host.Stats) []byte {
+	b = appendUint(b, "{UDPSent:", s.UDPSent)
+	b = appendUint(b, " UDPReceived:", s.UDPReceived)
+	b = appendUint(b, " ChecksumDrops:", s.ChecksumDrops)
+	b = appendUint(b, " NoSocketDrops:", s.NoSocketDrops)
+	b = appendUint(b, " OverflowDrops:", s.OverflowDrops)
+	b = appendUint(b, " MalformedDrops:", s.MalformedDrops)
+	b = appendUint(b, " NoRouteErrors:", s.NoRouteErrors)
+	return append(b, '}')
+}
+
+// appendReliableStats appends s as its String method renders it.
+func appendReliableStats(b []byte, s host.ReliableStats) []byte {
+	b = appendUint(b, "sent=", s.Sent)
+	b = appendUint(b, " delivered=", s.Delivered)
+	b = appendUint(b, " retx=", s.Retransmits)
+	b = appendUint(b, " gaveup=", s.GaveUp)
+	return appendUint(b, " dups=", s.DupsDropped)
 }
 
 // appendUint appends label, then v in decimal.

@@ -140,26 +140,30 @@ func TestChaosBaseCarriesNoTimerCorpses(t *testing.T) {
 	}
 }
 
-// TestForkAllocs pins what cutting one fork allocates (327 and 336 objects
-// before timers, tickers, slack buffers and drop counters were copied inside
-// their owners, empty rings stopped being copied, and the mapper's table
-// was sized from the base's first fork; 220 and 228 before cross-references
-// were queued as typed Rebind records instead of closures; 194 and 202
-// while the injector cloned a built-in per-identifier packet counter per
-// // direction; 188 and 196 while each accrual detector's window was a
-// separately allocated slice). A fork should cost roughly what
-// differs from its base; a change that raises these counts makes every
-// chaos scenario pay for it.
+// TestForkAllocs pins what cutting a fork allocates, first into an empty
+// world and then, in steady state, into the world an earlier fork of the
+// same base filled and a trial ran on. The first fork builds the world:
+// 211 and 219 objects (186 and 194 while every fork was a first fork, into
+// a mapper sized from the base's first fork; 327 and 336 before timers,
+// tickers, slack buffers and drop counters were copied inside their
+// owners, empty rings stopped being copied, and the mapper's table was
+// sized; 220 and 228 before cross-references were queued as typed Rebind
+// records instead of closures; 194 and 202 while the injector cloned a
+// built-in per-identifier packet counter per direction; 188 and 196 while
+// each accrual detector's window was a separately allocated slice). A
+// steady-state fork reuses every object, array, map, event struct and pool
+// of its world and allocates nothing; a change that raises these counts
+// makes every chaos scenario pay for it.
 func TestForkAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector adds allocations of its own")
 	}
 	for _, c := range []struct {
-		armed bool
-		want  float64
+		armed        bool
+		first, again float64
 	}{
-		{false, 186},
-		{true, 194},
+		{false, 211, 0},
+		{true, 219, 0},
 	} {
 		opts := chaosTestOptions(31337, 1)
 		opts.ArmedRules = c.armed
@@ -169,8 +173,19 @@ func TestForkAllocs(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
-		if got != c.want {
-			t.Errorf("armed=%v: a fork allocates %v objects, want %v", c.armed, got, c.want)
+		if got != c.first {
+			t.Errorf("armed=%v: a first fork allocates %v objects, want %v", c.armed, got, c.first)
+		}
+		w := new(forkWorld)
+		plans := GenerateForkPlans(opts)
+		runForkChaosTrialIn(base, w, plans[0], opts)
+		got = testing.AllocsPerRun(10, func() {
+			if err := base.forkInto(w); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if got != c.again {
+			t.Errorf("armed=%v: a steady-state fork allocates %v objects, want %v", c.armed, got, c.again)
 		}
 	}
 }

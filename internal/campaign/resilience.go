@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"sort"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	"netfi/internal/host"
@@ -272,10 +271,7 @@ type world struct {
 	hbs   []*host.Heartbeat
 	start sim.Time // trial start: fault onsets and sends count from here
 
-	// objects is how many objects a fork of this world registers with its
-	// mapper, learned from the first fork; later forks size the mapper's
-	// table to it up front. Forks run concurrently, hence the atomic.
-	objects atomic.Int64
+	fp fingerprintBuf // the buffers each trial's fingerprint is built in
 }
 
 // freshWorld readies a just-built bed: the injector's direction is set over

@@ -18,43 +18,49 @@ import (
 //   - A device tap (SetTap) rebinds to the fork plane's copy of it, so the
 //     plane must be cloned under the same mapper.
 //   - Scratch buffers (the engine's batch outputs, a port's idle fill)
-//     start empty in the fork.
+//     start empty in the fork; a fork into a used world keeps their
+//     storage.
 //   - A device port's downstream receiver rebinds at Finish — it is
 //     whatever the cable delivered to before the splice, cloned by the
 //     myrinet layer.
 
-// Clone copies the capture ring: pre-trigger window, in-progress capture,
-// and completed events.
-func (r *CaptureRing) Clone() *CaptureRing {
-	r2 := new(CaptureRing)
+// cloneInto copies the capture ring — pre-trigger window, in-progress
+// capture, and completed events — into r2, refilling r2's own storage.
+func (r *CaptureRing) cloneInto(r2 *CaptureRing) {
+	pre, snapshot, events := r2.pre, r2.snapshot, r2.events
 	*r2 = *r
-	r2.pre = append([]phy.Character(nil), r.pre...)
-	r2.snapshot = append([]phy.Character(nil), r.snapshot...)
-	r2.events = nil
-	if len(r.events) > 0 {
-		r2.events = make([]Capture, len(r.events))
-		for i, ev := range r.events {
-			ev.Context = append([]phy.Character(nil), ev.Context...)
-			r2.events[i] = ev
-		}
+	r2.pre = append(pre[:0], r.pre...)
+	r2.snapshot = append(snapshot[:0], r.snapshot...)
+	r2.events = sim.Resize(events, len(r.events))
+	for i, ev := range r.events {
+		ev.Context = append(r2.events[i].Context[:0], ev.Context...)
+		r2.events[i] = ev
 	}
-	return r2
 }
 
 // Clone forks one direction's engine: FIFO contents, compare register,
 // rule-engine run state, CRC recompute state, batch plan, and statistics.
 func (e *Engine) Clone(m *sim.Mapper) *Engine {
-	e2 := new(Engine)
+	e2 := sim.Counterpart(m, e)
+	fifo, ruleList, exec, capture := e2.fifo, e2.ruleList, e2.ruleExec, e2.capture
+	procOut, flushOut := e2.procOut, e2.flushOut
 	*e2 = *e
-	e2.fifo = append([]fifoEntry(nil), e.fifo...)
-	e2.ruleList = append([]rules.Rule(nil), e.ruleList...)
-	if e.ruleExec != nil {
-		e2.ruleExec = e.ruleExec.Clone()
+	e2.fifo = append(fifo[:0], e.fifo...)
+	e2.ruleList = append(ruleList[:0], e.ruleList...)
+	if e.ruleExec != nil { // nil disables the rule path
+		if exec == nil {
+			exec = new(rules.Executor)
+		}
+		e.ruleExec.CloneInto(exec)
+		e2.ruleExec = exec
 	}
-	e2.capture = e.capture.Clone()
-	e2.procOut, e2.flushOut = nil, nil
+	if capture == nil {
+		capture = new(CaptureRing)
+	}
+	e.capture.cloneInto(capture)
+	e2.capture = capture
+	e2.procOut, e2.flushOut = procOut[:0], flushOut[:0]
 	e2.onInject = nil // monitoring hook: re-registered post-fork
-	m.Put(e, e2)
 	return e2
 }
 
@@ -62,22 +68,21 @@ func (e *Engine) Clone(m *sim.Mapper) *Engine {
 // constant-delay release state (the live entries, compacted to the front).
 // A tap rebinds to its counterpart in the fork's monitoring plane.
 func (d *Device) Clone(m *sim.Mapper) *Device {
-	d2 := new(Device)
+	d2 := sim.Counterpart(m, d)
 	*d2 = *d
 	d2.k, d2.pool = m.Kernel(), phy.PoolOf(m.Kernel())
-	m.Put(d, d2)
 	for dir, p := range d.ports {
 		d2.engines[dir] = d.engines[dir].Clone(m)
 		if t := d.taps[dir]; t != nil {
 			sim.Rebind(m, &d2.taps[dir], t)
 		}
-		p2 := new(devicePort)
+		p2 := sim.Counterpart(m, p)
+		entries, fillBuf := p2.entries, p2.fillBuf
 		*p2 = *p
 		p2.dev = d2
-		p2.entries, p2.head = append([]sim.Time(nil), p.entries[p.head:]...), 0
+		p2.entries, p2.head = append(entries[:0], p.entries[p.head:]...), 0
 		p.flush.CloneInto(m, &p2.flush, p2)
-		p2.fillBuf = nil
-		m.Put(p, p2)
+		p2.fillBuf = fillBuf[:0]
 		d2.ports[dir] = p2
 		if p.downstream != nil {
 			sim.Rebind(m, &p2.downstream, p.downstream)
@@ -89,11 +94,11 @@ func (d *Device) Clone(m *sim.Mapper) *Device {
 // Clone forks the command decoder. The output sink is wiring-owned (the
 // console rebinds it); the driven device rebinds at Finish.
 func (c *CommandDecoder) Clone(m *sim.Mapper) *CommandDecoder {
-	c2 := new(CommandDecoder)
+	c2 := sim.Counterpart(m, c)
+	line := c2.line
 	*c2 = *c
-	c2.line = append([]byte(nil), c.line...)
+	c2.line = append(line[:0], c.line...)
 	c2.out = nil
-	m.Put(c, c2)
 	sim.Rebind(m, &c2.dev, c.dev)
 	return c2
 }

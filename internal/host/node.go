@@ -82,6 +82,9 @@ type Node struct {
 	k   *sim.Kernel
 	cfg NodeConfig
 	ifc *myrinet.Interface
+	// recv is onDatagram bound to this node, the interface's data handler:
+	// made once per node, so a fork into a used world rebinds it for free.
+	recv func(src myrinet.MAC, payload []byte)
 
 	sockets map[uint16]*Socket
 	stats   Stats
@@ -132,7 +135,8 @@ func NewNode(k *sim.Kernel, cfg NodeConfig) *Node {
 		TxQueueLimit: cfg.TxQueueLimit,
 		Recovery:     cfg.Recovery,
 	})
-	n.ifc.SetDataHandler(n.onDatagram)
+	n.recv = n.onDatagram
+	n.ifc.SetDataHandler(n.recv)
 	return n
 }
 
@@ -297,18 +301,22 @@ func firePendingSend(a any) {
 }
 
 // CloneSimArg implements sim.ArgClonable: a fork remaps the node and copies
-// the datagram so neither world aliases the other's buffer.
+// the datagram into a record from the fork node's free list, so neither
+// world aliases the other's buffer.
 func (s *pendingSend) CloneSimArg(m *sim.Mapper) any {
 	n2, ok := m.Lookup(s.n)
 	if !ok {
 		m.Fail(fmt.Errorf("host: fork: pending send references an uncloned node"))
 		return nil
 	}
-	s2 := new(pendingSend)
-	*s2 = *s
-	s2.n, s2.dgram = n2.(*Node), append([]byte(nil), s.dgram...)
+	s2 := n2.(*Node).newPendingSend()
+	s2.dst, s2.dgram = s.dst, append(s2.dgram[:0], s.dgram...)
 	return s2
 }
+
+// ReclaimSimArg implements sim.ArgReclaimer: a pending send of a world being
+// forked into returns to its node's free list.
+func (s *pendingSend) ReclaimSimArg() { s.n.freeSends = append(s.n.freeSends, s) }
 
 // onDatagram is the NIC delivery path: checksum and demultiplex at
 // interrupt level, then queue for process-level delivery.
@@ -351,6 +359,11 @@ func (n *Node) onDatagram(src myrinet.MAC, payload []byte) {
 // growRecvq doubles the receive ring, moving the queued packets (and their
 // buffers) to its front.
 func (n *Node) growRecvq() {
+	if n.recvLen == 0 && cap(n.recvq) > 0 {
+		// An empty ring a recycled fork kept: nothing to move.
+		n.recvq, n.recvHead = n.recvq[:cap(n.recvq)], 0
+		return
+	}
 	ring := make([]queuedPacket, max(4, 2*len(n.recvq)))
 	for i := 0; i < n.recvLen; i++ {
 		ring[i] = n.recvq[(n.recvHead+i)%len(n.recvq)]

@@ -26,6 +26,10 @@ type Reliable struct {
 	flows  map[myrinet.MAC]*flow  // sender state per destination
 	expect map[myrinet.MAC]uint32 // receiver state: next in-order seq per source
 	onData func(src myrinet.MAC, data []byte)
+	// recv is onDatagram bound to this endpoint, its socket's handler:
+	// made once per endpoint, so a fork into a used world rebinds it for
+	// free.
+	recv func(src myrinet.MAC, srcPort uint16, dgram []byte)
 
 	stats ReliableStats
 }
@@ -118,7 +122,8 @@ func NewReliable(n *Node, port uint16, cfg ReliableConfig) (*Reliable, error) {
 		flows:  make(map[myrinet.MAC]*flow),
 		expect: make(map[myrinet.MAC]uint32),
 	}
-	if _, err := n.Bind(port, r.onDatagram); err != nil {
+	r.recv = r.onDatagram
+	if _, err := n.Bind(port, r.recv); err != nil {
 		return nil, err
 	}
 	return r, nil

@@ -109,6 +109,12 @@ func (r *ExportRing) Push(rec FlowRecord) bool {
 // buffered records to the front.
 func (r *ExportRing) grow() {
 	n := min(max(2*len(r.buf), exportRingMin), r.capacity)
+	if r.head == 0 && cap(r.buf) >= n {
+		// Records already at the front, in an array a recycled fork
+		// kept: extend it in place.
+		r.buf = r.buf[:n]
+		return
+	}
 	nb := make([]FlowRecord, n)
 	c := copy(nb, r.buf[r.head:])
 	copy(nb[c:], r.buf[:r.head])
@@ -125,6 +131,9 @@ func (r *ExportRing) Pop() (FlowRecord, bool) {
 	r.count--
 	return rec, true
 }
+
+// Record returns the i-th buffered record, oldest first, 0 <= i < Len.
+func (r *ExportRing) Record(i int) FlowRecord { return r.buf[(r.head+i)%len(r.buf)] }
 
 // Records returns the buffered records oldest-first without draining.
 func (r *ExportRing) Records() []FlowRecord {

@@ -2,6 +2,8 @@ package monitor
 
 import (
 	"fmt"
+	"strconv"
+	"unicode/utf8"
 
 	"netfi/internal/myrinet"
 	"netfi/internal/phy"
@@ -47,6 +49,26 @@ type Event struct {
 func (e Event) String() string {
 	return fmt.Sprintf("%-10v %-8s %-18s %-13s %.2f",
 		e.Time, e.Kind, e.Source, e.Detail, e.Value)
+}
+
+// Append appends the String rendering to b without fmt, for digests built
+// per trial; String stays the fmt rendering, the reference the chaos
+// fingerprint's oracle test holds Append to.
+func (e Event) Append(b []byte) []byte {
+	b = padTo(e.Time.Append(b), len(b), 10)
+	b = padTo(append(b, e.Kind.String()...), len(b), 8)
+	b = padTo(append(b, e.Source...), len(b), 18)
+	b = padTo(append(b, e.Detail...), len(b), 13)
+	return strconv.AppendFloat(b, e.Value, 'f', 2, 64)
+}
+
+// padTo pads the field appended to b since from with spaces to width runes,
+// as fmt's %-*v does, then appends the separating space.
+func padTo(b []byte, from, width int) []byte {
+	for n := utf8.RuneCount(b[from:]); n < width; n++ {
+		b = append(b, ' ')
+	}
+	return append(b, ' ')
 }
 
 // Config parameterizes a monitoring plane.

@@ -27,8 +27,8 @@ import (
 //   - The published mapping snapshot is shared: a new round replaces it,
 //     never mutates it.
 
-// cloneCounters returns the fork's copy of c, creating and registering it on
-// first sight. Shared counters (a switch port and its controller point at the
+// cloneCounters returns the fork's copy of c, copying it on first sight in
+// the fork. Shared counters (a switch port and its controller point at the
 // same struct) stay shared in the fork.
 func cloneCounters(m *sim.Mapper, c *Counters) *Counters {
 	if c == nil {
@@ -37,22 +37,23 @@ func cloneCounters(m *sim.Mapper, c *Counters) *Counters {
 	if v, ok := m.Lookup(c); ok {
 		return v.(*Counters)
 	}
-	c2 := new(Counters)
+	c2 := sim.Counterpart(m, c)
 	*c2 = *c
-	m.Put(c, c2)
 	return c2
 }
 
-// cloneInto copies the buffer into s2, reporting to wm. An empty buffer's
-// ring is not copied: the fork's first push allocates one.
+// cloneInto copies the buffer into s2, reporting to wm, on the ring s2 had.
+// An empty buffer's ring is not copied: the fork's first push reuses s2's
+// or allocates one.
 func (s *SlackBuffer) cloneInto(s2 *SlackBuffer, wm watermarks) {
+	keep := s2.buf
 	*s2 = *s
 	s2.wm = wm
 	if s.count == 0 {
-		s2.buf, s2.head = nil, 0
+		s2.buf, s2.head = keep[:0], 0
 		return
 	}
-	s2.buf = append([]phy.Character(nil), s.buf...)
+	s2.buf = append(keep[:0], s.buf...)
 }
 
 // clone copies one queued packet into p2, its stream into a fresh buffer of
@@ -76,13 +77,13 @@ func (p *txPacket) clone(m *sim.Mapper, owner string, p2 *txPacket) {
 // packet queue (txq[txHead:]) and stream backlog (streamBuf[streamPos:])
 // cross, compacted to the front.
 func (lc *LinkController) Clone(m *sim.Mapper) *LinkController {
-	lc2 := new(LinkController)
+	lc2 := sim.Counterpart(m, lc)
+	txq, stream, ring := lc2.txq, lc2.streamBuf, lc2.slack.buf
 	*lc2 = *lc
 	lc2.k, lc2.pool = m.Kernel(), phy.PoolOf(m.Kernel())
 	lc2.ctr = cloneCounters(m, lc.ctr)
 	lc2.consumer = nil
-	lc2.cur, lc2.txq, lc2.txHead = txPacket{}, nil, 0
-	m.Put(lc, lc2)
+	lc2.cur, lc2.txHead = txPacket{}, 0
 	lc.shortTimer.CloneInto(m, &lc2.shortTimer, lc2)
 	lc.longTimer.CloneInto(m, &lc2.longTimer, lc2)
 	if lc.stopWatchdog.Bound() {
@@ -91,13 +92,13 @@ func (lc *LinkController) Clone(m *sim.Mapper) *LinkController {
 	if lc.sending {
 		lc.cur.clone(m, lc.name, &lc2.cur)
 	}
-	if q := lc.txq[lc.txHead:]; len(q) > 0 {
-		lc2.txq = make([]txPacket, len(q))
-		for i := range q {
-			q[i].clone(m, lc.name, &lc2.txq[i])
-		}
+	q := lc.txq[lc.txHead:]
+	lc2.txq = sim.Resize(txq, len(q))
+	for i := range q {
+		q[i].clone(m, lc.name, &lc2.txq[i])
 	}
-	lc2.streamBuf, lc2.streamPos = append([]phy.Character(nil), lc.streamBuf[lc.streamPos:]...), 0
+	lc2.streamBuf, lc2.streamPos = append(stream[:0], lc.streamBuf[lc.streamPos:]...), 0
+	lc2.slack.buf = ring
 	lc.slack.cloneInto(&lc2.slack, lc2)
 	lc2.refreshEvent = m.MapEventID(lc.refreshEvent)
 	sim.Rebind(m, &lc2.out, lc.out)
@@ -109,20 +110,20 @@ func (lc *LinkController) Clone(m *sim.Mapper) *LinkController {
 
 // Clone forks the switch: every port's FSM state, controller, and watchdog,
 // with intra-switch cross-references (held outputs, waiter queues) resolved
-// by port index. Recycled wake records stay behind.
+// by port index. The world's recycled wake records stay its own.
 func (sw *Switch) Clone(m *sim.Mapper) *Switch {
-	sw2 := new(Switch)
+	sw2 := sim.Counterpart(m, sw)
+	ports, wakes := sw2.ports, sw2.freeWakes
 	*sw2 = *sw
-	sw2.k, sw2.freeWakes = m.Kernel(), nil
-	sw2.ports = make([]*switchPort, len(sw.ports))
-	m.Put(sw, sw2)
+	sw2.k, sw2.freeWakes = m.Kernel(), wakes
+	sw2.ports = sim.Resize(ports, len(sw.ports))
 	for i, p := range sw.ports {
-		p2 := new(switchPort)
+		p2 := sim.Counterpart(m, p)
+		typeBytes, waiters := p2.typeBytes, p2.waiters
 		*p2 = *p
 		p2.sw = sw2
 		p2.ctr = cloneCounters(m, p.ctr)
-		p2.typeBytes = append([]byte(nil), p.typeBytes...)
-		m.Put(p, p2)
+		p2.typeBytes, p2.waiters = append(typeBytes[:0], p.typeBytes...), waiters[:0]
 		sw2.ports[i] = p2
 	}
 	// Second pass: everything that references other ports of this switch.
@@ -138,12 +139,9 @@ func (sw *Switch) Clone(m *sim.Mapper) *Switch {
 			p2.lc = p.lc.Clone(m)
 			p2.lc.setConsumer(p2)
 		}
-		p2.outPort, p2.owner, p2.waiters = port(p.outPort), port(p.owner), nil
-		if len(p.waiters) > 0 {
-			p2.waiters = make([]*switchPort, len(p.waiters))
-			for j, w := range p.waiters {
-				p2.waiters[j] = port(w)
-			}
+		p2.outPort, p2.owner = port(p.outPort), port(p.owner)
+		for _, w := range p.waiters {
+			p2.waiters = append(p2.waiters, port(w))
 		}
 		if p.blockedTimer.Bound() {
 			p.blockedTimer.CloneInto(m, &p2.blockedTimer, p2)
@@ -155,10 +153,14 @@ func (sw *Switch) Clone(m *sim.Mapper) *Switch {
 // clone forks the MCP. The last snapshot is shared (it is immutable once
 // published — a new round replaces, never mutates, it).
 func (mc *MCP) clone(m *sim.Mapper, ifc2 *Interface) *MCP {
-	m2 := new(MCP)
+	m2 := sim.Counterpart(m, mc)
+	probes := m2.probes
 	*m2 = *mc
 	m2.ifc = ifc2
-	m2.probes = make(map[uint16]*probe, len(mc.probes))
+	if probes == nil {
+		probes = make(map[uint16]*probe, len(mc.probes))
+	}
+	clear(probes)
 	for s, pr := range mc.probes {
 		pr2 := new(probe)
 		*pr2 = *pr
@@ -169,9 +171,9 @@ func (mc *MCP) clone(m *sim.Mapper, ifc2 *Interface) *MCP {
 			e.InPorts = append([]byte(nil), pr.entry.InPorts...)
 			pr2.entry = &e
 		}
-		m2.probes[s] = pr2
+		probes[s] = pr2
 	}
-	m.Put(mc, m2)
+	m2.probes = probes
 	mc.watchdog.CloneInto(m, &m2.watchdog, m2)
 	return m2
 }
@@ -185,18 +187,29 @@ func (ifc *Interface) Clone(m *sim.Mapper) *Interface {
 	if ifc.resolver != nil {
 		m.Fail(fmt.Errorf("myrinet: fork: interface %s has a route resolver; fabric interfaces do not fork", ifc.cfg.Name))
 	}
-	ifc2 := new(Interface)
+	ifc2 := sim.Counterpart(m, ifc)
+	assembling, routes := ifc2.assembling, ifc2.routes
 	*ifc2 = *ifc
 	ifc2.k, ifc2.resolver, ifc2.routeBuf, ifc2.onData = m.Kernel(), nil, nil, nil
 	ifc2.ctr = cloneCounters(m, ifc.ctr)
-	ifc2.assembling = append([]byte(nil), ifc.assembling...)
+	ifc2.assembling = append(assembling[:0], ifc.assembling...)
+	ifc2.routes = nil
 	if ifc.routes != nil {
-		ifc2.routes = make(map[MAC][]byte, len(ifc.routes))
-		for mac, r := range ifc.routes {
-			ifc2.routes[mac] = append([]byte(nil), r...)
+		// Each route is the table's own copy (SetRoute), so the world's
+		// route slices can take the base's bytes.
+		if routes == nil {
+			routes = make(map[MAC][]byte, len(ifc.routes))
 		}
+		for mac := range routes {
+			if _, ok := ifc.routes[mac]; !ok {
+				delete(routes, mac)
+			}
+		}
+		for mac, r := range ifc.routes {
+			routes[mac] = append(routes[mac][:0], r...)
+		}
+		ifc2.routes = routes
 	}
-	m.Put(ifc, ifc2)
 	if ifc.lc != nil {
 		ifc2.lc = ifc.lc.Clone(m)
 		ifc2.lc.setConsumer(ifc2)
@@ -208,13 +221,17 @@ func (ifc *Interface) Clone(m *sim.Mapper) *Interface {
 // Clone forks the whole network container: switches, interfaces, and cables.
 // The kernel must already be cloned into m (phase 1).
 func (n *Network) Clone(m *sim.Mapper) *Network {
-	n2 := new(Network)
+	n2 := sim.Counterpart(m, n)
+	switches, interfaces, cables := n2.Switches, n2.Interfaces, n2.Cables
 	*n2 = *n
 	n2.Kernel = m.Kernel()
-	n2.Switches = make([]*Switch, len(n.Switches))
-	n2.Interfaces = make([]*Interface, len(n.Interfaces))
-	n2.Cables = make(map[string]*phy.Cable, len(n.Cables))
-	m.Put(n, n2)
+	n2.Switches = sim.Resize(switches, len(n.Switches))
+	n2.Interfaces = sim.Resize(interfaces, len(n.Interfaces))
+	if cables == nil {
+		cables = make(map[string]*phy.Cable, len(n.Cables))
+	}
+	clear(cables)
+	n2.Cables = cables
 	// nullReceiver is a stateless placeholder left as a link destination
 	// only on half-wired topologies; it maps to itself.
 	m.Put(nullReceiver{}, nullReceiver{})
@@ -225,7 +242,7 @@ func (n *Network) Clone(m *sim.Mapper) *Network {
 		n2.Interfaces[i] = ifc.Clone(m)
 	}
 	for name, c := range n.Cables {
-		n2.Cables[name] = c.Clone(m)
+		cables[name] = c.Clone(m)
 	}
 	return n2
 }

@@ -20,7 +20,7 @@ import "netfi/internal/phy"
 // act on the logical count, so the growth policy is invisible to flow
 // control.
 type SlackBuffer struct {
-	buf      []phy.Character // power-of-two ring, grown on demand; nil in an empty fork
+	buf      []phy.Character // power-of-two ring, grown on demand; length 0 in a fork of an empty buffer
 	capacity int             // logical limit; pushes beyond it overflow
 	head     int
 	count    int
@@ -96,6 +96,11 @@ func (s *SlackBuffer) grow() {
 	n := 2 * len(s.buf)
 	if n == 0 {
 		n = slackRingSize(s.capacity)
+		if cap(s.buf) >= n {
+			// An empty ring a recycled fork kept: nothing to move.
+			s.buf, s.head = s.buf[:n], 0
+			return
+		}
 	}
 	nb := make([]phy.Character, n)
 	c := copy(nb, s.buf[s.head:])

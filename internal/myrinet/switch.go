@@ -428,7 +428,8 @@ func (p *switchPort) emit(b byte) {
 // its own (not a field on the port) because a port can in principle be
 // re-queued and re-woken while an earlier wake is still in flight, and the
 // two wakes must not share state; a fired wake returns to its switch's free
-// list. It clones across a fork by remapping both ports.
+// list. It clones across a fork by remapping both ports onto a record from
+// the fork switch's free list.
 type outputWake struct{ waiter, out *switchPort }
 
 func fireOutputWake(a any) {
@@ -447,7 +448,16 @@ func (w *outputWake) CloneSimArg(m *sim.Mapper) any {
 		m.Fail(fmt.Errorf("myrinet: fork: wake references an uncloned switch port"))
 		return nil
 	}
-	return &outputWake{waiter: waiter.(*switchPort), out: out.(*switchPort)}
+	o := out.(*switchPort)
+	return o.sw.newWake(waiter.(*switchPort), o)
+}
+
+// ReclaimSimArg implements sim.ArgReclaimer: a pending wake of a world being
+// forked into returns to its switch's free list.
+func (w *outputWake) ReclaimSimArg() {
+	sw := w.out.sw
+	*w = outputWake{}
+	sw.freeWakes = append(sw.freeWakes, w)
 }
 
 // releaseOutput frees the held output port and wakes the next waiter.
@@ -462,15 +472,20 @@ func (p *switchPort) releaseOutput() {
 	// Shift down rather than reslice: the queue holds at most one entry
 	// per port, and keeping its backing array keeps re-queueing free.
 	out.waiters = append(out.waiters[:0], out.waiters[1:]...)
+	p.sw.k.AfterArg(0, fireOutputWake, p.sw.newWake(next, out))
+}
+
+// newWake takes a wake record off the free list, or allocates one.
+func (sw *Switch) newWake(waiter, out *switchPort) *outputWake {
 	var w *outputWake
-	if last := len(p.sw.freeWakes) - 1; last >= 0 {
-		w = p.sw.freeWakes[last]
-		p.sw.freeWakes = p.sw.freeWakes[:last]
+	if last := len(sw.freeWakes) - 1; last >= 0 {
+		w = sw.freeWakes[last]
+		sw.freeWakes = sw.freeWakes[:last]
 	} else {
 		w = new(outputWake)
 	}
-	w.waiter, w.out = next, out
-	p.sw.k.AfterArg(0, fireOutputWake, w)
+	w.waiter, w.out = waiter, out
+	return w
 }
 
 // onOutputFree resumes a port blocked in stWaitOutput.

@@ -12,10 +12,11 @@ import (
 // order never matters. A pending burst delivery clones by copying its
 // characters into a buffer drawn from the fork kernel's own pool: the old
 // world will deliver (and possibly release) the original, so the fork must
-// not alias it. Pools are per kernel (see pool.go) and Kernel.Clone starts
-// the fork with an empty one, so a fork never touches the base's free lists
-// and concurrent forks of one base share nothing but the mutex-guarded
-// depot.
+// not alias it. Pools are per kernel (see pool.go) and belong to the world:
+// a first fork starts with an empty one, a fork into a used world keeps its
+// kernel's, with the deliveries its last trial left pending handed back
+// (ReclaimSimArg). A fork never touches the base's free lists, and
+// concurrent forks of one base share nothing but the mutex-guarded depot.
 
 // CloneSimArg implements sim.ArgClonable for pending burst deliveries. A
 // delivery to a receiver nobody cloned fails the fork.
@@ -31,6 +32,16 @@ func (d *delivery) CloneSimArg(m *sim.Mapper) any {
 	return p.newDelivery(dst.(Receiver), chars)
 }
 
+// ReclaimSimArg implements sim.ArgReclaimer: a pending delivery of a world
+// being forked into returns its buffer and its record to the pool.
+func (d *delivery) ReclaimSimArg() {
+	p := d.pool
+	p.Release(d.chars)
+	d.dst, d.chars = nil, nil
+	d.next = p.free
+	p.free = d
+}
+
 // Clone forks the link. The receiver rebinds at Mapper.Finish, so the
 // object it points at may be cloned before or after the link itself.
 // Channelized links (a DeliverySink installed) cannot fork: the sink closes
@@ -40,19 +51,16 @@ func (l *Link) Clone(m *sim.Mapper) *Link {
 	if l.sink != nil {
 		m.Fail(fmt.Errorf("phy: fork: link %s has a delivery sink; channelized fabrics do not fork", l.name))
 	}
-	l2 := new(Link)
+	l2 := sim.Counterpart(m, l)
 	*l2 = *l
 	l2.k, l2.pool, l2.sink = m.Kernel(), PoolOf(m.Kernel()), nil
-	m.Put(l, l2)
 	sim.Rebind(m, &l2.dst, l.dst)
 	return l2
 }
 
 // Clone forks both directions of the cable.
 func (c *Cable) Clone(m *sim.Mapper) *Cable {
-	c2 := new(Cable)
-	*c2 = *c
+	c2 := sim.Counterpart(m, c)
 	c2.LeftToRight, c2.RightToLeft = c.LeftToRight.Clone(m), c.RightToLeft.Clone(m)
-	m.Put(c, c2)
 	return c2
 }

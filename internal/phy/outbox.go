@@ -1,6 +1,11 @@
 package phy
 
-import "netfi/internal/sim"
+import (
+	"fmt"
+	"math"
+
+	"netfi/internal/sim"
+)
 
 // Cross-shard delivery channels. A sharded fabric replaces a cross-shard
 // cable's direct kernel scheduling — and every switch-to-switch trunk's,
@@ -55,7 +60,8 @@ const shrinkEpoch = 64
 func (o *Outbox) push(d Delivery) { o.pending = append(o.pending, d) }
 
 // drain injects the buffered deliveries into their destination kernels in
-// buffer order, reports how many moved, clears the backing array's
+// buffer order, panicking on one that arrives at or before horizon (see
+// ExchangeAfter), reports how many moved, clears the backing array's
 // pointers for the garbage collector, and applies the shrink policy: a
 // burst of traffic can balloon the array, so at the end of each epoch of
 // shrinkEpoch drains whose largest drain used less than a quarter of the
@@ -63,13 +69,16 @@ func (o *Outbox) push(d Delivery) { o.pending = append(o.pending, d) }
 // high-water mark keeps a periodically bursty exchange at its burst size
 // instead of shrinking between bursts and regrowing at the next one;
 // steady-state exchanges stay allocation-free.
-func (o *Outbox) drain() int {
+func (o *Outbox) drain(horizon sim.Time) int {
 	n := len(o.pending)
 	if n == 0 {
 		return 0
 	}
 	for i := range o.pending {
 		d := &o.pending[i]
+		if d.At <= horizon {
+			panic(fmt.Sprintf("phy: exchange: a delivery arriving at %v is not beyond the window horizon %v", d.At, horizon))
+		}
 		d.Pool.ScheduleReceiveExt(d.At, d.Rank, d.Seq, d.Dst, d.Chars)
 	}
 	clear(o.pending)
@@ -162,10 +171,18 @@ func (s *ExchangeSet) Box(i int) *Outbox { return s.boxes[i] }
 // clock (the conservative window horizon guarantees this; the kernel
 // panics otherwise). Injection needs no sort: the (rank, seq) stamps order
 // the events inside each kernel.
-func (s *ExchangeSet) Exchange() int {
+func (s *ExchangeSet) Exchange() int { return s.ExchangeAfter(math.MinInt64) }
+
+// ExchangeAfter is Exchange at a sim.ShardGroup barrier, the group's
+// exchange hook: horizon is the time every shard was just drained to. Every
+// delivery a window sends arrives after its horizon (see
+// sim.ShardGroup.SetExchange), so one arriving at or before it panics — an
+// invariant of the window arithmetic, not a property of the traffic. It
+// costs one comparison per delivery.
+func (s *ExchangeSet) ExchangeAfter(horizon sim.Time) int {
 	n := 0
 	for _, b := range s.boxes {
-		n += b.drain()
+		n += b.drain(horizon)
 	}
 	return n
 }

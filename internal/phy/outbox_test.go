@@ -139,3 +139,33 @@ func TestDirectEndOrdering(t *testing.T) {
 		}
 	}
 }
+
+// A window that ran to horizon h cannot have sent a delivery arriving at or
+// before h: every delivery spends at least the lookahead in flight from an
+// event at or after the window's start. ExchangeAfter holds the shard group
+// to that invariant, so a horizon drawn too wide panics at the first
+// barrier that carries traffic instead of reordering events silently.
+func TestExchangeAfterPanicsAtHorizon(t *testing.T) {
+	k := sim.NewKernel(1)
+	set := NewExchangeSet(1)
+	end := NewChannelEnd(set.Box(0), k, 0)
+	sink := &releasingSink{}
+	const horizon = 10 * sim.Nanosecond
+	end.Deliver(horizon+1, sink, GetBurst(16))
+	if n := set.ExchangeAfter(horizon); n != 1 {
+		t.Fatalf("a delivery beyond the horizon: exchange moved %d, want 1", n)
+	}
+	k.Run()
+	for _, at := range []sim.Time{horizon, horizon - 1} {
+		end.Deliver(at, sink, GetBurst(16))
+		func() {
+			defer func() {
+				if r := recover(); r == nil {
+					t.Errorf("a delivery arriving at %v with the horizon at %v did not panic", at, horizon)
+				}
+			}()
+			set.ExchangeAfter(horizon)
+		}()
+		set.Box(0).pending = set.Box(0).pending[:0]
+	}
+}

@@ -9,11 +9,11 @@ import "netfi/internal/sim"
 
 // Clone forks the transmitter with a new-world sink.
 func (u *UART) Clone(m *sim.Mapper, dst ByteSink) *UART {
-	u2 := new(UART)
+	u2 := sim.Counterpart(m, u)
+	q := u2.q
 	*u2 = *u
 	u2.k, u2.dst = m.Kernel(), dst
-	u2.q = append([]byte(nil), u.q...)
-	m.Put(u, u2)
+	u2.q = append(q[:0], u.q...)
 	return u2
 }
 
@@ -21,15 +21,19 @@ func (u *UART) Clone(m *sim.Mapper, dst ByteSink) *UART {
 // decoder, and the response buffer, wired around the new-world objects the
 // way NewConsole wires them.
 func (c *Console) Clone(m *sim.Mapper) *Console {
-	c2 := new(Console)
+	c2 := sim.Counterpart(m, c)
+	rxBuf, lines, emitFn := c2.rxBuf, c2.lines, c2.emitFn
 	*c2 = *c
 	c2.k = m.Kernel()
-	c2.rxBuf = append([]byte(nil), c.rxBuf...)
-	c2.lines = append([]string(nil), c.lines...)
-	m.Put(c, c2)
+	c2.rxBuf = append(rxBuf[:0], c.rxBuf...)
+	c2.lines = append(lines[:0], c.lines...)
+	if emitFn == nil {
+		emitFn = c2.emit
+	}
+	c2.emitFn = emitFn
 	c2.dec = c.dec.Clone(m)
-	c2.toBoard = c.toBoard.Clone(m, ByteSinkFunc(c2.fromHost))
-	c2.toHost = c.toHost.Clone(m, ByteSinkFunc(c2.receive))
-	c2.dec.SetOutput(c2.emit)
+	c2.toBoard = c.toBoard.Clone(m, (*boardEnd)(c2))
+	c2.toHost = c.toHost.Clone(m, (*hostEnd)(c2))
+	c2.dec.SetOutput(c2.emitFn)
 	return c2
 }

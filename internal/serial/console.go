@@ -24,15 +24,31 @@ type Console struct {
 
 	rxBuf []byte
 	lines []string
+
+	// emitFn is emit bound to this console, the decoder's output: made
+	// once per console, so a fork into a used world rewires it for free.
+	emitFn func(b byte)
 }
+
+// boardEnd and hostEnd are the console as its two UARTs' sinks. A *Console
+// converts to either without allocating, which is what lets a fork rewire
+// the UARTs for nothing.
+type (
+	boardEnd Console
+	hostEnd  Console
+)
+
+func (c *boardEnd) PutByte(b byte) { (*Console)(c).fromHost(b) }
+func (c *hostEnd) PutByte(b byte)  { (*Console)(c).receive(b) }
 
 // NewConsole wires a console to dev at the given baud rate (0 selects
 // 115200).
 func NewConsole(k *sim.Kernel, dev *core.Device, baud int) *Console {
 	c := &Console{k: k, dec: core.NewCommandDecoder(dev)}
-	c.toBoard = NewUART(k, baud, ByteSinkFunc(c.fromHost))
-	c.toHost = NewUART(k, baud, ByteSinkFunc(c.receive))
-	c.dec.SetOutput(c.emit)
+	c.toBoard = NewUART(k, baud, (*boardEnd)(c))
+	c.toHost = NewUART(k, baud, (*hostEnd)(c))
+	c.emitFn = c.emit
+	c.dec.SetOutput(c.emitFn)
 	return c
 }
 

@@ -36,6 +36,7 @@ import (
 	"math/bits"
 	"math/rand"
 	"slices"
+	"strconv"
 )
 
 // Time is a point in virtual time, in picoseconds since simulation start.
@@ -60,33 +61,40 @@ func (t Time) Nanoseconds() float64 { return float64(t) / float64(Nanosecond) }
 func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
 
 // String formats the time with an adaptive unit, e.g. "12.5ns" or "50ms".
-func (t Time) String() string {
+func (t Time) String() string { return string(t.Append(nil)) }
+
+// Append appends the String rendering of t to b: picoseconds as an integer,
+// larger times to three decimals of the largest unit they reach, trailing
+// zeros and a trailing dot trimmed.
+func (t Time) Append(b []byte) []byte {
 	switch {
 	case t < 0:
-		return fmt.Sprintf("-%v", -t)
+		return (-t).Append(append(b, '-'))
 	case t < Nanosecond:
-		return fmt.Sprintf("%dps", int64(t))
+		return append(strconv.AppendInt(b, int64(t), 10), "ps"...)
 	case t < Microsecond:
-		return trimUnit(float64(t)/float64(Nanosecond), "ns")
+		return appendTrimmed(b, float64(t)/float64(Nanosecond), "ns")
 	case t < Millisecond:
-		return trimUnit(float64(t)/float64(Microsecond), "us")
+		return appendTrimmed(b, float64(t)/float64(Microsecond), "us")
 	case t < Second:
-		return trimUnit(float64(t)/float64(Millisecond), "ms")
+		return appendTrimmed(b, float64(t)/float64(Millisecond), "ms")
 	default:
-		return trimUnit(float64(t)/float64(Second), "s")
+		return appendTrimmed(b, float64(t)/float64(Second), "s")
 	}
 }
 
-func trimUnit(v float64, unit string) string {
-	s := fmt.Sprintf("%.3f", v)
-	// Trim trailing zeros and a trailing dot.
-	for len(s) > 0 && s[len(s)-1] == '0' {
-		s = s[:len(s)-1]
+// appendTrimmed appends v to three decimals, trailing zeros and a trailing
+// dot trimmed, then unit.
+func appendTrimmed(b []byte, v float64, unit string) []byte {
+	from := len(b)
+	b = strconv.AppendFloat(b, v, 'f', 3, 64)
+	for len(b) > from && b[len(b)-1] == '0' {
+		b = b[:len(b)-1]
 	}
-	if len(s) > 0 && s[len(s)-1] == '.' {
-		s = s[:len(s)-1]
+	if len(b) > from && b[len(b)-1] == '.' {
+		b = b[:len(b)-1]
 	}
-	return s + unit
+	return append(b, unit...)
 }
 
 // event is a scheduled callback. Events are pooled: fired and harvested-
@@ -259,14 +267,13 @@ func (p *prng) Uint64() uint64 {
 // Int63 implements rand.Source.
 func (p *prng) Int63() int64 { return int64(p.Uint64() >> 1) }
 
-func (p *prng) clone() *prng { return &prng{s: p.s} }
-
 // Local returns the value stored with SetLocal, or nil. The slot lets one
 // layer above sim keep kernel-scoped state — phy hangs its burst and
 // delivery pools here — without sim importing it and without a global map
 // from kernels to state. It is touched only by the goroutine that currently
-// drives the kernel, and a Clone starts with it empty: kernel-local state
-// describes the host's memory, not the simulated world.
+// drives the kernel. A Clone does not copy it — kernel-local state
+// describes the host's memory, not the simulated world — so a first fork
+// starts with it empty and a fork into a used kernel keeps the kernel's.
 func (k *Kernel) Local() any { return k.local }
 
 // SetLocal fills the attachment slot. The slot has a single owner (phy);

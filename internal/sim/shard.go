@@ -101,9 +101,10 @@ type ShardGroup struct {
 
 	// exchange drains every shard's outbox into its peers' kernels at a
 	// barrier. It runs with all shards quiescent and must inject events
-	// in a deterministic order; it returns the number of deliveries
-	// moved. Set by the fabric layer via SetExchange.
-	exchange func() int
+	// in a deterministic order; it receives the horizon the shards were
+	// drained to and returns the number of deliveries moved. Set by the
+	// fabric layer via SetExchange.
+	exchange func(horizon Time) int
 
 	windows   uint64
 	exchanged uint64
@@ -159,8 +160,13 @@ func NewShardGroup(kernels []*Kernel, lookahead Duration) *ShardGroup {
 }
 
 // SetExchange installs the barrier exchange hook. It must be set before Run
-// when any cross-shard channels exist.
-func (g *ShardGroup) SetExchange(fn func() int) { g.exchange = fn }
+// when any cross-shard channels exist. The hook receives the horizon every
+// shard was just drained to (at Run entry, the last Run's): a delivery sent
+// in a window leaves at or after the window's first event T and spends at
+// least the lookahead in flight, so it arrives at or after T + lookahead,
+// beyond the horizon T + lookahead − 1. One that does not exposes a horizon
+// drawn too wide or a cable shorter than the lookahead.
+func (g *ShardGroup) SetExchange(fn func(horizon Time) int) { g.exchange = fn }
 
 // Windows reports how many windows have been executed. Unlike event
 // execution order, the window count depends on the shard count and the
@@ -289,7 +295,7 @@ func (g *ShardGroup) Run(limit Time) bool {
 	g.peekAll()
 	for {
 		if g.exchange != nil {
-			if n := g.exchange(); n > 0 {
+			if n := g.exchange(g.horizon); n > 0 {
 				g.exchanged += uint64(n)
 				g.peekAll()
 			}

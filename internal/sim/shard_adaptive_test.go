@@ -88,7 +88,7 @@ func (net *meshNet) send(src, dst int, at Time, state uint64, hops int) {
 	net.outbox[s] = append(net.outbox[s], meshExt{dst: dst, at: at, rank: rank, seq: seq, msg: msg})
 }
 
-func (net *meshNet) exchange() int {
+func (net *meshNet) exchange(Time) int {
 	n := 0
 	for s := range net.outbox {
 		for _, e := range net.outbox[s] {
@@ -220,7 +220,7 @@ func TestShardGroupHorizonStopsShort(t *testing.T) {
 	kernels[1].At(lookahead, func() { order = append(order, "local") })
 	g := NewShardGroup(kernels, lookahead)
 	defer g.Close()
-	g.SetExchange(func() int {
+	g.SetExchange(func(Time) int {
 		n := len(outbox)
 		for i, at := range outbox {
 			kernels[1].AtExt(at, 0, uint64(i), func(any) { order = append(order, "delivery") }, nil)
@@ -245,7 +245,7 @@ func TestShardGroupDrainBufferedExchange(t *testing.T) {
 	pending := []Time{10 * Nanosecond, 20 * Nanosecond, 30 * Nanosecond}
 	g := NewShardGroup(kernels, 50*Nanosecond)
 	defer g.Close()
-	g.SetExchange(func() int {
+	g.SetExchange(func(Time) int {
 		n := len(pending)
 		for i, at := range pending {
 			kernels[1].AtExt(at, 0, uint64(i), func(any) { received++ }, nil)

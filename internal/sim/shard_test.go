@@ -121,7 +121,7 @@ func TestShardGroupExchange(t *testing.T) {
 	kernels[0].At(0, send)
 	g := NewShardGroup(kernels, lookahead)
 	defer g.Close()
-	g.SetExchange(func() int {
+	g.SetExchange(func(Time) int {
 		n := len(outbox)
 		for _, m := range outbox {
 			m := m

@@ -286,7 +286,7 @@ func Build(cfg Config) (*Fabric, error) {
 	}
 
 	f.Group = sim.NewShardGroup(f.Kernels, f.lookahead)
-	f.Group.SetExchange(f.exch.Exchange)
+	f.Group.SetExchange(f.exch.ExchangeAfter)
 	return f, nil
 }
 
