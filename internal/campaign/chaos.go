@@ -63,18 +63,22 @@ type Fault struct {
 	Delay sim.Duration
 }
 
-// String renders "kind(target)@delay".
-func (f Fault) String() string {
-	target := ""
+// String renders "kind(target)@delay", the delay in milliseconds.
+func (f Fault) String() string { return string(f.appendTo(nil)) }
+
+// appendTo appends f as String renders it.
+func (f Fault) appendTo(b []byte) []byte {
+	b = append(append(b, f.Kind...), '(')
 	switch f.Kind {
 	case FaultNodeDeath, FaultLinkSever:
-		target = fmt.Sprintf("node%d", f.Node)
+		b = strconv.AppendInt(append(b, "node"...), int64(f.Node), 10)
 	case FaultCorrupt:
-		target = f.Family
+		b = append(b, f.Family...)
 	case FaultWatchdogOff:
-		target = "sw0"
+		b = append(b, "sw0"...)
 	}
-	return fmt.Sprintf("%s(%s)@%.1fms", f.Kind, target, f.Delay.Seconds()*1000)
+	b = strconv.AppendFloat(append(b, ")@"...), f.Delay.Seconds()*1000, 'f', 1, 64)
+	return append(b, "ms"...)
 }
 
 // ForkPlan is one fork's failure scenario: k faults composed on one world.
@@ -87,12 +91,17 @@ type ForkPlan struct {
 func (p ForkPlan) K() int { return len(p.Faults) }
 
 // String joins the faults with " + ".
-func (p ForkPlan) String() string {
-	parts := make([]string, len(p.Faults))
+func (p ForkPlan) String() string { return string(p.appendTo(nil)) }
+
+// appendTo appends p as String renders it.
+func (p ForkPlan) appendTo(b []byte) []byte {
 	for i, f := range p.Faults {
-		parts[i] = f.String()
+		if i > 0 {
+			b = append(b, " + "...)
+		}
+		b = f.appendTo(b)
 	}
-	return strings.Join(parts, " + ")
+	return b
 }
 
 // ChaosTrial is one fork's run and triage. The detection axis mirrors
@@ -312,7 +321,7 @@ func runChaosTrial(b *chaosBase, plan ForkPlan, opts ChaosOptions) ChaosTrial {
 	opts.fillDefaults()
 	r := runTrial(b, plan.Faults, trialWorkload{messages: opts.Messages, gap: opts.Gap}, opts.WallClock)
 	return ChaosTrial{
-		ID: plan.ID, Plan: plan.String(), K: plan.K(),
+		ID: plan.ID, Plan: b.fp.label(plan), K: plan.K(),
 		Outcome: r.Outcome, Quiesce: r.Quiesce, Elapsed: r.Elapsed, Sent: opts.Messages,
 		Delivered: r.Delivered, Retransmits: r.Retransmits, GaveUp: r.GaveUp,
 		RecoveryEvents: r.RecoveryEvents, Injections: r.Injections, HeldOutputs: r.HeldOutputs,
@@ -475,15 +484,22 @@ func chaosFingerprint(tb *Testbed, mon *monitor.Plane, rels []*host.Reliable) st
 	return f.render(tb, mon, rels)
 }
 
-// fingerprintBuf is what a world's fingerprint is built in: the text and
-// the sorted cable names, kept from trial to trial. Every trial digests its
-// world once, so the text is appended with strconv rather than fmt, whose
-// per-value boxing and Builder growth cost dozens of objects a trial, and
-// rendering into a world's kept buffers allocates only the returned
-// string. fingerprint_test.go keeps the fmt rendering as the oracle.
+// fingerprintBuf is what a world's trial record strings — the plan label
+// and the fingerprint — are built in: the text and the sorted cable names,
+// kept from trial to trial. Every trial renders both once, so the text is
+// appended with strconv rather than fmt, whose per-value boxing and Builder
+// growth cost dozens of objects a trial, and rendering into a world's kept
+// buffers allocates only the returned string. fingerprint_test.go keeps the
+// fmt renderings as the oracles.
 type fingerprintBuf struct {
 	text  []byte
 	names []string
+}
+
+// label renders the plan's String form into f's buffer.
+func (f *fingerprintBuf) label(p ForkPlan) string {
+	f.text = p.appendTo(f.text[:0])
+	return string(f.text)
 }
 
 // render digests the world into f's buffers (see chaosFingerprint).

@@ -190,6 +190,38 @@ func TestForkAllocs(t *testing.T) {
 	}
 }
 
+// TestForkedTrialAllocs pins what a chaos trial allocates on a used world,
+// fork included, in steady state: only what its ChaosTrial record keeps.
+// A node death allocates its plan label and fingerprint; a corrupt rule
+// adds the command line the board's decoder assembles from the serial
+// bytes (its response is the "OK" before it, its rule set comes compiled
+// from the engine's memo, and its detection source is the world's).
+// Before the trial's hooks, the serial byte path, the reliable transport's
+// queues, rule arming and the labels kept their storage in the world, the
+// same trials allocated 34 and 150 objects.
+func TestForkedTrialAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector adds allocations of its own")
+	}
+	opts := chaosTestOptions(31337, 1)
+	base := newChaosBase(opts.Seed, opts)
+	rule := "RULE ADD 70 MODE ONCE ACT DROP PAT C0C"
+	for _, c := range []struct {
+		fault Fault
+		want  float64
+	}{
+		{Fault{Kind: FaultNodeDeath, Node: 2, Delay: 4 * sim.Millisecond}, 2},
+		{Fault{Kind: FaultCorrupt, Family: "gap-drop", Rule: rule, Delay: 4 * sim.Millisecond}, 3},
+	} {
+		plan := ForkPlan{ID: 1, Faults: []Fault{c.fault}}
+		w := new(forkWorld)
+		got := testing.AllocsPerRun(10, func() { runForkChaosTrialIn(base, w, plan, opts) })
+		if got != c.want {
+			t.Errorf("%s: a forked trial on a used world allocates %v objects, want %v", plan, got, c.want)
+		}
+	}
+}
+
 // TestForkEquivalenceParallel forks the same base concurrently — the clone
 // path must be read-only on the source world (the race detector is the
 // real assertion here).

@@ -139,3 +139,46 @@ func TestChaosFingerprintMatchesFmtOracle(t *testing.T) {
 		t.Error("no compared world recorded a drop; the drop rendering went unchecked")
 	}
 }
+
+// planLabelFmt is the fmt rendering ForkPlan.String replaced, kept as its
+// oracle: the label is a trial record field the benchmark digests.
+func planLabelFmt(p ForkPlan) string {
+	parts := make([]string, len(p.Faults))
+	for i, f := range p.Faults {
+		target := ""
+		switch f.Kind {
+		case FaultNodeDeath, FaultLinkSever:
+			target = fmt.Sprintf("node%d", f.Node)
+		case FaultCorrupt:
+			target = f.Family
+		case FaultWatchdogOff:
+			target = "sw0"
+		}
+		parts[i] = fmt.Sprintf("%s(%s)@%.1fms", f.Kind, target, f.Delay.Seconds()*1000)
+	}
+	return strings.Join(parts, " + ")
+}
+
+// TestPlanLabelMatchesFmtOracle requires every plan label of the
+// benchmark's seed-42 chaos sweep (1,500 plans, every fault kind) to equal
+// the fmt rendering, both from String and rendered in turn into one kept
+// buffer, as a world renders its trials' labels.
+func TestPlanLabelMatchesFmtOracle(t *testing.T) {
+	var buf fingerprintBuf
+	kinds := map[FaultKind]bool{}
+	for _, p := range GenerateForkPlans(ChaosOptions{Seed: 81669166, Forks: 1500, MaxK: 2}) {
+		want := planLabelFmt(p)
+		if got := p.String(); got != want {
+			t.Fatalf("plan %d: String() = %q, want %q", p.ID, got, want)
+		}
+		if got := buf.label(p); got != want {
+			t.Fatalf("plan %d: label = %q, want %q", p.ID, got, want)
+		}
+		for _, f := range p.Faults {
+			kinds[f.Kind] = true
+		}
+	}
+	if len(kinds) != 4 {
+		t.Errorf("the sweep drew %d fault kinds, want all 4", len(kinds))
+	}
+}

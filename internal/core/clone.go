@@ -11,7 +11,10 @@ import (
 //
 //   - Compiled rule programs are immutable after Compile and are shared
 //     across forks, as are the installed rules' patterns; only the
-//     Executor's run state copies.
+//     Executor's run state copies, into the fork's own rule store (the
+//     executor storage, edit scratch and memo of compiled rule sets),
+//     which is the world's: a fork into a used world keeps its own, a
+//     first fork starts without.
 //   - The injection hook (SetInjectionHook) is monitoring-owned: it is NOT
 //     cloned, and a campaign that wants injection timestamps in the fork
 //     re-registers it post-fork.
@@ -42,17 +45,15 @@ func (r *CaptureRing) cloneInto(r2 *CaptureRing) {
 // rule-engine run state, CRC recompute state, batch plan, and statistics.
 func (e *Engine) Clone(m *sim.Mapper) *Engine {
 	e2 := sim.Counterpart(m, e)
-	fifo, ruleList, exec, capture := e2.fifo, e2.ruleList, e2.ruleExec, e2.capture
+	fifo, ruleList, store, capture := e2.fifo, e2.ruleList, e2.store, e2.capture
 	procOut, flushOut := e2.procOut, e2.flushOut
 	*e2 = *e
 	e2.fifo = append(fifo[:0], e.fifo...)
 	e2.ruleList = append(ruleList[:0], e.ruleList...)
+	e2.store = store
 	if e.ruleExec != nil { // nil disables the rule path
-		if exec == nil {
-			exec = new(rules.Executor)
-		}
-		e.ruleExec.CloneInto(exec)
-		e2.ruleExec = exec
+		e2.ruleExec = &e2.ruleStore().exec
+		e.ruleExec.CloneInto(e2.ruleExec)
 	}
 	if capture == nil {
 		capture = new(CaptureRing)
@@ -92,12 +93,15 @@ func (d *Device) Clone(m *sim.Mapper) *Device {
 }
 
 // Clone forks the command decoder. The output sink is wiring-owned (the
-// console rebinds it); the driven device rebinds at Finish.
+// console rebinds it); the driven device rebinds at Finish. The parse
+// scratch holds nothing between commands: the fork keeps its own, emptied.
 func (c *CommandDecoder) Clone(m *sim.Mapper) *CommandDecoder {
 	c2 := sim.Counterpart(m, c)
-	line := c2.line
+	line, fields, rule := c2.line, c2.fields, c2.rule
 	*c2 = *c
 	c2.line = append(line[:0], c.line...)
+	c2.fields = fields[:0]
+	c2.rule = rules.Rule{Steps: rule.Steps[:0], CorruptData: rule.CorruptData[:0], CorruptMask: rule.CorruptMask[:0]}
 	c2.out = nil
 	sim.Rebind(m, &c2.dev, c.dev)
 	return c2

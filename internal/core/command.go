@@ -2,10 +2,13 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
+	"unicode"
 
 	"netfi/internal/phy"
+	"netfi/internal/rules"
 )
 
 // CommandDecoder is the large FSM of §3.3 that receives configuration data
@@ -50,6 +53,11 @@ type CommandDecoder struct {
 	line     []byte
 	overlong bool // the line outgrew maxLineLen: answer ERR at its end
 	out      func(byte)
+
+	// Parse scratch, refilled by every command: the line's fields and the
+	// rule a RULE ADD builds (the engine keeps a compiled copy, not this).
+	fields []string
+	rule   rules.Rule
 
 	commands uint64
 	errors   uint64
@@ -131,7 +139,8 @@ func (c *CommandDecoder) Exec(line string) string {
 }
 
 func (c *CommandDecoder) exec(line string) (string, error) {
-	fields := strings.Fields(strings.ToUpper(strings.TrimSpace(line)))
+	c.fields = appendFields(c.fields[:0], strings.ToUpper(line))
+	fields := c.fields
 	if len(fields) == 0 {
 		return "", fmt.Errorf("empty command")
 	}
@@ -264,6 +273,29 @@ func (c *CommandDecoder) exec(line string) (string, error) {
 	default:
 		return "", fmt.Errorf("unknown command %q", fields[0])
 	}
+}
+
+// appendFields appends the fields of s to dst, split around runs of white
+// space exactly as strings.Fields splits them. dst grows once for a line
+// whose fields are single-space separated.
+func appendFields(dst []string, s string) []string {
+	dst = slices.Grow(dst, strings.Count(s, " ")+1)
+	start := -1
+	for i, r := range s {
+		switch {
+		case !unicode.IsSpace(r):
+			if start < 0 {
+				start = i
+			}
+		case start >= 0:
+			dst = append(dst, s[start:i])
+			start = -1
+		}
+	}
+	if start >= 0 {
+		dst = append(dst, s[start:])
+	}
+	return dst
 }
 
 func parseHexByte(s string) (byte, error) {

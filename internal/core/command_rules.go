@@ -35,11 +35,10 @@ func (c *CommandDecoder) execRule(fields []string, eng *Engine) (string, error) 
 	}
 	switch fields[0] {
 	case "ADD":
-		r, err := parseRuleAdd(fields[1:])
-		if err != nil {
+		if err := parseRuleAdd(&c.rule, fields[1:]); err != nil {
 			return "", err
 		}
-		if err := eng.AddRule(r); err != nil {
+		if err := eng.AddRule(c.rule); err != nil {
 			return "", err
 		}
 		return "", nil
@@ -96,18 +95,18 @@ func parseRuleID(s string) (int, error) {
 	return id, nil
 }
 
-// parseRuleAdd assembles a rules.Rule from the keyword sections following
-// RULE ADD. PAT is mandatory; VEC is mandatory exactly when the action
-// needs a corrupt vector.
-func parseRuleAdd(fields []string) (rules.Rule, error) {
-	var r rules.Rule
-	r.Mode = rules.ModeOn
+// parseRuleAdd assembles into r, refilling its slices, a rules.Rule from
+// the keyword sections following RULE ADD. PAT is mandatory; VEC is
+// mandatory exactly when the action needs a corrupt vector.
+func parseRuleAdd(r *rules.Rule, fields []string) error {
+	*r = rules.Rule{Mode: rules.ModeOn,
+		Steps: r.Steps[:0], CorruptData: r.CorruptData[:0], CorruptMask: r.CorruptMask[:0]}
 	if len(fields) == 0 {
-		return r, fmt.Errorf("RULE ADD needs an id")
+		return fmt.Errorf("RULE ADD needs an id")
 	}
 	id, err := parseRuleID(fields[0])
 	if err != nil {
-		return r, err
+		return err
 	}
 	r.ID = id
 	fields = fields[1:]
@@ -117,34 +116,34 @@ func parseRuleAdd(fields []string) (rules.Rule, error) {
 	for i := 0; i < len(fields); {
 		kw := fields[i]
 		if seen[kw] {
-			return r, fmt.Errorf("repeated RULE ADD keyword %s", kw)
+			return fmt.Errorf("repeated RULE ADD keyword %s", kw)
 		}
 		seen[kw] = true
 		switch kw {
 		case "PRIO":
 			if i+1 >= len(fields) {
-				return r, fmt.Errorf("PRIO needs a value")
+				return fmt.Errorf("PRIO needs a value")
 			}
 			p, err := strconv.Atoi(fields[i+1])
 			if err != nil {
-				return r, fmt.Errorf("bad priority %q", fields[i+1])
+				return fmt.Errorf("bad priority %q", fields[i+1])
 			}
 			r.Priority = p
 			i += 2
 		case "MODE":
 			if i+1 >= len(fields) {
-				return r, fmt.Errorf("MODE needs a value")
+				return fmt.Errorf("MODE needs a value")
 			}
-			if err := parseRuleMode(&r, fields[i+1]); err != nil {
-				return r, err
+			if err := parseRuleMode(r, fields[i+1]); err != nil {
+				return err
 			}
 			i += 2
 		case "ACT":
 			if i+1 >= len(fields) {
-				return r, fmt.Errorf("ACT needs a value")
+				return fmt.Errorf("ACT needs a value")
 			}
-			if err := parseRuleAction(&r, fields[i+1]); err != nil {
-				return r, err
+			if err := parseRuleAction(r, fields[i+1]); err != nil {
+				return err
 			}
 			i += 2
 		case "PAT", "VEC":
@@ -159,20 +158,20 @@ func parseRuleAdd(fields []string) (rules.Rule, error) {
 			}
 			i = j
 		default:
-			return r, fmt.Errorf("unknown RULE ADD keyword %q", kw)
+			return fmt.Errorf("unknown RULE ADD keyword %q", kw)
 		}
 	}
 
 	if len(pat) == 0 {
-		return r, fmt.Errorf("RULE ADD needs a PAT section")
+		return fmt.Errorf("RULE ADD needs a PAT section")
 	}
-	if err := parseRulePattern(&r, pat); err != nil {
-		return r, err
+	if err := parseRulePattern(r, pat); err != nil {
+		return err
 	}
-	if err := parseRuleVector(&r, vec); err != nil {
-		return r, err
+	if err := parseRuleVector(r, vec); err != nil {
+		return err
 	}
-	return r, nil
+	return nil
 }
 
 func isRuleKeyword(f string) bool {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -301,5 +302,17 @@ func TestCommandCapReportsEvents(t *testing.T) {
 	resp := dec.Exec("CAP")
 	if !strings.Contains(resp, "events=1") {
 		t.Errorf("CAP = %q, want events=1", resp)
+	}
+}
+
+// The decoder splits a line into fields in its own scratch, exactly as
+// strings.Fields would, Unicode spaces and invalid UTF-8 included.
+func TestAppendFieldsMatchesStringsFields(t *testing.T) {
+	var scratch []string
+	for _, s := range []string{"", "   ", "RULE ADD 1 PAT 55", "  MODE\tON \r\n", "a b c", "x\xffy z", "\x85DIR\x85L", "\u0085DIR L\u3000", "A\tB\tC\tD"} {
+		scratch = appendFields(scratch[:0], s)
+		if want := strings.Fields(s); !slices.Equal(scratch, want) {
+			t.Errorf("appendFields(%q) = %q, want %q", s, scratch, want)
+		}
 	}
 }

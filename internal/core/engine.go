@@ -145,10 +145,12 @@ type Engine struct {
 
 	// Rule-engine path (internal/rules): an optional compiled multi-rule
 	// trigger program evaluated per character beside the legacy
-	// single-pattern compare. Nil ruleExec disables the path.
+	// single-pattern compare. Nil ruleExec disables the path; armed, it
+	// points at the executor in store, which the engine re-arms in place.
 	ruleList []rules.Rule
 	ruleProg *rules.Program
 	ruleExec *rules.Executor
+	store    *ruleStore
 
 	// CRC recompute state (output side).
 	runningCRC      byte

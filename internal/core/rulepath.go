@@ -57,11 +57,44 @@ func RuleFromConfig(id int, cfg Config) rules.Rule {
 	return r
 }
 
+// ruleStore is the storage an engine arms its rule path in: the executor
+// every installed program is loaded into, the list a rule change is built
+// in, the key scratch, and the memo of compiled rule sets. It belongs to the
+// engine's world and is made on first use: a fork keeps its own, never the
+// base's.
+type ruleStore struct {
+	exec rules.Executor
+	edit []rules.Rule
+	key  []byte
+	sets []compiledSet
+}
+
+// compiledSet is one memo entry: a rule list's canonical key (its rules'
+// AppendKey encodings, concatenated) and the program Compile made of it.
+type compiledSet struct {
+	key  string
+	prog *rules.Program
+}
+
+// maxPrograms bounds an engine's memo. A sweep arms a few dozen distinct
+// rule sets often and a long tail once; a full memo starts over rather
+// than growing with the tail.
+const maxPrograms = 64
+
+// ruleStore returns the engine's rule store, making it on first use.
+func (e *Engine) ruleStore() *ruleStore {
+	if e.store == nil {
+		e.store = new(ruleStore)
+	}
+	return e.store
+}
+
 // AddRule validates r against both the rule-engine limits and the datapath
 // window, recompiles the rule set with r added (replacing any existing rule
 // with the same ID, preserving its position), and installs the result.
 // Recompiling re-arms every rule: counters, once latches and window clocks
-// restart, as reloading the hardware's rule memory would.
+// restart, as reloading the hardware's rule memory would. The engine keeps
+// none of r's storage.
 func (e *Engine) AddRule(r rules.Rule) error {
 	if len(r.CorruptData) > WindowSize {
 		return fmt.Errorf("core: rule %d corrupt vector length %d exceeds window size %d", r.ID, len(r.CorruptData), WindowSize)
@@ -72,56 +105,81 @@ func (e *Engine) AddRule(r rules.Rule) error {
 	if err := r.Validate(); err != nil {
 		return err
 	}
-	list := make([]rules.Rule, 0, len(e.ruleList)+1)
+	list := e.ruleStore().edit[:0]
 	replaced := false
 	for _, old := range e.ruleList {
 		if old.ID == r.ID {
-			list = append(list, r)
-			replaced = true
-		} else {
-			list = append(list, old)
+			old, replaced = r, true
 		}
+		list = append(list, old)
 	}
 	if !replaced {
 		list = append(list, r)
 	}
-	prog, err := rules.Compile(list, rules.Options{})
-	if err != nil {
-		return err
-	}
-	e.installRules(list, prog)
-	return nil
+	return e.setRules(list)
 }
 
 // DeleteRule removes the rule with the given ID, reporting whether it
 // existed. The remaining set is recompiled and re-armed.
 func (e *Engine) DeleteRule(id int) bool {
-	list := make([]rules.Rule, 0, len(e.ruleList))
+	list := e.ruleStore().edit[:0]
 	for _, r := range e.ruleList {
 		if r.ID != id {
 			list = append(list, r)
 		}
 	}
-	if len(list) == len(e.ruleList) {
+	switch {
+	case len(list) == len(e.ruleList):
 		return false
-	}
-	if len(list) == 0 {
-		e.installRules(nil, nil)
+	case len(list) == 0:
+		e.installRules(e.ruleList[:0], nil)
 		return true
 	}
-	prog, err := rules.Compile(list, rules.Options{})
-	if err != nil {
-		// Cannot happen: every rule in the subset already compiled.
-		return false
+	// Cannot fail: every rule in the subset already compiled.
+	return e.setRules(list) == nil
+}
+
+// setRules compiles list, built in the store's edit storage, and installs
+// it. A rule set the engine compiled before comes from its memo: a Program
+// is immutable after Compile, so every install of the set shares it. The
+// installed list then holds the program's own copies of the rules, and the
+// storage of the list it replaces becomes the next edit's.
+func (e *Engine) setRules(list []rules.Rule) error {
+	s := e.store
+	s.edit = list
+	s.key = s.key[:0]
+	for i := range list {
+		s.key = list[i].AppendKey(s.key)
 	}
+	var prog *rules.Program
+	for _, c := range s.sets {
+		if c.key == string(s.key) {
+			prog = c.prog
+			break
+		}
+	}
+	if prog == nil {
+		var err error
+		if prog, err = rules.Compile(list, rules.Options{}); err != nil {
+			return err
+		}
+		if len(s.sets) == maxPrograms {
+			clear(s.sets)
+			s.sets = s.sets[:0]
+		}
+		s.sets = append(s.sets, compiledSet{string(s.key), prog})
+	}
+	copy(list, prog.Rules())
+	s.edit = e.ruleList[:0]
 	e.installRules(list, prog)
-	return true
+	return nil
 }
 
 // ClearRules removes the whole rule set, disabling the rule-engine path.
-func (e *Engine) ClearRules() { e.installRules(nil, nil) }
+func (e *Engine) ClearRules() { e.installRules(e.ruleList[:0], nil) }
 
-// Rules returns the installed rule set in evaluation order. Read-only.
+// Rules returns the installed rule set in evaluation order: the compiled
+// program's own copies. Read-only, and valid until the next rule change.
 func (e *Engine) Rules() []rules.Rule { return e.ruleList }
 
 // RuleProgram returns the compiled program, nil when no rules are installed.
@@ -147,20 +205,20 @@ func (e *Engine) RuleCounters(id int) (matches, fires uint64, ok bool) {
 // program's rules must respect the WindowSize vector bound; nil uninstalls.
 func (e *Engine) SetRuleProgram(p *rules.Program) {
 	if p == nil {
-		e.installRules(nil, nil)
+		e.ClearRules()
 		return
 	}
-	e.installRules(append([]rules.Rule(nil), p.Rules()...), p)
+	e.installRules(append(e.ruleList[:0], p.Rules()...), p)
 }
 
-// installRules swaps in a compiled rule set and arms a fresh executor.
+// installRules swaps in list, compiled as prog (nil: no rules), and re-arms
+// the store's executor on it in place.
 func (e *Engine) installRules(list []rules.Rule, prog *rules.Program) {
-	e.ruleList = list
-	e.ruleProg = prog
+	e.ruleList, e.ruleProg, e.ruleExec = list, prog, nil
 	if prog != nil {
-		e.ruleExec = rules.NewExecutor(prog)
-	} else {
-		e.ruleExec = nil
+		x := &e.ruleStore().exec
+		x.Load(prog)
+		e.ruleExec = x
 	}
 	e.batchDirty = true
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -269,5 +270,44 @@ func TestRuleCommands(t *testing.T) {
 	out := bytesOf(runThrough(eng, dataChars([]byte{0x55})))
 	if !bytes.Equal(out, []byte{0x5A}) {
 		t.Errorf("serial-armed toggle: out % X, want 5A", out)
+	}
+}
+
+// A rule set the engine has compiled before comes from its memo: the same
+// immutable program, re-armed, so re-adding a rule over the serial path
+// allocates nothing. A full memo starts over instead of growing.
+func TestEngineRuleProgramMemo(t *testing.T) {
+	dev, dec := newTestDecoder(t)
+	e := dev.Engine(LeftToRight)
+	const a, b = "RULE ADD 70 MODE ONCE ACT DROP PAT C0C", "RULE ADD 70 MODE ONCE ACT TOGGLE PAT 55 VEC 3F"
+	for _, line := range []string{a, b, a} {
+		if resp := dec.Exec(line); resp != "OK" {
+			t.Fatalf("%s -> %q", line, resp)
+		}
+	}
+	progA := e.RuleProgram()
+	e.Process([]phy.Character{phy.ControlChar(0x0C)})
+	if m, f, _ := e.RuleCounters(70); m != 1 || f != 1 {
+		t.Fatalf("armed rule counted %d matches, %d fires; want 1, 1", m, f)
+	}
+	if resp := dec.Exec(b); resp != "OK" {
+		t.Fatal(resp)
+	}
+	if resp := dec.Exec(a); resp != "OK" || e.RuleProgram() != progA {
+		t.Fatalf("re-adding a compiled rule set: %q, same program %v", resp, e.RuleProgram() == progA)
+	}
+	if m, f, _ := e.RuleCounters(70); m != 0 || f != 0 {
+		t.Errorf("a memoised program was installed without re-arming: %d matches, %d fires", m, f)
+	}
+	if got := testing.AllocsPerRun(20, func() { dec.Exec(b); dec.Exec(a) }); got != 0 {
+		t.Errorf("re-adding memoised rule sets allocates %v objects, want 0", got)
+	}
+	for v := 1; v <= 2*maxPrograms; v++ {
+		if resp := dec.Exec(fmt.Sprintf("RULE ADD 70 ACT TOGGLE PAT 55 VEC %02X", v)); resp != "OK" {
+			t.Fatal(resp)
+		}
+		if len(e.store.sets) > maxPrograms {
+			t.Fatalf("memo holds %d programs, bound %d", len(e.store.sets), maxPrograms)
+		}
 	}
 }

@@ -101,13 +101,11 @@ func (f *flow) clone(m *sim.Mapper, r2 *Reliable) *flow {
 	*f2 = *f
 	f2.r = r2
 	f2.timer = m.MapEventID(f.timer)
-	f2.queue = sim.Resize(queue, len(f.queue))
-	for i, d := range f.queue {
-		f2.queue[i] = append(f2.queue[i][:0], d...)
+	f2.queue, f2.qHead = sim.Resize(queue, f.qLen), 0 // compacted to the front
+	for i := range f2.queue {
+		f2.queue[i] = append(f2.queue[i][:0], f.queue[(f.qHead+i)%len(f.queue)]...)
 	}
-	if f.inflight != nil { // nil marks an idle channel
-		f2.inflight = append(inflight[:0], f.inflight...)
-	}
+	f2.inflight = append(inflight[:0], f.inflight...)
 	return f2
 }
 

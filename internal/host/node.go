@@ -11,6 +11,7 @@
 package host
 
 import (
+	"errors"
 	"fmt"
 
 	"netfi/internal/bitstream"
@@ -220,13 +221,15 @@ func appendUDP(dst []byte, srcPort, dstPort uint16, data []byte) []byte {
 	return dst
 }
 
-// DecodeUDP parses and checksums a datagram.
+// DecodeUDP parses and checksums a datagram. A refused datagram is
+// answered with one of three fixed errors, so a corrupted stream costs a
+// receiver nothing to refuse.
 func DecodeUDP(dgram []byte) (srcPort, dstPort uint16, data []byte, err error) {
 	if len(dgram) < udpHeaderLen {
-		return 0, 0, nil, fmt.Errorf("host: datagram too short (%d bytes)", len(dgram))
+		return 0, 0, nil, errShort
 	}
 	if u16(dgram[4:]) != uint16(len(dgram)) {
-		return 0, 0, nil, fmt.Errorf("host: datagram length field %d != %d", u16(dgram[4:]), len(dgram))
+		return 0, 0, nil, errLength
 	}
 	if !bitstream.VerifyChecksum16(dgram) {
 		return 0, 0, nil, errChecksum
@@ -234,7 +237,11 @@ func DecodeUDP(dgram []byte) (srcPort, dstPort uint16, data []byte, err error) {
 	return u16(dgram[0:]), u16(dgram[2:]), dgram[udpHeaderLen:], nil
 }
 
-var errChecksum = fmt.Errorf("host: UDP checksum mismatch")
+var (
+	errShort    = errors.New("host: datagram shorter than its header")
+	errLength   = errors.New("host: datagram length field differs from its length")
+	errChecksum = errors.New("host: UDP checksum mismatch")
+)
 
 func putU16(b []byte, v uint16) { b[0] = byte(v >> 8); b[1] = byte(v) }
 func u16(b []byte) uint16       { return uint16(b[0])<<8 | uint16(b[1]) }

@@ -2,6 +2,7 @@ package host
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"netfi/internal/myrinet"
@@ -84,9 +85,14 @@ type flow struct {
 	dst myrinet.MAC
 
 	nextSeq uint32
-	queue   [][]byte // waiting behind the in-flight datagram
+	// Datagrams waiting behind the in-flight one: a ring of qLen entries
+	// from queue[qHead]. Every slot keeps its storage when it empties, so
+	// a flow that has queued as deep before copies a message for nothing.
+	queue       [][]byte
+	qHead, qLen int
 
-	// In-flight datagram; inflight == nil means the channel is idle.
+	// In-flight datagram, header included; empty means the channel is idle
+	// (a datagram always carries its header). The storage is kept.
 	inflight []byte
 	seq      uint32
 	attempts int
@@ -153,10 +159,10 @@ func (r *Reliable) Flows() []myrinet.MAC {
 func (r *Reliable) Outstanding() int {
 	n := 0
 	for _, f := range r.flows {
-		if f.inflight != nil {
+		if len(f.inflight) > 0 {
 			n++
 		}
-		n += len(f.queue)
+		n += f.qLen
 	}
 	return n
 }
@@ -171,23 +177,42 @@ func (r *Reliable) Send(dst myrinet.MAC, data []byte) {
 		r.flows[dst] = f
 	}
 	r.stats.Sent++
-	f.queue = append(f.queue, append([]byte(nil), data...))
+	if f.qLen == len(f.queue) {
+		f.grow()
+	}
+	i := (f.qHead + f.qLen) % len(f.queue)
+	f.queue[i] = append(f.queue[i][:0], data...)
+	f.qLen++
 	f.pump()
+}
+
+// grow adds a slot to the full ring: it rotates the ring so its entries
+// start at slot 0, then extends it into spare capacity, whose slots may
+// still hold storage from an earlier, deeper queue.
+func (f *flow) grow() {
+	slices.Reverse(f.queue[:f.qHead])
+	slices.Reverse(f.queue[f.qHead:])
+	slices.Reverse(f.queue)
+	f.qHead = 0
+	if n := len(f.queue); n < cap(f.queue) {
+		f.queue = f.queue[:n+1]
+	} else {
+		f.queue = append(f.queue, nil)
+	}
 }
 
 // pump transmits the next queued datagram when the flow is idle.
 func (f *flow) pump() {
-	if f.inflight != nil || len(f.queue) == 0 {
+	if len(f.inflight) > 0 || f.qLen == 0 {
 		return
 	}
-	data := f.queue[0]
-	f.queue = f.queue[1:]
+	data := f.queue[f.qHead]
+	f.qHead = (f.qHead + 1) % len(f.queue)
+	f.qLen--
 	f.seq = f.nextSeq
 	f.nextSeq++
-	f.inflight = make([]byte, relHdrLen+len(data))
-	f.inflight[relKind] = relData
+	f.inflight = append(append(f.inflight[:0], relData, 0, 0, 0, 0), data...)
 	putU32(f.inflight[relSeq:], f.seq)
-	copy(f.inflight[relHdrLen:], data)
 	f.attempts = 0
 	f.transmit()
 }
@@ -216,12 +241,12 @@ func (f *flow) stopTimer() {
 // onTimeout retransmits with doubled RTO, or gives up past MaxRetries.
 func (f *flow) onTimeout() {
 	f.timerSet = false
-	if f.inflight == nil {
+	if len(f.inflight) == 0 {
 		return
 	}
 	if f.attempts > f.r.cfg.MaxRetries {
 		f.r.stats.GaveUp++
-		f.inflight = nil
+		f.inflight = f.inflight[:0]
 		f.pump()
 		return
 	}
@@ -235,7 +260,7 @@ func (f *flow) onTimeout() {
 
 // onAck completes the in-flight datagram when the seq matches.
 func (f *flow) onAck(seq uint32) {
-	if f.inflight == nil || seq != f.seq {
+	if len(f.inflight) == 0 || seq != f.seq {
 		return // stale ack for an already-completed or abandoned datagram
 	}
 	f.stopTimer()
@@ -243,7 +268,7 @@ func (f *flow) onAck(seq uint32) {
 		f.sampleRTT(f.r.k.Now() - f.sentAt)
 	}
 	f.r.stats.Delivered++
-	f.inflight = nil
+	f.inflight = f.inflight[:0]
 	f.pump()
 }
 

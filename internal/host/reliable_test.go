@@ -212,3 +212,54 @@ func TestReliableDeterministicPerSeed(t *testing.T) {
 		t.Errorf("non-deterministic: %v@%v vs %v@%v", s1, t1, s2, t2)
 	}
 }
+
+// The send queue is a ring whose slots keep their storage: messages queued
+// behind a busy flow, some while the ring has wrapped and one that grows it
+// mid-wrap, still go out in order, and once the ring has been as deep a
+// round of sends and deliveries allocates nothing.
+func TestReliableQueueRing(t *testing.T) {
+	k := sim.NewKernel(3)
+	_, b, ra, rb := reliablePair(t, k, ReliableConfig{})
+	var got []string
+	rb.SetHandler(func(src myrinet.MAC, data []byte) { got = append(got, string(data)) })
+	send := func(from, to int) {
+		for i := from; i < to; i++ {
+			ra.Send(b.MAC(), []byte(fmt.Sprintf("msg-%d", i)))
+		}
+	}
+	untilDelivered := func(n uint64) {
+		for ra.Stats().Delivered < n && k.Step() {
+		}
+	}
+	send(0, 4) // one in flight, a ring of three
+	untilDelivered(2)
+	send(4, 6) // wraps: the ring's head has moved on by two
+	if f := ra.flows[b.MAC()]; f.qHead == 0 || f.qLen != len(f.queue) {
+		t.Fatalf("ring head %d, %d of %d slots used: want a full, wrapped ring", f.qHead, f.qLen, len(f.queue))
+	}
+	send(6, 9) // grows the wrapped ring
+	if n := ra.Outstanding(); n != 7 {
+		t.Errorf("Outstanding = %d, want 7", n)
+	}
+	k.Run()
+	if len(got) != 9 {
+		t.Fatalf("delivered %d messages, want 9: %v", len(got), got)
+	}
+	for i, m := range got {
+		if m != fmt.Sprintf("msg-%d", i) {
+			t.Errorf("got[%d] = %q", i, m)
+		}
+	}
+
+	rb.SetHandler(nil)
+	msg := []byte("again")
+	round := func() {
+		for i := 0; i < 8; i++ {
+			ra.Send(b.MAC(), msg)
+		}
+		k.Run()
+	}
+	if allocs := testing.AllocsPerRun(5, round); allocs != 0 {
+		t.Errorf("a round of 8 queued messages allocates %v objects, want 0", allocs)
+	}
+}

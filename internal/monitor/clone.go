@@ -15,7 +15,8 @@ import (
 //     campaign-owned objects of the old world. A campaign that wants probes
 //     in the fork re-adds them post-fork against the cloned objects —
 //     AddCounterProbe snapshots the counter at registration, so a re-added
-//     probe sees no spurious delta.
+//     probe sees no spurious delta. The probe records' storage is the
+//     world's: re-adding probes in a used world allocates nothing.
 //   - The export ring, flow caches, detectors, and the event log all deep
 //     copy; the fork's detections diverge from the base from the fork point
 //     on without back-propagating.

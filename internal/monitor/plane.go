@@ -287,7 +287,7 @@ type Plane struct {
 
 	taps      []*Tap
 	detectors []*planeDetector
-	probes    []*probe
+	probes    []*probe // re-adding probes reuses the records past the end
 
 	events        []Event
 	eventOverflow uint64
@@ -355,7 +355,7 @@ func (pl *Plane) TapInterface(ifc *myrinet.Interface, opts TapOptions) *Tap {
 // an anomaly with the given detail label when it advances (one event per
 // episode: the alarm re-arms after an interval with no advance).
 func (p *Plane) AddCounterProbe(name, detail string, fn func() uint64) {
-	p.probes = append(p.probes, &probe{name: name, detail: detail, counter: fn, last: fn()})
+	p.addProbe(probe{name: name, detail: detail, counter: fn, last: fn()})
 }
 
 // AddLossProbe polls a monotone drop counter every sample interval and
@@ -369,7 +369,18 @@ func (p *Plane) AddLossProbe(name string, fn func() uint64) {
 // samples — one sample is just backpressure; two is §4.3.1's forever-held
 // path at monitoring timescales.
 func (p *Plane) AddWedgeProbe(name string, fn func() int) {
-	p.probes = append(p.probes, &probe{name: name, gauge: fn})
+	p.addProbe(probe{name: name, gauge: fn})
+}
+
+// addProbe appends pr, into the record past the end of the probe list when
+// an earlier run left one there (a fork keeps its world's records).
+func (p *Plane) addProbe(pr probe) {
+	n := len(p.probes)
+	if n == cap(p.probes) || p.probes[:n+1][n] == nil {
+		p.probes = append(p.probes, new(probe))
+	}
+	p.probes = p.probes[:n+1]
+	*p.probes[n] = pr
 }
 
 // Start arms the first sampling pass one interval from now. Starting a

@@ -1,6 +1,10 @@
 package myrinet
 
-import "netfi/internal/phy"
+import (
+	"slices"
+
+	"netfi/internal/phy"
+)
 
 // SlackBuffer is the receive-side elastic buffer of a Myrinet port (Fig. 9).
 // Incoming characters are pushed as they arrive; the port's forwarding logic
@@ -96,11 +100,14 @@ func (s *SlackBuffer) grow() {
 	n := 2 * len(s.buf)
 	if n == 0 {
 		n = slackRingSize(s.capacity)
-		if cap(s.buf) >= n {
-			// An empty ring a recycled fork kept: nothing to move.
-			s.buf, s.head = s.buf[:n], 0
-			return
-		}
+	}
+	if cap(s.buf) >= n {
+		// Storage a recycled fork kept: unwrap in place and extend.
+		slices.Reverse(s.buf[:s.head])
+		slices.Reverse(s.buf[s.head:])
+		slices.Reverse(s.buf)
+		s.buf, s.head = s.buf[:n], 0
+		return
 	}
 	nb := make([]phy.Character, n)
 	c := copy(nb, s.buf[s.head:])

@@ -27,17 +27,32 @@ type Executor struct {
 
 // NewExecutor returns an armed executor.
 func NewExecutor(p *Program) *Executor {
-	e := &Executor{
-		p:       p,
-		matches: make([]uint64, len(p.rules)),
-		fires:   make([]uint64, len(p.rules)),
-	}
+	e := new(Executor)
+	e.Load(p)
+	return e
+}
+
+// Load arms e for p, as NewExecutor(p) would, refilling e's own arrays: an
+// executor reloaded with a program no larger than one it ran before
+// allocates nothing.
+func (e *Executor) Load(p *Program) {
+	n := len(p.rules)
+	e.p = p
+	e.matches, e.fires, e.lanes = resize(e.matches, n), resize(e.fires, n), e.lanes[:0]
 	if !p.UsesDFA() {
-		e.lanes = make([]uint64, len(p.rules))
+		e.lanes = resize(e.lanes, n)
 	}
+	e.quiet = [SymbolSpace / 64]uint64{}
 	e.buildQuiet()
 	e.Reset()
-	return e
+}
+
+// resize returns s with length n, reusing its array when it is large enough.
+func resize(s []uint64, n int) []uint64 {
+	if cap(s) < n {
+		return make([]uint64, n)
+	}
+	return s[:n]
 }
 
 // buildQuiet computes the start-state skip set once per program. A symbol is

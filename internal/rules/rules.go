@@ -20,7 +20,10 @@
 // applying the corrupt vectors to the FIFO is internal/core's job.
 package rules
 
-import "fmt"
+import (
+	"encoding/binary"
+	"fmt"
+)
 
 // Symbol geometry: Myrinet link characters are 9 bits wide (D/C flag +
 // byte), so the automaton alphabet has 512 symbols.
@@ -202,6 +205,26 @@ func (r *Rule) Validate() error {
 		return fmt.Errorf("rules: rule %d has unknown mode %d", r.ID, r.Mode)
 	}
 	return nil
+}
+
+// AppendKey appends r's canonical encoding to b: every field, lengths
+// first, so two rules encode alike exactly when they are equal, and a rule
+// list's concatenated keys name the Program Compile makes of it.
+func (r *Rule) AppendKey(b []byte) []byte {
+	for _, v := range [...]int64{int64(r.ID), int64(r.Priority), int64(r.Mode), int64(r.N),
+		int64(r.Action), int64(r.DropCount), int64(len(r.Steps)), int64(len(r.CorruptData)), int64(len(r.CorruptMask))} {
+		b = binary.AppendVarint(b, v)
+	}
+	for _, s := range r.Steps {
+		b = binary.AppendVarint(binary.AppendUvarint(binary.AppendUvarint(b, uint64(s.Sym)), uint64(s.Mask)), int64(s.Gap))
+	}
+	for _, v := range r.CorruptData {
+		b = binary.AppendUvarint(b, uint64(v))
+	}
+	for _, v := range r.CorruptMask {
+		b = binary.AppendUvarint(b, uint64(v))
+	}
+	return b
 }
 
 // clone deep-copies the rule so a compiled Program cannot alias caller

@@ -56,9 +56,10 @@ func NewConsole(k *sim.Kernel, dev *core.Device, baud int) *Console {
 // communications handler, which packs them into SPI frames for the command
 // decoder.
 func (c *Console) fromHost(b byte) {
-	frames := c.spi.Pack([]byte{b})
-	for _, payload := range c.spi.Unpack(frames) {
-		c.dec.InputByte(payload)
+	var frame [1]Frame
+	var payload [1]byte
+	for _, p := range c.spi.Unpack(payload[:0], c.spi.Pack(frame[:0], []byte{b})) {
+		c.dec.InputByte(p)
 	}
 }
 
@@ -67,12 +68,13 @@ func (c *Console) fromHost(b byte) {
 func (c *Console) emit(b byte) { c.toHost.Send([]byte{b}) }
 
 // Send queues a command line for transmission; the response arrives later
-// in simulated time (see OnResponse / Responses).
+// in simulated time (see Responses). A missing line terminator is queued
+// right behind the line, as if it had been part of it.
 func (c *Console) Send(cmd string) {
-	if !strings.HasSuffix(cmd, "\n") {
-		cmd += "\n"
-	}
 	c.toBoard.SendString(cmd)
+	if !strings.HasSuffix(cmd, "\n") {
+		c.toBoard.SendString("\n")
+	}
 }
 
 // DrainedAt reports when both serial directions go quiet: a command's
@@ -81,13 +83,18 @@ func (c *Console) Send(cmd string) {
 // stops moving.
 func (c *Console) DrainedAt() sim.Time { return max(c.toBoard.BusyUntil(), c.toHost.BusyUntil()) }
 
-// receive assembles response lines from the board.
+// receive assembles response lines from the board. A line equal to the one
+// before it (a run of "OK"s) shares that line's string.
 func (c *Console) receive(b byte) {
 	if b != '\n' {
 		c.rxBuf = append(c.rxBuf, b)
 		return
 	}
-	c.lines = append(c.lines, string(c.rxBuf))
+	if n := len(c.lines); n > 0 && c.lines[n-1] == string(c.rxBuf) {
+		c.lines = append(c.lines, c.lines[n-1])
+	} else {
+		c.lines = append(c.lines, string(c.rxBuf))
+	}
 	c.rxBuf = c.rxBuf[:0]
 }
 

@@ -31,7 +31,7 @@ func FuzzSerialFraming(f *testing.F) {
 	f.Add([]byte("0000"), uint16(9600), uint8(4), uint8(200)) // an empty write to an idle line
 	f.Fuzz(func(t *testing.T, data []byte, baud uint16, split, delay uint8) {
 		var a Assembler
-		if got := a.Unpack(a.Pack(data)); !bytes.Equal(got, data) {
+		if got := a.Unpack(nil, a.Pack(nil, data)); !bytes.Equal(got, data) {
 			t.Fatalf("Unpack(Pack(%x)) = %x", data, got)
 		}
 		if packed, rejected := a.Stats(); packed != uint64(len(data)) || rejected != 0 {
@@ -50,7 +50,7 @@ func FuzzSerialFraming(f *testing.F) {
 				others++
 			}
 		}
-		if got := a.Unpack(frames); !bytes.Equal(got, want) {
+		if got := a.Unpack(nil, frames); !bytes.Equal(got, want) {
 			t.Fatalf("Unpack(%04x) = %x, want %x", frames, got, want)
 		}
 		if _, rejected := a.Stats(); rejected != others {

@@ -56,8 +56,8 @@ func TestSPIFrameRoundTrip(t *testing.T) {
 func TestSPIAssemblerPackUnpack(t *testing.T) {
 	var a Assembler
 	data := []byte("MODE ON\n")
-	frames := a.Pack(data)
-	got := a.Unpack(frames)
+	frames := a.Pack(nil, data)
+	got := a.Unpack(nil, frames)
 	if string(got) != string(data) {
 		t.Errorf("round trip = %q, want %q", got, data)
 	}
@@ -66,7 +66,7 @@ func TestSPIAssemblerPackUnpack(t *testing.T) {
 func TestSPIAssemblerRejectsUnknownTags(t *testing.T) {
 	var a Assembler
 	frames := []Frame{NewDataFrame('A'), NewStatusFrame(0x01), NewDataFrame('B'), Frame(0xFFFF)}
-	got := a.Unpack(frames)
+	got := a.Unpack(nil, frames)
 	if string(got) != "AB" {
 		t.Errorf("unpacked %q, want AB", got)
 	}

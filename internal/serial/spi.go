@@ -40,28 +40,28 @@ type Assembler struct {
 	rejected uint64
 }
 
-// Pack converts bytes to data frames.
-func (a *Assembler) Pack(data []byte) []Frame {
-	out := make([]Frame, len(data))
-	for i, b := range data {
-		out[i] = NewDataFrame(b)
+// Pack appends data to dst as data frames and returns the extended slice.
+// Callers pack into storage of their own, so framing allocates nothing.
+func (a *Assembler) Pack(dst []Frame, data []byte) []Frame {
+	for _, b := range data {
+		dst = append(dst, NewDataFrame(b))
 	}
 	a.frames += uint64(len(data))
-	return out
+	return dst
 }
 
-// Unpack extracts payload bytes from data frames, discarding (and
-// counting) frames with unknown tags — line noise on a real SPI bus.
-func (a *Assembler) Unpack(frames []Frame) []byte {
-	out := make([]byte, 0, len(frames))
+// Unpack appends the data frames' payload bytes to dst and returns the
+// extended slice, discarding (and counting) frames with unknown tags — line
+// noise on a real SPI bus.
+func (a *Assembler) Unpack(dst []byte, frames []Frame) []byte {
 	for _, f := range frames {
 		if !f.IsData() {
 			a.rejected++
 			continue
 		}
-		out = append(out, f.Payload())
+		dst = append(dst, f.Payload())
 	}
-	return out
+	return dst
 }
 
 // Stats reports frames packed and frames rejected on unpack.
