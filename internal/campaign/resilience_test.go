@@ -1,9 +1,29 @@
 package campaign
 
 import (
+	"math/rand"
 	"reflect"
 	"testing"
+
+	"netfi/internal/core"
+	"netfi/internal/sim"
 )
+
+// TestFaultFamiliesArm feeds every fault family's rule, over many draws, to
+// a fresh injector's command decoder: each must be answered OK, or the trial
+// is labelled and triaged as that family while its fault never arms.
+func TestFaultFamiliesArm(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for _, fam := range faultFamilies {
+		for i := 0; i < 100; i++ {
+			cmd := fam.build(rng, chaosNodes).cmd
+			dec := core.NewCommandDecoder(core.NewDevice(sim.NewKernel(1), core.DeviceConfig{Name: "inj"}))
+			if resp := dec.Exec(cmd); resp != "OK" {
+				t.Fatalf("%s: %q answered %q", fam.name, cmd, resp)
+			}
+		}
+	}
+}
 
 // One trial per fault family, recovery on and off, same seeds.
 func runResilienceOnce(seed int64) ResilienceResult {
