@@ -28,7 +28,8 @@ func runFabricFingerprint(t *testing.T, cfg FabricConfig) (string, *FabricTestbe
 // 20 seeds and both workloads. Shards=1 is the single-kernel path (one
 // sim.Kernel executes everything, every delivery scheduled directly); 2
 // and 4 split the fabric across real parallel kernels with lookahead
-// windows and barrier exchange, 4 finer than the switch count.
+// windows and barrier exchange, 4 finer than the switch count. A 15-switch
+// shape with deliveries landing on a window's horizon follows.
 func TestFabricShardEquivalence(t *testing.T) {
 	for _, workload := range []FabricWorkload{WorkloadFlood, WorkloadPingPong} {
 		for seed := int64(0); seed < 20; seed++ {
@@ -73,6 +74,21 @@ func TestFabricShardEquivalence(t *testing.T) {
 				t.Fatalf("workload=%s seed=%d: no deliveries crossed the exchange in any sharded run", workload, seed)
 			}
 		}
+	}
+	// On the shape above no window's first event sends over the shortest
+	// buffered cable, so no delivery lands exactly on a window's horizon.
+	// This one (FuzzFabricShardEquivalence's first seed) has such
+	// deliveries: a horizon one tick too far fails it.
+	cfg := FabricConfig{
+		Topo: topo.Config{Switches: 15, Hosts: 39, Shards: 1, Seed: 7,
+			HostPropDelay: 176 * sim.Nanosecond, TrunkPropDelay: 11 * sim.Nanosecond},
+		Packets: 2,
+		Record:  true,
+	}
+	base, _ := runFabricFingerprint(t, cfg)
+	cfg.Topo.Shards = 3
+	if fp, _ := runFabricFingerprint(t, cfg); fp != base {
+		t.Fatalf("%+v: fingerprint diverges from the one-shard run:\n%s", cfg.Topo, diffFirstLine(base, fp))
 	}
 }
 
