@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test bench fuzz check
+.PHONY: all build test bench fuzz check counts
 
 all: build
 
@@ -28,3 +28,6 @@ fuzz:
 
 check:
 	sh scripts/check.sh
+
+counts:
+	sh scripts/counts.sh

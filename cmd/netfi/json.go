@@ -12,50 +12,9 @@ import (
 // The -json views: durations render as milliseconds so consumers never need
 // the simulator's time base.
 
+// jsonTrial is the one view of a campaign.Trial: every trial record embeds
+// it, so resilience, chaos and the monitor demo share its keys.
 type jsonTrial struct {
-	ID             int     `json:"id"`
-	Family         string  `json:"family"`
-	Outcome        string  `json:"outcome"`
-	Sent           int     `json:"sent"`
-	Delivered      uint64  `json:"delivered"`
-	Retransmits    uint64  `json:"retransmits"`
-	GaveUp         uint64  `json:"gave_up"`
-	RecoveryEvents uint64  `json:"recovery_events"`
-	Injections     uint64  `json:"injections"`
-	HeldOutputs    int     `json:"held_outputs"`
-	InjectedAtMs   float64 `json:"injected_at_ms"` // -1: rule never fired
-	Detected       bool    `json:"detected"`
-	DetectLatMs    float64 `json:"detect_latency_ms"` // -1: undetected
-	DetectSource   string  `json:"detect_source,omitempty"`
-	FlowsExported  uint64  `json:"flows_exported"`
-}
-
-type jsonDetection struct {
-	Injected          int       `json:"injected"`
-	NonMasked         int       `json:"non_masked"`
-	Detected          int       `json:"detected"`
-	DetectedNonMasked int       `json:"detected_non_masked"`
-	Coverage          float64   `json:"coverage_non_masked"`
-	LatencyCDFMs      []float64 `json:"latency_cdf_ms"`
-}
-
-type jsonSweep struct {
-	Trials    []jsonTrial    `json:"trials"`
-	Tally     map[string]int `json:"tally"`
-	Detection jsonDetection  `json:"detection"`
-}
-
-type jsonResilience struct {
-	Section     string    `json:"section"`
-	Seed        int64     `json:"seed"`
-	RecoveryOn  jsonSweep `json:"recovery_on"`
-	RecoveryOff jsonSweep `json:"recovery_off"`
-}
-
-type jsonChaosTrial struct {
-	ID             int     `json:"id"`
-	Plan           string  `json:"plan"`
-	K              int     `json:"k"`
 	Outcome        string  `json:"outcome"`
 	Quiesce        string  `json:"quiesce,omitempty"`
 	ElapsedMs      float64 `json:"elapsed_ms"`
@@ -72,6 +31,41 @@ type jsonChaosTrial struct {
 	DetectSource   string  `json:"detect_source,omitempty"`
 	FlowsExported  uint64  `json:"flows_exported"`
 	Error          string  `json:"error,omitempty"`
+}
+
+type jsonResilienceTrial struct {
+	ID     int    `json:"id"`
+	Family string `json:"family"`
+	jsonTrial
+}
+
+type jsonDetection struct {
+	Injected          int       `json:"injected"`
+	NonMasked         int       `json:"non_masked"`
+	Detected          int       `json:"detected"`
+	DetectedNonMasked int       `json:"detected_non_masked"`
+	Coverage          float64   `json:"coverage_non_masked"`
+	LatencyCDFMs      []float64 `json:"latency_cdf_ms"`
+}
+
+type jsonSweep struct {
+	Trials    []jsonResilienceTrial `json:"trials"`
+	Tally     map[string]int        `json:"tally"`
+	Detection jsonDetection         `json:"detection"`
+}
+
+type jsonResilience struct {
+	Section     string    `json:"section"`
+	Seed        int64     `json:"seed"`
+	RecoveryOn  jsonSweep `json:"recovery_on"`
+	RecoveryOff jsonSweep `json:"recovery_off"`
+}
+
+type jsonChaosTrial struct {
+	ID   int    `json:"id"`
+	Plan string `json:"plan"`
+	K    int    `json:"k"`
+	jsonTrial
 }
 
 type jsonChaos struct {
@@ -105,22 +99,14 @@ type jsonFlow struct {
 }
 
 type jsonMonitor struct {
-	Section        string               `json:"section"`
-	Seed           int64                `json:"seed"`
-	Sent           int                  `json:"sent"`
-	Delivered      uint64               `json:"delivered"`
-	Retransmits    uint64               `json:"retransmits"`
-	RecoveryEvents uint64               `json:"recovery_events"`
-	Injections     uint64               `json:"injections"`
-	InjectedAtMs   float64              `json:"injected_at_ms"`
-	DetectLatMs    float64              `json:"detect_latency_ms"`
-	DetectSource   string               `json:"detect_source,omitempty"`
-	Ticks          uint64               `json:"ticks"`
-	Events         []jsonEvent          `json:"events"`
-	FlowsExported  uint64               `json:"flows_exported"`
-	FlowsDropped   uint64               `json:"flows_dropped"`
-	Flows          []jsonFlow           `json:"flows"`
-	Taps           []campaign.TapTotals `json:"taps"`
+	Section string `json:"section"`
+	Seed    int64  `json:"seed"`
+	jsonTrial
+	Ticks        uint64               `json:"ticks"`
+	Events       []jsonEvent          `json:"events"`
+	FlowsDropped uint64               `json:"flows_dropped"`
+	Flows        []jsonFlow           `json:"flows"`
+	Taps         []campaign.TapTotals `json:"taps"`
 }
 
 type jsonFabric struct {
@@ -178,22 +164,27 @@ func ms(d sim.Duration) float64 {
 	return d.Seconds() * 1000
 }
 
+// viewTrial is the one mapping from a campaign.Trial to its JSON view.
+func viewTrial(t campaign.Trial) jsonTrial {
+	v := jsonTrial{
+		Outcome: string(t.Outcome), Quiesce: t.Quiesce, ElapsedMs: ms(t.Elapsed),
+		Sent: t.Sent, Delivered: t.Delivered, Retransmits: t.Retransmits,
+		GaveUp: t.GaveUp, RecoveryEvents: t.RecoveryEvents,
+		Injections: t.Injections, HeldOutputs: t.HeldOutputs,
+		InjectedAtMs: ms(t.InjectedAt), Detected: t.Detected,
+		DetectLatMs: -1, DetectSource: t.DetectSource,
+		FlowsExported: t.FlowsExported, Error: t.Err,
+	}
+	if t.Detected {
+		v.DetectLatMs = ms(t.DetectLatency)
+	}
+	return v
+}
+
 func viewSweep(trials []campaign.ResilienceTrial) jsonSweep {
 	sw := jsonSweep{Tally: map[string]int{}}
 	for _, t := range trials {
-		jt := jsonTrial{
-			ID: t.ID, Family: t.Family, Outcome: string(t.Outcome),
-			Sent: t.Sent, Delivered: t.Delivered, Retransmits: t.Retransmits,
-			GaveUp: t.GaveUp, RecoveryEvents: t.RecoveryEvents,
-			Injections: t.Injections, HeldOutputs: t.HeldOutputs,
-			InjectedAtMs: ms(t.InjectedAt), Detected: t.Detected,
-			DetectLatMs: -1, DetectSource: t.DetectSource,
-			FlowsExported: t.FlowsExported,
-		}
-		if t.Detected {
-			jt.DetectLatMs = ms(t.DetectLatency)
-		}
-		sw.Trials = append(sw.Trials, jt)
+		sw.Trials = append(sw.Trials, jsonResilienceTrial{ID: t.ID, Family: t.Family, jsonTrial: viewTrial(t.Trial)})
 		sw.Tally[string(t.Outcome)]++
 	}
 	sw.Detection = viewDetection(campaign.ComputeDetection(trials))
@@ -219,20 +210,7 @@ func viewChaos(res campaign.ChaosResult) jsonChaos {
 		Trials: []jsonChaosTrial{}, Tally: map[string]int{}, PerK: map[string]map[string]int{},
 	}
 	for _, t := range res.Trials {
-		jt := jsonChaosTrial{
-			ID: t.ID, Plan: t.Plan, K: t.K, Outcome: string(t.Outcome),
-			Quiesce: t.Quiesce, ElapsedMs: ms(t.Elapsed),
-			Sent: t.Sent, Delivered: t.Delivered, Retransmits: t.Retransmits,
-			GaveUp: t.GaveUp, RecoveryEvents: t.RecoveryEvents,
-			Injections: t.Injections, HeldOutputs: t.HeldOutputs,
-			InjectedAtMs: ms(t.InjectedAt), Detected: t.Detected,
-			DetectLatMs: -1, DetectSource: t.DetectSource,
-			FlowsExported: t.FlowsExported, Error: t.Err,
-		}
-		if t.Detected {
-			jt.DetectLatMs = ms(t.DetectLatency)
-		}
-		v.Trials = append(v.Trials, jt)
+		v.Trials = append(v.Trials, jsonChaosTrial{ID: t.ID, Plan: t.Plan, K: t.K, jsonTrial: viewTrial(t.Trial)})
 		v.Tally[string(t.Outcome)]++
 		k := fmt.Sprintf("%d", t.K)
 		if v.PerK[k] == nil {
@@ -284,14 +262,9 @@ func jsonReport(name string, o expOpts) (string, error) {
 	case "monitor":
 		res := campaign.RunMonitor(campaign.MonitorOptions{Seed: o.seed})
 		v = jsonMonitor{
-			Section: "monitor", Seed: o.seed,
-			Sent: res.Sent, Delivered: res.Delivered, Retransmits: res.Retransmits,
-			RecoveryEvents: res.RecoveryEvents, Injections: res.Injections,
-			InjectedAtMs: ms(res.InjectedAt), DetectLatMs: ms(res.DetectLatency),
-			DetectSource: res.DetectSource, Ticks: res.Ticks,
-			Events:        viewEvents(res.Events),
-			FlowsExported: res.FlowsExported, FlowsDropped: res.FlowsDropped,
-			Flows: viewFlows(res.Flows), Taps: res.Taps,
+			Section: "monitor", Seed: o.seed, jsonTrial: viewTrial(res.Trial),
+			Ticks: res.Ticks, Events: viewEvents(res.Events),
+			FlowsDropped: res.FlowsDropped, Flows: viewFlows(res.Flows), Taps: res.Taps,
 		}
 	case "chaos":
 		v = viewChaos(campaign.RunChaos(chaosOptions(o)))

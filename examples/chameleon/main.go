@@ -90,12 +90,14 @@ func main() {
 	// Phase 2: wedge the leaf's link — a passive network fault. Every
 	// GAP on node2's link becomes a spurious STOP, in both directions.
 	for _, dir := range []string{"L", "R"} {
-		tb.Configure(
+		if err := tb.Configure(
 			"DIR "+dir,
 			"COMPARE -- -- -- X0C",
 			"CORRUPT REPLACE -- -- -- X0F",
 			"MODE ON",
-		)
+		); err != nil {
+			panic(err)
+		}
 	}
 	a0 := answered
 	for i := 0; i < 5; i++ {

@@ -31,13 +31,15 @@ func main() {
 	// reply still parses.
 	victim := campaign.NodeMAC(0)
 	ctrl := campaign.NodeMAC(len(tb.Nodes) - 1)
-	tb.Configure(
+	if err := tb.Configure(
 		"DIR L",
 		fmt.Sprintf("COMPARE %02X %02X %02X 00", victim[3], victim[4], victim[5]),
 		fmt.Sprintf("CORRUPT REPLACE -- -- %02X --", ctrl[5]),
 		"CRC ON",
 		"MODE ON",
-	)
+	); err != nil {
+		panic(err)
+	}
 
 	var last *myrinet.Snapshot
 	for round := 0; round < 5; round++ {

@@ -46,14 +46,10 @@ func main() {
 		"RULE ADD 2 MODE ONCE ACT REPLACE PAT 81 VEC 82",
 		"RULE ADD 3 ACT CAP PAT 23 28 23 29 -- -- -- --",
 	}
-	tb.Configure(cmds...)
-	// RULE lines outlast Configure's per-command budget at 115200 baud;
-	// drain fully and insist every ADD was acknowledged before traffic.
-	tb.K.RunFor(20 * sim.Millisecond)
-	for i, resp := range tb.Console.Responses() {
-		if resp != "OK" {
-			panic(fmt.Sprintf("command %q -> %q", cmds[i], resp))
-		}
+	// Configure waits for every answer; insist each ADD was accepted
+	// before traffic.
+	if err := tb.Configure(cmds...); err != nil {
+		panic(err)
 	}
 
 	crcBefore := tb.Nodes[2].Interface().Counters().Drops[myrinet.DropCRC]

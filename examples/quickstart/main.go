@@ -19,13 +19,15 @@ func main() {
 
 	// Program the injector over the simulated RS-232 console. Matching
 	// is masked per window position: two don't-cares, then 0x18 0x18.
-	tb.Configure(
+	if err := tb.Configure(
 		"DIR R", // corrupt data flowing toward node 0
 		"COMPARE -- -- 18 18",
 		"CORRUPT REPLACE -- -- 19 --",
 		"CRC ON", // recompute the Myrinet CRC-8 so only the payload is wrong
 		"MODE ONCE",
-	)
+	); err != nil {
+		panic(err)
+	}
 	fmt.Println("injector configured over serial:", tb.Console.Responses())
 
 	// Deliver a datagram containing the victim pattern to node 0.

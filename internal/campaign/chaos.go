@@ -8,7 +8,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"time"
 
 	"netfi/internal/core"
 	"netfi/internal/host"
@@ -104,33 +103,12 @@ func (p ForkPlan) appendTo(b []byte) []byte {
 	return b
 }
 
-// ChaosTrial is one fork's run and triage. The detection axis mirrors
-// ResilienceTrial: InjectedAt is the first fault's observable onset.
+// ChaosTrial is one fork's run and triage.
 type ChaosTrial struct {
-	ID      int
-	Plan    string
-	K       int
-	Outcome TrialOutcome
-	Quiesce string
-	Elapsed sim.Duration
-
-	Sent           int
-	Delivered      uint64
-	Retransmits    uint64
-	GaveUp         uint64
-	RecoveryEvents uint64
-	Injections     uint64
-	HeldOutputs    int
-
-	InjectedAt    sim.Duration // first fault onset; -1 when none landed
-	Detected      bool
-	DetectLatency sim.Duration
-	DetectSource  string
-	FlowsExported uint64
-
-	// Err carries a panic surfaced by the worker pool's fault isolation;
-	// Outcome is OutcomeError and every other field is zero.
-	Err string
+	ID   int
+	Plan string
+	K    int
+	Trial
 
 	// Fingerprint is the full-world digest the fork-equivalence gate
 	// compares (counters, event log, flow records, kernel clock).
@@ -151,9 +129,6 @@ type ChaosOptions struct {
 	Gap sim.Duration
 	// Workers sizes the fork worker pool; <= 1 is serial.
 	Workers int
-	// WallClock, when nonzero, bounds each fork in real time — the
-	// escape hatch that keeps one livelocked fork from wedging a sweep.
-	WallClock time.Duration
 	// Rebuild runs every plan on a freshly built testbed instead of a
 	// fork — the warm-path control the benchmark and the equivalence
 	// gate compare against.
@@ -245,7 +220,7 @@ func newChaosBase(seed int64, opts ChaosOptions) *chaosBase {
 		// prefilter; the gapped rule keeps partial-match lanes live; the
 		// last never fires. Every fork then inherits live executor,
 		// capture-ring, and batch-plan state.
-		w.tb.Configure(
+		w.tb.mustConfigure(
 			"RULE ADD 60 MODE ONCE ACT TOGGLE PAT 55 55 VEC -- 01",
 			"RULE ADD 61 ACT CAP PAT 55 55",
 			"RULE ADD 62 ACT CAP PAT 55 G2 7E",
@@ -275,15 +250,6 @@ type forkWorld struct {
 	world
 	m    *sim.Mapper
 	from *chaosBase
-}
-
-// fork cuts a fork of the base into a new, empty world.
-func (b *chaosBase) fork() (*chaosBase, error) {
-	w := new(forkWorld)
-	if err := b.forkInto(w); err != nil {
-		return nil, err
-	}
-	return &w.world, nil
 }
 
 // forkInto deep-copies the base into w, an empty world or one an earlier
@@ -319,26 +285,16 @@ func (b *chaosBase) forkInto(w *forkWorld) error {
 // and digests the world it leaves.
 func runChaosTrial(b *chaosBase, plan ForkPlan, opts ChaosOptions) ChaosTrial {
 	opts.fillDefaults()
-	r := runTrial(b, plan.Faults, trialWorkload{messages: opts.Messages, gap: opts.Gap}, opts.WallClock)
 	return ChaosTrial{
 		ID: plan.ID, Plan: b.fp.label(plan), K: plan.K(),
-		Outcome: r.Outcome, Quiesce: r.Quiesce, Elapsed: r.Elapsed, Sent: opts.Messages,
-		Delivered: r.Delivered, Retransmits: r.Retransmits, GaveUp: r.GaveUp,
-		RecoveryEvents: r.RecoveryEvents, Injections: r.Injections, HeldOutputs: r.HeldOutputs,
-		InjectedAt: r.InjectedAt, Detected: r.Detected, DetectLatency: r.DetectLatency,
-		DetectSource: r.DetectSource, FlowsExported: r.FlowsExported,
+		Trial:       runTrial(b, plan.Faults, trialWorkload{messages: opts.Messages, gap: opts.Gap}),
 		Fingerprint: b.fp.render(b.tb, b.mon, b.rels),
 	}
 }
 
-// runForkChaosTrial cuts a fork from the warmed base into a new world and
-// runs the plan on it. The base is read-only during the clone, so forks cut
+// runForkChaosTrialIn cuts a fork from the warmed base into w and runs the
+// plan on it. The base is read-only during the clone, so forks cut
 // concurrently.
-func runForkChaosTrial(base *chaosBase, plan ForkPlan, opts ChaosOptions) ChaosTrial {
-	return runForkChaosTrialIn(base, new(forkWorld), plan, opts)
-}
-
-// runForkChaosTrialIn is runForkChaosTrial into w.
 func runForkChaosTrialIn(base *chaosBase, w *forkWorld, plan ForkPlan, opts ChaosOptions) ChaosTrial {
 	if err := base.forkInto(w); err != nil {
 		panic(fmt.Sprintf("chaos: fork %d: %v", plan.ID, err))
@@ -376,7 +332,7 @@ func (p *worlds) run(base *chaosBase, plan ForkPlan, opts ChaosOptions) ChaosTri
 
 // runRebuiltChaosTrial is the control path: warm a fresh world from
 // scratch and run the same plan. Fork equivalence demands its result be
-// byte-identical to runForkChaosTrial's.
+// byte-identical to runForkChaosTrialIn's.
 func runRebuiltChaosTrial(seed int64, plan ForkPlan, opts ChaosOptions) ChaosTrial {
 	return runChaosTrial(newChaosBase(seed, opts), plan, opts)
 }
@@ -410,12 +366,8 @@ func RunChaos(opts ChaosOptions) ChaosResult {
 	for i, err := range errs {
 		if err != nil {
 			trials[i] = ChaosTrial{
-				ID:         plans[i].ID,
-				Plan:       plans[i].String(),
-				K:          plans[i].K(),
-				Outcome:    OutcomeError,
-				InjectedAt: -1,
-				Err:        err.Error(),
+				ID: plans[i].ID, Plan: plans[i].String(), K: plans[i].K(),
+				Trial: Trial{Outcome: OutcomeError, InjectedAt: -1, Err: err.Error()},
 			}
 		}
 	}
@@ -441,10 +393,7 @@ func FormatChaos(r ChaosResult) string {
 			fmt.Fprintf(&b, "  fork %4d  k=%d %-15s %s\n", t.ID, t.K, t.Outcome, t.Err)
 			continue
 		}
-		fmt.Fprintf(&b, "  fork %4d  k=%d %-15s del=%d/%d retx=%d gaveup=%d resets=%d inj=%d det=%s (%s, %.1f ms)  %s\n",
-			t.ID, t.K, t.Outcome, t.Delivered, t.Sent, t.Retransmits,
-			t.GaveUp, t.RecoveryEvents, t.Injections,
-			formatDetection(t.verdict()), t.Quiesce, t.Elapsed.Seconds()*1000, t.Plan)
+		fmt.Fprintf(&b, "  fork %4d  k=%d %s  %s\n", t.ID, t.K, t.summary(), t.Plan)
 	}
 	writeTally(&b, "  tally:", CountOutcomes(r.Trials))
 	perK := make(map[int]map[TrialOutcome]int)
@@ -472,18 +421,6 @@ func FormatChaos(r ChaosResult) string {
 	return b.String()
 }
 
-// chaosFingerprint digests the world after a trial: kernel clock and event
-// count, every STAT counter on every port, interface, and engine, link
-// totals, transport statistics, and the monitoring plane's complete event
-// log, flow records, and tap totals. Two runs with equal fingerprints
-// executed the same events in the same order against the same state — the
-// byte-identity the fork-equivalence gate compares. A trial renders into
-// its world's own buffers (world.fp); this form uses fresh ones.
-func chaosFingerprint(tb *Testbed, mon *monitor.Plane, rels []*host.Reliable) string {
-	var f fingerprintBuf
-	return f.render(tb, mon, rels)
-}
-
 // fingerprintBuf is what a world's trial record strings — the plan label
 // and the fingerprint — are built in: the text and the sorted cable names,
 // kept from trial to trial. Every trial renders both once, so the text is
@@ -502,7 +439,12 @@ func (f *fingerprintBuf) label(p ForkPlan) string {
 	return string(f.text)
 }
 
-// render digests the world into f's buffers (see chaosFingerprint).
+// render digests the world after a trial into f's buffers: kernel clock and
+// event count, every STAT counter on every port, interface, and engine, link
+// totals, transport statistics, and the monitoring plane's complete event
+// log, flow records, and tap totals. Two runs with equal fingerprints
+// executed the same events in the same order against the same state — the
+// byte-identity the fork-equivalence gate compares.
 func (f *fingerprintBuf) render(tb *Testbed, mon *monitor.Plane, rels []*host.Reliable) string {
 	events, ring := mon.Events(), mon.Ring()
 	b := slices.Grow(f.text[:0], 4096+96*len(events)+128*ring.Len())

@@ -292,66 +292,6 @@ func (tb *FabricTestbed) Totals() (sent, delivered, bytes uint64) {
 	return
 }
 
-// fabricFingerprint digests the complete post-run state: coordinator
-// counters, every STAT counter on every switch port and host interface,
-// per-cable link totals, workload counters, flow records, and the per-host
-// receive event logs. Two runs with equal fingerprints executed the same
-// events in the same order — the byte-identity the shard equivalence gate
-// compares across shard counts. Shard-count-dependent quantities are
-// excluded or aggregated: windows and exchanged-delivery counts depend on
-// the shard count (one kernel runs one window and buffers nothing; more
-// shards cut a window per lookahead of busy virtual time, and every
-// buffered delivery rides the exchange), and
-// per-shard clocks / per-kernel event counts appear only as the global
-// last-event time and the processed-event sum, which the coordinator keeps
-// partition-independent.
-func fabricFingerprint(tb *FabricTestbed) string {
-	var b strings.Builder
-	f := tb.F
-	fmt.Fprintf(&b, "fabric now=%d processed=%d drained=%v\n",
-		f.Group.Now(), f.Group.Processed(), tb.drained)
-	var line []byte
-	for _, sw := range f.Switches {
-		for p := 0; p < sw.Ports(); p++ {
-			line = appendUint(append(line[:0], sw.Name()...), ".p", uint64(p))
-			line = appendCounters(line, sw.PortCounters(p))
-			b.Write(line)
-		}
-		fmt.Fprintf(&b, "%s held=%d\n", sw.Name(), sw.HeldOutputs())
-	}
-	for h, ifc := range f.Hosts {
-		line = appendCounters(append(line[:0], ifc.Name()...), ifc.Counters())
-		b.Write(line)
-		fmt.Fprintf(&b, "%s sent=%d errs=%d delivered=%d bytes=%d\n",
-			ifc.Name(), tb.Sent[h], tb.SendErrs[h], tb.Delivered[h], tb.Bytes[h])
-	}
-	for _, c := range f.Cables {
-		for _, l := range []interface {
-			Name() string
-			Stats() (uint64, uint64)
-			SeveredChars() uint64
-		}{c.LeftToRight, c.RightToLeft} {
-			chars, bursts := l.Stats()
-			fmt.Fprintf(&b, "link %s chars=%d bursts=%d severed=%d\n", l.Name(), chars, bursts, l.SeveredChars())
-		}
-	}
-	if tb.Cfg.Record {
-		for h := range tb.rings {
-			for _, rec := range tb.rings[h].Records() {
-				fmt.Fprintf(&b, "flow %s %v pkts=%d bytes=%d %d..%d cause=%v\n",
-					rec.Tap, rec.Key, rec.Packets, rec.Bytes, rec.First, rec.Last, rec.Cause)
-			}
-			fmt.Fprintf(&b, "ring %d exported=%d dropped=%d\n", h, tb.rings[h].Exported(), tb.rings[h].Dropped())
-		}
-		for h := range tb.logs {
-			for _, e := range tb.logs[h] {
-				fmt.Fprintf(&b, "ev h%04d at=%d src=%d n=%d\n", h, e.at, e.src, e.n)
-			}
-		}
-	}
-	return b.String()
-}
-
 // FabricResult summarizes one throughput run for the CLI.
 type FabricResult struct {
 	Cfg       FabricConfig

@@ -12,6 +12,13 @@ import (
 	"netfi/internal/myrinet"
 )
 
+// chaosFingerprint digests the world after a trial into fresh buffers (a
+// trial renders into its world's own, world.fp).
+func chaosFingerprint(tb *Testbed, mon *monitor.Plane, rels []*host.Reliable) string {
+	var f fingerprintBuf
+	return f.render(tb, mon, rels)
+}
+
 // chaosFingerprintFmt is the fmt rendering chaosFingerprint replaced, kept
 // as its oracle: the digest is compared across forks and rebuilds and
 // recorded by the benchmark, so the append-built one must match it byte for

@@ -31,26 +31,15 @@ type TapTotals struct {
 }
 
 // MonitorResult is the monitoring-plane demonstration's full record: the
-// workload outcome plus everything the plane observed.
+// trial's outcome plus everything the plane observed.
 type MonitorResult struct {
-	Sent           int
-	Delivered      uint64
-	Retransmits    uint64
-	RecoveryEvents uint64
-	Injections     uint64
+	Trial
 
-	Ticks         uint64
-	Events        []monitor.Event
-	FlowsExported uint64
-	FlowsDropped  uint64
-	Flows         []monitor.FlowRecord
-	Taps          []TapTotals
-
-	// InjectedAt / DetectLatency mirror the resilience trials' detection
-	// axis for this single scripted fault (-1 when undetected).
-	InjectedAt    sim.Duration
-	DetectLatency sim.Duration
-	DetectSource  string
+	Ticks        uint64
+	Events       []monitor.Event
+	FlowsDropped uint64
+	Flows        []monitor.FlowRecord
+	Taps         []TapTotals
 }
 
 // RunMonitor runs the monitoring plane through one full failure life cycle:
@@ -70,35 +59,21 @@ func RunMonitor(opts MonitorOptions) MonitorResult {
 		Rule: fmt.Sprintf("RULE ADD %d MODE ONCE ACT DROP PAT C0C", resilienceRuleID)}
 	// A fixed destination: the wedged output is then the heartbeat path
 	// toward node 1, so the accrual detector sees the outage directly.
-	r := runTrial(w, []Fault{wedge}, trialWorkload{messages: opts.Messages, gap: opts.Gap, dst: 1}, 0)
+	r := MonitorResult{Trial: runTrial(w, []Fault{wedge}, trialWorkload{messages: opts.Messages, gap: opts.Gap, dst: 1})}
 
 	mon := w.mon
-	res := MonitorResult{
-		Sent:           opts.Messages,
-		Delivered:      r.Delivered,
-		Retransmits:    r.Retransmits,
-		RecoveryEvents: r.RecoveryEvents,
-		Injections:     r.Injections,
-		Ticks:          mon.Ticks(),
-		Events:         append([]monitor.Event(nil), mon.Events()...),
-		FlowsExported:  r.FlowsExported,
-		FlowsDropped:   mon.Ring().Dropped(),
-		Flows:          mon.Ring().Records(),
-		InjectedAt:     r.InjectedAt,
-		DetectLatency:  -1,
-		DetectSource:   r.DetectSource,
-	}
-	if r.Detected {
-		res.DetectLatency = r.DetectLatency
-	}
+	r.Ticks = mon.Ticks()
+	r.Events = append([]monitor.Event(nil), mon.Events()...)
+	r.FlowsDropped = mon.Ring().Dropped()
+	r.Flows = mon.Ring().Records()
 	for _, t := range mon.Taps() {
 		bursts, chars, packets, control := t.Stats()
-		res.Taps = append(res.Taps, TapTotals{
+		r.Taps = append(r.Taps, TapTotals{
 			Name: t.Name(), Bursts: bursts, Chars: chars,
 			Packets: packets, Control: control,
 		})
 	}
-	return res
+	return r
 }
 
 // FormatMonitor renders the demonstration: workload line, detection line,
@@ -107,7 +82,7 @@ func FormatMonitor(r MonitorResult) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "workload: %d/%d delivered, %d retransmits, %d recovery events, %d injections\n",
 		r.Delivered, r.Sent, r.Retransmits, r.RecoveryEvents, r.Injections)
-	if r.InjectedAt >= 0 && r.DetectLatency >= 0 {
+	if r.Detected {
 		fmt.Fprintf(&b, "detected: %.1f ms after injection at %.1f ms, by %s\n",
 			r.DetectLatency.Seconds()*1000, r.InjectedAt.Seconds()*1000, r.DetectSource)
 	} else if r.InjectedAt >= 0 {

@@ -96,8 +96,8 @@ func TestMonitorLifecycle(t *testing.T) {
 	if r.Injections == 0 {
 		t.Fatal("scripted fault never landed")
 	}
-	if r.InjectedAt < 0 || r.DetectLatency < 0 {
-		t.Fatalf("fault not detected: injectedAt=%v latency=%v", r.InjectedAt, r.DetectLatency)
+	if r.InjectedAt < 0 || !r.Detected {
+		t.Fatalf("fault not detected: injectedAt=%v detected=%v", r.InjectedAt, r.Detected)
 	}
 	kinds := map[monitor.EventKind]int{}
 	details := map[string]int{}

@@ -98,20 +98,9 @@ func RunMultiRule(opts MultiRuleOptions) MultiRuleResult {
 		fmt.Sprintf("RULE ADD %d ACT CAP PAT %02X %02X %02X",
 			multiRuleWatchID, src[3], src[4], src[5]),
 	)
-	tb.Configure(cmds...)
-	// RULE ADD lines run longer than the legacy commands Configure's
-	// per-line budget assumes; drain the serial path completely before
-	// traffic, then require every response to be OK — a late-arriving ADD
-	// would silently re-arm the set mid-pass.
-	tb.K.RunFor(sim.Duration(len(strings.Join(cmds, "\n"))) * 100 * sim.Microsecond)
-	if got := len(tb.Console.Responses()); got != len(cmds) {
-		panic(fmt.Sprintf("campaign: %d of %d commands acknowledged", got, len(cmds)))
-	}
-	for i, resp := range tb.Console.Responses() {
-		if resp != "OK" {
-			panic(fmt.Sprintf("campaign: command %d (%q) -> %q", i, cmds[i], resp))
-		}
-	}
+	// Every ADD is answered OK before traffic: a late-arriving one would
+	// silently re-arm the set mid-pass.
+	tb.mustConfigure(cmds...)
 
 	crcBefore := make([]uint64, len(tb.Nodes))
 	for i, n := range tb.Nodes {

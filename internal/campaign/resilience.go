@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"sort"
 	"strings"
-	"time"
 
 	"netfi/internal/core"
 	"netfi/internal/host"
@@ -44,19 +43,20 @@ const (
 	// OutcomeWallClock — the trial's real-time escape hatch tripped; the
 	// result is timing-dependent and reported apart.
 	OutcomeWallClock TrialOutcome = "wallclock"
-	// OutcomeError — the trial panicked; see ChaosTrial.Err.
+	// OutcomeError — the trial panicked, or the board refused a rule
+	// armed mid-run; see Trial.Err.
 	OutcomeError TrialOutcome = "error"
 )
 
-// ResilienceTrial records one randomized injection and its triage.
-type ResilienceTrial struct {
-	ID      int
-	Family  string
-	Command string       // the RULE ADD line armed over the serial console
-	ArmAt   sim.Duration // when the line was queued, relative to traffic start
+// Trial is what runTrial observed of one trial: its triage, the workload's
+// fate and the detection axis. Counters are the trial's own: a warmed
+// world's history is subtracted. Every campaign record embeds it.
+type Trial struct {
 	Outcome TrialOutcome
 	Quiesce string // drained / stalled / deadline (from RunUntilQuiescent)
 	Elapsed sim.Duration
+	// Outstanding counts messages the reliable transport still holds.
+	Outstanding int
 
 	Sent        int
 	Delivered   uint64
@@ -67,15 +67,12 @@ type ResilienceTrial struct {
 	RecoveryEvents uint64
 	// Injections is the injector's own count of characters it perturbed.
 	Injections uint64
-	// ResetsOnWire is the injector's RESET-symbol observation (the figure
-	// STAT reports as resets=), both directions summed.
-	ResetsOnWire uint64
 	// HeldOutputs is the switch's owned-output count after quiescence.
 	HeldOutputs int
 
 	// Detection axis (the monitoring plane runs armed in every trial).
 	// InjectedAt is when the first fault landed on the wire, relative to
-	// traffic start; negative when the rule never fired.
+	// trial start; negative when none did.
 	InjectedAt sim.Duration
 	// Detected reports whether the plane raised any event at or after
 	// the injection.
@@ -88,6 +85,24 @@ type ResilienceTrial struct {
 	// FlowsExported counts NetFlow records the plane's switch taps
 	// exported over the trial.
 	FlowsExported uint64
+
+	// Err says why the trial is OutcomeError: the board's first answer
+	// other than "OK" to a rule armed mid-run, how many such rules went
+	// unanswered, or a panic the worker pool isolated (every other field
+	// is then zero).
+	Err string
+}
+
+// ResilienceTrial records one randomized injection and its triage.
+type ResilienceTrial struct {
+	ID      int
+	Family  string
+	Command string       // the RULE ADD line armed over the serial console
+	ArmAt   sim.Duration // when the line was queued, relative to traffic start
+	// ResetsOnWire is the injector's RESET-symbol observation (the figure
+	// STAT reports as resets=), both directions summed.
+	ResetsOnWire uint64
+	Trial
 }
 
 // ResilienceResult pairs the recovery-on sweep with its recovery-off rerun
@@ -264,7 +279,7 @@ type world struct {
 // freshWorld readies a just-built bed: the injector's direction is set over
 // the console, and nothing else runs yet.
 func freshWorld(tb *Testbed) *world {
-	tb.Configure("DIR L")
+	tb.mustConfigure("DIR L")
 	return &world{tb: tb, start: tb.K.Now()}
 }
 
@@ -338,27 +353,6 @@ type trialWorkload struct {
 	plainUDP bool
 }
 
-// trialResult is what runTrial observed: the fields both trial records
-// share, plus what triage reads. Counters are the trial's own: a warmed
-// world's history is subtracted.
-type trialResult struct {
-	Outcome        TrialOutcome
-	Quiesce        string
-	Elapsed        sim.Duration
-	Outstanding    int // messages the reliable transport still holds
-	Delivered      uint64
-	Retransmits    uint64
-	GaveUp         uint64
-	RecoveryEvents uint64
-	Injections     uint64
-	HeldOutputs    int
-	InjectedAt     sim.Duration // first fault onset from world start; -1 when none landed
-	Detected       bool
-	DetectLatency  sim.Duration
-	DetectSource   string
-	FlowsExported  uint64
-}
-
 // trialHooks is what runTrial arms on its world: the injection hook, the
 // fault and message events, the network probes, the quiescence progress
 // gauge and the first fault onset they record. Each event carries a record
@@ -371,6 +365,7 @@ type trialHooks struct {
 	plain   bool
 	faulted bool
 	faultAt sim.Time
+	arms    int // corrupt rules sent over the console
 
 	faults []faultEvent
 	sends  []sendEvent
@@ -405,7 +400,7 @@ type sendEvent struct {
 // arm readies the hooks for a trial on tb: the fault onset is cleared and,
 // on the world's first trial, the hooks are bound.
 func (h *trialHooks) arm(tb *Testbed) {
-	h.tb, h.faulted, h.faultAt = tb, false, 0
+	h.tb, h.faulted, h.faultAt, h.arms = tb, false, 0, 0
 	if h.mark == nil {
 		h.mark, h.drops, h.recovery = h.markFault, h.netDrops, h.netRecovery
 		h.progress, h.held = h.progressCount, h.heldOutputs
@@ -433,6 +428,7 @@ func fireFault(a any) {
 		ev.h.tb.Switch.SetRecovery(myrinet.RecoveryConfig{})
 	case FaultCorrupt:
 		ev.h.tb.Console.Send(ev.rule)
+		ev.h.arms++
 	}
 }
 
@@ -493,10 +489,11 @@ func (h *trialHooks) source(e monitor.Event) string {
 }
 
 // runTrial is the one trial procedure: schedule the faults on w, offer the
-// workload, run to quiescence (for at most wallClock of real time, when
-// nonzero), triage, and read the detection axis off the plane.
-func runTrial(w *world, faults []Fault, wl trialWorkload, wallClock time.Duration) trialResult {
+// workload, run to quiescence, triage, read the detection axis off the
+// plane, and check that the board accepted every rule armed mid-run.
+func runTrial(w *world, faults []Fault, wl trialWorkload) Trial {
 	tb, h := w.tb, &w.hooks
+	answered := len(tb.Console.Responses())
 	// The injection hooks are campaign-owned, so a fork re-arms them here.
 	h.arm(tb)
 	tb.Injector.Engine(DirOutbound).SetInjectionHook(h.mark)
@@ -560,11 +557,11 @@ func runTrial(w *world, faults []Fault, wl trialWorkload, wallClock time.Duratio
 		Progress:   h.progress,
 		StallAfter: 300 * sim.Millisecond,
 		Deadline:   3 * sim.Second,
-		WallClock:  wallClock,
 	})
-	r := trialResult{
+	r := Trial{
 		Quiesce:        q.Outcome(),
 		Elapsed:        q.Elapsed,
+		Sent:           wl.messages,
 		Delivered:      received(h.socks),
 		RecoveryEvents: recoveryEventCount(tb) - recovery0,
 		Injections:     tb.Injections() - injections0,
@@ -590,7 +587,25 @@ func runTrial(w *world, faults []Fault, wl trialWorkload, wallClock time.Duratio
 			r.DetectSource = h.source(e)
 		}
 	}
+	if err := armErr(h.arms, tb.Console.Responses()[answered:]); err != "" {
+		r.Outcome, r.Err = OutcomeError, err
+	}
 	return r
+}
+
+// armErr checks the board's answers to the arms rules a trial sent over the
+// console mid-run, the only lines that cross it during a trial: "" when each
+// was answered OK, else the first other answer, or how many went unanswered.
+func armErr(arms int, answers []string) string {
+	for _, a := range answers {
+		if a != "OK" {
+			return a
+		}
+	}
+	if len(answers) < arms {
+		return fmt.Sprintf("%d of %d armed rules unanswered", arms-len(answers), arms)
+	}
+	return ""
 }
 
 // received sums the datagrams the sockets handed to their application.
@@ -606,7 +621,7 @@ func received(socks []*host.Socket) uint64 {
 // is a hang, whichever workload ran. The rest is keyed on the workload: only
 // a transport that retries can hold messages, retransmit, or need a reset to
 // deliver, and what it loses it has degraded; plain UDP's losses are drops.
-func triage(q sim.QuiesceResult, r trialResult, sent int, retries bool) TrialOutcome {
+func triage(q sim.QuiesceResult, r Trial, sent int, retries bool) TrialOutcome {
 	switch {
 	case q.WallClockHit:
 		return OutcomeWallClock
@@ -663,19 +678,13 @@ func runResilienceTrial(seed int64, trial int, opts ResilienceOptions, recovery 
 		armAt = sim.Duration(tb.K.Rand().Int63n(int64(armSpan)))
 	}
 
-	r := runTrial(freshWorld(tb),
+	t := ResilienceTrial{ID: trial, Family: fam.name, Command: plan.cmd, ArmAt: armAt}
+	t.Trial = runTrial(freshWorld(tb),
 		[]Fault{{Kind: FaultCorrupt, Rule: plan.cmd, Family: fam.name, Delay: armAt}},
-		trialWorkload{messages: opts.Messages, gap: opts.Gap, plainUDP: !recovery}, 0)
-	return ResilienceTrial{
-		ID: trial, Family: fam.name, Command: plan.cmd, ArmAt: armAt,
-		Outcome: r.Outcome, Quiesce: r.Quiesce, Elapsed: r.Elapsed, Sent: opts.Messages,
-		Delivered: r.Delivered, Retransmits: r.Retransmits, GaveUp: r.GaveUp,
-		RecoveryEvents: r.RecoveryEvents, Injections: r.Injections,
-		ResetsOnWire: tb.Injector.Engine(DirOutbound).ResetsSeen() +
-			tb.Injector.Engine(DirInbound).ResetsSeen(),
-		HeldOutputs: r.HeldOutputs, InjectedAt: r.InjectedAt, Detected: r.Detected,
-		DetectLatency: r.DetectLatency, DetectSource: r.DetectSource, FlowsExported: r.FlowsExported,
-	}
+		trialWorkload{messages: opts.Messages, gap: opts.Gap, plainUDP: !recovery})
+	t.ResetsOnWire = tb.Injector.Engine(DirOutbound).ResetsSeen() +
+		tb.Injector.Engine(DirInbound).ResetsSeen()
+	return t
 }
 
 // RunResilience sweeps randomized injections with the recovery layer
@@ -699,19 +708,12 @@ func RunResilience(opts ResilienceOptions) ResilienceResult {
 	return res
 }
 
-// triaged is a trial record the shared tallies accept: verdict gives back
-// the outcome and detection axis of the trialResult it was built from.
-type triaged interface{ verdict() trialResult }
+// triaged is a trial record the shared tallies accept: one that embeds the
+// Trial it observed.
+type triaged interface{ verdict() Trial }
 
-func (t ResilienceTrial) verdict() trialResult {
-	return trialResult{Outcome: t.Outcome, InjectedAt: t.InjectedAt,
-		Detected: t.Detected, DetectLatency: t.DetectLatency, DetectSource: t.DetectSource}
-}
-
-func (t ChaosTrial) verdict() trialResult {
-	return trialResult{Outcome: t.Outcome, InjectedAt: t.InjectedAt,
-		Detected: t.Detected, DetectLatency: t.DetectLatency, DetectSource: t.DetectSource}
-}
+// verdict returns t; every record embedding a Trial inherits it.
+func (t Trial) verdict() Trial { return t }
 
 // CountOutcomes tallies a sweep's triage.
 func CountOutcomes[T triaged](trials []T) map[TrialOutcome]int {
@@ -780,16 +782,20 @@ func (s DetectionStats) Quantile(q float64) sim.Duration {
 	return s.Latencies[i]
 }
 
-// formatDetection renders a trial's detection cell.
-func formatDetection(t trialResult) string {
+// summary renders the trial's report cells: triage, workload counters, the
+// detection cell, and how and when the run ended.
+func (t Trial) summary() string {
+	det := "-"
 	switch {
 	case t.InjectedAt < 0:
-		return "-"
 	case !t.Detected:
-		return "miss"
+		det = "miss"
 	default:
-		return fmt.Sprintf("%.1fms:%s", t.DetectLatency.Seconds()*1000, t.DetectSource)
+		det = fmt.Sprintf("%.1fms:%s", t.DetectLatency.Seconds()*1000, t.DetectSource)
 	}
+	return fmt.Sprintf("%-15s del=%d/%d retx=%d gaveup=%d resets=%d inj=%d det=%s (%s, %.1f ms)",
+		t.Outcome, t.Delivered, t.Sent, t.Retransmits, t.GaveUp, t.RecoveryEvents, t.Injections,
+		det, t.Quiesce, t.Elapsed.Seconds()*1000)
 }
 
 // FormatDetectionCDF renders the full detection-latency CDF, one step per
@@ -828,10 +834,7 @@ func FormatResilience(r ResilienceResult) string {
 	render := func(title string, trials []ResilienceTrial) {
 		fmt.Fprintf(&b, "%s\n", title)
 		for _, t := range trials {
-			fmt.Fprintf(&b, "  trial %2d  %-14s %-15s del=%d/%d retx=%d gaveup=%d resets=%d inj=%d det=%s (%s, %.1f ms)\n",
-				t.ID, t.Family, t.Outcome, t.Delivered, t.Sent,
-				t.Retransmits, t.GaveUp, t.RecoveryEvents, t.Injections,
-				formatDetection(t.verdict()), t.Quiesce, t.Elapsed.Seconds()*1000)
+			fmt.Fprintf(&b, "  trial %2d  %-14s %s\n", t.ID, t.Family, t.summary())
 		}
 		writeTally(&b, "  tally:", CountOutcomes(trials))
 		det := ComputeDetection(trials)

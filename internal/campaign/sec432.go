@@ -88,7 +88,7 @@ func runMappingCorruption(seed int64, res Sec432Result) Sec432Result {
 	// Match the 4-byte mapping type field 00 00 00 05 and corrupt the
 	// designator to 0x000B ("000x where x is a random value"). Armed for
 	// exactly one round.
-	tb.Configure(
+	tb.mustConfigure(
 		"DIR L", // outbound: the tapped node's scout replies
 		"COMPARE 00 00 00 05",
 		"CORRUPT REPLACE -- -- -- 0B",
@@ -129,7 +129,7 @@ func runDataTypeCorruption(seed int64, res Sec432Result) Sec432Result {
 	dst := tb.Nodes[1]
 	routesBefore := fmt.Sprint(dst.Interface().Routes())
 
-	tb.Configure(
+	tb.mustConfigure(
 		"DIR L",
 		"COMPARE 00 00 00 04",
 		"CORRUPT REPLACE -- -- -- 0B",
@@ -164,7 +164,7 @@ func runRouteMSB(seed int64, res Sec432Result) Sec432Result {
 	// On the switch→host segment a packet head reads: final route byte
 	// 0x00, then the type field's three zero bytes. Match that window
 	// and set the route byte's MSB (position 0, the oldest window slot).
-	tb.Configure(
+	tb.mustConfigure(
 		"DIR R",
 		"COMPARE 00 00 00 00",
 		"CORRUPT REPLACE 81 -- -- --",
@@ -201,7 +201,7 @@ func runMisroute(seed int64, res Sec432Result) Sec432Result {
 
 	// Outbound packets to node1 open with route byte 0x81 followed by
 	// the type field's zeros; redirect the first one to port 2 (node2).
-	tb.Configure(
+	tb.mustConfigure(
 		"DIR L",
 		"COMPARE 81 00 00 00",
 		"CORRUPT REPLACE 82 -- -- --",

@@ -112,7 +112,7 @@ func runDestCorruption(seed int64, res Sec433Result) Sec433Result {
 	// Outbound data to node1: destination MAC tail (..40 40 12) followed
 	// by the source MAC's first byte. Replace the last address byte with
 	// node2's; no CRC recompute, so the trailing CRC-8 goes stale.
-	tb.Configure(
+	tb.mustConfigure(
 		"DIR L",
 		macWindow(1, NodeMAC(0)[0]), // dest MAC tail, then source MAC's first byte
 		macLastByteReplace(NodeMAC(2)[5]),
@@ -144,7 +144,7 @@ func runSelfAddressCorruption(seed int64, res Sec433Result) Sec433Result {
 
 	// Inbound to the tapped node: its own MAC tail followed by the
 	// source MAC's first byte identifies data packets addressed to it.
-	tb.Configure(
+	tb.mustConfigure(
 		"DIR R",
 		macWindow(0, NodeMAC(1)[0]), // own MAC as destination, then source MAC
 		macLastByteReplace(NodeMAC(1)[5]),
@@ -180,7 +180,7 @@ func runControllerDuplicate(seed int64, res Sec433Result) Sec433Result {
 	// The tapped node's scout replies carry its MAC followed by the
 	// probe sequence's high byte (zero). Rewrite the address tail to the
 	// controller's, CRC recomputed so the reply still parses.
-	tb.Configure(
+	tb.mustConfigure(
 		"DIR L",
 		macWindow(0, 0x00), // own MAC in a scout reply, then the sequence high byte
 		macLastByteReplace(NodeMAC(len(tb.Nodes) - 1)[5]),
@@ -215,7 +215,7 @@ func runGhostAddress(seed int64, res Sec433Result) Sec433Result {
 	ghost := NodeMAC(0)
 	ghost[5] = 0x77
 
-	tb.Configure(
+	tb.mustConfigure(
 		"DIR L",
 		macWindow(0, 0x00),
 		macLastByteReplace(0x77),

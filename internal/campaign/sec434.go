@@ -48,7 +48,7 @@ func sec434Evading(seed int64) (delivered bool, payload string) {
 	}); err != nil {
 		panic(err)
 	}
-	tb.Configure(
+	tb.mustConfigure(
 		"DIR R",
 		"COMPARE 48 61 76 65",         // "Have"
 		"CORRUPT REPLACE 76 65 48 61", // "veHa"
@@ -72,7 +72,7 @@ func sec434NonEvading(seed int64) bool {
 	}); err != nil {
 		panic(err)
 	}
-	tb.Configure(
+	tb.mustConfigure(
 		"DIR R",
 		"COMPARE 48 61 76 65",
 		"CORRUPT REPLACE 58 -- -- --", // 'X'

@@ -173,20 +173,8 @@ func runLoad(cfg TestbedConfig, s Spec, d sim.Duration) (*Testbed, *Load, error)
 				continue
 			}
 			lines := append([]string{"DIR " + dir}, f.Commands...)
-			before := len(tb.Console.Responses())
-			tb.Configure(lines...)
-			// Long lines (RULE ADD) outlast Configure's per-line budget.
-			for wait := 0; wait < 100 && len(tb.Console.Responses())-before < len(lines); wait++ {
-				tb.K.RunFor(sim.Millisecond)
-			}
-			got := tb.Console.Responses()[before:]
-			if len(got) != len(lines) {
-				return nil, nil, fmt.Errorf("campaign: fault %d: %d answers to the %d lines %q", i, len(got), len(lines), lines)
-			}
-			for j, answer := range got {
-				if answer != "OK" {
-					return nil, nil, fmt.Errorf("campaign: fault %d: %q -> %q", i, lines[j], answer)
-				}
+			if err := tb.Configure(lines...); err != nil {
+				return nil, nil, fmt.Errorf("fault %d: %w", i, err)
 			}
 			e := tb.Injector.Engine(DirInbound)
 			if dir == "L" {

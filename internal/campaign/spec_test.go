@@ -158,9 +158,10 @@ func TestRunSpecRejectedCommand(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "fault 1") || !strings.Contains(err.Error(), "BOGUS CMD") {
 		t.Errorf("err = %v, want one naming fault 1 and its command", err)
 	}
-	// A line answered with more than one line is refused too.
-	if _, err := RunSpec(Spec{Name: "stat", DurationMS: 5, Faults: []FaultSpec{{Commands: []string{"STAT"}}}}); err == nil {
-		t.Error("STAT (a multi-line answer) accepted")
+	// A line answered with data lines before its OK is accepted: only the
+	// terminal OK/ERR line is its answer.
+	if _, err := RunSpec(Spec{Name: "stat", DurationMS: 5, Faults: []FaultSpec{{Commands: []string{"STAT"}}}}); err != nil {
+		t.Errorf("STAT (data lines, then OK): %v", err)
 	}
 	// A RULE ADD line outlasts the per-line serial budget; its OK is
 	// waited for, not mistaken for a missing answer.

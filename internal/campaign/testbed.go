@@ -8,7 +8,10 @@
 package campaign
 
 import (
+	"errors"
 	"fmt"
+	"strconv"
+	"strings"
 
 	"netfi/internal/core"
 	"netfi/internal/host"
@@ -159,14 +162,58 @@ func NewTestbed(cfg TestbedConfig) *Testbed {
 func (tb *Testbed) TapNode() *host.Node { return tb.Nodes[tb.cfg.TapNode] }
 
 // Configure sends command lines to the injector over the serial console and
-// advances the simulation until the line drains — reconfiguration costs
-// real (simulated) time, as it did through the paper's RS-232 path.
-func (tb *Testbed) Configure(cmds ...string) {
+// advances the simulation until the board has answered each of them —
+// reconfiguration costs real (simulated) time, as it did through the
+// paper's RS-232 path. A line's answer is its terminal "OK" or "ERR …" line
+// (STAT, CAP and RULE LIST print data lines before it). The error names the
+// first line not answered OK.
+func (tb *Testbed) Configure(cmds ...string) error {
+	before := len(tb.Console.Responses())
 	for _, c := range cmds {
 		tb.Console.Send(c)
 	}
-	// A command byte takes ~87 us at 115200 baud; run until quiet.
+	// A command byte takes ~87 us at 115200 baud: 3 ms covers a legacy
+	// command, and long lines (RULE ADD) run on a millisecond at a time.
 	tb.K.RunFor(sim.Duration(len(cmds)) * 3 * sim.Millisecond)
+	for wait := 0; wait < 100 && answers(tb.Console.Responses()[before:]) < len(cmds); wait++ {
+		tb.K.RunFor(sim.Millisecond)
+	}
+	i := 0
+	for _, line := range tb.Console.Responses()[before:] {
+		if !isAnswer(line) || i == len(cmds) {
+			continue
+		}
+		if line != "OK" {
+			return errors.New("campaign: " + strconv.Quote(cmds[i]) + " -> " + strconv.Quote(line))
+		}
+		i++
+	}
+	if i < len(cmds) {
+		return errors.New("campaign: no answer to " + strconv.Quote(cmds[i]))
+	}
+	return nil
+}
+
+// mustConfigure is Configure for the paper's sections and the campaigns'
+// own set-up, whose fixed command lines the injector always accepts.
+func (tb *Testbed) mustConfigure(cmds ...string) {
+	if err := tb.Configure(cmds...); err != nil {
+		panic(err)
+	}
+}
+
+// isAnswer reports whether a console line ends a command's response.
+func isAnswer(line string) bool { return line == "OK" || strings.HasPrefix(line, "ERR") }
+
+// answers counts the command responses among console lines.
+func answers(lines []string) int {
+	n := 0
+	for _, l := range lines {
+		if isAnswer(l) {
+			n++
+		}
+	}
+	return n
 }
 
 // ConfigureBothMode arms or disarms both directions' triggers.

@@ -1,6 +1,7 @@
 package campaign
 
 import (
+	"strings"
 	"testing"
 
 	"netfi/internal/core"
@@ -79,6 +80,35 @@ func TestTestbedSerialConfiguration(t *testing.T) {
 		if r != "OK" {
 			t.Errorf("unexpected response %q", r)
 		}
+	}
+}
+
+// TestConfigureWaitsForEveryAnswer: Configure returns only once the board
+// has answered every line, RULE ADD lines past their 3 ms budget included;
+// a STAT's data lines are part of its answer, not answers of their own; and
+// the first line not answered OK is named in the error, with the board's
+// line.
+func TestConfigureWaitsForEveryAnswer(t *testing.T) {
+	tb := NewTestbed(TestbedConfig{Seed: 1})
+	if err := tb.Configure("DIR L", "STAT"); err != nil {
+		t.Fatal(err)
+	}
+	if got := tb.Console.Responses(); answers(got) != 2 || len(got) <= 2 {
+		t.Fatalf("responses %q: want 2 answers and STAT's data lines", got)
+	}
+	// Two lines of ~60 characters: ~5 ms each at 115200 baud, against
+	// a 6 ms budget for both.
+	if err := tb.Configure(
+		"RULE ADD 1 PRIO 1 ACT REPLACE PAT 40 40 12 06 VEC -- -- 71 --",
+		"RULE ADD 2 MODE ONCE ACT CAP PAT 55 55 G2 7E 3A 3B 3C 3D"); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(tb.Injector.Engine(DirOutbound).Rules()); n != 2 {
+		t.Fatalf("%d rules armed when Configure returned, want 2", n)
+	}
+	err := tb.Configure("MODE ONCE", "RULE ADD 70 MODE ONCE ACT DROP:9 PAT 55", "MODE ON")
+	if err == nil || !strings.Contains(err.Error(), `"RULE ADD 70 MODE ONCE ACT DROP:9 PAT 55" -> "ERR `) {
+		t.Fatalf("a refused line gave %v, want it named with the board's ERR line", err)
 	}
 }
 

@@ -19,8 +19,8 @@ func TestTriage(t *testing.T) {
 	drained := sim.QuiesceResult{Drained: true}
 	stalled := sim.QuiesceResult{Stalled: true}
 	deadline := sim.QuiesceResult{DeadlineHit: true}
-	all := trialResult{Delivered: sent}
-	with := func(f func(*trialResult)) trialResult {
+	all := Trial{Delivered: sent}
+	with := func(f func(*Trial)) Trial {
 		r := all
 		f(&r)
 		return r
@@ -28,33 +28,33 @@ func TestTriage(t *testing.T) {
 	for _, c := range []struct {
 		name    string
 		q       sim.QuiesceResult
-		r       trialResult
+		r       Trial
 		retries bool
 		want    TrialOutcome
 	}{
 		// Resilience with recovery: reliable transport.
-		{"reliable stalled with work outstanding", stalled, with(func(r *trialResult) { r.Outstanding, r.Delivered = 1, 5 }), true, OutcomeHung},
-		{"reliable deadline with work outstanding", deadline, with(func(r *trialResult) { r.Outstanding, r.Delivered = 1, 5 }), true, OutcomeHung},
-		{"reliable drained with work outstanding", drained, with(func(r *trialResult) { r.Outstanding, r.Delivered = 1, 5 }), true, OutcomeHung},
-		{"reliable delivered after a reset", drained, with(func(r *trialResult) { r.RecoveryEvents, r.Retransmits = 2, 1 }), true, OutcomeResetRecovered},
-		{"reliable delivered after a retry", drained, with(func(r *trialResult) { r.Retransmits = 1 }), true, OutcomeRetransmitted},
+		{"reliable stalled with work outstanding", stalled, with(func(r *Trial) { r.Outstanding, r.Delivered = 1, 5 }), true, OutcomeHung},
+		{"reliable deadline with work outstanding", deadline, with(func(r *Trial) { r.Outstanding, r.Delivered = 1, 5 }), true, OutcomeHung},
+		{"reliable drained with work outstanding", drained, with(func(r *Trial) { r.Outstanding, r.Delivered = 1, 5 }), true, OutcomeHung},
+		{"reliable delivered after a reset", drained, with(func(r *Trial) { r.RecoveryEvents, r.Retransmits = 2, 1 }), true, OutcomeResetRecovered},
+		{"reliable delivered after a retry", drained, with(func(r *Trial) { r.Retransmits = 1 }), true, OutcomeRetransmitted},
 		{"reliable delivered first time", drained, all, true, OutcomeMasked},
-		{"reliable gave up", drained, with(func(r *trialResult) { r.Delivered, r.GaveUp = 5, 1 }), true, OutcomeDegraded},
+		{"reliable gave up", drained, with(func(r *Trial) { r.Delivered, r.GaveUp = 5, 1 }), true, OutcomeDegraded},
 		// Chaos: reliable transport on a warmed world.
-		{"reliable wall clock", sim.QuiesceResult{WallClockHit: true}, with(func(r *trialResult) { r.Outstanding = 3 }), true, OutcomeWallClock},
-		{"reliable drained, output held, work lost", drained, with(func(r *trialResult) { r.Delivered, r.GaveUp, r.HeldOutputs = 5, 1, 1 }), true, OutcomeHung},
-		{"reliable abandoned toward a dead node", drained, with(func(r *trialResult) { r.Delivered, r.GaveUp = 3, 3 }), true, OutcomeDegraded},
+		{"reliable wall clock", sim.QuiesceResult{WallClockHit: true}, with(func(r *Trial) { r.Outstanding = 3 }), true, OutcomeWallClock},
+		{"reliable drained, output held, work lost", drained, with(func(r *Trial) { r.Delivered, r.GaveUp, r.HeldOutputs = 5, 1, 1 }), true, OutcomeHung},
+		{"reliable abandoned toward a dead node", drained, with(func(r *Trial) { r.Delivered, r.GaveUp = 3, 3 }), true, OutcomeDegraded},
 		// Resilience without recovery: plain UDP.
-		{"plain stalled", stalled, trialResult{Delivered: 5}, false, OutcomeHung},
-		{"plain deadline", deadline, trialResult{Delivered: 5}, false, OutcomeHung},
-		{"plain drained, output held", drained, trialResult{Delivered: 5, HeldOutputs: 1}, false, OutcomeHung},
-		{"plain delivered", drained, trialResult{Delivered: sent}, false, OutcomeMasked},
-		{"plain lost", drained, trialResult{Delivered: 4}, false, OutcomeDropped},
+		{"plain stalled", stalled, Trial{Delivered: 5}, false, OutcomeHung},
+		{"plain deadline", deadline, Trial{Delivered: 5}, false, OutcomeHung},
+		{"plain drained, output held", drained, Trial{Delivered: 5, HeldOutputs: 1}, false, OutcomeHung},
+		{"plain delivered", drained, Trial{Delivered: sent}, false, OutcomeMasked},
+		{"plain lost", drained, Trial{Delivered: 4}, false, OutcomeDropped},
 		// Where the switches disagreed.
 		{"disagreed: reliable stalled, nothing outstanding", stalled, all, true, OutcomeHung},
 		{"disagreed: reliable deadline, nothing outstanding", deadline, all, true, OutcomeHung},
-		{"disagreed: reliable drained, all delivered, output held", drained, with(func(r *trialResult) { r.HeldOutputs = 1 }), true, OutcomeHung},
-		{"disagreed: plain delivered, recovery events", drained, trialResult{Delivered: sent, RecoveryEvents: 1}, false, OutcomeMasked},
+		{"disagreed: reliable drained, all delivered, output held", drained, with(func(r *Trial) { r.HeldOutputs = 1 }), true, OutcomeHung},
+		{"disagreed: plain delivered, recovery events", drained, Trial{Delivered: sent, RecoveryEvents: 1}, false, OutcomeMasked},
 	} {
 		if got := triage(c.q, c.r, sent, c.retries); got != c.want {
 			t.Errorf("%s: triage = %s, want %s", c.name, got, c.want)
@@ -95,5 +95,33 @@ func TestTrialAllocs(t *testing.T) {
 	plan := GenerateForkPlans(copts)[1]
 	if got := testing.AllocsPerRun(10, func() { runRebuiltChaosTrial(copts.Seed, plan, copts) }); got > 439 {
 		t.Errorf("rebuilt chaos trial (%s): %v objects, want at most 439", plan, got)
+	}
+}
+
+// TestRefusedArmIsAnError: a rule the board refuses mid-run is not a fault
+// that missed. The trial is OutcomeError and its Err is the board's ERR
+// line, on a fresh world as on a fork.
+func TestRefusedArmIsAnError(t *testing.T) {
+	refused := Fault{Kind: FaultCorrupt, Family: "truncate", Delay: 4 * sim.Millisecond,
+		Rule: "RULE ADD 70 MODE ONCE ACT DROP:9 PAT 55"} // past the 4-character window
+	want := "ERR core: rule 70 drop count 9 exceeds window size 4"
+	check := func(where string, tr Trial) {
+		t.Helper()
+		if tr.Outcome != OutcomeError || tr.Err != want {
+			t.Errorf("%s: outcome %s, err %q; want %s, %q", where, tr.Outcome, tr.Err, OutcomeError, want)
+		}
+	}
+	fresh := freshWorld(NewTestbed(TestbedConfig{Seed: 3, Recovery: trialRecovery}))
+	check("fresh world", runTrial(fresh, []Fault{refused}, trialWorkload{messages: 4, gap: 5 * sim.Millisecond}))
+
+	opts := chaosTestOptions(31337, 1)
+	base := newChaosBase(opts.Seed, opts)
+	plan := ForkPlan{ID: 1, Faults: []Fault{
+		{Kind: FaultCorrupt, Family: "gap-drop", Rule: "RULE ADD 70 MODE ONCE ACT DROP PAT C0C", Delay: 2 * sim.Millisecond},
+		refused,
+	}}
+	check("fork", runForkChaosTrial(base, plan, opts).Trial)
+	if ok := runForkChaosTrial(base, ForkPlan{Faults: plan.Faults[:1]}, opts); ok.Outcome == OutcomeError {
+		t.Errorf("an accepted arm on the same base: %s %q", ok.Outcome, ok.Err)
 	}
 }

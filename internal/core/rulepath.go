@@ -21,42 +21,6 @@ import (
 // older characters have left the compare register and their FIFO slots are
 // no longer addressable, exactly as in the hardware.
 
-// RuleFromConfig expresses the legacy single-pattern register file as an
-// equivalent one-rule set: the compare window becomes a gap-free 4-step
-// sequence and the corrupt vector keeps its per-position alignment. The two
-// paths agree once the compare register has shifted past its idle fill
-// (the automaton consumes only real stream symbols).
-func RuleFromConfig(id int, cfg Config) rules.Rule {
-	r := rules.Rule{ID: id}
-	switch cfg.Match {
-	case MatchOn:
-		r.Mode = rules.ModeOn
-	case MatchOnce:
-		r.Mode = rules.ModeOnce
-	default:
-		r.Mode = rules.ModeOff
-	}
-	for i := 0; i < WindowSize; i++ {
-		r.Steps = append(r.Steps, rules.Step{
-			Sym:  uint16(cfg.CompareData[i]) & rules.SymbolMask,
-			Mask: uint16(cfg.CompareMask[i]) & rules.SymbolMask,
-		})
-	}
-	if cfg.Corrupt == CorruptToggle {
-		r.Action = rules.ActionToggle
-		for i := 0; i < WindowSize; i++ {
-			r.CorruptData = append(r.CorruptData, uint16(cfg.CorruptData[i])&rules.SymbolMask)
-		}
-	} else {
-		r.Action = rules.ActionReplace
-		for i := 0; i < WindowSize; i++ {
-			r.CorruptData = append(r.CorruptData, uint16(cfg.CorruptData[i])&rules.SymbolMask)
-			r.CorruptMask = append(r.CorruptMask, uint16(cfg.CorruptMask[i])&rules.SymbolMask)
-		}
-	}
-	return r
-}
-
 // ruleStore is the storage an engine arms its rule path in: the executor
 // every installed program is loaded into, the list a rule change is built
 // in, the key scratch, and the memo of compiled rule sets. It belongs to the

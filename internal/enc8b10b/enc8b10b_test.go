@@ -196,3 +196,18 @@ func TestCommaUniqueness(t *testing.T) {
 		}
 	}
 }
+
+// EncodeStream encodes a byte stream (all data characters) from an initial
+// disparity, returning the code groups and final disparity.
+func EncodeStream(data []byte, rd RD) ([]uint16, RD) {
+	out := make([]uint16, len(data))
+	for i, b := range data {
+		code, next, err := Encode(b, false, rd)
+		if err != nil {
+			panic(err) // unreachable: every data byte encodes
+		}
+		out[i] = code
+		rd = next
+	}
+	return out, rd
+}

@@ -185,3 +185,9 @@ func TestPingPongMeasuresPerPacketTime(t *testing.T) {
 		t.Errorf("PerPacket = %v, want ~235us", res.PerPacket)
 	}
 }
+
+// EncodeUDP builds the datagram: header with a one's-complement checksum
+// over header (checksum field zero) plus data.
+func EncodeUDP(srcPort, dstPort uint16, data []byte) []byte {
+	return appendUDP(make([]byte, 0, udpHeaderLen+len(data)), srcPort, dstPort, data)
+}

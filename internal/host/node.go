@@ -202,13 +202,9 @@ func (s *Socket) SetHandler(handler func(src myrinet.MAC, srcPort uint16, data [
 // udpHeaderLen is srcPort(2) + dstPort(2) + length(2) + checksum(2).
 const udpHeaderLen = 8
 
-// EncodeUDP builds the datagram: header with a one's-complement checksum
-// over header (checksum field zero) plus data.
-func EncodeUDP(srcPort, dstPort uint16, data []byte) []byte {
-	return appendUDP(make([]byte, 0, udpHeaderLen+len(data)), srcPort, dstPort, data)
-}
-
-// appendUDP appends the datagram EncodeUDP builds to dst.
+// appendUDP appends the datagram srcPort → dstPort carrying data to dst:
+// the header with a one's-complement checksum over header (checksum field
+// zero) plus data.
 func appendUDP(dst []byte, srcPort, dstPort uint16, data []byte) []byte {
 	start := len(dst)
 	dst = append(dst, 0, 0, 0, 0, 0, 0, 0, 0)

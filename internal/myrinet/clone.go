@@ -21,9 +21,8 @@ import (
 //   - Cross-references that span devices (a controller's output link, a tap,
 //     a queued packet's completion) resolve through sim.Rebind, so clone
 //     order never matters.
-//   - Queued txPackets survive only with interface-form completions (an
-//     Interface's own sends); a pending closure completion (EnqueuePacket)
-//     fails the fork loudly.
+//   - A queued txPacket's completion is an interface (an Interface's own
+//     sends), rebound like any other cross-reference.
 //   - The published mapping snapshot is shared: a new round replaces it,
 //     never mutates it.
 
@@ -57,16 +56,12 @@ func (s *SlackBuffer) cloneInto(s2 *SlackBuffer, wm watermarks) {
 }
 
 // clone copies one queued packet into p2, its stream into a fresh buffer of
-// the fork kernel's pool. The interface-form completion rebinds at Finish
-// through p2, so p2 must stay put until the fork completes; a closure-form
-// completion cannot cross a fork and fails it.
-func (p *txPacket) clone(m *sim.Mapper, owner string, p2 *txPacket) {
+// the fork kernel's pool. The completion rebinds at Finish through p2, so p2
+// must stay put until the fork completes.
+func (p *txPacket) clone(m *sim.Mapper, p2 *txPacket) {
 	*p2 = *p
 	p2.chars = phy.PoolOf(m.Kernel()).Get(len(p.chars))
 	copy(p2.chars, p.chars)
-	if p.onDone != nil {
-		m.Fail(fmt.Errorf("myrinet: fork: %s has a queued packet with a closure completion", owner))
-	}
 	if p.done != nil {
 		sim.Rebind(m, &p2.done, p.done)
 	}
@@ -90,12 +85,12 @@ func (lc *LinkController) Clone(m *sim.Mapper) *LinkController {
 		lc.stopWatchdog.CloneInto(m, &lc2.stopWatchdog, lc2)
 	}
 	if lc.sending {
-		lc.cur.clone(m, lc.name, &lc2.cur)
+		lc.cur.clone(m, &lc2.cur)
 	}
 	q := lc.txq[lc.txHead:]
 	lc2.txq = sim.Resize(txq, len(q))
 	for i := range q {
-		q[i].clone(m, lc.name, &lc2.txq[i])
+		q[i].clone(m, &lc2.txq[i])
 	}
 	lc2.streamBuf, lc2.streamPos = append(stream[:0], lc.streamBuf[lc.streamPos:]...), 0
 	lc2.slack.buf = ring

@@ -58,16 +58,12 @@ type LinkController struct {
 }
 
 // txPacket is one queued packet: its encoded character stream (including the
-// trailing GAP) and a completion callback. Completion comes in two forms:
-// the closure form (onDone) for tests and ad-hoc senders, and the interface
-// form (done) for registered model objects. Only the interface form survives
-// a fork — a closure's captures cannot be rebound to the new world. The
-// stream is a burst from the kernel's pool, owned by the queue and released
-// once the packet is finished or terminated.
+// trailing GAP) and its completion, if any — a registered model object, so it
+// rebinds across a fork. The stream is a burst from the kernel's pool, owned
+// by the queue and released once the packet is finished or terminated.
 type txPacket struct {
-	chars  []phy.Character
-	onDone func(terminated bool)
-	done   TxCompletion
+	chars []phy.Character
+	done  TxCompletion
 }
 
 // linkConsumer is the device a controller feeds — a switch port or a host
@@ -95,9 +91,6 @@ type TxCompletion interface {
 
 // finish reports the packet's completion and releases its stream.
 func (lc *LinkController) finish(p txPacket, terminated bool) {
-	if p.onDone != nil {
-		p.onDone(terminated)
-	}
 	if p.done != nil {
 		p.done.TxDone(terminated)
 	}
@@ -195,16 +188,6 @@ func (lc *LinkController) Discard(n int) { lc.slack.Discard(n) }
 func (lc *LinkController) Buffered() int { return lc.slack.Len() }
 
 // ---- Transmit side ----
-
-// EnqueuePacket queues a copy of an encoded packet (characters including
-// the trailing GAP) for transmission. onDone, if non-nil, is invoked when the
-// last character has been handed to the link (terminated=false) or when the
-// long-period timeout killed the packet (terminated=true).
-func (lc *LinkController) EnqueuePacket(chars []phy.Character, onDone func(terminated bool)) {
-	own := lc.pool.Get(len(chars))
-	copy(own, chars)
-	lc.enqueue(txPacket{chars: own, onDone: onDone})
-}
 
 // enqueue queues a packet whose stream is a burst from lc's pool.
 func (lc *LinkController) enqueue(p txPacket) {

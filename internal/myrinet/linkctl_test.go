@@ -59,12 +59,12 @@ func TestLinkControllerTransmitsQueuedPacket(t *testing.T) {
 	k := sim.NewKernel(1)
 	ep := newTestEndpoint(t, k, "a")
 	done := false
-	ep.lc.EnqueuePacket(packetChars(10), func(terminated bool) {
+	enqueueCopy(ep.lc, packetChars(10), txFunc(func(terminated bool) {
 		if terminated {
 			t.Error("packet reported terminated")
 		}
 		done = true
-	})
+	}))
 	k.Run()
 	if !done {
 		t.Fatal("completion callback not invoked")
@@ -82,7 +82,7 @@ func TestLinkControllerStopPausesTransmit(t *testing.T) {
 	ep := newTestEndpoint(t, k, "a")
 	// Enqueue a packet larger than one chunk, then STOP it after the
 	// first chunk is on the wire.
-	ep.lc.EnqueuePacket(packetChars(200), nil)
+	enqueueCopy(ep.lc, packetChars(200), nil)
 	k.RunUntil(txChunkChars * CharPeriod) // first chunk serialized
 	ep.lc.Receive([]phy.Character{StopChar()})
 	if !ep.lc.Paused() {
@@ -109,7 +109,7 @@ func TestLinkControllerStopPausesTransmit(t *testing.T) {
 func TestLinkControllerShortTimeoutActsAsGo(t *testing.T) {
 	k := sim.NewKernel(1)
 	ep := newTestEndpoint(t, k, "a")
-	ep.lc.EnqueuePacket(packetChars(100), nil)
+	enqueueCopy(ep.lc, packetChars(100), nil)
 	k.RunUntil(txChunkChars * CharPeriod)
 	ep.lc.Receive([]phy.Character{StopChar()})
 	// No refresh: after 16 character periods the sender transitions
@@ -127,7 +127,7 @@ func TestLinkControllerLongTimeoutTerminatesPacket(t *testing.T) {
 	k := sim.NewKernel(1)
 	ep := newTestEndpoint(t, k, "a")
 	terminated := false
-	ep.lc.EnqueuePacket(packetChars(1000), func(term bool) { terminated = term })
+	enqueueCopy(ep.lc, packetChars(1000), txFunc(func(term bool) { terminated = term }))
 	k.RunUntil(txChunkChars * CharPeriod)
 	// Persistent STOP: refresh forever (a genuinely wedged path).
 	var refresh func()
@@ -320,4 +320,17 @@ func TestLinkControllerStopGoCounters(t *testing.T) {
 		t.Errorf("stop/go received = %d/%d, want 2/2", ctr.StopsReceived, ctr.GosReceived)
 	}
 	_ = k
+}
+
+// txFunc is a test TxCompletion: the function it is.
+type txFunc func(terminated bool)
+
+func (f txFunc) TxDone(terminated bool) { f(terminated) }
+
+// enqueueCopy queues a copy of an encoded packet (characters including the
+// trailing GAP) on lc; done, when non-nil, hears of its completion.
+func enqueueCopy(lc *LinkController, chars []phy.Character, done TxCompletion) {
+	own := lc.pool.Get(len(chars))
+	copy(own, chars)
+	lc.enqueue(txPacket{chars: own, done: done})
 }

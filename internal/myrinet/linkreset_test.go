@@ -28,7 +28,7 @@ func TestLinkResetOnLongTimeout(t *testing.T) {
 	k := sim.NewKernel(1)
 	ep := newRecoveryEndpoint(t, k, "a", RecoveryConfig{Enabled: true})
 	terminated := false
-	ep.lc.EnqueuePacket(packetChars(1000), func(term bool) { terminated = term })
+	enqueueCopy(ep.lc, packetChars(1000), txFunc(func(term bool) { terminated = term }))
 	k.RunUntil(txChunkChars * CharPeriod)
 	var refresh func()
 	refresh = func() {
@@ -54,7 +54,7 @@ func TestLinkResetOnLongTimeout(t *testing.T) {
 	}
 	// The link is usable again: a fresh packet goes through.
 	done := false
-	ep.lc.EnqueuePacket(packetChars(10), func(term bool) { done = !term })
+	enqueueCopy(ep.lc, packetChars(10), txFunc(func(term bool) { done = !term }))
 	k.Run()
 	if !done {
 		t.Error("packet after reset did not transmit")
@@ -71,7 +71,7 @@ func TestStopWatchdogResetsWedgedLink(t *testing.T) {
 		StopWatchdog: 2 * sim.Millisecond, // well under LongTimeout for the test
 	})
 	terminated := false
-	ep.lc.EnqueuePacket(packetChars(1000), func(term bool) { terminated = term })
+	enqueueCopy(ep.lc, packetChars(1000), txFunc(func(term bool) { terminated = term }))
 	k.RunUntil(txChunkChars * CharPeriod)
 	var refresh func()
 	refresh = func() {
@@ -108,7 +108,7 @@ func TestStopWatchdogNotRearmedByRefreshes(t *testing.T) {
 		Enabled:      true,
 		StopWatchdog: sim.Millisecond,
 	})
-	ep.lc.EnqueuePacket(packetChars(1000), nil)
+	enqueueCopy(ep.lc, packetChars(1000), nil)
 	k.RunUntil(txChunkChars * CharPeriod)
 	start := k.Now()
 	var refresh func()

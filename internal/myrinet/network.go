@@ -99,14 +99,6 @@ func (n *Network) ConnectHost(ifc *Interface, sw *Switch, port int) *phy.Cable {
 	return cable
 }
 
-// ConnectSwitches cables two switch ports together.
-func (n *Network) ConnectSwitches(a *Switch, pa int, b *Switch, pb int) *phy.Cable {
-	name := fmt.Sprintf("%s.p%d<->%s.p%d", a.Name(), pa, b.Name(), pb)
-	cable := Connect(n.Kernel, DefaultLinkConfig(name), Port(a, pa), Port(b, pb))
-	n.Cables[name] = cable
-	return cable
-}
-
 // InstallStaticRoutes gives every interface a route to every other assuming
 // all are on a single switch, bypassing the mapping protocol. Tests that do
 // not exercise mapping use this; ports maps each interface to its switch

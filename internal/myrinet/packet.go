@@ -1,7 +1,6 @@
 package myrinet
 
 import (
-	"errors"
 	"fmt"
 
 	"netfi/internal/bitstream"
@@ -132,34 +131,6 @@ func (e *charEncoder) finish() []phy.Character {
 	e.dst[e.n] = phy.DataChar(e.crc)
 	e.dst[e.n+1] = charGap
 	return e.dst[:e.n+2]
-}
-
-// Errors returned by Decode.
-var (
-	ErrTooShort = errors.New("myrinet: packet shorter than type+CRC")
-	ErrBadCRC   = errors.New("myrinet: CRC-8 mismatch")
-)
-
-// DecodePacket parses wire bytes (route+type+payload+CRC) as seen by a
-// destination interface, i.e. with routeLen bytes of source route remaining.
-// It verifies the trailing CRC-8 and returns ErrBadCRC on mismatch; the
-// packet is still returned for inspection by monitors.
-func DecodePacket(wire []byte, routeLen int) (*Packet, error) {
-	if len(wire) < routeLen+5 { // route + 4-byte type + CRC
-		return nil, ErrTooShort
-	}
-	body := wire[:len(wire)-1]
-	crc := wire[len(wire)-1]
-	p := &Packet{
-		Route:    append([]byte(nil), body[:routeLen]...),
-		TypeHigh: uint16(body[routeLen])<<8 | uint16(body[routeLen+1]),
-		Type:     uint16(body[routeLen+2])<<8 | uint16(body[routeLen+3]),
-		Payload:  append([]byte(nil), body[routeLen+4:]...),
-	}
-	if bitstream.CRC8(body) != crc {
-		return p, ErrBadCRC
-	}
-	return p, nil
 }
 
 // RouteTo builds the source route for a path: one switch hop byte per entry

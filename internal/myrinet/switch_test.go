@@ -2,8 +2,10 @@ package myrinet
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
+	"netfi/internal/phy"
 	"netfi/internal/sim"
 )
 
@@ -270,4 +272,12 @@ func TestTwoSwitchTopology(t *testing.T) {
 	if len(a.received) != 1 || string(a.received[0]) != "and back" {
 		t.Fatalf("A received %v", a.received)
 	}
+}
+
+// ConnectSwitches cables two switch ports together.
+func (n *Network) ConnectSwitches(a *Switch, pa int, b *Switch, pb int) *phy.Cable {
+	name := fmt.Sprintf("%s.p%d<->%s.p%d", a.Name(), pa, b.Name(), pb)
+	cable := Connect(n.Kernel, DefaultLinkConfig(name), Port(a, pa), Port(b, pb))
+	n.Cables[name] = cable
+	return cable
 }

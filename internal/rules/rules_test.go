@@ -254,3 +254,38 @@ func TestStepZeroAlloc(t *testing.T) {
 		}
 	}
 }
+
+// MatchesAt is the naive per-rule reference matcher: it reports whether the
+// rule's step sequence matches some substring of stream whose final step
+// consumes stream[p]. It is the executable specification the compiled
+// automata are fuzz-checked against; it allocates and backtracks freely and
+// must never be used on the hot path.
+func MatchesAt(r *Rule, stream []uint16, p int) bool {
+	if p < 0 || p >= len(stream) {
+		return false
+	}
+	return refMatch(r.Steps, stream, p)
+}
+
+// refMatch checks steps against stream ending at p, recursing backward
+// through the gap alternatives.
+func refMatch(steps []Step, stream []uint16, p int) bool {
+	j := len(steps) - 1
+	s := steps[j]
+	if p < 0 || (stream[p]&SymbolMask^s.Sym)&s.Mask != 0 {
+		return false
+	}
+	if j == 0 {
+		return true
+	}
+	g := s.Gap
+	if g == GapUnbounded || g > p {
+		g = p
+	}
+	for k := 0; k <= g; k++ {
+		if refMatch(steps[:j], stream, p-1-k) {
+			return true
+		}
+	}
+	return false
+}

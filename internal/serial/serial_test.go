@@ -144,3 +144,6 @@ func TestUARTNilSinkPanics(t *testing.T) {
 	}()
 	NewUART(sim.NewKernel(1), 0, nil)
 }
+
+// NewStatusFrame wraps one status code.
+func NewStatusFrame(code byte) Frame { return Frame(uint16(TagStatus)<<8 | uint16(code)) }

@@ -21,9 +21,6 @@ type Frame uint16
 // NewDataFrame wraps one payload byte.
 func NewDataFrame(b byte) Frame { return Frame(uint16(TagData)<<8 | uint16(b)) }
 
-// NewStatusFrame wraps one status code.
-func NewStatusFrame(code byte) Frame { return Frame(uint16(TagStatus)<<8 | uint16(code)) }
-
 // Tag returns the frame's high-half tag.
 func (f Frame) Tag() byte { return byte(f >> 8) }
 

@@ -90,7 +90,6 @@ type Mapper struct {
 	objs   map[any]int32 // old object → its entry in ents
 	ents   []counterpart
 	gen    uint32 // the current fork; an entry of an earlier fork is stale
-	puts   int    // registrations in the current fork
 	events map[*event]*event
 	cloned []*event // the events table's values, in clone order
 	// rebinds and fixups are the fork's queued cross-references and
@@ -156,9 +155,6 @@ func (m *Mapper) Fix(fn func(any), arg any) { m.fixups = append(m.fixups, fixup{
 // the same base into the same world.
 func NewMapper() *Mapper { return &Mapper{objs: make(map[any]int32)} }
 
-// Objects reports how many old→new pairs the current fork has registered.
-func (m *Mapper) Objects() int { return m.puts }
-
 // Kernel returns the cloned kernel (nil before Kernel.Clone).
 func (m *Mapper) Kernel() *Kernel { return m.k2 }
 
@@ -175,7 +171,6 @@ func (m *Mapper) Put(old, new any) {
 	}
 	m.objs[old] = int32(len(m.ents))
 	m.ents = append(m.ents, counterpart{new, m.gen})
-	m.puts++
 }
 
 // claim marks entry i, old's, as registered in the current fork.
@@ -185,7 +180,6 @@ func (m *Mapper) claim(old any, i int32) *counterpart {
 		panic(fmt.Sprintf("sim: fork mapper: %T registered twice", old))
 	}
 	c.gen = m.gen
-	m.puts++
 	return c
 }
 
@@ -338,7 +332,6 @@ func (m *Mapper) cloneEvent(old *event) *event {
 // stale and its queues empty, keeping their storage.
 func (m *Mapper) begin() {
 	m.gen++
-	m.puts = 0
 	if m.events == nil {
 		m.events = make(map[*event]*event)
 	}

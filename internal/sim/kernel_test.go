@@ -363,7 +363,7 @@ func TestTimerForkBindsOwner(t *testing.T) {
 	if err := m.Finish(); err != nil {
 		t.Fatal(err)
 	}
-	if n := m.Objects(); n != 1 {
+	if n := m.objects(); n != 1 {
 		t.Errorf("fork registered %d objects, want 1 (the kernel)", n)
 	}
 	k.Run()
@@ -413,4 +413,15 @@ func TestRebind(t *testing.T) {
 	if err := m.Finish(); err == nil || !strings.Contains(err.Error(), "a *sim.node field refers to") {
 		t.Errorf("rebind to a counterpart of the wrong type: err = %v", err)
 	}
+}
+
+// objects counts the old→new pairs the current fork has registered.
+func (m *Mapper) objects() int {
+	n := 0
+	for _, c := range m.ents {
+		if c.gen == m.gen {
+			n++
+		}
+	}
+	return n
 }

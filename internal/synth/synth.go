@@ -291,12 +291,3 @@ func Table1() string {
 		paperTotal.Gates, paperTotal.FunctionGenerators, paperTotal.Multiplexors, paperTotal.DFlipFlops)
 	return b.String()
 }
-
-// EstimatedTotal sums the model estimates across all entities.
-func EstimatedTotal() Resources {
-	var total Resources
-	for _, e := range InjectorEntities() {
-		total.Add(e.Estimate())
-	}
-	return total
-}

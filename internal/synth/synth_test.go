@@ -134,3 +134,12 @@ func TestTable1Rendering(t *testing.T) {
 		t.Error("Table1 output missing the paper total 2275")
 	}
 }
+
+// EstimatedTotal sums the model estimates across all entities.
+func EstimatedTotal() Resources {
+	var total Resources
+	for _, e := range InjectorEntities() {
+		total.Add(e.Estimate())
+	}
+	return total
+}
