@@ -1,6 +1,7 @@
 package campaign
 
 import (
+	"crypto/sha256"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -110,9 +111,10 @@ type ChaosTrial struct {
 	K    int
 	Trial
 
-	// Fingerprint is the full-world digest the fork-equivalence gate
-	// compares (counters, event log, flow records, kernel clock).
-	Fingerprint string
+	// Fingerprint is the SHA-256 of the full-world rendering the
+	// fork-equivalence gate compares (counters, event log, flow records,
+	// kernel clock; see fingerprintBuf.render).
+	Fingerprint [sha256.Size]byte
 }
 
 // ChaosOptions parameterizes a sweep.
@@ -168,16 +170,24 @@ const chaosWarm = 150 * sim.Millisecond
 // GenerateForkPlans derives the sweep's scenarios from the seed alone:
 // plan i carries k = 1 + i mod MaxK faults, each with kind, target, and
 // onset drawn from one serial RNG, so a sweep is reproducible from
-// (Seed, Forks, MaxK) and any plan can be rerun in isolation.
+// (Seed, Forks, MaxK) and any plan can be rerun in isolation. Every plan's
+// faults are a window of one array, capped at its end, so appending to one
+// plan's faults copies them rather than overwriting the next plan's.
 func GenerateForkPlans(opts ChaosOptions) []ForkPlan {
 	opts.fillDefaults()
 	rng := rand.New(rand.NewSource(opts.Seed))
 	span := sim.Duration(opts.Messages-1) * opts.Gap
 	kinds := []FaultKind{FaultCorrupt, FaultNodeDeath, FaultLinkSever, FaultCorrupt, FaultWatchdogOff}
 	plans := make([]ForkPlan, opts.Forks)
+	total := 0
 	for i := range plans {
-		k := 1 + i%opts.MaxK
-		faults := make([]Fault, k)
+		total += 1 + i%opts.MaxK
+	}
+	all, lo := make([]Fault, total), 0
+	for i := range plans {
+		hi := lo + 1 + i%opts.MaxK
+		faults := all[lo:hi:hi]
+		lo = hi
 		for j := range faults {
 			f := Fault{
 				Kind:  kinds[rng.Intn(len(kinds))],
@@ -421,13 +431,13 @@ func FormatChaos(r ChaosResult) string {
 	return b.String()
 }
 
-// fingerprintBuf is what a world's trial record strings — the plan label
+// fingerprintBuf is what a world's trial record fields — the plan label
 // and the fingerprint — are built in: the text and the sorted cable names,
 // kept from trial to trial. Every trial renders both once, so the text is
 // appended with strconv rather than fmt, whose per-value boxing and Builder
-// growth cost dozens of objects a trial, and rendering into a world's kept
-// buffers allocates only the returned string. fingerprint_test.go keeps the
-// fmt renderings as the oracles.
+// growth cost dozens of objects a trial; rendering into a world's kept
+// buffers allocates only the label's string, and the fingerprint nothing.
+// fingerprint_test.go keeps the fmt renderings as the oracles.
 type fingerprintBuf struct {
 	text  []byte
 	names []string
@@ -439,13 +449,15 @@ func (f *fingerprintBuf) label(p ForkPlan) string {
 	return string(f.text)
 }
 
-// render digests the world after a trial into f's buffers: kernel clock and
-// event count, every STAT counter on every port, interface, and engine, link
-// totals, transport statistics, and the monitoring plane's complete event
-// log, flow records, and tap totals. Two runs with equal fingerprints
-// executed the same events in the same order against the same state — the
-// byte-identity the fork-equivalence gate compares.
-func (f *fingerprintBuf) render(tb *Testbed, mon *monitor.Plane, rels []*host.Reliable) string {
+// render renders the world after a trial into f's buffers and returns the
+// text's SHA-256: kernel clock and event count, every STAT counter on every
+// port, interface, and engine, link totals, transport statistics, and the
+// monitoring plane's complete event log, flow records, and tap totals. Two
+// runs with equal fingerprints executed the same events in the same order
+// against the same state — the byte-identity the fork-equivalence gate
+// compares. The text stays in f.text until the next render, for a gate
+// that wants to show where two worlds differ.
+func (f *fingerprintBuf) render(tb *Testbed, mon *monitor.Plane, rels []*host.Reliable) [sha256.Size]byte {
 	events, ring := mon.Events(), mon.Ring()
 	b := slices.Grow(f.text[:0], 4096+96*len(events)+128*ring.Len())
 	b = appendUint(b, "kernel now=", uint64(tb.K.Now()))
@@ -540,7 +552,7 @@ func (f *fingerprintBuf) render(tb *Testbed, mon *monitor.Plane, rels []*host.Re
 		b = append(b, '\n')
 	}
 	f.text = b
-	return string(b)
+	return sha256.Sum256(b)
 }
 
 // appendNodeStats appends s as fmt's %+v renders it.

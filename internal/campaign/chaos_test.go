@@ -1,6 +1,9 @@
 package campaign
 
 import (
+	"crypto/sha256"
+	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -20,14 +23,15 @@ func chaosTestOptions(seed int64, forks int) ChaosOptions {
 	}
 }
 
-// TestForkEquivalence is the PR's gate: a trial run on a fork of the
-// warmed base must be byte-identical — same event order, same STAT
+// TestForkEquivalence is the chaos engine's gate: a trial run on a fork of
+// the warmed base must be byte-identical — same event order, same STAT
 // counters, same detection axis, same full-world fingerprint — to the
 // same plan run on a freshly built, identically warmed testbed. 30
 // seed × plan combinations, spanning k = 1..3 and every fault kind;
 // alternate seeds pre-arm the rule engine so forks also carry live
 // executor, prefilter, and capture state (with per-rule counters and
-// capture totals folded into the fingerprint).
+// capture totals folded into the fingerprint). On a mismatch both worlds'
+// texts are rendered again and their first differing lines printed.
 func TestForkEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fork equivalence sweep is long")
@@ -40,28 +44,30 @@ func TestForkEquivalence(t *testing.T) {
 		base := newChaosBase(opts.Seed, opts)
 		for _, plan := range plans {
 			combos++
-			forked := runForkTrialForTest(t, base, plan, opts)
-			rebuilt := runRebuiltChaosTrial(opts.Seed, plan, opts)
+			w := new(forkWorld)
+			forked := runForkTrialForTest(t, base, w, plan, opts)
+			rb := newChaosBase(opts.Seed, opts)
+			rebuilt := runChaosTrial(rb, plan, opts)
 			if forked != rebuilt {
 				t.Errorf("seed %d plan %d (%s): fork and rebuild diverge",
 					opts.Seed, plan.ID, plan)
-				diffFingerprints(t, forked.Fingerprint, rebuilt.Fingerprint)
-				t.Errorf("fork:    %+v", stripFingerprint(forked))
-				t.Errorf("rebuild: %+v", stripFingerprint(rebuilt))
+				diffWorlds(t, &w.world, rb)
+				t.Errorf("fork:    %+v", forked)
+				t.Errorf("rebuild: %+v", rebuilt)
 				return
 			}
 		}
 	}
 }
 
-func runForkTrialForTest(t *testing.T, base *chaosBase, plan ForkPlan, opts ChaosOptions) ChaosTrial {
+func runForkTrialForTest(t *testing.T, base *chaosBase, w *forkWorld, plan ForkPlan, opts ChaosOptions) ChaosTrial {
 	t.Helper()
 	defer func() {
 		if r := recover(); r != nil {
 			t.Fatalf("fork trial %d (%s) panicked: %v", plan.ID, plan, r)
 		}
 	}()
-	return runForkChaosTrial(base, plan, opts)
+	return runForkChaosTrialIn(base, w, plan, opts)
 }
 
 // runForkChaosTrial cuts a fork from the warmed base into a new world and
@@ -79,9 +85,12 @@ func (b *chaosBase) fork() (*chaosBase, error) {
 	return &w.world, nil
 }
 
-func stripFingerprint(tr ChaosTrial) ChaosTrial {
-	tr.Fingerprint = ""
-	return tr
+// diffWorlds renders the fingerprint texts of a fork's and a rebuild's
+// worlds after their trials and prints where they differ.
+func diffWorlds(t *testing.T, fork, rebuild *world) {
+	t.Helper()
+	diffFingerprints(t, chaosFingerprint(fork.tb, fork.mon, fork.rels),
+		chaosFingerprint(rebuild.tb, rebuild.mon, rebuild.rels))
 }
 
 func diffFingerprints(t *testing.T, a, b string) {
@@ -210,33 +219,84 @@ func TestForkAllocs(t *testing.T) {
 
 // TestForkedTrialAllocs pins what a chaos trial allocates on a used world,
 // fork included, in steady state: only what its ChaosTrial record keeps.
-// A node death allocates its plan label and fingerprint; a corrupt rule
-// adds the command line the board's decoder assembles from the serial
-// bytes (its response is the "OK" before it, its rule set comes compiled
-// from the engine's memo, and its detection source is the world's).
-// Before the trial's hooks, the serial byte path, the reliable transport's
-// queues, rule arming and the labels kept their storage in the world, the
-// same trials allocated 34 and 150 objects.
+// A node death allocates its plan label; a corrupt rule adds the command
+// line the board's decoder assembles from the serial bytes (its response
+// is the "OK" before it, its rule set is bound to an automaton from the
+// engine's memo, and its detection source is the world's). A crc-stale
+// rule whose vector the world has never armed allocates no more than one
+// it re-arms: the memo is keyed by the pattern, and the vector is copied
+// into the engine's own storage. Before the fingerprint became a digest
+// of the world's kept text, each trial also allocated that text (2 and 3
+// objects); before the trial's hooks, the serial byte path, the reliable
+// transport's queues, rule arming and the labels kept their storage in the
+// world, the same trials allocated 34 and 150 objects.
 func TestForkedTrialAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector adds allocations of its own")
 	}
 	opts := chaosTestOptions(31337, 1)
 	base := newChaosBase(opts.Seed, opts)
-	rule := "RULE ADD 70 MODE ONCE ACT DROP PAT C0C"
+	crcStale := func(vec int) Fault {
+		return Fault{Kind: FaultCorrupt, Family: "crc-stale", Delay: 4 * sim.Millisecond,
+			Rule: fmt.Sprintf("RULE ADD 70 MODE ONCE ACT TOGGLE PAT 55 VEC %02X", vec)}
+	}
+	var fresh []Fault // a new vector on every run, the warm-up's included
+	for v := 1; v <= 11; v++ {
+		fresh = append(fresh, crcStale(v))
+	}
 	for _, c := range []struct {
-		fault Fault
-		want  float64
+		name   string
+		faults []Fault // one per run, in turn
+		want   float64
 	}{
-		{Fault{Kind: FaultNodeDeath, Node: 2, Delay: 4 * sim.Millisecond}, 2},
-		{Fault{Kind: FaultCorrupt, Family: "gap-drop", Rule: rule, Delay: 4 * sim.Millisecond}, 3},
+		{"node death", []Fault{{Kind: FaultNodeDeath, Node: 2, Delay: 4 * sim.Millisecond}}, 1},
+		{"gap-drop", []Fault{{Kind: FaultCorrupt, Family: "gap-drop", Delay: 4 * sim.Millisecond,
+			Rule: "RULE ADD 70 MODE ONCE ACT DROP PAT C0C"}}, 2},
+		{"crc-stale, re-armed vector", []Fault{crcStale(0x3F)}, 2},
+		{"crc-stale, new vector", fresh, 2},
 	} {
-		plan := ForkPlan{ID: 1, Faults: []Fault{c.fault}}
-		w := new(forkWorld)
-		got := testing.AllocsPerRun(10, func() { runForkChaosTrialIn(base, w, plan, opts) })
-		if got != c.want {
-			t.Errorf("%s: a forked trial on a used world allocates %v objects, want %v", plan, got, c.want)
+		plans := make([]ForkPlan, len(c.faults))
+		for i := range plans {
+			plans[i] = ForkPlan{ID: 1, Faults: c.faults[i : i+1]}
 		}
+		w, run := new(forkWorld), 0
+		got := testing.AllocsPerRun(10, func() {
+			runForkChaosTrialIn(base, w, plans[run%len(plans)], opts)
+			run++
+		})
+		if got != c.want {
+			t.Errorf("%s: a forked trial on a used world allocates %v objects, want %v", c.name, got, c.want)
+		}
+	}
+}
+
+// TestForkedTrialBytes holds what a forked trial allocates, in bytes, on a
+// used world over the benchmark's seed-42 plans: after 100 trials warm the
+// world, the mean over the next 300 is their labels and command lines,
+// 91 B. While every record kept its world's fingerprint text and each new
+// crc-stale or route-toggle vector recompiled its rule, the mean was
+// 5,671 B.
+func TestForkedTrialBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector adds allocations of its own")
+	}
+	opts := ChaosOptions{Seed: 81669166, Forks: 400, MaxK: 2}
+	plans := GenerateForkPlans(opts)
+	base := newChaosBase(opts.Seed, opts)
+	w := new(forkWorld)
+	for _, p := range plans[:100] {
+		runForkChaosTrialIn(base, w, p, opts)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for _, p := range plans[100:] {
+		runForkChaosTrialIn(base, w, p, opts)
+	}
+	runtime.ReadMemStats(&after)
+	mean := float64(after.TotalAlloc-before.TotalAlloc) / float64(len(plans)-100)
+	t.Logf("mean %.1f B per forked trial", mean)
+	if ceiling := 128.0; mean > ceiling {
+		t.Errorf("a forked trial on a used world allocates %.0f B on average, want at most %.0f", mean, ceiling)
 	}
 }
 
@@ -307,7 +367,7 @@ func TestRunChaosSweep(t *testing.T) {
 		if tr.Outcome == "" {
 			t.Errorf("fork %d: no outcome", tr.ID)
 		}
-		if tr.Fingerprint == "" {
+		if tr.Fingerprint == ([sha256.Size]byte{}) {
 			t.Errorf("fork %d: no fingerprint", tr.ID)
 		}
 	}
@@ -331,10 +391,10 @@ func TestChaosNodeDeathDegrades(t *testing.T) {
 	tr := runForkChaosTrial(base, plan, opts)
 	if tr.Outcome != OutcomeDegraded && tr.Outcome != OutcomeHung {
 		t.Errorf("node death outcome = %s, want degraded or hung (trial %+v)",
-			tr.Outcome, stripFingerprint(tr))
+			tr.Outcome, tr)
 	}
 	if !tr.Detected {
-		t.Errorf("node death went undetected (trial %+v)", stripFingerprint(tr))
+		t.Errorf("node death went undetected (trial %+v)", tr)
 	}
 }
 
@@ -346,7 +406,7 @@ func TestChaosCleanFork(t *testing.T) {
 	tr := runForkChaosTrial(base, ForkPlan{ID: 0}, opts)
 	if tr.Outcome != OutcomeMasked {
 		t.Errorf("clean fork outcome = %s, want masked (trial %+v)",
-			tr.Outcome, stripFingerprint(tr))
+			tr.Outcome, tr)
 	}
 	if tr.Delivered != uint64(tr.Sent) {
 		t.Errorf("clean fork delivered %d/%d", tr.Delivered, tr.Sent)

@@ -13,17 +13,25 @@ import (
 )
 
 // forkMayShare is the immutable state a fork shares with its base by
-// design; the audit neither flags nor enters it. A compiled rule program
-// and its prefilter never change after Compile, an installed rule's
-// patterns are read-only, and a published mapping snapshot is replaced by
-// the next round, never mutated. (The burst pool's depot is shared too, but
-// it is a package global no model object points at.)
+// design; the audit neither flags nor enters it. A compiled automaton, its
+// prefilter and the steps it was built from (an installed rule's steps)
+// never change after Compile, and a published mapping snapshot is replaced
+// by the next round, never mutated. A program's bound rules and their
+// vectors are the engine's, so the audit enters them. (The burst pool's
+// depot is shared too, but it is a package global no model object points
+// at.)
 var forkMayShare = map[reflect.Type]bool{
-	reflect.TypeOf((*rules.Program)(nil)):    true,
+	automatonType:                            true,
 	reflect.TypeOf((*rules.Prefilter)(nil)):  true,
-	reflect.TypeOf(rules.Rule{}):             true,
+	reflect.TypeOf([]rules.Step(nil)):        true,
 	reflect.TypeOf((*myrinet.Snapshot)(nil)): true,
 }
+
+// automatonType is the unexported automaton a rules.Program embeds.
+var automatonType = func() reflect.Type {
+	f, _ := reflect.TypeOf(rules.Program{}).FieldByName("automaton")
+	return f.Type
+}()
 
 // span is one base-world allocation: a pointee, a slice's backing array or
 // a map, named by the field that reached it first.

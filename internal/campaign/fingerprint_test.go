@@ -1,6 +1,7 @@
 package campaign
 
 import (
+	"crypto/sha256"
 	"fmt"
 	"sort"
 	"strings"
@@ -12,17 +13,19 @@ import (
 	"netfi/internal/myrinet"
 )
 
-// chaosFingerprint digests the world after a trial into fresh buffers (a
-// trial renders into its world's own, world.fp).
+// chaosFingerprint renders the world after a trial into fresh buffers (a
+// trial renders into its world's own, world.fp) and returns the text a
+// trial record's Fingerprint is the SHA-256 of.
 func chaosFingerprint(tb *Testbed, mon *monitor.Plane, rels []*host.Reliable) string {
 	var f fingerprintBuf
-	return f.render(tb, mon, rels)
+	f.render(tb, mon, rels)
+	return string(f.text)
 }
 
 // chaosFingerprintFmt is the fmt rendering chaosFingerprint replaced, kept
-// as its oracle: the digest is compared across forks and rebuilds and
-// recorded by the benchmark, so the append-built one must match it byte for
-// byte.
+// as its oracle: the text's digest is compared across forks and rebuilds
+// and recorded by the benchmark, so the append-built text must match it
+// byte for byte.
 func chaosFingerprintFmt(tb *Testbed, mon *monitor.Plane, rels []*host.Reliable) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "kernel now=%d processed=%d\n", tb.K.Now(), tb.K.Processed())
@@ -104,11 +107,12 @@ func writeCountersFmt(b *strings.Builder, label string, c *myrinet.Counters) {
 	b.WriteByte('\n')
 }
 
-// TestChaosFingerprintMatchesFmtOracle requires the append-built digest to
+// TestChaosFingerprintMatchesFmtOracle requires the append-built text to
 // equal the fmt rendering on the worlds TestForkEquivalence compares (the
 // same seed × plan forks, half of them cut from an armed-rules base), on
 // the armed base itself, and on at least one world whose counters carry
-// drop reasons — the part of the digest most easily rendered wrong.
+// drop reasons — the part of the text most easily rendered wrong — and
+// each trial's Fingerprint to be the SHA-256 of its world's text.
 func TestChaosFingerprintMatchesFmtOracle(t *testing.T) {
 	check := func(what string, b *chaosBase, got string) bool {
 		t.Helper()
@@ -134,10 +138,15 @@ func TestChaosFingerprintMatchesFmtOracle(t *testing.T) {
 				t.Fatalf("seed %d plan %d: fork: %v", opts.Seed, plan.ID, err)
 			}
 			tr := runChaosTrial(f, plan, opts)
-			if !check(fmt.Sprintf("seed %d plan %d (%s)", opts.Seed, plan.ID, plan), f, tr.Fingerprint) {
+			what, text := fmt.Sprintf("seed %d plan %d (%s)", opts.Seed, plan.ID, plan), chaosFingerprint(f.tb, f.mon, f.rels)
+			if !check(what, f, text) {
 				return
 			}
-			if strings.Contains(tr.Fingerprint, ",\n") {
+			if tr.Fingerprint != sha256.Sum256([]byte(text)) {
+				t.Errorf("%s: the record's fingerprint is not the SHA-256 of its world's text", what)
+				return
+			}
+			if strings.Contains(text, ",\n") {
 				withDrops++
 			}
 		}

@@ -228,11 +228,12 @@ func TestForkIntoUsedWorld(t *testing.T) {
 		auditFork(t, c.base, &w.world)
 		recycled := runChaosTrial(&w.world, c.b, c.opts)
 		forked := runChaosTrial(fresh, c.b, c.opts)
-		rebuilt := runRebuiltChaosTrial(c.opts.Seed, c.b, c.opts)
+		rb := newChaosBase(c.opts.Seed, c.opts)
+		rebuilt := runChaosTrial(rb, c.b, c.opts)
 		if recycled != forked || recycled != rebuilt {
 			t.Errorf("%s: plan B on the recycled world diverges (fresh fork equal: %v, rebuild equal: %v)",
 				what, recycled == forked, recycled == rebuilt)
-			diffFingerprints(t, recycled.Fingerprint, rebuilt.Fingerprint)
+			diffWorlds(t, &w.world, rb)
 		}
 		return true
 	})

@@ -9,12 +9,13 @@ import (
 // Fork support (see sim/clone.go). A clone is a struct copy; what never
 // crosses a fork is listed in the clone. The injector's rules:
 //
-//   - Compiled rule programs are immutable after Compile and are shared
-//     across forks, as are the installed rules' patterns; only the
-//     Executor's run state copies, into the fork's own rule store (the
-//     executor storage, edit scratch and memo of compiled rule sets),
-//     which is the world's: a fork into a used world keeps its own, a
-//     first fork starts without.
+//   - Compiled automata are immutable after Compile and are shared across
+//     forks, as are the installed rules' steps. The installed rules' other
+//     fields and vectors are bound into the fork's own program and the
+//     Executor's run state copies, both in the fork's own rule store (the
+//     executor storage, bound programs, edit scratch and memo of compiled
+//     automata), which is the world's: a fork into a used world keeps its
+//     own, a first fork starts without.
 //   - The injection hook (SetInjectionHook) is monitoring-owned: it is NOT
 //     cloned, and a campaign that wants injection timestamps in the fork
 //     re-registers it post-fork.
@@ -45,15 +46,18 @@ func (r *CaptureRing) cloneInto(r2 *CaptureRing) {
 // rule-engine run state, CRC recompute state, batch plan, and statistics.
 func (e *Engine) Clone(m *sim.Mapper) *Engine {
 	e2 := sim.Counterpart(m, e)
-	fifo, ruleList, store, capture := e2.fifo, e2.ruleList, e2.store, e2.capture
+	fifo, store, capture := e2.fifo, e2.store, e2.capture
 	procOut, flushOut := e2.procOut, e2.flushOut
 	*e2 = *e
 	e2.fifo = append(fifo[:0], e.fifo...)
-	e2.ruleList = append(ruleList[:0], e.ruleList...)
 	e2.store = store
 	if e.ruleExec != nil { // nil disables the rule path
-		e2.ruleExec = &e2.ruleStore().exec
-		e.ruleExec.CloneInto(e2.ruleExec)
+		s := e2.ruleStore()
+		p := &s.progs[0]
+		// Cannot fail: the rules are bound to that automaton already.
+		_ = p.Bind(e.ruleProg, e.ruleProg.Rules())
+		e2.ruleProg, e2.ruleExec = p, &s.exec
+		e.ruleExec.CloneInto(e2.ruleExec, p)
 	}
 	if capture == nil {
 		capture = new(CaptureRing)

@@ -28,7 +28,8 @@ import (
 //
 // Each keyword may appear at most once in a RULE ADD line. Adding a rule
 // with an existing id replaces it in place; any change to the rule set
-// recompiles and re-arms every rule.
+// recompiles and re-arms every rule. RULE LIST ends a vectored rule's line
+// with its vector, one hex word per entry (data/mask for REPLACE).
 func (c *CommandDecoder) execRule(fields []string, eng *Engine) (string, error) {
 	if len(fields) == 0 {
 		return "", fmt.Errorf("RULE needs ADD, DEL, LIST or CLEAR")
@@ -75,6 +76,16 @@ func (c *CommandDecoder) execRule(fields []string, eng *Engine) (string, error) 
 			m, f, _ := eng.RuleCounters(rs[i].ID)
 			fmt.Fprintf(&b, "\nRULE[%d] prio=%d mode=%v act=%v steps=%d matches=%d fires=%d",
 				rs[i].ID, rs[i].Priority, rs[i].Mode, rs[i].Action, len(rs[i].Steps), m, f)
+			for j, v := range rs[i].CorruptData {
+				sep := ","
+				if j == 0 {
+					sep = " vec="
+				}
+				fmt.Fprintf(&b, "%s%02X", sep, v)
+				if j < len(rs[i].CorruptMask) {
+					fmt.Fprintf(&b, "/%02X", rs[i].CorruptMask[j])
+				}
+			}
 		}
 		return b.String(), nil
 

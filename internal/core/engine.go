@@ -146,8 +146,8 @@ type Engine struct {
 	// Rule-engine path (internal/rules): an optional compiled multi-rule
 	// trigger program evaluated per character beside the legacy
 	// single-pattern compare. Nil ruleExec disables the path; armed, it
-	// points at the executor in store, which the engine re-arms in place.
-	ruleList []rules.Rule
+	// points at the executor in store, which the engine re-arms in place,
+	// and ruleProg at one of store's programs or at SetRuleProgram's.
 	ruleProg *rules.Program
 	ruleExec *rules.Executor
 	store    *ruleStore

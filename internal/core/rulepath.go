@@ -22,27 +22,31 @@ import (
 // no longer addressable, exactly as in the hardware.
 
 // ruleStore is the storage an engine arms its rule path in: the executor
-// every installed program is loaded into, the list a rule change is built
-// in, the key scratch, and the memo of compiled rule sets. It belongs to the
+// every installed program is loaded into, the two programs a rule change
+// binds into in turn (the one not installed), the list a change is built
+// in, the key scratch, and the memo of compiled automata. It belongs to the
 // engine's world and is made on first use: a fork keeps its own, never the
 // base's.
 type ruleStore struct {
-	exec rules.Executor
-	edit []rules.Rule
-	key  []byte
-	sets []compiledSet
+	exec  rules.Executor
+	progs [2]rules.Program
+	edit  []rules.Rule
+	key   []byte
+	sets  []compiledSet
 }
 
-// compiledSet is one memo entry: a rule list's canonical key (its rules'
-// AppendKey encodings, concatenated) and the program Compile made of it.
+// compiledSet is one memo entry: a rule list's step key (its rules'
+// AppendStepKey encodings, concatenated) and the program Compile made of
+// it, whose automaton every list with those steps is bound to.
 type compiledSet struct {
 	key  string
 	prog *rules.Program
 }
 
-// maxPrograms bounds an engine's memo. A sweep arms a few dozen distinct
-// rule sets often and a long tail once; a full memo starts over rather
-// than growing with the tail.
+// maxPrograms bounds an engine's memo. A sweep arms a few distinct
+// patterns often, each with many vectors, actions and modes, and a long
+// tail of patterns once; a full memo starts over rather than growing with
+// the tail.
 const maxPrograms = 64
 
 // ruleStore returns the engine's rule store, making it on first use.
@@ -58,7 +62,7 @@ func (e *Engine) ruleStore() *ruleStore {
 // with the same ID, preserving its position), and installs the result.
 // Recompiling re-arms every rule: counters, once latches and window clocks
 // restart, as reloading the hardware's rule memory would. The engine keeps
-// none of r's storage.
+// none of r's storage: its vectors are copied into the engine's own.
 func (e *Engine) AddRule(r rules.Rule) error {
 	if len(r.CorruptData) > WindowSize {
 		return fmt.Errorf("core: rule %d corrupt vector length %d exceeds window size %d", r.ID, len(r.CorruptData), WindowSize)
@@ -71,7 +75,7 @@ func (e *Engine) AddRule(r rules.Rule) error {
 	}
 	list := e.ruleStore().edit[:0]
 	replaced := false
-	for _, old := range e.ruleList {
+	for _, old := range e.Rules() {
 		if old.ID == r.ID {
 			old, replaced = r, true
 		}
@@ -87,16 +91,16 @@ func (e *Engine) AddRule(r rules.Rule) error {
 // existed. The remaining set is recompiled and re-armed.
 func (e *Engine) DeleteRule(id int) bool {
 	list := e.ruleStore().edit[:0]
-	for _, r := range e.ruleList {
+	for _, r := range e.Rules() {
 		if r.ID != id {
 			list = append(list, r)
 		}
 	}
 	switch {
-	case len(list) == len(e.ruleList):
+	case len(list) == len(e.Rules()):
 		return false
 	case len(list) == 0:
-		e.installRules(e.ruleList[:0], nil)
+		e.installRules(nil)
 		return true
 	}
 	// Cannot fail: every rule in the subset already compiled.
@@ -104,49 +108,60 @@ func (e *Engine) DeleteRule(id int) bool {
 }
 
 // setRules compiles list, built in the store's edit storage, and installs
-// it. A rule set the engine compiled before comes from its memo: a Program
-// is immutable after Compile, so every install of the set shares it. The
-// installed list then holds the program's own copies of the rules, and the
-// storage of the list it replaces becomes the next edit's.
+// it. The automaton comes from the memo when the engine compiled a list
+// with the same steps before, so a change to vectors, actions, modes or
+// priorities only binds: the list is copied into the store's program that
+// is not installed, and a memo hit allocates nothing.
 func (e *Engine) setRules(list []rules.Rule) error {
 	s := e.store
 	s.edit = list
 	s.key = s.key[:0]
 	for i := range list {
-		s.key = list[i].AppendKey(s.key)
+		s.key = list[i].AppendStepKey(s.key)
 	}
-	var prog *rules.Program
+	var src *rules.Program
 	for _, c := range s.sets {
 		if c.key == string(s.key) {
-			prog = c.prog
+			src = c.prog
 			break
 		}
 	}
-	if prog == nil {
+	if src == nil {
 		var err error
-		if prog, err = rules.Compile(list, rules.Options{}); err != nil {
+		if src, err = rules.Compile(list, rules.Options{}); err != nil {
 			return err
 		}
 		if len(s.sets) == maxPrograms {
 			clear(s.sets)
 			s.sets = s.sets[:0]
 		}
-		s.sets = append(s.sets, compiledSet{string(s.key), prog})
+		s.sets = append(s.sets, compiledSet{string(s.key), src})
 	}
-	copy(list, prog.Rules())
-	s.edit = e.ruleList[:0]
-	e.installRules(list, prog)
+	next := &s.progs[0]
+	if e.ruleProg == next {
+		next = &s.progs[1]
+	}
+	if err := next.Bind(src, list); err != nil {
+		return err
+	}
+	e.installRules(next)
 	return nil
 }
 
 // ClearRules removes the whole rule set, disabling the rule-engine path.
-func (e *Engine) ClearRules() { e.installRules(e.ruleList[:0], nil) }
+func (e *Engine) ClearRules() { e.installRules(nil) }
 
-// Rules returns the installed rule set in evaluation order: the compiled
+// Rules returns the installed rule set in evaluation order: the installed
 // program's own copies. Read-only, and valid until the next rule change.
-func (e *Engine) Rules() []rules.Rule { return e.ruleList }
+func (e *Engine) Rules() []rules.Rule {
+	if e.ruleProg == nil {
+		return nil
+	}
+	return e.ruleProg.Rules()
+}
 
-// RuleProgram returns the compiled program, nil when no rules are installed.
+// RuleProgram returns the installed program, nil when no rules are
+// installed. Valid until the next rule change.
 func (e *Engine) RuleProgram() *rules.Program { return e.ruleProg }
 
 // RuleCounters reports the match and (mode-gated) fire counters of the rule
@@ -155,8 +170,8 @@ func (e *Engine) RuleCounters(id int) (matches, fires uint64, ok bool) {
 	if e.ruleExec == nil {
 		return 0, 0, false
 	}
-	for i := range e.ruleList {
-		if e.ruleList[i].ID == id {
+	for i, r := range e.Rules() {
+		if r.ID == id {
 			m, f := e.ruleExec.Counters(i)
 			return m, f, true
 		}
@@ -167,18 +182,13 @@ func (e *Engine) RuleCounters(id int) (matches, fires uint64, ok bool) {
 // SetRuleProgram installs an externally compiled program directly, bypassing
 // the per-rule AddRule path — the campaign and benchmark entry point. The
 // program's rules must respect the WindowSize vector bound; nil uninstalls.
-func (e *Engine) SetRuleProgram(p *rules.Program) {
-	if p == nil {
-		e.ClearRules()
-		return
-	}
-	e.installRules(append(e.ruleList[:0], p.Rules()...), p)
-}
+// The engine shares p and never binds into it.
+func (e *Engine) SetRuleProgram(p *rules.Program) { e.installRules(p) }
 
-// installRules swaps in list, compiled as prog (nil: no rules), and re-arms
-// the store's executor on it in place.
-func (e *Engine) installRules(list []rules.Rule, prog *rules.Program) {
-	e.ruleList, e.ruleProg, e.ruleExec = list, prog, nil
+// installRules swaps in prog (nil: no rules) and re-arms the store's
+// executor on it in place.
+func (e *Engine) installRules(prog *rules.Program) {
+	e.ruleProg, e.ruleExec = prog, nil
 	if prog != nil {
 		x := &e.ruleStore().exec
 		x.Load(prog)
@@ -199,14 +209,15 @@ func (e *Engine) applyRuleActions(fired uint64) {
 		order[n] = bits.TrailingZeros64(set)
 		n++
 	}
+	rs := e.ruleProg.Rules()
 	for i := 1; i < n; i++ {
-		for j := i; j > 0 && e.ruleList[order[j]].Priority < e.ruleList[order[j-1]].Priority; j-- {
+		for j := i; j > 0 && rs[order[j]].Priority < rs[order[j-1]].Priority; j-- {
 			order[j], order[j-1] = order[j-1], order[j]
 		}
 	}
 	injected := false
 	for k := 0; k < n; k++ {
-		r := &e.ruleList[order[k]]
+		r := &rs[order[k]]
 		switch r.Action {
 		case rules.ActionCapture:
 			// Counted by the executor; the capture ring is marked below

@@ -273,42 +273,113 @@ func TestRuleCommands(t *testing.T) {
 	}
 }
 
-// A rule set the engine has compiled before comes from its memo: the same
-// immutable program, re-armed, so re-adding a rule over the serial path
-// allocates nothing. A full memo starts over instead of growing.
+// A rule list whose steps the engine has compiled before is bound to the
+// automaton in its memo, which is keyed by the steps alone: re-adding a
+// rule, or changing only its vector, action, mode, priority or drop count,
+// compiles nothing and allocates nothing, re-arms every rule, and fires
+// with the new fields. A full memo starts over instead of growing.
 func TestEngineRuleProgramMemo(t *testing.T) {
 	dev, dec := newTestDecoder(t)
 	e := dev.Engine(LeftToRight)
-	const a, b = "RULE ADD 70 MODE ONCE ACT DROP PAT C0C", "RULE ADD 70 MODE ONCE ACT TOGGLE PAT 55 VEC 3F"
-	for _, line := range []string{a, b, a} {
+	exec := func(line string) {
 		if resp := dec.Exec(line); resp != "OK" {
 			t.Fatalf("%s -> %q", line, resp)
 		}
 	}
-	progA := e.RuleProgram()
+	const a, b = "RULE ADD 70 MODE ONCE ACT DROP PAT C0C", "RULE ADD 70 MODE ONCE ACT TOGGLE PAT 55 VEC 3F"
+	for _, line := range []string{a, b, a} {
+		exec(line)
+	}
 	e.Process([]phy.Character{phy.ControlChar(0x0C)})
 	if m, f, _ := e.RuleCounters(70); m != 1 || f != 1 {
 		t.Fatalf("armed rule counted %d matches, %d fires; want 1, 1", m, f)
 	}
-	if resp := dec.Exec(b); resp != "OK" {
-		t.Fatal(resp)
-	}
-	if resp := dec.Exec(a); resp != "OK" || e.RuleProgram() != progA {
-		t.Fatalf("re-adding a compiled rule set: %q, same program %v", resp, e.RuleProgram() == progA)
-	}
+	exec(b)
+	exec(a)
 	if m, f, _ := e.RuleCounters(70); m != 0 || f != 0 {
-		t.Errorf("a memoised program was installed without re-arming: %d matches, %d fires", m, f)
+		t.Errorf("a memoised automaton was bound without re-arming: %d matches, %d fires", m, f)
 	}
 	if got := testing.AllocsPerRun(20, func() { dec.Exec(b); dec.Exec(a) }); got != 0 {
 		t.Errorf("re-adding memoised rule sets allocates %v objects, want 0", got)
 	}
+
+	for _, c := range []struct {
+		line, list string
+		in, out    []byte
+	}{
+		{b, "act=TOGGLE steps=1 matches=0 fires=0 vec=3F", []byte{0x55}, []byte{0x6A}},
+		{"RULE ADD 70 MODE ONCE ACT TOGGLE PAT 55 VEC 40", "vec=40", []byte{0x55, 0x55}, []byte{0x15, 0x55}},
+		{"RULE ADD 70 ACT REPLACE PAT 55 VEC 66", "mode=ON act=REPLACE steps=1 matches=0 fires=0 vec=166/1FF", []byte{0x55, 0x55}, []byte{0x66, 0x66}},
+		{"RULE ADD 70 PRIO 2 MODE AFTER:1 ACT TOGGLE PAT 55 VEC 01", "prio=2 mode=AFTER", []byte{0x55, 0x55}, []byte{0x55, 0x54}},
+		{"RULE ADD 70 ACT DROP:2 PAT 55", "act=DROP", []byte{0x11, 0x55, 0x22}, []byte{0x22}},
+	} {
+		if got := testing.AllocsPerRun(5, func() { exec(c.line) }); got != 0 {
+			t.Errorf("%s: binding a memoised automaton allocates %v objects, want 0", c.line, got)
+		}
+		if n := len(e.store.sets); n != 2 {
+			t.Errorf("%s: the memo holds %d automata, want the 2 patterns'", c.line, n)
+		}
+		if list := dec.Exec("RULE LIST"); !strings.Contains(list, c.list) {
+			t.Errorf("%s: RULE LIST = %q, want %q in it", c.line, list, c.list)
+		}
+		if out := bytesOf(runThrough(e, dataChars(c.in))); !bytes.Equal(out, c.out) {
+			t.Errorf("%s: % X -> % X, want % X", c.line, c.in, out, c.out)
+		}
+	}
+
+	// Vectors the engine has never armed: each is bound without
+	// allocating, and the memo keeps the one automaton of their pattern.
+	fresh := make([]string, 2*maxPrograms)
+	for v := range fresh {
+		fresh[v] = fmt.Sprintf("RULE ADD 70 ACT TOGGLE PAT 55 VEC %02X", 0x80+v)
+	}
+	run := 0
+	if got := testing.AllocsPerRun(len(fresh)-1, func() { exec(fresh[run]); run++ }); got != 0 {
+		t.Errorf("arming a new vector allocates %v objects, want 0", got)
+	}
+	if n := len(e.store.sets); n != 2 {
+		t.Errorf("after %d vectors the memo holds %d automata, want 2", len(fresh), n)
+	}
+	if list := dec.Exec("RULE LIST"); !strings.Contains(list, "vec=FF") {
+		t.Errorf("RULE LIST = %q, want the last vector, FF", list)
+	}
+
 	for v := 1; v <= 2*maxPrograms; v++ {
-		if resp := dec.Exec(fmt.Sprintf("RULE ADD 70 ACT TOGGLE PAT 55 VEC %02X", v)); resp != "OK" {
-			t.Fatal(resp)
-		}
+		exec(fmt.Sprintf("RULE ADD 70 PAT %02X", v))
 		if len(e.store.sets) > maxPrograms {
-			t.Fatalf("memo holds %d programs, bound %d", len(e.store.sets), maxPrograms)
+			t.Fatalf("memo holds %d automata, bound %d", len(e.store.sets), maxPrograms)
 		}
+	}
+}
+
+// TestEngineRuleMemoSplitsSteps: the memo key keeps each rule's steps
+// apart, so two rule lists whose steps run the same but split differently
+// between their rules, [PAT 55 55][PAT 3A] and [PAT 55][PAT 55 3A], are two
+// automata and each fires as its own rules say.
+func TestEngineRuleMemoSplitsSteps(t *testing.T) {
+	dev, dec := newTestDecoder(t)
+	e := dev.Engine(LeftToRight)
+	for _, c := range []struct {
+		lines        []string
+		want1, want2 uint64 // matches over 55 3A
+	}{
+		{[]string{"RULE ADD 1 PAT 55 55", "RULE ADD 2 PAT 3A"}, 0, 1},
+		{[]string{"RULE CLEAR", "RULE ADD 1 PAT 55", "RULE ADD 2 PAT 55 3A"}, 1, 1},
+	} {
+		for _, line := range c.lines {
+			if resp := dec.Exec(line); resp != "OK" {
+				t.Fatalf("%s -> %q", line, resp)
+			}
+		}
+		runThrough(e, dataChars([]byte{0x55, 0x3A}))
+		m1, _, _ := e.RuleCounters(1)
+		m2, _, _ := e.RuleCounters(2)
+		if m1 != c.want1 || m2 != c.want2 {
+			t.Errorf("%q: rules matched %d and %d times, want %d and %d", c.lines, m1, m2, c.want1, c.want2)
+		}
+	}
+	if n := len(e.store.sets); n != 4 {
+		t.Errorf("the memo holds %d automata, want 4: [55 55], [55 55][3A], [55], [55][55 3A]", n)
 	}
 }
 

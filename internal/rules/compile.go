@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/bits"
+	"slices"
 )
 
 // dfaStateBudget bounds subset construction: a 1024-state DFA over the
@@ -30,17 +31,19 @@ type nfaState struct {
 
 // laneProg is one rule's private NFA, executed as a 64-bit set of active
 // states. Bit 0 is the start state and stays set forever (unanchored
-// matching).
+// matching). steps is the copy of the rule's steps it was built from.
 type laneProg struct {
 	states []nfaState
 	accept uint64 // bitmask of accepting local states
+	steps  []Step
 }
 
-// Program is a compiled rule set: either a flat DFA transition table
-// (table[state*512+sym] -> state, with a per-state accept bitmask) or, past
-// the state budget, one NFA lane per rule.
-type Program struct {
-	rules []Rule
+// automaton is what Compile builds from a rule set's steps alone: either a
+// flat DFA transition table (table[state*512+sym] -> state, with a
+// per-state accept bitmask) or, past the state budget, one NFA lane per
+// rule, and the prefilter in front of either. It never changes after
+// Compile, so every Program bound to it shares it.
+type automaton struct {
 	lanes []laneProg
 
 	// Subset-construction result; dfaTable nil selects lane execution.
@@ -53,6 +56,14 @@ type Program struct {
 	// prefilter is the compiled batch screen; nil when judged useless (see
 	// compilePrefilter).
 	prefilter *Prefilter
+}
+
+// Program is a compiled rule set: an automaton and the rules bound to it,
+// whose per-rule fields (ID, priority, mode, N, action, drop count and
+// corrupt vectors) the executor and the datapath read when a rule matches.
+type Program struct {
+	automaton
+	rules []Rule
 }
 
 // ProgramStats summarizes the compiled form, for resource estimation
@@ -70,11 +81,12 @@ type ProgramStats struct {
 	Mode string
 }
 
-// Compile validates and lowers a rule set. Rule order is preserved: rule i
+// Compile validates and lowers a rule set: it builds the automaton from the
+// rules' steps, then binds the rules to it. Rule order is preserved: rule i
 // of the input is bit i of every Executor fire mask. The exact matcher is a
 // DFA unless subset construction passes dfaStateBudget, then per-rule
 // NFA lanes; a shift-and screen is compiled in front of either when
-// compilePrefilter judges it pays.
+// compilePrefilter judges it pays. The program keeps none of rs's storage.
 func Compile(rs []Rule, _ Options) (*Program, error) {
 	return compile(rs, dfaStateBudget)
 }
@@ -88,18 +100,64 @@ func compile(rs []Rule, budget int) (*Program, error) {
 	if len(rs) > MaxRules {
 		return nil, fmt.Errorf("rules: %d rules, max %d", len(rs), MaxRules)
 	}
-	p := &Program{rules: make([]Rule, 0, len(rs))}
+	p := new(Program)
 	for i := range rs {
 		if err := rs[i].Validate(); err != nil {
 			return nil, err
 		}
-		p.rules = append(p.rules, rs[i].clone())
 		p.lanes = append(p.lanes, buildLane(&rs[i], int32(i)))
 		p.nfaStates += len(p.lanes[i].states)
 	}
 	p.buildDFA(budget) // leaves dfaTable nil past the budget
-	p.prefilter = compilePrefilter(p.rules)
+	p.prefilter = compilePrefilter(rs)
+	p.bind(rs)
 	return p, nil
+}
+
+// Bind makes p the program Compile(rs) would make, on src's automaton
+// instead of a new one: rs must have src's steps, rule by rule and in
+// order, and may differ from src's rules in every other field. A memo of
+// automata keyed by steps re-arms a rule set whose vectors, actions or
+// modes changed this way. p keeps none of rs's storage (see bind). rs may
+// be p's own rules, and src may be p; no other rule in rs may share p's
+// storage.
+func (p *Program) Bind(src *Program, rs []Rule) error {
+	if len(rs) != len(src.lanes) {
+		return fmt.Errorf("rules: %d rules for an automaton of %d", len(rs), len(src.lanes))
+	}
+	for i := range rs {
+		if !slices.Equal(rs[i].Steps, src.lanes[i].steps) {
+			return fmt.Errorf("rules: rule %d's steps are not the automaton's", rs[i].ID)
+		}
+		if err := rs[i].Validate(); err != nil {
+			return err
+		}
+	}
+	p.automaton = src.automaton
+	p.bind(rs)
+	return nil
+}
+
+// bind sets p's rules to rs, the rules p's automaton was built from. Each
+// rule's steps are its lane's copy, and its vectors are copied into the
+// arrays p's rule at that index held, so binding a program again allocates
+// only when the set grows or a vector outgrows its array.
+func (p *Program) bind(rs []Rule) {
+	if cap(p.rules) < len(rs) {
+		grown := make([]Rule, len(rs))
+		copy(grown, p.rules[:cap(p.rules)])
+		p.rules = grown
+	}
+	p.rules = p.rules[:len(rs)]
+	for i := range rs {
+		r := &p.rules[i]
+		data, mask := r.CorruptData[:0], r.CorruptMask[:0]
+		*r = rs[i]
+		steps := p.lanes[i].steps
+		r.Steps = steps[:len(steps):len(steps)]
+		r.CorruptData = append(data, rs[i].CorruptData...)
+		r.CorruptMask = append(mask, rs[i].CorruptMask...)
+	}
 }
 
 // buildLane lowers one rule to its private NFA. States are laid out start
@@ -152,7 +210,7 @@ func buildLane(r *Rule, ruleIdx int32) laneProg {
 			cur = postIdx
 		}
 	}
-	lp := laneProg{states: states}
+	lp := laneProg{states: states, steps: append([]Step(nil), r.Steps...)}
 	for i, s := range states {
 		if s.accept >= 0 {
 			lp.accept |= 1 << uint(i)
@@ -163,9 +221,9 @@ func buildLane(r *Rule, ruleIdx int32) laneProg {
 
 // globalNFA concatenates the lanes into one state array for subset
 // construction, fixing up transition targets by each lane's offset.
-func (p *Program) globalNFA() (states []nfaState, starts []int32) {
-	states, starts = make([]nfaState, 0, p.nfaStates), make([]int32, 0, len(p.lanes))
-	for _, lane := range p.lanes {
+func (a *automaton) globalNFA() (states []nfaState, starts []int32) {
+	states, starts = make([]nfaState, 0, a.nfaStates), make([]int32, 0, len(a.lanes))
+	for _, lane := range a.lanes {
 		off := int32(len(states))
 		starts = append(starts, off)
 		for _, s := range lane.states {
@@ -229,8 +287,8 @@ type symTarget struct{ target, next int32 }
 // visited in ascending symbol order through a touched-symbol bitmap. So a
 // row costs 512 writes plus one set lookup per named symbol, and states are
 // numbered in discovery order: base first, then named symbols ascending.
-func (p *Program) buildDFA(budget int) {
-	nfa, starts := p.globalNFA()
+func (a *automaton) buildDFA(budget int) {
+	nfa, starts := a.globalNFA()
 	words := (len(nfa) + 63) / 64
 	b := &dfaBuilder{nfa: nfa, ids: make(map[string]int32)}
 	base, cur := make([]uint64, words), make([]uint64, words)
@@ -301,9 +359,9 @@ func (p *Program) buildDFA(budget int) {
 			return // blown budget: stay in lane mode
 		}
 	}
-	p.dfaStates = len(b.accept)
-	p.dfaTable = table
-	p.dfaAccept = b.accept
+	a.dfaStates = len(b.accept)
+	a.dfaTable = table
+	a.dfaAccept = b.accept
 }
 
 // Rule returns rule i (compile order).

@@ -15,8 +15,7 @@ type Executor struct {
 
 	symbols   uint64 // symbols consumed since Reset
 	onceFired uint64
-	matches   []uint64
-	fires     []uint64
+	counts    []ruleCounts
 
 	// quiet is the start-state skip set: bit s is set when consuming symbol
 	// s from the start state provably returns to the start state with no
@@ -24,6 +23,9 @@ type Executor struct {
 	// only the symbol clock advancing.
 	quiet [SymbolSpace / 64]uint64
 }
+
+// ruleCounts is one rule's match and (mode-gated) fire counters.
+type ruleCounts struct{ matches, fires uint64 }
 
 // NewExecutor returns an armed executor.
 func NewExecutor(p *Program) *Executor {
@@ -38,7 +40,7 @@ func NewExecutor(p *Program) *Executor {
 func (e *Executor) Load(p *Program) {
 	n := len(p.rules)
 	e.p = p
-	e.matches, e.fires, e.lanes = resize(e.matches, n), resize(e.fires, n), e.lanes[:0]
+	e.counts, e.lanes = resize(e.counts, n), e.lanes[:0]
 	if !p.UsesDFA() {
 		e.lanes = resize(e.lanes, n)
 	}
@@ -48,9 +50,9 @@ func (e *Executor) Load(p *Program) {
 }
 
 // resize returns s with length n, reusing its array when it is large enough.
-func resize(s []uint64, n int) []uint64 {
+func resize[T any](s []T, n int) []T {
 	if cap(s) < n {
-		return make([]uint64, n)
+		return make([]T, n)
 	}
 	return s[:n]
 }
@@ -176,10 +178,7 @@ func (e *Executor) Reset() {
 	}
 	e.symbols = 0
 	e.onceFired = 0
-	for i := range e.matches {
-		e.matches[i] = 0
-		e.fires[i] = 0
-	}
+	clear(e.counts)
 }
 
 // Step consumes one symbol and returns the bitmask of rules firing on it
@@ -221,7 +220,8 @@ func (e *Executor) Step(sym uint16) uint64 {
 	var fired uint64
 	for set := matched; set != 0; set &= set - 1 {
 		i := bits.TrailingZeros64(set)
-		e.matches[i]++
+		c := &e.counts[i]
+		c.matches++
 		r := &e.p.rules[i]
 		fire := false
 		switch r.Mode {
@@ -233,12 +233,12 @@ func (e *Executor) Step(sym uint16) uint64 {
 				e.onceFired |= 1 << uint(i)
 			}
 		case ModeAfterN:
-			fire = e.matches[i] > r.N
+			fire = c.matches > r.N
 		case ModeWindow:
 			fire = e.symbols <= r.N
 		}
 		if fire {
-			e.fires[i]++
+			c.fires++
 			fired |= 1 << uint(i)
 		}
 	}
@@ -248,7 +248,7 @@ func (e *Executor) Step(sym uint16) uint64 {
 // Counters reports rule i's cumulative matches and (mode-gated) fires since
 // the last Reset.
 func (e *Executor) Counters(i int) (matches, fires uint64) {
-	return e.matches[i], e.fires[i]
+	return e.counts[i].matches, e.counts[i].fires
 }
 
 // Symbols reports how many symbols the executor has consumed since Reset.

@@ -2,6 +2,7 @@ package rules
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 )
 
@@ -231,6 +232,10 @@ func TestCompileSelection(t *testing.T) {
 // exercised too, and budget zero, which is always lanes), holds both
 // compiles to the reference subset construction, runs both over the
 // stream, and checks every fire mask against the naive reference matcher.
+// A third program binds the set to the automaton compiled for a sibling
+// set — the same steps, every other field different — as an engine's memo
+// does, after first binding the sibling's own rules into the same program;
+// it must fire and count exactly as the fresh compile does.
 // The compiler must never panic: raw field values are taken from the bytes
 // with only light shaping, so invalid rules (bad gaps, overlong vectors)
 // reach Validate regularly and must come back as errors.
@@ -252,16 +257,41 @@ func checkFuzzCase(t *testing.T, data []byte) {
 	requireReferenceDFA(t, dfa, 64)
 	requireReferenceDFA(t, lanes, 0)
 
+	sib := make([]Rule, len(rs))
+	for i, r := range rs {
+		sib[i] = Rule{ID: r.ID + 1, Priority: -r.Priority, Mode: ModeAfterN, N: 2,
+			Action: ActionDrop, DropCount: 1, Steps: r.Steps}
+	}
+	memo, err := compile(sib, 64)
+	if err != nil {
+		t.Fatalf("sibling set: %v", err)
+	}
+	var bound Program
+	for _, set := range [][]Rule{sib, rs} {
+		if err := bound.Bind(memo, set); err != nil {
+			t.Fatalf("binding to the sibling's automaton: %v", err)
+		}
+	}
+	if !reflect.DeepEqual(bound.Rules(), dfa.Rules()) {
+		t.Fatalf("bound rules %+v, compiled %+v", bound.Rules(), dfa.Rules())
+	}
+
 	stream := buildFuzzStream(c, rs, 48)
-	ed, el := NewExecutor(dfa), NewExecutor(lanes)
+	ed, el, eb := NewExecutor(dfa), NewExecutor(lanes), NewExecutor(&bound)
 	for p, sym := range stream {
-		fd, fl := ed.Step(sym), el.Step(sym)
-		if fd != fl {
-			t.Fatalf("pos %d: dfa fired %#x, lanes fired %#x (stats %+v)", p, fd, fl, dfa.Stats())
+		fd, fl, fb := ed.Step(sym), el.Step(sym), eb.Step(sym)
+		if fd != fl || fd != fb {
+			t.Fatalf("pos %d: dfa fired %#x, lanes %#x, bound %#x (stats %+v)", p, fd, fl, fb, dfa.Stats())
 		}
 		if ref := refFires(rs, stream, p); fd != ref {
 			t.Fatalf("pos %d: compiled fired %#x, reference %#x\nrules: %+v\nstream: %v",
 				p, fd, ref, rs, stream[:p+1])
+		}
+	}
+	for i := range rs {
+		dm, df := ed.Counters(i)
+		if bm, bf := eb.Counters(i); bm != dm || bf != df {
+			t.Fatalf("rule %d: bound counted %d matches, %d fires; compiled %d, %d", i, bm, bf, dm, df)
 		}
 	}
 }

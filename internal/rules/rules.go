@@ -207,31 +207,13 @@ func (r *Rule) Validate() error {
 	return nil
 }
 
-// AppendKey appends r's canonical encoding to b: every field, lengths
-// first, so two rules encode alike exactly when they are equal, and a rule
-// list's concatenated keys name the Program Compile makes of it.
-func (r *Rule) AppendKey(b []byte) []byte {
-	for _, v := range [...]int64{int64(r.ID), int64(r.Priority), int64(r.Mode), int64(r.N),
-		int64(r.Action), int64(r.DropCount), int64(len(r.Steps)), int64(len(r.CorruptData)), int64(len(r.CorruptMask))} {
-		b = binary.AppendVarint(b, v)
-	}
+// AppendStepKey appends the encoding of r's steps to b, their count first:
+// a rule list's concatenated keys are equal exactly when the lists' steps
+// are, rule by rule, so they name the automaton Compile builds of it.
+func (r *Rule) AppendStepKey(b []byte) []byte {
+	b = binary.AppendUvarint(b, uint64(len(r.Steps)))
 	for _, s := range r.Steps {
 		b = binary.AppendVarint(binary.AppendUvarint(binary.AppendUvarint(b, uint64(s.Sym)), uint64(s.Mask)), int64(s.Gap))
 	}
-	for _, v := range r.CorruptData {
-		b = binary.AppendUvarint(b, uint64(v))
-	}
-	for _, v := range r.CorruptMask {
-		b = binary.AppendUvarint(b, uint64(v))
-	}
 	return b
-}
-
-// clone deep-copies the rule so a compiled Program cannot alias caller
-// slices.
-func (r Rule) clone() Rule {
-	r.Steps = append([]Step(nil), r.Steps...)
-	r.CorruptData = append([]uint16(nil), r.CorruptData...)
-	r.CorruptMask = append([]uint16(nil), r.CorruptMask...)
-	return r
 }
