@@ -56,16 +56,7 @@ func mmon(o expOpts, out, errOut io.Writer) int {
 			hostTaps = append(hostTaps, mon.TapInterface(n.Interface(),
 				monitor.TapOptions{Detect: true}))
 		}
-		mon.AddLossProbe("net.drops", func() uint64 {
-			var d uint64
-			for p := 0; p < tb.Switch.Ports(); p++ {
-				d += tb.Switch.PortCounters(p).TotalDrops()
-			}
-			for _, n := range tb.Nodes {
-				d += n.Interface().Counters().TotalDrops()
-			}
-			return d
-		})
+		mon.AddLossProbe("net.drops", tb.Drops)
 		mon.SetStopAt(total)
 		mon.Start()
 	}

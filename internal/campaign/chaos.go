@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -432,15 +431,14 @@ func FormatChaos(r ChaosResult) string {
 }
 
 // fingerprintBuf is what a world's trial record fields — the plan label
-// and the fingerprint — are built in: the text and the sorted cable names,
-// kept from trial to trial. Every trial renders both once, so the text is
-// appended with strconv rather than fmt, whose per-value boxing and Builder
-// growth cost dozens of objects a trial; rendering into a world's kept
-// buffers allocates only the label's string, and the fingerprint nothing.
+// and the fingerprint — are built in: one text buffer, kept from trial to
+// trial. Every trial renders both once, so the text is appended with
+// strconv rather than fmt, whose per-value boxing and Builder growth cost
+// dozens of objects a trial; rendering into a world's kept buffer
+// allocates only the label's string, and the fingerprint nothing.
 // fingerprint_test.go keeps the fmt renderings as the oracles.
 type fingerprintBuf struct {
-	text  []byte
-	names []string
+	text []byte
 }
 
 // label renders the plan's String form into f's buffer.
@@ -449,7 +447,7 @@ func (f *fingerprintBuf) label(p ForkPlan) string {
 	return string(f.text)
 }
 
-// render renders the world after a trial into f's buffers and returns the
+// render renders the world after a trial into f's buffer and returns the
 // text's SHA-256: kernel clock and event count, every STAT counter on every
 // port, interface, and engine, link totals, transport statistics, and the
 // monitoring plane's complete event log, flow records, and tap totals. Two
@@ -500,14 +498,7 @@ func (f *fingerprintBuf) render(tb *Testbed, mon *monitor.Plane, rels []*host.Re
 			}
 		}
 	}
-	names := f.names[:0]
-	for name := range tb.Net.Cables {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	f.names = names
-	for _, name := range names {
-		c := tb.Net.Cables[name]
+	for _, c := range tb.cables {
 		for _, l := range [2]*phy.Link{c.LeftToRight, c.RightToLeft} {
 			chars, bursts := l.Stats()
 			b = append(append(b, "link "...), l.Name()...)

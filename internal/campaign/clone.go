@@ -4,10 +4,10 @@ import "netfi/internal/sim"
 
 // Fork support (see sim/clone.go). A clone is a struct copy; what never
 // crosses a fork is listed in the clone. Testbed.Clone is the top of the
-// model graph's phase-2 pass: it forks the network container (switches,
-// interfaces, cables), the hosts, the spliced injector, and the serial
-// console, in an order the mapper's Finish pass makes irrelevant. The
-// caller owns phase 1 (Kernel.Clone into the world's mapper) and phase 3
+// model graph's phase-2 pass: it forks the switch, the hosts with their
+// interfaces, the cables, the spliced injector, and the serial console, in
+// an order the mapper's Finish pass makes irrelevant. The caller owns
+// phase 1 (Kernel.Clone into the world's mapper) and phase 3
 // (Mapper.Finish), because a campaign usually clones more than the testbed
 // — the monitoring plane, reliable endpoints, beacons — under one mapper.
 
@@ -15,14 +15,15 @@ import "netfi/internal/sim"
 // be cloned into m.
 func (tb *Testbed) Clone(m *sim.Mapper) *Testbed {
 	tb2 := sim.Counterpart(m, tb)
-	nodes := tb2.Nodes
+	nodes, cables := tb2.Nodes, tb2.cables
 	*tb2 = *tb
 	tb2.K = m.Kernel()
-	tb2.Net = tb.Net.Clone(m)
-	sim.Rebind(m, &tb2.Switch, tb.Switch)
+	tb2.Switch = tb.Switch.Clone(m)
 	tb2.Nodes = sim.Resize(nodes, len(tb.Nodes))
+	tb2.cables = sim.Resize(cables, len(tb.cables))
 	for i, n := range tb.Nodes {
 		tb2.Nodes[i] = n.Clone(m)
+		tb2.cables[i] = tb.cables[i].Clone(m)
 	}
 	if tb.Injector != nil {
 		tb2.Injector = tb.Injector.Clone(m)

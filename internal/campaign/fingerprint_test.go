@@ -3,7 +3,6 @@ package campaign
 import (
 	"crypto/sha256"
 	"fmt"
-	"sort"
 	"strings"
 	"testing"
 
@@ -53,13 +52,7 @@ func chaosFingerprintFmt(tb *Testbed, mon *monitor.Plane, rels []*host.Reliable)
 			}
 		}
 	}
-	names := make([]string, 0, len(tb.Net.Cables))
-	for name := range tb.Net.Cables {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		c := tb.Net.Cables[name]
+	for _, c := range tb.cables {
 		for _, l := range []interface {
 			Name() string
 			Stats() (uint64, uint64)

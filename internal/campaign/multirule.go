@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"netfi/internal/host"
 	"netfi/internal/myrinet"
 	"netfi/internal/sim"
 )
@@ -67,9 +68,9 @@ func RunMultiRule(opts MultiRuleOptions) MultiRuleResult {
 	tap := tb.TapNode()
 	targets := len(tb.Nodes) - 1
 
-	receivers := make([]*countingSocket, len(tb.Nodes))
+	receivers := make([]*host.Socket, len(tb.Nodes))
 	for i, n := range tb.Nodes {
-		r, err := NewTapReceiver(n)
+		r, err := n.Bind(loadDstPort, nil)
 		if err != nil {
 			panic(err)
 		}

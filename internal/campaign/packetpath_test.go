@@ -149,7 +149,9 @@ func TestUDPRoundTripZeroAlloc(t *testing.T) {
 // buffers and drop counters are embedded in their owners, so recovery's
 // watchdogs cost nothing extra, the injector's per-identifier
 // statistics are an opt-in tap, not part of the bed, and the console is its
-// UARTs' sink without a closure (141 while each UART's sink was one).
+// UARTs' sink without a closure (141 while each UART's sink was one), and
+// the bed holds its switch and cables itself (139 while a network container
+// with a name-keyed cable map held them).
 func TestNewTestbedAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector adds allocations of its own")
@@ -159,8 +161,8 @@ func TestNewTestbedAllocs(t *testing.T) {
 		recovery bool
 		want     float64
 	}{
-		{"plain", false, 139},
-		{"recovery", true, 139},
+		{"plain", false, 136},
+		{"recovery", true, 136},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			cfg := TestbedConfig{Seed: 42, Nodes: 3, Recovery: myrinet.RecoveryConfig{Enabled: c.recovery}}

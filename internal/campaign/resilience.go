@@ -443,17 +443,7 @@ func sendMessage(a any) {
 
 // netDrops, netRecovery and heldOutputs are the loss / recovery / wedge
 // probes over the network counters.
-func (h *trialHooks) netDrops() uint64 {
-	tb := h.tb
-	var n uint64
-	for p := 0; p < tb.Switch.Ports(); p++ {
-		n += tb.Switch.PortCounters(p).TotalDrops()
-	}
-	for _, nd := range tb.Nodes {
-		n += nd.Interface().Counters().TotalDrops()
-	}
-	return n
-}
+func (h *trialHooks) netDrops() uint64 { return h.tb.Drops() }
 
 func (h *trialHooks) netRecovery() uint64 { return recoveryEventCount(h.tb) }
 
@@ -505,7 +495,7 @@ func runTrial(w *world, faults []Fault, wl trialWorkload) Trial {
 		switch f.Kind {
 		case FaultNodeDeath, FaultLinkSever:
 			ev.node = tb.Nodes[f.Node]
-			ev.cable = tb.Net.Cables[ev.node.Name()]
+			ev.cable = tb.cables[f.Node]
 		case FaultWatchdogOff, FaultCorrupt:
 		default:
 			continue

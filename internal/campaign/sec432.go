@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"netfi/internal/host"
 	"netfi/internal/myrinet"
 	"netfi/internal/sim"
 )
@@ -156,7 +155,7 @@ func runRouteMSB(seed int64, res Sec432Result) Sec432Result {
 	tb := NewTestbed(TestbedConfig{Seed: seed})
 	tap := tb.TapNode()
 	src := tb.Nodes[1]
-	r, err := NewTapReceiver(tap)
+	r, err := tap.Bind(loadDstPort, nil)
 	if err != nil {
 		panic(err)
 	}
@@ -190,11 +189,11 @@ func runMisroute(seed int64, res Sec432Result) Sec432Result {
 	tap := tb.TapNode()
 	right := tb.Nodes[1] // intended destination: switch port 1
 	wrong := tb.Nodes[2]
-	rRight, err := NewTapReceiver(right)
+	rRight, err := right.Bind(loadDstPort, nil)
 	if err != nil {
 		panic(err)
 	}
-	rWrong, err := NewTapReceiver(wrong)
+	rWrong, err := wrong.Bind(loadDstPort, nil)
 	if err != nil {
 		panic(err)
 	}
@@ -219,23 +218,6 @@ func runMisroute(seed int64, res Sec432Result) Sec432Result {
 	res.MisrouteNotAccepted = rWrong.Received() == 0 &&
 		wrong.Interface().Counters().Drops[myrinet.DropMisaddressed] == 1
 	return res
-}
-
-// countingSocket counts deliveries on the workload port of one node.
-type countingSocket struct {
-	n uint64
-}
-
-// Received reports delivered datagrams.
-func (s *countingSocket) Received() uint64 { return s.n }
-
-// NewTapReceiver binds the workload port on a node and counts deliveries.
-func NewTapReceiver(n *host.Node) (*countingSocket, error) {
-	s := &countingSocket{}
-	if _, err := n.Bind(loadDstPort, func(myrinet.MAC, uint16, []byte) { s.n++ }); err != nil {
-		return nil, err
-	}
-	return s, nil
 }
 
 // FormatSec432 renders the result as pass/fail lines against the paper's

@@ -100,11 +100,11 @@ func runDestCorruption(seed int64, res Sec433Result) Sec433Result {
 	tap := tb.TapNode()
 	right := tb.Nodes[1]
 	wrong := tb.Nodes[2]
-	rRight, err := NewTapReceiver(right)
+	rRight, err := right.Bind(loadDstPort, nil)
 	if err != nil {
 		panic(err)
 	}
-	rWrong, err := NewTapReceiver(wrong)
+	rWrong, err := wrong.Bind(loadDstPort, nil)
 	if err != nil {
 		panic(err)
 	}
@@ -135,7 +135,7 @@ func runSelfAddressCorruption(seed int64, res Sec433Result) Sec433Result {
 	tb := NewTestbed(TestbedConfig{Seed: seed, Mapping: true, MapPeriod: mapPeriod})
 	tap := tb.TapNode()
 	src := tb.Nodes[1]
-	r, err := NewTapReceiver(tap)
+	r, err := tap.Bind(loadDstPort, nil)
 	if err != nil {
 		panic(err)
 	}

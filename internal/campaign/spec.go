@@ -183,10 +183,10 @@ func runLoad(cfg TestbedConfig, s Spec, d sim.Duration) (*Testbed, *Load, error)
 			engines[i] = append(engines[i], e)
 		}
 	}
-	// Arming is scheduled as direct register writes: the serial path
-	// cannot be driven from inside a simulation event, and the paper's own
+	// Arming is scheduled as direct register writes: the paper's own
 	// campaigns pre-programmed the patterns and toggled only the match mode
-	// during a run.
+	// during a run, and a console MODE line sent at the fault's instant
+	// would land about 0.7 ms late (8 bytes at about 87 us each).
 	for i, f := range s.Faults {
 		set := func(m core.MatchMode) func() {
 			return func() {

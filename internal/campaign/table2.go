@@ -60,8 +60,7 @@ func (o *Table2Options) fillDefaults() {
 // and returns the average time per packet.
 func table2Run(seed int64, phaseA, phaseB sim.Duration, rounds, payload int, withInjector bool) (sim.Duration, *core.Device) {
 	k := sim.NewKernel(seed)
-	net := myrinet.NewNetwork(k)
-	sw := net.AddSwitch("sw0", myrinet.DefaultPortCount)
+	sw := myrinet.NewSwitch(k, "sw0", myrinet.DefaultPortCount)
 	const jitter = 300 * sim.Nanosecond // cache/interrupt noise
 	a := host.NewNode(k, host.NodeConfig{
 		Name: "a", MAC: NodeMAC(0), ID: 1, TickPhase: phaseA, OverheadJitter: jitter,
@@ -69,8 +68,8 @@ func table2Run(seed int64, phaseA, phaseB sim.Duration, rounds, payload int, wit
 	b := host.NewNode(k, host.NodeConfig{
 		Name: "b", MAC: NodeMAC(1), ID: 2, TickPhase: phaseB, OverheadJitter: jitter,
 	})
-	net.ConnectHost(a.Interface(), sw, 0)
-	net.ConnectHost(b.Interface(), sw, 1)
+	cable := connectNode(k, a, sw, 0)
+	connectNode(k, b, sw, 1)
 	a.Interface().SetRoute(b.MAC(), myrinet.RouteTo(1))
 	b.Interface().SetRoute(a.MAC(), myrinet.RouteTo(0))
 
@@ -80,7 +79,7 @@ func table2Run(seed int64, phaseA, phaseB sim.Duration, rounds, payload int, wit
 			Name:         "injector",
 			ExtraLatency: 500 * sim.Nanosecond, // the Myricom FI3 transceiver pair
 		})
-		dev.Insert(net.Cables["a"])
+		dev.Insert(cable)
 	}
 	var res host.PingPongResult
 	host.PingPong(k, a, b, rounds, payload, func(r host.PingPongResult) { res = r })

@@ -16,6 +16,7 @@ import (
 	"netfi/internal/core"
 	"netfi/internal/host"
 	"netfi/internal/myrinet"
+	"netfi/internal/phy"
 	"netfi/internal/serial"
 	"netfi/internal/sim"
 )
@@ -59,12 +60,14 @@ type TestbedConfig struct {
 	Recovery myrinet.RecoveryConfig
 }
 
-// Testbed is a fully wired Fig. 10 network plus instrumentation.
+// Testbed is a fully wired Fig. 10 network plus instrumentation. It owns
+// its parts: the switch, the nodes, and each node's cable to the switch,
+// indexed like Nodes.
 type Testbed struct {
 	K        *sim.Kernel
-	Net      *myrinet.Network
 	Switch   *myrinet.Switch
 	Nodes    []*host.Node
+	cables   []*phy.Cable
 	Injector *core.Device
 	Console  *serial.Console
 	cfg      TestbedConfig
@@ -94,11 +97,10 @@ func NewTestbed(cfg TestbedConfig) *Testbed {
 		cfg.MapPeriod = sim.Second
 	}
 	k := sim.NewKernel(cfg.Seed)
-	net := myrinet.NewNetwork(k)
-	sw := net.AddSwitch("sw0", myrinet.DefaultPortCount)
+	sw := myrinet.NewSwitch(k, "sw0", myrinet.DefaultPortCount)
 	sw.SetRecovery(cfg.Recovery)
 
-	tb := &Testbed{K: k, Net: net, Switch: sw, cfg: cfg}
+	tb := &Testbed{K: k, Switch: sw, cables: make([]*phy.Cable, 0, cfg.Nodes), cfg: cfg}
 	for i := 0; i < cfg.Nodes; i++ {
 		mapping := myrinet.MappingConfig{}
 		if cfg.Mapping {
@@ -123,14 +125,16 @@ func NewTestbed(cfg TestbedConfig) *Testbed {
 			Recovery:     cfg.Recovery,
 		})
 		tb.Nodes = append(tb.Nodes, n)
-		net.ConnectHost(n.Interface(), sw, i)
+		tb.cables = append(tb.cables, connectNode(k, n, sw, i))
 	}
 	if !cfg.Mapping {
-		ports := make(map[*myrinet.Interface]int, cfg.Nodes)
-		for i, n := range tb.Nodes {
-			ports[n.Interface()] = i
+		for _, a := range tb.Nodes {
+			for j, b := range tb.Nodes {
+				if a != b {
+					a.Interface().SetRoute(b.MAC(), myrinet.RouteTo(j))
+				}
+			}
 		}
-		net.InstallStaticRoutes(ports)
 	}
 
 	if cfg.NoInjector {
@@ -147,8 +151,7 @@ func NewTestbed(cfg TestbedConfig) *Testbed {
 		// latency near Table 2's observed center.
 		ExtraLatency: 500 * sim.Nanosecond,
 	})
-	cable := net.Cables[tb.Nodes[cfg.TapNode].Name()]
-	tb.Injector.Insert(cable)
+	tb.Injector.Insert(tb.cables[cfg.TapNode])
 	tb.Console = serial.NewConsole(k, tb.Injector, serial.DefaultBaud)
 
 	if cfg.Mapping {
@@ -158,8 +161,27 @@ func NewTestbed(cfg TestbedConfig) *Testbed {
 	return tb
 }
 
+// connectNode cables node n to port p of sw.
+func connectNode(k *sim.Kernel, n *host.Node, sw *myrinet.Switch, p int) *phy.Cable {
+	name := fmt.Sprintf("%s<->%s.p%d", n.Name(), sw.Name(), p)
+	return myrinet.Connect(k, myrinet.DefaultLinkConfig(name), n.Interface(), myrinet.Port(sw, p))
+}
+
 // TapNode returns the node whose cable carries the injector.
 func (tb *Testbed) TapNode() *host.Node { return tb.Nodes[tb.cfg.TapNode] }
+
+// Drops sums packet drops over every switch port and node interface: the
+// network-wide loss counter.
+func (tb *Testbed) Drops() uint64 {
+	var n uint64
+	for p := 0; p < tb.Switch.Ports(); p++ {
+		n += tb.Switch.PortCounters(p).TotalDrops()
+	}
+	for _, nd := range tb.Nodes {
+		n += nd.Interface().Counters().TotalDrops()
+	}
+	return n
+}
 
 // Configure sends command lines to the injector over the serial console and
 // advances the simulation until the board has answered each of them —

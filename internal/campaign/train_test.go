@@ -2,7 +2,6 @@ package campaign
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -195,13 +194,7 @@ func (b *trainBed) snapshot() string {
 		fmt.Fprintf(&s, "%s %+v %+v paused=%v queued=%d\n", n.Name(), *n.Interface().Counters(), n.Stats(),
 			lc.Paused(), lc.QueuedPackets())
 	}
-	names := make([]string, 0, len(tb.Net.Cables))
-	for name := range tb.Net.Cables {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		c := tb.Net.Cables[name]
+	for _, c := range tb.cables {
 		for _, l := range []*phy.Link{c.LeftToRight, c.RightToLeft} {
 			chars, bursts := l.Stats()
 			fmt.Fprintf(&s, "%s chars=%d bursts=%d severed=%d\n", l.Name(), chars, bursts, l.SeveredChars())
@@ -241,7 +234,7 @@ func runTrainCase(t *testing.T, c trainCase, perEvent bool) (string, uint64) {
 			b.tb.Nodes[1].Interface().Controller().SetRecovery(myrinet.RecoveryConfig{Enabled: true, StopWatchdog: sim.Millisecond})
 		})
 	}
-	sever := func() { b.tb.Net.Cables[b.tb.Nodes[1].Name()].Sever() }
+	sever := func() { b.tb.cables[1].Sever() }
 	if c.sever > 0 {
 		k.At(x+c.sever, sever)
 	}

@@ -229,7 +229,7 @@ func checkSelection(t *testing.T, caseN int, g ruleGeometry, p *rules.Program) {
 		t.Fatalf("case %d: geometry %+v compiled to %s", caseN, g, p.Stats().Mode)
 	}
 	pf := p.Prefilter()
-	if want := (g.n*g.literal + 63) / 64; pf == nil || pf.Stats().Words != want {
+	if want := (g.n*g.literal + 63) / 64; pf == nil || pf.Words() != want {
 		t.Fatalf("case %d: geometry %+v: screen %v, want %d words", caseN, g, pf, want)
 	}
 }

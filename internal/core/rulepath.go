@@ -108,8 +108,9 @@ func (e *Engine) DeleteRule(id int) bool {
 }
 
 // setRules compiles list, built in the store's edit storage, and installs
-// it. The automaton comes from the memo when the engine compiled a list
-// with the same steps before, so a change to vectors, actions, modes or
+// it. A list whose steps the memo has not seen is compiled, and the program
+// Compile returns is both the one installed and the memo's. Otherwise the
+// automaton comes from the memo, so a change to vectors, actions, modes or
 // priorities only binds: the list is copied into the store's program that
 // is not installed, and a memo hit allocates nothing.
 func (e *Engine) setRules(list []rules.Rule) error {
@@ -127,15 +128,17 @@ func (e *Engine) setRules(list []rules.Rule) error {
 		}
 	}
 	if src == nil {
-		var err error
-		if src, err = rules.Compile(list, rules.Options{}); err != nil {
+		p, err := rules.Compile(list, rules.Options{})
+		if err != nil {
 			return err
 		}
 		if len(s.sets) == maxPrograms {
 			clear(s.sets)
 			s.sets = s.sets[:0]
 		}
-		s.sets = append(s.sets, compiledSet{string(s.key), src})
+		s.sets = append(s.sets, compiledSet{string(s.key), p})
+		e.installRules(p)
+		return nil
 	}
 	next := &s.progs[0]
 	if e.ruleProg == next {

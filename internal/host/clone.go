@@ -21,8 +21,7 @@ import (
 //     in any order.
 
 // Clone forks the workstation: stack state, receive pipeline (compacted to
-// the front of the ring), sockets, and (if not already cloned via the
-// network container) the Myrinet interface.
+// the front of the ring), sockets, and the Myrinet interface.
 func (n *Node) Clone(m *sim.Mapper) *Node {
 	n2 := sim.Counterpart(m, n)
 	recv, recvq, inRecv, sockets, freeSends := n2.recv, n2.recvq, n2.inRecv.data, n2.sockets, n2.freeSends
@@ -44,11 +43,7 @@ func (n *Node) Clone(m *sim.Mapper) *Node {
 	}
 	clear(sockets)
 	n2.sockets = sockets
-	if v, ok := m.Lookup(n.ifc); ok {
-		n2.ifc = v.(*myrinet.Interface)
-	} else {
-		n2.ifc = n.ifc.Clone(m)
-	}
+	n2.ifc = n.ifc.Clone(m)
 	n2.ifc.SetDataHandler(n2.recv)
 	for port, s := range n.sockets {
 		s2 := sim.Counterpart(m, s)

@@ -14,15 +14,20 @@ func mac(b byte) myrinet.MAC { return myrinet.MAC{0x02, 0, 0, 0, 0, b} }
 // twoNodeNet wires two nodes through an 8-port switch with static routes.
 func twoNodeNet(t *testing.T, k *sim.Kernel) (*Node, *Node) {
 	t.Helper()
-	net := myrinet.NewNetwork(k)
-	sw := net.AddSwitch("sw0", 8)
 	a := NewNode(k, NodeConfig{Name: "A", MAC: mac(1), ID: 1})
 	b := NewNode(k, NodeConfig{Name: "B", MAC: mac(2), ID: 2})
-	net.ConnectHost(a.Interface(), sw, 0)
-	net.ConnectHost(b.Interface(), sw, 1)
+	connectTwo(k, a, b)
 	a.Interface().SetRoute(b.MAC(), myrinet.RouteTo(1))
 	b.Interface().SetRoute(a.MAC(), myrinet.RouteTo(0))
 	return a, b
+}
+
+// connectTwo cables a and b to ports 0 and 1 of an 8-port switch.
+func connectTwo(k *sim.Kernel, a, b *Node) {
+	sw := myrinet.NewSwitch(k, "sw0", 8)
+	for i, n := range []*Node{a, b} {
+		myrinet.Connect(k, myrinet.DefaultLinkConfig(n.Name()), n.Interface(), myrinet.Port(sw, i))
+	}
 }
 
 func TestUDPEncodeDecodeRoundTrip(t *testing.T) {
@@ -110,12 +115,9 @@ func TestNodeSocketBufferOverflow(t *testing.T) {
 	k := sim.NewKernel(1)
 	// A fast burst of twice the socket buffer outruns the receiver's
 	// per-packet cost and must overflow.
-	net := myrinet.NewNetwork(k)
-	sw := net.AddSwitch("sw0", 8)
 	a := NewNode(k, NodeConfig{Name: "A", MAC: mac(1), ID: 1, SendOverhead: sim.Microsecond})
 	b := NewNode(k, NodeConfig{Name: "B", MAC: mac(2), ID: 2})
-	net.ConnectHost(a.Interface(), sw, 0)
-	net.ConnectHost(b.Interface(), sw, 1)
+	connectTwo(k, a, b)
 	a.Interface().SetRoute(b.MAC(), myrinet.RouteTo(1))
 	if _, err := b.Bind(9001, nil); err != nil {
 		t.Fatal(err)

@@ -172,7 +172,8 @@ type Socket struct {
 	received uint64
 }
 
-// Received reports datagrams delivered to this socket's handler.
+// Received reports datagrams delivered to this socket, counted with or
+// without a handler.
 func (s *Socket) Received() uint64 { return s.received }
 
 // Bind opens a UDP socket on port; handler runs after the receive path's

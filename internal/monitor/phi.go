@@ -60,8 +60,8 @@ type PhiDetector struct {
 	next      int                     // ring write position
 	count     int                     // filled entries, <= phiWindow
 	last      sim.Time
-	seen      bool // at least one heartbeat observed
-	beats     uint64
+	seen      bool   // at least one heartbeat observed
+	beats     uint64 // heartbeats observed
 }
 
 // NewPhiDetector returns a detector with no history.
@@ -115,12 +115,6 @@ func (d *PhiDetector) Phi(now sim.Time) float64 {
 func (d *PhiDetector) Suspect(now sim.Time) bool {
 	return d.Phi(now) >= d.threshold
 }
-
-// Heartbeats reports the total arrivals observed.
-func (d *PhiDetector) Heartbeats() uint64 { return d.beats }
-
-// SampleCount reports how many inter-arrival samples the window holds.
-func (d *PhiDetector) SampleCount() int { return d.count }
 
 // Threshold returns the configured suspicion threshold.
 func (d *PhiDetector) Threshold() float64 { return d.threshold }

@@ -149,11 +149,11 @@ func TestPhiNeedsMinSamples(t *testing.T) {
 	d.Heartbeat(sim.Time(2 * sim.Millisecond))
 	// Two inter-arrival samples < phiMinSamples: phi must stay 0 forever.
 	if got := d.Phi(sim.Time(sim.Second)); got != 0 {
-		t.Fatalf("phi with %d samples = %v, want 0", d.SampleCount(), got)
+		t.Fatalf("phi with %d samples = %v, want 0", d.count, got)
 	}
 	d.Heartbeat(sim.Time(3 * sim.Millisecond))
 	if got := d.Phi(sim.Time(sim.Second)); got <= 0 {
-		t.Fatalf("phi with %d samples = %v, want > 0", d.SampleCount(), got)
+		t.Fatalf("phi with %d samples = %v, want > 0", d.count, got)
 	}
 }
 
@@ -163,7 +163,7 @@ func TestPhiBounded(t *testing.T) {
 		d.Heartbeat(sim.Time(i) * sim.Time(sim.Millisecond))
 	}
 	phi := d.Phi(sim.Time(10 * sim.Second))
-	bound := math.Log10(float64(d.SampleCount() + 1))
+	bound := math.Log10(float64(d.count + 1))
 	if phi > bound+1e-12 {
 		t.Fatalf("phi = %v exceeds smoothing bound %v", phi, bound)
 	}

@@ -50,8 +50,8 @@ func TestTapFlowExtraction(t *testing.T) {
 	if rec.Packets != 3 || rec.Bytes != uint64(3*len(pkt)-3) {
 		t.Fatalf("record packets=%d bytes=%d, want 3/%d", rec.Packets, rec.Bytes, 3*len(pkt)-3)
 	}
-	if tap.Detector().Heartbeats() != 3 {
-		t.Fatalf("detector heartbeats = %d, want 3", tap.Detector().Heartbeats())
+	if tap.Detector().beats != 3 {
+		t.Fatalf("detector heartbeats = %d, want 3", tap.Detector().beats)
 	}
 }
 

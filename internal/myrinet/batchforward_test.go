@@ -22,8 +22,7 @@ func runForwardTrace(t *testing.T, seed int64, batch, mapping, recovery bool) st
 	defer func() { batchForward = old }()
 
 	k := sim.NewKernel(1)
-	n := NewNetwork(k)
-	sw := n.AddSwitch("sw0", DefaultPortCount)
+	sw := NewSwitch(k, "sw0", DefaultPortCount)
 	if recovery {
 		sw.SetRecovery(RecoveryConfig{Enabled: true})
 	}
@@ -48,15 +47,10 @@ func runForwardTrace(t *testing.T, seed int64, batch, mapping, recovery bool) st
 		hosts[i].SetDataHandler(func(src MAC, payload []byte) {
 			fmt.Fprintf(&trace, "t=%v host=%d src=%x payload=%x\n", k.Now(), idx, src, payload)
 		})
-		n.Interfaces = append(n.Interfaces, hosts[i])
-		n.ConnectHost(hosts[i], sw, i)
+		connectHost(k, hosts[i], sw, i)
 	}
 	if !mapping {
-		ports := map[*Interface]int{}
-		for i, h := range hosts {
-			ports[h] = i
-		}
-		n.InstallStaticRoutes(ports)
+		staticRoutes(hosts)
 	}
 
 	// Random mix: colliding destinations provoke destination blocking, and

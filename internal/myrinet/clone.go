@@ -212,32 +212,3 @@ func (ifc *Interface) Clone(m *sim.Mapper) *Interface {
 	ifc2.mcp = ifc.mcp.clone(m, ifc2)
 	return ifc2
 }
-
-// Clone forks the whole network container: switches, interfaces, and cables.
-// The kernel must already be cloned into m (phase 1).
-func (n *Network) Clone(m *sim.Mapper) *Network {
-	n2 := sim.Counterpart(m, n)
-	switches, interfaces, cables := n2.Switches, n2.Interfaces, n2.Cables
-	*n2 = *n
-	n2.Kernel = m.Kernel()
-	n2.Switches = sim.Resize(switches, len(n.Switches))
-	n2.Interfaces = sim.Resize(interfaces, len(n.Interfaces))
-	if cables == nil {
-		cables = make(map[string]*phy.Cable, len(n.Cables))
-	}
-	clear(cables)
-	n2.Cables = cables
-	// nullReceiver is a stateless placeholder left as a link destination
-	// only on half-wired topologies; it maps to itself.
-	m.Put(nullReceiver{}, nullReceiver{})
-	for i, sw := range n.Switches {
-		n2.Switches[i] = sw.Clone(m)
-	}
-	for i, ifc := range n.Interfaces {
-		n2.Interfaces[i] = ifc.Clone(m)
-	}
-	for name, c := range n.Cables {
-		cables[name] = c.Clone(m)
-	}
-	return n2
-}

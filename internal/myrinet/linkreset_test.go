@@ -198,17 +198,17 @@ func TestResetClearsStandingStop(t *testing.T) {
 
 // recoveryNet is threeNodeNet with the recovery layer enabled everywhere,
 // using short test deadlines.
-func recoveryNet(t *testing.T, k *sim.Kernel) (*Network, []*testHost, *Switch) {
+func recoveryNet(t *testing.T, k *sim.Kernel) ([]*testHost, *Switch) {
 	t.Helper()
 	rc := RecoveryConfig{
 		Enabled:        true,
 		BlockedTimeout: 2 * sim.Millisecond,
 		StopWatchdog:   4 * sim.Millisecond,
 	}
-	n := NewNetwork(k)
-	sw := n.AddSwitch("sw0", DefaultPortCount)
+	sw := NewSwitch(k, "sw0", DefaultPortCount)
 	sw.SetRecovery(rc)
 	hosts := make([]*testHost, 3)
+	ifcs := make([]*Interface, 3)
 	for i := range hosts {
 		hosts[i] = &testHost{}
 		hosts[i].ifc = NewInterface(k, InterfaceConfig{
@@ -222,14 +222,11 @@ func recoveryNet(t *testing.T, k *sim.Kernel) (*Network, []*testHost, *Switch) {
 			h.received = append(h.received, append([]byte(nil), payload...))
 			h.srcs = append(h.srcs, src)
 		})
-		n.ConnectHost(hosts[i].ifc, sw, i)
+		ifcs[i] = h.ifc
+		connectHost(k, h.ifc, sw, i)
 	}
-	ports := map[*Interface]int{}
-	for i, h := range hosts {
-		ports[h.ifc] = i
-	}
-	n.InstallStaticRoutes(ports)
-	return n, hosts, sw
+	staticRoutes(ifcs)
+	return hosts, sw
 }
 
 func TestSwitchBlockedTimeoutBreaksHeldPath(t *testing.T) {
@@ -239,7 +236,7 @@ func TestSwitchBlockedTimeoutBreaksHeldPath(t *testing.T) {
 	// watchdog terminates the stuck stream (GAP+RESET downstream),
 	// releases the output, and C's packet goes through.
 	k := sim.NewKernel(1)
-	_, hosts, sw := recoveryNet(t, k)
+	hosts, sw := recoveryNet(t, k)
 	a, b, c := hosts[0], hosts[1], hosts[2]
 
 	link := a.ifc.Controller().Out()

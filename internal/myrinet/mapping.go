@@ -108,7 +108,7 @@ type MCP struct {
 	scoutsSent     uint64
 	scoutsAnswered uint64
 	repliesSeen    uint64
-	demotions      uint64
+	demotions      uint64 // times this node ceded the mapper role
 }
 
 type probe struct {
@@ -460,9 +460,6 @@ func (m *MCP) handleTable(payload []byte) {
 
 // ScoutsAnswered reports how many scouts this node replied to.
 func (m *MCP) ScoutsAnswered() uint64 { return m.scoutsAnswered }
-
-// Demotions reports how many times this node ceded the mapper role.
-func (m *MCP) Demotions() uint64 { return m.demotions }
 
 func appendID(b []byte, id NodeID) []byte {
 	return append(b,

@@ -13,7 +13,7 @@ import (
 // one-shot election.
 func TestMappingDemotionThenRepromotion(t *testing.T) {
 	k := sim.NewKernel(1)
-	n, hosts, _ := threeNodeNet(t, k, true) // MapPeriod 100 ms, C (ID 3) maps
+	cables, hosts, _ := threeNodeNet(t, k, true) // MapPeriod 100 ms, C (ID 3) maps
 	k.RunUntil(50 * sim.Millisecond)
 	high := hosts[2].ifc.MCP()
 	mid := hosts[1].ifc.MCP()
@@ -22,7 +22,7 @@ func TestMappingDemotionThenRepromotion(t *testing.T) {
 	}
 
 	// Sever C: B (next highest) promotes via watchdog.
-	cable := n.Cables["C"]
+	cable := cables[2]
 	origL, origR := cable.LeftToRight.Dst(), cable.RightToLeft.Dst()
 	cable.LeftToRight.SetDst(nullReceiver{})
 	cable.RightToLeft.SetDst(nullReceiver{})
@@ -41,7 +41,7 @@ func TestMappingDemotionThenRepromotion(t *testing.T) {
 	if !high.IsMapper() {
 		t.Error("returned highest-ID node did not reclaim mapping")
 	}
-	if mid.Demotions() == 0 {
+	if mid.demotions == 0 {
 		t.Error("no demotion recorded")
 	}
 	// The network must be whole again: full 3-node map distributed.

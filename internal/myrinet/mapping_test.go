@@ -72,13 +72,13 @@ func TestMappingNodeRemovalOnSilence(t *testing.T) {
 	// Detach host A mid-run: the next mapping round must drop it from
 	// the map and from the other nodes' routing tables.
 	k := sim.NewKernel(1)
-	n, hosts, _ := threeNodeNet(t, k, true)
+	cables, hosts, _ := threeNodeNet(t, k, true)
 	k.RunUntil(50 * sim.Millisecond)
 	if _, ok := hosts[1].ifc.Route(hosts[0].ifc.MAC()); !ok {
 		t.Fatal("B has no route to A after first round")
 	}
 	// Sever A's cable (both directions discard).
-	cable := n.Cables["A"]
+	cable := cables[0]
 	cable.LeftToRight.SetDst(nullReceiver{})
 	cable.RightToLeft.SetDst(nullReceiver{})
 	k.RunUntil(250 * sim.Millisecond) // two more rounds
@@ -99,9 +99,9 @@ func TestMappingWatchdogPromotesNextMapper(t *testing.T) {
 	// Kill the mapper (host C): after the watchdog period, another node
 	// must take over mapping.
 	k := sim.NewKernel(1)
-	n, hosts, _ := threeNodeNet(t, k, true)
+	cables, hosts, _ := threeNodeNet(t, k, true)
 	k.RunUntil(50 * sim.Millisecond)
-	cable := n.Cables["C"]
+	cable := cables[2]
 	cable.LeftToRight.SetDst(nullReceiver{})
 	cable.RightToLeft.SetDst(nullReceiver{})
 	// Watchdog factor 2.5 * 100 ms = 250 ms; allow a few rounds after.
@@ -128,8 +128,7 @@ func TestMappingHigherIDTakesOver(t *testing.T) {
 	// Start with the LOWEST id as initial mapper; once its table reaches
 	// the higher-ID nodes, the highest must take over (§4.1).
 	k := sim.NewKernel(1)
-	n := NewNetwork(k)
-	sw := n.AddSwitch("sw0", 8)
+	sw := NewSwitch(k, "sw0", 8)
 	hosts := make([]*testHost, 3)
 	for i := range hosts {
 		hosts[i] = newTestHost(k, string(rune('A'+i)), byte(i+1), NodeID(i+1), MappingConfig{
@@ -137,7 +136,7 @@ func TestMappingHigherIDTakesOver(t *testing.T) {
 			InitialMapper: i == 0, // wrong node starts as mapper
 			MapPeriod:     100 * sim.Millisecond,
 		})
-		n.ConnectHost(hosts[i].ifc, sw, i)
+		connectHost(k, hosts[i].ifc, sw, i)
 	}
 	k.RunUntil(500 * sim.Millisecond)
 	if hosts[0].ifc.MCP().IsMapper() {

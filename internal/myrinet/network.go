@@ -1,8 +1,6 @@
 package myrinet
 
 import (
-	"fmt"
-
 	"netfi/internal/phy"
 	"netfi/internal/sim"
 )
@@ -68,48 +66,4 @@ func ConnectCross(ka, kb *sim.Kernel, cfg phy.LinkConfig, a, b Attachable) *phy.
 	linkAB.SetDst(recvB)
 	linkBA.SetDst(recvA)
 	return &phy.Cable{LeftToRight: linkAB, RightToLeft: linkBA}
-}
-
-// Network is a convenience container for a simulated Myrinet: the kernel,
-// switches, interfaces, and the cables between them.
-type Network struct {
-	Kernel     *sim.Kernel
-	Switches   []*Switch
-	Interfaces []*Interface
-	Cables     map[string]*phy.Cable
-}
-
-// NewNetwork returns an empty network on the given kernel.
-func NewNetwork(k *sim.Kernel) *Network {
-	return &Network{Kernel: k, Cables: make(map[string]*phy.Cable)}
-}
-
-// AddSwitch creates and registers a switch.
-func (n *Network) AddSwitch(name string, ports int) *Switch {
-	sw := NewSwitch(n.Kernel, name, ports)
-	n.Switches = append(n.Switches, sw)
-	return sw
-}
-
-// ConnectHost cables a host interface to a switch port and records the
-// cable under the interface's name.
-func (n *Network) ConnectHost(ifc *Interface, sw *Switch, port int) *phy.Cable {
-	cable := Connect(n.Kernel, DefaultLinkConfig(fmt.Sprintf("%s<->%s.p%d", ifc.Name(), sw.Name(), port)), ifc, Port(sw, port))
-	n.Cables[ifc.Name()] = cable
-	return cable
-}
-
-// InstallStaticRoutes gives every interface a route to every other assuming
-// all are on a single switch, bypassing the mapping protocol. Tests that do
-// not exercise mapping use this; ports maps each interface to its switch
-// port.
-func (n *Network) InstallStaticRoutes(ports map[*Interface]int) {
-	for a, _ := range ports {
-		for b, pb := range ports {
-			if a == b {
-				continue
-			}
-			a.SetRoute(b.MAC(), RouteTo(pb))
-		}
-	}
 }

@@ -17,9 +17,6 @@ func (m MAC) String() string {
 	return fmt.Sprintf("%02x:%02x:%02x:%02x:%02x:%02x", m[0], m[1], m[2], m[3], m[4], m[5])
 }
 
-// IsZero reports whether the address is all zeros.
-func (m MAC) IsZero() bool { return m == MAC{} }
-
 // NodeID is the 64-bit unique address of an MCP. The MCP with the highest
 // NodeID on a network is responsible for mapping it (§4.1).
 type NodeID uint64

@@ -118,12 +118,6 @@ func TestMACString(t *testing.T) {
 	if got := m.String(); got != "de:ad:be:ef:00:01" {
 		t.Errorf("String() = %q", got)
 	}
-	if m.IsZero() {
-		t.Error("IsZero() on non-zero MAC")
-	}
-	if !(MAC{}).IsZero() {
-		t.Error("IsZero() false on zero MAC")
-	}
 }
 
 func TestDecodeControlRules(t *testing.T) {

@@ -100,14 +100,13 @@ func TestTwoSwitchConservationProperty(t *testing.T) {
 			sizes = sizes[:20]
 		}
 		k := sim.NewKernel(7)
-		n := NewNetwork(k)
-		sw0 := n.AddSwitch("sw0", 4)
-		sw1 := n.AddSwitch("sw1", 4)
+		sw0 := NewSwitch(k, "sw0", 4)
+		sw1 := NewSwitch(k, "sw1", 4)
 		a := newTestHost(k, "A", 1, 1, MappingConfig{})
 		b := newTestHost(k, "B", 2, 2, MappingConfig{})
-		n.ConnectHost(a.ifc, sw0, 0)
-		n.ConnectHost(b.ifc, sw1, 1)
-		n.ConnectSwitches(sw0, 3, sw1, 2)
+		connectHost(k, a.ifc, sw0, 0)
+		connectHost(k, b.ifc, sw1, 1)
+		connectSwitches(k, sw0, 3, sw1, 2)
 		a.ifc.SetRoute(b.ifc.MAC(), RouteTo(3, 1))
 		for i, sz := range sizes {
 			payload := make([]byte, int(sz)+1)

@@ -32,7 +32,7 @@ type SlackBuffer struct {
 	low      int
 	stopping bool
 	wm       watermarks // nil: watermark crossings act on nothing
-	overflow uint64
+	overflow uint64     // characters destroyed by pushes into a full buffer
 }
 
 // watermarks receives a slack buffer's flow-control actions. The link
@@ -263,7 +263,3 @@ func (s *SlackBuffer) Cap() int { return s.capacity }
 // Stopping reports whether the buffer is between its high-watermark STOP
 // and the low-watermark GO.
 func (s *SlackBuffer) Stopping() bool { return s.stopping }
-
-// Overflow reports how many characters were destroyed by pushes into a full
-// buffer.
-func (s *SlackBuffer) Overflow() uint64 { return s.overflow }

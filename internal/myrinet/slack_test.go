@@ -72,8 +72,8 @@ func TestSlackBufferOverflowDestroysCharacters(t *testing.T) {
 	if s.Push(phy.DataChar(99)) {
 		t.Error("push into full buffer succeeded")
 	}
-	if s.Overflow() != 1 {
-		t.Errorf("Overflow() = %d, want 1", s.Overflow())
+	if s.overflow != 1 {
+		t.Errorf("overflow = %d, want 1", s.overflow)
 	}
 	// The destroyed character never appears.
 	for {

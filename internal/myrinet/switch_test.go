@@ -32,12 +32,14 @@ func newTestHost(k *sim.Kernel, name string, mac byte, id NodeID, mapping Mappin
 }
 
 // threeNodeNet builds the Fig. 10 test bed: three hosts on one 8-port
-// switch (ports 0, 1, 2), static routes unless mapping is enabled.
-func threeNodeNet(t *testing.T, k *sim.Kernel, mapping bool) (*Network, []*testHost, *Switch) {
+// switch (ports 0, 1, 2), static routes unless mapping is enabled. The
+// cables are indexed like the hosts.
+func threeNodeNet(t *testing.T, k *sim.Kernel, mapping bool) ([]*phy.Cable, []*testHost, *Switch) {
 	t.Helper()
-	n := NewNetwork(k)
-	sw := n.AddSwitch("sw0", DefaultPortCount)
+	sw := NewSwitch(k, "sw0", DefaultPortCount)
 	hosts := make([]*testHost, 3)
+	cables := make([]*phy.Cable, 3)
+	ifcs := make([]*Interface, 3)
 	for i := range hosts {
 		cfg := MappingConfig{}
 		if mapping {
@@ -48,17 +50,36 @@ func threeNodeNet(t *testing.T, k *sim.Kernel, mapping bool) (*Network, []*testH
 			}
 		}
 		hosts[i] = newTestHost(k, string(rune('A'+i)), byte(i+1), NodeID(i+1), cfg)
-		n.Interfaces = append(n.Interfaces, hosts[i].ifc)
-		n.ConnectHost(hosts[i].ifc, sw, i)
+		ifcs[i] = hosts[i].ifc
+		cables[i] = connectHost(k, hosts[i].ifc, sw, i)
 	}
 	if !mapping {
-		ports := map[*Interface]int{}
-		for i, h := range hosts {
-			ports[h.ifc] = i
-		}
-		n.InstallStaticRoutes(ports)
+		staticRoutes(ifcs)
 	}
-	return n, hosts, sw
+	return cables, hosts, sw
+}
+
+// connectHost cables a host interface to a switch port under the link name
+// the test beds give it.
+func connectHost(k *sim.Kernel, ifc *Interface, sw *Switch, port int) *phy.Cable {
+	return Connect(k, DefaultLinkConfig(fmt.Sprintf("%s<->%s.p%d", ifc.Name(), sw.Name(), port)), ifc, Port(sw, port))
+}
+
+// connectSwitches cables two switch ports together.
+func connectSwitches(k *sim.Kernel, a *Switch, pa int, b *Switch, pb int) *phy.Cable {
+	return Connect(k, DefaultLinkConfig(fmt.Sprintf("%s.p%d<->%s.p%d", a.Name(), pa, b.Name(), pb)), Port(a, pa), Port(b, pb))
+}
+
+// staticRoutes gives every interface a route to every other, ifcs[i] on
+// port i of one switch, bypassing the mapping protocol.
+func staticRoutes(ifcs []*Interface) {
+	for _, a := range ifcs {
+		for j, b := range ifcs {
+			if a != b {
+				a.SetRoute(b.MAC(), RouteTo(j))
+			}
+		}
+	}
 }
 
 func TestSwitchDeliversBetweenHosts(t *testing.T) {
@@ -248,14 +269,13 @@ func TestSwitchLargeTransferNoLoss(t *testing.T) {
 func TestTwoSwitchTopology(t *testing.T) {
 	// host A - sw0(p0) ... sw0(p7) <-> sw1(p6) ... sw1(p1) - host B
 	k := sim.NewKernel(1)
-	n := NewNetwork(k)
-	sw0 := n.AddSwitch("sw0", 8)
-	sw1 := n.AddSwitch("sw1", 8)
+	sw0 := NewSwitch(k, "sw0", 8)
+	sw1 := NewSwitch(k, "sw1", 8)
 	a := newTestHost(k, "A", 1, 1, MappingConfig{})
 	b := newTestHost(k, "B", 2, 2, MappingConfig{})
-	n.ConnectHost(a.ifc, sw0, 0)
-	n.ConnectHost(b.ifc, sw1, 1)
-	n.ConnectSwitches(sw0, 7, sw1, 6)
+	connectHost(k, a.ifc, sw0, 0)
+	connectHost(k, b.ifc, sw1, 1)
+	connectSwitches(k, sw0, 7, sw1, 6)
 	a.ifc.SetRoute(b.ifc.MAC(), RouteTo(7, 1))
 	b.ifc.SetRoute(a.ifc.MAC(), RouteTo(6, 0))
 	if err := a.ifc.Send(b.ifc.MAC(), []byte("across two switches")); err != nil {
@@ -272,12 +292,4 @@ func TestTwoSwitchTopology(t *testing.T) {
 	if len(a.received) != 1 || string(a.received[0]) != "and back" {
 		t.Fatalf("A received %v", a.received)
 	}
-}
-
-// ConnectSwitches cables two switch ports together.
-func (n *Network) ConnectSwitches(a *Switch, pa int, b *Switch, pb int) *phy.Cable {
-	name := fmt.Sprintf("%s.p%d<->%s.p%d", a.Name(), pa, b.Name(), pb)
-	cable := Connect(n.Kernel, DefaultLinkConfig(name), Port(a, pa), Port(b, pb))
-	n.Cables[name] = cable
-	return cable
 }

@@ -277,9 +277,6 @@ func (l *Link) SeveredChars() uint64 { return l.severedChars }
 // BusyUntil reports when the transmitter finishes its current queue.
 func (l *Link) BusyUntil() sim.Time { return l.busyUntil }
 
-// Idle reports whether the transmitter has drained.
-func (l *Link) Idle() bool { return l.busyUntil <= l.k.Now() }
-
 // Stats reports cumulative characters and bursts sent.
 func (l *Link) Stats() (chars, bursts uint64) { return l.chars, l.bursts }
 

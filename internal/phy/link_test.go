@@ -132,15 +132,16 @@ func TestLinkStats(t *testing.T) {
 
 func TestLinkIdle(t *testing.T) {
 	k, l, _ := newTestLink(t, 0)
-	if !l.Idle() {
+	idle := func() bool { return l.BusyUntil() <= k.Now() }
+	if !idle() {
 		t.Error("new link not idle")
 	}
 	l.Send(DataChars([]byte{1}))
-	if l.Idle() {
+	if idle() {
 		t.Error("link idle while serializing")
 	}
 	k.Run()
-	if !l.Idle() {
+	if !idle() {
 		t.Error("link not idle after drain")
 	}
 }

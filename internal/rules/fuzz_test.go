@@ -217,11 +217,11 @@ func TestCompileSelection(t *testing.T) {
 		pf := p.Prefilter()
 		switch {
 		case sh.words == 0 && pf != nil:
-			t.Fatalf("compiled a screen where none pays: %+v\nrules: %+v", pf.Stats(), rs)
+			t.Fatalf("compiled a screen where none pays: %+v\nrules: %+v", pf.prefixes, rs)
 		case sh.words > 0 && pf == nil:
 			t.Fatalf("no screen, want %d words\nrules: %+v", sh.words, rs)
-		case sh.words > 0 && pf.Stats().Words != sh.words:
-			t.Fatalf("screen %+v, want %d words", pf.Stats(), sh.words)
+		case sh.words > 0 && pf.words != sh.words:
+			t.Fatalf("screen of %d words, want %d (%+v)", pf.words, sh.words, pf.prefixes)
 		}
 	})
 }

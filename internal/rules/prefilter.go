@@ -60,10 +60,9 @@ func (t prefixToken) each(fn func(sym uint16)) {
 // Prefilter is the compiled screen. Immutable after compile and shared
 // across executor clones, like the Program that owns it.
 type Prefilter struct {
-	prefixes [][]prefixToken // deduplicated, for stats and tests
+	prefixes [][]prefixToken // deduplicated
 	maxLen   int
 	starter  [SymbolSpace / 64]uint64
-	starters int
 
 	// shift-and tables.
 	words int
@@ -71,20 +70,6 @@ type Prefilter struct {
 	ini   [pfMaxWords]uint64
 	hitm  [pfMaxWords]uint64
 	depth []uint8 // bit position -> symbols consumed (1-based)
-}
-
-// PrefilterStats summarizes the compiled screen.
-type PrefilterStats struct {
-	// Prefixes is the deduplicated prefix count; MaxLen the longest kept
-	// prefix (the hit-rewind distance).
-	Prefixes int
-	MaxLen   int
-	// Starters is how many of the 512 symbols can begin some prefix.
-	Starters int
-	// Words is the shift-and state width in 64-bit words; Positions the
-	// occupied bit positions.
-	Words     int
-	Positions int
 }
 
 // extractPrefix returns a rule's literal prefix: the first step followed by
@@ -188,10 +173,11 @@ func compilePrefilter(rs []Rule) *Prefilter {
 		}
 		p[0].each(func(s uint16) { pf.starter[s>>6] |= 1 << (s & 63) })
 	}
+	starters := 0
 	for _, w := range pf.starter {
-		pf.starters += bits.OnesCount64(w)
+		starters += bits.OnesCount64(w)
 	}
-	if pf.maxLen < 2 || 2*pf.starters > SymbolSpace {
+	if pf.maxLen < 2 || 2*starters > SymbolSpace {
 		return nil
 	}
 	pf.buildShiftAnd()
@@ -236,17 +222,5 @@ func (pf *Prefilter) Starter(sym uint16) bool {
 // holdback distance.
 func (pf *Prefilter) MaxLen() int { return pf.maxLen }
 
-// Stats summarizes the compiled screen.
-func (pf *Prefilter) Stats() PrefilterStats {
-	total := 0
-	for _, p := range pf.prefixes {
-		total += len(p)
-	}
-	return PrefilterStats{
-		Prefixes:  len(pf.prefixes),
-		MaxLen:    pf.maxLen,
-		Starters:  pf.starters,
-		Words:     pf.words,
-		Positions: total,
-	}
-}
+// Words is the shift-and state width in 64-bit words.
+func (pf *Prefilter) Words() int { return pf.words }

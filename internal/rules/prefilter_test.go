@@ -72,12 +72,11 @@ func TestPrefixDedupeAndSubsumption(t *testing.T) {
 	if pf == nil {
 		t.Fatal("two-symbol literal prefixes compiled without a screen")
 	}
-	st := pf.Stats()
-	if st.Prefixes != 2 {
-		t.Fatalf("deduplicated prefixes = %d, want 2 (stats %+v)", st.Prefixes, st)
+	if len(pf.prefixes) != 2 {
+		t.Fatalf("deduplicated prefixes = %d, want 2 (%+v)", len(pf.prefixes), pf.prefixes)
 	}
-	if st.MaxLen != 2 {
-		t.Fatalf("MaxLen = %d, want 2 after subsumption (stats %+v)", st.MaxLen, st)
+	if pf.maxLen != 2 {
+		t.Fatalf("MaxLen = %d, want 2 after subsumption (%+v)", pf.maxLen, pf.prefixes)
 	}
 	// Same-symbol different-mask first steps are distinct classes, not dupes.
 	rs2 := []Rule{
@@ -85,7 +84,7 @@ func TestPrefixDedupeAndSubsumption(t *testing.T) {
 		pfRule(1, Step{Sym: 0x41, Mask: 0x0FF}, Step{Sym: 0x42, Mask: SymbolMask}),
 	}
 	pf2 := mustCompile(t, rs2).Prefilter()
-	if got := pf2.Stats().Prefixes; got != 2 {
+	if got := len(pf2.prefixes); got != 2 {
 		t.Fatalf("distinct masked classes collapsed: prefixes = %d, want 2", got)
 	}
 	// Sym bits outside the mask are normalized away before comparing.
@@ -94,7 +93,7 @@ func TestPrefixDedupeAndSubsumption(t *testing.T) {
 		pfRule(1, Step{Sym: 0x041, Mask: 0x0FF}, Step{Sym: 0x42, Mask: SymbolMask}),
 	}
 	pf3 := mustCompile(t, rs3).Prefilter()
-	if got := pf3.Stats().Prefixes; got != 1 {
+	if got := len(pf3.prefixes); got != 1 {
 		t.Fatalf("mask-equivalent classes not collapsed: prefixes = %d, want 1", got)
 	}
 }
@@ -107,11 +106,11 @@ func TestPrefilterAutoDeclines(t *testing.T) {
 		Step{Sym: 0, Mask: 0}, // matches every symbol: no usable literal prefix
 		Step{Sym: 0x42, Mask: SymbolMask})}
 	if pf := mustCompile(t, wildcard).Prefilter(); pf != nil {
-		t.Fatalf("auto compiled a screen for a wildcard-first rule: %+v", pf.Stats())
+		t.Fatalf("auto compiled a screen for a wildcard-first rule: %+v", pf.prefixes)
 	}
 	short := []Rule{pfRule(0, Step{Sym: 0x41, Mask: SymbolMask})}
 	if pf := mustCompile(t, short).Prefilter(); pf != nil {
-		t.Fatalf("auto compiled a screen for a one-symbol rule: %+v", pf.Stats())
+		t.Fatalf("auto compiled a screen for a one-symbol rule: %+v", pf.prefixes)
 	}
 	useful := []Rule{pfRule(0,
 		Step{Sym: 0x41, Mask: SymbolMask},

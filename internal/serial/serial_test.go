@@ -70,9 +70,8 @@ func TestSPIAssemblerRejectsUnknownTags(t *testing.T) {
 	if string(got) != "AB" {
 		t.Errorf("unpacked %q, want AB", got)
 	}
-	_, rejected := a.Stats()
-	if rejected != 2 {
-		t.Errorf("rejected = %d, want 2", rejected)
+	if a.rejected != 2 {
+		t.Errorf("rejected = %d, want 2", a.rejected)
 	}
 }
 

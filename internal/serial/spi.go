@@ -33,8 +33,8 @@ func (f Frame) IsData() bool { return f.Tag() == TagData }
 // Assembler packs a byte stream into SPI frames and unpacks it again,
 // mirroring the SPI entity's serialize/deserialize role.
 type Assembler struct {
-	frames   uint64
-	rejected uint64
+	frames   uint64 // bytes packed
+	rejected uint64 // frames Unpack discarded
 }
 
 // Pack appends data to dst as data frames and returns the extended slice.
@@ -60,6 +60,3 @@ func (a *Assembler) Unpack(dst []byte, frames []Frame) []byte {
 	}
 	return dst
 }
-
-// Stats reports frames packed and frames rejected on unpack.
-func (a *Assembler) Stats() (packed, rejected uint64) { return a.frames, a.rejected }

@@ -128,7 +128,8 @@ type Fabric struct {
 	shardOfSwitch []int
 	shardOfHost   []int
 	// lookahead is the shortest buffered cable direction's latency, zero
-	// until addCable buffers one.
+	// until addCable buffers one; a one-shard fabric, which buffers
+	// nothing, takes one character plus the shorter propagation delay.
 	lookahead sim.Duration
 
 	exch *phy.ExchangeSet
@@ -396,17 +397,6 @@ func (f *Fabric) resolverFor(h int) func([]byte, myrinet.MAC) ([]byte, bool) {
 		return f.appendRoute(buf, h, d)
 	}
 }
-
-// Lookahead returns the conservative-lookahead window width: the shortest
-// buffered cable direction's latency, or in a one-shard fabric, which
-// buffers nothing, one character plus the shorter propagation delay.
-func (f *Fabric) Lookahead() sim.Duration { return f.lookahead }
-
-// ShardOfHost returns the shard owning host h.
-func (f *Fabric) ShardOfHost(h int) int { return f.shardOfHost[h] }
-
-// ShardOfSwitch returns the shard owning switch i.
-func (f *Fabric) ShardOfSwitch(i int) int { return f.shardOfSwitch[i] }
 
 // HostKernel returns the kernel owning host h; workload events for h must
 // be scheduled here.

@@ -164,7 +164,7 @@ func TestPartition(t *testing.T) {
 	f := build(t, Config{Switches: 16, Hosts: 64, Shards: 4, Seed: 1})
 	used := map[int]bool{}
 	for i := 0; i < 16; i++ {
-		s := f.ShardOfSwitch(i)
+		s := f.shardOfSwitch[i]
 		if s < 0 || s >= 4 {
 			t.Fatalf("switch %d on shard %d", i, s)
 		}
@@ -175,8 +175,8 @@ func TestPartition(t *testing.T) {
 	}
 	for h := 0; h < 64; h++ {
 		sw, _ := f.hostAttach(h)
-		if f.ShardOfHost(h) != f.ShardOfSwitch(sw) {
-			t.Fatalf("host %d on shard %d, its leaf on %d", h, f.ShardOfHost(h), f.ShardOfSwitch(sw))
+		if f.shardOfHost[h] != f.shardOfSwitch[sw] {
+			t.Fatalf("host %d on shard %d, its leaf on %d", h, f.shardOfHost[h], f.shardOfSwitch[sw])
 		}
 	}
 
@@ -187,7 +187,7 @@ func TestPartition(t *testing.T) {
 	}
 	hostShards := map[int]bool{}
 	for h := 0; h < 4; h++ {
-		s := g.ShardOfHost(h)
+		s := g.shardOfHost[h]
 		if s < 2 {
 			t.Fatalf("host %d landed on a switch shard %d", h, s)
 		}
@@ -219,20 +219,20 @@ func TestPartitionDealsTiers(t *testing.T) {
 		spines := make([]int, n)
 		hosts := make([]int, n)
 		for l := 0; l < f.Leaves; l++ {
-			leaves[f.ShardOfSwitch(l)]++
+			leaves[f.shardOfSwitch[l]]++
 		}
 		for s := 0; s < f.Spines; s++ {
-			spines[f.ShardOfSwitch(f.Leaves+s)]++
+			spines[f.shardOfSwitch[f.Leaves+s]]++
 		}
 		lastLeaf := -1
 		for h := 0; h < tc.cfg.Hosts; h++ {
 			sw, _ := f.hostAttach(h)
-			if f.ShardOfHost(h) != f.ShardOfSwitch(sw) {
-				t.Fatalf("%+v: host %d on shard %d, its leaf on %d", tc.cfg, h, f.ShardOfHost(h), f.ShardOfSwitch(sw))
+			if f.shardOfHost[h] != f.shardOfSwitch[sw] {
+				t.Fatalf("%+v: host %d on shard %d, its leaf on %d", tc.cfg, h, f.shardOfHost[h], f.shardOfSwitch[sw])
 			}
-			hosts[f.ShardOfHost(h)]++
+			hosts[f.shardOfHost[h]]++
 			if sw != lastLeaf {
-				bearing[f.ShardOfSwitch(sw)]++
+				bearing[f.shardOfSwitch[sw]]++
 				lastLeaf = sw
 			}
 		}
@@ -253,8 +253,8 @@ func TestPartitionDealsTiers(t *testing.T) {
 		// A sharded fabric buffers every trunk hop, same-shard ones too,
 		// and keeps each host cable on its leaf's shard, so the shortest
 		// buffered cable, the lookahead, is one trunk latency.
-		if trunk := myrinet.CharPeriod + f.Config.TrunkPropDelay; n > 1 && f.Lookahead() != trunk {
-			t.Errorf("%+v: lookahead %v, want one trunk latency %v", tc.cfg, f.Lookahead(), trunk)
+		if trunk := myrinet.CharPeriod + f.Config.TrunkPropDelay; n > 1 && f.lookahead != trunk {
+			t.Errorf("%+v: lookahead %v, want one trunk latency %v", tc.cfg, f.lookahead, trunk)
 		}
 		if tc.cross < 0 {
 			continue
@@ -262,7 +262,7 @@ func TestPartitionDealsTiers(t *testing.T) {
 		cross := 0
 		for l := 0; l < f.Leaves; l++ {
 			for s := 0; s < f.Spines; s++ {
-				if f.ShardOfSwitch(l) != f.ShardOfSwitch(f.Leaves+s) {
+				if f.shardOfSwitch[l] != f.shardOfSwitch[f.Leaves+s] {
 					cross++
 				}
 			}
@@ -294,8 +294,8 @@ func TestLookahead(t *testing.T) {
 			Switches: 2, Hosts: 4, Shards: tc.shards, Seed: 1,
 			HostPropDelay: 30 * sim.Nanosecond, TrunkPropDelay: 80 * sim.Nanosecond,
 		})
-		if want := myrinet.CharPeriod + tc.prop; f.Lookahead() != want {
-			t.Errorf("%d shards: lookahead = %v, want %v", tc.shards, f.Lookahead(), want)
+		if want := myrinet.CharPeriod + tc.prop; f.lookahead != want {
+			t.Errorf("%d shards: lookahead = %v, want %v", tc.shards, f.lookahead, want)
 		}
 	}
 }

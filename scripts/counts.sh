@@ -1,7 +1,8 @@
 #!/bin/sh
-# counts.sh — the two size counts ROADMAP.md tracks: non-test Go lines under
-# internal/ and cmd/, and the non-test panic( sites there. Informational
-# only: it gates nothing. Run via `make counts` or directly.
+# counts.sh — the size counts ROADMAP.md tracks, all over non-test Go files
+# under internal/ and cmd/: lines, panic( sites, Stats() methods, and
+# exported fields in *Config/*Options structs. Informational only: it
+# gates nothing. Run via `make counts` or directly.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -10,5 +11,21 @@ files=$(find internal cmd -name '*.go' ! -name '*_test.go' | sort)
 lines=$(cat $files | wc -l)
 # shellcheck disable=SC2086
 panics=$(grep -h 'panic(' $files | wc -l)
+# shellcheck disable=SC2086
+stats=$(grep -h '^func (.*) Stats() ' $files | wc -l)
+# A field line inside a top-level `type …Config struct {` or
+# `type …Options struct {` block counts each exported name it declares
+# (`A, B int` is two).
+# shellcheck disable=SC2086
+fields=$(awk '
+	/^type [A-Za-z0-9_]*(Config|Options) struct \{/ { inside = 1; next }
+	inside && /^}/ { inside = 0; next }
+	inside && match($0, /^\t[A-Z][A-Za-z0-9_]*(, *[A-Z][A-Za-z0-9_]*)*/) {
+		n += split(substr($0, RSTART, RLENGTH), names, ",")
+	}
+	END { print n + 0 }
+' $files)
 echo "non-test Go lines (internal/, cmd/): $((lines))"
 echo "non-test panic( sites (internal/, cmd/): $((panics))"
+echo "Stats() methods (internal/, cmd/): $((stats))"
+echo "exported *Config/*Options fields (internal/, cmd/): $((fields))"
