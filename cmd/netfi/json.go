@@ -255,14 +255,14 @@ func jsonReport(name string, o expOpts) (string, error) {
 	case "resilience":
 		res := campaign.RunResilience(resilienceOptions(o))
 		v = jsonResilience{
-			Section: "resilience", Seed: o.seed,
+			Section: "resilience", Seed: o.Seed,
 			RecoveryOn:  viewSweep(res.Trials),
 			RecoveryOff: viewSweep(res.Baseline),
 		}
 	case "monitor":
-		res := campaign.RunMonitor(campaign.MonitorOptions{Seed: o.seed})
+		res := campaign.RunMonitor(o.SectionOptions)
 		v = jsonMonitor{
-			Section: "monitor", Seed: o.seed, jsonTrial: viewTrial(res.Trial),
+			Section: "monitor", Seed: o.Seed, jsonTrial: viewTrial(res.Trial),
 			Ticks: res.Ticks, Events: viewEvents(res.Events),
 			FlowsDropped: res.FlowsDropped, Flows: viewFlows(res.Flows), Taps: res.Taps,
 		}

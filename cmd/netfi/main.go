@@ -50,7 +50,8 @@
 //	-scale F       scale experiment durations/rounds toward the paper's full
 //	               lengths (default 1.0; e.g. -scale 12 runs Table 2 with
 //	               240k ping-pong rounds and §4.3.1 for a full minute; mmon
-//	               observes 2 s × F)
+//	               observes 2 s × F; campaign.SectionOptions states every
+//	               paper section's length at scale 1)
 //	-workers N     worker goroutines for campaign trials (default: one per
 //	               CPU; 1 reproduces the serial runner exactly — output is
 //	               byte-identical either way)
@@ -68,7 +69,6 @@ import (
 	"strings"
 
 	"netfi/internal/campaign"
-	"netfi/internal/sim"
 	"netfi/internal/synth"
 	"netfi/internal/topo"
 )
@@ -77,11 +77,10 @@ func main() {
 	os.Exit(run(os.Args[1:]))
 }
 
-// expOpts carries the shared experiment knobs.
+// expOpts carries the shared experiment knobs: the paper sections' seed,
+// scale and workers, plus the flags of the sections that take their own.
 type expOpts struct {
-	seed    int64
-	scale   float64
-	workers int
+	campaign.SectionOptions
 	// fabric shape (netfi fabric only)
 	switches int
 	hosts    int
@@ -96,7 +95,7 @@ type expOpts struct {
 // campaign option reads 0 as "use the default", so a small scale must not
 // round down into a full-length run.
 func (o expOpts) count(n int) int {
-	return max(1, int(float64(n)*o.scale))
+	return max(1, int(float64(n)*o.Scale))
 }
 
 func run(args []string) int {
@@ -131,7 +130,12 @@ func run(args []string) int {
 		fmt.Fprintf(os.Stderr, "netfi: -scale must be a positive finite number (got %v)\n", *scale)
 	}
 	if badScale || len(rest) < 1 || (fs.NArg() != 0 && rest[0] != "spec") {
-		fmt.Fprintln(os.Stderr, "usage: netfi [-seed N] [-scale F] [-workers N] [-switches N] [-hosts N] [-shards N] [-stats] [-json] [-cpuprofile F] [-memprofile F] <table1|table2|table4|sec431|sec432|sec433|sec434|passthrough|multirule|resilience|monitor|chaos|fabric|all>\n       netfi [-json] spec <spec.json> ...   (or spec -example)\n       netfi [-seed N] [-scale F] [-corrupt] [-live] mmon\n       netfi [-seed N] shell")
+		names := make([]string, len(sections))
+		for i, sec := range sections {
+			names[i] = sec.name
+		}
+		fmt.Fprintln(os.Stderr, "usage: netfi [-seed N] [-scale F] [-workers N] [-switches N] [-hosts N] [-shards N] [-stats] [-json] [-cpuprofile F] [-memprofile F] <"+
+			strings.Join(names, "|")+"|fabric|all>\n       netfi [-json] spec <spec.json> ...   (or spec -example)\n       netfi [-seed N] [-scale F] [-corrupt] [-live] mmon\n       netfi [-seed N] shell")
 		return 2
 	}
 
@@ -164,23 +168,9 @@ func run(args []string) int {
 	}
 
 	opts := expOpts{
-		seed: *seed, scale: *scale, workers: *workers,
-		switches: *switches, hosts: *hosts, shards: *shards,
+		SectionOptions: campaign.SectionOptions{Seed: *seed, Scale: *scale, Workers: *workers},
+		switches:       *switches, hosts: *hosts, shards: *shards,
 		stats: *stats, corrupt: *corrupt, live: *live,
-	}
-	cmds := map[string]func(expOpts) string{
-		"table1":      table1,
-		"table2":      table2,
-		"table4":      table4,
-		"sec431":      sec431,
-		"sec432":      sec432,
-		"sec433":      sec433,
-		"sec434":      sec434,
-		"passthrough": passthrough,
-		"multirule":   multirule,
-		"resilience":  resilience,
-		"monitor":     monitorSection,
-		"chaos":       chaosSection,
 	}
 	name := rest[0]
 	if name == "spec" {
@@ -213,108 +203,89 @@ func run(args []string) int {
 		return 0
 	}
 	if name == "all" {
-		order := []string{"table1", "table2", "table4", "sec431", "sec432", "sec433", "sec434", "passthrough", "multirule", "resilience", "monitor", "chaos"}
 		// Sections are independent simulations, so `all` fans the sections
 		// themselves out over the pool. The inner campaigns then run their
 		// trials serially (workers=1) to avoid oversubscribing the CPUs;
 		// each section's output is assembled whole, in order, so the
 		// combined report is byte-identical to a serial run.
 		sectionOpts := opts
-		if opts.workers > 1 {
-			sectionOpts.workers = 1
+		if opts.Workers > 1 {
+			sectionOpts.Workers = 1
 		}
-		reports := campaign.RunTrials(len(order), opts.workers, func(i int) string {
-			return cmds[order[i]](sectionOpts)
+		reports := campaign.RunTrials(len(sections), opts.Workers, func(i int) string {
+			return sections[i].render(sectionOpts)
 		})
 		var b strings.Builder
-		for i, n := range order {
-			fmt.Fprintf(&b, "==== %s ====\n%s\n", n, reports[i])
+		for i, sec := range sections {
+			fmt.Fprintf(&b, "==== %s ====\n%s\n", sec.name, reports[i])
 		}
 		fmt.Print(b.String())
 		return 0
 	}
-	cmd, ok := cmds[name]
-	if !ok {
-		fmt.Fprintf(os.Stderr, "netfi: unknown experiment %q\n", name)
-		return 2
+	for _, sec := range sections {
+		if sec.name == name {
+			fmt.Print(sec.render(opts))
+			return 0
+		}
 	}
-	fmt.Print(cmd(opts))
-	return 0
+	fmt.Fprintf(os.Stderr, "netfi: unknown experiment %q\n", name)
+	return 2
 }
 
-func table1(expOpts) string {
-	return "Table 1: synthesis results of the FPGA code (structural estimate vs paper)\n" +
-		synth.Table1()
+// section is one report section: its name on the command line, its title
+// line and the report under it.
+type section struct {
+	name, title string
+	report      func(expOpts) string
 }
 
-func table2(o expOpts) string {
-	rows := campaign.RunTable2(campaign.Table2Options{
-		Seed:    o.seed,
-		Rounds:  o.count(20_000),
-		Workers: o.workers,
-	})
-	return "Table 2: latency measurements (UDP ping-pong, with/without injector)\n" +
-		campaign.FormatTable2(rows)
+// render returns the section's title line and report.
+func (s section) render(o expOpts) string {
+	return s.title + "\n" + s.report(o)
 }
 
-func table4(o expOpts) string {
-	rows := campaign.RunTable4(campaign.Table4Options{
-		Seed:     o.seed,
-		Duration: sim.Duration(1700 * o.scale * float64(sim.Millisecond)),
-		Workers:  o.workers,
-	})
-	return "Table 4: control symbol corruption campaign\n" +
-		campaign.FormatTable4(rows)
-}
-
-func sec431(o expOpts) string {
-	res := campaign.RunSec431(campaign.Sec431Options{
-		Seed:     o.seed,
-		Duration: sim.Duration(5 * o.scale * float64(sim.Second)),
-		Workers:  o.workers,
-	})
-	return "Section 4.3.1: throughput under flow-control corruption\n" +
-		campaign.FormatSec431(res)
-}
-
-func sec432(o expOpts) string {
-	return "Section 4.3.2: packet type corruption\n" +
-		campaign.FormatSec432(campaign.RunSec432(campaign.Sec432Options{Seed: o.seed, Workers: o.workers}))
-}
-
-func sec433(o expOpts) string {
-	return "Section 4.3.3: physical address corruption (includes Fig. 11)\n" +
-		campaign.FormatSec433(campaign.RunSec433(campaign.Sec433Options{Seed: o.seed, Workers: o.workers}))
-}
-
-func sec434(o expOpts) string {
-	return "Section 4.3.4: UDP address corruption / checksum evasion\n" +
-		campaign.FormatSec434(campaign.RunSec434(campaign.Sec434Options{Seed: o.seed, Workers: o.workers}))
-}
-
-func multirule(o expOpts) string {
-	res := campaign.RunMultiRule(campaign.MultiRuleOptions{Seed: o.seed})
-	ent := synth.RuleEngineEntity(res.DFAStates, res.DFAStates*512, res.RulesArmed)
-	est := ent.Estimate()
-	return "Multi-target address corruption via the rule engine (one pass, one rule set)\n" +
-		campaign.FormatMultiRule(res) +
-		fmt.Sprintf("estimated FPGA cost of this rule set: %d gates, %d FGs, %d muxes, %d DFFs\n",
-			est.Gates, est.FunctionGenerators, est.Multiplexors, est.DFlipFlops)
-}
-
-func resilience(o expOpts) string {
-	res := campaign.RunResilience(resilienceOptions(o))
-	return "Resilience campaign: randomized injections, recovery on vs off (same seeds)\n" +
-		campaign.FormatResilience(res)
+// sections are the report sections in `netfi all` order.
+var sections = []section{
+	{"table1", "Table 1: synthesis results of the FPGA code (structural estimate vs paper)",
+		func(expOpts) string { return synth.Table1() }},
+	{"table2", "Table 2: latency measurements (UDP ping-pong, with/without injector)",
+		func(o expOpts) string { return campaign.FormatTable2(campaign.RunTable2(o.SectionOptions)) }},
+	{"table4", "Table 4: control symbol corruption campaign",
+		func(o expOpts) string { return campaign.FormatTable4(campaign.RunTable4(o.SectionOptions)) }},
+	{"sec431", "Section 4.3.1: throughput under flow-control corruption",
+		func(o expOpts) string { return campaign.FormatSec431(campaign.RunSec431(o.SectionOptions)) }},
+	{"sec432", "Section 4.3.2: packet type corruption",
+		func(o expOpts) string { return campaign.FormatSec432(campaign.RunSec432(o.SectionOptions)) }},
+	{"sec433", "Section 4.3.3: physical address corruption (includes Fig. 11)",
+		func(o expOpts) string { return campaign.FormatSec433(campaign.RunSec433(o.SectionOptions)) }},
+	{"sec434", "Section 4.3.4: UDP address corruption / checksum evasion",
+		func(o expOpts) string { return campaign.FormatSec434(campaign.RunSec434(o.SectionOptions)) }},
+	{"passthrough", "Section 3.5: pass-through transparency",
+		func(o expOpts) string { return campaign.FormatPassThrough(campaign.RunPassThrough(o.SectionOptions)) }},
+	{"multirule", "Multi-target address corruption via the rule engine (one pass, one rule set)",
+		func(o expOpts) string {
+			res := campaign.RunMultiRule(o.SectionOptions)
+			ent := synth.RuleEngineEntity(res.DFAStates, res.DFAStates*512, res.RulesArmed)
+			est := ent.Estimate()
+			return campaign.FormatMultiRule(res) +
+				fmt.Sprintf("estimated FPGA cost of this rule set: %d gates, %d FGs, %d muxes, %d DFFs\n",
+					est.Gates, est.FunctionGenerators, est.Multiplexors, est.DFlipFlops)
+		}},
+	{"resilience", "Resilience campaign: randomized injections, recovery on vs off (same seeds)",
+		func(o expOpts) string { return campaign.FormatResilience(campaign.RunResilience(resilienceOptions(o))) }},
+	{"monitor", "Monitoring plane: accrual failure detection, flow export, anomaly triage",
+		func(o expOpts) string { return campaign.FormatMonitor(campaign.RunMonitor(o.SectionOptions)) }},
+	{"chaos", "Chaos sweep: warm-once testbed forked per k-failure scenario",
+		func(o expOpts) string { return campaign.FormatChaos(campaign.RunChaos(chaosOptions(o))) }},
 }
 
 // resilienceOptions derives the campaign shape from the shared knobs: 14
 // trial pairs at scale 1.
 func resilienceOptions(o expOpts) campaign.ResilienceOptions {
 	return campaign.ResilienceOptions{
-		Seed:    o.seed,
+		Seed:    o.Seed,
 		Trials:  o.count(14),
-		Workers: o.workers,
+		Workers: o.Workers,
 	}
 }
 
@@ -322,17 +293,11 @@ func resilienceOptions(o expOpts) campaign.ResilienceOptions {
 // at scale 1 (the k <= 2 combination sweep), cut from one warmed base.
 func chaosOptions(o expOpts) campaign.ChaosOptions {
 	return campaign.ChaosOptions{
-		Seed:    o.seed,
+		Seed:    o.Seed,
 		Forks:   o.count(1000),
 		MaxK:    2,
-		Workers: o.workers,
+		Workers: o.Workers,
 	}
-}
-
-func chaosSection(o expOpts) string {
-	res := campaign.RunChaos(chaosOptions(o))
-	return "Chaos sweep: warm-once testbed forked per k-failure scenario\n" +
-		campaign.FormatChaos(res)
 }
 
 // fabricSection runs one sharded-fabric flood to quiescence. The topology
@@ -358,26 +323,11 @@ func runFabric(o expOpts) (campaign.FabricResult, error) {
 			Switches: o.switches,
 			Hosts:    o.hosts,
 			Shards:   o.shards,
-			Seed:     o.seed,
+			Seed:     o.Seed,
 		},
 	})
 	if err != nil {
 		return res, fmt.Errorf("fabric -switches %d -hosts %d -shards %d: %w", o.switches, o.hosts, o.shards, err)
 	}
 	return res, nil
-}
-
-func monitorSection(o expOpts) string {
-	res := campaign.RunMonitor(campaign.MonitorOptions{Seed: o.seed})
-	return "Monitoring plane: accrual failure detection, flow export, anomaly triage\n" +
-		campaign.FormatMonitor(res)
-}
-
-func passthrough(o expOpts) string {
-	res := campaign.RunPassThrough(campaign.PassThroughOptions{
-		Seed:     o.seed,
-		Duration: sim.Duration(2 * o.scale * float64(sim.Second)),
-	})
-	return "Section 3.5: pass-through transparency\n" +
-		campaign.FormatPassThrough(res)
 }

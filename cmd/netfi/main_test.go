@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"netfi/internal/campaign"
 )
 
 func TestRunUsageErrors(t *testing.T) {
@@ -211,11 +213,10 @@ func checkGolden(t *testing.T, name, stdin string, args ...string) {
 // resilience trial pairs while -scale 0.1 gave 1).
 func TestScaledCounts(t *testing.T) {
 	counts := func(scale float64) map[string]int {
-		o := expOpts{scale: scale}
+		o := expOpts{SectionOptions: campaign.SectionOptions{Scale: scale}}
 		return map[string]int{
 			"resilience trials": resilienceOptions(o).Trials,
 			"chaos forks":       chaosOptions(o).Forks,
-			"table2 rounds":     o.count(20_000),
 		}
 	}
 	var prev map[string]int

@@ -24,13 +24,13 @@ const mmonInterval = 500 * sim.Millisecond
 // corrupted payload was accepted.
 func mmon(o expOpts, out, errOut io.Writer) int {
 	tb := campaign.NewTestbed(campaign.TestbedConfig{
-		Seed:      o.seed,
+		Seed:      o.Seed,
 		Mapping:   true,
 		MapPeriod: 200 * sim.Millisecond,
 	})
 	load := tb.StartLoad(campaign.LoadConfig{})
 	mapper := tb.Nodes[len(tb.Nodes)-1].Interface().MCP()
-	total := sim.Duration(2 * o.scale * float64(sim.Second))
+	total := sim.Duration(2 * o.Scale * float64(sim.Second))
 
 	// -live arms the monitoring plane over the same test bed: flow export
 	// on every attached switch input, an accrual detector on every host's

@@ -23,7 +23,7 @@ import (
 //	!stats       print network counters
 //	!quit
 func shell(o expOpts, in io.Reader, out io.Writer) int {
-	tb := campaign.NewTestbed(campaign.TestbedConfig{Seed: o.seed})
+	tb := campaign.NewTestbed(campaign.TestbedConfig{Seed: o.Seed})
 	load := tb.StartLoad(campaign.LoadConfig{})
 	defer load.Stop()
 	printed := 0

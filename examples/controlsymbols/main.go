@@ -15,7 +15,7 @@ import (
 
 func main() {
 	row := campaign.RunTable4Row(myrinet.SymbolGap, myrinet.SymbolGo,
-		campaign.Table4Options{Seed: 7})
+		campaign.SectionOptions{Seed: 7})
 	fmt.Printf("mask=%v replacement=%v\n", row.Mask, row.Replacement)
 	fmt.Printf("messages sent:     %d\n", row.Sent)
 	fmt.Printf("messages received: %d\n", row.Received)

@@ -49,7 +49,7 @@ func main() {
 
 	// Part 2: the full plane over a scripted failure.
 	fmt.Println("\nscripted outage (tail GAP drop wedges the path to node 1):")
-	res := campaign.RunMonitor(campaign.MonitorOptions{Seed: 1})
+	res := campaign.RunMonitor(campaign.SectionOptions{Seed: 1})
 	fmt.Print(campaign.FormatMonitor(res))
 
 	fmt.Println("\nfull campaign with per-trial detection: go run ./cmd/netfi resilience")

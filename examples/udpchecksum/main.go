@@ -19,7 +19,7 @@ func main() {
 	fmt.Printf("checksum(%q) = %#04x (identical: the swap is invisible)\n\n",
 		swapped, bitstream.Checksum16(swapped))
 
-	res := campaign.RunSec434(campaign.Sec434Options{Seed: 41})
+	res := campaign.RunSec434(campaign.SectionOptions{Seed: 41})
 	fmt.Printf("aligned swap delivered to the application: %v\n", res.EvadingDelivered)
 	fmt.Printf("application received: %q\n", res.EvadingPayload)
 	fmt.Printf("non-aligned corruption dropped by the checksum: %v\n", res.NonEvadingDropped)

@@ -14,7 +14,7 @@ import (
 // records the measured-vs-paper numbers.
 
 func TestTable4RowGapCorruptionLossBand(t *testing.T) {
-	r := RunTable4Row(myrinet.SymbolGap, myrinet.SymbolGo, Table4Options{Seed: 7})
+	r := RunTable4Row(myrinet.SymbolGap, myrinet.SymbolGo, SectionOptions{Seed: 7})
 	if r.LossRate < 0.05 || r.LossRate > 0.20 {
 		t.Errorf("GAP->GO loss = %.1f%%, want within the paper's band (roughly 5-20%%)", 100*r.LossRate)
 	}
@@ -30,8 +30,8 @@ func TestTable4RowStopToGapMostLossy(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second campaign; skipped in -short")
 	}
-	stopGap := RunTable4Row(myrinet.SymbolStop, myrinet.SymbolGap, Table4Options{Seed: 7})
-	goIdle := RunTable4Row(myrinet.SymbolGo, myrinet.SymbolIdle, Table4Options{Seed: 7})
+	stopGap := RunTable4Row(myrinet.SymbolStop, myrinet.SymbolGap, SectionOptions{Seed: 7})
+	goIdle := RunTable4Row(myrinet.SymbolGo, myrinet.SymbolIdle, SectionOptions{Seed: 7})
 	// Paper ordering: STOP->GAP is the worst row (15%); GO->IDLE rows are
 	// survivable. Our protocol's short-period timeout makes lost GOs
 	// nearly free, so the gap is even wider here.
@@ -48,7 +48,7 @@ func TestTable4EveryRowLosesSomething(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full nine-row campaign; skipped in -short")
 	}
-	rows := RunTable4(Table4Options{Seed: 7})
+	rows := RunTable4(SectionOptions{Seed: 7})
 	if len(rows) != 9 {
 		t.Fatalf("rows = %d, want 9", len(rows))
 	}
@@ -73,7 +73,7 @@ func TestTable4EveryRowLosesSomething(t *testing.T) {
 }
 
 func TestTable2LatencyShape(t *testing.T) {
-	rows := RunTable2(Table2Options{Seed: 3, Rounds: 5000})
+	rows := RunTable2(SectionOptions{Seed: 3, Scale: 0.25})
 	if len(rows) != 5 {
 		t.Fatalf("experiments = %d, want 5", len(rows))
 	}
@@ -106,7 +106,7 @@ func TestSec431ThroughputCollapse(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second throughput runs; skipped in -short")
 	}
-	r := RunSec431(Sec431Options{Seed: 11, Duration: 2 * sim.Second})
+	r := RunSec431(SectionOptions{Seed: 11, Scale: 0.4})
 	// Baseline near the paper's 48000 msgs/min.
 	if r.BaselinePerMin < 40_000 || r.BaselinePerMin > 56_000 {
 		t.Errorf("baseline = %.0f msgs/min, want ~48000", r.BaselinePerMin)
@@ -126,7 +126,7 @@ func TestSec431ThroughputCollapse(t *testing.T) {
 }
 
 func TestSec432PacketTypeCorruption(t *testing.T) {
-	r := RunSec432(Sec432Options{Seed: 21})
+	r := RunSec432(SectionOptions{Seed: 21})
 	if !r.MappingNodeRemoved {
 		t.Error("corrupted mapping exchange did not remove the node from the network")
 	}
@@ -151,7 +151,7 @@ func TestSec432PacketTypeCorruption(t *testing.T) {
 }
 
 func TestSec433AddressCorruption(t *testing.T) {
-	r := RunSec433(Sec433Options{Seed: 31})
+	r := RunSec433(SectionOptions{Seed: 31})
 	if !r.DestDroppedByCRC || !r.DestNeitherReceived {
 		t.Error("destination corruption must be dropped by CRC-8, received by neither node")
 	}
@@ -179,7 +179,7 @@ func TestSec433AddressCorruption(t *testing.T) {
 }
 
 func TestSec434UDPChecksum(t *testing.T) {
-	r := RunSec434(Sec434Options{Seed: 41})
+	r := RunSec434(SectionOptions{Seed: 41})
 	if !r.EvadingDelivered {
 		t.Errorf("aligned swap not delivered; got %q", r.EvadingPayload)
 	}
@@ -195,7 +195,7 @@ func TestPassThroughTransparency(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second throughput runs; skipped in -short")
 	}
-	r := RunPassThrough(PassThroughOptions{Seed: 51})
+	r := RunPassThrough(SectionOptions{Seed: 51})
 	if r.RateImpact < -0.005 || r.RateImpact > 0.005 {
 		t.Errorf("rate impact = %+.3f%%, want ~0 (no observable impact)", 100*r.RateImpact)
 	}

@@ -106,6 +106,9 @@ type FabricTestbed struct {
 // picks a destination other than the sender, a ping-pong a complete pair.
 func NewFabricTestbed(cfg FabricConfig) (*FabricTestbed, error) {
 	cfg.fillDefaults()
+	if cfg.Workload != WorkloadFlood && cfg.Workload != WorkloadPingPong {
+		return nil, fmt.Errorf("campaign: unknown fabric workload %q", cfg.Workload)
+	}
 	if cfg.Topo.Hosts < 2 {
 		return nil, fmt.Errorf("campaign: %s workload needs at least 2 hosts (got %d)", cfg.Workload, cfg.Topo.Hosts)
 	}
@@ -204,8 +207,6 @@ func (tb *FabricTestbed) arm() {
 			s := &pongOpener{tb: tb, h: h}
 			tb.F.HostKernel(h).AtArg(fabricStart, pongOpenerFire, s)
 		}
-	default:
-		panic(fmt.Sprintf("campaign: unknown fabric workload %q", tb.Cfg.Workload))
 	}
 }
 

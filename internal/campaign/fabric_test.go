@@ -228,7 +228,8 @@ func TestFabricFormat(t *testing.T) {
 }
 
 // TestFabricNeedsTwoHosts: a workload with nobody to send to is a
-// configuration error, not a divide by zero inside the first send.
+// configuration error, not a divide by zero inside the first send; so is a
+// workload the fabric does not know.
 func TestFabricNeedsTwoHosts(t *testing.T) {
 	for _, tc := range []struct {
 		workload FabricWorkload
@@ -242,6 +243,7 @@ func TestFabricNeedsTwoHosts(t *testing.T) {
 		{WorkloadPingPong, 2, 1, false},
 		{WorkloadFlood, 1, 2, true},
 		{WorkloadPingPong, 1, 2, true},
+		{"storm", 1, 2, false},
 	} {
 		res, err := RunFabric(FabricConfig{
 			Topo:     topo.Config{Switches: tc.switches, Hosts: tc.hosts, Shards: 1, Seed: 1},

@@ -8,19 +8,6 @@ import (
 	"netfi/internal/sim"
 )
 
-// MonitorOptions parameterizes the monitoring-plane demonstration.
-type MonitorOptions struct {
-	Seed int64
-	// Messages sent by the tapped node. Zero selects 6; minimum 3.
-	Messages int
-	// Gap paces the messages. Zero selects 10 ms.
-	Gap sim.Duration
-}
-
-func (o *MonitorOptions) fillDefaults() {
-	o.Messages, o.Gap = workloadDefaults(o.Messages, o.Gap)
-}
-
 // TapTotals is one observation point's lifetime counters.
 type TapTotals struct {
 	Name    string
@@ -50,16 +37,15 @@ type MonitorResult struct {
 // path, the wedge and recovery probes fire as the watchdog breaks the path,
 // and the detector observes the recovery. The exported flows record the
 // traffic the whole way through.
-func RunMonitor(opts MonitorOptions) MonitorResult {
-	opts.fillDefaults()
+func RunMonitor(opts SectionOptions) MonitorResult {
 	w := freshWorld(NewTestbed(TestbedConfig{Seed: opts.Seed, Recovery: trialRecovery}))
 	// Land the GAP drop after the penultimate message's terminator: the
 	// final message's train then never terminates — the paper's wedge.
-	wedge := Fault{Kind: FaultCorrupt, Delay: sim.Duration(opts.Messages-2)*opts.Gap + 3*sim.Millisecond,
+	wedge := Fault{Kind: FaultCorrupt, Delay: (trialMessages-2)*trialGap + 3*sim.Millisecond,
 		Rule: fmt.Sprintf("RULE ADD %d MODE ONCE ACT DROP PAT C0C", resilienceRuleID)}
 	// A fixed destination: the wedged output is then the heartbeat path
 	// toward node 1, so the accrual detector sees the outage directly.
-	r := MonitorResult{Trial: runTrial(w, []Fault{wedge}, trialWorkload{messages: opts.Messages, gap: opts.Gap, dst: 1})}
+	r := MonitorResult{Trial: runTrial(w, []Fault{wedge}, trialWorkload{messages: trialMessages, gap: trialGap, dst: 1})}
 
 	mon := w.mon
 	r.Ticks = mon.Ticks()

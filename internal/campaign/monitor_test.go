@@ -89,7 +89,7 @@ func TestResilienceDetectionDeterministic(t *testing.T) {
 // the full detection narrative: wedge anomaly, accrual suspicion, recovery
 // observation, and flow export.
 func TestMonitorLifecycle(t *testing.T) {
-	r := RunMonitor(MonitorOptions{Seed: 1})
+	r := RunMonitor(SectionOptions{Seed: 1})
 	if r.Delivered != uint64(r.Sent) {
 		t.Fatalf("workload delivered %d/%d", r.Delivered, r.Sent)
 	}
@@ -129,7 +129,7 @@ func TestMonitorLifecycle(t *testing.T) {
 		}
 	}
 	// Same seed, same narrative.
-	if again := RunMonitor(MonitorOptions{Seed: 1}); !reflect.DeepEqual(r, again) {
+	if again := RunMonitor(SectionOptions{Seed: 1}); !reflect.DeepEqual(r, again) {
 		t.Error("RunMonitor not deterministic for a fixed seed")
 	}
 }

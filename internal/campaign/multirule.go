@@ -41,11 +41,6 @@ type MultiRuleResult struct {
 	WatchMatches uint64
 }
 
-// MultiRuleOptions parameterizes the experiment.
-type MultiRuleOptions struct {
-	Seed int64
-}
-
 // ghostByte returns the nonexistent MAC-tail byte substituted for target i.
 // 0x70..0x7F is clear of every control-symbol code and every real node
 // address (0x11 + i).
@@ -63,18 +58,14 @@ const (
 // pass, then sends one UDP packet from the tapped node to each of the seven
 // other nodes — a single stream pass through the injector that every rule
 // acts on concurrently.
-func RunMultiRule(opts MultiRuleOptions) MultiRuleResult {
+func RunMultiRule(opts SectionOptions) MultiRuleResult {
 	tb := NewTestbed(TestbedConfig{Seed: opts.Seed, Nodes: myrinet.DefaultPortCount})
 	tap := tb.TapNode()
 	targets := len(tb.Nodes) - 1
 
 	receivers := make([]*host.Socket, len(tb.Nodes))
 	for i, n := range tb.Nodes {
-		r, err := n.Bind(loadDstPort, nil)
-		if err != nil {
-			panic(err)
-		}
-		receivers[i] = r
+		receivers[i] = mustBind(n, loadDstPort, nil)
 	}
 
 	// One configuration pass arms everything. Per target i: the outbound

@@ -8,7 +8,7 @@ import "testing"
 // serial configuration pass must all match and corrupt correctly in a
 // single stream pass.
 func TestMultiRuleSinglePass(t *testing.T) {
-	res := RunMultiRule(MultiRuleOptions{Seed: 77})
+	res := RunMultiRule(SectionOptions{Seed: 77})
 
 	if res.RulesArmed != res.Targets+2 || res.RulesArmed < 8 {
 		t.Fatalf("rules armed = %d, want %d (>= 8)", res.RulesArmed, res.Targets+2)
@@ -39,8 +39,8 @@ func TestMultiRuleSinglePass(t *testing.T) {
 // requires identical outcomes — the §4.2 known-good-state reset requirement
 // extended to the rule engine.
 func TestMultiRuleDeterminism(t *testing.T) {
-	a := RunMultiRule(MultiRuleOptions{Seed: 5})
-	b := RunMultiRule(MultiRuleOptions{Seed: 5})
+	a := RunMultiRule(SectionOptions{Seed: 5})
+	b := RunMultiRule(SectionOptions{Seed: 5})
 	if FormatMultiRule(a) != FormatMultiRule(b) {
 		t.Errorf("same seed, different outcomes:\n%s\nvs\n%s", FormatMultiRule(a), FormatMultiRule(b))
 	}

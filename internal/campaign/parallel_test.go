@@ -190,14 +190,14 @@ func TestResilienceParallelMatchesSerial(t *testing.T) {
 // the audit for rand.Rand crossing goroutines: RunTable2 draws interrupt
 // phases from one kernel RNG, which must be drained before the fan-out.
 func TestParallelSweepRace(t *testing.T) {
-	t2s := RunTable2(Table2Options{Seed: 3, Rounds: 500, Workers: 1})
-	t2p := RunTable2(Table2Options{Seed: 3, Rounds: 500, Workers: 4})
+	t2s := RunTable2(SectionOptions{Seed: 3, Scale: 0.025, Workers: 1})
+	t2p := RunTable2(SectionOptions{Seed: 3, Scale: 0.025, Workers: 4})
 	if !reflect.DeepEqual(t2s, t2p) {
 		t.Errorf("Table2 parallel differs from serial:\n got %+v\nwant %+v", t2p, t2s)
 	}
 
-	s434s := RunSec434(Sec434Options{Seed: 5, Workers: 1})
-	s434p := RunSec434(Sec434Options{Seed: 5, Workers: 2})
+	s434s := RunSec434(SectionOptions{Seed: 5, Workers: 1})
+	s434p := RunSec434(SectionOptions{Seed: 5, Workers: 2})
 	if !reflect.DeepEqual(s434s, s434p) {
 		t.Errorf("Sec434 parallel differs from serial:\n got %+v\nwant %+v", s434p, s434s)
 	}

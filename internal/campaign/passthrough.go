@@ -3,8 +3,6 @@ package campaign
 import (
 	"fmt"
 	"strings"
-
-	"netfi/internal/sim"
 )
 
 // PassThroughResult reproduces the §3.5 transparency demonstration: with
@@ -21,28 +19,20 @@ type PassThroughResult struct {
 	BothDirsSeen bool // the injector observed traffic in both directions
 }
 
-// PassThroughOptions parameterizes the experiment.
-type PassThroughOptions struct {
-	Seed     int64
-	Duration sim.Duration
-}
-
 // RunPassThrough measures delivered throughput with and without the device.
-func RunPassThrough(opts PassThroughOptions) PassThroughResult {
-	if opts.Duration == 0 {
-		opts.Duration = 2 * sim.Second
-	}
+func RunPassThrough(opts SectionOptions) PassThroughResult {
+	d := opts.passThroughDuration()
 	run := func(insert bool) (rate, loss float64, both bool) {
 		s := Spec{Name: "passthrough", Seed: opts.Seed}
 		cfg := s.bed()
 		cfg.NoInjector = !insert
-		tb, load := mustRunLoad(cfg, s, opts.Duration)
+		tb, load := mustRunLoad(cfg, s, d)
 		if insert {
 			co, _, _ := tb.Injector.Engine(DirOutbound).Stats()
 			ci, _, _ := tb.Injector.Engine(DirInbound).Stats()
 			both = co > 0 && ci > 0
 		}
-		return float64(load.Received()) / opts.Duration.Seconds(), load.LossRate(), both
+		return float64(load.Received()) / d.Seconds(), load.LossRate(), both
 	}
 	withoutRate, withoutLoss, _ := run(false)
 	withRate, withLoss, both := run(true)

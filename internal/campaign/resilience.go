@@ -135,15 +135,21 @@ func (o *ResilienceOptions) fillDefaults() {
 	o.Messages, o.Gap = workloadDefaults(o.Messages, o.Gap)
 }
 
-// workloadDefaults fills a trial workload's unset size and pacing: 6
-// messages (at least 3, so a tail fault has a penultimate message to follow)
-// 10 ms apart.
+// A trial workload's default size and pacing: trialMessages messages (at
+// least 3, so a tail fault has a penultimate message to follow) trialGap
+// apart.
+const (
+	trialMessages = 6
+	trialGap      = 10 * sim.Millisecond
+)
+
+// workloadDefaults fills a trial workload's unset size and pacing.
 func workloadDefaults(messages int, gap sim.Duration) (int, sim.Duration) {
 	if messages < 3 {
-		messages = 6
+		messages = trialMessages
 	}
 	if gap == 0 {
-		gap = 10 * sim.Millisecond
+		gap = trialGap
 	}
 	return messages, gap
 }
@@ -311,9 +317,7 @@ func (w *world) arm(horizon sim.Duration, reliable bool) {
 	if len(beat) == 2 {
 		for _, i := range beat {
 			w.mon.TapInterface(tb.Nodes[i].Interface(), monitor.TapOptions{Detect: true})
-			if _, err := tb.Nodes[i].Bind(host.HeartbeatPort, nil); err != nil {
-				panic(err) // a constant port, bound once on a freshly built node
-			}
+			mustBind(tb.Nodes[i], host.HeartbeatPort, nil)
 		}
 		for i, src := range beat {
 			hb := host.NewHeartbeat(tb.K, tb.Nodes[src], host.HeartbeatConfig{
@@ -533,11 +537,7 @@ func runTrial(w *world, faults []Fault, wl trialWorkload) Trial {
 	var rel0 host.ReliableStats
 	if h.plain {
 		for _, n := range tb.Nodes {
-			s, err := n.Bind(resiliencePort, nil)
-			if err != nil {
-				panic(err) // a constant port, bound once on a freshly built node
-			}
-			h.socks = append(h.socks, s)
+			h.socks = append(h.socks, mustBind(n, resiliencePort, nil))
 		}
 	} else {
 		rel0 = h.rels[0].Stats()

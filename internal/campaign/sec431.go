@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"netfi/internal/myrinet"
-	"netfi/internal/sim"
 )
 
 // Sec431Result reproduces the §4.3.1 narrative figures:
@@ -33,24 +32,6 @@ type Sec431Result struct {
 	GapLongTimeouts uint64
 }
 
-// Sec431Options parameterizes the runs.
-type Sec431Options struct {
-	Seed int64
-	// Duration is the measurement window per run. The paper measured a
-	// minute; zero selects 5 s, which measures the same rates (scale up
-	// via cmd/netfi for the full minute).
-	Duration sim.Duration
-	// Workers runs the three independent measurement runs concurrently;
-	// <= 1 is serial. Results are identical either way.
-	Workers int
-}
-
-func (o *Sec431Options) fillDefaults() {
-	if o.Duration == 0 {
-		o.Duration = 5 * sim.Second
-	}
-}
-
 // sec431Spec corrupts mask into repl on both directions of the tapped link,
 // armed over serial. dutyMS > 0 meters the trigger to dutyMS out of every
 // 100 ms; zero leaves it armed continuously.
@@ -69,8 +50,8 @@ func sec431Spec(name string, seed int64, mask, repl myrinet.Symbol, dutyMS float
 // RunSec431 executes baseline, faulty-STOP, and GAP-corruption runs. The
 // three runs are independent simulations with their own seeds, so they can
 // run on the worker pool.
-func RunSec431(opts Sec431Options) Sec431Result {
-	opts.fillDefaults()
+func RunSec431(opts SectionOptions) Sec431Result {
+	d := opts.sec431Duration()
 	specs := []Spec{
 		// The healthy baseline: no fault at all.
 		{Name: "sec431-baseline", Seed: opts.Seed, TxQueueLimit: 4},
@@ -90,9 +71,9 @@ func RunSec431(opts Sec431Options) Sec431Result {
 		tap, total float64 // deliveries per minute: tapped node, network
 		longTOs    uint64
 	}
-	minutes := opts.Duration.Seconds() / 60
+	minutes := d.Seconds() / 60
 	runs := RunTrials(len(specs), opts.Workers, func(i int) run {
-		tb, load := mustRunLoad(specs[i].bed(), specs[i], opts.Duration)
+		tb, load := mustRunLoad(specs[i].bed(), specs[i], d)
 		r := run{
 			tap:   float64(load.NodeReceived(tb.cfg.TapNode)) / minutes,
 			total: float64(load.Received()) / minutes,

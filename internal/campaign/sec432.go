@@ -36,18 +36,10 @@ type Sec432Result struct {
 	MisrouteNotAccepted bool
 }
 
-// Sec432Options parameterizes the experiments.
-type Sec432Options struct {
-	Seed int64
-	// Workers runs the four independent experiments concurrently; <= 1 is
-	// serial. Results are identical either way.
-	Workers int
-}
-
 // RunSec432 executes the four §4.3.2 experiments on fresh test beds. Each
 // experiment builds its own testbed from its own seed and writes a disjoint
 // set of result fields, so they fan out over the worker pool and merge.
-func RunSec432(opts Sec432Options) Sec432Result {
+func RunSec432(opts SectionOptions) Sec432Result {
 	parts := RunTrials(4, opts.Workers, func(i int) Sec432Result {
 		var r Sec432Result
 		switch i {
@@ -155,10 +147,7 @@ func runRouteMSB(seed int64, res Sec432Result) Sec432Result {
 	tb := NewTestbed(TestbedConfig{Seed: seed})
 	tap := tb.TapNode()
 	src := tb.Nodes[1]
-	r, err := tap.Bind(loadDstPort, nil)
-	if err != nil {
-		panic(err)
-	}
+	r := mustBind(tap, loadDstPort, nil)
 
 	// On the switch→host segment a packet head reads: final route byte
 	// 0x00, then the type field's three zero bytes. Match that window
@@ -189,14 +178,8 @@ func runMisroute(seed int64, res Sec432Result) Sec432Result {
 	tap := tb.TapNode()
 	right := tb.Nodes[1] // intended destination: switch port 1
 	wrong := tb.Nodes[2]
-	rRight, err := right.Bind(loadDstPort, nil)
-	if err != nil {
-		panic(err)
-	}
-	rWrong, err := wrong.Bind(loadDstPort, nil)
-	if err != nil {
-		panic(err)
-	}
+	rRight := mustBind(right, loadDstPort, nil)
+	rWrong := mustBind(wrong, loadDstPort, nil)
 
 	// Outbound packets to node1 open with route byte 0x81 followed by
 	// the type field's zeros; redirect the first one to port 2 (node2).

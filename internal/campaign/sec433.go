@@ -41,14 +41,6 @@ type Sec433Result struct {
 	GhostTrafficDrops bool
 }
 
-// Sec433Options parameterizes the experiments.
-type Sec433Options struct {
-	Seed int64
-	// Workers runs the four independent experiments concurrently; <= 1 is
-	// serial. Results are identical either way.
-	Workers int
-}
-
 // macWindow renders the 4-entry compare window covering node i's MAC tail
 // (bytes 3..5) followed by an expected next byte on the wire.
 func macWindow(i int, next byte) string {
@@ -65,7 +57,7 @@ func macLastByteReplace(v byte) string {
 // RunSec433 executes the four experiments. Like §4.3.2, each runs on its own
 // testbed and seed and fills a disjoint set of result fields, so they fan out
 // over the worker pool and merge.
-func RunSec433(opts Sec433Options) Sec433Result {
+func RunSec433(opts SectionOptions) Sec433Result {
 	parts := RunTrials(4, opts.Workers, func(i int) Sec433Result {
 		var r Sec433Result
 		switch i {
@@ -100,14 +92,8 @@ func runDestCorruption(seed int64, res Sec433Result) Sec433Result {
 	tap := tb.TapNode()
 	right := tb.Nodes[1]
 	wrong := tb.Nodes[2]
-	rRight, err := right.Bind(loadDstPort, nil)
-	if err != nil {
-		panic(err)
-	}
-	rWrong, err := wrong.Bind(loadDstPort, nil)
-	if err != nil {
-		panic(err)
-	}
+	rRight := mustBind(right, loadDstPort, nil)
+	rWrong := mustBind(wrong, loadDstPort, nil)
 
 	// Outbound data to node1: destination MAC tail (..40 40 12) followed
 	// by the source MAC's first byte. Replace the last address byte with
@@ -135,10 +121,7 @@ func runSelfAddressCorruption(seed int64, res Sec433Result) Sec433Result {
 	tb := NewTestbed(TestbedConfig{Seed: seed, Mapping: true, MapPeriod: mapPeriod})
 	tap := tb.TapNode()
 	src := tb.Nodes[1]
-	r, err := tap.Bind(loadDstPort, nil)
-	if err != nil {
-		panic(err)
-	}
+	r := mustBind(tap, loadDstPort, nil)
 	answersBefore := tap.Interface().MCP().ScoutsAnswered()
 	routesBefore := fmt.Sprint(src.Interface().Routes())
 

@@ -23,14 +23,6 @@ type Sec434Result struct {
 	NonEvadingDropped bool
 }
 
-// Sec434Options parameterizes the experiment.
-type Sec434Options struct {
-	Seed int64
-	// Workers runs the two independent halves concurrently; <= 1 is
-	// serial. Results are identical either way.
-	Workers int
-}
-
 const sec434Message = "Have a lot of fun"
 
 // sec434Evading runs the checksum-evading swap. "Have" (48 61 76 65)
@@ -43,11 +35,9 @@ func sec434Evading(seed int64) (delivered bool, payload string) {
 	tap := tb.TapNode()
 	src := tb.Nodes[1]
 	var got []byte
-	if _, err := tap.Bind(loadDstPort, func(_ myrinet.MAC, _ uint16, data []byte) {
+	mustBind(tap, loadDstPort, func(_ myrinet.MAC, _ uint16, data []byte) {
 		got = append([]byte(nil), data...)
-	}); err != nil {
-		panic(err)
-	}
+	})
 	tb.mustConfigure(
 		"DIR R",
 		"COMPARE 48 61 76 65",         // "Have"
@@ -67,11 +57,9 @@ func sec434NonEvading(seed int64) bool {
 	tap := tb.TapNode()
 	src := tb.Nodes[1]
 	delivered := false
-	if _, err := tap.Bind(loadDstPort, func(myrinet.MAC, uint16, []byte) {
+	mustBind(tap, loadDstPort, func(myrinet.MAC, uint16, []byte) {
 		delivered = true
-	}); err != nil {
-		panic(err)
-	}
+	})
 	tb.mustConfigure(
 		"DIR R",
 		"COMPARE 48 61 76 65",
@@ -85,7 +73,7 @@ func sec434NonEvading(seed int64) bool {
 }
 
 // RunSec434 executes both halves of the experiment on separate testbeds.
-func RunSec434(opts Sec434Options) Sec434Result {
+func RunSec434(opts SectionOptions) Sec434Result {
 	parts := RunTrials(2, opts.Workers, func(i int) Sec434Result {
 		var r Sec434Result
 		if i == 0 {

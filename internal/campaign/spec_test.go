@@ -4,8 +4,6 @@ import (
 	"encoding/json"
 	"strings"
 	"testing"
-
-	"netfi/internal/sim"
 )
 
 const specGapToGo = `{
@@ -175,10 +173,10 @@ func TestRunSpecRejectedCommand(t *testing.T) {
 // row runs, written out as JSON, parsed back and run by RunSpec, reproduces
 // the row.
 func TestTable4ThroughSpecFile(t *testing.T) {
-	opts := Table4Options{Seed: 5, Duration: 1700 * sim.Millisecond}
+	opts := SectionOptions{Seed: 5}
 	pairs := Table4Pairs()
 	if testing.Short() {
-		opts.Duration = 170 * sim.Millisecond
+		opts.Scale = 0.1
 		pairs = pairs[:1]
 	}
 	type both struct {
@@ -188,7 +186,7 @@ func TestTable4ThroughSpecFile(t *testing.T) {
 	}
 	got := RunTrials(len(pairs), DefaultWorkers(), func(i int) both {
 		mask, repl := pairs[i][0], pairs[i][1]
-		data, err := json.Marshal(table4Spec(mask, repl, opts.Seed, opts.Duration))
+		data, err := json.Marshal(table4Spec(mask, repl, opts.Seed, opts.table4Duration()))
 		if err != nil {
 			return both{err: err}
 		}

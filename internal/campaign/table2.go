@@ -26,39 +26,16 @@ type Table2Experiment struct {
 	RoundsMeasured int
 }
 
-// Table2Options parameterizes the experiment.
-type Table2Options struct {
-	// Seed drives the per-experiment interrupt phases.
-	Seed int64
-	// Rounds is the ping-pong round count per run. The paper used one
-	// million small packets per side; zero selects 20000, which measures
-	// the same averages (scale it up with the cmd/netfi flag for a
-	// full-length run).
-	Rounds int
-	// Payload is the "small UDP packet" size. Zero selects 32.
-	Payload int
-	// Workers runs the experiments concurrently; <= 1 is serial. Results
-	// are identical either way: the shared phase RNG is drained serially
-	// up front, so no rand.Rand crosses a goroutine boundary.
-	Workers int
-}
-
 // table2Experiments is the paper's row count.
 const table2Experiments = 5
 
-func (o *Table2Options) fillDefaults() {
-	if o.Rounds == 0 {
-		o.Rounds = 20_000
-	}
-	if o.Payload == 0 {
-		o.Payload = 32
-	}
-}
+// table2Payload is the "small UDP packet" size.
+const table2Payload = 32
 
 // table2Run builds a two-node network (ports 0 and 1 of an 8-port switch),
 // optionally splices the injector into node 0's cable, runs the ping-pong,
 // and returns the average time per packet.
-func table2Run(seed int64, phaseA, phaseB sim.Duration, rounds, payload int, withInjector bool) (sim.Duration, *core.Device) {
+func table2Run(seed int64, phaseA, phaseB sim.Duration, rounds int, withInjector bool) (sim.Duration, *core.Device) {
 	k := sim.NewKernel(seed)
 	sw := myrinet.NewSwitch(k, "sw0", myrinet.DefaultPortCount)
 	const jitter = 300 * sim.Nanosecond // cache/interrupt noise
@@ -82,7 +59,7 @@ func table2Run(seed int64, phaseA, phaseB sim.Duration, rounds, payload int, wit
 		dev.Insert(cable)
 	}
 	var res host.PingPongResult
-	host.PingPong(k, a, b, rounds, payload, func(r host.PingPongResult) { res = r })
+	host.PingPong(k, a, b, rounds, table2Payload, func(r host.PingPongResult) { res = r })
 	k.Run()
 	if res.Rounds != rounds {
 		panic(fmt.Sprintf("campaign: ping-pong finished %d/%d rounds", res.Rounds, rounds))
@@ -91,8 +68,8 @@ func table2Run(seed int64, phaseA, phaseB sim.Duration, rounds, payload int, wit
 }
 
 // RunTable2 executes the five experiments.
-func RunTable2(opts Table2Options) []Table2Experiment {
-	opts.fillDefaults()
+func RunTable2(opts SectionOptions) []Table2Experiment {
+	rounds := opts.rounds()
 	// Independent interrupt phases per run: rebooting the hosts between
 	// experiments realigns their timer grids. The draws come from ONE
 	// rand.Rand, which must never be shared across trial goroutines —
@@ -107,15 +84,15 @@ func RunTable2(opts Table2Options) []Table2Experiment {
 	}
 	return RunTrials(table2Experiments, opts.Workers, func(i int) Table2Experiment {
 		p := phases[i]
-		without, _ := table2Run(opts.Seed+int64(100+i), p[0], p[1], opts.Rounds, opts.Payload, false)
-		with, dev := table2Run(opts.Seed+int64(200+i), p[2], p[3], opts.Rounds, opts.Payload, true)
+		without, _ := table2Run(opts.Seed+int64(100+i), p[0], p[1], rounds, false)
+		with, dev := table2Run(opts.Seed+int64(200+i), p[2], p[3], rounds, true)
 		return Table2Experiment{
 			Index:          i + 1,
 			WithoutPerPkt:  without,
 			WithPerPkt:     with,
 			AddedLatency:   with - without,
 			TrueDeviceLag:  dev.Latency(),
-			RoundsMeasured: opts.Rounds,
+			RoundsMeasured: rounds,
 		}
 	})
 }

@@ -17,26 +17,6 @@ type Table4Row struct {
 	Outcome
 }
 
-// Table4Options parameterizes the campaign.
-type Table4Options struct {
-	// Seed drives the run; each row perturbs it so rows are independent
-	// experiments from a known good state (§4.2).
-	Seed int64
-	// Duration is the measured load window per row. Zero selects 1.7 s
-	// (about 4000 messages at the paper's offered load).
-	Duration sim.Duration
-	// Workers runs the nine rows concurrently; <= 1 is serial. Each row is
-	// an independent simulation from its own seed, so results are
-	// identical either way.
-	Workers int
-}
-
-func (o *Table4Options) fillDefaults() {
-	if o.Duration == 0 {
-		o.Duration = 1700 * sim.Millisecond
-	}
-}
-
 // rowDutyOnMS returns how many milliseconds of every 100 the row's trigger
 // is armed — NFTAPE toggling the board's match mode once per burst period.
 // Corruptions that manufacture spurious GAPs (mask GAP, or STOP replaced by
@@ -103,15 +83,17 @@ func table4Spec(mask, replacement myrinet.Symbol, seed int64, d sim.Duration) Sp
 }
 
 // RunTable4Row executes one corruption experiment from a fresh test bed.
-func RunTable4Row(mask, replacement myrinet.Symbol, opts Table4Options) Table4Row {
-	opts.fillDefaults()
-	s := table4Spec(mask, replacement, opts.Seed, opts.Duration)
-	_, load := mustRunLoad(s.bed(), s, opts.Duration)
+func RunTable4Row(mask, replacement myrinet.Symbol, opts SectionOptions) Table4Row {
+	d := opts.table4Duration()
+	s := table4Spec(mask, replacement, opts.Seed, d)
+	_, load := mustRunLoad(s.bed(), s, d)
 	return Table4Row{Mask: mask, Replacement: replacement, Outcome: load.Classify()}
 }
 
-// RunTable4 executes all nine rows over the worker pool.
-func RunTable4(opts Table4Options) []Table4Row {
+// RunTable4 executes all nine rows over the worker pool. Each row perturbs
+// the seed, so rows are independent experiments from a known good state
+// (§4.2).
+func RunTable4(opts SectionOptions) []Table4Row {
 	pairs := Table4Pairs()
 	return RunTrials(len(pairs), opts.Workers, func(i int) Table4Row {
 		rowOpts := opts

@@ -224,6 +224,16 @@ func (tb *Testbed) mustConfigure(cmds ...string) {
 	}
 }
 
+// mustBind binds port on n for the campaigns' own receivers. Each port is
+// bound once, on a freshly built node, so Bind cannot fail here.
+func mustBind(n *host.Node, port uint16, handler func(myrinet.MAC, uint16, []byte)) *host.Socket {
+	s, err := n.Bind(port, handler)
+	if err != nil {
+		panic(err)
+	}
+	return s
+}
+
 // isAnswer reports whether a console line ends a command's response.
 func isAnswer(line string) bool { return line == "OK" || strings.HasPrefix(line, "ERR") }
 

@@ -89,11 +89,7 @@ func (tb *Testbed) StartLoad(cfg LoadConfig) *Load {
 		perNodeRecv: make([]uint64, len(tb.Nodes)),
 	}
 	for i, n := range tb.Nodes {
-		s, err := n.Bind(loadDstPort, l.receiver(i))
-		if err != nil {
-			panic(err)
-		}
-		l.socks = append(l.socks, s)
+		l.socks = append(l.socks, mustBind(n, loadDstPort, l.receiver(i)))
 	}
 	l.running = true
 	tb.load = l

@@ -105,7 +105,6 @@ type NPort struct {
 	// Transmit side.
 	encRD   enc8b10b.RD
 	credits int
-	maxCred int
 	txq     []*Frame
 	stall   sim.Time // when the port ran out of credit
 
@@ -125,18 +124,16 @@ type NPortConfig struct {
 	Name string
 	// Addr is the 24-bit N_Port identifier.
 	Addr Address
-	// Credits is the initial buffer-to-buffer credit. Zero selects 4.
-	Credits int
 }
+
+// portCredits is a port's initial buffer-to-buffer credit.
+const portCredits = 4
 
 // recvDelay is the buffer-hold time before R_RDY returns.
 const recvDelay = sim.Microsecond
 
 // NewNPort builds a port transmitting on out.
 func NewNPort(k *sim.Kernel, cfg NPortConfig, out *phy.Link) *NPort {
-	if cfg.Credits == 0 {
-		cfg.Credits = 4
-	}
 	return &NPort{
 		k:       k,
 		pool:    phy.PoolOf(k),
@@ -145,8 +142,7 @@ func NewNPort(k *sim.Kernel, cfg NPortConfig, out *phy.Link) *NPort {
 		out:     out,
 		encRD:   enc8b10b.RDMinus,
 		decRD:   enc8b10b.RDMinus,
-		credits: cfg.Credits,
-		maxCred: cfg.Credits,
+		credits: portCredits,
 	}
 }
 
@@ -286,7 +282,7 @@ func (p *NPort) handleSet(os OrderedSet) {
 		p.completeFrame(raw)
 	case OSRRdy:
 		p.stats.RRdyReceived++
-		if p.credits < p.maxCred {
+		if p.credits < portCredits {
 			p.credits++
 		}
 		if p.stall != 0 {

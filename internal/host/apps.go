@@ -82,8 +82,6 @@ type HeartbeatConfig struct {
 	// beacon is sent: the horizon that lets hang detectors see the event
 	// queue drain. Zero runs until Stop.
 	Until sim.Time
-	// Size is the payload length. Zero selects 8.
-	Size int
 }
 
 // HeartbeatPort is the UDP port beacons leave from and arrive on.
@@ -92,12 +90,12 @@ const HeartbeatPort = 7100
 // heartbeatInterval is the beacon period.
 const heartbeatInterval = 2 * sim.Millisecond
 
+// heartbeatSize is the beacon payload length.
+const heartbeatSize = 8
+
 // NewHeartbeat builds a beacon on node.
 func NewHeartbeat(k *sim.Kernel, node *Node, cfg HeartbeatConfig) *Heartbeat {
-	if cfg.Size == 0 {
-		cfg.Size = 8
-	}
-	payload := make([]byte, cfg.Size)
+	payload := make([]byte, heartbeatSize)
 	for i := range payload {
 		payload[i] = 0x48 // 'H', clear of all control codes
 	}
