@@ -5,6 +5,8 @@
 // experiment in §4.3.4 of the paper.
 package bitstream
 
+import "hash/crc32"
+
 // CRC8 computes the Myrinet trailing CRC over data using the CRC-8/ATM-HEC
 // polynomial x^8 + x^2 + x + 1 (0x07), MSB-first, zero initial value.
 // Myrinet appends this byte after the payload; each switch recomputes it
@@ -107,65 +109,9 @@ func makeCRC8Table(poly byte) [256]byte {
 }
 
 // CRC32 computes the Fibre Channel frame CRC (IEEE 802.3 polynomial,
-// reflected, initial value all-ones, final complement) over data.
-//
-// The kernel is slicing-by-8: eight independent table lookups per 8-byte
-// block, so the loop-carried dependency is one xor chain per block instead
-// of one per byte. The remainder tail falls back to the byte-at-a-time
-// update with the same table.
-func CRC32(data []byte) uint32 {
-	crc := ^uint32(0)
-	for len(data) >= 8 {
-		lo := crc ^ (uint32(data[0]) | uint32(data[1])<<8 | uint32(data[2])<<16 | uint32(data[3])<<24)
-		crc = crc32Slice[7][byte(lo)] ^
-			crc32Slice[6][byte(lo>>8)] ^
-			crc32Slice[5][byte(lo>>16)] ^
-			crc32Slice[4][byte(lo>>24)] ^
-			crc32Slice[3][data[4]] ^
-			crc32Slice[2][data[5]] ^
-			crc32Slice[1][data[6]] ^
-			crc32Slice[0][data[7]]
-		data = data[8:]
-	}
-	for _, b := range data {
-		crc = crc32Table[byte(crc)^b] ^ crc>>8
-	}
-	return ^crc
-}
-
-var crc32Table = makeCRC32Table(0xEDB88320)
-
-// crc32Slice[k][b] is the CRC state contribution of byte b followed by k
-// zero bytes (reflected form), the standard slicing-by-8 decomposition.
-var crc32Slice = makeCRC32Slice()
-
-func makeCRC32Slice() [8][256]uint32 {
-	var t [8][256]uint32
-	t[0] = crc32Table
-	for k := 1; k < 8; k++ {
-		for b := 0; b < 256; b++ {
-			prev := t[k-1][b]
-			t[k][b] = crc32Table[byte(prev)] ^ prev>>8
-		}
-	}
-	return t
-}
-
-func makeCRC32Table(poly uint32) [256]uint32 {
-	var t [256]uint32
-	for i := 0; i < 256; i++ {
-		crc := uint32(i)
-		for bit := 0; bit < 8; bit++ {
-			if crc&1 != 0 {
-				crc = crc>>1 ^ poly
-			} else {
-				crc >>= 1
-			}
-		}
-		t[i] = crc
-	}
-	return t
-}
+// reflected, initial value all-ones, final complement) over data: the
+// standard library's IEEE CRC-32.
+func CRC32(data []byte) uint32 { return crc32.ChecksumIEEE(data) }
 
 // Checksum16 computes the 16-bit one's-complement checksum over data, as
 // used by UDP (RFC 768). Data is treated as a sequence of big-endian 16-bit
@@ -193,16 +139,4 @@ func Checksum16(data []byte) uint16 {
 
 // VerifyChecksum16 reports whether data, which includes a stored checksum
 // field somewhere within it, sums (one's-complement) to all-ones.
-func VerifyChecksum16(data []byte) bool {
-	var sum uint32
-	for i := 0; i+1 < len(data); i += 2 {
-		sum += uint32(data[i])<<8 | uint32(data[i+1])
-	}
-	if len(data)%2 == 1 {
-		sum += uint32(data[len(data)-1]) << 8
-	}
-	for sum>>16 != 0 {
-		sum = sum&0xFFFF + sum>>16
-	}
-	return uint16(sum) == 0xFFFF
-}
+func VerifyChecksum16(data []byte) bool { return Checksum16(data) == 0 }

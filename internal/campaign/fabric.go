@@ -151,11 +151,7 @@ func NewFabricTestbed(cfg FabricConfig) (*FabricTestbed, error) {
 func fabricMix(vals ...uint64) uint64 {
 	h := uint64(0x452821e638d01377)
 	for _, v := range vals {
-		h ^= v
-		h += 0x9e3779b97f4a7c15
-		h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9
-		h = (h ^ (h >> 27)) * 0x94d049bb133111eb
-		h ^= h >> 31
+		h = sim.SplitMix64(h ^ v)
 	}
 	return h
 }

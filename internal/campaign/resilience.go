@@ -40,8 +40,8 @@ const (
 	// as frozen progress or a switch output still owned after the network
 	// drained (§4.3.1's blocked-forever packet).
 	OutcomeHung TrialOutcome = "hung"
-	// OutcomeWallClock — the trial's real-time escape hatch tripped; the
-	// result is timing-dependent and reported apart.
+	// OutcomeWallClock — no trial reports it: trials are bounded in
+	// virtual time only. The name remains for callers that test for it.
 	OutcomeWallClock TrialOutcome = "wallclock"
 	// OutcomeError — the trial panicked, or the board refused a rule
 	// armed mid-run; see Trial.Err.
@@ -239,14 +239,9 @@ const resiliencePort = 7000
 // network: every switch port and every host interface.
 func recoveryEventCount(tb *Testbed) uint64 {
 	var n uint64
-	for p := 0; p < tb.Switch.Ports(); p++ {
-		c := tb.Switch.PortCounters(p)
+	tb.eachCounters(func(c *myrinet.Counters) {
 		n += c.LinkResets + c.ResetsReceived + c.StopWatchdogFires + c.BlockedTimeouts
-	}
-	for _, nd := range tb.Nodes {
-		c := nd.Interface().Counters()
-		n += c.LinkResets + c.ResetsReceived + c.StopWatchdogFires + c.BlockedTimeouts
-	}
+	})
 	return n
 }
 
@@ -454,15 +449,13 @@ func (h *trialHooks) netRecovery() uint64 { return recoveryEventCount(h.tb) }
 func (h *trialHooks) heldOutputs() int { return h.tb.Switch.HeldOutputs() }
 
 // progressCount is the quiescence gauge. Plain UDP shows progress as
-// datagrams received or forwarded, the reliable transport as messages
-// settled or paths reset.
+// datagrams received or forwarded (only switch ports forward), the reliable
+// transport as messages settled or paths reset.
 func (h *trialHooks) progressCount() uint64 {
 	tb := h.tb
 	if h.plain {
 		n := received(h.socks)
-		for p := 0; p < tb.Switch.Ports(); p++ {
-			n += tb.Switch.PortCounters(p).PacketsForwarded
-		}
+		tb.eachCounters(func(c *myrinet.Counters) { n += c.PacketsForwarded })
 		return n
 	}
 	s := h.rels[0].Stats()
@@ -613,8 +606,6 @@ func received(socks []*host.Socket) uint64 {
 // deliver, and what it loses it has degraded; plain UDP's losses are drops.
 func triage(q sim.QuiesceResult, r Trial, sent int, retries bool) TrialOutcome {
 	switch {
-	case q.WallClockHit:
-		return OutcomeWallClock
 	case retries && r.Outstanding > 0:
 		// Accepted traffic neither delivered nor abandoned. (The
 		// transport's Sent is always Delivered + GaveUp + Outstanding, so
@@ -802,7 +793,7 @@ func FormatDetectionCDF(s DetectionStats) string {
 // outcomeOrder fixes the tally rendering order.
 var outcomeOrder = []TrialOutcome{
 	OutcomeMasked, OutcomeRetransmitted, OutcomeResetRecovered,
-	OutcomeDegraded, OutcomeDropped, OutcomeHung, OutcomeWallClock, OutcomeError,
+	OutcomeDegraded, OutcomeDropped, OutcomeHung, OutcomeError,
 }
 
 // writeTally renders label and then each outcome's count, non-zero ones

@@ -78,12 +78,7 @@ func RunSec431(opts SectionOptions) Sec431Result {
 			tap:   float64(load.NodeReceived(tb.cfg.TapNode)) / minutes,
 			total: float64(load.Received()) / minutes,
 		}
-		for p := 0; p < tb.Switch.Ports(); p++ {
-			r.longTOs += tb.Switch.PortCounters(p).LongTimeouts
-		}
-		for _, n := range tb.Nodes {
-			r.longTOs += n.Interface().Counters().LongTimeouts
-		}
+		tb.eachCounters(func(c *myrinet.Counters) { r.longTOs += c.LongTimeouts })
 		return r
 	})
 	base, stop, gap := runs[0], runs[1], runs[2]

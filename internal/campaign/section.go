@@ -1,6 +1,9 @@
 package campaign
 
-import "netfi/internal/sim"
+import (
+	"netfi/internal/myrinet"
+	"netfi/internal/sim"
+)
 
 // SectionOptions parameterizes every paper section: RunTable2, RunTable4
 // and RunTable4Row, RunSec431 through RunSec434, RunPassThrough,
@@ -46,15 +49,16 @@ func (o SectionOptions) rounds() int {
 }
 
 // table4Duration, sec431Duration and passThroughDuration return the scaled
-// sections' load windows.
+// sections' load windows, never shorter than one character period (as
+// rounds never falls below 1): a window rounded to 0 ps would divide by it.
 func (o SectionOptions) table4Duration() sim.Duration {
-	return sim.Duration(1700 * o.scale() * float64(sim.Millisecond))
+	return max(myrinet.CharPeriod, sim.Duration(1700*o.scale()*float64(sim.Millisecond)))
 }
 
 func (o SectionOptions) sec431Duration() sim.Duration {
-	return sim.Duration(5 * o.scale() * float64(sim.Second))
+	return max(myrinet.CharPeriod, sim.Duration(5*o.scale()*float64(sim.Second)))
 }
 
 func (o SectionOptions) passThroughDuration() sim.Duration {
-	return sim.Duration(2 * o.scale() * float64(sim.Second))
+	return max(myrinet.CharPeriod, sim.Duration(2*o.scale()*float64(sim.Second)))
 }

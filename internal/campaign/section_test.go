@@ -3,14 +3,16 @@ package campaign
 import (
 	"testing"
 
+	"netfi/internal/myrinet"
 	"netfi/internal/sim"
 )
 
 // TestSectionSizing: the scaled sections' lengths at a given Scale are the
 // ones `netfi -scale` has always run — Table 2's rounds floored at 1, and
-// the Table 4, §4.3.1 and pass-through windows — with a zero Scale meaning
-// the scale-1 size. The rows the tests run at (0.25, 0.025, 0.4, 0.1) give
-// the lengths those tests ran before they were written as a scale.
+// the Table 4, §4.3.1 and pass-through windows floored at one character
+// period — with a zero Scale meaning the scale-1 size. The rows the tests
+// run at (0.25, 0.025, 0.4, 0.1) give the lengths those tests ran before
+// they were written as a scale.
 func TestSectionSizing(t *testing.T) {
 	for _, tc := range []struct {
 		scale                       float64
@@ -27,6 +29,8 @@ func TestSectionSizing(t *testing.T) {
 		{0.4, 8000, 680 * sim.Millisecond, 2 * sim.Second, 800 * sim.Millisecond},
 		{0.1, 2000, 170 * sim.Millisecond, 500 * sim.Millisecond, 200 * sim.Millisecond},
 		{1e-5, 1, 17 * sim.Microsecond, 50 * sim.Microsecond, 20 * sim.Microsecond},
+		// Windows that would round to 0 ps floor at one character period.
+		{1e-13, 1, myrinet.CharPeriod, myrinet.CharPeriod, myrinet.CharPeriod},
 	} {
 		o := SectionOptions{Scale: tc.scale}
 		if got := o.rounds(); got != tc.rounds {

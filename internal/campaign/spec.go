@@ -251,19 +251,13 @@ func RunSpec(s Spec) (SpecResult, error) {
 		res.Matches += m
 		res.Injections += inj
 	}
-	addDrops := func(c *myrinet.Counters) {
+	tb.eachCounters(func(c *myrinet.Counters) {
 		for r, v := range c.Drops {
 			if v > 0 {
 				res.Drops[myrinet.DropReason(r).String()] += v
 			}
 		}
-	}
-	for _, n := range tb.Nodes {
-		addDrops(n.Interface().Counters())
-	}
-	for p := 0; p < tb.Switch.Ports(); p++ {
-		addDrops(tb.Switch.PortCounters(p))
-	}
+	})
 	return res, nil
 }
 

@@ -170,16 +170,23 @@ func connectNode(k *sim.Kernel, n *host.Node, sw *myrinet.Switch, p int) *phy.Ca
 // TapNode returns the node whose cable carries the injector.
 func (tb *Testbed) TapNode() *host.Node { return tb.Nodes[tb.cfg.TapNode] }
 
+// eachCounters calls fn on the counters of every switch port, then of every
+// node's interface: the walk behind each network-wide sum. (A callback, not
+// an iterator: the module's Go version predates range-over-func.)
+func (tb *Testbed) eachCounters(fn func(c *myrinet.Counters)) {
+	for p := 0; p < tb.Switch.Ports(); p++ {
+		fn(tb.Switch.PortCounters(p))
+	}
+	for _, nd := range tb.Nodes {
+		fn(nd.Interface().Counters())
+	}
+}
+
 // Drops sums packet drops over every switch port and node interface: the
 // network-wide loss counter.
 func (tb *Testbed) Drops() uint64 {
 	var n uint64
-	for p := 0; p < tb.Switch.Ports(); p++ {
-		n += tb.Switch.PortCounters(p).TotalDrops()
-	}
-	for _, nd := range tb.Nodes {
-		n += nd.Interface().Counters().TotalDrops()
-	}
+	tb.eachCounters(func(c *myrinet.Counters) { n += c.TotalDrops() })
 	return n
 }
 

@@ -41,7 +41,6 @@ func TestTriage(t *testing.T) {
 		{"reliable delivered first time", drained, all, true, OutcomeMasked},
 		{"reliable gave up", drained, with(func(r *Trial) { r.Delivered, r.GaveUp = 5, 1 }), true, OutcomeDegraded},
 		// Chaos: reliable transport on a warmed world.
-		{"reliable wall clock", sim.QuiesceResult{WallClockHit: true}, with(func(r *Trial) { r.Outstanding = 3 }), true, OutcomeWallClock},
 		{"reliable drained, output held, work lost", drained, with(func(r *Trial) { r.Delivered, r.GaveUp, r.HeldOutputs = 5, 1, 1 }), true, OutcomeHung},
 		{"reliable abandoned toward a dead node", drained, with(func(r *Trial) { r.Delivered, r.GaveUp = 3, 3 }), true, OutcomeDegraded},
 		// Resilience without recovery: plain UDP.

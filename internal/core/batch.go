@@ -12,9 +12,8 @@ import (
 //
 //   - A precomputed wake table over the symbol space classifies characters:
 //     legacy compare anchors (first masked window position matches), rule
-//     starters (characters that can begin some rule's prefix — the
-//     prefilter's starter set, or the complement of the executor's quiet
-//     set when no prefilter is compiled), and link RESET symbols (counted
+//     starters (characters that satisfy some rule's first step — the
+//     program's starter set), and link RESET symbols (counted
 //     during the scan so bulk runs need no per-character statistics pass).
 //     Runs with no anchor or starter flow through as a single copy — the
 //     "cut-through" path — with only bulk statistics, capture-ring and
@@ -98,27 +97,18 @@ func (e *Engine) rebuildPlan() {
 	}
 	p.cmpAlways = j < 0
 	p.anchorIdx = j
-	var quiet *[rules.SymbolSpace / 64]uint64
+	var prog *rules.Program
 	if e.ruleExec != nil {
-		p.pf = e.ruleExec.Program().Prefilter()
-		if p.pf == nil {
-			quiet = e.ruleExec.QuietSymbols()
-		}
+		prog = e.ruleExec.Program()
+		p.pf = prog.Prefilter()
 	}
 	for v := 0; v < batchSpan; v++ {
 		var b uint8
 		if j >= 0 && (phy.Character(v)^e.cfg.CompareData[j])&phy.Character(e.cfg.CompareMask[j]) == 0 {
 			b |= wakeLegacy
 		}
-		if p.pf != nil {
-			if p.pf.Starter(uint16(v)) {
-				b |= wakeStart
-			}
-		} else if quiet != nil {
-			s := v & rules.SymbolMask
-			if quiet[s>>6]&(1<<uint(s&63)) == 0 {
-				b |= wakeStart
-			}
+		if prog != nil && prog.Starter(uint16(v)) {
+			b |= wakeStart
 		}
 		if phy.Character(v)&(dcFlag|0xFF) == LinkResetCode {
 			b |= wakeReset

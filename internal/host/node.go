@@ -11,6 +11,7 @@
 package host
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 
@@ -211,10 +212,10 @@ func appendUDP(dst []byte, srcPort, dstPort uint16, data []byte) []byte {
 	dst = append(dst, 0, 0, 0, 0, 0, 0, 0, 0)
 	dst = append(dst, data...)
 	dgram := dst[start:]
-	putU16(dgram[0:], srcPort)
-	putU16(dgram[2:], dstPort)
-	putU16(dgram[4:], uint16(len(dgram)))
-	putU16(dgram[6:], bitstream.Checksum16(dgram))
+	binary.BigEndian.PutUint16(dgram[0:], srcPort)
+	binary.BigEndian.PutUint16(dgram[2:], dstPort)
+	binary.BigEndian.PutUint16(dgram[4:], uint16(len(dgram)))
+	binary.BigEndian.PutUint16(dgram[6:], bitstream.Checksum16(dgram))
 	return dst
 }
 
@@ -225,13 +226,13 @@ func DecodeUDP(dgram []byte) (srcPort, dstPort uint16, data []byte, err error) {
 	if len(dgram) < udpHeaderLen {
 		return 0, 0, nil, errShort
 	}
-	if u16(dgram[4:]) != uint16(len(dgram)) {
+	if binary.BigEndian.Uint16(dgram[4:]) != uint16(len(dgram)) {
 		return 0, 0, nil, errLength
 	}
 	if !bitstream.VerifyChecksum16(dgram) {
 		return 0, 0, nil, errChecksum
 	}
-	return u16(dgram[0:]), u16(dgram[2:]), dgram[udpHeaderLen:], nil
+	return binary.BigEndian.Uint16(dgram[0:]), binary.BigEndian.Uint16(dgram[2:]), dgram[udpHeaderLen:], nil
 }
 
 var (
@@ -239,9 +240,6 @@ var (
 	errLength   = errors.New("host: datagram length field differs from its length")
 	errChecksum = errors.New("host: UDP checksum mismatch")
 )
-
-func putU16(b []byte, v uint16) { b[0] = byte(v >> 8); b[1] = byte(v) }
-func u16(b []byte) uint16       { return uint16(b[0])<<8 | uint16(b[1]) }
 
 // jitter returns a uniform random duration in [0, OverheadJitter).
 func (n *Node) jitter() sim.Duration {

@@ -1,6 +1,7 @@
 package host
 
 import (
+	"encoding/binary"
 	"fmt"
 	"slices"
 	"sort"
@@ -212,7 +213,7 @@ func (f *flow) pump() {
 	f.seq = f.nextSeq
 	f.nextSeq++
 	f.inflight = append(append(f.inflight[:0], relData, 0, 0, 0, 0), data...)
-	putU32(f.inflight[relSeq:], f.seq)
+	binary.BigEndian.PutUint32(f.inflight[relSeq:], f.seq)
 	f.attempts = 0
 	f.transmit()
 }
@@ -299,7 +300,7 @@ func (r *Reliable) onDatagram(src myrinet.MAC, srcPort uint16, dgram []byte) {
 	if len(dgram) < relHdrLen {
 		return
 	}
-	seq := u32(dgram[relSeq:])
+	seq := binary.BigEndian.Uint32(dgram[relSeq:])
 	switch dgram[relKind] {
 	case relAck:
 		r.stats.AcksReceived++
@@ -340,7 +341,7 @@ func (r *Reliable) onDataFrame(src myrinet.MAC, seq uint32, data []byte) {
 func (r *Reliable) sendAck(dst myrinet.MAC, seq uint32) {
 	ack := make([]byte, relHdrLen)
 	ack[relKind] = relAck
-	putU32(ack[relSeq:], seq)
+	binary.BigEndian.PutUint32(ack[relSeq:], seq)
 	r.node.SendUDP(dst, r.port, r.port, ack)
 }
 
@@ -348,15 +349,4 @@ func (r *Reliable) sendAck(dst myrinet.MAC, seq uint32) {
 func (s ReliableStats) String() string {
 	return fmt.Sprintf("sent=%d delivered=%d retx=%d gaveup=%d dups=%d",
 		s.Sent, s.Delivered, s.Retransmits, s.GaveUp, s.DupsDropped)
-}
-
-func putU32(b []byte, v uint32) {
-	b[0] = byte(v >> 24)
-	b[1] = byte(v >> 16)
-	b[2] = byte(v >> 8)
-	b[3] = byte(v)
-}
-
-func u32(b []byte) uint32 {
-	return uint32(b[0])<<24 | uint32(b[1])<<16 | uint32(b[2])<<8 | uint32(b[3])
 }

@@ -1,6 +1,7 @@
 package myrinet
 
 import (
+	"encoding/binary"
 	"sort"
 
 	"netfi/internal/sim"
@@ -200,7 +201,7 @@ func (m *MCP) sendScout(route []byte) {
 	m.probes[m.seq] = &probe{route: route}
 	payload := make([]byte, 0, scoutFixedLen)
 	payload = append(payload, mapSubScout)
-	payload = appendID(payload, m.ifc.cfg.ID)
+	payload = binary.BigEndian.AppendUint64(payload, uint64(m.ifc.cfg.ID))
 	payload = append(payload, m.ifc.cfg.MAC[:]...)
 	payload = append(payload, byte(m.seq>>8), byte(m.seq))
 	m.scoutsSent++
@@ -315,7 +316,7 @@ func routeBetween(x, y MapEntry) []byte {
 
 func (m *MCP) sendTable(x MapEntry, table map[MAC][]byte) {
 	payload := []byte{mapSubTable}
-	payload = appendID(payload, m.ifc.cfg.ID)
+	payload = binary.BigEndian.AppendUint64(payload, uint64(m.ifc.cfg.ID))
 	payload = append(payload, byte(len(table)>>8), byte(len(table)))
 	macs := make([]MAC, 0, len(table))
 	for mac := range table {
@@ -358,7 +359,7 @@ func (m *MCP) handleScout(payload []byte) {
 		m.ifc.ctr.Drop(DropTruncated)
 		return
 	}
-	origin := readID(payload[1:9])
+	origin := NodeID(binary.BigEndian.Uint64(payload[1:9]))
 	if origin == m.ifc.cfg.ID {
 		return // own scout looped back through the fabric
 	}
@@ -372,7 +373,7 @@ func (m *MCP) handleScout(payload []byte) {
 	route = append(route, RouteFinal)
 
 	reply := []byte{mapSubReply}
-	reply = appendID(reply, m.ifc.cfg.ID)
+	reply = binary.BigEndian.AppendUint64(reply, uint64(m.ifc.cfg.ID))
 	reply = append(reply, m.ifc.cfg.MAC[:]...)
 	reply = append(reply, seqHi, seqLo)
 	reply = append(reply, byte(len(inPorts)))
@@ -392,7 +393,7 @@ func (m *MCP) handleReply(payload []byte) {
 		return // stale reply
 	}
 	m.repliesSeen++
-	id := readID(payload[1:9])
+	id := NodeID(binary.BigEndian.Uint64(payload[1:9]))
 	var mac MAC
 	copy(mac[:], payload[9:15])
 	seq := uint16(payload[15])<<8 | uint16(payload[16])
@@ -422,7 +423,7 @@ func (m *MCP) handleTable(payload []byte) {
 		m.ifc.ctr.Drop(DropTruncated)
 		return
 	}
-	mapper := readID(payload[1:9])
+	mapper := NodeID(binary.BigEndian.Uint64(payload[1:9]))
 	count := int(payload[9])<<8 | int(payload[10])
 	table := make(map[MAC][]byte, count)
 	off := fixed
@@ -460,14 +461,3 @@ func (m *MCP) handleTable(payload []byte) {
 
 // ScoutsAnswered reports how many scouts this node replied to.
 func (m *MCP) ScoutsAnswered() uint64 { return m.scoutsAnswered }
-
-func appendID(b []byte, id NodeID) []byte {
-	return append(b,
-		byte(id>>56), byte(id>>48), byte(id>>40), byte(id>>32),
-		byte(id>>24), byte(id>>16), byte(id>>8), byte(id))
-}
-
-func readID(b []byte) NodeID {
-	return NodeID(b[0])<<56 | NodeID(b[1])<<48 | NodeID(b[2])<<40 | NodeID(b[3])<<32 |
-		NodeID(b[4])<<24 | NodeID(b[5])<<16 | NodeID(b[6])<<8 | NodeID(b[7])
-}

@@ -11,7 +11,7 @@ package rules
 // duplicate a warmed injector without recompiling.
 func (e *Executor) CloneInto(e2 *Executor, p *Program) {
 	lanes, counts := e2.lanes, e2.counts
-	*e2 = *e // dfa, symbols, onceFired, quiet (value array)
+	*e2 = *e // dfa, symbols, onceFired
 	e2.p = p
 	e2.lanes = append(lanes[:0], e.lanes...)
 	e2.counts = append(counts[:0], e.counts...)

@@ -53,6 +53,12 @@ type automaton struct {
 
 	nfaStates int
 
+	// starter holds bit s when symbol s satisfies some rule's first step:
+	// exactly the symbols on which the matcher leaves its start
+	// configuration, so a run of non-starters consumed in start changes
+	// nothing but the symbol clock.
+	starter [SymbolSpace / 64]uint64
+
 	// prefilter is the compiled batch screen; nil when judged useless (see
 	// compilePrefilter).
 	prefilter *Prefilter
@@ -107,9 +113,14 @@ func compile(rs []Rule, budget int) (*Program, error) {
 		}
 		p.lanes = append(p.lanes, buildLane(&rs[i], int32(i)))
 		p.nfaStates += len(p.lanes[i].states)
+		stepToken(rs[i].Steps[0]).each(func(s uint16) { p.starter[s>>6] |= 1 << (s & 63) })
 	}
 	p.buildDFA(budget) // leaves dfaTable nil past the budget
-	p.prefilter = compilePrefilter(rs)
+	starters := 0
+	for _, w := range p.starter {
+		starters += bits.OnesCount64(w)
+	}
+	p.prefilter = compilePrefilter(rs, starters)
 	p.bind(rs)
 	return p, nil
 }
@@ -373,6 +384,14 @@ func (p *Program) Rules() []Rule { return p.rules }
 
 // UsesDFA reports whether subset construction fit the budget.
 func (p *Program) UsesDFA() bool { return p.dfaTable != nil }
+
+// Starter reports whether sym satisfies some rule's first step: whether
+// consuming it in the start configuration can begin a match. The injector's
+// batch plan folds the starter set into its wake table.
+func (p *Program) Starter(sym uint16) bool {
+	s := sym & SymbolMask
+	return p.starter[s>>6]&(1<<(s&63)) != 0
+}
 
 // Prefilter returns the compiled batch screen, or nil when the compiler
 // judged one useless for this rule set.

@@ -16,12 +16,6 @@ type Executor struct {
 	symbols   uint64 // symbols consumed since Reset
 	onceFired uint64
 	counts    []ruleCounts
-
-	// quiet is the start-state skip set: bit s is set when consuming symbol
-	// s from the start state provably returns to the start state with no
-	// match. Runs of quiet symbols can be consumed in bulk (StepBatch) with
-	// only the symbol clock advancing.
-	quiet [SymbolSpace / 64]uint64
 }
 
 // ruleCounts is one rule's match and (mode-gated) fire counters.
@@ -44,8 +38,6 @@ func (e *Executor) Load(p *Program) {
 	if !p.UsesDFA() {
 		e.lanes = resize(e.lanes, n)
 	}
-	e.quiet = [SymbolSpace / 64]uint64{}
-	e.buildQuiet()
 	e.Reset()
 }
 
@@ -57,48 +49,9 @@ func resize[T any](s []T, n int) []T {
 	return s[:n]
 }
 
-// buildQuiet computes the start-state skip set once per program. A symbol is
-// quiet when no rule's automaton leaves its start configuration on it: for
-// the DFA that is a self-transition of state 0 with an empty accept set; for
-// NFA lanes it means no lane's start state has a consuming transition the
-// symbol satisfies (the start's self-loop is what keeps matching unanchored,
-// so "stays at {start}" is exact, not conservative).
-func (e *Executor) buildQuiet() {
-	if e.p.dfaTable != nil {
-		if e.p.dfaAccept[0] != 0 {
-			return // degenerate: start already accepts; never skip
-		}
-		for s := 0; s < SymbolSpace; s++ {
-			if e.p.dfaTable[s] == 0 {
-				e.quiet[s>>6] |= 1 << uint(s&63)
-			}
-		}
-		return
-	}
-	for s := 0; s < SymbolSpace; s++ {
-		sym := uint16(s)
-		ok := true
-		for r := range e.p.lanes {
-			lane := &e.p.lanes[r]
-			if lane.accept&1 != 0 {
-				ok = false
-				break
-			}
-			st := &lane.states[0]
-			if st.anyNext >= 0 || (st.matchNext >= 0 && (sym^st.cmp)&st.mask == 0) {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			e.quiet[s>>6] |= 1 << uint(s&63)
-		}
-	}
-}
-
 // InStart reports whether the automaton is in its start configuration, i.e.
-// no partial match is in flight. Quiet symbols consumed here provably leave
-// the executor unchanged except for the symbol clock.
+// no partial match is in flight. A symbol outside the program's starter set
+// consumed here leaves the executor unchanged except for the symbol clock.
 func (e *Executor) InStart() bool {
 	if e.p.dfaTable != nil {
 		return e.dfa == 0
@@ -111,14 +64,9 @@ func (e *Executor) InStart() bool {
 	return true
 }
 
-// QuietSymbols exposes the start-state skip set as a 512-bit bitmap (bit s
-// of word s/64 = symbol s is quiet). Callers that pre-classify symbols — the
-// injector's batch scanner — fold it into their own anchor maps.
-func (e *Executor) QuietSymbols() *[SymbolSpace / 64]uint64 { return &e.quiet }
-
 // SkipQuiet advances the symbol clock over n symbols without touching
-// automaton state. Only valid when InStart() holds and every skipped symbol
-// is in QuietSymbols; callers own that proof.
+// automaton state. Only valid when InStart() holds and no skipped symbol is
+// a starter (Program.Starter); callers own that proof.
 func (e *Executor) SkipQuiet(n int) { e.symbols += uint64(n) }
 
 // StepBatch consumes a run of symbols and returns the OR of the fire masks
@@ -127,16 +75,16 @@ func (e *Executor) SkipQuiet(n int) { e.symbols += uint64(n) }
 // proves unable to complete any rule's prefix are consumed in bulk, and the
 // exact per-symbol path wakes only around prefilter hits (rewound by the
 // maximum prefix length) and held-back partials at the run's end. Without a
-// prefilter, runs of quiet symbols are consumed in bulk instead; either way
+// prefilter, runs of non-starters are consumed in bulk instead; either way
 // the per-symbol path stays engaged until the automaton returns to start.
 func (e *Executor) StepBatch(syms []uint16) uint64 {
 	var fired uint64
 	i, n := 0, len(syms)
-	pf := e.p.prefilter
+	p := e.p
 	for i < n {
 		if e.InStart() {
-			if pf != nil {
-				clean, hold := pf.ScanClean(syms[i:])
+			if p.prefilter != nil {
+				clean, hold := p.scanClean(syms[i:])
 				if clean > 0 {
 					e.symbols += uint64(clean)
 					i += clean
@@ -147,11 +95,7 @@ func (e *Executor) StepBatch(syms []uint16) uint64 {
 				continue
 			}
 			j := i
-			for j < n {
-				s := syms[j] & SymbolMask
-				if e.quiet[s>>6]&(1<<uint(s&63)) == 0 {
-					break
-				}
+			for j < n && !p.Starter(syms[j]) {
 				j++
 			}
 			if j > i {

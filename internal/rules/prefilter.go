@@ -1,7 +1,5 @@
 package rules
 
-import "math/bits"
-
 // Multi-pattern prefilter: a cheap screen compiled from every rule's literal
 // prefix, run over whole batch runs so the exact DFA/lane executor wakes only
 // around positions where some rule could actually be completing its opening
@@ -62,7 +60,6 @@ func (t prefixToken) each(fn func(sym uint16)) {
 type Prefilter struct {
 	prefixes [][]prefixToken // deduplicated
 	maxLen   int
-	starter  [SymbolSpace / 64]uint64
 
 	// shift-and tables.
 	words int
@@ -80,13 +77,18 @@ func extractPrefix(r *Rule) []prefixToken {
 		if j > 0 && st.Gap != 0 {
 			break
 		}
-		mask := st.Mask & SymbolMask
-		toks = append(toks, prefixToken{cmp: st.Sym & mask, mask: mask})
+		toks = append(toks, stepToken(st))
 		if len(toks) == prefixCap {
 			break
 		}
 	}
 	return toks
+}
+
+// stepToken is a step's symbol class as a prefix token.
+func stepToken(st Step) prefixToken {
+	mask := st.Mask & SymbolMask
+	return prefixToken{cmp: st.Sym & mask, mask: mask}
 }
 
 // prefixTrie deduplicates prefixes by exact token class, with leading-prefix
@@ -157,11 +159,11 @@ func (t *prefixTrie) collect() [][]prefixToken {
 	return out
 }
 
-// compilePrefilter builds the screen for a validated rule set, or returns nil
-// when a screen would be useless: starter classes covering most of the symbol
-// space, or no prefix longer than one symbol — the quiet-set path already
-// handles those.
-func compilePrefilter(rs []Rule) *Prefilter {
+// compilePrefilter builds the screen for a validated rule set whose starter
+// set holds starters symbols, or returns nil when a screen would be useless:
+// starters covering most of the symbol space, or no prefix longer than one
+// symbol — skipping non-starters (Program.Starter) already handles those.
+func compilePrefilter(rs []Rule, starters int) *Prefilter {
 	t := newPrefixTrie()
 	for i := range rs {
 		t.insert(extractPrefix(&rs[i]))
@@ -171,11 +173,6 @@ func compilePrefilter(rs []Rule) *Prefilter {
 		if len(p) > pf.maxLen {
 			pf.maxLen = len(p)
 		}
-		p[0].each(func(s uint16) { pf.starter[s>>6] |= 1 << (s & 63) })
-	}
-	starters := 0
-	for _, w := range pf.starter {
-		starters += bits.OnesCount64(w)
 	}
 	if pf.maxLen < 2 || 2*starters > SymbolSpace {
 		return nil
@@ -208,14 +205,6 @@ func (pf *Prefilter) buildShiftAnd() {
 		pf.hitm[last>>6] |= 1 << uint(last&63)
 		pos += len(p)
 	}
-}
-
-// Starter reports whether sym can begin some rule's prefix. The injector's
-// batch plan folds this into its wake table: non-starters extend skip runs
-// even though they are not in the executor's conservative quiet set.
-func (pf *Prefilter) Starter(sym uint16) bool {
-	s := sym & SymbolMask
-	return pf.starter[s>>6]&(1<<uint(s&63)) != 0
 }
 
 // MaxLen is the longest registered prefix: the hit-rewind and buffer-tail

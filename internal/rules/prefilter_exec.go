@@ -73,19 +73,20 @@ func (s *Scanner) Depth() int {
 	return max
 }
 
-// ScanClean scans a run and splits it: syms[:clean] provably cannot complete
-// any rule's registered prefix — an executor in its start configuration may
-// consume them with SkipQuiet — and the next hold symbols (zero only when the
-// whole run is clean) must be stepped exactly. The split accounts for hits
-// (rewound by MaxLen()-1 so the verifying executor sees the whole prefix) and
-// for partials still viable at the end of the run (held back so a prefix
-// straddling the call boundary is verified per-symbol).
-func (pf *Prefilter) ScanClean(syms []uint16) (clean, hold int) {
+// scanClean runs p's prefilter over a run and splits it: syms[:clean]
+// provably cannot complete any rule's registered prefix — an executor in its
+// start configuration may consume them with SkipQuiet — and the next hold
+// symbols (zero only when the whole run is clean) must be stepped exactly.
+// The split accounts for hits (rewound by MaxLen()-1 so the verifying
+// executor sees the whole prefix) and for partials still viable at the end
+// of the run (held back so a prefix straddling the call boundary is verified
+// per-symbol). Non-starters need no scanner: they begin no prefix.
+func (p *Program) scanClean(syms []uint16) (clean, hold int) {
+	pf := p.prefilter
 	n := len(syms)
 	i := 0
 	for i < n {
-		s := syms[i] & SymbolMask
-		if pf.starter[s>>6]&(1<<uint(s&63)) == 0 {
+		if !p.Starter(syms[i]) {
 			i++
 			continue
 		}

@@ -99,8 +99,8 @@ func TestPrefixDedupeAndSubsumption(t *testing.T) {
 }
 
 // The compiler declines a screen when it cannot help: single-symbol prefixes
-// (the quiet set already covers them) or starter classes covering most of
-// the symbol space.
+// (skipping non-starters already covers them) or starter classes covering
+// most of the symbol space.
 func TestPrefilterAutoDeclines(t *testing.T) {
 	wildcard := []Rule{pfRule(0,
 		Step{Sym: 0, Mask: 0}, // matches every symbol: no usable literal prefix
@@ -134,13 +134,12 @@ func TestPrefilterStarterCoversFirstSteps(t *testing.T) {
 		if err != nil {
 			continue
 		}
-		pf := p.Prefilter()
-		if pf == nil {
-			continue // declined: the wake table uses the quiet set instead
+		if p.Prefilter() == nil {
+			continue // declined; TestStarterSetExact covers every program
 		}
 		screened++
 		for s := 0; s < SymbolSpace; s++ {
-			if pf.Starter(uint16(s)) {
+			if p.Starter(uint16(s)) {
 				continue
 			}
 			for i := range rs {
@@ -156,13 +155,13 @@ func TestPrefilterStarterCoversFirstSteps(t *testing.T) {
 	}
 }
 
-// ScanClean's three verdict shapes: a hit rewinds by MaxLen-1, a partial at
+// scanClean's three verdict shapes: a hit rewinds by MaxLen-1, a partial at
 // the buffer end is held back, dead partials are cleaned through.
 func TestScanCleanSplits(t *testing.T) {
 	rs := []Rule{pfRule(0,
 		Step{Sym: 0x41, Mask: SymbolMask},
 		Step{Sym: 0x42, Mask: SymbolMask})}
-	pf := mustCompile(t, rs).Prefilter()
+	p := mustCompile(t, rs)
 	cases := []struct {
 		name        string
 		syms        []uint16
@@ -178,9 +177,9 @@ func TestScanCleanSplits(t *testing.T) {
 		{"restart inside partial", []uint16{0x41, 0x41, 0x42}, 1, 2},
 	}
 	for _, tc := range cases {
-		clean, hold := pf.ScanClean(tc.syms)
+		clean, hold := p.scanClean(tc.syms)
 		if clean != tc.clean || hold != tc.hold {
-			t.Errorf("%s: ScanClean = (%d,%d), want (%d,%d)",
+			t.Errorf("%s: scanClean = (%d,%d), want (%d,%d)",
 				tc.name, clean, hold, tc.clean, tc.hold)
 		}
 	}

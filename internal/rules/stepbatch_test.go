@@ -1,6 +1,7 @@
 package rules
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -118,12 +119,16 @@ func FuzzStepBatch(f *testing.F) {
 	f.Fuzz(checkStepBatchCase)
 }
 
-// The quiet set must never contain a symbol the reference matcher can start
-// a match on: every symbol matching some rule's first step is excluded.
-func TestQuietSymbolsExcludeAnchors(t *testing.T) {
+// The starter set is exact in both directions: a symbol is a starter if and
+// only if one Step of a fresh executor on it leaves the start configuration.
+// StepBatch and the injector's wake table skip non-starters in bulk, so a
+// missing starter loses matches and a spurious one only costs speed; both
+// are checked, for DFA and lane programs, with and without a prefilter.
+func TestStarterSetExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	buf := make([]byte, 64)
-	for caseN := 0; caseN < 500; caseN++ {
+	seen := map[string]int{}
+	for caseN := 0; caseN < 1000; caseN++ {
 		rng.Read(buf)
 		c := &byteCursor{data: buf}
 		rs := buildFuzzRules(c)
@@ -132,19 +137,21 @@ func TestQuietSymbolsExcludeAnchors(t *testing.T) {
 			if err != nil {
 				break
 			}
-			quiet := NewExecutor(p).QuietSymbols()
-			for s := 0; s < SymbolSpace; s++ {
-				if quiet[s>>6]&(1<<uint(s&63)) == 0 {
-					continue
-				}
-				for i := range rs {
-					first := rs[i].Steps[0]
-					if (uint16(s)^first.Sym)&first.Mask&SymbolMask == 0 {
-						t.Fatalf("case %d: symbol %#03x marked quiet but anchors rule %d (%s)",
-							caseN, s, i, p.Stats().Mode)
-					}
+			seen[fmt.Sprintf("%s/screen=%t", p.Stats().Mode, p.Prefilter() != nil)]++
+			e := NewExecutor(p)
+			for s := uint16(0); s < SymbolSpace; s++ {
+				e.Reset()
+				e.Step(s)
+				if left := !e.InStart(); left != p.Starter(s) {
+					t.Fatalf("case %d (%s): symbol %#03x: Starter = %t, but a Step from start leaves it: %t",
+						caseN, p.Stats().Mode, s, p.Starter(s), left)
 				}
 			}
+		}
+	}
+	for _, kind := range []string{"dfa/screen=true", "dfa/screen=false", "nfa-lanes/screen=true", "nfa-lanes/screen=false"} {
+		if seen[kind] < 20 {
+			t.Errorf("only %d random programs of kind %s; the check is thin there (%v)", seen[kind], kind, seen)
 		}
 	}
 }

@@ -42,9 +42,10 @@ import "fmt"
 //     args (a pooled burst delivery, a wake pair) that are not themselves
 //     part of the registered graph.
 //
-// Closure-form events (At/After) cannot be forked: a closure's captures are
-// invisible, so there is no way to rebind them to the new world. Clone
-// fails loudly if any non-canceled closure event is pending — the fork
+// Closure-form events (At/After, whose arg is the closure) cannot be forked:
+// a closure's captures are invisible, so there is no way to rebind them to
+// the new world. Clone fails loudly if any non-canceled event with a func()
+// arg is pending, before Finish would look that unhashable arg up — the fork
 // discipline is that everything scheduled across a snapshot rides the
 // AtArg/AfterArg trampoline path. Events scheduled after the fork (fault
 // plans, workloads) may use closures freely.
@@ -296,7 +297,7 @@ func (m *Mapper) Finish() error {
 			}
 			continue
 		}
-		if ev.canceled || ev.afn == nil {
+		if ev.canceled {
 			continue
 		}
 		a, err := m.resolveArg(ev.arg)
@@ -318,7 +319,7 @@ func (m *Mapper) cloneEvent(old *event) *event {
 	ev := m.k2.alloc()
 	*ev = *old
 	ev.next = nil
-	if old.fn != nil && !old.canceled {
+	if _, closure := old.arg.(func()); closure && !old.canceled {
 		m.Fail(fmt.Errorf(
 			"sim: fork: closure-form event pending at %v (seq %d); snapshot requires AtArg/AfterArg scheduling",
 			old.at, old.seq))

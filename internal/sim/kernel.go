@@ -105,8 +105,7 @@ type event struct {
 	at  Time
 	seq uint64 // insertion order; breaks ties deterministically
 
-	fn  func()    // closure form (At/After)
-	afn func(any) // capture-free form (AtArg/AfterArg)
+	fn  func(any) // called with arg; At/After pass their closure as arg
 	arg any
 
 	// tm is set on a Timer's expiry event. The timer may have been re-armed
@@ -257,11 +256,22 @@ func (p *prng) Seed(seed int64) { p.s = uint64(seed) }
 
 // Uint64 implements rand.Source64 (splitmix64).
 func (p *prng) Uint64() uint64 {
-	p.s += 0x9e3779b97f4a7c15
-	z := p.s
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
+	z := SplitMix64(p.s)
+	p.s += splitMixGamma
+	return z
+}
+
+// splitMixGamma is splitmix64's state increment.
+const splitMixGamma = 0x9e3779b97f4a7c15
+
+// SplitMix64 is one splitmix64 step: the output for state x, whose next
+// state is x + 0x9e3779b97f4a7c15. The kernel's source draws from it, and
+// the fabric's counter-based streams hash their coordinates through it.
+func SplitMix64(x uint64) uint64 {
+	x += splitMixGamma
+	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
+	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
+	return x ^ (x >> 31)
 }
 
 // Int63 implements rand.Source.
@@ -305,9 +315,11 @@ func (k *Kernel) Queued() int {
 
 // At schedules fn to run at absolute virtual time t. Scheduling in the past
 // panics: that is always a model bug, and silently reordering time would make
-// every downstream result wrong.
+// every downstream result wrong. The event is AtArg's, with fn as the
+// argument of the callClosure trampoline NewTimer uses; a fork refuses it
+// while it is pending (see Mapper), as fn's captures cannot be rebound.
 func (k *Kernel) At(t Time, fn func()) EventID {
-	return k.schedule(t, fn, nil, nil)
+	return k.AtArg(t, callClosure, fn)
 }
 
 // After schedules fn to run d after the current time.
@@ -315,7 +327,7 @@ func (k *Kernel) After(d Duration, fn func()) EventID {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: negative delay %v", d))
 	}
-	return k.schedule(k.now+d, fn, nil, nil)
+	return k.AtArg(k.now+d, callClosure, fn)
 }
 
 // AtArg schedules fn(arg) at absolute virtual time t. Unlike At, the
@@ -323,7 +335,17 @@ func (k *Kernel) After(d Duration, fn func()) EventID {
 // its receiver, so scheduling allocates no closure — with the event pool,
 // nothing at all in steady state.
 func (k *Kernel) AtArg(t Time, fn func(any), arg any) EventID {
-	return k.schedule(t, nil, fn, arg)
+	if t < k.now {
+		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, k.now))
+	}
+	ev := k.alloc()
+	ev.at = t
+	ev.seq = k.seq
+	ev.fn, ev.arg = fn, arg
+	k.seq++
+	k.live++
+	k.place(ev)
+	return EventID{ev: ev, gen: ev.gen}
 }
 
 // AfterArg schedules fn(arg) to run d after the current time; see AtArg.
@@ -331,7 +353,7 @@ func (k *Kernel) AfterArg(d Duration, fn func(any), arg any) EventID {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: negative delay %v", d))
 	}
-	return k.schedule(k.now+d, nil, fn, arg)
+	return k.AtArg(k.now+d, fn, arg)
 }
 
 // AtExt schedules an externally ordered event: at time t it fires before
@@ -350,21 +372,7 @@ func (k *Kernel) AtExt(t Time, rank uint32, xseq uint64, fn func(any), arg any) 
 	ev.at = t
 	ev.seq = k.seq
 	ev.ext, ev.xrank, ev.xseq = true, rank, xseq
-	ev.afn, ev.arg = fn, arg
-	k.seq++
-	k.live++
-	k.place(ev)
-	return EventID{ev: ev, gen: ev.gen}
-}
-
-func (k *Kernel) schedule(t Time, fn func(), afn func(any), arg any) EventID {
-	if t < k.now {
-		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, k.now))
-	}
-	ev := k.alloc()
-	ev.at = t
-	ev.seq = k.seq
-	ev.fn, ev.afn, ev.arg = fn, afn, arg
+	ev.fn, ev.arg = fn, arg
 	k.seq++
 	k.live++
 	k.place(ev)
@@ -464,7 +472,7 @@ func (k *Kernel) alloc() *event {
 // generation bump invalidates every outstanding EventID for it.
 func (k *Kernel) recycle(ev *event) {
 	ev.gen++
-	ev.fn, ev.afn, ev.arg, ev.tm = nil, nil, nil, nil
+	ev.fn, ev.arg, ev.tm = nil, nil, nil
 	ev.ext, ev.xrank, ev.xseq = false, 0, 0
 	ev.canceled, ev.train = false, false
 	ev.next = k.free
@@ -699,13 +707,9 @@ func (k *Kernel) step(limit Time, bulk bool) bool {
 	k.now = ev.at
 	k.processed++
 	k.live--
-	fn, afn, arg := ev.fn, ev.afn, ev.arg
+	fn, arg := ev.fn, ev.arg
 	k.recycle(ev) // before the call, so the callback can reuse the struct
-	if fn != nil {
-		fn()
-	} else {
-		afn(arg)
-	}
+	fn(arg)
 	return true
 }
 

@@ -1,7 +1,5 @@
 package sim
 
-import "time"
-
 // QuiesceConfig parameterizes RunUntilQuiescent: a bounded run that tells a
 // wedged simulation apart from a finished one. Campaigns need the
 // distinction to be deterministic — the paper's real test bed detected hangs
@@ -21,15 +19,6 @@ type QuiesceConfig struct {
 	// periodic source feeding an eternally dropping sink still advances
 	// Progress forever). Zero selects 10 s.
 	Deadline Duration
-	// WallClock bounds the run in real (host) time — the escape hatch
-	// for a livelocked fork whose event pathology outpaces the virtual
-	// deadline (an event storm that makes virtual time crawl). Zero
-	// disables the check: simulations are normally bounded in virtual
-	// time so results stay machine-independent, and a chaos sweep opts
-	// in per fork. Note a tripped wall clock makes that one result
-	// timing-dependent; sweeps report it as a distinct outcome rather
-	// than folding it into the deterministic classes.
-	WallClock time.Duration
 }
 
 func (c *QuiesceConfig) fillDefaults() {
@@ -45,7 +34,7 @@ func (c *QuiesceConfig) fillDefaults() {
 const quiesceCheckInterval = 5 * Millisecond
 
 // QuiesceResult reports how a RunUntilQuiescent run ended. Exactly one of
-// Drained, Stalled, DeadlineHit, WallClockHit is set.
+// Drained, Stalled, DeadlineHit is set.
 type QuiesceResult struct {
 	// Drained: the event queue emptied — the simulation is finished.
 	Drained bool
@@ -54,24 +43,20 @@ type QuiesceResult struct {
 	Stalled bool
 	// DeadlineHit: the run reached Deadline still making progress.
 	DeadlineHit bool
-	// WallClockHit: the configured real-time bound elapsed first.
-	WallClockHit bool
 	// Elapsed is virtual time consumed by this call.
 	Elapsed Duration
 	// FinalProgress is the last Progress sample.
 	FinalProgress uint64
 }
 
-// Outcome renders the terminal condition ("drained", "stalled", "deadline",
-// "wallclock").
+// Outcome renders the terminal condition ("drained", "stalled",
+// "deadline").
 func (r QuiesceResult) Outcome() string {
 	switch {
 	case r.Drained:
 		return "drained"
 	case r.Stalled:
 		return "stalled"
-	case r.WallClockHit:
-		return "wallclock"
 	default:
 		return "deadline"
 	}
@@ -93,10 +78,6 @@ func (k *Kernel) RunUntilQuiescent(cfg QuiesceConfig) QuiesceResult {
 	start := k.Now()
 	last := cfg.Progress()
 	lastChange := start
-	var wallStart time.Time
-	if cfg.WallClock > 0 {
-		wallStart = time.Now()
-	}
 	for {
 		k.RunFor(quiesceCheckInterval)
 		now := k.Now()
@@ -116,10 +97,6 @@ func (k *Kernel) RunUntilQuiescent(cfg QuiesceConfig) QuiesceResult {
 		}
 		if now-start >= cfg.Deadline {
 			res.DeadlineHit = true
-			return res
-		}
-		if cfg.WallClock > 0 && time.Since(wallStart) >= cfg.WallClock {
-			res.WallClockHit = true
 			return res
 		}
 	}

@@ -1,9 +1,6 @@
 package sim
 
-import (
-	"testing"
-	"time"
-)
+import "testing"
 
 func TestRunUntilQuiescentDrained(t *testing.T) {
 	k := NewKernel(1)
@@ -59,48 +56,6 @@ func TestRunUntilQuiescentDeadline(t *testing.T) {
 	}
 	if res.Elapsed < 100*Millisecond {
 		t.Errorf("Elapsed = %v, want >= Deadline", res.Elapsed)
-	}
-}
-
-// TestRunUntilQuiescentWallClock exercises the real-time escape hatch: a
-// livelocked world that keeps making progress (so neither the stall
-// detector nor a generous virtual deadline ends it) must still return
-// control within the configured wall-clock budget, flagged distinctly so
-// callers never mistake the timing-dependent result for a deterministic
-// outcome.
-func TestRunUntilQuiescentWallClock(t *testing.T) {
-	k := NewKernel(1)
-	var progress uint64
-	var tick func()
-	tick = func() { progress++; k.After(Nanosecond, tick) }
-	k.After(0, tick)
-	res := k.RunUntilQuiescent(QuiesceConfig{
-		Progress:   func() uint64 { return progress },
-		StallAfter: Second,
-		Deadline:   1000 * Second, // virtual aeons: only real time can end this
-		WallClock:  20 * time.Millisecond,
-	})
-	if !res.WallClockHit {
-		t.Fatalf("result = %+v, want wall-clock hit", res)
-	}
-	if res.Drained || res.Stalled || res.DeadlineHit {
-		t.Errorf("wall-clock exit mislabeled: %+v", res)
-	}
-	if res.Outcome() != "wallclock" {
-		t.Errorf("Outcome() = %q, want %q", res.Outcome(), "wallclock")
-	}
-}
-
-// TestRunUntilQuiescentWallClockOffByDefault pins the default: zero
-// WallClock means no real-time bound, preserving determinism for every
-// existing caller.
-func TestRunUntilQuiescentWallClockOffByDefault(t *testing.T) {
-	k := NewKernel(1)
-	var done uint64
-	k.After(2*Millisecond, func() { done++ })
-	res := k.RunUntilQuiescent(QuiesceConfig{Progress: func() uint64 { return done }})
-	if res.WallClockHit || !res.Drained {
-		t.Fatalf("result = %+v, want plain drain with no wall-clock flag", res)
 	}
 }
 

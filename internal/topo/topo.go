@@ -152,20 +152,13 @@ func HostIndex(m myrinet.MAC) (int, bool) {
 	return int(m[4])<<8 | int(m[5]), true
 }
 
-// splitmix advances one splitmix64 step; the fabric's only "random" choices
-// (spine selection, kernel seeds) hash through it so they depend on nothing
-// but the seed and the topology coordinates.
-func splitmix(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
+// mix hashes its arguments through splitmix64; the fabric's only "random"
+// choices (spine selection, kernel seeds) go through it so they depend on
+// nothing but the seed and the topology coordinates.
 func mix(vals ...uint64) uint64 {
 	h := uint64(0x243f6a8885a308d3)
 	for _, v := range vals {
-		h = splitmix(h ^ v)
+		h = sim.SplitMix64(h ^ v)
 	}
 	return h
 }
